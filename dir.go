@@ -20,8 +20,7 @@ package masm
 //	MANIFEST    checksummed catalog: per-table geometry and page
 //	            references, written atomically (tmp + rename) at creation,
 //	            at CreateTable/DropTable, and at every migration
-//	            checkpoint. Version-1 manifests (single-table, pre-catalog)
-//	            are upgraded transparently on first open.
+//	            checkpoint (manifest.go)
 //
 // Durability contract: an update survives a crash once Sync (or a
 // transaction Commit followed by Sync, or enough later traffic to force
@@ -31,31 +30,24 @@ package masm
 // migration-end record.
 //
 // OpenDir is the single-table wrapper: a one-table engine whose "default"
-// table is returned as a DB. Directories it created before the catalog
-// existed reopen through the v1-manifest upgrade path with identical
-// contents.
+// table is returned as a DB.
+//
+// This file opens and creates directories; recovery.go reopens one.
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"syscall"
-	"time"
 
 	core "masm/internal/masm"
 	"masm/internal/obs"
-	"masm/internal/runfile"
 	"masm/internal/sim"
 	"masm/internal/storage"
 	"masm/internal/storage/filedev"
 	"masm/internal/table"
-	"masm/internal/txn"
 	"masm/internal/wal"
 )
 
@@ -101,13 +93,6 @@ type EngineDirOptions struct {
 	// registry's atomic snapshots and never touches engine locks or the
 	// simulated timeline. The listener closes with the engine.
 	MetricsAddr string
-	// RecoveryWorkers bounds the concurrent run rebuilds during recovery.
-	// Zero selects the default (storage.DefaultIOWorkers); a negative value
-	// forces the fully serial legacy path. Both paths recover bit-identical
-	// engine state and virtual times — the rebuild scans move only real
-	// bytes, and their simulated cost is charged serially in the same order
-	// either way — so the knob trades wall-clock only.
-	RecoveryWorkers int
 	// IOWorkers bounds each batch of concurrent data-plane operations
 	// (migration shadow-batch writes). Zero selects the default
 	// (storage.DefaultIOWorkers).
@@ -138,83 +123,6 @@ const (
 // checkpoint at every reopen, and migrations truncate the live state it
 // must describe, so a fixed generous region suffices for the prototype.
 const logFileBytes = 256 << 20
-
-// manifestMagic identifies a MaSM database directory manifest.
-var manifestMagic = [8]byte{'M', 'a', 'S', 'M', 'd', 'i', 'r', '\x00'}
-
-// Manifest format versions. Version 1 described exactly one table;
-// version 2 describes the catalog. Version-1 manifests are upgraded in
-// memory on read (becoming a one-table catalog) and rewritten as version
-// 2 at the next manifest write.
-const (
-	manifestVersion    = 2
-	manifestVersionOne = 1
-)
-
-var manifestCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// tableManifest is one table's durable catalog entry.
-type tableManifest struct {
-	Name string `json:"name"`
-	ID   uint32 `json:"id"`
-	// DataOff/DataBytes locate the table's heap region in main.data.
-	DataOff   int64 `json:"data_off"`
-	DataBytes int64 `json:"data_bytes"`
-	// CacheBytes is the table's logical SSD update-cache cap.
-	CacheBytes int64       `json:"cache_bytes"`
-	Rows       int64       `json:"rows"`
-	Refs       []table.Ref `json:"refs"`
-	// MigTS is the shadow-commit record: the newest migration timestamp
-	// that may be stamped on pages reachable through Refs. A manifest
-	// rewrite commits a table's flipped refs and this stamp in one
-	// tmp+rename, so recovery resumes the oracle above every stamp the
-	// committed page set can carry even when the WAL was lost with the
-	// crash. Zero on manifests from before shadow paging.
-	MigTS int64 `json:"mig_ts,omitempty"`
-}
-
-// manifest is the durable directory metadata: the file geometry, the
-// catalog, and each table's page references — the only engine state that
-// is neither rederivable from the redo log nor stored in the data files
-// themselves.
-type manifest struct {
-	DataBytes    int64   `json:"data_bytes"` // total main.data capacity
-	CacheBytes   int64   `json:"cache_bytes"`
-	LogBytes     int64   `json:"log_bytes"`
-	PageSize     int     `json:"page_size"`
-	ScanIO       int     `json:"scan_io"`
-	FillFraction float64 `json:"fill_fraction"`
-	// DataNext is the bump cursor for the next table's heap region.
-	DataNext    int64           `json:"data_next"`
-	NextTableID uint32          `json:"next_table_id"`
-	Tables      []tableManifest `json:"tables"`
-}
-
-// manifestV1 is the pre-catalog manifest body: one implicit table owning
-// the whole data file.
-type manifestV1 struct {
-	DataBytes    int64       `json:"data_bytes"`
-	CacheBytes   int64       `json:"cache_bytes"`
-	LogBytes     int64       `json:"log_bytes"`
-	PageSize     int         `json:"page_size"`
-	ScanIO       int         `json:"scan_io"`
-	FillFraction float64     `json:"fill_fraction"`
-	Rows         int64       `json:"rows"`
-	Refs         []table.Ref `json:"refs"`
-}
-
-func (m *manifest) tableConfig() table.Config {
-	return table.Config{PageSize: m.PageSize, ScanIO: m.ScanIO, FillFraction: m.FillFraction}
-}
-
-// tableConfig reads the directory's page geometry under the manifest
-// latch (the geometry itself never changes after open, but ds.m as a
-// whole is mutated under manifestMu).
-func (ds *dirState) tableConfig() table.Config {
-	ds.manifestMu.Lock()
-	defer ds.manifestMu.Unlock()
-	return ds.m.tableConfig()
-}
 
 // dirState is the durable side of a file-backed engine: the open files,
 // the directory identity, and the manifest writer.
@@ -282,274 +190,6 @@ func (ds *dirState) releaseData(off, need int64) {
 	if ds.m.DataNext == off+need {
 		ds.m.DataNext = off
 	}
-}
-
-// catalogEntry renders one table's durable manifest entry. Rows and Refs
-// come from the heap table, which is internally consistent without any
-// engine lock.
-func catalogEntry(t *Table) tableManifest {
-	return tableManifest{
-		Name:       t.name,
-		ID:         t.id,
-		DataOff:    t.dataOff,
-		DataBytes:  t.dataBytes,
-		CacheBytes: t.cacheBudget,
-		Rows:       t.tbl.Rows(),
-		Refs:       t.tbl.Refs(),
-		MigTS:      t.tbl.LastMigTS(),
-	}
-}
-
-// addTable registers a new table in the durable catalog and rewrites the
-// manifest. nextID is the engine's next-table-id watermark, persisted so
-// table ids are never reused across a drop: a recycled id would route a
-// dropped table's surviving WAL records into the new table.
-func (ds *dirState) addTable(t *Table, nextID uint32) error {
-	ds.manifestMu.Lock()
-	defer ds.manifestMu.Unlock()
-	ds.catalog = append(ds.catalog, t)
-	sort.Slice(ds.catalog, func(i, j int) bool { return ds.catalog[i].id < ds.catalog[j].id })
-	if err := ds.writeManifestLocked(nextID); err != nil {
-		// Roll the registration back so the durable catalog and the
-		// in-memory one stay in step.
-		for i, c := range ds.catalog {
-			if c == t {
-				ds.catalog = append(ds.catalog[:i], ds.catalog[i+1:]...)
-				break
-			}
-		}
-		return err
-	}
-	return nil
-}
-
-// removeTable drops a table from the durable catalog; the manifest
-// rewrite is the drop's commit point (recovery ignores WAL records of
-// tables absent from the manifest).
-func (ds *dirState) removeTable(t *Table) error {
-	ds.manifestMu.Lock()
-	defer ds.manifestMu.Unlock()
-	for i, c := range ds.catalog {
-		if c == t {
-			ds.catalog = append(ds.catalog[:i], ds.catalog[i+1:]...)
-			break
-		}
-	}
-	return ds.writeManifestLocked(0)
-}
-
-// checkpointManifest rewrites the manifest from the current catalog — the
-// WAL migration-end hook's entry point. It takes only manifestMu, never
-// the engine lock (see the field comment on catalog).
-func (ds *dirState) checkpointManifest() error {
-	ds.manifestMu.Lock()
-	defer ds.manifestMu.Unlock()
-	return ds.writeManifestLocked(0)
-}
-
-// writeManifestLocked atomically replaces MANIFEST with the current
-// catalog: marshal, write to a temp file, fsync, rename, fsync the
-// directory. A crash at any point leaves either the old or the new
-// manifest, never a torn one. Caller holds manifestMu.
-func (ds *dirState) writeManifestLocked(nextID uint32) error {
-	start := time.Now()
-	if err := ds.writeManifestInnerLocked(nextID); err != nil {
-		return err
-	}
-	ds.manifestWrites.Inc()
-	ds.manifestNanos.Observe(time.Since(start).Nanoseconds())
-	return nil
-}
-
-func (ds *dirState) writeManifestInnerLocked(nextID uint32) error {
-	tables := make([]tableManifest, 0, len(ds.catalog))
-	for _, t := range ds.catalog {
-		tables = append(tables, catalogEntry(t))
-	}
-	ds.m.Tables = tables
-	if nextID > ds.m.NextTableID {
-		ds.m.NextTableID = nextID
-	}
-	body, err := json.Marshal(&ds.m)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 16+len(body))
-	buf = append(buf, manifestMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, manifestCRCTable))
-	buf = append(buf, body...)
-
-	tmp := filepath.Join(ds.dir, manifestTmpName)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(ds.dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(ds.dir)
-}
-
-// parseManifest verifies and decodes a manifest image, upgrading version-1
-// (single-table) bodies to the catalog form: one table named
-// DefaultTableName with id 0 owning the whole data file.
-func parseManifest(raw []byte) (*manifest, error) {
-	if len(raw) < 16 || string(raw[:8]) != string(manifestMagic[:]) {
-		return nil, errors.New("masm: not a MaSM database manifest")
-	}
-	v := binary.LittleEndian.Uint32(raw[8:])
-	if v != manifestVersion && v != manifestVersionOne {
-		return nil, fmt.Errorf("masm: manifest version %d unsupported (this build reads %d and %d)",
-			v, manifestVersionOne, manifestVersion)
-	}
-	body := raw[16:]
-	if crc32.Checksum(body, manifestCRCTable) != binary.LittleEndian.Uint32(raw[12:]) {
-		return nil, errors.New("masm: manifest checksum mismatch")
-	}
-	var m manifest
-	if v == manifestVersionOne {
-		var m1 manifestV1
-		if err := json.Unmarshal(body, &m1); err != nil {
-			return nil, fmt.Errorf("masm: manifest: %w", err)
-		}
-		m = manifest{
-			DataBytes:    m1.DataBytes,
-			CacheBytes:   m1.CacheBytes,
-			LogBytes:     m1.LogBytes,
-			PageSize:     m1.PageSize,
-			ScanIO:       m1.ScanIO,
-			FillFraction: m1.FillFraction,
-			DataNext:     m1.DataBytes,
-			NextTableID:  1,
-			Tables: []tableManifest{{
-				Name:       DefaultTableName,
-				ID:         0,
-				DataOff:    0,
-				DataBytes:  m1.DataBytes,
-				CacheBytes: m1.CacheBytes,
-				Rows:       m1.Rows,
-				Refs:       m1.Refs,
-			}},
-		}
-	} else if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("masm: manifest: %w", err)
-	}
-	if m.DataBytes <= 0 || m.CacheBytes <= 0 || m.LogBytes <= 0 || m.PageSize <= 0 {
-		return nil, errors.New("masm: manifest geometry invalid")
-	}
-	if m.DataNext < 0 || m.DataNext > m.DataBytes {
-		return nil, errors.New("masm: manifest data cursor out of range")
-	}
-	seenID := make(map[uint32]bool)
-	seenName := make(map[string]bool)
-	for i := range m.Tables {
-		t := &m.Tables[i]
-		if t.Name == "" || seenName[t.Name] {
-			return nil, fmt.Errorf("masm: manifest: missing or duplicate table name %q", t.Name)
-		}
-		if seenID[t.ID] {
-			return nil, fmt.Errorf("masm: manifest: duplicate table id %d", t.ID)
-		}
-		if t.ID >= m.NextTableID {
-			return nil, fmt.Errorf("masm: manifest: table id %d not below next id %d", t.ID, m.NextTableID)
-		}
-		if t.DataOff < 0 || t.DataBytes <= 0 || t.DataOff > m.DataBytes || t.DataBytes > m.DataBytes-t.DataOff {
-			return nil, fmt.Errorf("masm: manifest: table %q heap region [%d,%d) outside data file",
-				t.Name, t.DataOff, t.DataOff+t.DataBytes)
-		}
-		if t.CacheBytes <= 0 || t.CacheBytes > m.CacheBytes {
-			return nil, fmt.Errorf("masm: manifest: table %q cache cap %d outside (0,%d]", t.Name, t.CacheBytes, m.CacheBytes)
-		}
-		if t.MigTS < 0 {
-			return nil, fmt.Errorf("masm: manifest: table %q migration stamp %d negative", t.Name, t.MigTS)
-		}
-		// With shadow paging, refs may point anywhere inside the heap
-		// region — but never beyond it: a ref outside the region would read
-		// another table's pages (table.Restore re-checks order/duplicates).
-		maxPages := t.DataBytes / int64(m.PageSize)
-		for _, r := range t.Refs {
-			if r.PageNo < 0 || r.PageNo >= maxPages {
-				return nil, fmt.Errorf("masm: manifest: table %q ref page %d outside heap region (%d pages)",
-					t.Name, r.PageNo, maxPages)
-			}
-		}
-		seenID[t.ID] = true
-		seenName[t.Name] = true
-	}
-	return &m, nil
-}
-
-// readManifest loads and verifies MANIFEST.
-func readManifest(dir string) (*manifest, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	m, err := parseManifest(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
-	return m, nil
-}
-
-// checkManifest re-reads MANIFEST from disk, re-validates it, and
-// cross-checks it against the live catalog — the durable half of
-// Engine.CheckInvariants. Rows and page refs are deliberately not
-// compared: the manifest snapshots them only at create/drop/migration
-// checkpoints, so they lag the live table between checkpoints by design.
-func (ds *dirState) checkManifest(tables []*Table, nextID uint32) error {
-	m, err := readManifest(ds.dir)
-	if err != nil {
-		return fmt.Errorf("masm: invariant probe: %w", err)
-	}
-	if len(m.Tables) != len(tables) {
-		return fmt.Errorf("masm: manifest lists %d tables, catalog holds %d", len(m.Tables), len(tables))
-	}
-	byID := make(map[uint32]*tableManifest, len(m.Tables))
-	var dataHigh int64
-	for i := range m.Tables {
-		tm := &m.Tables[i]
-		byID[tm.ID] = tm
-		if end := tm.DataOff + tm.DataBytes; end > dataHigh {
-			dataHigh = end
-		}
-	}
-	for _, t := range tables {
-		tm, ok := byID[t.id]
-		if !ok {
-			return fmt.Errorf("masm: live table %q (id %d) missing from the manifest", t.name, t.id)
-		}
-		if tm.Name != t.name {
-			return fmt.Errorf("masm: manifest names table id %d %q, catalog %q", t.id, tm.Name, t.name)
-		}
-		if tm.DataOff != t.dataOff || tm.DataBytes != t.dataBytes {
-			return fmt.Errorf("masm: table %q heap region diverged: manifest [%d,+%d), catalog [%d,+%d)",
-				t.name, tm.DataOff, tm.DataBytes, t.dataOff, t.dataBytes)
-		}
-		if tm.CacheBytes != t.cacheBudget {
-			return fmt.Errorf("masm: table %q cache cap diverged: manifest %d, catalog %d", t.name, tm.CacheBytes, t.cacheBudget)
-		}
-	}
-	if m.NextTableID < nextID {
-		return fmt.Errorf("masm: manifest next-table-id %d behind the engine's %d (a dropped id could be recycled)",
-			m.NextTableID, nextID)
-	}
-	if m.DataNext < dataHigh {
-		return fmt.Errorf("masm: manifest data cursor %d below the highest table region end %d", m.DataNext, dataHigh)
-	}
-	return nil
 }
 
 // hooks wires the write-ahead ordering between the redo log and the data
@@ -650,10 +290,14 @@ func syncDir(dir string) error {
 // in-memory buffer, and interrupted migrations are redone idempotently.
 // Everything committed — synced through Sync or a forced group-commit
 // batch — is visible after reopen, even if the previous process was killed
-// mid-write and left a torn redo-log tail. Version-1 (pre-catalog)
-// directories are upgraded transparently: their single table appears as
-// DefaultTableName.
+// mid-write and left a torn redo-log tail.
 func OpenEngineDir(dir string, opts EngineDirOptions) (*Engine, error) {
+	return openEngineDir(dir, opts, storage.DefaultIOWorkers)
+}
+
+// openEngineDir is OpenEngineDir with recovery's rebuild concurrency
+// explicit (see recoverTables; only the differential tests pass 0).
+func openEngineDir(dir string, opts EngineDirOptions, rebuildWorkers int) (*Engine, error) {
 	if opts.Config == (Config{}) {
 		opts.Config = DefaultConfig()
 	}
@@ -679,7 +323,7 @@ func OpenEngineDir(dir string, opts EngineDirOptions) (*Engine, error) {
 		}
 		e, err = createEngineDir(dir, opts, lock)
 	} else {
-		e, err = reopenEngineDir(dir, opts, lock)
+		e, err = reopenEngineDir(dir, opts, lock, rebuildWorkers)
 	}
 	if err != nil {
 		lock.Close() // harmless if a dirState defer already closed it
@@ -715,6 +359,40 @@ func deviceFor(p sim.DeviceParams, need int64) *sim.Device {
 	return sim.NewDevice(p)
 }
 
+// newDirEngine builds the engine shell over an opened directory: the
+// simulated devices sized for ds.m's geometry (with room for logs redo-log
+// regions after main.data on the disk), the registry, the I/O pool, and
+// the main.data and cache.runs volumes. The caller lays out the log.
+func newDirEngine(ds *dirState, logs int64) (*Engine, error) {
+	m := &ds.m
+	e := &Engine{
+		cfg:    ds.opts.Config,
+		hdd:    deviceFor(sim.Barracuda7200(), m.DataBytes+logs*m.LogBytes),
+		ssd:    deviceFor(sim.IntelX25E(), m.CacheBytes*2),
+		oracle: &core.Oracle{},
+		tables: make(map[string]*Table),
+		byID:   make(map[uint32]*Table),
+		nextID: m.NextTableID,
+		fs:     ds,
+		reg:    obs.NewRegistry(),
+		tracer: obs.NewTracer(obs.DefaultTraceRing),
+	}
+	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
+	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
+	e.iopool = storage.NewIOPool(ds.opts.IOWorkers)
+	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
+	var err error
+	if ds.dataRoot, err = storage.NewVolumeOn(e.hdd, 0, ds.data); err != nil {
+		return nil, err
+	}
+	if e.ssdVol, err = storage.NewVolumeOn(e.ssd, 0, ds.cache); err != nil {
+		return nil, err
+	}
+	e.shared = core.NewSharedAlloc(e.ssdVol.Size())
+	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
+	return e, nil
+}
+
 // createEngineDir lays out a fresh, empty catalog directory.
 func createEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engine, err error) {
 	if opts.CacheBytes <= 0 {
@@ -746,34 +424,12 @@ func createEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 	if ds.wal, err = ds.openBackend(walFileName, m.LogBytes); err != nil {
 		return nil, err
 	}
-	e = &Engine{
-		cfg:    opts.Config,
-		hdd:    deviceFor(sim.Barracuda7200(), m.DataBytes+m.LogBytes),
-		ssd:    deviceFor(sim.IntelX25E(), m.CacheBytes*2),
-		oracle: &core.Oracle{},
-		tables: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		fs:     ds,
-		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
-	}
-	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
-	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
-	e.iopool = storage.NewIOPool(opts.IOWorkers)
-	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
-	if ds.dataRoot, err = storage.NewVolumeOn(e.hdd, 0, ds.data); err != nil {
+	if e, err = newDirEngine(ds, 1); err != nil {
 		return nil, err
 	}
 	if e.logVol, err = storage.NewVolumeOn(e.hdd, m.DataBytes, ds.wal); err != nil {
 		return nil, err
 	}
-	ssdVol, err := storage.NewVolumeOn(e.ssd, 0, ds.cache)
-	if err != nil {
-		return nil, err
-	}
-	e.ssdVol = ssdVol
-	e.shared = core.NewSharedAlloc(ssdVol.Size())
-	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
 	if err = ds.checkpointManifest(); err != nil {
 		return nil, err
 	}
@@ -789,360 +445,10 @@ func createEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 	return e, nil
 }
 
-// reopenEngineDir recovers a catalog from an existing directory.
-func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engine, err error) {
-	m, err := readManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	// The directory's geometry is authoritative: the caller's CacheBytes
-	// sized the cache at creation time and is superseded by what is on
-	// disk now. The data file may be grown (it is sparse) to make room for
-	// more tables.
-	opts.CacheBytes = m.CacheBytes
-	if opts.DataBytes > m.DataBytes {
-		m.DataBytes = opts.DataBytes
-	} else {
-		opts.DataBytes = m.DataBytes
-	}
-	ds := &dirState{dir: dir, opts: opts, m: *m, lock: lock}
-	var oldWal storage.Backend
-	defer func() {
-		if err != nil {
-			ds.closeFiles(false)
-			if oldWal != nil {
-				oldWal.Close()
-			}
-		}
-	}()
-	if ds.data, err = ds.openBackend(dataFileName, m.DataBytes); err != nil {
-		return nil, err
-	}
-	if ds.cache, err = ds.openBackend(cacheFileName, m.CacheBytes*2); err != nil {
-		return nil, err
-	}
-	if oldWal, err = ds.openBackend(walFileName, m.LogBytes); err != nil {
-		return nil, err
-	}
-	// Recovery rewrites the log as a checkpoint of the recovered state.
-	// It goes to a temp file that atomically replaces wal.log only after
-	// recovery fully succeeds: a crash mid-recovery leaves the old log
-	// authoritative and recovery simply runs again.
-	if ds.wal, err = ds.openBackend(walTmpFileName, m.LogBytes); err != nil {
-		return nil, err
-	}
-	e = &Engine{
-		cfg:    opts.Config,
-		hdd:    deviceFor(sim.Barracuda7200(), m.DataBytes+2*m.LogBytes),
-		ssd:    deviceFor(sim.IntelX25E(), m.CacheBytes*2),
-		oracle: &core.Oracle{},
-		tables: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		nextID: m.NextTableID,
-		fs:     ds,
-		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
-	}
-	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
-	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
-	e.iopool = storage.NewIOPool(opts.IOWorkers)
-	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
-	if ds.dataRoot, err = storage.NewVolumeOn(e.hdd, 0, ds.data); err != nil {
-		return nil, err
-	}
-	oldLogVol, err := storage.NewVolumeOn(e.hdd, m.DataBytes, oldWal)
-	if err != nil {
-		return nil, err
-	}
-	if e.logVol, err = storage.NewVolumeOn(e.hdd, m.DataBytes+m.LogBytes, ds.wal); err != nil {
-		return nil, err
-	}
-	if e.ssdVol, err = storage.NewVolumeOn(e.ssd, 0, ds.cache); err != nil {
-		return nil, err
-	}
-	e.shared = core.NewSharedAlloc(e.ssdVol.Size())
-	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
-
-	// Restore every table's heap from the manifest and register the
-	// catalog before any store is rebuilt: the migration-checkpoint hook
-	// rewrites the manifest from the full catalog, so a redo migration on
-	// one table must already see the others.
-	ordered := append([]tableManifest(nil), ds.m.Tables...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	for _, tm := range ordered {
-		vol, serr := ds.dataRoot.Slice(tm.DataOff, tm.DataBytes)
-		if serr != nil {
-			return nil, serr
-		}
-		tbl, terr := table.Restore(vol, m.tableConfig(), tm.Refs, tm.Rows)
-		if terr != nil {
-			return nil, fmt.Errorf("masm: restore table %q: %w", tm.Name, terr)
-		}
-		tbl.SetIOPool(e.iopool)
-		// The shadow-commit stamp survives independently of the WAL: resume
-		// the oracle above it so no post-recovery update can mint a
-		// timestamp the committed page set already carries, and hand it
-		// back to the table so later manifest rewrites never regress it.
-		tbl.NoteMigTS(tm.MigTS)
-		e.oracle.AdvanceTo(tm.MigTS)
-		t := &Table{eng: e, name: tm.Name, id: tm.ID, cacheBudget: tm.CacheBytes,
-			dataOff: tm.DataOff, dataBytes: tm.DataBytes, tbl: tbl}
-		e.tables[t.name] = t
-		e.byID[t.id] = t
-		// The dirState's own catalog copy must be complete before any
-		// store restore: a redone migration's checkpoint hook rewrites the
-		// manifest from it, and a partial list would durably drop tables.
-		ds.catalog = append(ds.catalog, t)
-	}
-	e.log = wal.Open(e.logVol)
-	e.log.SetHooks(ds.hooks())
-	e.log.SetMetrics(walMetricsFor(e.reg))
-
-	// Replay the shared log once and route its records to their tables.
-	// Records of tables absent from the manifest belong to dropped tables
-	// (the manifest rewrite is the drop's commit point) and are ignored.
-	// The replay streams: frames decode out of a bounded sliding window and
-	// fold into per-table state on the spot, so a log of any length replays
-	// in O(chunk) memory instead of materializing every entry first.
-	// RecoveryWorkers < 0 keeps the legacy shape — materialize every entry,
-	// then fold — as the serial baseline benchmarks compare against; both
-	// shapes fold the same entries in the same order and recover identical
-	// state.
-	recoverStart := time.Now()
-
-	// Concurrent rebuild dispatch, shared by the streaming replay below and
-	// the post-replay sweep. A dispatched scan is pure data-plane work
-	// (runfile.RebuildOffline — PeekAt, no pricing), so starting one the
-	// moment its run metadata streams out of the log cannot move the virtual
-	// clock; it only moves the scan's real I/O wait under the replay's and
-	// assembly's CPU time. Results land in prebuilt; each job closes its
-	// done channel, and the assembly loop waits per table, so one table's
-	// memtable replay overlaps the next table's scans still in flight.
-	type jobKey struct {
-		table uint32
-		run   int64
-	}
-	workers := opts.RecoveryWorkers
-	if workers == 0 {
-		workers = storage.DefaultIOWorkers
-	}
-	prebuilt := make(map[uint32]map[int64]core.PrebuiltRun, len(ordered))
-	for _, tm := range ordered {
-		prebuilt[tm.ID] = make(map[int64]core.PrebuiltRun)
-	}
-	rcfg := e.coreConfigFor().Run
-	// Captured as a local, NOT through e: e is the named return value, so an
-	// error return zeroes it while queued scans are still waiting on sem —
-	// reading e.ssdVol from the goroutine would race that nil.
-	scanVol := e.ssdVol
-	var (
-		pmu        sync.Mutex
-		sem        chan struct{}
-		dispatched map[jobKey]chan struct{}
-	)
-	if workers > 0 {
-		sem = make(chan struct{}, workers)
-		dispatched = make(map[jobKey]chan struct{})
-	}
-	// dispatch is only ever called from this goroutine: dispatched needs no
-	// lock, and duplicate announcements (a checkpointed run re-flushed) are
-	// deduped here.
-	dispatch := func(table uint32, rm core.RunMeta) {
-		if sem == nil || rm.Format > runfile.MaxFormat {
-			return // serial mode, or the serial check reports the version error
-		}
-		if prebuilt[table] == nil {
-			return // a dropped table's records: replay ignores them too
-		}
-		k := jobKey{table, rm.RunID}
-		if _, ok := dispatched[k]; ok {
-			return
-		}
-		done := make(chan struct{})
-		dispatched[k] = done
-		go func() {
-			defer close(done)
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var (
-				run   *runfile.Run
-				spans []runfile.Span
-				rerr  error
-			)
-			if rm.Format >= runfile.FormatZoneMaps && rm.IndexSize > 0 {
-				// Zone-mapped runs skip record decode: the persisted block
-				// restores the index, the data is swept for its checksum only.
-				run, spans, rerr = runfile.LoadIndexOffline(scanVol, rm.Off, rm.Size,
-					rm.IndexSize, rm.RunID, rm.Passes, rm.CRC, rcfg)
-			} else {
-				run, spans, rerr = runfile.RebuildOffline(scanVol, rm.Off, rm.Size,
-					rm.RunID, rm.Passes, rm.CRC, rcfg)
-			}
-			pmu.Lock()
-			prebuilt[table][rm.RunID] = core.PrebuiltRun{Run: run, Spans: spans, Err: rerr}
-			pmu.Unlock()
-		}()
-	}
-	// No dispatched scan may outlive this function: an error return hands
-	// the directory's files back to the cleanup path while a scan could
-	// still be mid-pread. On success every channel is already closed and
-	// this drain costs nothing.
-	defer func() {
-		for _, ch := range dispatched {
-			<-ch
-		}
-	}()
-
-	var states map[uint32]*wal.TableState
-	var replayed int64
-	var now sim.Time
-	if opts.RecoveryWorkers < 0 {
-		var entries []wal.Entry
-		entries, now, err = wal.ReadAll(oldLogVol, 0)
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover %s: %w", dir, err)
-		}
-		replayed = int64(len(entries))
-		states = wal.ReplayEntries(entries)
-	} else {
-		rep := wal.NewReplayer()
-		rep.OnRun = dispatch
-		now, err = wal.ReadStream(oldLogVol, 0, func(ent wal.Entry) error {
-			replayed++
-			rep.Observe(ent)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover %s: %w", dir, err)
-		}
-		states = rep.States()
-	}
-	e.reg.Gauge("masm_wal_replay_entries").Set(replayed)
-	e.tracer.Emit("recovery", "", "replay", fmt.Sprintf("entries=%d", replayed), int64(now))
-	// Resume the shared oracle above every logged timestamp — including
-	// migration timestamps already stamped onto data pages, which would
-	// otherwise suppress post-recovery updates (see wal.TableState.MaxTS).
-	var maxTS int64
-	for _, st := range states {
-		e.oracle.AdvanceTo(st.MaxTS)
-		if st.MaxTS > maxTS {
-			maxTS = st.MaxTS
-		}
-	}
-	cps := make([]wal.TableCheckpoint, 0, len(ordered)+1)
-	if maxTS > 0 {
-		// Persist the engine-wide high water itself (an entry with no runs
-		// or pending records writes only the oracle-advance record), so the
-		// NEXT recovery of this checkpoint also resumes above the stamps.
-		cps = append(cps, wal.TableCheckpoint{MaxTS: maxTS})
-	}
-	for _, tm := range ordered {
-		if st := states[tm.ID]; st != nil {
-			cps = append(cps, wal.TableCheckpoint{Table: tm.ID, Runs: st.Runs, Pending: st.Pending})
-		}
-	}
-	if now, err = e.log.CheckpointAll(now, cps); err != nil {
-		return nil, err
-	}
-	// Re-register EVERY table's surviving run extents with the shared
-	// allocator before restoring ANY table: a restore can allocate fresh
-	// extents (an interrupted migration's redo flushes the replayed
-	// buffer), and a later table's durable runs must already be off the
-	// free list or the allocation overwrites them.
-	allocs := make(map[uint32]core.RunAllocator, len(ordered))
-	for _, tm := range ordered {
-		t := e.byID[tm.ID]
-		alloc := e.shared.Partition(t.id, t.cacheBudget*2)
-		allocs[t.id] = alloc
-		if st := states[tm.ID]; st != nil {
-			ccfg := e.coreConfigFor()
-			if err = core.ReserveRunExtents(ccfg, alloc, st.Runs); err != nil {
-				return nil, fmt.Errorf("masm: recover %s table %q: %w", dir, tm.Name, err)
-			}
-		}
-	}
-	// Sweep-dispatch any surviving run the streaming hook didn't announce
-	// (the legacy materialized path dispatches everything here), then wait
-	// for the scans of runs the log later consumed: their extents are free
-	// again, and the first redone migration below may reuse them — a stale
-	// scan's result is discarded either way, but it must not still be
-	// reading when new data lands. Live runs are waited on per table in the
-	// assembly loop, so table k's memtable replay runs under table k+1's
-	// scans still in flight.
-	if sem != nil {
-		final := make(map[jobKey]bool)
-		for _, tm := range ordered {
-			if st := states[tm.ID]; st != nil {
-				for _, rm := range st.Runs {
-					final[jobKey{tm.ID, rm.RunID}] = true
-					dispatch(tm.ID, rm)
-				}
-			}
-		}
-		for k, ch := range dispatched {
-			if !final[k] {
-				<-ch
-			}
-		}
-		e.reg.Gauge("masm_recovery_rebuild_workers").Set(int64(workers))
-	}
-	for _, tm := range ordered {
-		t := e.byID[tm.ID]
-		st := states[tm.ID]
-		if st == nil {
-			st = &wal.TableState{}
-		}
-		for k, ch := range dispatched {
-			if k.table == tm.ID {
-				<-ch
-			}
-		}
-		ccfg := e.coreConfigFor()
-		ccfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
-		store, end, rerr := core.RestoreSharedPrebuilt(ccfg, t.tbl, e.ssdVol, e.oracle,
-			e.log.ForTable(t.id), core.PreReserved(allocs[t.id]), t.id, st.Runs,
-			prebuilt[tm.ID], st.Pending, st.RedoMigration, now,
-			e.storeMetricsFor(t.name))
-		if rerr != nil {
-			return nil, fmt.Errorf("masm: recover %s table %q: %w", dir, t.name, rerr)
-		}
-		now = end
-		t.store = store
-		t.txns = txn.NewManager(store)
-	}
-	// The checkpoint in the new log is durable (CheckpointAll syncs it)
-	// and the header is down even when the checkpoint was empty; the old
-	// log can now be atomically superseded. The open descriptor keeps
-	// following the renamed file.
-	if _, err = e.log.Bootstrap(now); err != nil {
-		return nil, err
-	}
-	if err = oldWal.Close(); err != nil {
-		return nil, err
-	}
-	oldWal = nil
-	if err = os.Rename(filepath.Join(dir, walTmpFileName), filepath.Join(dir, walFileName)); err != nil {
-		return nil, err
-	}
-	if err = syncDir(dir); err != nil {
-		return nil, err
-	}
-	// Persist the upgraded (or grown) manifest so a version-1 directory
-	// becomes a version-2 catalog on its first open under this build.
-	if err = ds.checkpointManifest(); err != nil {
-		return nil, err
-	}
-	e.clock.advance(now)
-	e.reg.Gauge("masm_recovery_wall_nanos").Set(time.Since(recoverStart).Nanoseconds())
-	e.tracer.Emit("recovery", "", "end", fmt.Sprintf("tables=%d", len(ordered)), int64(now))
-	return e, nil
-}
-
 // OpenDir opens (creating if necessary) a durable, file-backed database in
 // dir: a one-table engine whose DefaultTableName table is returned as a
 // DB. A new directory is bulk-loaded from opts.Keys/Bodies; an existing
-// one — including one created before the multi-table catalog existed — is
-// recovered completely (see OpenEngineDir).
+// one is recovered completely (see OpenEngineDir).
 //
 // The returned DB behaves exactly like one from Open (same API, same
 // virtual-time accounting); additionally Close syncs and releases the

@@ -941,128 +941,20 @@ func (e *Engine) HardStop() error {
 // the catalog). On a file-backed engine the crash is real: a HardStop
 // followed by a fresh OpenEngineDir of the same directory.
 func (e *Engine) Crash() (*Engine, error) {
+	return e.crash(storage.DefaultIOWorkers)
+}
+
+// crash is Crash with recovery's rebuild concurrency explicit (see
+// recoverTables; only the differential tests pass 0).
+func (e *Engine) crash(rebuildWorkers int) (*Engine, error) {
 	e.mu.RLock()
 	fs := e.fs
 	e.mu.RUnlock()
-	if fs != nil {
-		if err := e.HardStop(); err != nil {
-			return nil, err
-		}
-		return OpenEngineDir(fs.dir, fs.opts)
+	if fs == nil {
+		return e.crashInMemory(rebuildWorkers)
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if e.log == nil {
-		e.mu.Unlock()
-		return nil, errors.New("masm: crash recovery requires the redo log")
-	}
-	e.closed = true
-	sched := e.sched
-	e.sched = nil
-	now := e.clock.now()
-	tables := make([]*Table, 0, len(e.tables))
-	for _, t := range e.byID {
-		tables = append(tables, t)
-	}
-	sort.Slice(tables, func(i, j int) bool { return tables[i].id < tables[j].id })
-	e.mu.Unlock()
-	if sched != nil {
-		sched.Stop()
-	}
-	// Force no sync: entries not yet written are genuinely lost, exactly
-	// as a crash would lose them. The devices, table heaps and SSD volume
-	// carry over (their bytes are "non-volatile"); the run metadata, run
-	// indexes and in-memory buffers are rebuilt from the log.
-	e2 := &Engine{
-		cfg:    e.cfg,
-		hdd:    e.hdd,
-		ssd:    e.ssd,
-		arena:  e.arena,
-		ssdVol: e.ssdVol,
-		oracle: &core.Oracle{},
-		logVol: e.logVol,
-		tables: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		nextID: e.nextID,
-		// A crash loses the volatile metric state with everything else: the
-		// new engine generation starts a fresh registry, and the restore
-		// path below re-primes the state gauges from the recovered state.
-		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
-	}
-	e2.clock.advance(now)
-	e2.shared = core.NewSharedAlloc(e.ssdVol.Size())
-	e2.shared.SetMetrics(core.NewPoolMetrics(e2.reg))
-	newLog := wal.Open(e.logVol)
-	newLog.SetMetrics(walMetricsFor(e2.reg))
-	e2.log = newLog
-
-	entries, now, err := wal.ReadAll(e.logVol, now)
-	if err != nil {
+	if err := e.HardStop(); err != nil {
 		return nil, err
 	}
-	e2.reg.Gauge("masm_wal_replay_entries").Set(int64(len(entries)))
-	e2.tracer.Emit("recovery", "", "replay", fmt.Sprintf("entries=%d", len(entries)), int64(now))
-	states := wal.ReplayEntries(entries)
-	// Resume the oracle above every logged timestamp, migration stamps
-	// included (see wal.TableState.MaxTS).
-	var maxTS int64
-	for _, st := range states {
-		e2.oracle.AdvanceTo(st.MaxTS)
-		if st.MaxTS > maxTS {
-			maxTS = st.MaxTS
-		}
-	}
-	// Checkpoint the recovered state into the fresh log (which reuses the
-	// volume) so a second crash recovers too, then rebuild each table.
-	cps := make([]wal.TableCheckpoint, 0, len(tables)+1)
-	if maxTS > 0 {
-		cps = append(cps, wal.TableCheckpoint{MaxTS: maxTS})
-	}
-	for _, t := range tables {
-		st := states[t.id]
-		if st == nil {
-			continue
-		}
-		cps = append(cps, wal.TableCheckpoint{Table: t.id, Runs: st.Runs, Pending: st.Pending})
-	}
-	if now, err = newLog.CheckpointAll(now, cps); err != nil {
-		return nil, err
-	}
-	// As in reopenEngineDir: every table's surviving extents must be off
-	// the shared free list before any table's restore can allocate.
-	allocs := make(map[uint32]core.RunAllocator, len(tables))
-	for _, t := range tables {
-		alloc := e2.shared.Partition(t.id, t.cacheBudget*2)
-		allocs[t.id] = alloc
-		if st := states[t.id]; st != nil {
-			if err := core.ReserveRunExtents(e.coreConfigFor(), alloc, st.Runs); err != nil {
-				return nil, fmt.Errorf("masm: recover table %q: %w", t.name, err)
-			}
-		}
-	}
-	for _, t := range tables {
-		st := states[t.id]
-		if st == nil {
-			st = &wal.TableState{}
-		}
-		ccfg := e.coreConfigFor()
-		ccfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
-		store, end, err := core.RestoreShared(ccfg, t.tbl, e2.ssdVol, e2.oracle,
-			newLog.ForTable(t.id), core.PreReserved(allocs[t.id]), t.id, st.Runs, st.Pending, st.RedoMigration, now,
-			e2.storeMetricsFor(t.name))
-		if err != nil {
-			return nil, fmt.Errorf("masm: recover table %q: %w", t.name, err)
-		}
-		now = end
-		t2 := &Table{eng: e2, name: t.name, id: t.id, cacheBudget: t.cacheBudget, tbl: t.tbl, store: store}
-		t2.txns = txn.NewManager(store)
-		e2.tables[t2.name] = t2
-		e2.byID[t2.id] = t2
-	}
-	e2.clock.advance(now)
-	return e2, nil
+	return openEngineDir(fs.dir, fs.opts, rebuildWorkers)
 }

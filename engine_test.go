@@ -5,15 +5,19 @@ package masm
 // transactions, and multi-table crash recovery on both backends.
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"masm/internal/table"
 	"masm/internal/txn"
 )
 
@@ -466,48 +470,137 @@ func TestEngineDirMultiTable(t *testing.T) {
 	}
 }
 
-// TestV1DirectoryUpgrade builds a directory in the exact pre-catalog
-// on-disk format — version-1 MANIFEST, version-2 WAL header — reopens it
-// under the current code, and asserts byte-identical scan results against
-// an untouched twin. This pins the upgrade path the refactor promises:
-// old directories open as a one-table catalog with nothing lost.
-func TestV1DirectoryUpgrade(t *testing.T) {
+// v1ManifestBody is the JSON body of the retired version-1 (pre-catalog,
+// one implicit table) manifest, kept so tests can show it is refused.
+type v1ManifestBody struct {
+	DataBytes    int64       `json:"data_bytes"`
+	CacheBytes   int64       `json:"cache_bytes"`
+	LogBytes     int64       `json:"log_bytes"`
+	PageSize     int         `json:"page_size"`
+	ScanIO       int         `json:"scan_io"`
+	FillFraction float64     `json:"fill_fraction"`
+	Rows         int64       `json:"rows"`
+	Refs         []table.Ref `json:"refs"`
+}
+
+// buildSingleTableDir creates, updates and cleanly closes a one-table
+// directory; two calls produce identical contents.
+func buildSingleTableDir(t *testing.T, dir string) {
+	t.Helper()
 	keys := make([]uint64, 400)
 	bodies := make([][]byte, 400)
 	for i := range keys {
 		keys[i] = uint64(i+1) * 2
 		bodies[i] = []byte(fmt.Sprintf("row-%06d-payload-payload", keys[i]))
 	}
-	mkDir := func(dir string) {
-		t.Helper()
-		db, err := OpenDir(dir, DirOptions{Config: smallCfg(), Keys: keys, Bodies: bodies})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			if err := db.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("new-%d", i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := db.Delete(10); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
+	db, err := OpenDir(dir, DirOptions{Config: smallCfg(), Keys: keys, Bodies: bodies})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := db.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("new-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := db.Delete(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestV1DirectoryRefused rewrites a directory's MANIFEST into the retired
+// version-1 format: opening it must fail with the version error and leave
+// every file in the directory byte-for-byte as it was.
+func TestV1DirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	buildSingleTableDir(t, dir)
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := m.Tables[0]
+	writeRawManifest(t, dir, 1, v1ManifestBody{
+		DataBytes: m.DataBytes, CacheBytes: m.CacheBytes, LogBytes: m.LogBytes,
+		PageSize: m.PageSize, ScanIO: m.ScanIO, FillFraction: m.FillFraction,
+		Rows: tm.Rows, Refs: tm.Refs,
+	})
+	before := hashDirFiles(t, dir)
+	for _, open := range []func() error{
+		func() error { _, err := OpenDir(dir, DirOptions{}); return err },
+		func() error { _, err := OpenEngineDir(dir, EngineDirOptions{}); return err },
+	} {
+		err := open()
+		if err == nil || !strings.Contains(err.Error(), "manifest version 1 unsupported") {
+			t.Fatalf("open of a version-1 directory: %v, want the manifest version error", err)
+		}
+	}
+	after := hashDirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the file set: %v -> %v", before, after)
+	}
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Fatalf("refused open modified %s", name)
+		}
+	}
+}
+
+// hashDirFiles returns a SHA-256 per file of a flat directory.
+func hashDirFiles(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[string][sha256.Size]byte, len(ents))
+	for _, ent := range ents {
+		f, err := os.Open(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if _, err := io.Copy(h, f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		var sum [sha256.Size]byte
+		h.Sum(sum[:0])
+		sums[ent.Name()] = sum
+	}
+	return sums
+}
+
+// TestOlderWALHeaderReopensAndGrows pins two reopen behaviours on one
+// directory. A version-2 WAL header (the single-table log: its untagged
+// frames are byte-identical to table 0's today) replays to the same rows
+// as an untouched twin; and a directory reopened with a larger DataBytes
+// is a catalog new tables can join.
+func TestOlderWALHeaderReopensAndGrows(t *testing.T) {
 	legacy := t.TempDir()
 	twin := t.TempDir()
-	mkDir(legacy)
-	mkDir(twin)
-	downgradeDir(t, legacy)
+	buildSingleTableDir(t, legacy)
+	buildSingleTableDir(t, twin)
+	walPath := filepath.Join(legacy, walFileName)
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 16 {
+		t.Fatalf("wal too short: %d", len(raw))
+	}
+	patchWALHeaderVersion(raw, 2)
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	dbLegacy, err := OpenDir(legacy, DirOptions{})
 	if err != nil {
-		t.Fatalf("upgrade open: %v", err)
+		t.Fatalf("open with a version-2 WAL header: %v", err)
 	}
 	defer dbLegacy.Close()
 	dbTwin, err := OpenDir(twin, DirOptions{})
@@ -533,16 +626,15 @@ func TestV1DirectoryUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("upgraded dir scans %d rows, twin %d", len(gotKeys), len(wantKeys))
+		t.Fatalf("patched dir scans %d rows, twin %d", len(gotKeys), len(wantKeys))
 	}
 	for i := range gotKeys {
 		if gotKeys[i] != wantKeys[i] || gotBodies[i] != wantBodies[i] {
 			t.Fatalf("row %d: (%d,%q) != (%d,%q)", i, gotKeys[i], gotBodies[i], wantKeys[i], wantBodies[i])
 		}
 	}
-	// The upgraded directory is a catalog now: reopened with grown data
-	// capacity (a v1 layout is exactly sized for its one table), new
-	// tables can join it.
+	// Reopened with grown data capacity (OpenDir sizes main.data exactly
+	// for its one table), new tables can join the catalog.
 	if err := dbLegacy.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -558,10 +650,10 @@ func TestV1DirectoryUpgrade(t *testing.T) {
 	extra, err := e.CreateTable("extra", TableOptions{CacheBytes: 1 << 20,
 		Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("x"), []byte("y")}})
 	if err != nil {
-		t.Fatalf("CreateTable on upgraded dir: %v", err)
+		t.Fatalf("CreateTable on grown dir: %v", err)
 	}
 	if body, ok, _ := extra.Get(4); !ok || string(body) != "y" {
-		t.Fatalf("new table on upgraded dir: %q %v", body, ok)
+		t.Fatalf("new table on grown dir: %q %v", body, ok)
 	}
 	// The original table still reads through the grown layout.
 	def, err := e.OpenTable(DefaultTableName)
@@ -570,47 +662,6 @@ func TestV1DirectoryUpgrade(t *testing.T) {
 	}
 	if got := scanAll(t, def); len(got) != len(wantKeys) {
 		t.Fatalf("default table after growth: %d rows, want %d", len(got), len(wantKeys))
-	}
-}
-
-// downgradeDir rewrites a closed database directory into the exact
-// pre-catalog on-disk format: the MANIFEST becomes version 1 (the old
-// single-table JSON body) and the WAL header's version field becomes 2
-// (the frames themselves are already byte-identical for table 0).
-func downgradeDir(t *testing.T, dir string) {
-	t.Helper()
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Tables) != 1 || m.Tables[0].ID != 0 {
-		t.Fatalf("not a single-table dir: %+v", m.Tables)
-	}
-	tm := m.Tables[0]
-	v1 := manifestV1{
-		DataBytes:    m.DataBytes,
-		CacheBytes:   m.CacheBytes,
-		LogBytes:     m.LogBytes,
-		PageSize:     m.PageSize,
-		ScanIO:       m.ScanIO,
-		FillFraction: m.FillFraction,
-		Rows:         tm.Rows,
-		Refs:         tm.Refs,
-	}
-	writeRawManifest(t, dir, manifestVersionOne, v1)
-
-	// Patch the WAL header version from 3 to 2 and fix its checksum.
-	walPath := filepath.Join(dir, walFileName)
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 16 {
-		t.Fatalf("wal too short: %d", len(raw))
-	}
-	patchWALHeaderVersion(raw, 2)
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package masm
 
 // Fuzzing for the directory-recovery decoders of the facade: the catalog
-// manifest (versions 1 and 2). As with the WAL fuzz suite, no input —
+// manifest. As with the WAL fuzz suite, no input —
 // however mangled — may panic recovery; decoders either produce a
 // validated value or return an error.
 
@@ -31,11 +31,17 @@ func manifestImage(f *testing.F, version uint32, body any) []byte {
 func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MaSMdir\x00"))
-	f.Add(manifestImage(f, manifestVersionOne, manifestV1{
+	// The retired version-1 (pre-catalog) image: well-formed, must be
+	// rejected by its version.
+	v1 := manifestImage(f, 1, v1ManifestBody{
 		DataBytes: 1 << 20, CacheBytes: 1 << 20, LogBytes: 1 << 20,
 		PageSize: 4096, ScanIO: 1 << 20, FillFraction: 0.9, Rows: 10,
 		Refs: []table.Ref{{}},
-	}))
+	})
+	if _, err := parseManifest(v1); err == nil {
+		f.Fatal("version-1 manifest accepted")
+	}
+	f.Add(v1)
 	f.Add(manifestImage(f, manifestVersion, manifest{
 		DataBytes: 2 << 20, CacheBytes: 1 << 20, LogBytes: 1 << 20,
 		PageSize: 4096, ScanIO: 1 << 20, FillFraction: 0.9,
@@ -88,6 +94,9 @@ func FuzzParseManifest(f *testing.F) {
 		m, err := parseManifest(raw)
 		if err != nil {
 			return
+		}
+		if v := binary.LittleEndian.Uint32(raw[8:]); v != manifestVersion {
+			t.Fatalf("accepted manifest version %d", v)
 		}
 		// Whatever parses must be internally consistent: recovery trusts
 		// these invariants when slicing files and partitioning the cache.

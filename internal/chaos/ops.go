@@ -75,7 +75,7 @@ const (
 	OpCheck
 	// OpQuery runs a predicated, projected streaming query over
 	// [Key, uint64(A)] through the pushdown executor (zone-map pruning,
-	// below-merge filtering, plan cache) and checks it against the model
+	// below-merge filtering) and checks it against the model
 	// filtered and projected the same way. B deterministically selects the
 	// predicate sub-ranges and the optional projection.
 	OpQuery

@@ -7,7 +7,6 @@ import (
 
 	"masm"
 	"masm/internal/storage"
-	"masm/internal/table"
 )
 
 // Seed-115 regression (found by the PR 5 chaos harness, shrunk to a
@@ -19,11 +18,9 @@ import (
 // migration closes the hole: modified pages go to freshly allocated
 // slots and the ref table flips atomically at the manifest commit, so a
 // crash at any byte of the migration leaves the complete old page set
-// authoritative. These tests pin both sides: the scenario loses nothing
-// under shadow paging and demonstrably loses committed rows when the
-// in-place write-back is re-enabled.
+// authoritative. The test pins that the scenario loses nothing.
 
-// partialSurvivalSeeds is how many survivor-lottery seeds each side runs.
+// partialSurvivalSeeds is how many survivor-lottery seeds the test runs.
 const partialSurvivalSeeds = 8
 
 // openRegressionEngine opens dir with a FaultBackend on every file, the
@@ -49,8 +46,7 @@ func openRegressionEngine(t *testing.T, dir string, seed int64) (*masm.Engine, m
 // migration commit's main.data fsync with a per-write survivor lottery,
 // recovers, and compares the surviving state against everything
 // acknowledged durable. It returns "" when nothing was lost, else a
-// description of the first divergence (loss is the measured outcome, not
-// a harness failure: the in-place baseline test asserts it happens).
+// description of the first divergence.
 func runPartialSurvivalScenario(t *testing.T, seed int64, keep float64) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -136,23 +132,5 @@ func TestMigrationPartialPageSurvival(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestMigrationPartialPageSurvivalInPlaceBaseline re-enables the in-place
-// write-back and asserts the very same scenario DOES lose committed rows
-// for at least one lottery seed — proof the regression test has teeth,
-// and a tripwire for anyone reverting shadow paging.
-func TestMigrationPartialPageSurvivalInPlaceBaseline(t *testing.T) {
-	table.UnsafeInPlaceMigration = true
-	defer func() { table.UnsafeInPlaceMigration = false }()
-	losses := 0
-	for seed := int64(1); seed <= partialSurvivalSeeds; seed++ {
-		if lost := runPartialSurvivalScenario(t, seed, 0.5); lost != "" {
-			losses++
-		}
-	}
-	if losses == 0 {
-		t.Fatal("in-place migration lost nothing across all lottery seeds; the scenario no longer exercises the partial-page-survival hole")
 	}
 }

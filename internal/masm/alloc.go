@@ -217,23 +217,9 @@ func (p *allocPartition) Reserve(off, size int64) error {
 	return nil
 }
 
-// PreReserved wraps an allocator whose surviving run extents were already
-// re-registered by an engine-level recovery pre-pass: Reserve becomes a
-// no-op so RestoreShared does not double-reserve, while Alloc and Release
-// pass through. A multi-table engine MUST reserve every table's surviving
-// extents before restoring any table: restoring a table can allocate
-// fresh extents (redoing an interrupted migration flushes the replayed
-// buffer), and without the other tables' reservations in place those
-// allocations can land on — and overwrite — their durable run data (found
-// by the chaos harness as a cross-table recovery corruption).
-func PreReserved(a RunAllocator) RunAllocator { return preReserved{a} }
-
-type preReserved struct{ RunAllocator }
-
-func (p preReserved) Reserve(off, size int64) error { return nil }
-
 // ReserveRunExtents re-registers a table's surviving runs with its
-// allocator, page-rounded exactly as the store sizes extents.
+// allocator, page-rounded exactly as the store sizes extents. Recovery
+// calls it for every table before Restore rebuilds any (see Restore).
 func ReserveRunExtents(cfg Config, alloc RunAllocator, runs []RunMeta) error {
 	for _, rm := range runs {
 		if err := alloc.Reserve(rm.Off, roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))); err != nil {

@@ -51,13 +51,10 @@ type StoreMetrics struct {
 	OpenSnapshots    *obs.Gauge
 	QueryPagesInUse  *obs.Gauge
 
-	// Query executor: zone-map pruning, predicate pushdown and the plan
-	// cache. Folded in at query close (run-scan stats) and at plan-cache
-	// probes, never per record.
+	// Query executor: zone-map pruning and predicate pushdown. Folded in
+	// at query close (run-scan stats), never per record.
 	GranulesSkipped  *obs.Counter
 	PushdownFiltered *obs.Counter
-	PlanCacheHits    *obs.Counter
-	PlanCacheMisses  *obs.Counter
 
 	// Merge engine (flushed from extsort.Merger totals, not per record).
 	MergeComparisons *obs.Counter
@@ -113,8 +110,6 @@ func NewStoreMetrics(reg *obs.Registry, labels ...obs.Label) *StoreMetrics {
 
 		GranulesSkipped:  reg.Counter("masm_query_granules_skipped", labels...),
 		PushdownFiltered: reg.Counter("masm_pushdown_records_filtered", labels...),
-		PlanCacheHits:    reg.Counter("masm_plan_cache_hits", labels...),
-		PlanCacheMisses:  reg.Counter("masm_plan_cache_misses", labels...),
 
 		MergeComparisons: reg.Counter("masm_merge_comparisons", labels...),
 		MergeRefills:     reg.Counter("masm_merge_refills", labels...),

@@ -36,6 +36,7 @@ type Query struct {
 	data     *table.Scanner
 	runScans []*runfile.Scanner
 	mem      *memScanIter
+	merger   *extsort.Merger // over runScans + mem; feeds upd
 	upd      *update.BatchReader
 
 	// CPUPerRecord injects per-output-record CPU cost, modelling complex
@@ -86,9 +87,8 @@ func (s *Store) NewQueryAt(at sim.Time, begin, end uint64, qts int64) (*Query, e
 
 // NewQueryPred is NewQuery with a pushdown predicate: zone maps prune run
 // granules (and the data scan prunes pages) whose key spans cannot match,
-// and surviving sources filter records below the merge. The per-run prune
-// decisions come from the store's plan cache when the query's shape
-// repeats. A nil pred is exactly NewQuery.
+// and surviving sources filter records below the merge. A nil pred is
+// exactly NewQuery.
 func (s *Store) NewQueryPred(at sim.Time, begin, end uint64, pred *update.Pred) (*Query, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -153,22 +153,10 @@ func (s *Store) newQueryPredLocked(at sim.Time, begin, end uint64, qts int64, pr
 		start: at,
 		data:  s.tbl.NewScannerPred(at, begin, end, pred),
 	}
-	// Resolve prune decisions once per query shape: the plan cache hands
-	// back the per-run segment lists for repeated shapes.
-	var plan map[int64]segPlan
-	if pred != nil {
-		plan = s.planForLocked(begin, end, pred)
-	}
 	iters := make([]update.Iterator, 0, len(s.runs)+1)
 	q.pinnedRuns = make([]int64, 0, len(s.runs))
 	for _, r := range s.runs {
-		var sc *runfile.Scanner
-		if pred == nil {
-			sc = r.Scan(at, begin, end, qts, s.cfg.ScanGranularity)
-		} else {
-			sp := plan[r.ID]
-			sc = r.ScanSegments(at, begin, end, qts, s.cfg.ScanGranularity, pred, sp.segs, sp.skipped)
-		}
+		sc := r.ScanPred(at, begin, end, qts, s.cfg.ScanGranularity, pred)
 		q.runScans = append(q.runScans, sc)
 		iters = append(iters, sc)
 		s.pins[r.ID]++
@@ -192,6 +180,7 @@ func (s *Store) newQueryPredLocked(at sim.Time, begin, end uint64, qts int64, pr
 		}
 		return nil, err
 	}
+	q.merger = merger
 	q.upd = update.NewBatchReader(merger, updateBatch)
 
 	q.pinnedPages = len(q.runScans) + 1
@@ -360,8 +349,9 @@ func (q *Query) Close() {
 		s.m.ScanLatencyNanos.Observe(int64(q.Time().Sub(q.start)))
 		s.m.ScanBytes.Observe(q.rowBytes)
 	}
-	// Fold the pushdown counters in one shot per query, keeping the scan
-	// hot paths free of atomics.
+	// Fold the merge and pushdown counters in one shot per query, keeping
+	// the scan hot paths free of atomics.
+	s.m.addMerger(q.merger.Stats())
 	if q.pred != nil {
 		var skipped, filtered int64
 		for _, sc := range q.runScans {

@@ -142,156 +142,6 @@ func TestQueryPredProjectionDifferential(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitAndInvalidation checks the cache contract: a repeated
-// shape against an unchanged run set hits; any run-set mutation
-// invalidates; hits return correct rows.
-func TestPlanCacheHitAndInvalidation(t *testing.T) {
-	e := newEnv(t, 2000, smallConfig())
-	e.applyRandom(1500) // enough to materialize runs
-	pred := update.NewPred([]update.KeyRange{{Lo: 200, Hi: 800}})
-
-	runQuery := func() []kv {
-		t.Helper()
-		q, err := e.store.NewQueryPred(e.now, 0, ^uint64(0), pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := drainQueryRows(t, q)
-		e.now = q.Time()
-		q.Close()
-		return rows
-	}
-
-	// First query warms the cache. Its setup may flush/merge (mutating the
-	// run set before planning), so measure from after it.
-	first := runQuery()
-	hits0, misses0 := e.store.m.PlanCacheHits.Value(), e.store.m.PlanCacheMisses.Value()
-
-	second := runQuery()
-	hits1, misses1 := e.store.m.PlanCacheHits.Value(), e.store.m.PlanCacheMisses.Value()
-	if hits1 != hits0+1 || misses1 != misses0 {
-		t.Fatalf("repeated shape: hits %d→%d misses %d→%d, want one hit, no miss",
-			hits0, hits1, misses0, misses1)
-	}
-	if len(first) != len(second) {
-		t.Fatalf("cache hit changed results: %d rows vs %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i].key != second[i].key || !bytes.Equal(first[i].body, second[i].body) {
-			t.Fatalf("cache hit changed row %d: key %d vs %d", i, second[i].key, first[i].key)
-		}
-	}
-
-	// Mutate the run set (apply until a flush bumps runsVersion): the next
-	// probe must miss and re-plan.
-	v0 := e.store.runsVersion
-	for i := 0; i < 100 && e.store.runsVersion == v0; i++ {
-		e.applyRandom(200)
-	}
-	if e.store.runsVersion == v0 {
-		t.Fatal("run set never changed despite 20k updates")
-	}
-	third := runQuery()
-	hits2, misses2 := e.store.m.PlanCacheHits.Value(), e.store.m.PlanCacheMisses.Value()
-	if misses2 == misses1 {
-		t.Fatalf("run-set mutation did not invalidate the plan: misses stayed %d (hits %d→%d)",
-			misses1, hits1, hits2)
-	}
-	// And the re-planned query is still correct against the model.
-	seen := make(map[uint64][]byte, len(third))
-	for _, r := range third {
-		seen[r.key] = r.body
-	}
-	for k, b := range e.model {
-		if !pred.Match(k) {
-			continue
-		}
-		got, ok := seen[k]
-		if !ok || !bytes.Equal(got, b) {
-			t.Fatalf("re-planned query wrong for key %d (present=%v)", k, ok)
-		}
-		delete(seen, k)
-	}
-	if len(seen) != 0 {
-		t.Fatalf("re-planned query returned %d rows not in the model", len(seen))
-	}
-}
-
-// TestPlanCacheDropsStaleEntriesOnMutation pins the eager-invalidation
-// contract: a run-set mutation empties the whole plan cache immediately.
-// Before the fix, a stale entry was evicted only when its own key was
-// re-queried, so after a flush up to planCacheCap dead entries kept
-// holding per-run segment plans for shapes that were never asked again.
-func TestPlanCacheDropsStaleEntriesOnMutation(t *testing.T) {
-	e := newEnv(t, 2000, smallConfig())
-	e.applyRandom(1500) // enough to materialize runs
-
-	// Warm the cache with several distinct shapes.
-	for i := uint64(0); i < 5; i++ {
-		pred := update.NewPred([]update.KeyRange{{Lo: 100 * i, Hi: 100*i + 50}})
-		q, err := e.store.NewQueryPred(e.now, 0, ^uint64(0), pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainQueryRows(t, q)
-		e.now = q.Time()
-		q.Close()
-	}
-	e.store.mu.Lock()
-	warm := len(e.store.plans.entries)
-	e.store.mu.Unlock()
-	if warm == 0 {
-		t.Fatal("no plans cached after five predicated queries")
-	}
-
-	// Any run-set mutation — apply updates until one flushes into a run —
-	// must leave zero entries behind, without any query re-asking their
-	// keys.
-	e.store.mu.Lock()
-	v0 := e.store.runsVersion
-	e.store.mu.Unlock()
-	for i := 0; i < 100; i++ {
-		e.applyRandom(200)
-		now, err := e.store.Flush(e.now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.now = now
-		e.store.mu.Lock()
-		v := e.store.runsVersion
-		e.store.mu.Unlock()
-		if v != v0 {
-			break
-		}
-	}
-	e.store.mu.Lock()
-	stale := len(e.store.plans.entries)
-	v := e.store.runsVersion
-	e.store.mu.Unlock()
-	if v == v0 {
-		t.Fatal("run set never changed despite 20k updates and explicit flushes")
-	}
-	if stale != 0 {
-		t.Fatalf("%d stale plan-cache entries survived the run-set mutation (version %d→%d)", stale, v0, v)
-	}
-
-	// The cache still works after the purge: a fresh shape misses once,
-	// then hits.
-	pred := update.NewPred([]update.KeyRange{{Lo: 0, Hi: 400}})
-	for i := 0; i < 2; i++ {
-		q, err := e.store.NewQueryPred(e.now, 0, ^uint64(0), pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainQueryRows(t, q)
-		e.now = q.Time()
-		q.Close()
-	}
-	if e.store.m.PlanCacheHits.Value() == 0 {
-		t.Fatal("plan cache never hit after the purge")
-	}
-}
-
 // TestQueryPredPruningMetrics checks the pushdown observability contract:
 // a selective predicate over a store with materialized runs must record
 // skipped granules and filtered records, folded at query close.

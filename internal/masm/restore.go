@@ -11,59 +11,50 @@ import (
 	"masm/internal/update"
 )
 
-// Restore rebuilds a Store after a crash (paper §3.6): the surviving
-// materialized sorted runs (their data is on the non-volatile SSD) have
-// their in-memory metadata and run indexes reconstructed by scanning, and
-// the lost in-memory buffer is repopulated from the redo-logged updates
-// that had not been flushed. If redoMigration is non-nil, a migration was
-// interrupted mid-flight; Restore re-runs it — the page-timestamp check
-// makes re-application idempotent, so no undo logging is ever needed for
-// data pages.
-//
-// The caller (normally wal.Recover) derives runs, pending and
-// redoMigration by replaying the redo log.
-func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
-	logger RedoLogger, runs []RunMeta, pending []update.Record,
-	redoMigration []int64, at sim.Time) (*Store, sim.Time, error) {
-	return RestoreShared(cfg, tbl, ssd, oracle, logger,
-		newExtentAlloc(ssd.Size()), 0, runs, pending, redoMigration, at, nil)
-}
-
-// RestoreShared is Restore for one table of a multi-table engine: the
-// rebuilt store draws from the engine's shared allocator (re-reserving the
-// surviving runs' extents in it) and carries the table identity. Restore is
-// the single-table special case. m carries the table's metric handles (nil
-// for a private registry); the restore path repopulates the state gauges —
-// run bytes/count, memtable fill — so a reopened engine's metrics resume
-// from the recovered state rather than zero.
-func RestoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
-	logger RedoLogger, alloc RunAllocator, tableID uint32, runs []RunMeta,
-	pending []update.Record, redoMigration []int64, at sim.Time, m *StoreMetrics) (*Store, sim.Time, error) {
-	return RestoreSharedPrebuilt(cfg, tbl, ssd, oracle, logger, alloc, tableID, runs,
-		nil, pending, redoMigration, at, m)
-}
-
 // PrebuiltRun is one surviving run already reconstructed on the data plane
 // (runfile.RebuildOffline): the rebuilt metadata, the read spans its scan
-// issued, and the scan's error if it failed. Parallel recovery produces
-// these concurrently — no simulated time is involved in the scan — and
-// hands them to RestoreSharedPrebuilt, which replays the recorded spans on
-// the simulated device serially, at exactly the point in the time chain
-// where the serial path would have scanned.
+// issued, and the scan's error if it failed. Recovery produces these
+// concurrently — no simulated time is involved in the scan — and hands
+// them to Restore, which replays the recorded spans on the simulated
+// device serially, at exactly the point in the time chain where an inline
+// rebuild would have scanned.
 type PrebuiltRun struct {
 	Run   *runfile.Run
 	Spans []runfile.Span
 	Err   error
 }
 
-// RestoreSharedPrebuilt is RestoreShared with some (or all) run scans
-// already performed offline: prebuilt maps RunID to its data-plane rebuild.
-// Runs present in the map skip the priced Rebuild — their recorded spans
-// are charged on the simulated device instead, serially and in the same
+// Restore rebuilds one table's Store after a crash (paper §3.6): the
+// surviving materialized sorted runs (their data is on the non-volatile
+// SSD) have their in-memory metadata and run indexes reconstructed, and
+// the lost in-memory buffer is repopulated from the redo-logged updates
+// that had not been flushed. If redoMigration is non-nil, a migration was
+// interrupted mid-flight; Restore re-runs it — the page-timestamp check
+// makes re-application idempotent, so no undo logging is ever needed for
+// data pages.
+//
+// The caller derives runs, pending and redoMigration by replaying the redo
+// log (wal.Replayer), and must already have re-registered every surviving
+// run's extent with alloc (ReserveRunExtents) — for every table of the
+// engine, before restoring any: a restore can allocate fresh extents
+// (redoing an interrupted migration flushes the replayed buffer), and
+// without the other tables' reservations in place those allocations can
+// land on — and overwrite — their durable run data (found by the chaos
+// harness as a cross-table recovery corruption).
+//
+// prebuilt maps RunID to a data-plane rebuild performed offline. Runs
+// present in the map skip the priced rebuild — their recorded spans are
+// charged on the simulated device instead, serially and in the same
 // position of the recovery time chain, so the virtual clock comes out
-// bit-identical to the serial path. Runs absent from the map (or a nil
-// map) are rebuilt inline exactly as before.
-func RestoreSharedPrebuilt(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
+// bit-identical to rebuilding inline, which is what happens to runs absent
+// from the map (or with a nil map): the reference the differential tests
+// compare the offline shape against.
+//
+// m carries the table's metric handles (nil for a private registry); the
+// restore path repopulates the state gauges — run bytes/count, memtable
+// fill — so a recovered engine's metrics resume from the recovered state
+// rather than zero.
+func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 	logger RedoLogger, alloc RunAllocator, tableID uint32, runs []RunMeta,
 	prebuilt map[int64]PrebuiltRun, pending []update.Record, redoMigration []int64,
 	at sim.Time, m *StoreMetrics) (*Store, sim.Time, error) {
@@ -113,11 +104,7 @@ func RestoreSharedPrebuilt(cfg Config, tbl *table.Table, ssd *storage.Volume, or
 		}
 		run.Table = s.tableID
 		run.IndexSize = rm.IndexSize
-		extSize := roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))
-		if err := s.alloc.Reserve(rm.Off, extSize); err != nil {
-			return nil, at, err
-		}
-		s.extents[rm.RunID] = extent{off: rm.Off, size: extSize}
+		s.extents[rm.RunID] = extent{off: rm.Off, size: roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))}
 		s.runs = append(s.runs, run)
 		s.addRunBytesLocked(run.Size)
 		if rm.RunID >= s.nextRunID {

@@ -144,14 +144,6 @@ type Store struct {
 	// error — a test failpoint for modeling one broken table in a shared
 	// catalog (see FailMigrations).
 	failMigrate error
-	// runsVersion counts run-set mutations; a cached query plan is valid
-	// only while the version it was computed under still holds.
-	runsVersion int64
-	// plans is the fixed-size plan cache keyed on normalized query shape
-	// (range, predicate structure, granularity): repeated predicated
-	// queries reuse their per-run prune decisions instead of re-walking
-	// every run's zone maps.
-	plans planCache
 	// Incremental-migration sweep state (§3.5): the next portion's start
 	// key and the timestamp of the current sweep's first portion.
 	portionCursor uint64
@@ -294,12 +286,6 @@ func (s *Store) Stats() Stats {
 func (s *Store) addRunBytesLocked(delta int64) {
 	s.runBytes += delta
 	s.m.RunBytes.Set(s.runBytes)
-	// Every run-set mutation funnels through here, so this is also where
-	// cached query plans are invalidated — eagerly, not lazily: an entry
-	// surviving until its own key is re-queried would keep dead runs'
-	// segment plans alive across flushes and migrations.
-	s.runsVersion++
-	s.plans.clear()
 }
 
 // Runs returns the current number of materialized sorted runs.

@@ -1,27 +1,24 @@
 // Package query is the streaming query executor over the MaSM merge
 // engine: composable relational operators that pull key-ordered rows
 // through the batched merge path one at a time, never materializing a
-// result set unless asked to.
+// result set.
 //
 // Operators follow the janus iterator discipline: every Iterator is
 // single-use — once Next returns false or an error, the stream is spent —
 // and composition consumes its inputs (an iterator handed to an operator
-// must not be read again by the caller). Re-iteration is explicit: wrap a
-// stream in a Buffered via Materialize and Rewind it as often as needed.
+// must not be read again by the caller).
 //
-// The hot path is allocation-free per row: Filter, Project, Limit,
-// Aggregate and MergeJoin move Row values through struct-held state, and
-// projection narrows bodies by reslicing, so a pipeline's cost is the
-// scans underneath it (gated by TestOperatorZeroAllocs).
+// The hot path is allocation-free per row: Filter, Project and Limit move
+// Row values through struct-held state, and projection narrows bodies by
+// reslicing, so a pipeline's cost is the scans underneath it (gated by
+// TestOperatorZeroAllocs).
 package query
-
-import "masm/internal/update"
 
 // Row is one record of a streaming result: the merged, visible version of
 // a key at the query's snapshot. TS is the timestamp of the newest update
 // the merge applied (the page timestamp for untouched base rows). Body
 // aliases the producing scan's buffer and is valid only until the next
-// Next call; Materialize copies.
+// Next call.
 type Row struct {
 	Key  uint64
 	TS   int64
@@ -41,53 +38,9 @@ type Func func() (Row, bool, error)
 // Next implements Iterator.
 func (f Func) Next() (Row, bool, error) { return f() }
 
-// FromRows returns a single-use Iterator over rows (test and small-input
-// source; rows are not copied).
-func FromRows(rows []Row) Iterator {
-	i := 0
-	return Func(func() (Row, bool, error) {
-		if i >= len(rows) {
-			return Row{}, false, nil
-		}
-		r := rows[i]
-		i++
-		return r, true, nil
-	})
-}
-
 // Pred is a row predicate for Filter. Key, TS and payload conditions are
-// all expressible; helpers below build the common ones.
+// all expressible as plain closures.
 type Pred func(r *Row) bool
-
-// KeyIn builds a Pred from a normalized key-range predicate — the same
-// update.Pred the engine pushes below the merge, re-checked here when a
-// pipeline filters a stream that was produced without pushdown.
-func KeyIn(p *update.Pred) Pred {
-	return func(r *Row) bool { return p.Match(r.Key) }
-}
-
-// TSAtMost keeps rows whose newest applied update is at or before ts.
-func TSAtMost(ts int64) Pred {
-	return func(r *Row) bool { return r.TS <= ts }
-}
-
-// BodyLongerThan keeps rows with more than n body bytes (the simplest
-// payload predicate; arbitrary payload conditions are plain closures).
-func BodyLongerThan(n int) Pred {
-	return func(r *Row) bool { return len(r.Body) > n }
-}
-
-// And conjoins predicates.
-func And(preds ...Pred) Pred {
-	return func(r *Row) bool {
-		for _, p := range preds {
-			if !p(r) {
-				return false
-			}
-		}
-		return true
-	}
-}
 
 // Filter yields the input rows satisfying pred.
 type Filter struct {
@@ -165,185 +118,3 @@ func (l *Limit) Next() (Row, bool, error) {
 	l.left--
 	return r, true, nil
 }
-
-// Group is one output row of a streaming Aggregate: COUNT and SUM over
-// the rows sharing a grouping key.
-type Group struct {
-	Key   uint64
-	Count int64
-	Sum   uint64
-}
-
-// Aggregate folds a key-ordered stream into per-group COUNT and SUM,
-// emitting each group as soon as the grouping key advances — streaming,
-// because the input's key order makes every group contiguous when the
-// grouping function is monotone in the row key (bucketing by key range
-// is; grouping by a payload attribute is not and needs a sort first).
-type Aggregate struct {
-	in    Iterator
-	group func(r *Row) uint64
-	value func(r *Row) uint64
-	cur   Group
-	open  bool
-	done  bool
-	// scratch: see Filter.scratch.
-	scratch Row
-}
-
-// NewAggregate builds an Aggregate over in; it consumes in. group maps a
-// row to its grouping key; value to the summand (nil sums zero, i.e.
-// pure COUNT).
-func NewAggregate(in Iterator, group, value func(r *Row) uint64) *Aggregate {
-	return &Aggregate{in: in, group: group, value: value}
-}
-
-// Next returns the next completed group.
-func (a *Aggregate) Next() (Group, bool, error) {
-	if a.done {
-		return Group{}, false, nil
-	}
-	for {
-		r, ok, err := a.in.Next()
-		if err != nil {
-			a.done = true
-			return Group{}, false, err
-		}
-		if !ok {
-			a.done = true
-			if a.open {
-				a.open = false
-				return a.cur, true, nil
-			}
-			return Group{}, false, nil
-		}
-		a.scratch = r
-		g := a.group(&a.scratch)
-		var v uint64
-		if a.value != nil {
-			v = a.value(&a.scratch)
-		}
-		if a.open && g == a.cur.Key {
-			a.cur.Count++
-			a.cur.Sum += v
-			continue
-		}
-		if a.open {
-			out := a.cur
-			a.cur = Group{Key: g, Count: 1, Sum: v}
-			return out, true, nil
-		}
-		a.cur = Group{Key: g, Count: 1, Sum: v}
-		a.open = true
-	}
-}
-
-// JoinRow is one output row of a MergeJoin: the bodies of the matching
-// left and right rows. Both alias their producers' buffers until the
-// next Next call.
-type JoinRow struct {
-	Key   uint64
-	Left  []byte
-	Right []byte
-}
-
-// MergeJoin inner-joins two key-ordered streams on row key, streaming:
-// both inputs advance in lockstep and nothing is buffered. Keys are
-// unique per input (the merge engine emits one visible row per key), so
-// the join is one-to-one.
-type MergeJoin struct {
-	left, right    Iterator
-	lrow, rrow     Row
-	lvalid, rvalid bool
-	done           bool
-}
-
-// NewMergeJoin builds a MergeJoin; it consumes both inputs.
-func NewMergeJoin(left, right Iterator) *MergeJoin {
-	return &MergeJoin{left: left, right: right}
-}
-
-// Next returns the next joined row.
-func (j *MergeJoin) Next() (JoinRow, bool, error) {
-	if j.done {
-		return JoinRow{}, false, nil
-	}
-	for {
-		if !j.lvalid {
-			r, ok, err := j.left.Next()
-			if err != nil || !ok {
-				j.done = true
-				return JoinRow{}, false, err
-			}
-			j.lrow, j.lvalid = r, true
-		}
-		if !j.rvalid {
-			r, ok, err := j.right.Next()
-			if err != nil || !ok {
-				j.done = true
-				return JoinRow{}, false, err
-			}
-			j.rrow, j.rvalid = r, true
-		}
-		switch {
-		case j.lrow.Key < j.rrow.Key:
-			j.lvalid = false
-		case j.lrow.Key > j.rrow.Key:
-			j.rvalid = false
-		default:
-			j.lvalid, j.rvalid = false, false
-			return JoinRow{Key: j.lrow.Key, Left: j.lrow.Body, Right: j.rrow.Body}, true, nil
-		}
-	}
-}
-
-// Buffered is a rewindable row stream: the escape hatch from the
-// single-use iterator discipline. Materialize drains a stream into one,
-// copying bodies so the rows outlive the producing scan.
-type Buffered struct {
-	rows []Row
-	pos  int
-}
-
-// Materialize consumes in entirely and returns a Buffered positioned at
-// the start. Bodies are copied into a single arena allocation.
-func Materialize(in Iterator) (*Buffered, error) {
-	b := &Buffered{}
-	var arena []byte
-	for {
-		r, ok, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		arena = append(arena, r.Body...)
-		r.Body = arena[len(arena)-len(r.Body):]
-		b.rows = append(b.rows, r)
-	}
-	// Re-point every body into the final arena: append may have moved it
-	// while rows were accumulating.
-	off := 0
-	for i := range b.rows {
-		n := len(b.rows[i].Body)
-		b.rows[i].Body = arena[off : off+n : off+n]
-		off += n
-	}
-	return b, nil
-}
-
-// Next implements Iterator.
-func (b *Buffered) Next() (Row, bool, error) {
-	if b.pos >= len(b.rows) {
-		return Row{}, false, nil
-	}
-	r := b.rows[b.pos]
-	b.pos++
-	return r, true, nil
-}
-
-// Rewind repositions the stream at the start for another pass.
-func (b *Buffered) Rewind() { b.pos = 0 }
-
-// Len reports the buffered row count.
-func (b *Buffered) Len() int { return len(b.rows) }

@@ -1,13 +1,25 @@
 package query
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"masm/internal/update"
 )
+
+// fromRows is a single-use Iterator over rows (not copied).
+func fromRows(rows []Row) Iterator {
+	i := 0
+	return Func(func() (Row, bool, error) {
+		if i >= len(rows) {
+			return Row{}, false, nil
+		}
+		r := rows[i]
+		i++
+		return r, true, nil
+	})
+}
 
 func rowsN(n int) []Row {
 	rows := make([]Row, n)
@@ -35,11 +47,9 @@ func drain(t *testing.T, it Iterator) []Row {
 
 func TestFilterKeyTSPayload(t *testing.T) {
 	pred := update.NewPred([]update.KeyRange{{Lo: 4, Hi: 10}, {Lo: 30, Hi: 40}})
-	it := NewFilter(FromRows(rowsN(30)), And(
-		KeyIn(pred),
-		TSAtMost(17),
-		BodyLongerThan(5),
-	))
+	it := NewFilter(fromRows(rowsN(30)), func(r *Row) bool {
+		return pred.Match(r.Key) && r.TS <= 17 && len(r.Body) > 5
+	})
 	got := drain(t, it)
 	var want []uint64
 	for _, r := range rowsN(30) {
@@ -62,7 +72,7 @@ func TestProjectReslicesAndClips(t *testing.T) {
 		{Key: 1, Body: []byte("0123456789")},
 		{Key: 2, Body: []byte("01")}, // too short: projects to empty
 	}
-	it := NewProject(FromRows(rows), 3, 4)
+	it := NewProject(fromRows(rows), 3, 4)
 	got := drain(t, it)
 	if string(got[0].Body) != "3456" {
 		t.Fatalf("projected body %q, want %q", got[0].Body, "3456")
@@ -73,121 +83,14 @@ func TestProjectReslicesAndClips(t *testing.T) {
 }
 
 func TestLimit(t *testing.T) {
-	if got := drain(t, NewLimit(FromRows(rowsN(100)), 7)); len(got) != 7 {
+	if got := drain(t, NewLimit(fromRows(rowsN(100)), 7)); len(got) != 7 {
 		t.Fatalf("limit 7 yielded %d rows", len(got))
 	}
-	if got := drain(t, NewLimit(FromRows(rowsN(3)), 7)); len(got) != 3 {
+	if got := drain(t, NewLimit(fromRows(rowsN(3)), 7)); len(got) != 3 {
 		t.Fatalf("limit past end yielded %d rows", len(got))
 	}
-	if got := drain(t, NewLimit(FromRows(rowsN(3)), 0)); len(got) != 0 {
+	if got := drain(t, NewLimit(fromRows(rowsN(3)), 0)); len(got) != 0 {
 		t.Fatalf("limit 0 yielded %d rows", len(got))
-	}
-}
-
-func TestAggregateStreamsGroups(t *testing.T) {
-	// Keys 0,2,4,...,58 bucketed by 10: buckets 0,10,...,50, six of them,
-	// five keys each.
-	agg := NewAggregate(FromRows(rowsN(30)),
-		func(r *Row) uint64 { return r.Key / 10 * 10 },
-		func(r *Row) uint64 { return r.Key })
-	var groups []Group
-	for {
-		g, ok, err := agg.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		groups = append(groups, g)
-	}
-	if len(groups) != 6 {
-		t.Fatalf("%d groups, want 6", len(groups))
-	}
-	for i, g := range groups {
-		if g.Key != uint64(i*10) || g.Count != 5 {
-			t.Fatalf("group %d = %+v, want key %d count 5", i, g, i*10)
-		}
-		wantSum := uint64(0)
-		for _, r := range rowsN(30) {
-			if r.Key/10*10 == g.Key {
-				wantSum += r.Key
-			}
-		}
-		if g.Sum != wantSum {
-			t.Fatalf("group %d sum %d, want %d", i, g.Sum, wantSum)
-		}
-	}
-}
-
-func TestAggregateEmpty(t *testing.T) {
-	agg := NewAggregate(FromRows(nil), func(r *Row) uint64 { return 0 }, nil)
-	if _, ok, err := agg.Next(); ok || err != nil {
-		t.Fatalf("empty aggregate: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestMergeJoin(t *testing.T) {
-	left := []Row{{Key: 1, Body: []byte("l1")}, {Key: 3, Body: []byte("l3")}, {Key: 5, Body: []byte("l5")}, {Key: 9, Body: []byte("l9")}}
-	right := []Row{{Key: 3, Body: []byte("r3")}, {Key: 4, Body: []byte("r4")}, {Key: 9, Body: []byte("r9")}, {Key: 12, Body: []byte("r12")}}
-	j := NewMergeJoin(FromRows(left), FromRows(right))
-	var got []JoinRow
-	for {
-		r, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if len(got) != 2 || got[0].Key != 3 || got[1].Key != 9 {
-		t.Fatalf("join keys %v, want [3 9]", got)
-	}
-	if string(got[0].Left) != "l3" || string(got[0].Right) != "r3" {
-		t.Fatalf("join row 0 bodies %q/%q", got[0].Left, got[0].Right)
-	}
-}
-
-func TestBufferedRewindAndCopy(t *testing.T) {
-	// The source hands out rows whose bodies alias one reused buffer;
-	// Materialize must copy so earlier rows survive later overwrites.
-	buf := make([]byte, 8)
-	i := 0
-	src := Func(func() (Row, bool, error) {
-		if i >= 5 {
-			return Row{}, false, nil
-		}
-		copy(buf, fmt.Sprintf("body%04d", i))
-		r := Row{Key: uint64(i), Body: buf}
-		i++
-		return r, true, nil
-	})
-	b, err := Materialize(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 5 {
-		t.Fatalf("materialized %d rows, want 5", b.Len())
-	}
-	for pass := 0; pass < 3; pass++ {
-		for want := 0; ; want++ {
-			r, ok, err := b.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				if want != 5 {
-					t.Fatalf("pass %d ended after %d rows", pass, want)
-				}
-				break
-			}
-			if r.Key != uint64(want) || !bytes.Equal(r.Body, []byte(fmt.Sprintf("body%04d", want))) {
-				t.Fatalf("pass %d row %d = %d %q", pass, want, r.Key, r.Body)
-			}
-		}
-		b.Rewind()
 	}
 }
 
@@ -200,14 +103,10 @@ func TestErrorPropagates(t *testing.T) {
 	if _, _, err := NewProject(Func(func() (Row, bool, error) { return Row{}, false, boom }), 0, 1).Next(); !errors.Is(err, boom) {
 		t.Fatalf("project error = %v", err)
 	}
-	if _, err := Materialize(Func(func() (Row, bool, error) { return Row{}, false, boom })); !errors.Is(err, boom) {
-		t.Fatalf("materialize error = %v", err)
-	}
 }
 
 // TestOperatorZeroAllocs gates the executor hot path: a composed
-// filter→project→limit pipeline must not allocate per row, and the
-// streaming aggregate and merge join must not either. (PR 3/PR 7
+// filter→project→limit pipeline must not allocate per row. (PR 3/PR 7
 // convention: skipped under the race detector.)
 func TestOperatorZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -215,7 +114,7 @@ func TestOperatorZeroAllocs(t *testing.T) {
 	}
 	rows := rowsN(1 << 12)
 	pred := update.NewPred([]update.KeyRange{{Lo: 0, Hi: 1 << 20}})
-	keep := And(KeyIn(pred), TSAtMost(1<<40))
+	keep := func(r *Row) bool { return pred.Match(r.Key) && r.TS <= 1<<40 }
 
 	t.Run("pipeline", func(t *testing.T) {
 		var it Iterator
@@ -236,40 +135,6 @@ func TestOperatorZeroAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("pipeline Next allocates %.1f per row, want 0", avg)
-		}
-	})
-
-	t.Run("aggregate", func(t *testing.T) {
-		pos := 0
-		src := Func(func() (Row, bool, error) {
-			r := rows[pos%len(rows)]
-			r.Key = uint64(pos) // strictly increasing: every row a new group
-			pos++
-			return r, true, nil
-		})
-		agg := NewAggregate(src, func(r *Row) uint64 { return r.Key }, func(r *Row) uint64 { return uint64(r.TS) })
-		avg := testing.AllocsPerRun(10000, func() {
-			if _, ok, err := agg.Next(); !ok || err != nil {
-				t.Fatal("aggregate ended early")
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("aggregate Next allocates %.1f per group, want 0", avg)
-		}
-	})
-
-	t.Run("mergejoin", func(t *testing.T) {
-		var l, r int
-		left := Func(func() (Row, bool, error) { l++; return Row{Key: uint64(l)}, true, nil })
-		right := Func(func() (Row, bool, error) { r++; return Row{Key: uint64(r)}, true, nil })
-		j := NewMergeJoin(left, right)
-		avg := testing.AllocsPerRun(10000, func() {
-			if _, ok, err := j.Next(); !ok || err != nil {
-				t.Fatal("join ended early")
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("join Next allocates %.1f per row, want 0", avg)
 		}
 	})
 }

@@ -403,15 +403,6 @@ func (r *Run) Scan(at sim.Time, begin, end uint64, queryTS int64, gran int) *Sca
 // behave exactly like Scan — one contiguous window, no pruning.
 func (r *Run) ScanPred(at sim.Time, begin, end uint64, queryTS int64, gran int, pred *update.Pred) *Scanner {
 	segs, skipped := r.PlanSegments(begin, end, queryTS, gran, pred)
-	return r.ScanSegments(at, begin, end, queryTS, gran, pred, segs, skipped)
-}
-
-// ScanSegments builds a scanner from a precomputed segment plan (the plan
-// cache's entry point: segments for an identical query shape are reused
-// without re-consulting the zone maps). segs must come from PlanSegments
-// with the same (begin, end, queryTS, gran, pred) on this run.
-func (r *Run) ScanSegments(at sim.Time, begin, end uint64, queryTS int64, gran int,
-	pred *update.Pred, segs []Segment, skipped int64) *Scanner {
 	s := &Scanner{
 		r: r, begin: begin, end: end, queryTS: queryTS, gran: gran, pred: pred,
 		segs: segs, now: at, skipped: skipped,

@@ -20,11 +20,6 @@ import (
 // bit-identical virtual timeline; concurrent preads/pwrites ⇒ the kernel
 // finally sees queue depth > 1. (Goroutines blocked in preads occupy OS
 // threads, so the overlap holds even at GOMAXPROCS=1.)
-//
-// With the masm_iouring build tag on Linux, batches whose volume exposes
-// a raw file descriptor are submitted through io_uring instead of the
-// worker pool; the default build and every non-eligible volume fall back
-// to the pool transparently.
 
 // IOReq is one data-plane operation of a batch: read into (or write
 // from) Buf at volume offset Off.
@@ -32,27 +27,6 @@ type IOReq struct {
 	Buf   []byte
 	Off   int64
 	Write bool
-}
-
-// RawFile is implemented by backends whose bytes live behind one OS file
-// descriptor (the file backend). The io_uring submitter uses it to
-// address the kernel directly; backends that don't implement it — the
-// in-memory backend, fault-injection wrappers — always take the worker
-// pool instead.
-type RawFile interface {
-	// RawFD returns the descriptor that would serve the given request and
-	// the file offset corresponding to backend offset off, or ok=false
-	// when the request cannot be expressed as one fd operation.
-	RawFD(p []byte, off int64, write bool) (fd int, fileOff int64, ok bool)
-}
-
-// RawFD forwards through a slice window, shifting the offset like every
-// other sliceBackend operation.
-func (s *sliceBackend) RawFD(p []byte, off int64, write bool) (int, int64, bool) {
-	if rf, ok := s.be.(RawFile); ok {
-		return rf.RawFD(p, s.off+off, write)
-	}
-	return 0, 0, false
 }
 
 // IOPoolMetrics carries the pool's observability handles (nil-safe).
@@ -139,9 +113,6 @@ func (p *IOPool) Run(vol *Volume, reqs []IOReq) error {
 			return vol.PokeAt(r.Buf, r.Off)
 		}
 		return vol.PeekAt(r.Buf, r.Off)
-	}
-	if handled, err := uringRun(vol, reqs, p); handled {
-		return err
 	}
 	var (
 		wg       sync.WaitGroup

@@ -228,19 +228,6 @@ func (d *File) WriteAt(p []byte, off int64) error {
 	return pwrite(fd, p, off)
 }
 
-// RawFD implements storage.RawFile: the io_uring submitter addresses the
-// kernel directly with the same fd-selection rule ReadAt/WriteAt use, so
-// direct-eligible requests stay direct under io_uring too.
-func (d *File) RawFD(p []byte, off int64, write bool) (int, int64, bool) {
-	if off < 0 || off+int64(len(p)) > d.size {
-		return 0, 0, false
-	}
-	if d.df != nil && aligned(p, off) {
-		return int(d.df.Fd()), off, true
-	}
-	return int(d.f.Fd()), off, true
-}
-
 // Sync implements storage.Backend: fsync, the real durability barrier.
 // One fsync covers both fds — durability is a property of the inode, not
 // of the descriptor the bytes arrived through.

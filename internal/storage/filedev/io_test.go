@@ -71,10 +71,9 @@ func TestShortIOAcrossTruncatedTail(t *testing.T) {
 	}
 }
 
-// TestIOPoolOverFile drives a pooled batch against a real file volume —
-// the configuration where the io_uring submitter engages when built with
-// -tags masm_iouring, and the worker pool otherwise. Either way the
-// bytes and the virtual clock must come out identical to a serial loop.
+// TestIOPoolOverFile drives a pooled batch against a real file volume:
+// the bytes and the virtual clock must come out identical to a serial
+// loop.
 func TestIOPoolOverFile(t *testing.T) {
 	mk := func(name string) *storage.Volume {
 		d, err := OpenWith(filepath.Join(t.TempDir(), name), 1<<20, Options{Direct: true})

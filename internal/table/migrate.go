@@ -12,16 +12,6 @@ import (
 // from its source per refill.
 const migrateUpdateBatch = 256
 
-// UnsafeInPlaceMigration reverts ApplyStream* to the pre-shadow-paging
-// behaviour: modified pages are written back over their old slots and
-// overflow pages are linked as they are written, with no atomic commit.
-// A crash can then leave a rewritten page (stamped migTS) durable while
-// its overflow pages are not, and the page-timestamp redo check silently
-// loses the spilled rows. It exists only so the committed regression test
-// can demonstrate that failure mode and so benchmarks can measure the
-// in-place baseline; production code must never set it.
-var UnsafeInPlaceMigration bool
-
 // ApplyResult summarizes one migration pass over the table.
 type ApplyResult struct {
 	PagesRead      int64
@@ -116,7 +106,6 @@ func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, b
 	nextUpd := rd.Peek
 	consumeUpd := rd.Consume
 
-	var overflow []*Page
 	// Pages decoded from a batch alias the batch buffer, and Page.Encode
 	// zeroes its destination before writing; re-encoding therefore goes
 	// through a scratch page to avoid clobbering bodies that still alias
@@ -199,7 +188,7 @@ func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, b
 			if err != nil {
 				return now, res, err
 			}
-			if !UnsafeInPlaceMigration && !anyNewer(upds, p.TS) {
+			if !anyNewer(upds, p.TS) {
 				// Every update is already reflected in the page image (a
 				// redo pass over a flipped batch): consume them without
 				// rewriting the page, so re-running a committed migration
@@ -222,11 +211,7 @@ func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, b
 					ovf.Bodies[bi] = append([]byte(nil), b...)
 				}
 				emitPage(ovf)
-				if UnsafeInPlaceMigration {
-					overflow = append(overflow, ovf)
-				} else {
-					batchOvfs = append(batchOvfs, ovf)
-				}
+				batchOvfs = append(batchOvfs, ovf)
 			}
 			res.RowDelta += int64(after - before)
 			batchDelta += int64(after - before)
@@ -237,23 +222,14 @@ func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, b
 			dirty = true
 		}
 		if dirty {
-			if UnsafeInPlaceMigration {
-				c, err := t.vol.WriteAt(now, buf, first*int64(t.cfg.PageSize))
-				if err != nil {
-					return now, res, err
-				}
-				now = c.End
-				res.PagesWritten += int64(n)
-			} else {
-				end, err := t.writeShadowBatch(now, refs[i:i+n], buf, batchOvfs, &res)
-				if err != nil {
-					return now, res, err
-				}
-				now = end
-				// Flipped batches are committed even if a later batch
-				// fails; keep the row count in step with them.
-				t.AdjustRows(batchDelta)
+			end, err := t.writeShadowBatch(now, refs[i:i+n], buf, batchOvfs, &res)
+			if err != nil {
+				return now, res, err
 			}
+			now = end
+			// Flipped batches are committed even if a later batch
+			// fails; keep the row count in step with them.
+			t.AdjustRows(batchDelta)
 		}
 		i += n
 	}
@@ -269,21 +245,6 @@ func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, b
 		}
 		consumeUpd()
 		_ = u
-	}
-	if UnsafeInPlaceMigration {
-		// Pre-shadow behaviour: overflow pages are appended and linked at
-		// the end of the pass, after their base pages were already
-		// rewritten in place — the very window the regression test crashes
-		// into.
-		for _, p := range overflow {
-			end, err := t.AddOverflow(now, p)
-			if err != nil {
-				return now, res, err
-			}
-			now = end
-			res.OverflowPages++
-		}
-		t.AdjustRows(res.RowDelta)
 	}
 	return now, res, nil
 }

@@ -17,7 +17,6 @@ type KeyRange struct {
 // A nil *Pred matches every key.
 type Pred struct {
 	ranges []KeyRange
-	hash   uint64
 }
 
 // NewPred normalizes ranges (dropping inverted ones, sorting, and merging
@@ -41,9 +40,7 @@ func NewPred(ranges []KeyRange) *Pred {
 		}
 		out = append(out, r)
 	}
-	p := &Pred{ranges: out}
-	p.hash = hashRanges(out)
-	return p
+	return &Pred{ranges: out}
 }
 
 // Ranges returns the normalized interval list (not to be mutated).
@@ -91,38 +88,3 @@ func (p *Pred) Overlaps(lo, hi uint64) bool {
 // Empty reports whether the predicate can match no key at all (normalized
 // to zero ranges). A nil Pred is not empty — it matches everything.
 func (p *Pred) Empty() bool { return p != nil && len(p.ranges) == 0 }
-
-// Hash is a structural fingerprint over the normalized ranges, suitable
-// for plan-cache keying. Equal predicates hash equally; the converse holds
-// up to 64-bit collision odds.
-func (p *Pred) Hash() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.hash
-}
-
-// hashRanges is FNV-1a over the interval endpoints.
-func hashRanges(rs []KeyRange) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(len(rs)))
-	for _, r := range rs {
-		mix(r.Lo)
-		mix(r.Hi)
-	}
-	if h == 0 {
-		h = 1 // reserve 0 for "no predicate"
-	}
-	return h
-}

@@ -1,13 +1,9 @@
 package wal
 
 import (
-	"fmt"
 	"sort"
 
 	"masm/internal/masm"
-	"masm/internal/sim"
-	"masm/internal/storage"
-	"masm/internal/table"
 	"masm/internal/update"
 )
 
@@ -173,17 +169,6 @@ func (r *Replayer) States() map[uint32]*TableState {
 	return r.states
 }
 
-// ReplayEntries routes already-decoded log entries to per-table recovered
-// state: Replayer over a materialized slice, for callers (and tests) that
-// hold the entries anyway.
-func ReplayEntries(entries []Entry) map[uint32]*TableState {
-	r := NewReplayer()
-	for _, e := range entries {
-		r.Observe(e)
-	}
-	return r.States()
-}
-
 // baseKind collapses a tagged kind onto its untagged counterpart (the
 // Entry already carries the table id) and maps KindTxnBatch to itself.
 func baseKind(k Kind) Kind {
@@ -191,50 +176,4 @@ func baseKind(k Kind) Kind {
 		return base
 	}
 	return k
-}
-
-// Recover replays a single-table redo log and rebuilds its MaSM store: the
-// crash-recovery procedure of paper §3.6. It refuses logs that name other
-// tables — a catalog log is recovered per table by the engine, which calls
-// ReplayEntries and masm.RestoreShared itself.
-//
-// newLog becomes the rebuilt store's redo logger for subsequent activity.
-func Recover(cfg masm.Config, tbl *table.Table, ssd *storage.Volume,
-	oracle *masm.Oracle, logVol *storage.Volume, newLog masm.RedoLogger,
-	at sim.Time) (*masm.Store, sim.Time, error) {
-
-	r := NewReplayer()
-	now, err := ReadStream(logVol, at, func(e Entry) error {
-		r.Observe(e)
-		return nil
-	})
-	if err != nil {
-		return nil, at, err
-	}
-	states := r.States()
-	for t := range states {
-		if t != 0 {
-			return nil, now, fmt.Errorf("wal: log names table %d: a multi-table catalog log must be recovered through its engine", t)
-		}
-	}
-	st := states[0]
-	if st == nil {
-		st = &TableState{}
-	}
-	// If the new log reuses storage (or simply starts empty), checkpoint
-	// the recovered state into it first — run metadata, then the
-	// still-buffered updates — so a second crash recovers too. Restore's
-	// own activity (flushes, a redone migration) then appends after the
-	// checkpoint. Pending updates always carry timestamps above every
-	// live run's MaxTS, so replay ordering is preserved.
-	if l, ok := newLog.(*Log); ok && l != nil {
-		if now, err = l.CheckpointAll(now, []TableCheckpoint{
-			{Runs: st.Runs, Pending: st.Pending, MaxTS: st.MaxTS}}); err != nil {
-			return nil, now, err
-		}
-	}
-	// Resume the oracle above every logged timestamp, including migration
-	// timestamps already stamped onto data pages (see TableState.MaxTS).
-	oracle.AdvanceTo(st.MaxTS)
-	return masm.Restore(cfg, tbl, ssd, oracle, newLog, st.Runs, st.Pending, st.RedoMigration, now)
 }

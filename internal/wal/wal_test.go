@@ -126,18 +126,42 @@ func (r *rig) crashRecover() {
 		r.t.Fatal(err)
 	}
 	r.now = end
+	// The §3.6 procedure: stream the log through the replay fold, resume
+	// the oracle above every logged timestamp, restore the store. No new
+	// log is attached, so there is no checkpoint step.
+	rep := NewReplayer()
+	now, err := ReadStream(r.logVol, r.now, func(e Entry) error {
+		rep.Observe(e)
+		return nil
+	})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	st := rep.States()[0]
+	if st == nil {
+		st = &TableState{}
+	}
 	newOracle := &masm.Oracle{}
-	// A fresh log continues after the old one; for the test we reopen a
-	// new log region appended logically (reuse the same volume is fine:
-	// ReadAll reads the prefix written so far, and the new Log would
-	// overwrite — so give the new log its own volume).
-	store, end, err := Recover(smallCfg(), r.tbl, r.ssdVol, newOracle, r.logVol, nil, r.now)
+	newOracle.AdvanceTo(st.MaxTS)
+	r.restore(newOracle, st.Runs, st.Pending, st.RedoMigration, now)
+}
+
+// restore rebuilds the rig's store over a fresh private allocator with the
+// surviving runs' extents re-registered, as the engine's recovery does.
+func (r *rig) restore(oracle *masm.Oracle, runs []masm.RunMeta, pending []update.Record, redo []int64, at sim.Time) {
+	r.t.Helper()
+	alloc := masm.NewSharedAlloc(r.ssdVol.Size()).Partition(0, r.ssdVol.Size())
+	if err := masm.ReserveRunExtents(smallCfg(), alloc, runs); err != nil {
+		r.t.Fatal(err)
+	}
+	store, end, err := masm.Restore(smallCfg(), r.tbl, r.ssdVol, oracle, nil, alloc, 0,
+		runs, nil, pending, redo, at, nil)
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.now = end
 	r.store = store
-	r.oracle = newOracle
+	r.oracle = oracle
 }
 
 func (r *rig) verify() {
@@ -394,15 +418,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	for _, rm := range live {
 		runs = append(runs, rm)
 	}
-	newOracle := &masm.Oracle{}
-	store, end2, err := masm.Restore(smallCfg(), r.tbl, r.ssdVol, newOracle, nil,
-		runs, pendingRecs, redo, r.now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.now = end2
-	r.store = store
-	r.oracle = newOracle
+	r.restore(&masm.Oracle{}, runs, pendingRecs, redo, r.now)
 	// Pages were already rewritten by the completed migration; the redo
 	// applied the same updates again — page timestamps must have made
 	// that harmless.

@@ -64,8 +64,7 @@
 // Lower-level building blocks live in the internal packages: the device
 // and timing model (internal/sim), the table heap (internal/table), the
 // materialized sorted runs (internal/runfile), the MaSM algorithms
-// (internal/masm), the shared-nothing cluster with parallel shard fan-out
-// (internal/shard), the baselines the paper compares against
+// (internal/masm), the baselines the paper compares against
 // (internal/inplace, internal/iu, internal/lsm), the redo log
 // (internal/wal), transactions (internal/txn), and the full benchmark
 // harness regenerating every figure (internal/bench).

@@ -30,17 +30,27 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		if err := tbl.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("upd-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
+		if i == 149 || i == 299 { // two runs for the scan to merge
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	scanAll(t, tbl)
+	lbl := obs.L("table", "orders")
+	// A scan's own merge is counted, not only a migration's.
+	snap := e.Metrics()
+	if runs := snap.Gauge("masm_run_count", lbl); runs < 2 {
+		t.Fatalf("setup left %d runs, want >= 2", runs)
+	}
+	if got := snap.Counter("masm_merge_records", lbl); got <= 0 {
+		t.Fatalf("masm_merge_records = %d after a scan over two runs and no migration, want > 0", got)
+	}
 	if err := tbl.Migrate(); err != nil {
 		t.Fatal(err)
 	}
 
-	lbl := obs.L("table", "orders")
-	snap := e.Metrics()
+	snap = e.Metrics()
 	if got := snap.Counter("masm_updates_accepted", lbl); got != 300 {
 		t.Fatalf("masm_updates_accepted = %d, want 300", got)
 	}
@@ -182,6 +192,61 @@ func TestReopenedEngineResumesGauges(t *testing.T) {
 	}
 	if got := e2.Metrics().Counter("masm_updates_accepted", lbl); got != 1 {
 		t.Fatalf("recreated table after reopen starts at %d accepted updates, want 1", got)
+	}
+}
+
+// TestCrashReportsRecovery: an in-memory Crash and a file-backed one run the
+// same recovery procedure, so both report the same lifecycle events and
+// set the same recovery gauges.
+func TestCrashReportsRecovery(t *testing.T) {
+	open := map[string]func() (*Engine, error){
+		"memory": func() (*Engine, error) { return NewEngine(smallCfg()) },
+		"file": func() (*Engine, error) {
+			return OpenEngineDir(t.TempDir(), EngineDirOptions{Config: smallCfg()})
+		},
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			e, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl := loadTable(t, e, "t", 100, TableOptions{})
+			for i := 0; i < 200; i++ {
+				if err := tbl.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("v-%04d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := e.Crash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			var phases []string
+			for _, ev := range e2.TraceEvents() {
+				if ev.Op == "recovery" {
+					phases = append(phases, ev.Phase)
+				}
+			}
+			if strings.Join(phases, ",") != "replay,end" {
+				t.Fatalf("recovery events %v, want [replay end]", phases)
+			}
+			snap := e2.Metrics()
+			for _, g := range []string{"masm_wal_replay_entries", "masm_recovery_wall_nanos"} {
+				if snap.Gauge(g) <= 0 {
+					t.Fatalf("%s = %d after Crash, want > 0", g, snap.Gauge(g))
+				}
+			}
+			if err := e2.CheckMetrics(); err != nil {
+				t.Fatalf("recovered gauges do not reconcile: %v", err)
+			}
+		})
 	}
 }
 

@@ -6,8 +6,7 @@ package masm
 // granules and data pages before their reads are issued, and surviving
 // scans filter records before they enter the merge), narrows bodies with
 // the projection, and streams rows through the internal/query operator
-// pipeline without materializing a result. Repeated shapes reuse their
-// per-run prune decisions through the store's plan cache.
+// pipeline without materializing a result.
 
 import (
 	"fmt"

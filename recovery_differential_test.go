@@ -1,4 +1,4 @@
-package chaos
+package masm_test
 
 import (
 	"errors"
@@ -10,21 +10,56 @@ import (
 	"testing"
 
 	"masm"
+	"masm/internal/chaos"
 	"masm/internal/storage"
 )
 
-// TestRecoveryDifferential is the parallel-recovery oracle: for 50 seeded
-// workloads it builds a crashed directory image, recovers one copy with
-// the legacy fully-serial path (RecoveryWorkers < 0) and another with the
-// default concurrent path, and demands byte-identical results — the same
-// catalog, the same rows in every table, and the same virtual clock. The
-// parallel path reorders only data-plane scans; any divergence here means
-// it leaked into priced state.
+// rebuildMode selects how recovery reconstructs surviving runs: inline is
+// the reference (each run rebuilt inside its table's restore, priced as it
+// reads); concurrent is what every caller outside these tests gets
+// (data-plane scans overlapped with replay, spans charged afterwards).
+type rebuildMode bool
+
+const (
+	inline     rebuildMode = true
+	concurrent rebuildMode = false
+)
+
+func (m rebuildMode) String() string {
+	if m == inline {
+		return "inline"
+	}
+	return "concurrent"
+}
+
+func (m rebuildMode) open(dir string, opts masm.EngineDirOptions) (*masm.Engine, error) {
+	if m == inline {
+		return masm.OpenEngineDirInlineRebuild(dir, opts)
+	}
+	return masm.OpenEngineDir(dir, opts)
+}
+
+func (m rebuildMode) crash(e *masm.Engine) (*masm.Engine, error) {
+	if m == inline {
+		return e.CrashInlineRebuild()
+	}
+	return e.Crash()
+}
+
+// TestRecoveryDifferential is the recovery oracle: for 50 seeded workloads
+// it builds the same crashed state twice, recovers one with the inline
+// rebuild and the other with the concurrent one, and demands identical
+// results — the same catalog, the same rows in every table, and the same
+// virtual clock. The concurrent shape reorders only data-plane scans; any
+// divergence here means it leaked into priced state. The file-backed leg
+// recovers two copies of one hard-stopped directory; the in-memory leg
+// runs the workload on two engines and crashes each.
 func TestRecoveryDifferential(t *testing.T) {
 	const seeds = 50
+	var fileRuns, memRuns int // surviving runs recovery had to rebuild
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("file/seed%d", seed), func(t *testing.T) {
 			root := t.TempDir()
 			dir := filepath.Join(root, "built")
 			if err := os.Mkdir(dir, 0o755); err != nil {
@@ -33,37 +68,60 @@ func TestRecoveryDifferential(t *testing.T) {
 			buildDifferentialDir(t, dir, seed)
 			copyDir := filepath.Join(root, "copy")
 			copyDatabaseDir(t, dir, copyDir)
-
-			serial := recoverAndFingerprint(t, dir, -1)
-			parallel := recoverAndFingerprint(t, copyDir, 0)
-
-			if serial.elapsed != parallel.elapsed {
-				t.Fatalf("virtual clock diverged: serial %d, parallel %d", serial.elapsed, parallel.elapsed)
-			}
-			if len(serial.tables) != len(parallel.tables) {
-				t.Fatalf("catalog diverged: serial %v, parallel %v", tableNames(serial), tableNames(parallel))
-			}
-			for i := range serial.tables {
-				st, pt := serial.tables[i], parallel.tables[i]
-				if st.name != pt.name || st.id != pt.id {
-					t.Fatalf("table %d diverged: serial %q/%d, parallel %q/%d", i, st.name, st.id, pt.name, pt.id)
-				}
-				if len(st.rows) != len(pt.rows) {
-					t.Fatalf("table %q row count diverged: serial %d, parallel %d", st.name, len(st.rows), len(pt.rows))
-				}
-				for j := range st.rows {
-					if st.rows[j] != pt.rows[j] {
-						t.Fatalf("table %q row %d diverged:\n  serial   %q\n  parallel %q",
-							st.name, j, st.rows[j], pt.rows[j])
-					}
-				}
-			}
+			ref := recoverAndFingerprint(t, dir, inline)
+			compareFingerprints(t, ref, recoverAndFingerprint(t, copyDir, concurrent))
+			fileRuns += ref.runs
 		})
+		t.Run(fmt.Sprintf("mem/seed%d", seed), func(t *testing.T) {
+			var fps [2]dirFingerprint
+			for i, mode := range []rebuildMode{inline, concurrent} {
+				eng, err := masm.NewEngine(differentialOpts().Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runDifferentialWorkload(t, eng, seed)
+				eng2, err := mode.crash(eng)
+				if err != nil {
+					t.Fatalf("crash (%v rebuild): %v", mode, err)
+				}
+				fps[i] = fingerprint(t, eng2, mode)
+			}
+			compareFingerprints(t, fps[0], fps[1])
+			memRuns += fps[0].runs
+		})
+	}
+	if fileRuns == 0 || memRuns == 0 {
+		t.Fatalf("differential vacuous: %d file-backed and %d in-memory runs survived to be rebuilt", fileRuns, memRuns)
+	}
+}
+
+func compareFingerprints(t *testing.T, ref, got dirFingerprint) {
+	t.Helper()
+	if ref.elapsed != got.elapsed {
+		t.Fatalf("virtual clock diverged: inline %d, concurrent %d", ref.elapsed, got.elapsed)
+	}
+	if len(ref.tables) != len(got.tables) {
+		t.Fatalf("catalog diverged: inline %v, concurrent %v", tableNames(ref), tableNames(got))
+	}
+	for i := range ref.tables {
+		rt, gt := ref.tables[i], got.tables[i]
+		if rt.name != gt.name || rt.id != gt.id {
+			t.Fatalf("table %d diverged: inline %q/%d, concurrent %q/%d", i, rt.name, rt.id, gt.name, gt.id)
+		}
+		if len(rt.rows) != len(gt.rows) {
+			t.Fatalf("table %q row count diverged: inline %d, concurrent %d", rt.name, len(rt.rows), len(gt.rows))
+		}
+		for j := range rt.rows {
+			if rt.rows[j] != gt.rows[j] {
+				t.Fatalf("table %q row %d diverged:\n  inline     %q\n  concurrent %q",
+					rt.name, j, rt.rows[j], gt.rows[j])
+			}
+		}
 	}
 }
 
 // TestRecoveryDifferentialCrashSweep interrupts recovery itself — once
-// under the concurrent rebuild pool, once on the serial path — and then
+// under the concurrent rebuild, once under the inline one — and then
 // finishes the job with the OTHER mode. The crash points are probed, not
 // assumed: a throwaway recovery counts the checkpoint log's fsyncs and
 // writes, and the sweep then cuts power at every fsync and fails writes
@@ -72,11 +130,11 @@ func TestRecoveryDifferential(t *testing.T) {
 // was interrupted, and the surviving state must not depend on which mode
 // completes it.
 func TestRecoveryDifferentialCrashSweep(t *testing.T) {
-	for i, first := range []int{0, -1} {
+	for i, first := range []rebuildMode{concurrent, inline} {
 		first := first
-		other := -1 - first // 0 <-> -1
+		other := !first
 		seed := int64(7 * (i + 1))
-		t.Run(fmt.Sprintf("crashWorkers%d", first), func(t *testing.T) {
+		t.Run(fmt.Sprintf("crash_%v", first), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "db")
 			if err := os.Mkdir(dir, 0o755); err != nil {
 				t.Fatal(err)
@@ -87,16 +145,16 @@ func TestRecoveryDifferentialCrashSweep(t *testing.T) {
 			// Probe the crashing mode's checkpoint-log I/O shape on a copy.
 			probeDir := filepath.Join(t.TempDir(), "probe")
 			copyDatabaseDir(t, dir, probeDir)
-			var newWal *FaultBackend
-			popts := differentialOpts(first)
+			var newWal *chaos.FaultBackend
+			popts := differentialOpts()
 			popts.WrapBackend = func(name string, be storage.Backend) storage.Backend {
-				fb := NewFaultBackend(be, name, 42)
+				fb := chaos.NewFaultBackend(be, name, 42)
 				if name == "wal.log.new" {
 					newWal = fb
 				}
 				return fb
 			}
-			peng, err := masm.OpenEngineDir(probeDir, popts)
+			peng, err := first.open(probeDir, popts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,35 +166,35 @@ func TestRecoveryDifferentialCrashSweep(t *testing.T) {
 				t.Fatalf("sweep vacuous: recovery issued %d checkpoint-log fsyncs, %d writes", syncs, writes)
 			}
 
-			var plans []Plan
+			var plans []chaos.Plan
 			for k := int64(1); k <= syncs; k++ {
-				plans = append(plans, Plan{CrashAtSync: k})
+				plans = append(plans, chaos.Plan{CrashAtSync: k})
 			}
 			seenW := map[int64]bool{}
 			for _, w := range []int64{1, (writes + 1) / 2, writes} {
 				if !seenW[w] {
 					seenW[w] = true
-					plans = append(plans, Plan{FailWrite: map[int64]error{w: ErrInjectedEIO}})
+					plans = append(plans, chaos.Plan{FailWrite: map[int64]error{w: chaos.ErrInjectedEIO}})
 				}
 			}
 			for pi, plan := range plans {
 				plan := plan
 				crashDir := filepath.Join(t.TempDir(), "crash")
 				copyDatabaseDir(t, dir, crashDir)
-				opts := differentialOpts(first)
+				opts := differentialOpts()
 				opts.WrapBackend = func(name string, be storage.Backend) storage.Backend {
-					fb := NewFaultBackend(be, name, 42)
+					fb := chaos.NewFaultBackend(be, name, 42)
 					if name == "wal.log.new" {
 						fb.SetPlan(plan)
 					}
 					return fb
 				}
-				if _, err := masm.OpenEngineDir(crashDir, opts); err == nil {
-					t.Fatalf("recovery (workers %d) survived crash plan %d (%+v)", first, pi, plan)
+				if _, err := first.open(crashDir, opts); err == nil {
+					t.Fatalf("recovery (%v rebuild) survived crash plan %d (%+v)", first, pi, plan)
 				}
 				got := recoverAndFingerprint(t, crashDir, other)
 				if got.elapsed != want.elapsed || len(got.tables) != len(want.tables) {
-					t.Fatalf("state after interrupted workers=%d recovery (plan %d) diverged: clock %d vs %d, %d vs %d tables",
+					t.Fatalf("state after interrupted %v-rebuild recovery (plan %d) diverged: clock %d vs %d, %d vs %d tables",
 						first, pi, got.elapsed, want.elapsed, len(got.tables), len(want.tables))
 				}
 				for i := range got.tables {
@@ -163,6 +221,7 @@ type tableFingerprint struct {
 
 type dirFingerprint struct {
 	elapsed int64
+	runs    int // materialized runs across all tables, right after recovery
 	tables  []tableFingerprint
 }
 
@@ -174,23 +233,33 @@ func tableNames(f dirFingerprint) []string {
 	return names
 }
 
-func differentialOpts(workers int) masm.EngineDirOptions {
+func differentialOpts() masm.EngineDirOptions {
 	cfg := masm.DefaultConfig()
 	cfg.CacheBytes = 4 << 20
-	return masm.EngineDirOptions{Config: cfg, DataBytes: 1 << 30, RecoveryWorkers: workers}
+	return masm.EngineDirOptions{Config: cfg, DataBytes: 1 << 30}
 }
 
-// buildDifferentialDir runs a seeded random workload — several tables,
-// interleaved inserts/deletes, explicit syncs, flushes and the occasional
-// migration — and hard-stops mid-flight, leaving materialized runs, a
-// pending tail, and sometimes an interrupted migration for recovery.
+// buildDifferentialDir runs the seeded workload on a fresh directory and
+// hard-stops mid-flight, leaving materialized runs, a pending tail, and
+// sometimes an interrupted migration for recovery.
 func buildDifferentialDir(t *testing.T, dir string, seed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	eng, err := masm.OpenEngineDir(dir, differentialOpts(0))
+	eng, err := masm.OpenEngineDir(dir, differentialOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runDifferentialWorkload(t, eng, seed)
+	if err := eng.HardStop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runDifferentialWorkload is a seeded random workload — several tables,
+// interleaved inserts/deletes, explicit syncs, flushes and the occasional
+// migration — ending on a Sync.
+func runDifferentialWorkload(t *testing.T, eng *masm.Engine, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	nTables := 2 + rng.Intn(3)
 	tbls := make([]*masm.Table, nTables)
 	for i := range tbls {
@@ -201,6 +270,7 @@ func buildDifferentialDir(t *testing.T, dir string, seed int64) {
 			keys[j] = uint64(j+1) * 4
 			bodies[j] = []byte(fmt.Sprintf("seed%d-t%d-row%05d-%016x", seed, i, j, rng.Uint64()))
 		}
+		var err error
 		tbls[i], err = eng.CreateTable(fmt.Sprintf("t%d", i), masm.TableOptions{Keys: keys, Bodies: bodies})
 		if err != nil {
 			t.Fatal(err)
@@ -237,24 +307,31 @@ func buildDifferentialDir(t *testing.T, dir string, seed int64) {
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.HardStop(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// recoverAndFingerprint opens dir with the given RecoveryWorkers mode,
+// recoverAndFingerprint opens dir with the given rebuild mode,
 // fingerprints the recovered engine, verifies invariants, and closes it.
-func recoverAndFingerprint(t *testing.T, dir string, workers int) dirFingerprint {
+func recoverAndFingerprint(t *testing.T, dir string, mode rebuildMode) dirFingerprint {
 	t.Helper()
-	eng, err := masm.OpenEngineDir(dir, differentialOpts(workers))
+	eng, err := mode.open(dir, differentialOpts())
 	if err != nil {
-		t.Fatalf("recover (workers %d): %v", workers, err)
+		t.Fatalf("recover (%v rebuild): %v", mode, err)
 	}
+	return fingerprint(t, eng, mode)
+}
+
+// fingerprint verifies eng's invariants, records its clock and every
+// table's rows, and closes it.
+func fingerprint(t *testing.T, eng *masm.Engine, mode rebuildMode) dirFingerprint {
+	t.Helper()
 	defer eng.Close()
 	if err := eng.CheckInvariants(); err != nil {
-		t.Fatalf("invariants (workers %d): %v", workers, err)
+		t.Fatalf("invariants (%v rebuild): %v", mode, err)
 	}
 	f := dirFingerprint{elapsed: int64(eng.Elapsed())}
+	for _, ts := range eng.Stats().Tables {
+		f.runs += ts.Runs
+	}
 	for _, name := range eng.Tables() {
 		tbl, err := eng.OpenTable(name)
 		if err != nil {
@@ -275,11 +352,11 @@ func recoverAndFingerprint(t *testing.T, dir string, workers int) dirFingerprint
 
 // recoverAndFingerprintCopy fingerprints a recovery of dir without
 // disturbing it, by working on a throwaway copy.
-func recoverAndFingerprintCopy(t *testing.T, dir string, workers int) dirFingerprint {
+func recoverAndFingerprintCopy(t *testing.T, dir string, mode rebuildMode) dirFingerprint {
 	t.Helper()
 	cp := filepath.Join(t.TempDir(), "fpcopy")
 	copyDatabaseDir(t, dir, cp)
-	return recoverAndFingerprint(t, cp, workers)
+	return recoverAndFingerprint(t, cp, mode)
 }
 
 // copyDatabaseDir clones a database directory file by file (flat layout),
