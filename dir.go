@@ -27,7 +27,7 @@ package masm
 // its group-commit batch) has returned. The write-ahead ordering is
 // enforced by wal.Hooks: run data is fsynced before its flush/merge
 // record, and the table pages plus MANIFEST are checkpointed before a
-// migration-end record.
+// migration's closing record.
 //
 // OpenDir is the single-table wrapper: a one-table engine whose "default"
 // table is returned as a DB.
@@ -147,7 +147,7 @@ type dirState struct {
 	// manifestMu serializes manifest state and rewrites (a migration
 	// checkpoint can race CreateTable on another table). It also guards
 	// catalog — the dirState's own id-ordered table list. The WAL
-	// migration-end checkpoint hook runs while the log's mutex is held
+	// migration-close checkpoint hook runs while the log's mutex is held
 	// and must NOT take the engine's catalog lock (writers hold e.mu
 	// while waiting on the log mutex, and a queued e.mu writer would
 	// turn that into a three-way deadlock), so the manifest writer reads
@@ -495,5 +495,5 @@ func OpenDir(dir string, opts DirOptions) (*DB, error) {
 		e.Close()
 		return nil, err
 	}
-	return &DB{eng: e, t: t}, nil
+	return &DB{t}, nil
 }

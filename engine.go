@@ -10,10 +10,10 @@ package masm
 //   - one SSD update-cache volume, partitioned by a byte-budget run
 //     allocator (a table may be capped below the full cache, and the sum
 //     of caps may oversubscribe it: idle tenants lend space to busy ones);
-//   - one redo log whose records carry the owning table's id (WAL format
-//     v3; single-table logs keep the untagged v2 records);
+//   - one redo log whose records carry the owning table's id (table 0's
+//     are untagged);
 //   - one timestamp oracle, so commits across tables share a timeline and
-//     cross-table transactions publish atomically;
+//     transactions publish atomically whatever tables they span;
 //   - one migration scheduler arbitrating across tables by cache-fill
 //     pressure.
 //
@@ -387,9 +387,25 @@ func (t *Table) liveLocked() error {
 	return nil
 }
 
-// Insert caches an insertion of (key, body) into this table.
+// insertRecord and modifyRecord build the well-formed updates behind every
+// Insert and Modify entry point (Table and EngineTx), owning a copy of the
+// caller's bytes.
+func insertRecord(key uint64, body []byte) update.Record {
+	return update.Record{Key: key, Op: update.Insert, Payload: append([]byte(nil), body...)}
+}
+
+func modifyRecord(key uint64, off int, val []byte) (update.Record, error) {
+	if off < 0 || off > 0xffff {
+		return update.Record{}, fmt.Errorf("masm: modify offset %d out of range", off)
+	}
+	return update.Record{Key: key, Op: update.Modify,
+		Payload: update.EncodeFields([]update.Field{{Off: uint16(off), Value: append([]byte(nil), val...)}})}, nil
+}
+
+// Insert caches an insertion of (key, body): a well-formed update, applied
+// to queries immediately and to the main data at the next migration.
 func (t *Table) Insert(key uint64, body []byte) error {
-	return t.apply(update.Record{Key: key, Op: update.Insert, Payload: append([]byte(nil), body...)})
+	return t.apply(insertRecord(key, body))
 }
 
 // Delete caches a deletion of key from this table.
@@ -400,11 +416,11 @@ func (t *Table) Delete(key uint64) error {
 // Modify caches an in-record field modification: len(val) bytes at byte
 // offset off of the record body.
 func (t *Table) Modify(key uint64, off int, val []byte) error {
-	if off < 0 || off > 0xffff {
-		return fmt.Errorf("masm: modify offset %d out of range", off)
+	rec, err := modifyRecord(key, off, val)
+	if err != nil {
+		return err
 	}
-	return t.apply(update.Record{Key: key, Op: update.Modify,
-		Payload: update.EncodeFields([]update.Field{{Off: uint16(off), Value: append([]byte(nil), val...)}})})
+	return t.apply(rec)
 }
 
 func (t *Table) apply(rec update.Record) error {
@@ -428,7 +444,10 @@ func (t *Table) apply(rec update.Record) error {
 	return nil
 }
 
-// Snapshot pins a consistent logical view of the table; see DB.Snapshot.
+// Snapshot pins a consistent logical view of the table: every scan opened
+// from it sees exactly the updates applied before the snapshot was taken,
+// regardless of concurrent writers. Close must be called when done; an
+// open snapshot blocks migration.
 func (t *Table) Snapshot() (*Snapshot, error) {
 	e := t.eng
 	e.mu.RLock()
@@ -437,7 +456,7 @@ func (t *Table) Snapshot() (*Snapshot, error) {
 		return nil, err
 	}
 	snap := &Snapshot{t: t, snap: t.store.Snapshot()}
-	// Safety net mirroring Begin's: a Snapshot abandoned without Close
+	// Safety net mirroring BeginTx's: a Snapshot abandoned without Close
 	// would block migration and pin SSD run extents for the engine's
 	// lifetime. Close is idempotent, so the cleanup is a no-op for
 	// properly closed snapshots.
@@ -446,7 +465,12 @@ func (t *Table) Snapshot() (*Snapshot, error) {
 }
 
 // Scan calls fn for every live record with key in [begin, end], in key
-// order, under snapshot isolation; see DB.Scan.
+// order, reflecting every update committed before the scan started. fn
+// returning false stops the scan early. The scanned bytes come from large
+// sequential disk reads merged with the SSD-cached updates — the paper's
+// replacement for Table_range_scan. Scan holds no lock while iterating:
+// concurrent Insert/Delete/Modify proceed unblocked and are invisible to
+// this scan (snapshot isolation).
 func (t *Table) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	e := t.eng
 	e.mu.RLock()
@@ -516,8 +540,11 @@ func (t *Table) Flush() error {
 	return nil
 }
 
-// Migrate folds this table's cached updates back into its main data; other
-// tables' caches and scans are untouched. See DB.Migrate.
+// Migrate folds every cached update of this table back into its main data,
+// in place, and deletes the materialized runs; other tables' caches and
+// scans are untouched. It runs concurrently with incoming updates, but
+// waits for scans and snapshots older than its timestamp (returning
+// ErrActiveQueries while they are open).
 func (t *Table) Migrate() error {
 	if err := t.live(); err != nil {
 		return err
@@ -531,8 +558,12 @@ func (t *Table) Migrate() error {
 	return nil
 }
 
-// ScanAndMigrate migrates this table's cached updates while streaming the
-// fresh post-migration rows to fn; see DB.ScanAndMigrate.
+// ScanAndMigrate migrates every cached update into the main data while
+// streaming the fresh, post-migration rows to fn in key order — the
+// paper's coordinated-scan optimization (§3.5): a full-table query served
+// by the migration's own scan, so the table is read once instead of
+// twice. fn returning false stops the stream; the migration still
+// completes.
 func (t *Table) ScanAndMigrate(fn func(key uint64, body []byte) bool) error {
 	e := t.eng
 	e.mu.RLock()
@@ -555,8 +586,11 @@ func (t *Table) ScanAndMigrate(fn func(key uint64, body []byte) bool) error {
 	return nil
 }
 
-// MigrateStep performs one step of incremental migration on this table;
-// see DB.MigrateStep.
+// MigrateStep performs one step of incremental migration, folding the
+// cached updates for the next span of portionPages table pages back into
+// the main data (paper §3.5: distribute the migration cost across many
+// small operations). It reports whether this step completed a full sweep
+// of the table, after which fully-applied runs are deleted.
 func (t *Table) MigrateStep(portionPages int) (sweepDone bool, err error) {
 	if err := t.live(); err != nil {
 		return false, err
@@ -571,7 +605,8 @@ func (t *Table) MigrateStep(portionPages int) (sweepDone bool, err error) {
 }
 
 // MigrateIfNeeded migrates when this table's cache occupancy exceeds its
-// configured threshold; it reports whether a migration ran.
+// configured threshold; it reports whether a migration ran. It is a no-op
+// (false, nil) while open scans or an in-flight migration block it.
 func (t *Table) MigrateIfNeeded() (bool, error) {
 	if err := t.live(); err != nil {
 		return false, err
@@ -664,23 +699,6 @@ func (e *Engine) migrateIfPressured(skip map[string]bool) (tableName string, ran
 		return target.name, false, err
 	}
 	return target.name, true, nil
-}
-
-// Begin starts a transaction on this table; see DB.Begin.
-func (t *Table) Begin(mode TxMode) (*Tx, error) {
-	e := t.eng
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if err := t.liveLocked(); err != nil {
-		return nil, err
-	}
-	tx := &Tx{t: t, tx: t.txns.Begin(txn.Mode(mode))}
-	// Safety net for abandoned transactions: an unreferenced Tx that never
-	// reached Commit or Abort would pin its snapshot (and Locking-mode
-	// locks) forever, permanently blocking migration. Abort is idempotent,
-	// so the cleanup is a no-op for properly finished transactions.
-	runtime.AddCleanup(tx, func(t *txn.Txn) { t.Abort() }, tx.tx)
-	return tx, nil
 }
 
 // Stats returns this table's engine counters. The device-level fields are
@@ -853,7 +871,10 @@ func (e *Engine) CheckMetrics() error {
 	return e.shared.CheckMetrics()
 }
 
-// Sync forces the shared redo log to stable storage; see DB.Sync.
+// Sync forces the shared redo log to stable storage. Updates are
+// group-committed (batched) by default; an update is guaranteed to survive
+// Crash only after a Sync (or after enough later traffic flushed its
+// batch).
 func (e *Engine) Sync() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -50,6 +50,34 @@ func scanAll(t *testing.T, tbl *Table) map[uint64]string {
 	return got
 }
 
+// TestMigrateIntoEmptyTable is the shrunk repro of a silent data loss: a
+// table created with no rows (every table masmd creates) had no page for
+// migration to apply updates to, so its first Migrate consumed the whole
+// cache and dropped it.
+func TestMigrateIntoEmptyTable(t *testing.T) {
+	e, err := NewEngine(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := e.CreateTable("empty", TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := tbl.Insert(uint64(i), []byte(fmt.Sprintf("row-%06d-padding-padding-padding", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Migrate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, st := scanAll(t, tbl), tbl.Stats(); len(got) != 500 || st.Runs != 0 || st.Rows != 500 {
+		t.Fatalf("after migrating into an empty table: %d rows scanned, %d in the main data, %d runs left; want 500, 500, 0",
+			len(got), st.Rows, st.Runs)
+	}
+}
+
 func TestEngineCatalogLifecycle(t *testing.T) {
 	e, err := NewEngine(smallCfg())
 	if err != nil {

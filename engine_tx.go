@@ -1,13 +1,24 @@
 package masm
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"masm/internal/table"
 	"masm/internal/txn"
 	"masm/internal/update"
+)
+
+// TxMode selects the concurrency-control scheme for a transaction
+// (paper §3.6).
+type TxMode int
+
+const (
+	// TxSnapshot runs the transaction under snapshot isolation with
+	// first-committer-wins conflict resolution.
+	TxSnapshot TxMode = TxMode(txn.Snapshot)
+	// TxLocking runs the transaction under two-phase locking.
+	TxLocking TxMode = TxMode(txn.Locking)
 )
 
 // EngineTx is a transaction spanning any number of the engine's tables.
@@ -17,7 +28,7 @@ import (
 // atomically: every involved table's records are stamped with consecutive
 // commit timestamps under all the stores' latches and written to the
 // shared redo log as one commit record, so both concurrent readers and
-// crash recovery see the cross-table commit all-or-nothing.
+// crash recovery see the commit all-or-nothing, on one table or many.
 //
 // Reads are per-table snapshots taken lazily (at the first operation
 // naming the table), not one engine-wide point in time; the atomicity
@@ -35,9 +46,12 @@ type EngineTx struct {
 }
 
 // BeginTx starts a transaction that may read and write any table of the
-// catalog. Like Begin, it must end in Commit or Abort: each table it
-// touches pins a snapshot that blocks that table's migration until the
-// transaction ends.
+// catalog. TxSnapshot gives snapshot isolation with first-committer-wins;
+// TxLocking gives two-phase locking. The transaction must end in Commit or
+// Abort: each table it touches pins a snapshot, and like any reader an
+// open transaction makes that table's migration wait (the paper's rule,
+// §3.2) — under continuously overlapping transactions, leave gaps or bound
+// transaction lifetimes so migration can run.
 func (e *Engine) BeginTx(mode TxMode) (*EngineTx, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -64,47 +78,43 @@ func (tx *EngineTx) sub(tableName string) (*txn.Txn, error) {
 	}
 	s := t.txns.Begin(txn.Mode(tx.mode))
 	tx.subs[tableName] = s
-	// Safety net for abandoned engine transactions, mirroring Begin's: an
-	// unreferenced EngineTx would otherwise pin every touched table's
-	// snapshot forever. Abort is idempotent.
+	// Safety net for abandoned transactions: an unreferenced EngineTx that
+	// never reached Commit or Abort would otherwise pin every touched
+	// table's snapshot (and Locking-mode locks) forever, permanently
+	// blocking migration. Abort is idempotent, so the cleanup is a no-op for
+	// properly finished transactions; the KeepAlive calls keep tx reachable
+	// across each inner call.
 	runtime.AddCleanup(tx, func(s *txn.Txn) { s.Abort() }, s)
 	return s, nil
 }
 
 // Insert buffers an insertion into table in the transaction.
 func (tx *EngineTx) Insert(table string, key uint64, body []byte) error {
-	s, err := tx.sub(table)
-	if err != nil {
-		return err
-	}
-	err = s.Update(update.Record{Key: key, Op: update.Insert, Payload: append([]byte(nil), body...)})
-	runtime.KeepAlive(tx)
-	return err
+	return tx.update(table, insertRecord(key, body))
 }
 
 // Delete buffers a deletion from table in the transaction.
 func (tx *EngineTx) Delete(table string, key uint64) error {
-	s, err := tx.sub(table)
-	if err != nil {
-		return err
-	}
-	err = s.Update(update.Record{Key: key, Op: update.Delete})
-	runtime.KeepAlive(tx)
-	return err
+	return tx.update(table, update.Record{Key: key, Op: update.Delete})
 }
 
 // Modify buffers a field modification of table's record in the
 // transaction.
 func (tx *EngineTx) Modify(table string, key uint64, off int, val []byte) error {
-	if off < 0 || off > 0xffff {
-		return fmt.Errorf("masm: modify offset %d out of range", off)
+	rec, err := modifyRecord(key, off, val)
+	if err != nil {
+		return err
 	}
+	return tx.update(table, rec)
+}
+
+// update buffers rec in table's sub-transaction.
+func (tx *EngineTx) update(table string, rec update.Record) error {
 	s, err := tx.sub(table)
 	if err != nil {
 		return err
 	}
-	err = s.Update(update.Record{Key: key, Op: update.Modify,
-		Payload: update.EncodeFields([]update.Field{{Off: uint16(off), Value: append([]byte(nil), val...)}})})
+	err = s.Update(rec)
 	runtime.KeepAlive(tx)
 	return err
 }
@@ -140,18 +150,27 @@ func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 // Commit validates and atomically publishes the transaction's writes
 // across every table it touched: one commit record in the shared redo
 // log, consecutive commit timestamps from the shared oracle, and
-// all-or-nothing visibility per table. Under TxSnapshot it returns
+// all-or-nothing visibility per table — and, after a crash, all-or-nothing
+// recovery, on one table or many. Under TxSnapshot it returns
 // txn.ErrWriteConflict if any table's write set conflicts with a commit
 // after this transaction first touched that table.
 //
+// The transaction manager serializes commits with each other
+// (first-committer-wins needs an atomic validate-and-publish) but not
+// with scans or standalone updates. The write set is one redo record
+// whatever the number of tables, so it inherits the record bound: a
+// commit whose encoded write set exceeds 64 MiB is refused with an error
+// and publishes nothing.
+//
 // A Commit that fails partway through publication (e.g. a table's update
 // cache is exhausted mid-batch) may leave a stamped prefix of its writes
-// applied, like the single-table Tx; additionally, because the commit
-// record goes down before publication (what makes the commit
-// crash-atomic across tables), a crash after such a failure replays the
-// whole write set. A failed cross-table Commit is therefore "partially
-// applied now, possibly fully applied after recovery" — never torn
-// across tables. See masm.CommitAcross for the full rationale.
+// applied — there is no undo log to roll them back, first-committer-wins
+// validation stays sound (the write set is conservatively recorded), and
+// migration is the way to clear the exhaustion. Because the commit record
+// goes down before publication (what makes the commit crash-atomic), a
+// crash after such a failure replays the whole write set: a failed Commit
+// is "partially applied now, possibly fully applied after recovery" —
+// never torn after recovery. See masm.CommitAcross for the full rationale.
 func (tx *EngineTx) Commit() error {
 	e := tx.eng
 	e.mu.RLock()
@@ -172,13 +191,15 @@ func (tx *EngineTx) Commit() error {
 		}
 		return ErrClosed
 	}
-	end, err := txn.CommitMulti(e.clock.now(), subs)
+	if len(subs) == 0 {
+		return nil
+	}
+	end, err := subs[0].Commit(e.clock.now(), subs[1:]...)
+	runtime.KeepAlive(tx)
 	if err != nil {
-		runtime.KeepAlive(tx)
 		return err
 	}
 	e.clock.advance(end)
-	runtime.KeepAlive(tx)
 	return nil
 }
 

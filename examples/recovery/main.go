@@ -65,22 +65,22 @@ func main() {
 		st.UpdatesAccepted, st.Runs, st.CacheFill*100)
 
 	// Transactions work too: this one commits before the crash...
-	tx, err := db.Begin(masm.TxSnapshot)
+	tx, err := db.Engine().BeginTx(masm.TxSnapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tx.Insert(10_001, []byte("account 10001 balance 0000777")); err != nil {
+	if err := tx.Insert(masm.DefaultTableName, 10_001, []byte("account 10001 balance 0000777")); err != nil {
 		log.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		log.Fatal(err)
 	}
 	// ...and this one never commits, so it must not survive.
-	doomed, err := db.Begin(masm.TxSnapshot)
+	doomed, err := db.Engine().BeginTx(masm.TxSnapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := doomed.Insert(10_003, []byte("account 10003 balance 0666666")); err != nil {
+	if err := doomed.Insert(masm.DefaultTableName, 10_003, []byte("account 10003 balance 0666666")); err != nil {
 		log.Fatal(err)
 	}
 

@@ -32,7 +32,10 @@ import (
 //     plus some PREFIX of the journal — the committed-prefix contract:
 //     the WAL replays in order and truncates at its torn tail, so any
 //     other shape (a hole, a reordering, a value no one wrote) is a
-//     durability bug.
+//     durability bug. The writes of one committed transaction share a
+//     commit-group id, and the prefix may not end inside a group: a
+//     commit is one redo frame whatever its arity, so it survives a crash
+//     whole or not at all, synced or not.
 //   - floor: the journal length at the last successful Sync. A matching
 //     prefix shorter than the floor means acknowledged-durable data was
 //     lost — the loudest possible oracle failure.
@@ -44,6 +47,7 @@ type model struct {
 	tables  map[int]*tableModel
 	journal []jop
 	floor   int
+	groups  int // commit-group ids issued so far
 }
 
 // tableModel is one slot's expected state.
@@ -55,11 +59,23 @@ type tableModel struct {
 	ghosts map[uint64]bool
 }
 
-// jop is one acknowledged update in redo order. val == nil means delete.
+// jop is one acknowledged update in redo order. val == nil means delete;
+// group is the id of the transaction commit that published it (0 for a
+// standalone write).
 type jop struct {
-	slot int
-	key  uint64
-	val  []byte
+	slot  int
+	key   uint64
+	val   []byte
+	group int
+}
+
+// applyTo folds the update into one table's rows.
+func (j jop) applyTo(rows map[uint64][]byte) {
+	if j.val == nil {
+		delete(rows, j.key)
+	} else {
+		rows[j.key] = j.val
+	}
 }
 
 func newModel() *model {
@@ -121,16 +137,25 @@ func (m *model) dropTable(slot int) {
 	m.floor = fl
 }
 
-// ack records one acknowledged update: applied to rows and appended to the
-// journal.
+// ack records one acknowledged standalone update: applied to rows and
+// appended to the journal.
 func (m *model) ack(slot int, key uint64, val []byte) {
-	t := m.tables[slot]
-	if val == nil {
-		delete(t.rows, key)
-	} else {
-		t.rows[key] = val
+	m.record(jop{slot: slot, key: key, val: val})
+}
+
+// ackCommit records one acknowledged transaction commit: its writes, in
+// publication order, under one fresh commit-group id.
+func (m *model) ackCommit(writes []jop) {
+	m.groups++
+	for _, w := range writes {
+		w.group = m.groups
+		m.record(w)
 	}
-	m.journal = append(m.journal, jop{slot: slot, key: key, val: val})
+}
+
+func (m *model) record(j jop) {
+	j.applyTo(m.tables[j.slot].rows)
+	m.journal = append(m.journal, j)
 }
 
 // ghost marks a key's engine state as unknown until the next reopen.
@@ -252,7 +277,8 @@ func (m *model) adoptReopen(got map[int][]kv) error {
 // adoptCrash runs the committed-prefix durability check after a crash and
 // reopen, then resets the baseline to the surviving state. The surviving
 // state of every table must equal base plus one common prefix of the
-// journal (ghost keys excluded), and that prefix must cover the floor.
+// journal (ghost keys excluded) that covers the floor and splits no commit
+// group.
 func (m *model) adoptCrash(got map[int][]kv) error {
 	if err := m.checkTableSets(got); err != nil {
 		return err
@@ -276,16 +302,13 @@ func (m *model) adoptCrash(got map[int][]kv) error {
 	// Incremental diff count between cur and gotMap over non-ghost keys.
 	mismatch := make(map[int]map[uint64]bool, len(m.tables))
 	diff := 0
-	keyMatches := func(slot int, key uint64) bool {
-		gv, gok := gotMap[slot][key]
-		cv, cok := cur[slot][key]
-		return gok == cok && (!gok || bytes.Equal(gv, cv))
-	}
 	recheck := func(slot int, key uint64) {
 		if m.tables[slot].ghosts[key] {
 			return
 		}
-		bad := !keyMatches(slot, key)
+		gv, gok := gotMap[slot][key]
+		cv, cok := cur[slot][key]
+		bad := gok != cok || (gok && !bytes.Equal(gv, cv))
 		if bad && !mismatch[slot][key] {
 			mismatch[slot][key] = true
 			diff++
@@ -305,135 +328,78 @@ func (m *model) adoptCrash(got map[int][]kv) error {
 			}
 		}
 	}
+	// Walk the prefixes. The state can match several (a write that changes
+	// nothing, a ghost key); the first that covers the floor and ends on a
+	// commit-group boundary satisfies the contract. short and split remember
+	// a match that did not, for the error.
+	short, split := -1, -1
 	bestDiff, bestP := diff, 0
-	matchP := -1
-	if diff == 0 {
-		matchP = 0
-	}
-	for p := 1; p <= len(m.journal); p++ {
-		j := m.journal[p-1]
-		if _, live := cur[j.slot]; live {
-			if j.val == nil {
-				delete(cur[j.slot], j.key)
-			} else {
-				cur[j.slot][j.key] = j.val
+	for p := 0; ; p++ {
+		if p > 0 {
+			j := m.journal[p-1]
+			if rows, live := cur[j.slot]; live {
+				j.applyTo(rows)
+				recheck(j.slot, j.key)
 			}
-			recheck(j.slot, j.key)
 		}
-		if diff == 0 && matchP < 0 {
-			matchP = p
+		if diff == 0 {
+			switch {
+			case p > 0 && p < len(m.journal) && m.journal[p-1].group != 0 && m.journal[p-1].group == m.journal[p].group:
+				split = p
+			case p < m.floor:
+				short = p
+			default:
+				m.adopt(got)
+				return nil
+			}
 		}
 		if diff < bestDiff {
 			bestDiff, bestP = diff, p
 		}
-	}
-	// Prefer the longest matching prefix ≥ floor; a shorter one also
-	// passes the floor only if ≥ floor. (diff can return to 0 multiple
-	// times; the first is enough — any matching prefix at or past the
-	// floor satisfies the contract.)
-	if matchP < 0 {
-		if debugIO {
-			// Re-walk to bestP and dump the mismatches.
-			cur3 := make(map[int]map[uint64][]byte, len(m.tables))
-			for slot, t := range m.tables {
-				cur3[slot] = copyRows(t.base)
-			}
-			for p := 1; p <= bestP; p++ {
-				j := m.journal[p-1]
-				if _, live := cur3[j.slot]; live {
-					if j.val == nil {
-						delete(cur3[j.slot], j.key)
-					} else {
-						cur3[j.slot][j.key] = j.val
-					}
-				}
-			}
-			for slot, t := range m.tables {
-				for k, v := range cur3[slot] {
-					gv, ok := gotMap[slot][k]
-					if t.ghosts[k] {
-						continue
-					}
-					if !ok {
-						fmt.Printf("DBG slot %d key %d: model %q, engine MISSING\n", slot, k, v)
-					} else if !bytes.Equal(gv, v) {
-						fmt.Printf("DBG slot %d key %d: model %q, engine %q\n", slot, k, v, gv)
-					}
-				}
-				for k, gv := range gotMap[slot] {
-					if _, ok := cur3[slot][k]; !ok && !t.ghosts[k] {
-						fmt.Printf("DBG slot %d key %d: model MISSING, engine %q\n", slot, k, gv)
-					}
-				}
-			}
+		if p == len(m.journal) {
+			break
 		}
-		return fmt.Errorf("durability: post-crash state matches NO prefix of the %d acked updates (best: %d keys off at prefix %d)",
-			len(m.journal), bestDiff, bestP)
 	}
-	if matchP < m.floor {
-		// A prefix matched, but it cuts before the durability floor. Scan
-		// forward: maybe a later prefix ≥ floor also matches.
-		savedCur := matchP // re-walk from scratch for clarity; journals are short
-		ok := false
-		cur2 := make(map[int]map[uint64][]byte, len(m.tables))
+	switch {
+	case short >= 0:
+		return fmt.Errorf("durability: committed updates lost — surviving state matches only prefix %d of the journal, but %d updates were acknowledged durable (floor)",
+			short, m.floor)
+	case split >= 0:
+		return fmt.Errorf("durability: committed transaction torn — surviving state matches only prefix %d of the journal, which splits commit group %d",
+			split, m.journal[split].group)
+	}
+	if debugIO {
+		// Re-walk to bestP and dump the mismatches.
+		cur := make(map[int]map[uint64][]byte, len(m.tables))
 		for slot, t := range m.tables {
-			cur2[slot] = copyRows(t.base)
+			cur[slot] = copyRows(t.base)
 		}
-		for p := 0; p <= len(m.journal); p++ {
-			if p > 0 {
-				j := m.journal[p-1]
-				if _, live := cur2[j.slot]; live {
-					if j.val == nil {
-						delete(cur2[j.slot], j.key)
-					} else {
-						cur2[j.slot][j.key] = j.val
-					}
+		for _, j := range m.journal[:bestP] {
+			if rows, live := cur[j.slot]; live {
+				j.applyTo(rows)
+			}
+		}
+		for slot, t := range m.tables {
+			for k, v := range cur[slot] {
+				gv, ok := gotMap[slot][k]
+				if t.ghosts[k] {
+					continue
+				}
+				if !ok {
+					fmt.Printf("DBG slot %d key %d: model %q, engine MISSING\n", slot, k, v)
+				} else if !bytes.Equal(gv, v) {
+					fmt.Printf("DBG slot %d key %d: model %q, engine %q\n", slot, k, v, gv)
 				}
 			}
-			if p >= m.floor && statesEqual(cur2, gotMap, m.ghostSets()) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("durability: committed updates lost — surviving state matches only prefix %d of the journal, but %d updates were acknowledged durable (floor)",
-				savedCur, m.floor)
-		}
-	}
-	m.adopt(got)
-	return nil
-}
-
-func (m *model) ghostSets() map[int]map[uint64]bool {
-	gs := make(map[int]map[uint64]bool, len(m.tables))
-	for slot, t := range m.tables {
-		gs[slot] = t.ghosts
-	}
-	return gs
-}
-
-func statesEqual(a, b map[int]map[uint64][]byte, ghosts map[int]map[uint64]bool) bool {
-	for slot, am := range a {
-		bm := b[slot]
-		for k, av := range am {
-			if ghosts[slot][k] {
-				continue
-			}
-			bv, ok := bm[k]
-			if !ok || !bytes.Equal(av, bv) {
-				return false
-			}
-		}
-		for k := range bm {
-			if ghosts[slot][k] {
-				continue
-			}
-			if _, ok := am[k]; !ok {
-				return false
+			for k, gv := range gotMap[slot] {
+				if _, ok := cur[slot][k]; !ok && !t.ghosts[k] {
+					fmt.Printf("DBG slot %d key %d: model MISSING, engine %q\n", slot, k, gv)
+				}
 			}
 		}
 	}
-	return true
+	return fmt.Errorf("durability: post-crash state matches NO prefix of the %d acked updates (best: %d keys off at prefix %d)",
+		len(m.journal), bestDiff, bestP)
 }
 
 // checkTableSets verifies the surviving catalog matches the model's —

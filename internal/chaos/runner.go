@@ -706,20 +706,19 @@ func (x *exec) step(i int, op Op) *Failure {
 			return x.fail(i, op, "engine-error", "tx commit: %v", err)
 		}
 		// Publication order = table-id order, each table's writes in op
-		// order — mirror it in the journal.
+		// order — mirror it in the journal, as one commit group.
 		slots := make([]int, 0, len(tx.touched))
 		for slot := range tx.touched {
 			slots = append(slots, slot)
 		}
 		sortSlotsByTableID(x.model, slots)
+		var writes []jop
 		for _, slot := range slots {
-			if _, live := x.model.tables[slot]; !live {
-				continue
-			}
-			for _, w := range tx.touched[slot].writes {
-				x.model.ack(slot, w.key, w.val)
+			if _, live := x.model.tables[slot]; live {
+				writes = append(writes, tx.touched[slot].writes...)
 			}
 		}
+		x.model.ackCommit(writes)
 		return nil
 
 	case OpTxAbort:

@@ -833,6 +833,50 @@ func TestMigratePortionValidation(t *testing.T) {
 	q.Close()
 }
 
+// TestMigratePortionAfterWholeMigration: a whole-table migration in
+// mid-sweep rewrote every page, so it ends the sweep — the cursor returns
+// to the table's first page and the next portion starts a fresh sweep with
+// its own floor timestamp.
+func TestMigratePortionAfterWholeMigration(t *testing.T) {
+	e := newEnv(t, 3000, smallConfig())
+	e.applyRandom(3000)
+	portion := int(e.tbl.Pages())/5 + 1
+	step := func() bool {
+		end, done, err := e.store.MigratePortion(e.now, portion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = end
+		return done
+	}
+	if step() || e.store.portionCursor == 0 {
+		t.Fatalf("first portion left the cursor at key %d", e.store.portionCursor)
+	}
+	e.applyRandom(500)
+	end, rep, err := e.store.Migrate(e.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.now = end
+	if e.store.Runs() != 0 || e.store.portionCursor != 0 {
+		t.Fatalf("after a whole-table migration: %d runs left, cursor at key %d", e.store.Runs(), e.store.portionCursor)
+	}
+	e.verifyRange(0, ^uint64(0))
+
+	e.applyRandom(1000)
+	wantCursor, _ := e.tbl.SpanBounds(0, portion)
+	if step() || e.store.portionCursor != wantCursor || e.store.sweepFloorTS <= rep.MigTS {
+		t.Fatalf("next portion did not start a fresh sweep: cursor at key %d (want %d), floor %d vs migration %d",
+			e.store.portionCursor, wantCursor, e.store.sweepFloorTS, rep.MigTS)
+	}
+	for !step() {
+	}
+	if e.store.Runs() != 0 {
+		t.Fatalf("%d runs left after the fresh sweep", e.store.Runs())
+	}
+	e.verifyRange(0, ^uint64(0))
+}
+
 func TestCoordinatedScanMigration(t *testing.T) {
 	e := newEnv(t, 2500, smallConfig())
 	e.applyRandom(2500)

@@ -3,6 +3,7 @@ package masm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"masm/internal/extsort"
 	"masm/internal/runfile"
@@ -27,8 +28,9 @@ type MigrateReport struct {
 }
 
 // Migration is an in-flight update migration: the paper's migration thread
-// (§3.2). Between BeginMigration and Run/Complete, new queries may start;
-// they carry timestamps after the migration's, continue to see the
+// (§3.2) over one key span — the whole table, or one portion of an
+// incremental sweep (§3.5). Between beginning and Run, new queries may
+// start; they carry timestamps after the migration's, continue to see the
 // migrating runs, and rely on the page-timestamp check to avoid observing
 // an update twice once its page has been rewritten.
 type Migration struct {
@@ -41,14 +43,27 @@ type Migration struct {
 	// buffer — visible to concurrent queries — until the migration
 	// completes and the pages carry their effects.
 	pending []update.Record
-	at      sim.Time
-	done    bool
+	// [begin, end] is the migrated key span and next the sweep cursor once
+	// it is done. last marks the span that completes a sweep of the table;
+	// runs whose newest record predates floorTS, the timestamp of the
+	// sweep's first span, have then been applied everywhere and are deleted.
+	begin, end, next uint64
+	last             bool
+	floorTS          int64
+	at               sim.Time
+	done             bool
 }
 
 // BeginMigration logs the migration timestamp and the IDs of the current
 // set R of materialized sorted runs, after verifying that no query older
-// than the timestamp is active.
+// than the timestamp is active. The migration covers the whole table.
 func (s *Store) BeginMigration(at sim.Time) (*Migration, error) {
+	return s.beginMigration(at, 0)
+}
+
+// beginMigration starts a migration of the whole table (pages == 0) or of
+// the next pages table pages of the incremental sweep.
+func (s *Store) beginMigration(at sim.Time, pages int) (*Migration, error) {
 	s.mu.Lock()
 	if s.migrating {
 		s.mu.Unlock()
@@ -61,58 +76,74 @@ func (s *Store) BeginMigration(at sim.Time) (*Migration, error) {
 			return nil, ErrActiveQueries
 		}
 	}
+	m := &Migration{s: s, migTS: migTS, end: ^uint64(0), last: true, floorTS: migTS}
 	// Flush the buffered updates older than the migration timestamp into
 	// a run so that the set R covers every update with ts < migTS. This
 	// is what entitles migrated pages to carry the timestamp migTS: a
 	// page stamp of migTS asserts "all cached updates below migTS are
 	// applied here". When the flush fails — an exhausted extent
-	// allocator, exactly the state migration exists to clear — the
-	// buffered records are carried into the migration merge directly
-	// from memory instead (they remain in the buffer, still visible to
-	// concurrent queries, until the migrated pages absorb them).
-	var pending []update.Record
+	// allocator, exactly the state migration exists to clear — a
+	// whole-table migration carries the buffered records into the merge
+	// directly from memory instead (they remain in the buffer, still
+	// visible to concurrent queries, until the migrated pages absorb
+	// them). A portion cannot: dropping the records from the buffer
+	// afterwards is only sound when the whole key range was rewritten.
 	sortStart := at
-	t, err := s.flushLocked(at, migTS)
-	if err != nil {
-		pending = s.buf.Drain(migTS)
-		s.buf.Restore(pending)
-	} else {
+	if t, err := s.flushLocked(at, migTS); err == nil {
 		at = t
+	} else if pages > 0 {
+		s.mu.Unlock()
+		return nil, err
+	} else {
+		m.pending = s.buf.Drain(migTS)
+		s.buf.Restore(m.pending)
 	}
 	s.m.MigrationSortNanos.Observe(int64(at.Sub(sortStart)))
-	runsR := append([]*runfile.Run(nil), s.runs...)
+	if pages > 0 {
+		m.begin = s.portionCursor
+		if m.begin == 0 {
+			s.sweepFloorTS = migTS
+		}
+		m.floorTS = s.sweepFloorTS
+		if m.next, m.last = s.tbl.SpanBounds(m.begin, pages); !m.last && m.next > 0 {
+			m.end = m.next - 1
+		}
+	}
 	// Pin the migrating run set: the migration reads these runs' extents
 	// outside the latch, and a concurrent query-setup merge must not free
 	// them underneath it. Unpinned on completion or abort.
-	for _, r := range runsR {
+	m.runs = append([]*runfile.Run(nil), s.runs...)
+	ids := make([]int64, len(m.runs))
+	for i, r := range m.runs {
 		s.pins[r.ID]++
+		ids[i] = r.ID
 	}
 	s.migrating = true
 	s.mu.Unlock()
 
 	if s.log != nil {
-		ids := make([]int64, len(runsR))
-		for i, r := range runsR {
-			ids[i] = r.ID
-		}
+		// A portion logs a full begin record too: interrupted, it redoes as
+		// a (larger, idempotent) whole-table migration on recovery.
 		t, err := s.log.LogMigrationBegin(at, migTS, ids)
 		if err != nil {
-			s.abortMigration(runsR)
+			s.abortMigration(m.runs)
 			return nil, err
 		}
 		at = t
 	}
-	s.m.trace("migration", "begin", fmt.Sprintf("migTS=%d runs=%d", migTS, len(runsR)), int64(at))
-	return &Migration{s: s, migTS: migTS, runs: runsR, pending: pending, at: at}, nil
+	s.m.trace("migration", "begin", fmt.Sprintf("migTS=%d runs=%d", migTS, len(m.runs)), int64(at))
+	m.at = at
+	return m, nil
 }
 
 // MigTS returns the migration's timestamp.
 func (m *Migration) MigTS() int64 { return m.migTS }
 
-// Run performs the migration: a full table scan merging the run set into
-// the data pages, written back in place with large sequential I/Os, then
-// logs completion and deletes the migrated runs. Runs still pinned by
-// concurrent (newer) queries are parked until those queries close.
+// Run performs the migration: a scan of the span's pages merging the run
+// set into them, written back with large sequential I/Os, then logs
+// completion and deletes the runs a finished sweep has fully applied.
+// Runs still pinned by concurrent (newer) queries are parked until those
+// queries close.
 func (m *Migration) Run() (sim.Time, *MigrateReport, error) {
 	return m.RunWithScan(nil)
 }
@@ -122,66 +153,104 @@ func (m *Migration) Run() (sim.Time, *MigrateReport, error) {
 // order — a full-table query answered by the migration's own scan, so no
 // separate table scan is needed for migration purposes only. fn may be
 // nil; returning false stops emission (the migration still completes).
+//
+// Whatever the outcome the migration is finished for good: an error drops
+// its run pins, so a retry would read unpinned extents. Callers begin
+// again. A failure to log the closing record leaves the span's pages
+// written but undeclared: recovery sees the begin record without a close
+// and redoes a full (idempotent) migration, nothing is released, the
+// sweep cursor does not advance, and the slots the span's ref flips
+// retired stay retired — the lagging durable manifest may still name
+// them — until the table's next committed checkpoint.
 func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *MigrateReport, error) {
 	if m.done {
 		return m.at, nil, errors.New("masm: migration already completed")
 	}
+	m.done = true
 	s := m.s
-	if len(m.runs) == 0 && len(m.pending) == 0 {
-		m.done = true
+	if len(m.runs) == 0 && len(m.pending) == 0 && m.begin == 0 && m.last {
 		s.abortMigration(nil)
 		return m.at, &MigrateReport{MigTS: m.migTS}, nil
 	}
-	end, rep, err := s.migrateRuns(m.at, m.migTS, m.runs, m.pending, fn)
+	// The SSD reads of the run scanners overlap the disk scan; the merge
+	// ends at the later of the two.
+	scanners := make([]*runfile.Scanner, len(m.runs))
+	iters := make([]update.Iterator, 0, len(m.runs)+1)
+	for i, r := range m.runs {
+		scanners[i] = r.Scan(m.at, m.begin, m.end, m.migTS, s.cfg.Run.IOSize)
+		iters = append(iters, scanners[i])
+	}
+	if len(m.pending) > 0 {
+		// The memory-resident leg of an exhausted-cache migration; the
+		// slice iterator batches natively, so the merge consumes it at
+		// full speed alongside the run scanners.
+		iters = append(iters, update.NewSliceIterator(m.pending))
+	}
+	var end sim.Time
+	var res table.ApplyResult
+	merger, err := extsort.NewMerger(iters...)
+	if err == nil {
+		end, res, err = s.tbl.ApplyStreamEmit(m.at, m.migTS, merger, s.cfg.MigrateBatch, m.begin, m.end, fn)
+	}
 	if err != nil {
-		// The abort drops the migration's run pins, so the migration is
-		// finished for good: a retry would read unpinned extents and
-		// double-unpin on success. Callers must BeginMigration again.
-		m.done = true
 		s.abortMigration(m.runs)
 		return m.at, nil, err
 	}
+	s.m.addMerger(merger.Stats())
+	for _, sc := range scanners {
+		end = sim.MaxTime(end, sc.Time())
+	}
 	s.m.MigrationMergeNanos.Observe(int64(end.Sub(m.at)))
+	// The closing record consumes only the runs the sweep has applied across
+	// the whole table — for a whole-table migration its begin set, mid-sweep
+	// none: deleting more would discard every run record outside this span's
+	// key range at the next recovery. They are computed first, logged, and
+	// only then released (the record must be durable before their extents
+	// can be reused); concurrent flushes only mint runs with newer records,
+	// and merges wait for the migration, so the set is stable.
+	var consumed []*runfile.Run
+	var ids []int64
+	if m.last {
+		s.mu.Lock()
+		for _, r := range s.runs {
+			if r.MaxTS < m.floorTS {
+				consumed = append(consumed, r)
+				ids = append(ids, r.ID)
+			}
+		}
+		s.mu.Unlock()
+	}
 	if s.log != nil {
 		commitStart := end
-		t, err := s.log.LogMigrationEnd(end, m.migTS)
-		if err != nil {
-			m.done = true
+		if end, err = s.log.LogMigrationPortion(end, m.migTS, ids); err != nil {
 			s.abortMigration(m.runs)
 			return m.at, nil, err
 		}
-		end = t
 		s.m.MigrationCommitNanos.Observe(int64(end.Sub(commitStart)))
 	}
-	// The migration-end checkpoint has durably committed the flipped refs
+	// The closing record's checkpoint has durably committed the flipped refs
 	// (without a log there is no lagging durable manifest either): the
 	// slots the shadow batches replaced are no longer reachable from any
 	// persisted state and may be reused.
 	s.tbl.ReclaimRetired()
 
 	s.mu.Lock()
-	kept := s.runs[:0]
-	for _, r := range s.runs {
-		migrated := false
-		for _, mr := range m.runs {
-			if r == mr {
-				migrated = true
-				break
-			}
-		}
-		if !migrated {
-			kept = append(kept, r)
-		}
-	}
-	s.runs = kept
-	var bytesRead int64
 	for _, r := range m.runs {
-		bytesRead += r.Size
-		s.addRunBytesLocked(-r.Size)
 		s.unpinRunLocked(r.ID)
-		s.releaseRunLocked(r)
 	}
-	s.m.RunCount.Set(int64(len(s.runs)))
+	if m.last {
+		s.runs = slices.DeleteFunc(s.runs, func(r *runfile.Run) bool { return slices.Contains(consumed, r) })
+		for _, r := range consumed {
+			s.addRunBytesLocked(-r.Size)
+			s.m.MigrationBytesRead.Add(r.Size)
+			s.releaseRunLocked(r)
+		}
+		s.m.RunCount.Set(int64(len(s.runs)))
+		s.m.Migrations.Inc()
+		s.m.MigrationRunsMigrated.Add(int64(len(consumed)))
+		m.next = 0
+	}
+	s.portionCursor = m.next
 	if len(m.pending) > 0 {
 		// The memory-migrated records are now applied to pages stamped
 		// migTS; drop them from the buffer (scans ahead of the drop read
@@ -190,19 +259,15 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 		s.buf.Drain(m.migTS)
 		s.m.MemtableBytes.Set(int64(s.buf.Bytes()))
 	}
-	s.m.Migrations.Inc()
-	s.m.MigratedRecords.Add(rep.RecordsApplied)
-	s.m.MigrationRunsMigrated.Add(int64(rep.RunsMigrated))
-	s.m.MigrationBytesRead.Add(bytesRead)
-	s.m.MigrationPagesRead.Add(rep.PagesRead)
-	s.m.MigrationPagesWritten.Add(rep.PagesWritten)
+	s.m.MigratedRecords.Add(res.RecordsApplied)
+	s.m.MigrationPagesRead.Add(res.PagesRead)
+	s.m.MigrationPagesWritten.Add(res.PagesWritten)
 	s.migrating = false
 	s.mu.Unlock()
 	s.syncSlotGauges()
 	s.m.trace("migration", "end",
-		fmt.Sprintf("migTS=%d runs=%d records=%d", m.migTS, rep.RunsMigrated, rep.RecordsApplied), int64(end))
-	m.done = true
-	return end, rep, nil
+		fmt.Sprintf("migTS=%d runs=%d records=%d sweepDone=%v", m.migTS, len(consumed), res.RecordsApplied, m.last), int64(end))
+	return end, &MigrateReport{MigTS: m.migTS, RunsMigrated: len(consumed), ApplyResult: res}, nil
 }
 
 // abortMigration clears the in-flight flag and drops the pins taken on
@@ -214,39 +279,6 @@ func (s *Store) abortMigration(pinned []*runfile.Run) {
 		s.unpinRunLocked(r.ID)
 	}
 	s.migrating = false
-}
-
-// migrateRuns merges the run set and applies it to the table, optionally
-// emitting the fresh rows (coordinated scan). The SSD reads of the run
-// scanners overlap the disk scan; the returned time is the later of the
-// two.
-func (s *Store) migrateRuns(at sim.Time, migTS int64, runsR []*runfile.Run, pending []update.Record, emit func(table.Row) bool) (sim.Time, *MigrateReport, error) {
-	iters := make([]update.Iterator, 0, len(runsR)+1)
-	scanners := make([]*runfile.Scanner, len(runsR))
-	for i, r := range runsR {
-		sc := r.Scan(at, 0, ^uint64(0), migTS, s.cfg.Run.IOSize)
-		scanners[i] = sc
-		iters = append(iters, sc)
-	}
-	if len(pending) > 0 {
-		// The memory-resident leg of an exhausted-cache migration; the
-		// slice iterator batches natively, so the merge consumes it at
-		// full speed alongside the run scanners.
-		iters = append(iters, update.NewSliceIterator(pending))
-	}
-	merger, err := extsort.NewMerger(iters...)
-	if err != nil {
-		return at, nil, err
-	}
-	end, res, err := s.tbl.ApplyStreamEmit(at, migTS, merger, s.cfg.MigrateBatch, 0, ^uint64(0), emit)
-	if err != nil {
-		return at, nil, err
-	}
-	s.m.addMerger(merger.Stats())
-	for _, sc := range scanners {
-		end = sim.MaxTime(end, sc.Time())
-	}
-	return end, &MigrateReport{MigTS: migTS, RunsMigrated: len(runsR), ApplyResult: res}, nil
 }
 
 // MigratePortion performs one step of incremental migration (paper §3.5,
@@ -261,154 +293,14 @@ func (s *Store) MigratePortion(at sim.Time, pagesPerPortion int) (end sim.Time, 
 	if pagesPerPortion < 1 {
 		return at, false, errors.New("masm: non-positive portion size")
 	}
-	s.mu.Lock()
-	if s.migrating {
-		s.mu.Unlock()
-		return at, false, ErrMigrationInProgress
-	}
-	migTS := s.oracle.Next()
-	for _, qts := range s.readerTSsLocked() {
-		if qts < migTS {
-			s.mu.Unlock()
-			return at, false, ErrActiveQueries
-		}
-	}
-	// As in BeginMigration: the run set must cover every update below
-	// migTS so the rewritten pages may carry that timestamp.
-	sortStart := at
-	t, err := s.flushLocked(at, migTS)
+	m, err := s.beginMigration(at, pagesPerPortion)
 	if err != nil {
-		s.mu.Unlock()
 		return at, false, err
 	}
-	at = t
-	s.m.MigrationSortNanos.Observe(int64(at.Sub(sortStart)))
-	runsR := append([]*runfile.Run(nil), s.runs...)
-	for _, r := range runsR {
-		s.pins[r.ID]++
-	}
-	begin := s.portionCursor
-	if begin == 0 {
-		s.sweepFloorTS = migTS
-	}
-	endEx, last := s.tbl.SpanBounds(begin, pagesPerPortion)
-	s.migrating = true
-	s.mu.Unlock()
-
-	rangeEnd := ^uint64(0)
-	if !last && endEx > 0 {
-		rangeEnd = endEx - 1
-	}
-	if s.log != nil {
-		ids := make([]int64, len(runsR))
-		for i, r := range runsR {
-			ids[i] = r.ID
-		}
-		// Portions log full begin/end pairs: an interrupted portion redoes
-		// as a (larger, idempotent) full migration on recovery.
-		if at, err = s.log.LogMigrationBegin(at, migTS, ids); err != nil {
-			s.abortMigration(runsR)
-			return at, false, err
-		}
-	}
-	iters := make([]update.Iterator, len(runsR))
-	scanners := make([]*runfile.Scanner, len(runsR))
-	for i, r := range runsR {
-		sc := r.Scan(at, begin, rangeEnd, migTS, s.cfg.Run.IOSize)
-		scanners[i] = sc
-		iters[i] = sc
-	}
-	merger, err := extsort.NewMerger(iters...)
-	if err != nil {
-		s.abortMigration(runsR)
+	if end, _, err = m.Run(); err != nil {
 		return at, false, err
 	}
-	end, res, err := s.tbl.ApplyStreamRange(at, migTS, merger, s.cfg.MigrateBatch, begin, rangeEnd)
-	if err != nil {
-		s.abortMigration(runsR)
-		return at, false, err
-	}
-	s.m.addMerger(merger.Stats())
-	for _, sc := range scanners {
-		end = sim.MaxTime(end, sc.Time())
-	}
-	s.m.MigrationMergeNanos.Observe(int64(end.Sub(at)))
-	// Close the begin record with a PORTION record, not a migration end: an
-	// end record would delete the whole begin set at replay, discarding
-	// every run record outside this portion's key range. The portion record
-	// consumes only the runs a completed sweep fully applied (computed
-	// first, logged, and only then released — the record must be durable
-	// before their extents can be reused).
-	var consumed []int64
-	if last {
-		s.mu.Lock()
-		for _, r := range s.runs {
-			if r.MaxTS < s.sweepFloorTS {
-				consumed = append(consumed, r.ID)
-			}
-		}
-		s.mu.Unlock()
-	}
-	commitStart := end
-	if s.log != nil {
-		if end, err = s.log.LogMigrationPortion(end, migTS, consumed); err != nil {
-			// The portion's pages are written but not declared: recovery
-			// sees the begin record without a close and redoes a full
-			// (idempotent) migration. Nothing is released, the cursor does
-			// not advance, and the store stays usable. The slots retired by
-			// this portion's ref flips stay retired — the lagging durable
-			// manifest may still name them — until the table's next
-			// committed checkpoint reclaims them.
-			s.abortMigration(runsR)
-			return at, false, err
-		}
-		s.m.MigrationCommitNanos.Observe(int64(end.Sub(commitStart)))
-	}
-	// The portion checkpoint durably committed the flipped refs; reclaim
-	// the slots they replaced.
-	s.tbl.ReclaimRetired()
-
-	s.mu.Lock()
-	for _, r := range runsR {
-		s.unpinRunLocked(r.ID)
-	}
-	s.m.MigratedRecords.Add(res.RecordsApplied)
-	s.m.MigrationPagesRead.Add(res.PagesRead)
-	s.m.MigrationPagesWritten.Add(res.PagesWritten)
-	if last {
-		// Sweep complete: every run whose newest record predates the
-		// sweep's first portion has been applied across the whole table —
-		// exactly the set logged as consumed above (concurrent flushes and
-		// merges only mint runs with newer records or new ids, so the
-		// recomputation by id is stable).
-		del := make(map[int64]bool, len(consumed))
-		for _, id := range consumed {
-			del[id] = true
-		}
-		kept := s.runs[:0]
-		for _, r := range s.runs {
-			if del[r.ID] {
-				s.addRunBytesLocked(-r.Size)
-				s.m.MigrationBytesRead.Add(r.Size)
-				s.releaseRunLocked(r)
-			} else {
-				kept = append(kept, r)
-			}
-		}
-		s.runs = kept
-		s.m.RunCount.Set(int64(len(s.runs)))
-		s.portionCursor = 0
-		s.m.Migrations.Inc()
-		s.m.MigrationRunsMigrated.Add(int64(len(consumed)))
-	} else {
-		s.portionCursor = endEx
-	}
-	s.migrating = false
-	s.mu.Unlock()
-	s.syncSlotGauges()
-	s.m.trace("migration", "portion",
-		fmt.Sprintf("migTS=%d records=%d sweepDone=%v", migTS, res.RecordsApplied, last), int64(end))
-	return end, last, nil
+	return end, m.last, nil
 }
 
 // FailMigrations arms (or, with nil, disarms) a migration failpoint:

@@ -8,35 +8,25 @@ import (
 	"masm/internal/update"
 )
 
-// TxnPart is one table's slice of a cross-table transaction write set, in
-// the form the redo log persists: the records are already stamped with
-// their commit timestamps.
+// TxnPart is one table's slice of a transaction write set, in the form
+// the redo log persists: the records are already stamped with their
+// commit timestamps.
 type TxnPart struct {
 	Table uint32
 	Recs  []update.Record
 }
 
-// TxnBatchLogger is implemented by redo loggers that can persist an entire
-// cross-table write set as one atomic log record (a single CRC-framed
-// frame: after a crash either every record of the commit replays or none
-// does). BatchBase identifies the physical log so a commit spanning tables
-// can verify they all share it; per-table wrapper loggers return their
-// parent.
-type TxnBatchLogger interface {
-	LogTxnBatch(at sim.Time, parts []TxnPart) (sim.Time, error)
-	BatchBase() any
-}
-
-// StoreBatch is one store's part of a cross-table commit.
+// StoreBatch is one store's part of a commit.
 type StoreBatch struct {
 	Store *Store
 	Recs  []update.Record
 }
 
-// CommitAcross atomically publishes a write set spanning several stores of
-// one engine: every involved store's latch is held (in table-id order)
-// while consecutive commit timestamps from the shared oracle are stamped
-// onto the records, the whole set is written to the shared redo log as one
+// CommitAcross atomically publishes a write set spanning one or more
+// stores of one engine — the only batch publisher, whatever the commit's
+// arity: every involved store's latch is held (in table-id order) while
+// consecutive commit timestamps from the shared oracle are stamped onto
+// the records, the whole set is written to the shared redo log as one
 // KindTxnBatch frame, and the records enter each table's update buffer.
 // A concurrent snapshot on any involved table therefore sees all of the
 // commit's records for that table or none, and crash recovery replays the
@@ -44,29 +34,27 @@ type StoreBatch struct {
 // dropped with the torn tail).
 //
 // All stores must share one oracle and (when logging) one physical redo
-// log. On error a stamped prefix may already be published, exactly as in
-// ApplyBatchAuto; lastTS reports the largest stamped timestamp so callers
-// can keep first-committer-wins validation conservative.
+// log. On error a stamped prefix may already be published (e.g. when a
+// mid-batch buffer flush fails); lastTS reports the largest stamped
+// timestamp so callers can keep first-committer-wins validation
+// conservative.
 //
 // The commit record deliberately precedes publication: if any leg's
 // records reach a durable run (a flush during publication forces the
 // buffered log, commit record included), the whole batch is already on
-// disk, so a crash can never resurrect one table's leg without the
-// others — the atomicity the record exists for. The trade-off is the
+// disk, so a crash can never resurrect part of the commit without the
+// rest — the atomicity the record exists for. The trade-off is the
 // failure path: when publication fails partway (e.g. a table hits its SSD
 // budget), the live state holds only the stamped prefix while the log
 // holds the full batch, so a *later crash* replays the commit in full.
-// In other words, a cross-table commit that returned an error is
-// "published at least partially now, possibly completely after a crash" —
-// never torn across tables after recovery, and its write set is always
-// fully recorded for first-committer-wins, so no later transaction can
-// have validated against its absence.
+// In other words, a commit that returned an error is "published at least
+// partially now, possibly completely after a crash" — never torn after
+// recovery, and its write set is always fully recorded for
+// first-committer-wins, so no later transaction can have validated
+// against its absence.
 func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time, err error) {
 	if len(batches) == 0 {
 		return 0, at, nil
-	}
-	if len(batches) == 1 {
-		return batches[0].Store.ApplyBatchAuto(at, batches[0].Recs)
 	}
 	sorted := append([]StoreBatch(nil), batches...)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -77,10 +65,10 @@ func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time
 	unlogged := 0
 	for i, b := range sorted {
 		if i > 0 && b.Store.tableID == sorted[i-1].Store.tableID {
-			return 0, at, fmt.Errorf("masm: cross-table commit names table %d twice", b.Store.tableID)
+			return 0, at, fmt.Errorf("masm: commit names table %d twice", b.Store.tableID)
 		}
 		if b.Store.oracle != oracle {
-			return 0, at, fmt.Errorf("masm: cross-table commit spans stores with different oracles")
+			return 0, at, fmt.Errorf("masm: commit spans stores with different oracles")
 		}
 		for r := range b.Recs {
 			if err := b.Store.checkRecordSize(&b.Recs[r]); err != nil {
@@ -91,18 +79,14 @@ func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time
 			unlogged++
 			continue
 		}
-		bl, ok := b.Store.log.(TxnBatchLogger)
-		if !ok {
-			return 0, at, fmt.Errorf("masm: table %d's redo logger cannot write atomic transaction batches", b.Store.tableID)
-		}
 		if base == nil {
-			base = bl.BatchBase()
-		} else if bl.BatchBase() != base {
-			return 0, at, fmt.Errorf("masm: cross-table commit spans stores with different redo logs")
+			base = b.Store.log.BatchBase()
+		} else if b.Store.log.BatchBase() != base {
+			return 0, at, fmt.Errorf("masm: commit spans stores with different redo logs")
 		}
 	}
 	if base != nil && unlogged > 0 {
-		return 0, at, fmt.Errorf("masm: cross-table commit mixes logged and unlogged stores")
+		return 0, at, fmt.Errorf("masm: commit mixes logged and unlogged stores")
 	}
 
 	// Latch every store in table-id order (the engine-wide lock order for
@@ -126,10 +110,11 @@ func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time
 		parts = append(parts, TxnPart{Table: b.Store.tableID, Recs: b.Recs})
 	}
 	now := at
-	if base != nil {
-		// One commit record: the whole cross-table write set in one frame,
-		// written before any record becomes readable from a buffer.
-		t, err := sorted[0].Store.log.(TxnBatchLogger).LogTxnBatch(now, parts)
+	if base != nil && lastTS > 0 {
+		// One commit record: the whole write set in one frame, written
+		// before any record becomes readable from a buffer (a read-only
+		// commit stamped nothing and logs nothing).
+		t, err := sorted[0].Store.log.LogTxnBatch(now, parts)
 		if err != nil {
 			return lastTS, at, err
 		}

@@ -42,19 +42,25 @@ type RunMeta struct {
 // RedoLogger is the hook into the database redo log (paper §3.6). MaSM
 // logs incoming updates (so the volatile in-memory buffer is recoverable),
 // flush and merge records (so recovery knows which updates already reside
-// on the non-volatile SSD, and where), and migration begin/end records (so
-// an interrupted migration is redone idempotently).
+// on the non-volatile SSD, and where), and migration begin/close records
+// (so an interrupted migration is redone idempotently).
 type RedoLogger interface {
 	LogUpdate(at sim.Time, rec update.Record) (sim.Time, error)
+	// LogTxnBatch persists a whole commit's write set as one atomic log
+	// record (a single CRC-framed frame: after a crash either every record
+	// of the commit replays or none does). BatchBase identifies the
+	// physical log, so a commit spanning tables can verify they all share
+	// it.
+	LogTxnBatch(at sim.Time, parts []TxnPart) (sim.Time, error)
+	BatchBase() any
 	LogFlush(at sim.Time, run RunMeta) (sim.Time, error)
 	LogMerge(at sim.Time, run RunMeta, consumed []int64) (sim.Time, error)
 	LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64) (sim.Time, error)
-	LogMigrationEnd(at sim.Time, migTS int64) (sim.Time, error)
-	// LogMigrationPortion closes a migration-begin record for one portion
-	// of an incremental migration: the portion's pages are durable and
-	// recovery need not redo it, but — unlike LogMigrationEnd — the begin
-	// set stays live; only the runs listed in consumed (those a completed
-	// sweep fully applied, empty mid-sweep) are deleted.
+	// LogMigrationPortion closes a migration-begin record: the migrated
+	// span's pages are durable and recovery need not redo it. Only the
+	// runs listed in consumed are deleted — every run the migration's
+	// sweep has applied across the whole table, so the full begin set for
+	// a whole-table migration and nothing for a portion in mid-sweep.
 	LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (sim.Time, error)
 }
 
@@ -326,9 +332,9 @@ func (s *Store) ShouldMigrate() bool {
 //
 // Apply with a pre-stamped record is only sound when the caller already
 // holds the timestamp-publication order — single-threaded use and crash
-// recovery. Concurrent writers must use ApplyAuto or ApplyBatchAuto,
-// which assign the timestamp and publish the record atomically under the
-// store latch, so a snapshot or migration timestamp issued by another
+// recovery. Concurrent writers must use ApplyAuto or CommitAcross, which
+// assign the timestamp and publish the record atomically under the store
+// latch, so a snapshot or migration timestamp issued by another
 // goroutine can never land between a record's stamping and its
 // publication (which would make the record invisible to a reader that
 // should see it, or worse, let a migration stamp pages past it).
@@ -347,13 +353,8 @@ func (s *Store) Apply(at sim.Time, rec update.Record) (sim.Time, error) {
 // ApplyAuto assigns a fresh commit timestamp and caches the update, both
 // atomically under the store latch.
 func (s *Store) ApplyAuto(at sim.Time, rec update.Record) (sim.Time, error) {
-	if err := s.checkRecordSize(&rec); err != nil {
-		return at, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec.TS = s.oracle.Next()
-	return s.applyLocked(at, rec)
+	end, _, err := s.ApplyAutoHint(at, rec)
+	return end, err
 }
 
 // ApplyAutoHint is ApplyAuto, additionally reporting whether the cache
@@ -373,36 +374,6 @@ func (s *Store) ApplyAutoHint(at sim.Time, rec update.Record) (end sim.Time, sho
 	}
 	fill := float64(s.cachedBytesLocked()) / float64(s.cfg.SSDCapacity)
 	return end, fill >= s.cfg.MigrateThreshold, nil
-}
-
-// ApplyBatchAuto stamps consecutive commit timestamps onto a group of
-// records and publishes them under one latch hold: on success, a
-// concurrent snapshot sees all of them or none. Transaction commit uses
-// it to publish a private write set (paper §3.6). It returns the last
-// (largest) timestamp assigned.
-//
-// On error a stamped prefix of the batch may already be published (e.g.
-// when a mid-batch buffer flush fails); lastTS then reports the largest
-// stamped timestamp so the caller can account for the prefix — Commit
-// uses it to keep first-committer-wins validation conservative.
-func (s *Store) ApplyBatchAuto(at sim.Time, recs []update.Record) (lastTS int64, end sim.Time, err error) {
-	for i := range recs {
-		if err := s.checkRecordSize(&recs[i]); err != nil {
-			return 0, at, err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range recs {
-		recs[i].TS = s.oracle.Next()
-		lastTS = recs[i].TS
-		t, err := s.applyLocked(at, recs[i])
-		if err != nil {
-			return lastTS, at, err
-		}
-		at = t
-	}
-	return lastTS, at, nil
 }
 
 // checkRecordSize rejects records that could never fit the update buffer.
@@ -429,9 +400,8 @@ func (s *Store) applyLocked(at sim.Time, rec update.Record) (sim.Time, error) {
 
 // applyNoLogLocked buffers one stamped record without writing a per-record
 // redo entry: the caller has already made the record recoverable (a
-// cross-table transaction batch logs its whole write set as one frame
-// before publication). Flushes triggered here still log their run records.
-// Caller holds s.mu.
+// commit logs its whole write set as one frame before publication).
+// Flushes triggered here still log their run records. Caller holds s.mu.
 func (s *Store) applyNoLogLocked(at sim.Time, rec update.Record) (sim.Time, error) {
 	for !s.buf.Append(rec) {
 		// Buffer full. Steal an idle query page if one exists (Fig 8,

@@ -523,6 +523,9 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		default:
 			return c.replyErr(m.Seq, proto.CodeBadRequest, false, fmt.Errorf("unknown tx update kind %d", m.TxKind)) == nil
 		}
+		if errors.Is(err, masm.ErrNoTable) {
+			return c.replyErr(m.Seq, proto.CodeNoTable, false, err) == nil
+		}
 		if err != nil {
 			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil
 		}

@@ -173,6 +173,16 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := c.Put("nope", 1, nil); err == nil || !errors.As(err, &we) || we.Code != proto.CodeNoTable {
 		t.Fatalf("put to unknown table: err = %v, want CodeNoTable", err)
 	}
+	// ...and the same type inside a transaction, which stays usable.
+	if txid, err = c.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.TxPut(txid, "nope", 1, nil); err == nil || !errors.As(err, &we) || we.Code != proto.CodeNoTable {
+		t.Fatalf("tx put to unknown table: err = %v, want CodeNoTable", err)
+	}
+	if err := c.Abort(txid); err != nil {
+		t.Fatal(err)
+	}
 
 	blob, err := c.Stats()
 	if err != nil {

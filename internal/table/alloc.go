@@ -133,7 +133,7 @@ func (t *Table) commitShadowBatch(old []pageRef, shadowFirst int64, ovfs []shado
 
 // ReclaimRetired moves retired slots to the free list — called by the
 // migration driver once a durable commit (the MANIFEST rewrite inside
-// the migration-end/portion checkpoint) no longer names them. Slots
+// the migration's closing checkpoint) no longer names them. Slots
 // pinned by open ref snapshots are parked instead and freed when the
 // last pin drops. Retired slots of an aborted migration simply stay
 // retired until the table's next successful commit.

@@ -124,7 +124,10 @@ func Load(vol *storage.Volume, cfg Config, keys []uint64, bodies [][]byte) (*Tab
 	used := 0
 	var prev uint64
 	flush := func() error {
-		if len(cur.Keys) == 0 {
+		// A table loaded empty still gets its first page: migration applies
+		// updates to the pages covering their keys, so with no page at all
+		// every cached update would be consumed and dropped.
+		if len(cur.Keys) == 0 && len(t.refs) > 0 {
 			return nil
 		}
 		if err := cur.Encode(buf); err != nil {
@@ -133,9 +136,9 @@ func Load(vol *storage.Volume, cfg Config, keys []uint64, bodies [][]byte) (*Tab
 		if err := vol.PokeAt(buf, t.nextPage*int64(cfg.PageSize)); err != nil {
 			return err
 		}
-		bound := cur.Keys[0]
-		if len(t.refs) == 0 {
-			bound = 0 // the first page covers all keys below the loaded minimum
+		bound := uint64(0) // the first page covers all keys below the loaded minimum
+		if len(t.refs) > 0 {
+			bound = cur.Keys[0]
 		}
 		t.refs = append(t.refs, pageRef{firstKey: bound, pageNo: t.nextPage})
 		t.nextPage++

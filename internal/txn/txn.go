@@ -287,163 +287,96 @@ func (t *Txn) applyOverlay(key uint64, base []byte, exists bool) (table.Row, boo
 	return table.Row{Key: key, Body: body}, true
 }
 
-// Commit validates (Snapshot mode), assigns commit timestamps to the
-// private updates, and publishes them to MaSM's global update buffer. In
-// Locking mode the updates become visible exactly when the exclusive
-// locks are released — here, atomically with the publication.
-func (t *Txn) Commit(at sim.Time) (sim.Time, error) {
-	if t.done {
-		return at, ErrDone
-	}
-	m := t.m
-	m.commitMu.Lock()
-	defer m.commitMu.Unlock()
-	if t.mode == Snapshot {
-		m.mu.Lock()
-		for key := range t.writes {
-			if m.lastCommit[key] > t.startTS {
-				m.mu.Unlock()
-				t.finish()
-				return at, fmt.Errorf("key %d: %w", key, ErrWriteConflict)
-			}
-		}
-		m.mu.Unlock()
-	}
-	// Publish the private write set under one store-latch hold: a
-	// concurrent snapshot sees the whole commit or none of it, and a
-	// migration timestamp can never split it.
-	commitTS, now, err := m.store.ApplyBatchAuto(at, t.private)
-	if err != nil {
-		// A stamped prefix of the write set may already be published.
-		// Record the whole write set under the largest stamped timestamp
-		// anyway: over-marking unpublished keys only causes spurious
-		// conflicts, while under-marking would let a later transaction
-		// that began before this one pass validation and silently
-		// overwrite the published prefix.
-		if commitTS > 0 {
-			m.mu.Lock()
-			for key := range t.writes {
-				if m.lastCommit[key] < commitTS {
-					m.lastCommit[key] = commitTS
-				}
-			}
-			m.mu.Unlock()
-		}
-		t.finish()
-		if t.mode == Locking {
-			m.unlockAll(t)
-		}
-		return at, err
-	}
-	if len(t.writes) > 0 && commitTS > 0 {
-		m.mu.Lock()
-		for key := range t.writes {
-			m.lastCommit[key] = commitTS
-		}
-		m.mu.Unlock()
-	}
-	if t.mode == Locking {
-		m.unlockAll(t)
-	}
-	t.finish()
-	return now, nil
-}
-
-// Store returns the MaSM store this manager's transactions commit into.
-func (m *Manager) Store() *masm.Store { return m.store }
-
-// CommitMulti commits several sub-transactions — one per table, each from
-// its own Manager — as one atomic cross-table transaction: validation
-// (first-committer-wins, per table against that table's commit history)
-// and publication happen while every involved manager's commit mutex is
-// held, and the publication itself is masm.CommitAcross, which stamps the
-// whole write set under every store's latch and logs it as a single redo
-// record. A concurrent reader of any involved table therefore sees the
-// commit's records for that table all-or-nothing, and recovery replays
-// the cross-table write set all-or-nothing.
+// Commit validates and publishes t — together with the sub-transactions
+// in with, one per further table and each from that table's own Manager —
+// as one atomic transaction. Under Snapshot each sub-transaction validates
+// first-committer-wins against its table's commit history; under Locking
+// the updates become visible exactly when the exclusive locks are released
+// — here, atomically with the publication. Validation and publication
+// happen while every involved manager's commit mutex is held, and the
+// publication itself is masm.CommitAcross, which stamps the whole write set
+// under every store's latch and logs it as a single redo record. A
+// concurrent reader of any involved table therefore sees the commit's
+// records for that table all-or-nothing, and recovery replays the write
+// set all-or-nothing.
 //
-// All sub-transactions are finished by the call, whatever the outcome
-// (like Commit). Managers are locked in table-id order — the engine-wide
-// lock order — so cross-table commits never deadlock each other or
-// single-table commits.
-func CommitMulti(at sim.Time, subs []*Txn) (sim.Time, error) {
-	if len(subs) == 0 {
-		return at, nil
-	}
-	if len(subs) == 1 {
-		return subs[0].Commit(at)
-	}
-	sorted := append([]*Txn(nil), subs...)
+// Every sub-transaction is finished by the call, whatever the outcome.
+// Managers are locked in table-id order — the engine-wide lock order — so
+// commits of any arity never deadlock each other.
+func (t *Txn) Commit(at sim.Time, with ...*Txn) (sim.Time, error) {
+	sorted := append([]*Txn{t}, with...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return sorted[i].m.store.TableID() < sorted[j].m.store.TableID()
 	})
-	for i, t := range sorted {
-		if t.done {
+	for i, sub := range sorted {
+		if sub.done {
 			return at, ErrDone
 		}
-		if i > 0 && t.m == sorted[i-1].m {
-			return at, errors.New("txn: cross-table commit names one table twice")
+		if i > 0 && sub.m == sorted[i-1].m {
+			return at, errors.New("txn: commit names one table twice")
 		}
 	}
-	for _, t := range sorted {
-		t.m.commitMu.Lock()
+	for _, sub := range sorted {
+		sub.m.commitMu.Lock()
 	}
 	defer func() {
 		for i := len(sorted) - 1; i >= 0; i-- {
-			sorted[i].m.commitMu.Unlock()
+			sub := sorted[i]
+			sub.finish()
+			if sub.mode == Locking {
+				sub.m.unlockAll(sub)
+			}
+			sub.m.commitMu.Unlock()
 		}
 	}()
-	finishAll := func() {
-		for _, t := range sorted {
-			t.finish()
-			if t.mode == Locking {
-				t.m.unlockAll(t)
-			}
-		}
-	}
-	for _, t := range sorted {
-		if t.mode != Snapshot {
-			continue
-		}
-		t.m.mu.Lock()
-		for key := range t.writes {
-			if t.m.lastCommit[key] > t.startTS {
-				t.m.mu.Unlock()
-				finishAll()
-				return at, fmt.Errorf("table %d key %d: %w", t.m.store.TableID(), key, ErrWriteConflict)
-			}
-		}
-		t.m.mu.Unlock()
-	}
 	batches := make([]masm.StoreBatch, len(sorted))
-	for i, t := range sorted {
-		batches[i] = masm.StoreBatch{Store: t.m.store, Recs: t.private}
+	for i, sub := range sorted {
+		if sub.mode == Snapshot {
+			if key, ok := sub.m.conflict(sub); ok {
+				return at, fmt.Errorf("table %d key %d: %w", sub.m.store.TableID(), key, ErrWriteConflict)
+			}
+		}
+		batches[i] = masm.StoreBatch{Store: sub.m.store, Recs: sub.private}
 	}
 	commitTS, now, err := masm.CommitAcross(at, batches)
 	// Record the write sets under the largest stamped timestamp whether or
 	// not the publication fully succeeded: over-marking unpublished keys
 	// only causes spurious conflicts, while under-marking would let a
-	// later transaction silently overwrite a published prefix (the same
-	// conservative rule as the single-table Commit).
+	// later transaction that began before this one pass validation and
+	// silently overwrite a published prefix.
 	if commitTS > 0 {
-		for _, t := range sorted {
-			if len(t.writes) == 0 {
-				continue
-			}
-			t.m.mu.Lock()
-			for key := range t.writes {
-				if t.m.lastCommit[key] < commitTS {
-					t.m.lastCommit[key] = commitTS
-				}
-			}
-			t.m.mu.Unlock()
+		for _, sub := range sorted {
+			sub.m.markCommitted(sub, commitTS)
 		}
 	}
-	finishAll()
 	if err != nil {
 		return at, err
 	}
 	return now, nil
+}
+
+// conflict reports a key of t's write set that another transaction
+// committed after t began.
+func (m *Manager) conflict(t *Txn) (uint64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key := range t.writes {
+		if m.lastCommit[key] > t.startTS {
+			return key, true
+		}
+	}
+	return 0, false
+}
+
+// markCommitted raises the last-commit timestamp of t's write set to ts.
+func (m *Manager) markCommitted(t *Txn, ts int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for key := range t.writes {
+		if m.lastCommit[key] < ts {
+			m.lastCommit[key] = ts
+		}
+	}
 }
 
 // Abort discards the private buffer and releases locks.
@@ -457,6 +390,3 @@ func (t *Txn) Abort() {
 		t.m.unlockAll(t)
 	}
 }
-
-// StartTS returns the transaction's snapshot timestamp.
-func (t *Txn) StartTS() int64 { return t.startTS }

@@ -21,6 +21,12 @@ func body(key uint64, size int) []byte {
 }
 
 func newStore(t *testing.T, nRows int) *masm.Store {
+	return newTableStore(t, nRows, &masm.Oracle{}, 0)
+}
+
+// newTableStore builds table id's store of an engine whose tables share
+// oracle.
+func newTableStore(t *testing.T, nRows int, oracle *masm.Oracle, id uint32) *masm.Store {
 	t.Helper()
 	hdd := sim.NewDevice(sim.Barracuda7200())
 	vol, err := storage.NewVolume(hdd, 0, 2<<30)
@@ -47,11 +53,46 @@ func newStore(t *testing.T, nRows int) *masm.Store {
 	cfg.Run.IOSize = 16 << 10
 	cfg.Run.IndexGranularity = 4 << 10
 	cfg.ScanGranularity = 4 << 10
-	store, err := masm.NewStore(cfg, tbl, ssdVol, &masm.Oracle{}, nil)
+	store, err := masm.NewStoreShared(cfg, tbl, ssdVol, oracle, nil, masm.NewSharedAlloc(ssdVol.Size()).Partition(id, ssdVol.Size()), id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return store
+}
+
+// forEachArity runs a commit test twice — committing each transaction
+// alone, and with a sub-transaction on a second table riding along — so
+// both arities exercise the one Commit. The rider inserts a fresh key of
+// the second table, which must share the commit's fate.
+func forEachArity(t *testing.T, nRows int, fn func(t *testing.T, m *Manager, commit func(*Txn) error)) {
+	t.Run("one table", func(t *testing.T) {
+		fn(t, NewManager(newStore(t, nRows)), func(tx *Txn) error {
+			_, err := tx.Commit(0)
+			return err
+		})
+	})
+	t.Run("two tables", func(t *testing.T) {
+		oracle := &masm.Oracle{}
+		m := NewManager(newTableStore(t, nRows, oracle, 0))
+		m2 := NewManager(newTableStore(t, nRows, oracle, 1))
+		key := uint64(1001)
+		fn(t, m, func(tx *Txn) error {
+			key += 2
+			rider := m2.Begin(tx.mode)
+			if err := rider.Update(update.Record{Key: key, Op: update.Insert, Payload: []byte("rider")}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := tx.Commit(0, rider)
+			rider.Abort() // a refused commit (ErrDone) finishes nobody
+			check := m2.Begin(Snapshot)
+			_, published := scanAll(t, check)[key]
+			check.Abort()
+			if published != (err == nil) {
+				t.Fatalf("commit returned %v but the second table's write published=%v", err, published)
+			}
+			return err
+		})
+	})
 }
 
 func scanAll(t *testing.T, tx *Txn) map[uint64][]byte {
@@ -97,19 +138,19 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 }
 
 func TestTxnCommitPublishes(t *testing.T) {
-	store := newStore(t, 100)
-	m := NewManager(store)
-	tx := m.Begin(Snapshot)
-	tx.Update(update.Record{Key: 5, Op: update.Insert, Payload: []byte("pub")})
-	if _, err := tx.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := m.Begin(Snapshot)
-	got := scanAll(t, tx2)
-	if !bytes.Equal(got[5], []byte("pub")) {
-		t.Fatal("committed write not visible to later txn")
-	}
-	tx2.Abort()
+	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
+		tx := m.Begin(Snapshot)
+		tx.Update(update.Record{Key: 5, Op: update.Insert, Payload: []byte("pub")})
+		if err := commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		tx2 := m.Begin(Snapshot)
+		got := scanAll(t, tx2)
+		if !bytes.Equal(got[5], []byte("pub")) {
+			t.Fatal("committed write not visible to later txn")
+		}
+		tx2.Abort()
+	})
 }
 
 func TestSnapshotIsolationStability(t *testing.T) {
@@ -130,56 +171,56 @@ func TestSnapshotIsolationStability(t *testing.T) {
 }
 
 func TestFirstCommitterWins(t *testing.T) {
-	store := newStore(t, 100)
-	m := NewManager(store)
-	a := m.Begin(Snapshot)
-	b := m.Begin(Snapshot)
-	a.Update(update.Record{Key: 10, Op: update.Modify,
-		Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("A")}})})
-	b.Update(update.Record{Key: 10, Op: update.Modify,
-		Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("B")}})})
-	if _, err := a.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Commit(0); !errors.Is(err, ErrWriteConflict) {
-		t.Fatalf("second committer got %v, want ErrWriteConflict", err)
-	}
-	// Non-conflicting writer commits fine.
-	c := m.Begin(Snapshot)
-	c.Update(update.Record{Key: 12, Op: update.Delete})
-	if _, err := c.Commit(0); err != nil {
-		t.Fatal(err)
-	}
+	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
+		a := m.Begin(Snapshot)
+		b := m.Begin(Snapshot)
+		a.Update(update.Record{Key: 10, Op: update.Modify,
+			Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("A")}})})
+		b.Update(update.Record{Key: 10, Op: update.Modify,
+			Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("B")}})})
+		if err := commit(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := commit(b); !errors.Is(err, ErrWriteConflict) {
+			t.Fatalf("second committer got %v, want ErrWriteConflict", err)
+		}
+		// Non-conflicting writer commits fine.
+		c := m.Begin(Snapshot)
+		c.Update(update.Record{Key: 12, Op: update.Delete})
+		if err := commit(c); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestLockingConflicts(t *testing.T) {
-	store := newStore(t, 100)
-	m := NewManager(store)
-	a := m.Begin(Locking)
-	b := m.Begin(Locking)
-	if err := a.Update(update.Record{Key: 20, Op: update.Delete}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update(update.Record{Key: 20, Op: update.Delete}); !errors.Is(err, ErrLockConflict) {
-		t.Fatalf("conflicting X lock got %v, want ErrLockConflict", err)
-	}
-	// After a commits (releasing locks), b can proceed.
-	if _, err := a.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update(update.Record{Key: 20, Op: update.Insert, Payload: []byte("re")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	// Two-phase locking serialized a before b: final state is b's.
-	tx := m.Begin(Snapshot)
-	got := scanAll(t, tx)
-	if !bytes.Equal(got[20], []byte("re")) {
-		t.Fatalf("serialization broken: key 20 = %v", got[20])
-	}
-	tx.Abort()
+	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
+		a := m.Begin(Locking)
+		b := m.Begin(Locking)
+		if err := a.Update(update.Record{Key: 20, Op: update.Delete}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Update(update.Record{Key: 20, Op: update.Delete}); !errors.Is(err, ErrLockConflict) {
+			t.Fatalf("conflicting X lock got %v, want ErrLockConflict", err)
+		}
+		// After a commits (releasing locks), b can proceed.
+		if err := commit(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Update(update.Record{Key: 20, Op: update.Insert, Payload: []byte("re")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := commit(b); err != nil {
+			t.Fatal(err)
+		}
+		// Two-phase locking serialized a before b: final state is b's.
+		tx := m.Begin(Snapshot)
+		got := scanAll(t, tx)
+		if !bytes.Equal(got[20], []byte("re")) {
+			t.Fatalf("serialization broken: key 20 = %v", got[20])
+		}
+		tx.Abort()
+	})
 }
 
 func TestAbortDiscards(t *testing.T) {
@@ -205,18 +246,18 @@ func TestAbortDiscards(t *testing.T) {
 }
 
 func TestDoneTxnRejected(t *testing.T) {
-	store := newStore(t, 10)
-	m := NewManager(store)
-	tx := m.Begin(Snapshot)
-	if _, err := tx.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Update(update.Record{Key: 2, Op: update.Delete}); !errors.Is(err, ErrDone) {
-		t.Fatalf("update after commit: %v", err)
-	}
-	if _, err := tx.Commit(0); !errors.Is(err, ErrDone) {
-		t.Fatalf("double commit: %v", err)
-	}
+	forEachArity(t, 10, func(t *testing.T, m *Manager, commit func(*Txn) error) {
+		tx := m.Begin(Snapshot)
+		if err := commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update(update.Record{Key: 2, Op: update.Delete}); !errors.Is(err, ErrDone) {
+			t.Fatalf("update after commit: %v", err)
+		}
+		if err := commit(tx); !errors.Is(err, ErrDone) {
+			t.Fatalf("double commit: %v", err)
+		}
+	})
 }
 
 func TestTxnScanRange(t *testing.T) {

@@ -73,16 +73,17 @@ func FuzzDecodeEntry(f *testing.F) {
 		k, p := tagged(7, base, payload)
 		return k, p
 	}
-	for _, base := range []Kind{KindUpdate, KindFlush, KindMerge, KindMigrationBegin, KindMigrationEnd} {
+	for _, base := range []Kind{KindUpdate, KindFlush, KindMerge, KindMigrationBegin, KindMigrationPortion} {
 		k, p := tagSeed(base, nil)
 		f.Add(uint8(k), p)
 	}
 	k, p := tagSeed(KindFlush, encodeRunMeta(nil, masm.RunMeta{RunID: 3, Size: 64}))
 	f.Add(uint8(k), p)
-	f.Add(uint8(KindTableUpdate), []byte{1, 0})     // torn table tag
-	f.Add(uint8(KindTxnBatch), []byte{})            // short batch
-	f.Add(uint8(KindTxnBatch), []byte{2, 0, 0, 0})  // truncated part header
-	f.Add(uint8(KindTxnBatch), encodeTxnBatch(nil)) // empty batch
+	f.Add(uint8(KindTableUpdate), []byte{1, 0})             // torn table tag
+	f.Add(uint8(KindTableMigrationEnd), []byte{7, 0, 0, 0}) // read-only legacy kind, payload absent
+	f.Add(uint8(KindTxnBatch), []byte{})                    // short batch
+	f.Add(uint8(KindTxnBatch), []byte{2, 0, 0, 0})          // truncated part header
+	f.Add(uint8(KindTxnBatch), encodeTxnBatch(nil))         // empty batch
 	f.Add(uint8(KindTxnBatch), encodeTxnBatch([]masm.TxnPart{
 		{Table: 0, Recs: []update.Record{{TS: 9, Key: 1, Op: update.Insert, Payload: []byte("a")}}},
 		{Table: 3, Recs: []update.Record{{TS: 10, Key: 2, Op: update.Delete}}},
@@ -138,7 +139,7 @@ func FuzzReadAll(f *testing.F) {
 		if err := vol.PokeAt(raw, 0); err != nil {
 			t.Fatal(err)
 		}
-		entries, _, err := ReadAll(vol, 0)
+		entries, _, err := readAll(vol, 0)
 		if err != nil {
 			return
 		}
@@ -160,14 +161,15 @@ func validLogBytes(f *testing.F, n int) []byte {
 		f.Fatal(err)
 	}
 	l := Open(vol)
+	t0 := l.ForTable(0)
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
-		now, err = l.LogUpdate(now, update.Record{TS: int64(i + 1), Key: uint64(i), Op: update.Insert, Payload: []byte("payload")})
+		now, err = t0.LogUpdate(now, update.Record{TS: int64(i + 1), Key: uint64(i), Op: update.Insert, Payload: []byte("payload")})
 		if err != nil {
 			f.Fatal(err)
 		}
 	}
-	if now, err = l.LogFlush(now, masm.RunMeta{RunID: 1, Size: 64, MaxTS: int64(n), Passes: 1, Format: 1, CRC: 7}); err != nil {
+	if now, err = t0.LogFlush(now, masm.RunMeta{RunID: 1, Size: 64, MaxTS: int64(n), Passes: 1, Format: 1, CRC: 7}); err != nil {
 		f.Fatal(err)
 	}
 	if _, err = l.Sync(now); err != nil {
@@ -203,7 +205,7 @@ func validMultiTableLogBytes(f *testing.F) []byte {
 	if now, err = t5.LogFlush(now, masm.RunMeta{RunID: 1, Size: 64, MaxTS: 2, Passes: 1, Format: 1, CRC: 7}); err != nil {
 		f.Fatal(err)
 	}
-	if now, err = l.LogTxnBatch(now, []masm.TxnPart{
+	if now, err = t0.LogTxnBatch(now, []masm.TxnPart{
 		{Table: 0, Recs: []update.Record{{TS: 3, Key: 11, Op: update.Insert, Payload: []byte("x")}}},
 		{Table: 5, Recs: []update.Record{{TS: 4, Key: 12, Op: update.Delete}}},
 	}); err != nil {
@@ -212,7 +214,13 @@ func validMultiTableLogBytes(f *testing.F) []byte {
 	if now, err = t5.LogMigrationBegin(now, 5, []int64{1}); err != nil {
 		f.Fatal(err)
 	}
-	if now, err = t5.LogMigrationEnd(now, 5); err != nil {
+	if now, err = t5.LogMigrationPortion(now, 5, []int64{1}); err != nil {
+		f.Fatal(err)
+	}
+	// The legacy closing record earlier builds wrote, which replay still
+	// accepts.
+	kind, payload := legacyMigrationEnd(5, 5)
+	if now, err = l.append(now, kind, payload); err != nil {
 		f.Fatal(err)
 	}
 	if _, err = l.Sync(now); err != nil {

@@ -6,7 +6,7 @@
 // re-reading the update records from this log, and the run-set metadata,
 // by re-reading flush/merge/migration records.
 //
-// # On-disk format (version 3)
+// # On-disk format (version 4)
 //
 // The log opens with a 16-byte header — magic, format version, header CRC —
 // so an unrelated or stale byte region is never misread as a log. Entries
@@ -22,14 +22,29 @@
 // group-commit fashion; Sync forces the buffered batch down to the
 // volume's backend (fsync on file-backed volumes).
 //
-// Version 3 makes one log shareable by every table of a multi-table
-// engine: the table-tagged kinds (KindTableUpdate …) prefix the version-2
-// payloads with the owning table's id, and KindTxnBatch carries an entire
-// cross-table transaction write set in one frame, so a commit spanning
-// tables is durable all-or-nothing. Table 0 keeps writing the untagged
-// version-2 kinds — a single-table log is byte-identical under both
-// versions — and version-2 logs replay cleanly as "everything belongs to
-// table 0".
+// One log is shared by every table of an engine, and every store writes
+// through the tagging view ForTable returns. What is written today:
+//
+//   - a standalone update is one KindUpdate frame;
+//   - every transaction commit, on one table or many, is one KindTxnBatch
+//     frame carrying the whole write set, so the commit is durable
+//     all-or-nothing — a frame passes its CRC or is dropped with the tail;
+//   - a flush or merge is one KindFlush / KindMerge frame, forced after
+//     the run data it names;
+//   - a migration is a forced KindMigrationBegin and ONE forced closing
+//     record, KindMigrationPortion, listing the runs the migration's sweep
+//     finished with: the begin set after a whole-table migration, nothing
+//     for a portion in mid-sweep;
+//   - a recovery checkpoint opens with KindOracleAdvance.
+//
+// Table 0 writes these kinds untagged; every other table writes the
+// KindTable… twin, the same payload behind a u32 table id, so a log that
+// only table 0 wrote replays as "everything belongs to table 0".
+//
+// Read-only legacy: KindMigrationEnd (and its tagged twin), the closing
+// record earlier builds wrote after a whole-table migration — it deletes
+// the whole begin set — is still replayed so their directories reopen, as
+// are headers of versions 2 and 3, whose records are a subset of today's.
 package wal
 
 import (
@@ -63,7 +78,9 @@ const (
 	KindMerge
 	// KindMigrationBegin records the migration timestamp and run set.
 	KindMigrationBegin
-	// KindMigrationEnd records that the migration completed.
+	// KindMigrationEnd records that a whole-table migration completed and
+	// its whole begin set is consumed. Read-only legacy: this build closes
+	// every migration with KindMigrationPortion.
 	KindMigrationEnd
 
 	// The table-tagged kinds (format v3) are their untagged counterparts
@@ -75,21 +92,21 @@ const (
 	KindTableMerge
 	KindTableMigrationBegin
 	KindTableMigrationEnd
-	// KindTxnBatch carries a whole cross-table transaction write set in
-	// one frame: [n u32] n × ([table u32][nrecs u32] nrecs × record).
-	// Because it is a single CRC-framed record, recovery replays the
-	// commit all-or-nothing.
+	// KindTxnBatch carries a whole transaction write set, for one table or
+	// several, in one frame:
+	// [n u32] n × ([table u32][nrecs u32] nrecs × record). Because it is a
+	// single CRC-framed record, recovery replays the commit all-or-nothing.
 	KindTxnBatch
 
-	// KindMigrationPortion (format v4) closes a migration-begin record for
-	// ONE portion of an incremental migration: the portion's pages are
-	// durable, but only the listed runs (those a completed sweep fully
-	// applied — empty mid-sweep) are consumed. KindMigrationEnd, by
-	// contrast, asserts the whole begin set was applied table-wide and
-	// deletes it; using it for a portion silently discarded every run
-	// record outside the portion's key range at the next recovery — a real
-	// lost-committed-updates bug the deterministic chaos harness found
-	// (repro: insert, one MigrateStep, reopen).
+	// KindMigrationPortion (format v4) closes a migration-begin record: the
+	// migrated span's pages are durable, but only the listed runs (those a
+	// completed sweep fully applied — the begin set after a whole-table
+	// migration, empty for a portion in mid-sweep) are consumed.
+	// KindMigrationEnd, by contrast, asserts the whole begin set was applied
+	// table-wide and deletes it; using it for a portion silently discarded
+	// every run record outside the portion's key range at the next
+	// recovery — a real lost-committed-updates bug the deterministic chaos
+	// harness found (repro: insert, one MigrateStep, reopen).
 	KindMigrationPortion
 	KindTableMigrationPortion
 
@@ -164,9 +181,9 @@ type Hooks struct {
 	// so a logged run can never outlive its data in a crash.
 	SyncRuns func() error
 	// Checkpoint makes the main data and the table metadata (manifest)
-	// durable. It is called before a migration-end record is appended, so
-	// recovery either redoes the migration (no end record) or finds the
-	// migrated table complete.
+	// durable. It is called before a migration's closing record is
+	// appended, so recovery either redoes the migration (no closing record)
+	// or finds the migrated span complete.
 	Checkpoint func() error
 }
 
@@ -176,10 +193,10 @@ type Hooks struct {
 // be dominated by log latency in any real deployment too.
 const groupCommitBytes = 4 << 10
 
-// Log is an append-only redo log on a volume. It implements
-// masm.RedoLogger. It is safe for concurrent use: appends from concurrent
-// updaters are serialized by an internal latch, preserving the group-commit
-// batching.
+// Log is an append-only redo log on a volume; stores log through the
+// per-table view ForTable returns. It is safe for concurrent use: appends
+// from concurrent updaters are serialized by an internal latch, preserving
+// the group-commit batching.
 type Log struct {
 	mu            sync.Mutex
 	vol           *storage.Volume
@@ -211,8 +228,6 @@ type Metrics struct {
 	Syncs     *obs.Counter   // forced batches reaching the backend sync
 	SyncNanos *obs.Histogram // wall-clock nanoseconds per backend sync
 }
-
-var _ masm.RedoLogger = (*Log)(nil)
 
 // Open creates a log writing from the start of vol. Nothing is written
 // until the first forced batch; the header goes down with it.
@@ -356,11 +371,6 @@ func (l *Log) syncLocked(at sim.Time) (sim.Time, error) {
 	return now, nil
 }
 
-// LogUpdate implements masm.RedoLogger.
-func (l *Log) LogUpdate(at sim.Time, rec update.Record) (sim.Time, error) {
-	return l.append(at, KindUpdate, update.AppendEncode(nil, &rec))
-}
-
 // runMetaSize is the wire size of a format-1 run descriptor: five u64/u8
 // location fields plus the data-format version and the run data's
 // CRC-32C. Descriptors with Format >= runfile.FormatZoneMaps append the
@@ -443,28 +453,11 @@ func decodeIDs(p []byte) ([]int64, []byte, error) {
 	return ids, p[8*n:], nil
 }
 
-// LogFlush implements masm.RedoLogger. With hooks installed, the run data
-// is synced first and the record is forced: once a flush record is
-// durable, recovery drops the covered updates from the replayed buffer, so
-// the record must never be readable while the run it points at is not.
-func (l *Log) LogFlush(at sim.Time, run masm.RunMeta) (sim.Time, error) {
+// logRunRecord appends a flush/merge record with the durable ordering:
+// run data first, then the record, forced.
+func (l *Log) logRunRecord(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.logRunRecordLocked(at, KindFlush, encodeRunMeta(nil, run))
-}
-
-// LogMerge implements masm.RedoLogger. The same ordering as LogFlush
-// applies; additionally the consumed runs' extents may be reused by later
-// flushes, so the record must be durable before that reuse can be.
-func (l *Log) LogMerge(at sim.Time, run masm.RunMeta, consumed []int64) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.logRunRecordLocked(at, KindMerge, encodeIDs(encodeRunMeta(nil, run), consumed))
-}
-
-// logRunRecordLocked appends a flush/merge record with the durable
-// ordering: run data first, then the record, forced. Caller holds l.mu.
-func (l *Log) logRunRecordLocked(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
 	if l.hooks.SyncRuns != nil {
 		if err := l.hooks.SyncRuns(); err != nil {
 			return at, fmt.Errorf("wal: sync run data before %d record: %w", kind, err)
@@ -480,14 +473,21 @@ func (l *Log) logRunRecordLocked(at sim.Time, kind Kind, payload []byte) (sim.Ti
 	return t, nil
 }
 
-// Checkpoint appends the recovered state — the live run set, then the
-// still-buffered updates — as one batch forced with a single sync.
-// Recovery writes it into a fresh log so a second crash recovers too. The
-// per-record hook ordering (SyncRuns before each run record) is skipped on
-// purpose: checkpointed runs are already durable, that is how they
-// survived the crash, so one force at the end is the only barrier needed.
-func (l *Log) Checkpoint(at sim.Time, runs []masm.RunMeta, pending []update.Record) (sim.Time, error) {
-	return l.CheckpointAll(at, []TableCheckpoint{{Runs: runs, Pending: pending}})
+// logForced appends a migration boundary record and forces it, after the
+// Checkpoint hook when the record is one that asserts durable pages.
+func (l *Log) logForced(at sim.Time, kind Kind, payload []byte, checkpoint bool) (sim.Time, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if checkpoint && l.hooks.Checkpoint != nil {
+		if err := l.hooks.Checkpoint(); err != nil {
+			return at, fmt.Errorf("wal: checkpoint before migration portion: %w", err)
+		}
+	}
+	t, err := l.appendLocked(at, kind, payload)
+	if err != nil {
+		return at, err
+	}
+	return l.syncLocked(t)
 }
 
 // TableCheckpoint is one table's recovered state for CheckpointAll.
@@ -501,10 +501,13 @@ type TableCheckpoint struct {
 	MaxTS int64
 }
 
-// CheckpointAll is Checkpoint for a whole catalog: every table's live run
-// set and still-buffered updates, appended in one batch and forced with a
-// single sync. Table 0's records use the untagged kinds, so a one-table
-// checkpoint is byte-identical to the single-table Checkpoint.
+// CheckpointAll appends the recovered state of a whole catalog — every
+// table's live run set, then its still-buffered updates — as one batch
+// forced with a single sync. Recovery writes it into a fresh log so a
+// second crash recovers too. The per-record hook ordering (SyncRuns before
+// each run record) is skipped on purpose: checkpointed runs are already
+// durable, that is how they survived the crash, so one force at the end is
+// the only barrier needed.
 func (l *Log) CheckpointAll(at sim.Time, tables []TableCheckpoint) (sim.Time, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -540,84 +543,6 @@ func (l *Log) CheckpointAll(at sim.Time, tables []TableCheckpoint) (sim.Time, er
 		}
 	}
 	return l.syncLocked(now)
-}
-
-// LogMigrationBegin implements masm.RedoLogger.
-func (l *Log) LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t, err := l.appendLocked(at, KindMigrationBegin, encodeIDs(b[:], runIDs))
-	if err != nil {
-		return at, err
-	}
-	// Migration boundaries are forced to disk: recovery must know about a
-	// migration that may have dirtied data pages.
-	return l.syncLocked(t)
-}
-
-// LogMigrationEnd implements masm.RedoLogger. With hooks installed, the
-// migrated table (data pages and manifest) is checkpointed first: a
-// durable end record asserts the migration's effects are durable too.
-func (l *Log) LogMigrationEnd(at sim.Time, migTS int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hooks.Checkpoint != nil {
-		if err := l.hooks.Checkpoint(); err != nil {
-			return at, fmt.Errorf("wal: checkpoint before migration end: %w", err)
-		}
-	}
-	t, err := l.appendLocked(at, KindMigrationEnd, b[:])
-	if err != nil {
-		return at, err
-	}
-	return l.syncLocked(t)
-}
-
-// LogMigrationPortion implements masm.RedoLogger: one incremental
-// portion is done and only the listed runs (empty mid-sweep) are
-// consumed. Like a full migration end it checkpoints first — the
-// portion's rewritten pages and the manifest must be durable before the
-// record asserts they are — and is forced, because consumed runs'
-// extents may be reused by later flushes.
-func (l *Log) LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hooks.Checkpoint != nil {
-		if err := l.hooks.Checkpoint(); err != nil {
-			return at, fmt.Errorf("wal: checkpoint before migration portion: %w", err)
-		}
-	}
-	t, err := l.appendLocked(at, KindMigrationPortion, encodeIDs(b[:], consumed))
-	if err != nil {
-		return at, err
-	}
-	return l.syncLocked(t)
-}
-
-// ReadAll replays the log from vol, returning the decoded entries. Only
-// entries that reached the volume are seen — precisely the crash
-// semantics: buffered-but-unsynced tail entries are lost with the crash.
-//
-// ReadAll materializes every entry; its live heap is proportional to the
-// log. Recovery paths replay through ReadStream + Replayer instead, which
-// keeps peak memory bounded by the chunk size regardless of log length —
-// ReadAll remains for small logs, tests and fuzz targets.
-func ReadAll(vol *storage.Volume, at sim.Time) ([]Entry, sim.Time, error) {
-	var entries []Entry
-	now, err := ReadStream(vol, at, func(e Entry) error {
-		entries = append(entries, e)
-		return nil
-	})
-	if err != nil {
-		return nil, now, err
-	}
-	return entries, now, nil
 }
 
 // replayChunk is the sequential read unit of streaming replay — one pread
@@ -953,8 +878,6 @@ func tagTable(base Kind) Kind {
 		return KindTableMerge
 	case KindMigrationBegin:
 		return KindTableMigrationBegin
-	case KindMigrationEnd:
-		return KindTableMigrationEnd
 	case KindMigrationPortion:
 		return KindTableMigrationPortion
 	}
@@ -993,31 +916,73 @@ func tagged(table uint32, base Kind, payload []byte) (Kind, []byte) {
 	return tagTable(base), append(p, payload...)
 }
 
-// ForTable returns the redo logger a table's store should log through: the
-// log itself for table 0, or a tagging wrapper that prefixes every record
-// with the table id. All wrappers share the log's latch, buffer and
+// ForTable returns the redo logger a table's store logs through: a view
+// of the log that tags every record with the table's id (table 0's tag is
+// the untagged kind). All views share the log's latch, buffer and
 // group-commit batching.
 func (l *Log) ForTable(table uint32) masm.RedoLogger {
-	if table == 0 {
-		return l
-	}
 	return &tableLogger{l: l, table: table}
 }
 
-// BatchBase implements masm.TxnBatchLogger: the Log is its own physical
-// log.
-func (l *Log) BatchBase() any { return l }
+type tableLogger struct {
+	l     *Log
+	table uint32
+}
 
-// LogTxnBatch implements masm.TxnBatchLogger: the entire cross-table write
-// set goes down as one CRC-framed record, so it replays all-or-nothing.
-// Like per-record updates it is group-committed; Sync (or a filled batch)
-// makes it durable.
-func (l *Log) LogTxnBatch(at sim.Time, parts []masm.TxnPart) (sim.Time, error) {
+// BatchBase implements masm.RedoLogger: views share their parent's
+// physical log.
+func (t *tableLogger) BatchBase() any { return t.l }
+
+// LogTxnBatch implements masm.RedoLogger: the entire write set (the batch
+// already names every table it touches) goes down as one CRC-framed
+// record, so it replays all-or-nothing. Like per-record updates it is
+// group-committed; Sync (or a filled batch) makes it durable.
+func (t *tableLogger) LogTxnBatch(at sim.Time, parts []masm.TxnPart) (sim.Time, error) {
 	payload := encodeTxnBatch(parts)
 	if len(payload) > maxPayload {
 		return at, fmt.Errorf("wal: transaction batch of %d bytes exceeds the %d-byte record bound", len(payload), maxPayload)
 	}
-	return l.append(at, KindTxnBatch, payload)
+	return t.l.append(at, KindTxnBatch, payload)
+}
+
+func (t *tableLogger) LogUpdate(at sim.Time, rec update.Record) (sim.Time, error) {
+	kind, payload := tagged(t.table, KindUpdate, update.AppendEncode(nil, &rec))
+	return t.l.append(at, kind, payload)
+}
+
+// LogFlush implements masm.RedoLogger. With hooks installed, the run data
+// is synced first and the record is forced: once a flush record is
+// durable, recovery drops the covered updates from the replayed buffer, so
+// the record must never be readable while the run it points at is not.
+func (t *tableLogger) LogFlush(at sim.Time, run masm.RunMeta) (sim.Time, error) {
+	kind, payload := tagged(t.table, KindFlush, encodeRunMeta(nil, run))
+	return t.l.logRunRecord(at, kind, payload)
+}
+
+// LogMerge implements masm.RedoLogger. The same ordering as LogFlush
+// applies; additionally the consumed runs' extents may be reused by later
+// flushes, so the record must be durable before that reuse can be.
+func (t *tableLogger) LogMerge(at sim.Time, run masm.RunMeta, consumed []int64) (sim.Time, error) {
+	kind, payload := tagged(t.table, KindMerge, encodeIDs(encodeRunMeta(nil, run), consumed))
+	return t.l.logRunRecord(at, kind, payload)
+}
+
+// LogMigrationBegin implements masm.RedoLogger. Migration boundaries are
+// forced to disk: recovery must know about a migration that may have
+// dirtied data pages.
+func (t *tableLogger) LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64) (sim.Time, error) {
+	kind, payload := tagged(t.table, KindMigrationBegin, encodeIDs(binary.LittleEndian.AppendUint64(nil, uint64(migTS)), runIDs))
+	return t.l.logForced(at, kind, payload, false)
+}
+
+// LogMigrationPortion implements masm.RedoLogger. With hooks installed,
+// the migrated table (data pages and manifest) is checkpointed first — a
+// durable closing record asserts the migration's effects are durable too —
+// and the record is forced, because the consumed runs' extents may be
+// reused by later flushes.
+func (t *tableLogger) LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (sim.Time, error) {
+	kind, payload := tagged(t.table, KindMigrationPortion, encodeIDs(binary.LittleEndian.AppendUint64(nil, uint64(migTS)), consumed))
+	return t.l.logForced(at, kind, payload, true)
 }
 
 func encodeTxnBatch(parts []masm.TxnPart) []byte {
@@ -1069,96 +1034,4 @@ func decodeTxnBatch(p []byte) ([]masm.TxnPart, error) {
 		return nil, fmt.Errorf("wal: %d trailing bytes after txn batch", len(p))
 	}
 	return parts, nil
-}
-
-// tableLogger is a Log view that tags every record with one table's id.
-// It mirrors the Log's own RedoLogger implementation method for method —
-// including the hook ordering around flush/merge records and the forced
-// migration boundaries — with the tagged kinds and prefixed payloads.
-type tableLogger struct {
-	l     *Log
-	table uint32
-}
-
-var (
-	_ masm.RedoLogger     = (*tableLogger)(nil)
-	_ masm.TxnBatchLogger = (*tableLogger)(nil)
-)
-
-// BatchBase implements masm.TxnBatchLogger: wrappers share their parent's
-// physical log.
-func (t *tableLogger) BatchBase() any { return t.l }
-
-// LogTxnBatch delegates to the shared log (the batch already names every
-// table it touches).
-func (t *tableLogger) LogTxnBatch(at sim.Time, parts []masm.TxnPart) (sim.Time, error) {
-	return t.l.LogTxnBatch(at, parts)
-}
-
-func (t *tableLogger) LogUpdate(at sim.Time, rec update.Record) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindUpdate, update.AppendEncode(nil, &rec))
-	return t.l.append(at, kind, payload)
-}
-
-func (t *tableLogger) LogFlush(at sim.Time, run masm.RunMeta) (sim.Time, error) {
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	kind, payload := tagged(t.table, KindFlush, encodeRunMeta(nil, run))
-	return t.l.logRunRecordLocked(at, kind, payload)
-}
-
-func (t *tableLogger) LogMerge(at sim.Time, run masm.RunMeta, consumed []int64) (sim.Time, error) {
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	kind, payload := tagged(t.table, KindMerge, encodeIDs(encodeRunMeta(nil, run), consumed))
-	return t.l.logRunRecordLocked(at, kind, payload)
-}
-
-func (t *tableLogger) LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	kind, payload := tagged(t.table, KindMigrationBegin, encodeIDs(b[:], runIDs))
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	now, err := t.l.appendLocked(at, kind, payload)
-	if err != nil {
-		return at, err
-	}
-	return t.l.syncLocked(now)
-}
-
-func (t *tableLogger) LogMigrationEnd(at sim.Time, migTS int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	kind, payload := tagged(t.table, KindMigrationEnd, b[:])
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	if t.l.hooks.Checkpoint != nil {
-		if err := t.l.hooks.Checkpoint(); err != nil {
-			return at, fmt.Errorf("wal: checkpoint before migration end: %w", err)
-		}
-	}
-	now, err := t.l.appendLocked(at, kind, payload)
-	if err != nil {
-		return at, err
-	}
-	return t.l.syncLocked(now)
-}
-
-func (t *tableLogger) LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (sim.Time, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(migTS))
-	kind, payload := tagged(t.table, KindMigrationPortion, encodeIDs(b[:], consumed))
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	if t.l.hooks.Checkpoint != nil {
-		if err := t.l.hooks.Checkpoint(); err != nil {
-			return at, fmt.Errorf("wal: checkpoint before migration portion: %w", err)
-		}
-	}
-	now, err := t.l.appendLocked(at, kind, payload)
-	if err != nil {
-		return at, err
-	}
-	return t.l.syncLocked(now)
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -74,7 +75,7 @@ func newRig(t *testing.T, nRows int) *rig {
 	r := &rig{t: t, tbl: tbl, ssdVol: ssdVol, logVol: logVol,
 		oracle: &masm.Oracle{}, model: model}
 	r.log = Open(logVol)
-	r.store, err = masm.NewStore(smallCfg(), tbl, ssdVol, r.oracle, r.log)
+	r.store, err = masm.NewStore(smallCfg(), tbl, ssdVol, r.oracle, r.log.ForTable(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func (r *rig) verify() {
 func TestLogRoundTrip(t *testing.T) {
 	hdd := sim.NewDevice(sim.Barracuda7200())
 	vol, _ := storage.NewVolume(hdd, 0, 16<<20)
-	l := Open(vol)
+	l := Open(vol).ForTable(0)
 	now, err := l.LogUpdate(0, update.Record{TS: 5, Key: 9, Op: update.Insert, Payload: []byte("hi")})
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +213,11 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err = l.LogMigrationEnd(now, 7)
+	now, err = l.LogMigrationPortion(now, 7, []int64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := ReadAll(vol, now)
+	entries, _, err := readAll(vol, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +236,68 @@ func TestLogRoundTrip(t *testing.T) {
 	if entries[3].Kind != KindMigrationBegin || entries[3].MigTS != 7 || len(entries[3].RunIDs) != 1 {
 		t.Fatalf("entry 3: %+v", entries[3])
 	}
-	if entries[4].Kind != KindMigrationEnd || entries[4].MigTS != 7 {
+	if entries[4].Kind != KindMigrationPortion || entries[4].MigTS != 7 || len(entries[4].Consumed) != 1 {
 		t.Fatalf("entry 4: %+v", entries[4])
+	}
+}
+
+// legacyMigrationEnd hand-builds the frame earlier builds closed a
+// whole-table migration with: KindMigrationEnd [migTS u64] for table 0,
+// KindTableMigrationEnd [table u32][migTS u64] for any other.
+func legacyMigrationEnd(table uint32, migTS int64) (Kind, []byte) {
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(migTS))
+	if table == 0 {
+		return KindMigrationEnd, payload
+	}
+	return KindTableMigrationEnd, append(binary.LittleEndian.AppendUint32(nil, table), payload...)
+}
+
+// TestReplayLegacyMigrationEnd: no writer produces KindMigrationEnd any
+// more (a migration's one closing record is KindMigrationPortion), but
+// directories written by earlier builds hold it, so a hand-built frame —
+// untagged for table 0, tagged for table 5 — must still replay as "the
+// whole begin set is consumed and nothing needs redoing".
+func TestReplayLegacyMigrationEnd(t *testing.T) {
+	hdd := sim.NewDevice(sim.Barracuda7200())
+	vol, _ := storage.NewVolume(hdd, 0, 16<<20)
+	l := Open(vol)
+	now := sim.Time(0)
+	var err error
+	for _, table := range []uint32{0, 5} {
+		tl := l.ForTable(table)
+		for id := int64(1); id <= 3; id++ {
+			if now, err = tl.LogFlush(now, masm.RunMeta{RunID: id, Off: id * 4096, Size: 100, MaxTS: id, Passes: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now, err = tl.LogMigrationBegin(now, 9, []int64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		kind, payload := legacyMigrationEnd(table, 9)
+		if now, err = l.append(now, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A later migration that never closed still asks for its redo.
+	if now, err = l.ForTable(5).LogMigrationBegin(now, 12, []int64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = l.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplayer()
+	if _, err := ReadStream(vol, now, func(e Entry) error { rp.Observe(e); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	states := rp.States()
+	for table, wantRedo := range map[uint32]int{0: 0, 5: 1} {
+		st := states[table]
+		if st == nil || len(st.Runs) != 1 || st.Runs[0].RunID != 3 {
+			t.Fatalf("table %d: live runs %+v, want only run 3 (1 and 2 were consumed by the end record)", table, st)
+		}
+		if len(st.RedoMigration) != wantRedo || st.MaxTS < 9 {
+			t.Fatalf("table %d: redo %v, maxTS %d", table, st.RedoMigration, st.MaxTS)
+		}
 	}
 }
 
@@ -244,13 +305,13 @@ func TestUnsyncedTailIsLost(t *testing.T) {
 	hdd := sim.NewDevice(sim.Barracuda7200())
 	vol, _ := storage.NewVolume(hdd, 0, 16<<20)
 	l := Open(vol)
-	now, _ := l.LogUpdate(0, update.Record{TS: 1, Key: 1, Op: update.Delete})
+	now, _ := l.ForTable(0).LogUpdate(0, update.Record{TS: 1, Key: 1, Op: update.Delete})
 	now, _ = l.Sync(now)
-	if _, err := l.LogUpdate(now, update.Record{TS: 2, Key: 2, Op: update.Delete}); err != nil {
+	if _, err := l.ForTable(0).LogUpdate(now, update.Record{TS: 2, Key: 2, Op: update.Delete}); err != nil {
 		t.Fatal(err)
 	}
 	// No sync: crash now.
-	entries, _, err := ReadAll(vol, now)
+	entries, _, err := readAll(vol, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +435,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	// The log now contains begin+end; emulate the torn case by replaying
 	// only up to the begin record: recovery with a truncated entry list.
 	// (Directly exercising masm.Restore's redo path.)
-	entries, _, err := ReadAll(r.logVol, r.now)
+	entries, _, err := readAll(r.logVol, r.now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func (ds *dirState) removeTable(t *Table) error {
 }
 
 // checkpointManifest rewrites the manifest from the current catalog — the
-// WAL migration-end hook's entry point. It takes only manifestMu, never
+// WAL migration-close hook's entry point. It takes only manifestMu, never
 // the engine lock (see the field comment on catalog).
 func (ds *dirState) checkpointManifest() error {
 	ds.manifestMu.Lock()

@@ -146,14 +146,13 @@ func (c *clock) advance(t sim.Time) {
 	}
 }
 
-// DB is an open MaSM-backed warehouse table: a thin wrapper over a
-// one-table Engine (the table is named DefaultTableName). All methods are
-// safe for concurrent use; see the package comment for the isolation
-// semantics.
-type DB struct {
-	eng *Engine
-	t   *Table
-}
+// DB is an open MaSM-backed warehouse table: the one table (named
+// DefaultTableName) of a one-table Engine, whose reads, updates and
+// migrations it inherits from *Table, plus the engine-level operations of
+// that engine. All methods are safe for concurrent use; see the package
+// comment for the isolation semantics. Transactions begin on the engine:
+// db.Engine().BeginTx.
+type DB struct{ *Table }
 
 // ErrClosed reports use of a closed DB or Engine.
 var ErrClosed = errors.New("masm: database closed")
@@ -185,7 +184,7 @@ func Open(cfg Config, keys []uint64, bodies [][]byte) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng, t: t}, nil
+	return &DB{t}, nil
 }
 
 // Engine returns the catalog engine beneath this DB; CreateTable on it
@@ -248,86 +247,8 @@ func roundTo(n, unit int64) int64 {
 	return n / unit * unit
 }
 
-// Insert caches an insertion of (key, body): a well-formed update, applied
-// to queries immediately and to the main data at the next migration.
-func (db *DB) Insert(key uint64, body []byte) error { return db.t.Insert(key, body) }
-
-// Delete caches a deletion of key.
-func (db *DB) Delete(key uint64) error { return db.t.Delete(key) }
-
-// Modify caches an in-record field modification: len(val) bytes at byte
-// offset off of the record body.
-func (db *DB) Modify(key uint64, off int, val []byte) error { return db.t.Modify(key, off, val) }
-
-// Snapshot pins a consistent logical view of the database: every scan
-// opened from it sees exactly the updates applied before the snapshot was
-// taken, regardless of concurrent writers. Close must be called when done;
-// an open snapshot blocks migration.
-func (db *DB) Snapshot() (*Snapshot, error) { return db.t.Snapshot() }
-
-// Scan calls fn for every live record with key in [begin, end], in key
-// order, reflecting every update committed before the scan started. fn
-// returning false stops the scan early. The scanned bytes come from large
-// sequential disk reads merged with the SSD-cached updates — the paper's
-// replacement for Table_range_scan. Scan holds no lock while iterating:
-// concurrent Insert/Delete/Modify proceed unblocked and are invisible to
-// this scan (snapshot isolation).
-func (db *DB) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
-	return db.t.Scan(begin, end, fn)
-}
-
-// Get returns the freshest version of one record, or ok=false if it does
-// not exist.
-func (db *DB) Get(key uint64) ([]byte, bool, error) { return db.t.Get(key) }
-
-// Sync forces the redo log to stable storage. Updates are group-committed
-// (batched) by default; an update is guaranteed to survive Crash only
-// after a Sync (or after enough later traffic flushed its batch).
+// Sync forces the redo log to stable storage; see Engine.Sync.
 func (db *DB) Sync() error { return db.eng.Sync() }
-
-// Flush forces the in-memory update buffer into a materialized sorted run
-// on the SSD.
-func (db *DB) Flush() error { return db.t.Flush() }
-
-// Migrate folds every cached update back into the main data, in place,
-// and deletes the materialized runs. It runs concurrently with incoming
-// updates, but waits for scans and snapshots older than its timestamp
-// (returning an error while they are open, like the engine's
-// BeginMigration).
-func (db *DB) Migrate() error { return db.t.Migrate() }
-
-// ScanAndMigrate migrates every cached update into the main data while
-// streaming the fresh, post-migration rows to fn in key order — the
-// paper's coordinated-scan optimization (§3.5): a full-table query served
-// by the migration's own scan, so the table is read once instead of
-// twice. fn returning false stops the stream; the migration still
-// completes.
-func (db *DB) ScanAndMigrate(fn func(key uint64, body []byte) bool) error {
-	return db.t.ScanAndMigrate(fn)
-}
-
-// MigrateStep performs one step of incremental migration, folding the
-// cached updates for the next span of portionPages table pages back into
-// the main data (paper §3.5: distribute the migration cost across many
-// small operations). It reports whether this step completed a full sweep
-// of the table, after which fully-applied runs are deleted.
-func (db *DB) MigrateStep(portionPages int) (sweepDone bool, err error) {
-	return db.t.MigrateStep(portionPages)
-}
-
-// MigrateIfNeeded migrates when cache occupancy exceeds the configured
-// threshold; it reports whether a migration ran. It is a no-op (false,
-// nil) while open scans or an in-flight migration block it.
-func (db *DB) MigrateIfNeeded() (bool, error) { return db.t.MigrateIfNeeded() }
-
-// Begin starts a transaction. TxSnapshot gives snapshot isolation with
-// first-committer-wins; TxLocking gives two-phase locking. The
-// transaction pins its begin-time snapshot in the engine, so it must end
-// in Commit or Abort — and, like any reader, an open transaction makes
-// migration wait (the paper's rule, §3.2): under continuously overlapping
-// transactions, leave gaps or bound transaction lifetimes so migration
-// can run.
-func (db *DB) Begin(mode TxMode) (*Tx, error) { return db.t.Begin(mode) }
 
 // Elapsed returns the simulated time consumed by all operations so far.
 // With concurrent callers it reports the furthest point any operation has
@@ -338,7 +259,7 @@ func (db *DB) Elapsed() sim.Duration { return db.eng.Elapsed() }
 // live in the engine's metric registry (see Metrics); Stats is a derived
 // view kept for API stability.
 func (db *DB) Stats() Stats {
-	st := db.t.Stats()
+	st := db.Table.Stats()
 	ssd := db.eng.ssd.Stats()
 	hdd := db.eng.hdd.Stats()
 	st.SSDBytesWritten = ssd.BytesWritten
@@ -393,5 +314,5 @@ func (db *DB) Crash() (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: e2, t: t}, nil
+	return &DB{t}, nil
 }

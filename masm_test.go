@@ -221,15 +221,15 @@ func TestClosedDB(t *testing.T) {
 func TestTransactionsEndToEnd(t *testing.T) {
 	db := loadDB(t, 500, smallCfg())
 	defer db.Close()
-	tx, err := db.Begin(TxSnapshot)
+	tx, err := db.Engine().BeginTx(TxSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert(7, []byte("seven")); err != nil {
+	if err := tx.Insert(DefaultTableName, 7, []byte("seven")); err != nil {
 		t.Fatal(err)
 	}
 	seen := false
-	if err := tx.Scan(0, 10, func(key uint64, body []byte) bool {
+	if err := tx.Scan(DefaultTableName, 0, 10, func(key uint64, body []byte) bool {
 		if key == 7 {
 			seen = true
 		}
@@ -250,18 +250,45 @@ func TestTransactionsEndToEnd(t *testing.T) {
 		t.Fatal("committed insert invisible")
 	}
 	// Write-write conflict.
-	a, errA := db.Begin(TxSnapshot)
-	b, errB := db.Begin(TxSnapshot)
+	a, errA := db.Engine().BeginTx(TxSnapshot)
+	b, errB := db.Engine().BeginTx(TxSnapshot)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
-	a.Modify(8, 0, []byte("A"))
-	b.Modify(8, 0, []byte("B"))
+	a.Modify(DefaultTableName, 8, 0, []byte("A"))
+	b.Modify(DefaultTableName, 8, 0, []byte("B"))
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Commit(); !errors.Is(err, txn.ErrWriteConflict) {
 		t.Fatalf("second committer: %v", err)
+	}
+}
+
+// TestModifyOffsetRange: every Modify entry point shares one record
+// builder, which refuses an offset the wire format's u16 cannot hold
+// instead of truncating it (the one-table Tx.Modify used to).
+func TestModifyOffsetRange(t *testing.T) {
+	db := loadDB(t, 10, smallCfg())
+	defer db.Close()
+	tx, err := db.Engine().BeginTx(TxSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	entry := map[string]func(off int) error{
+		"Table.Modify":    func(off int) error { return db.Modify(2, off, []byte("x")) },
+		"EngineTx.Modify": func(off int) error { return tx.Modify(DefaultTableName, 2, off, []byte("x")) },
+	}
+	for name, modify := range entry {
+		for _, tc := range []struct {
+			off int
+			ok  bool
+		}{{-1, false}, {0, true}, {65535, true}, {65536, false}} {
+			if err := modify(tc.off); (err == nil) != tc.ok {
+				t.Errorf("%s(off=%d): err = %v, want accepted=%v", name, tc.off, err, tc.ok)
+			}
+		}
 	}
 }
 

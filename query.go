@@ -124,8 +124,3 @@ func buildPipeline(q *core.Query, spec *QuerySpec) query.Iterator {
 	}
 	return it
 }
-
-// Query is Table.Query on the default table; see QuerySpec.
-func (db *DB) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) error {
-	return db.t.Query(spec, fn)
-}

@@ -159,12 +159,11 @@ func TestQueryFacadeEdges(t *testing.T) {
 		t.Fatalf("early stop delivered %d rows, want 5", n)
 	}
 
-	// DB.Query and Table.Query agree (DB.Query delegates to the default
-	// table).
+	// DB.Query is the embedded default table's Query.
 	spec := QuerySpec{Begin: 0, End: 300, KeyRanges: []KeyRange{{Lo: 50, Hi: 120}}}
 	viaDB := runQuerySpec(t, db, spec)
 	var viaTable []kvRow
-	if err := db.t.Query(spec, func(key uint64, body []byte) bool {
+	if err := db.Table.Query(spec, func(key uint64, body []byte) bool {
 		viaTable = append(viaTable, kvRow{key, append([]byte(nil), body...)})
 		return true
 	}); err != nil {

@@ -59,7 +59,7 @@ func TestMigrationSchedulerErrClears(t *testing.T) {
 	defer db.Close()
 
 	boom := errors.New("injected: redo device full")
-	db.t.store.FailMigrations(boom)
+	db.store.FailMigrations(boom)
 	ms, err := db.StartMigrationScheduler(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestMigrationSchedulerErrClears(t *testing.T) {
 	}
 
 	// The fault heals; the next clean sweep must both migrate and clear Err.
-	db.t.store.FailMigrations(nil)
+	db.store.FailMigrations(nil)
 	ms.Kick()
 	waitFor(t, "background migration after recovery", func() bool { return ms.Migrations() >= 1 })
 	waitFor(t, "Err to clear after a clean sweep", func() bool { return ms.Err() == nil })
@@ -171,8 +171,8 @@ func TestMigrationSchedulerStartStop(t *testing.T) {
 	if _, err := db.StartMigrationScheduler(0); err != ErrClosed {
 		t.Fatalf("Start on closed DB: err = %v, want ErrClosed", err)
 	}
-	if _, err := db.Begin(TxSnapshot); err != ErrClosed {
-		t.Fatalf("Begin on closed DB: err = %v, want ErrClosed", err)
+	if _, err := db.Engine().BeginTx(TxSnapshot); err != ErrClosed {
+		t.Fatalf("BeginTx on closed DB: err = %v, want ErrClosed", err)
 	}
 }
 
