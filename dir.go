@@ -15,12 +15,18 @@ package masm
 //	cache.runs  the shared SSD update cache: WAL-described materialized
 //	            runs from all tables, partitioned by the byte-budget
 //	            allocator
-//	wal.log     the shared redo log (CRC-framed, torn-tail tolerant;
-//	            format v3 records carry the owning table's id)
+//	wal.log     the shared redo log (format 5: CRC-framed, torn-tail
+//	            tolerant, one record kind per job, every per-table
+//	            record opening with the owning table's id)
 //	MANIFEST    checksummed catalog: per-table geometry and page
 //	            references, written atomically (tmp + rename) at creation,
 //	            at CreateTable/DropTable, and at every migration
 //	            checkpoint (manifest.go)
+//
+// Each file has one format. A directory written by an earlier build — a
+// version-1 MANIFEST, a wal.log whose header names format 2, 3 or 4, or a
+// log naming a format-1 run — is refused with an error naming the version
+// found and the version supported, and is left byte-for-byte as it was.
 //
 // Durability contract: an update survives a crash once Sync (or a
 // transaction Commit followed by Sync, or enough later traffic to force
@@ -93,10 +99,6 @@ type EngineDirOptions struct {
 	// registry's atomic snapshots and never touches engine locks or the
 	// simulated timeline. The listener closes with the engine.
 	MetricsAddr string
-	// IOWorkers bounds each batch of concurrent data-plane operations
-	// (migration shadow-batch writes). Zero selects the default
-	// (storage.DefaultIOWorkers).
-	IOWorkers int
 	// DirectIO opens the directory's files with O_DIRECT where the
 	// filesystem supports it: aligned requests bypass the page cache,
 	// unaligned ones silently take the buffered descriptor. Purely a
@@ -379,7 +381,7 @@ func newDirEngine(ds *dirState, logs int64) (*Engine, error) {
 	}
 	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
 	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
-	e.iopool = storage.NewIOPool(ds.opts.IOWorkers)
+	e.iopool = storage.NewIOPool(storage.DefaultIOWorkers)
 	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
 	var err error
 	if ds.dataRoot, err = storage.NewVolumeOn(e.hdd, 0, ds.data); err != nil {

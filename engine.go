@@ -10,8 +10,7 @@ package masm
 //   - one SSD update-cache volume, partitioned by a byte-budget run
 //     allocator (a table may be capped below the full cache, and the sum
 //     of caps may oversubscribe it: idle tenants lend space to busy ones);
-//   - one redo log whose records carry the owning table's id (table 0's
-//     are untagged);
+//   - one redo log whose records carry the owning table's id;
 //   - one timestamp oracle, so commits across tables share a timeline and
 //     transactions publish atomically whatever tables they span;
 //   - one migration scheduler arbitrating across tables by cache-fill
@@ -285,7 +284,7 @@ func (e *Engine) CreateTable(name string, opts TableOptions) (*Table, error) {
 		logger = e.log.ForTable(id)
 	}
 	alloc := e.shared.Partition(id, budget*2)
-	ccfg := e.coreConfigFor()
+	ccfg := coreConfig(e.cfg)
 	ccfg.SSDCapacity = roundTo(budget, 4<<10)
 	if t.store, err = core.NewStoreShared(ccfg, t.tbl, e.ssdVol, e.oracle, logger, alloc, id, e.storeMetricsFor(name)); err != nil {
 		e.shared.Drop(id)

@@ -17,8 +17,10 @@ import (
 	"strings"
 	"testing"
 
+	"masm/internal/runfile"
 	"masm/internal/table"
 	"masm/internal/txn"
+	"masm/internal/wal"
 )
 
 // loadTable creates a table with n bulk-loaded rows (even keys 2..2n).
@@ -557,30 +559,16 @@ func TestV1DirectoryRefused(t *testing.T) {
 		PageSize: m.PageSize, ScanIO: m.ScanIO, FillFraction: m.FillFraction,
 		Rows: tm.Rows, Refs: tm.Refs,
 	})
-	before := hashDirFiles(t, dir)
-	for _, open := range []func() error{
-		func() error { _, err := OpenDir(dir, DirOptions{}); return err },
-		func() error { _, err := OpenEngineDir(dir, EngineDirOptions{}); return err },
-	} {
-		err := open()
-		if err == nil || !strings.Contains(err.Error(), "manifest version 1 unsupported") {
-			t.Fatalf("open of a version-1 directory: %v, want the manifest version error", err)
-		}
-	}
-	after := hashDirFiles(t, dir)
-	if len(after) != len(before) {
-		t.Fatalf("refused open changed the file set: %v -> %v", before, after)
-	}
-	for name, sum := range before {
-		if after[name] != sum {
-			t.Fatalf("refused open modified %s", name)
-		}
-	}
+	assertOpenRefused(t, dir, "manifest version 1 unsupported")
 }
 
-// hashDirFiles returns a SHA-256 per file of a flat directory.
+// hashDirFiles returns a SHA-256 per file of a flat directory, over the
+// file's size and its data extents: the files are a few hundred sparse
+// megabytes, each refusal test hashes them twice, and reading the holes is
+// most of the cost.
 func hashDirFiles(t *testing.T, dir string) map[string][sha256.Size]byte {
 	t.Helper()
+	const seekData, seekHole = 3, 4 // lseek(2) whence values, Linux
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -591,9 +579,26 @@ func hashDirFiles(t *testing.T, dir string) map[string][sha256.Size]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
+		st, err := f.Stat()
+		if err != nil {
 			t.Fatal(err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "size %d\n", st.Size())
+		for off := int64(0); off < st.Size(); {
+			data, err := f.Seek(off, seekData)
+			if err != nil {
+				break // ENXIO: a hole to the end of the file
+			}
+			hole, err := f.Seek(data, seekHole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "extent %d\n", data)
+			if _, err := io.Copy(h, io.NewSectionReader(f, data, hole-data)); err != nil {
+				t.Fatal(err)
+			}
+			off = hole
 		}
 		f.Close()
 		var sum [sha256.Size]byte
@@ -603,74 +608,116 @@ func hashDirFiles(t *testing.T, dir string) map[string][sha256.Size]byte {
 	return sums
 }
 
-// TestOlderWALHeaderReopensAndGrows pins two reopen behaviours on one
-// directory. A version-2 WAL header (the single-table log: its untagged
-// frames are byte-identical to table 0's today) replays to the same rows
-// as an untouched twin; and a directory reopened with a larger DataBytes
-// is a catalog new tables can join.
-func TestOlderWALHeaderReopensAndGrows(t *testing.T) {
-	legacy := t.TempDir()
-	twin := t.TempDir()
-	buildSingleTableDir(t, legacy)
-	buildSingleTableDir(t, twin)
-	walPath := filepath.Join(legacy, walFileName)
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 16 {
-		t.Fatalf("wal too short: %d", len(raw))
-	}
-	patchWALHeaderVersion(raw, 2)
-	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	dbLegacy, err := OpenDir(legacy, DirOptions{})
-	if err != nil {
-		t.Fatalf("open with a version-2 WAL header: %v", err)
-	}
-	defer dbLegacy.Close()
-	dbTwin, err := OpenDir(twin, DirOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dbTwin.Close()
-
-	var gotKeys, wantKeys []uint64
-	var gotBodies, wantBodies []string
-	if err := dbLegacy.Scan(0, ^uint64(0), func(k uint64, b []byte) bool {
-		gotKeys = append(gotKeys, k)
-		gotBodies = append(gotBodies, string(b))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbTwin.Scan(0, ^uint64(0), func(k uint64, b []byte) bool {
-		wantKeys = append(wantKeys, k)
-		wantBodies = append(wantBodies, string(b))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("patched dir scans %d rows, twin %d", len(gotKeys), len(wantKeys))
-	}
-	for i := range gotKeys {
-		if gotKeys[i] != wantKeys[i] || gotBodies[i] != wantBodies[i] {
-			t.Fatalf("row %d: (%d,%q) != (%d,%q)", i, gotKeys[i], gotBodies[i], wantKeys[i], wantBodies[i])
+// assertOpenRefused opens dir both ways, wants every attempt to fail with an
+// error containing each of wants, and wants the directory's files — names
+// and bytes — exactly as they were.
+func assertOpenRefused(t *testing.T, dir string, wants ...string) {
+	t.Helper()
+	before := hashDirFiles(t, dir)
+	for _, open := range []func() error{
+		func() error { _, err := OpenDir(dir, DirOptions{}); return err },
+		func() error { _, err := OpenEngineDir(dir, EngineDirOptions{}); return err },
+	} {
+		err := open()
+		if err == nil {
+			t.Fatalf("open succeeded, want an error naming %q", wants)
+		}
+		for _, want := range wants {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("open: %v, want an error naming %q", err, want)
+			}
 		}
 	}
-	// Reopened with grown data capacity (OpenDir sizes main.data exactly
-	// for its one table), new tables can join the catalog.
-	if err := dbLegacy.Close(); err != nil {
-		t.Fatal(err)
+	after := hashDirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the file set: %d files -> %d", len(before), len(after))
 	}
-	m, err := readManifest(legacy)
+	for name, sum := range before {
+		if after[name] != sum {
+			t.Fatalf("refused open modified %s", name)
+		}
+	}
+}
+
+// TestOlderWALRefused patches a directory's wal.log header to the format
+// versions earlier builds wrote: the open must fail naming the version
+// found and the one supported, before recovery leaves anything behind — no
+// wal.log.new, every file byte-for-byte as it was.
+func TestOlderWALRefused(t *testing.T) {
+	for _, version := range []uint32{2, 3, 4} {
+		dir := t.TempDir()
+		buildSingleTableDir(t, dir)
+		patchFileHead(t, filepath.Join(dir, walFileName), 16, func(raw []byte) {
+			patchWALHeaderVersion(raw, version)
+		})
+		assertOpenRefused(t, dir,
+			fmt.Sprintf("log format version %d unsupported", version),
+			fmt.Sprintf("this build reads %d", wal.FormatVersion))
+	}
+}
+
+// TestFormat1RunRefused rewrites the flush record of a directory's one run
+// to name run format 1 (frame checksum fixed up): the open must fail naming
+// both run format versions and leave the directory as it was.
+func TestFormat1RunRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, DirOptions{Config: smallCfg(), Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("a"), []byte("b")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := OpenEngineDir(legacy, EngineDirOptions{DataBytes: m.DataBytes + (128 << 20)})
+	if err := db.Insert(3, []byte("cached")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Frames follow the 16-byte header: [kind u8][len u32][crc u32][payload],
+	// crc over kind, len and payload. A flush payload is the table id, then
+	// the run descriptor with its format at byte 33.
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	patched := false
+	patchFileHead(t, filepath.Join(dir, walFileName), 64<<10, func(raw []byte) {
+		for off := 16; off+9 <= len(raw) && raw[off] != 0; {
+			plen := int(binary.LittleEndian.Uint32(raw[off+1:]))
+			payload := raw[off+9 : off+9+plen]
+			if wal.Kind(raw[off]) == wal.KindFlush {
+				binary.LittleEndian.PutUint16(payload[4+33:], 1)
+				crc := crc32.Update(crc32.Checksum(raw[off:off+5], castagnoli), castagnoli, payload)
+				binary.LittleEndian.PutUint32(raw[off+5:], crc)
+				patched = true
+			}
+			off += 9 + plen
+		}
+	})
+	if !patched {
+		t.Fatal("no flush record in the closed directory's log")
+	}
+	assertOpenRefused(t, dir, "run format version 1 unsupported",
+		fmt.Sprintf("this build reads %d", runfile.FormatVersion))
+}
+
+// TestReopenGrowsDataBytes: a directory reopened with a larger DataBytes
+// is a catalog new tables can join (OpenDir sizes main.data exactly for
+// its one table).
+func TestReopenGrowsDataBytes(t *testing.T) {
+	dir := t.TempDir()
+	buildSingleTableDir(t, dir)
+	db, err := OpenDir(dir, DirOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(scanAll(t, db.Table))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := OpenEngineDir(dir, EngineDirOptions{DataBytes: m.DataBytes + (128 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,8 +735,8 @@ func TestOlderWALHeaderReopensAndGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := scanAll(t, def); len(got) != len(wantKeys) {
-		t.Fatalf("default table after growth: %d rows, want %d", len(got), len(wantKeys))
+	if got := scanAll(t, def); len(got) != want {
+		t.Fatalf("default table after growth: %d rows, want %d", len(got), want)
 	}
 }
 
@@ -707,6 +754,25 @@ func writeRawManifest(t *testing.T, dir string, version uint32, body any) {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(js, manifestCRCTable))
 	buf = append(buf, js...)
 	if err := os.WriteFile(filepath.Join(dir, manifestName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// patchFileHead applies edit to the first n bytes of a file, in place (the
+// files are sparse: a whole-file rewrite would fill their holes).
+func patchFileHead(t *testing.T, path string, n int, edit func(raw []byte)) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		t.Fatal(err)
+	}
+	edit(raw)
+	if _, err := f.WriteAt(raw, 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -37,11 +37,12 @@ type Config struct {
 	// MigrateThreshold is the cache fill fraction above which ShouldMigrate
 	// reports true (paper: e.g. 90 %).
 	MigrateThreshold float64
-	// MigrateBatch is the number of bytes of table pages migrated per
-	// read-modify-write round trip; larger batches amortize the seek
-	// between the read and write positions.
-	MigrateBatch int
 }
+
+// migrateBatch is the number of bytes of table pages migrated per
+// read-modify-write round trip; larger batches amortize the seek between
+// the read and write positions.
+const migrateBatch = 4 << 20
 
 // DefaultConfig returns a MaSM-M configuration for an update cache of the
 // given size, mirroring the paper's defaults (64 KB SSD I/O, fine-grain
@@ -55,7 +56,6 @@ func DefaultConfig(ssdCapacity int64) Config {
 		Run:              rc,
 		ScanGranularity:  rc.IndexGranularity,
 		MigrateThreshold: 0.9,
-		MigrateBatch:     4 << 20,
 	}
 }
 
@@ -80,9 +80,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MigrateThreshold <= 0 || c.MigrateThreshold > 1 {
 		return fmt.Errorf("masm: migrate threshold %v outside (0,1]", c.MigrateThreshold)
-	}
-	if c.MigrateBatch <= 0 {
-		return fmt.Errorf("masm: non-positive migrate batch")
 	}
 	return nil
 }

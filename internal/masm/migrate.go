@@ -190,7 +190,7 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 	var res table.ApplyResult
 	merger, err := extsort.NewMerger(iters...)
 	if err == nil {
-		end, res, err = s.tbl.ApplyStreamEmit(m.at, m.migTS, merger, s.cfg.MigrateBatch, m.begin, m.end, fn)
+		end, res, err = s.tbl.ApplyStreamEmit(m.at, m.migTS, merger, migrateBatch, m.begin, m.end, fn)
 	}
 	if err != nil {
 		s.abortMigration(m.runs)

@@ -12,7 +12,7 @@ import (
 )
 
 // PrebuiltRun is one surviving run already reconstructed on the data plane
-// (runfile.RebuildOffline): the rebuilt metadata, the read spans its scan
+// (runfile.LoadIndexOffline): the rebuilt metadata, the read spans its scan
 // issued, and the scan's error if it failed. Recovery produces these
 // concurrently — no simulated time is involved in the scan — and hands
 // them to Restore, which replays the recorded spans on the simulated
@@ -68,9 +68,9 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RunID < sorted[j].RunID })
 	var maxTS int64
 	for _, rm := range sorted {
-		if rm.Format > runfile.MaxFormat {
-			return nil, at, fmt.Errorf("masm: restore run %d: on-disk format %d newer than this build's %d",
-				rm.RunID, rm.Format, runfile.MaxFormat)
+		if rm.Format != runfile.FormatVersion {
+			return nil, at, fmt.Errorf("masm: restore run %d: run format version %d unsupported (this build reads %d)",
+				rm.RunID, rm.Format, runfile.FormatVersion)
 		}
 		var run *runfile.Run
 		if pb, ok := prebuilt[rm.RunID]; ok {
@@ -82,11 +82,10 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, cerr)
 			}
 			run, at = pb.Run, end
-		} else if rm.Format >= runfile.FormatZoneMaps && rm.IndexSize > 0 {
-			// Zone-mapped open: the persisted block reconstructs the index
-			// and metadata without decoding records; the data bytes are
-			// swept for their checksum only (same charged spans as Rebuild,
-			// so corruption still fails recovery).
+		} else {
+			// The persisted block reconstructs the index and metadata
+			// without decoding records; the data bytes are swept for their
+			// checksum, so corruption still fails recovery.
 			var end sim.Time
 			run, end, err = runfile.LoadIndex(ssd, rm.Off, rm.Size, rm.IndexSize,
 				at, rm.RunID, rm.Passes, rm.CRC, cfg.Run)
@@ -94,16 +93,8 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, err)
 			}
 			at = end
-		} else {
-			var end sim.Time
-			run, end, err = runfile.Rebuild(ssd, rm.Off, rm.Size, at, rm.RunID, rm.Passes, rm.CRC, cfg.Run)
-			if err != nil {
-				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, err)
-			}
-			at = end
 		}
 		run.Table = s.tableID
-		run.IndexSize = rm.IndexSize
 		s.extents[rm.RunID] = extent{off: rm.Off, size: roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))}
 		s.runs = append(s.runs, run)
 		s.addRunBytesLocked(run.Size)

@@ -27,15 +27,13 @@ type RunMeta struct {
 	Size   int64
 	MaxTS  int64
 	Passes int
-	// Format is the run data's on-disk format version
-	// (runfile.FormatVersion or runfile.FormatZoneMaps at write time).
+	// Format is the run's on-disk format version (runfile.FormatVersion at
+	// write time).
 	Format uint16
 	// CRC is the CRC-32C of the run's Size data bytes.
 	CRC uint32
 	// IndexSize is the byte length of the persisted zone-map block that
-	// follows the data in the run's extent. Present on the wire only for
-	// Format >= runfile.FormatZoneMaps, so format-1 log records are
-	// byte-identical to what earlier builds wrote.
+	// follows the data in the run's extent.
 	IndexSize int64
 }
 
@@ -438,14 +436,9 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 	for i := range recs {
 		size += int64(update.EncodedSize(&recs[i]))
 	}
-	// When zone maps are persisted the extent also holds the trailing
-	// index block; reserve its upper bound and return the unused tail
-	// once the exact block size is known.
-	var blockMax int64
-	if s.cfg.Run.PersistZoneMaps {
-		blockMax = runfile.MaxIndexBlockSize(size, s.cfg.Run)
-	}
-	extSize := roundUp(size+blockMax, int64(s.cfg.SSDPage))
+	// The extent also holds the trailing zone-map block; reserve its upper
+	// bound and return the unused tail once the exact block size is known.
+	extSize := roundUp(size+runfile.MaxIndexBlockSize(size, s.cfg.Run), int64(s.cfg.SSDPage))
 	off, err := s.alloc.Alloc(extSize)
 	if err != nil {
 		// Put the drained records back: they were acknowledged to their
@@ -476,7 +469,7 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 		// the store exactly as it was. The caller sees an ENOSPC-like,
 		// lossless failure.
 		t, lerr := s.log.LogFlush(end, RunMeta{RunID: id, Off: off, Size: run.Size, MaxTS: run.MaxTS,
-			Passes: 1, Format: uint16(run.Format()), CRC: run.CRC, IndexSize: run.IndexSize})
+			Passes: 1, Format: runfile.FormatVersion, CRC: run.CRC, IndexSize: run.IndexSize})
 		if lerr != nil {
 			s.buf.Restore(recs)
 			s.alloc.Release(off, extSize)
@@ -495,7 +488,7 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 	s.pruneScanTrackingLocked()
 	s.m.OnePassRuns.Inc()
 	s.m.RecordWritesSSD.Add(run.Count)
-	s.m.BytesWrittenSSD.Add(run.Size)
+	s.m.BytesWrittenSSD.Add(run.Size + run.IndexSize)
 	s.m.MemtableDrains.Inc()
 	s.m.FlushBatchRecords.Observe(run.Count)
 	s.m.trace("flush", "end", fmt.Sprintf("run=%d records=%d bytes=%d", id, run.Count, run.Size), int64(end))
@@ -633,11 +626,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 	// downstream. The merge is still loser-tree-fast; only the consumer's
 	// pull granularity stays at one record.
 
-	var blockMax int64
-	if s.cfg.Run.PersistZoneMaps {
-		blockMax = runfile.MaxIndexBlockSize(totalSize, s.cfg.Run)
-	}
-	extSize := roundUp(totalSize+blockMax, int64(s.cfg.SSDPage))
+	extSize := roundUp(totalSize+runfile.MaxIndexBlockSize(totalSize, s.cfg.Run), int64(s.cfg.SSDPage))
 	off, err := s.alloc.Alloc(extSize)
 	if err != nil {
 		return at, err
@@ -695,7 +684,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 		}
 		t, lerr := s.log.LogMerge(end,
 			RunMeta{RunID: id, Off: off, Size: merged.Size, MaxTS: merged.MaxTS,
-				Passes: 2, Format: uint16(merged.Format()), CRC: merged.CRC,
+				Passes: 2, Format: runfile.FormatVersion, CRC: merged.CRC,
 				IndexSize: merged.IndexSize}, oldIDs)
 		if lerr != nil {
 			s.alloc.Release(off, extSize)
@@ -737,7 +726,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 	s.m.RunCount.Set(int64(len(s.runs)))
 	s.m.TwoPassMerges.Inc()
 	s.m.RecordWritesSSD.Add(count)
-	s.m.BytesWrittenSSD.Add(merged.Size)
+	s.m.BytesWrittenSSD.Add(merged.Size + merged.IndexSize)
 	s.m.addMerger(merger.Stats())
 	s.m.trace("merge", "end",
 		fmt.Sprintf("run=%d consumed=%d records=%d bytes=%d", id, len(olds), count, merged.Size), int64(end))

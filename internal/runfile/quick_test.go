@@ -74,51 +74,3 @@ func TestQuickRunRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickRebuildEquivalence: a rebuilt run has identical metadata and
-// scan results to the original.
-func TestQuickRebuildEquivalence(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%2000) + 1
-		recs := make([]update.Record, n)
-		for i := range recs {
-			recs[i] = update.Record{TS: int64(i + 1), Key: uint64(rng.Intn(n)), Op: update.Delete}
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return update.Less(&recs[i], &recs[j]) })
-		dev := sim.NewDevice(sim.IntelX25E())
-		vol, _ := storage.NewVolume(dev, 0, 16<<20)
-		orig, end, err := WriteRun(vol, 0, 0, 7, recs, DefaultConfig())
-		if err != nil {
-			return false
-		}
-		re, _, err := Rebuild(vol, orig.Off, orig.Size, end, 7, orig.Passes, orig.CRC, DefaultConfig())
-		if err != nil {
-			return false
-		}
-		if re.Count != orig.Count || re.MinKey != orig.MinKey || re.MaxKey != orig.MaxKey ||
-			re.MinTS != orig.MinTS || re.MaxTS != orig.MaxTS || re.IndexEntries() != orig.IndexEntries() {
-			return false
-		}
-		// Spot check a scan.
-		lo := uint64(rng.Intn(n + 1))
-		a := orig.Scan(end, lo, lo+10, int64(1)<<62, 4<<10)
-		b := re.Scan(end, lo, lo+10, int64(1)<<62, 4<<10)
-		for {
-			ra, oka, erra := a.Next()
-			rb, okb, errb := b.Next()
-			if erra != nil || errb != nil || oka != okb {
-				return false
-			}
-			if !oka {
-				return true
-			}
-			if ra.Key != rb.Key || ra.TS != rb.TS {
-				return false
-			}
-		}
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

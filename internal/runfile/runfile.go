@@ -6,6 +6,12 @@
 // Runs are written strictly sequentially (design goal 2: no random SSD
 // writes) and never modified afterwards; they are deleted only when a
 // migration has folded their contents into the main data.
+//
+// There is one on-disk format (FormatVersion), written by every engine,
+// simulated or file-backed: the records, then a zone-map block holding the
+// run index, the per-granule zone maps and the data's checksum
+// (zoneblock.go). LoadIndex and LoadIndexOffline, which read that block
+// back and verify the data against it, are the only ways to open a run.
 package runfile
 
 import (
@@ -18,23 +24,12 @@ import (
 	"masm/internal/update"
 )
 
-// FormatVersion is the on-disk format version of run data: a dense
-// sequence of update records in the internal/update wire format, in
-// (key, ts) order. It is recorded in the redo log's run metadata so
-// recovery can refuse runs written by a future, incompatible layout.
-const FormatVersion = 1
-
-// FormatZoneMaps is format 1 data followed by a persisted zone-map index
-// block inside the same extent (at byte offset Size, IndexSize bytes
-// long). The data bytes are laid out exactly as format 1 — a format-1
-// reader pointed at the first Size bytes sees a valid format-1 run — so
-// the version gate only guards the trailing block. Recovery of a
-// FormatZoneMaps run reads just the block instead of rescanning the data.
-const FormatZoneMaps = 2
-
-// MaxFormat is the newest run format this build understands; recovery
-// refuses formats beyond it.
-const MaxFormat = FormatZoneMaps
+// FormatVersion is the on-disk format version of a run: a dense sequence
+// of update records in the internal/update wire format, in (key, ts) order,
+// followed inside the same extent by the zone-map block (zoneblock.go) at
+// byte offset Size, IndexSize bytes long. It is recorded in the redo log's
+// run metadata so recovery refuses runs written in any other layout.
+const FormatVersion = 2
 
 // castagnoli is the CRC-32C table used to checksum run data; the redo log
 // uses the same polynomial for its record framing.
@@ -51,12 +46,6 @@ type Config struct {
 	// at fine granularity (4 KB, one entry per SSD page) supports both of
 	// the paper's configurations.
 	IndexGranularity int
-	// PersistZoneMaps writes the run index and zone maps as a trailing
-	// block inside the run's extent (FormatZoneMaps), letting recovery
-	// open the run from the block alone instead of rescanning its data.
-	// Off by default: the simulated-time experiments never persist, so
-	// their device timelines are byte-for-byte what format 1 produced.
-	PersistZoneMaps bool
 }
 
 // DefaultConfig matches the paper's prototype: 64 KB SSD I/O, fine-grain
@@ -150,8 +139,7 @@ type Run struct {
 	// run index, catching corrupted or half-written runs on real storage.
 	CRC uint32
 	// IndexSize is the byte length of the persisted zone-map block that
-	// follows the data inside the extent (FormatZoneMaps); 0 when the run
-	// was written without one (format 1).
+	// follows the data inside the extent.
 	IndexSize int64
 
 	cfg   Config
@@ -163,14 +151,6 @@ type Run struct {
 // IndexEntries returns the number of run-index entries (for space
 // accounting tests).
 func (r *Run) IndexEntries() int { return len(r.index) }
-
-// Format returns the on-disk format the run was written with.
-func (r *Run) Format() int {
-	if r.IndexSize > 0 {
-		return FormatZoneMaps
-	}
-	return FormatVersion
-}
 
 // Writer streams update records in (key, ts) order into a new run,
 // writing sequentially in IOSize units and building the run index.
@@ -264,9 +244,9 @@ func (w *Writer) flushChunk(n int) error {
 }
 
 // Close flushes the tail and returns the completed run and the virtual
-// time of the last write. With PersistZoneMaps set, the zone-map block is
-// written sequentially right after the data — the run's Size and CRC
-// still cover only the data bytes; the block is described by IndexSize.
+// time of the last write. The zone-map block is written sequentially right
+// after the data — the run's Size and CRC still cover only the data bytes;
+// the block is described by IndexSize.
 func (w *Writer) Close(passes int) (*Run, sim.Time, error) {
 	if len(w.buf) > 0 {
 		if err := w.flushChunk(len(w.buf)); err != nil {
@@ -289,13 +269,11 @@ func (w *Writer) Close(passes int) (*Run, sim.Time, error) {
 		index:  w.index,
 		zones:  w.zones,
 	}
-	if w.cfg.PersistZoneMaps {
-		block := encodeZoneBlock(w.index, w.zones, w.count, w.crc)
-		if _, err := w.sw.Write(block); err != nil {
-			return nil, 0, err
-		}
-		r.IndexSize = int64(len(block))
+	block := encodeZoneBlock(w.index, w.zones, w.count, w.crc)
+	if _, err := w.sw.Write(block); err != nil {
+		return nil, 0, err
 	}
+	r.IndexSize = int64(len(block))
 	return r, w.sw.Time(), nil
 }
 
@@ -425,8 +403,7 @@ func (r *Run) PlanSegments(begin, end uint64, queryTS int64, gran int, pred *upd
 	if start >= limit {
 		return nil, 0
 	}
-	if pred == nil || len(r.zones) != len(r.index) {
-		// No predicate (or a legacy run with no zone maps): one window.
+	if pred == nil {
 		return []Segment{{Start: start, Limit: limit}}, 0
 	}
 	step := gran / r.cfg.IndexGranularity

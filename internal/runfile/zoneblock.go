@@ -9,8 +9,8 @@ import (
 	"masm/internal/storage"
 )
 
-// The persisted zone-map block (FormatZoneMaps) sits inside the run's
-// extent immediately after the Size data bytes:
+// The persisted zone-map block sits inside the run's extent immediately
+// after the Size data bytes:
 //
 //	magic        u32  "MZM2"
 //	entryCount   u32  number of granules (== run-index entries)
@@ -27,9 +27,7 @@ import (
 //	dataCRC      u32  CRC-32C of the run's Size data bytes
 //	blockCRC     u32  CRC-32C of every preceding block byte
 //
-// All fields little-endian. The data bytes themselves are unchanged from
-// format 1, so the block is strictly additive: a format-1 reader that
-// scans [Off, Off+Size) never sees it.
+// All fields little-endian.
 const (
 	zoneBlockMagic  = uint32('M') | uint32('Z')<<8 | uint32('M')<<16 | uint32('2')<<24
 	zoneBlockHeader = 4 + 4 + 8
@@ -116,15 +114,15 @@ func decodeZoneBlock(p []byte, id int64) (index []indexEntry, zones []zoneEntry,
 	return index, zones, count, dataCRC, nil
 }
 
-// LoadIndex opens a FormatZoneMaps run from its persisted zone-map block:
-// one read of IndexSize bytes at Off+Size reconstructs the run index and
-// zone maps without decoding a single record, then a sequential CRC sweep
-// of the data bytes verifies them against the block's stored data CRC and
-// wantCRC from the redo log. The sweep reads exactly the spans Rebuild
-// would (cfg.IOSize chunks) but skips record decode, so recovery keeps
-// its corruption guarantee — a flipped data byte still fails the open —
-// while the index comes back for free. Rebuild remains the path for
-// format-1 runs.
+// LoadIndex opens a run from its persisted zone-map block: one read of
+// IndexSize bytes at Off+Size reconstructs the run index and zone maps
+// without decoding a single record, then a sequential CRC sweep of the
+// data bytes (cfg.IOSize chunks) verifies them against the block's stored
+// data CRC and wantCRC from the redo log, so a flipped data byte or a
+// half-written run fails the open instead of serving wrong query results.
+// Crash recovery uses this: the run survives on the non-volatile SSD, but
+// its metadata and run index live in memory and must be reconstructed
+// (paper §3.6). The reads are charged as sequential SSD reads.
 func LoadIndex(vol *storage.Volume, off, size, indexSize int64, at sim.Time,
 	id int64, passes int, wantCRC uint32, cfg Config) (*Run, sim.Time, error) {
 
@@ -145,9 +143,11 @@ func LoadIndex(vol *storage.Volume, off, size, indexSize int64, at sim.Time,
 }
 
 // LoadIndexOffline is LoadIndex on the data plane only: unpriced batched
-// PeekAt fetches plus the recorded spans the priced open would have
-// charged, for parallel recovery (the runfile counterpart of
-// RebuildOffline, same span contract).
+// PeekAt fetches — no simulated time is charged, so any number of opens
+// may run concurrently — plus the exact read spans the priced open would
+// have issued. The caller replays those spans through ChargeSpans,
+// serially and in recovery order, to produce a virtual timeline
+// bit-identical to the serial LoadIndex path.
 func LoadIndexOffline(vol *storage.Volume, off, size, indexSize int64,
 	id int64, passes int, wantCRC uint32, cfg Config) (*Run, []Span, error) {
 
@@ -182,7 +182,7 @@ func loadIndexScan(vol *storage.Volume, off, size, indexSize int64,
 	if err != nil {
 		return nil, err
 	}
-	if wantCRC != 0 && dataCRC != wantCRC {
+	if dataCRC != wantCRC {
 		return nil, fmt.Errorf("runfile: load run %d: data checksum mismatch (block %08x, logged %08x)",
 			id, dataCRC, wantCRC)
 	}

@@ -243,82 +243,11 @@ func FuzzScanPredSeams(f *testing.F) {
 	})
 }
 
-// TestLoadIndexMatchesRebuild is the format-upgrade oracle: a run
-// written with a persisted zone-map block must open via LoadIndex to
-// exactly the Run that Rebuild reconstructs from the data — same
-// metadata, same index, same zones — and a format-1 run (no block) must
-// keep opening through Rebuild untouched.
-func TestLoadIndexMatchesRebuild(t *testing.T) {
-	cfgV2 := Config{IOSize: 256, IndexGranularity: 64, PersistZoneMaps: true}
-	recs := sortedRecs(500, 5)
-	vol := ssdVolume(t, 1<<20)
-	run, _, err := WriteRun(vol, 0, 0, 7, recs, cfgV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Format() != FormatZoneMaps || run.IndexSize <= 0 {
-		t.Fatalf("persisting writer produced format %d, index size %d", run.Format(), run.IndexSize)
-	}
-	loaded, _, err := LoadIndex(vol, run.Off, run.Size, run.IndexSize, 0, 7, run.Passes, run.CRC, cfgV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, _, err := Rebuild(vol, run.Off, run.Size, 0, 7, run.Passes, run.CRC, cfgV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, got, want *Run) {
-		t.Helper()
-		if got.Count != want.Count || got.MinKey != want.MinKey || got.MaxKey != want.MaxKey ||
-			got.MinTS != want.MinTS || got.MaxTS != want.MaxTS || got.CRC != want.CRC {
-			t.Fatalf("%s metadata diverged: got %+v want %+v", name, got, want)
-		}
-		if len(got.index) != len(want.index) || len(got.zones) != len(want.zones) {
-			t.Fatalf("%s: %d index / %d zones, want %d / %d", name, len(got.index), len(got.zones), len(want.index), len(want.zones))
-		}
-		for i := range got.index {
-			if got.index[i] != want.index[i] {
-				t.Fatalf("%s index[%d] = %+v, want %+v", name, i, got.index[i], want.index[i])
-			}
-			if got.zones[i] != want.zones[i] {
-				t.Fatalf("%s zones[%d] = %+v, want %+v", name, i, got.zones[i], want.zones[i])
-			}
-		}
-	}
-	check("LoadIndex vs writer", loaded, run)
-	check("LoadIndex vs Rebuild", loaded, rebuilt)
-	offline, spans, err := LoadIndexOffline(vol, run.Off, run.Size, run.IndexSize, 7, run.Passes, run.CRC, cfgV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("LoadIndexOffline", offline, loaded)
-	if len(spans) == 0 {
-		t.Fatal("offline load recorded no spans")
-	}
-	// The recorded spans must be exactly what the priced open charges:
-	// block read first, then the IOSize data sweep.
-	if spans[0].Off != run.Off+run.Size || spans[0].Len != run.IndexSize {
-		t.Fatalf("span 0 = %+v, want block read at %d+%d", spans[0], run.Off+run.Size, run.IndexSize)
-	}
-
-	// Format-1 run: no block, opens through Rebuild.
-	cfgV1 := Config{IOSize: 256, IndexGranularity: 64}
-	v1, _, err := WriteRun(vol, 1<<19, 0, 8, recs, cfgV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Format() != FormatVersion || v1.IndexSize != 0 {
-		t.Fatalf("plain writer produced format %d, index size %d", v1.Format(), v1.IndexSize)
-	}
-	if _, _, err := Rebuild(vol, v1.Off, v1.Size, 0, 8, v1.Passes, v1.CRC, cfgV1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLoadIndexDetectsCorruption flips one byte of the data and of the
-// block: both opens must fail.
+// block: both opens must fail. So must an open whose logged checksum does
+// not match the data — zero included: no descriptor lacks a checksum.
 func TestLoadIndexDetectsCorruption(t *testing.T) {
-	cfg := Config{IOSize: 256, IndexGranularity: 64, PersistZoneMaps: true}
+	cfg := Config{IOSize: 256, IndexGranularity: 64}
 	recs := sortedRecs(200, 3)
 	flip := func(corruptAt int64) error {
 		vol := ssdVolume(t, 1<<20)
@@ -347,5 +276,13 @@ func TestLoadIndexDetectsCorruption(t *testing.T) {
 	}
 	if err := flip(run.Size + 10); err == nil {
 		t.Fatal("LoadIndex accepted corrupted zone-map block")
+	}
+	for _, logged := range []uint32{0, run.CRC + 1} {
+		if _, _, err := LoadIndex(vol, run.Off, run.Size, run.IndexSize, 0, 1, run.Passes, logged, cfg); err == nil {
+			t.Fatalf("LoadIndex accepted logged checksum %08x over data with %08x", logged, run.CRC)
+		}
+		if _, _, err := LoadIndexOffline(vol, run.Off, run.Size, run.IndexSize, 1, run.Passes, logged, cfg); err == nil {
+			t.Fatalf("LoadIndexOffline accepted logged checksum %08x over data with %08x", logged, run.CRC)
+		}
 	}
 }

@@ -39,18 +39,6 @@ type Options struct {
 	// short wait often rides out a transient spike. 0 selects 2ms;
 	// negative disables waiting.
 	AdmitWait time.Duration
-	// MaxGroup caps how many commit tickets one fsync may absorb.
-	// 0 selects 1024.
-	MaxGroup int
-	// GroupWindow is how long the committer holds the first ticket of a
-	// batch to let concurrent writers' tickets join it. 0 selects an
-	// adaptive window tracking the measured sync cost (waiting one
-	// sync's worth at most doubles a commit's latency, while under N
-	// writers it multiplies the batch — and divides the fsync rate — by
-	// up to N); negative disables gathering. The window is skipped
-	// outright when at most one connection is live, so a lone client
-	// still sees bare-fsync latency.
-	GroupWindow time.Duration
 	// ScanBatchRows caps rows per streamed OpRows frame. 0 selects 256.
 	ScanBatchRows int
 }
@@ -63,14 +51,14 @@ func (o *Options) withDefaults() Options {
 	if out.AdmitWait == 0 {
 		out.AdmitWait = 2 * time.Millisecond
 	}
-	if out.MaxGroup <= 0 {
-		out.MaxGroup = 1024
-	}
 	if out.ScanBatchRows <= 0 {
 		out.ScanBatchRows = 256
 	}
 	return out
 }
+
+// maxGroup caps how many commit tickets one fsync may absorb.
+const maxGroup = 1024
 
 // ticket is one write's seat in the group-commit queue; done receives
 // the result of the WAL sync that covered it.
@@ -114,7 +102,7 @@ func New(eng *masm.Engine, opts Options) *Server {
 	s := &Server{
 		eng:        eng,
 		opts:       opts,
-		tickets:    make(chan *ticket, opts.MaxGroup),
+		tickets:    make(chan *ticket, maxGroup),
 		commitQuit: make(chan struct{}),
 		commitDone: make(chan struct{}),
 		conns:      make(map[net.Conn]struct{}),
@@ -195,7 +183,7 @@ func (s *Server) Close() error {
 
 // committer is the group-commit pipeline: it blocks for the first
 // ticket, opportunistically drains every ticket already queued behind
-// it (bounded by MaxGroup), issues ONE WAL sync for the whole batch,
+// it (bounded by maxGroup), issues ONE WAL sync for the whole batch,
 // and only then releases the tickets — many clients' commits, one
 // fsync. masm_wal_group_size records how much each sync amortized.
 func (s *Server) committer() {
@@ -213,28 +201,30 @@ func (s *Server) committer() {
 		// by a client round-trip, so an immediate sync would commit a
 		// batch of one and serialize every connection behind per-ticket
 		// fsyncs. Holding the batch open for about one sync's cost lets
-		// the rest of the fleet pile on; a batch already as large as the
-		// live connection count stops early, since a closed-loop client
-		// has at most one commit in flight.
+		// the rest of the fleet pile on (waiting one sync's worth at most
+		// doubles a commit's latency, while under N writers it multiplies
+		// the batch — and divides the fsync rate — by up to N); a batch
+		// already as large as the live connection count stops early, since
+		// a closed-loop client has at most one commit in flight. The
+		// window is skipped outright when at most one connection is live,
+		// so a lone client still sees bare-fsync latency.
 		if conns := s.mConns.Value(); conns > 1 {
-			if w := s.gatherWindow(); w > 0 {
-				timer := time.NewTimer(w)
-			gather:
-				for len(batch) < s.opts.MaxGroup && int64(len(batch)) < conns {
-					select {
-					case t := <-s.tickets:
-						batch = append(batch, t)
-					case <-timer.C:
-						break gather
-					case <-s.commitQuit:
-						break gather
-					}
+			timer := time.NewTimer(s.gatherWindow())
+		gather:
+			for len(batch) < maxGroup && int64(len(batch)) < conns {
+				select {
+				case t := <-s.tickets:
+					batch = append(batch, t)
+				case <-timer.C:
+					break gather
+				case <-s.commitQuit:
+					break gather
 				}
-				timer.Stop()
 			}
+			timer.Stop()
 		}
 	drain:
-		for len(batch) < s.opts.MaxGroup {
+		for len(batch) < maxGroup {
 			select {
 			case t := <-s.tickets:
 				batch = append(batch, t)
@@ -255,16 +245,10 @@ func (s *Server) committer() {
 	}
 }
 
-// gatherWindow resolves the effective gathering window: a fixed
-// configured one, or an EWMA of recent sync costs clamped to
-// [50µs, 2ms] so the wait stays proportional to what it amortizes.
+// gatherWindow is the gathering window: an EWMA of recent sync costs
+// clamped to [50µs, 2ms] so the wait stays proportional to what it
+// amortizes.
 func (s *Server) gatherWindow() time.Duration {
-	if w := s.opts.GroupWindow; w != 0 {
-		if w < 0 {
-			return 0
-		}
-		return w
-	}
 	w := time.Duration(s.syncEWMA.Load())
 	switch {
 	case w < 50*time.Microsecond:

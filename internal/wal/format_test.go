@@ -8,63 +8,52 @@ import (
 	"masm/internal/runfile"
 )
 
-// TestRunMetaFormatGate pins the wire compatibility contract: a format-1
-// run descriptor is exactly runMetaSize bytes — byte-identical to what
-// pre-zone-map builds wrote — and only descriptors with Format >=
-// FormatZoneMaps carry the 8-byte zone-map block length.
-func TestRunMetaFormatGate(t *testing.T) {
-	v1 := masm.RunMeta{RunID: 3, Off: 4096, Size: 1 << 16, MaxTS: 77,
-		Passes: 2, Format: runfile.FormatVersion, CRC: 0xDEADBEEF}
-	enc1 := encodeRunMeta(nil, v1)
-	if len(enc1) != runMetaSize {
-		t.Fatalf("format-1 descriptor is %d bytes, want %d", len(enc1), runMetaSize)
+// TestRunMetaDescriptor pins the one run descriptor: fixed size, zone-map
+// block length always present, and a descriptor without a block — what a
+// format-1 run's would say — refused at decode, as is a truncated one.
+func TestRunMetaDescriptor(t *testing.T) {
+	rm := masm.RunMeta{RunID: 3, Off: 4096, Size: 1 << 16, MaxTS: 77,
+		Passes: 2, Format: runfile.FormatVersion, CRC: 0xDEADBEEF, IndexSize: 4104}
+	enc := encodeRunMeta(nil, rm)
+	if len(enc) != runMetaSize {
+		t.Fatalf("descriptor is %d bytes, want %d", len(enc), runMetaSize)
 	}
-	dec1, rest, err := decodeRunMeta(enc1)
+	dec, rest, err := decodeRunMeta(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 || dec1 != v1 {
-		t.Fatalf("format-1 round trip: %+v (rest %d)", dec1, len(rest))
+	if len(rest) != 0 || dec != rm {
+		t.Fatalf("round trip: %+v (rest %d)", dec, len(rest))
 	}
 
-	v2 := v1
-	v2.Format = runfile.FormatZoneMaps
-	v2.IndexSize = 4104
-	enc2 := encodeRunMeta(nil, v2)
-	if len(enc2) != runMetaSize+8 {
-		t.Fatalf("format-2 descriptor is %d bytes, want %d", len(enc2), runMetaSize+8)
-	}
-	// The format-1 prefix of a v2 descriptor differs from enc1 only at the
-	// format field (bytes 33..34): the gate adds, never rewrites.
-	for i := 0; i < runMetaSize; i++ {
-		if i == 33 || i == 34 {
-			continue
-		}
-		if enc1[i] != enc2[i] {
-			t.Fatalf("byte %d changed between formats: %#x vs %#x", i, enc1[i], enc2[i])
-		}
-	}
-	dec2, rest, err := decodeRunMeta(enc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 || dec2 != v2 {
-		t.Fatalf("format-2 round trip: %+v (rest %d)", dec2, len(rest))
+	// The format field is carried, not judged, here: core.Restore refuses a
+	// version it cannot read, naming both.
+	old := rm
+	old.Format = 1
+	if dec, _, err := decodeRunMeta(encodeRunMeta(nil, old)); err != nil || dec.Format != 1 {
+		t.Fatalf("format-1 descriptor with a block: %+v err=%v", dec, err)
 	}
 
-	// A truncated v2 descriptor (format says zone maps, length says v1)
-	// must be rejected, not misread as a valid shorter record.
-	if _, _, err := decodeRunMeta(enc2[:runMetaSize]); err == nil {
-		t.Fatal("truncated format-2 descriptor decoded without error")
+	for _, indexSize := range []int64{0, -24} {
+		bad := rm
+		bad.IndexSize = indexSize
+		if _, _, err := decodeRunMeta(encodeRunMeta(nil, bad)); err == nil {
+			t.Fatalf("descriptor with index size %d decoded without error", indexSize)
+		}
+	}
+	// The descriptor earlier builds wrote for a format-1 run stops before
+	// the block length.
+	if _, _, err := decodeRunMeta(enc[:runMetaSize-8]); err == nil {
+		t.Fatal("truncated descriptor decoded without error")
 	}
 
 	// Trailing bytes beyond one descriptor are returned, not consumed.
-	joined := append(append([]byte(nil), enc2...), enc1...)
-	dec, rest, err := decodeRunMeta(joined)
-	if err != nil || dec != v2 {
+	tail := []byte{1, 2, 3}
+	dec, rest, err = decodeRunMeta(append(append([]byte(nil), enc...), tail...))
+	if err != nil || dec != rm {
 		t.Fatalf("concatenated decode: %+v err=%v", dec, err)
 	}
-	if !bytes.Equal(rest, enc1) {
-		t.Fatalf("concatenated decode consumed %d extra bytes", len(enc1)-len(rest))
+	if !bytes.Equal(rest, tail) {
+		t.Fatalf("concatenated decode left %x, want %x", rest, tail)
 	}
 }

@@ -31,9 +31,9 @@ type TableState struct {
 // — the crash-recovery procedure of paper §3.6, generalized to the shared
 // multi-table log of §5, restated as a streaming fold so recovery can
 // route entries as ReadStream decodes them instead of materializing the
-// whole log first. Untagged (format v2) entries belong to table 0; tagged
-// entries to the table in their prefix; a KindTxnBatch fans its parts out
-// to every table it names. For each table it determines, in log order,
+// whole log first. A per-table entry belongs to the table its payload
+// names; a KindTxnBatch fans its parts out to every table it names. For
+// each table it determines, in log order,
 //
 //   - which materialized sorted runs are live (flushed or merged, and not
 //     yet migrated),
@@ -84,7 +84,7 @@ func (r *Replayer) seen(t uint32, ts int64) {
 
 // Observe folds one decoded entry. Entries must arrive in log order.
 func (r *Replayer) Observe(e Entry) {
-	switch baseKind(e.Kind) {
+	switch e.Kind {
 	case KindUpdate:
 		st := r.state(e.Table)
 		st.Pending = append(st.Pending, e.Rec)
@@ -117,13 +117,6 @@ func (r *Replayer) Observe(e Entry) {
 	case KindMigrationBegin:
 		r.state(e.Table).RedoMigration = append([]int64(nil), e.RunIDs...)
 		r.seen(e.Table, e.MigTS)
-	case KindMigrationEnd:
-		st := r.state(e.Table)
-		r.seen(e.Table, e.MigTS)
-		for _, id := range st.RedoMigration {
-			delete(r.live[e.Table], id)
-		}
-		st.RedoMigration = nil
 	case KindMigrationPortion:
 		// One incremental portion completed: the migration no longer
 		// needs redoing, but the runs stay live — only those a finished
@@ -167,13 +160,4 @@ func (r *Replayer) States() map[uint32]*TableState {
 		sort.Slice(st.Runs, func(i, j int) bool { return st.Runs[i].RunID < st.Runs[j].RunID })
 	}
 	return r.states
-}
-
-// baseKind collapses a tagged kind onto its untagged counterpart (the
-// Entry already carries the table id) and maps KindTxnBatch to itself.
-func baseKind(k Kind) Kind {
-	if base, ok := untagged(k); ok {
-		return base
-	}
-	return k
 }

@@ -44,7 +44,7 @@ func buildBigLog(t *testing.T, wantBytes int64) (*storage.Volume, int64) {
 		runID++
 		// The flush covers every update so far: replay prunes the whole
 		// pending set each time the record streams past.
-		if now, err = l.LogFlush(now, masm.RunMeta{RunID: runID, Off: runID * 4096, Size: 4096, MaxTS: ts, Passes: 1}); err != nil {
+		if now, err = l.LogFlush(now, masm.RunMeta{RunID: runID, Off: runID * 4096, Size: 4096, MaxTS: ts, Passes: 1, IndexSize: 80}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 // re-reading the update records from this log, and the run-set metadata,
 // by re-reading flush/merge/migration records.
 //
-// # On-disk format (version 4)
+// # On-disk format (version 5)
 //
 // The log opens with a 16-byte header — magic, format version, header CRC —
 // so an unrelated or stale byte region is never misread as a log. Entries
@@ -23,28 +23,26 @@
 // volume's backend (fsync on file-backed volumes).
 //
 // One log is shared by every table of an engine, and every store writes
-// through the tagging view ForTable returns. What is written today:
+// through the view ForTable returns. There is one record kind per job, and
+// every per-table record's payload opens with the owning table's u32 id:
 //
 //   - a standalone update is one KindUpdate frame;
 //   - every transaction commit, on one table or many, is one KindTxnBatch
-//     frame carrying the whole write set, so the commit is durable
-//     all-or-nothing — a frame passes its CRC or is dropped with the tail;
+//     frame carrying the whole write set (it names its tables itself), so
+//     the commit is durable all-or-nothing — a frame passes its CRC or is
+//     dropped with the tail;
 //   - a flush or merge is one KindFlush / KindMerge frame, forced after
 //     the run data it names;
 //   - a migration is a forced KindMigrationBegin and ONE forced closing
 //     record, KindMigrationPortion, listing the runs the migration's sweep
 //     finished with: the begin set after a whole-table migration, nothing
 //     for a portion in mid-sweep;
-//   - a recovery checkpoint opens with KindOracleAdvance.
+//   - a recovery checkpoint opens with KindOracleAdvance (engine-wide, no
+//     table id).
 //
-// Table 0 writes these kinds untagged; every other table writes the
-// KindTable… twin, the same payload behind a u32 table id, so a log that
-// only table 0 wrote replays as "everything belongs to table 0".
-//
-// Read-only legacy: KindMigrationEnd (and its tagged twin), the closing
-// record earlier builds wrote after a whole-table migration — it deletes
-// the whole begin set — is still replayed so their directories reopen, as
-// are headers of versions 2 and 3, whose records are a subset of today's.
+// This is the only format the build reads: a log whose header names any
+// other version (2–4 were written by earlier builds) is refused by
+// version, not converted.
 package wal
 
 import (
@@ -57,7 +55,6 @@ import (
 
 	"masm/internal/masm"
 	"masm/internal/obs"
-	"masm/internal/runfile"
 	"masm/internal/sim"
 	"masm/internal/storage"
 	"masm/internal/update"
@@ -78,44 +75,26 @@ const (
 	KindMerge
 	// KindMigrationBegin records the migration timestamp and run set.
 	KindMigrationBegin
-	// KindMigrationEnd records that a whole-table migration completed and
-	// its whole begin set is consumed. Read-only legacy: this build closes
-	// every migration with KindMigrationPortion.
-	KindMigrationEnd
-
-	// The table-tagged kinds (format v3) are their untagged counterparts
-	// with a u32 table id prefixed to the payload. Table 0 always writes
-	// the untagged kinds, so a single-table log stays byte-identical to
-	// format v2 and a v2 log replays as table 0.
-	KindTableUpdate
-	KindTableFlush
-	KindTableMerge
-	KindTableMigrationBegin
-	KindTableMigrationEnd
+	// KindMigrationPortion closes a migration-begin record: the migrated
+	// span's pages are durable, but only the listed runs (those a
+	// completed sweep fully applied — the begin set after a whole-table
+	// migration, empty for a portion in mid-sweep) are consumed. A closing
+	// record that deleted the whole begin set instead silently discarded
+	// every run record outside a portion's key range at the next recovery
+	// — a real lost-committed-updates bug the deterministic chaos harness
+	// found (repro: insert, one MigrateStep, reopen).
+	KindMigrationPortion
 	// KindTxnBatch carries a whole transaction write set, for one table or
 	// several, in one frame:
 	// [n u32] n × ([table u32][nrecs u32] nrecs × record). Because it is a
 	// single CRC-framed record, recovery replays the commit all-or-nothing.
 	KindTxnBatch
-
-	// KindMigrationPortion (format v4) closes a migration-begin record: the
-	// migrated span's pages are durable, but only the listed runs (those a
-	// completed sweep fully applied — the begin set after a whole-table
-	// migration, empty for a portion in mid-sweep) are consumed.
-	// KindMigrationEnd, by contrast, asserts the whole begin set was applied
-	// table-wide and deletes it; using it for a portion silently discarded
-	// every run record outside the portion's key range at the next
-	// recovery — a real lost-committed-updates bug the deterministic chaos
-	// harness found (repro: insert, one MigrateStep, reopen).
-	KindMigrationPortion
-	KindTableMigrationPortion
-
-	// KindOracleAdvance (format v4) persists the engine-wide timestamp
-	// high-water mark: recovery writes it into the checkpoint so a LATER
-	// recovery still resumes the oracle above every data-page stamp, even
-	// when the checkpoint's runs and pending updates all carry smaller
-	// timestamps (the migration records that proved the high water were
-	// consumed by the first recovery). Untagged: the oracle is shared by
+	// KindOracleAdvance persists the engine-wide timestamp high-water
+	// mark: recovery writes it into the checkpoint so a LATER recovery
+	// still resumes the oracle above every data-page stamp, even when the
+	// checkpoint's runs and pending updates all carry smaller timestamps
+	// (the migration records that proved the high water were consumed by
+	// the first recovery). It carries no table id: the oracle is shared by
 	// the whole catalog.
 	KindOracleAdvance
 
@@ -124,17 +103,11 @@ const (
 	kindMax = KindOracleAdvance
 )
 
-// Format constants. Version 2 introduced the log header and per-record
-// CRC-32C framing (version 1, the unversioned [kind][len][payload] format,
-// predates durable storage and is no longer readable). Version 3 added the
-// table-tagged kinds and the transaction batch record; version 4 the
-// migration-portion record. Existing records are unchanged at each bump,
-// so readers accept 2 through the current version.
+// Format constants.
 const (
-	// FormatVersion is the current log format.
-	FormatVersion = 4
-	// minReadVersion is the oldest format this build replays.
-	minReadVersion = 2
+	// FormatVersion is the log format this build writes and the only one
+	// it reads.
+	FormatVersion = 5
 	// headerSize is the size of the log header: 8-byte magic, u32 version,
 	// u32 CRC of the preceding 12 bytes.
 	headerSize = 16
@@ -371,15 +344,12 @@ func (l *Log) syncLocked(at sim.Time) (sim.Time, error) {
 	return now, nil
 }
 
-// runMetaSize is the wire size of a format-1 run descriptor: five u64/u8
-// location fields plus the data-format version and the run data's
-// CRC-32C. Descriptors with Format >= runfile.FormatZoneMaps append the
-// zone-map block length; gating the extra field on the format keeps
-// format-1 records byte-identical to what earlier builds wrote.
-const runMetaSize = 8 + 8 + 8 + 8 + 1 + 2 + 4
+// runMetaSize is the wire size of a run descriptor: the location fields,
+// the run format version, the data's CRC-32C and the zone-map block length.
+const runMetaSize = 8 + 8 + 8 + 8 + 1 + 2 + 4 + 8
 
 func encodeRunMeta(dst []byte, run masm.RunMeta) []byte {
-	var b [runMetaSize + 8]byte
+	var b [runMetaSize]byte
 	binary.LittleEndian.PutUint64(b[0:], uint64(run.RunID))
 	binary.LittleEndian.PutUint64(b[8:], uint64(run.Off))
 	binary.LittleEndian.PutUint64(b[16:], uint64(run.Size))
@@ -387,11 +357,8 @@ func encodeRunMeta(dst []byte, run masm.RunMeta) []byte {
 	b[32] = byte(run.Passes)
 	binary.LittleEndian.PutUint16(b[33:], run.Format)
 	binary.LittleEndian.PutUint32(b[35:], run.CRC)
-	if run.Format >= runfile.FormatZoneMaps {
-		binary.LittleEndian.PutUint64(b[runMetaSize:], uint64(run.IndexSize))
-		return append(dst, b[:]...)
-	}
-	return append(dst, b[:runMetaSize]...)
+	binary.LittleEndian.PutUint64(b[39:], uint64(run.IndexSize))
+	return append(dst, b[:]...)
 }
 
 func decodeRunMeta(p []byte) (masm.RunMeta, []byte, error) {
@@ -399,30 +366,24 @@ func decodeRunMeta(p []byte) (masm.RunMeta, []byte, error) {
 		return masm.RunMeta{}, nil, fmt.Errorf("wal: short run meta")
 	}
 	rm := masm.RunMeta{
-		RunID:  int64(binary.LittleEndian.Uint64(p[0:])),
-		Off:    int64(binary.LittleEndian.Uint64(p[8:])),
-		Size:   int64(binary.LittleEndian.Uint64(p[16:])),
-		MaxTS:  int64(binary.LittleEndian.Uint64(p[24:])),
-		Passes: int(p[32]),
-		Format: binary.LittleEndian.Uint16(p[33:]),
-		CRC:    binary.LittleEndian.Uint32(p[35:]),
+		RunID:     int64(binary.LittleEndian.Uint64(p[0:])),
+		Off:       int64(binary.LittleEndian.Uint64(p[8:])),
+		Size:      int64(binary.LittleEndian.Uint64(p[16:])),
+		MaxTS:     int64(binary.LittleEndian.Uint64(p[24:])),
+		Passes:    int(p[32]),
+		Format:    binary.LittleEndian.Uint16(p[33:]),
+		CRC:       binary.LittleEndian.Uint32(p[35:]),
+		IndexSize: int64(binary.LittleEndian.Uint64(p[39:])),
 	}
 	if rm.RunID < 0 || rm.Off < 0 || rm.Size < 0 {
 		return masm.RunMeta{}, nil, fmt.Errorf("wal: negative run geometry (id %d, off %d, size %d)",
 			rm.RunID, rm.Off, rm.Size)
 	}
-	p = p[runMetaSize:]
-	if rm.Format >= runfile.FormatZoneMaps {
-		if len(p) < 8 {
-			return masm.RunMeta{}, nil, fmt.Errorf("wal: short run meta index size")
-		}
-		rm.IndexSize = int64(binary.LittleEndian.Uint64(p))
-		if rm.IndexSize < 0 {
-			return masm.RunMeta{}, nil, fmt.Errorf("wal: negative run index size %d", rm.IndexSize)
-		}
-		p = p[8:]
+	// Every run ends in a zone-map block, and a block is never empty.
+	if rm.IndexSize <= 0 {
+		return masm.RunMeta{}, nil, fmt.Errorf("wal: run %d has no zone-map block (index size %d)", rm.RunID, rm.IndexSize)
 	}
-	return rm, p, nil
+	return rm, p[runMetaSize:], nil
 }
 
 func encodeIDs(dst []byte, ids []int64) []byte {
@@ -530,14 +491,12 @@ func (l *Log) CheckpointAll(at sim.Time, tables []TableCheckpoint) (sim.Time, er
 	}
 	for _, tc := range tables {
 		for _, rm := range tc.Runs {
-			kind, payload := tagged(tc.Table, KindFlush, encodeRunMeta(nil, rm))
-			if now, err = l.appendLocked(now, kind, payload); err != nil {
+			if now, err = l.appendLocked(now, KindFlush, encodeRunMeta(tablePrefix(tc.Table, runMetaSize), rm)); err != nil {
 				return at, err
 			}
 		}
 		for i := range tc.Pending {
-			kind, payload := tagged(tc.Table, KindUpdate, update.AppendEncode(nil, &tc.Pending[i]))
-			if now, err = l.appendLocked(now, kind, payload); err != nil {
+			if now, err = l.appendLocked(now, KindUpdate, update.AppendEncode(tablePrefix(tc.Table, update.EncodedSize(&tc.Pending[i])), &tc.Pending[i])); err != nil {
 				return at, err
 			}
 		}
@@ -610,8 +569,8 @@ func ReadStream(vol *storage.Volume, at sim.Time, emit func(Entry) error) (sim.T
 	if crc32.Checksum(hdrBuf[:12], castagnoli) != binary.LittleEndian.Uint32(hdrBuf[12:]) {
 		return now, fmt.Errorf("wal: log header checksum mismatch (corrupted log)")
 	}
-	if v := binary.LittleEndian.Uint32(hdrBuf[8:]); v < minReadVersion || v > FormatVersion {
-		return now, fmt.Errorf("wal: unsupported log format version %d (this build reads %d–%d)", v, minReadVersion, FormatVersion)
+	if v := binary.LittleEndian.Uint32(hdrBuf[8:]); v != FormatVersion {
+		return now, fmt.Errorf("wal: log format version %d unsupported (this build reads %d)", v, FormatVersion)
 	}
 
 	var (
@@ -773,32 +732,34 @@ func corruptionBeyondTornBatch(buf []byte) (int, bool) {
 // Entry is one decoded log record.
 type Entry struct {
 	Kind Kind
-	// Table is the owning table (0 for the untagged kinds of a
-	// single-table log; the id prefix for the table-tagged kinds).
+	// Table is the owning table of a per-table record (the payload's id
+	// prefix); 0 for KindTxnBatch and KindOracleAdvance, which have none.
 	Table    uint32
-	Rec      update.Record  // KindUpdate / KindTableUpdate
-	Run      masm.RunMeta   // KindFlush, KindMerge (and tagged forms)
-	Consumed []int64        // KindMerge / KindTableMerge
-	MigTS    int64          // migration begin/end (and tagged forms)
-	RunIDs   []int64        // migration begin (and tagged forms)
+	Rec      update.Record  // KindUpdate
+	Run      masm.RunMeta   // KindFlush, KindMerge
+	Consumed []int64        // KindMerge, KindMigrationPortion
+	MigTS    int64          // migration begin/portion, oracle advance
+	RunIDs   []int64        // KindMigrationBegin
 	Parts    []masm.TxnPart // KindTxnBatch
 }
 
+// tablePrefix starts a per-table record's payload: the owning table's id,
+// with room for body more bytes, so appending an update record behind it
+// (the hot path) does not reallocate.
+func tablePrefix(table uint32, body int) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4+body), table)
+}
+
 func decodeEntry(kind Kind, p []byte) (Entry, error) {
-	// The tagged kinds are the untagged payloads behind a u32 table id.
-	if base, ok := untagged(kind); ok {
-		if len(p) < 4 {
-			return Entry{Kind: kind}, fmt.Errorf("wal: short table tag")
-		}
-		e, err := decodeEntry(base, p[4:])
-		if err != nil {
-			return e, err
-		}
-		e.Kind = kind
-		e.Table = binary.LittleEndian.Uint32(p)
-		return e, nil
-	}
 	e := Entry{Kind: kind}
+	switch kind {
+	case KindUpdate, KindFlush, KindMerge, KindMigrationBegin, KindMigrationPortion:
+		if len(p) < 4 {
+			return e, fmt.Errorf("wal: short table id")
+		}
+		e.Table = binary.LittleEndian.Uint32(p)
+		p = p[4:]
+	}
 	switch kind {
 	case KindTxnBatch:
 		parts, err := decodeTxnBatch(p)
@@ -841,11 +802,6 @@ func decodeEntry(kind Kind, p []byte) (Entry, error) {
 			return e, err
 		}
 		e.RunIDs = ids
-	case KindMigrationEnd:
-		if len(p) < 8 {
-			return e, fmt.Errorf("wal: short migration end")
-		}
-		e.MigTS = int64(binary.LittleEndian.Uint64(p))
 	case KindMigrationPortion:
 		if len(p) < 8 {
 			return e, fmt.Errorf("wal: short migration portion")
@@ -867,59 +823,9 @@ func decodeEntry(kind Kind, p []byte) (Entry, error) {
 	return e, nil
 }
 
-// tagTable maps an untagged kind to its table-tagged counterpart.
-func tagTable(base Kind) Kind {
-	switch base {
-	case KindUpdate:
-		return KindTableUpdate
-	case KindFlush:
-		return KindTableFlush
-	case KindMerge:
-		return KindTableMerge
-	case KindMigrationBegin:
-		return KindTableMigrationBegin
-	case KindMigrationPortion:
-		return KindTableMigrationPortion
-	}
-	panic(fmt.Sprintf("wal: kind %d has no tagged form", base))
-}
-
-// untagged maps a table-tagged kind back to its untagged counterpart.
-func untagged(kind Kind) (Kind, bool) {
-	switch kind {
-	case KindTableUpdate:
-		return KindUpdate, true
-	case KindTableFlush:
-		return KindFlush, true
-	case KindTableMerge:
-		return KindMerge, true
-	case KindTableMigrationBegin:
-		return KindMigrationBegin, true
-	case KindTableMigrationEnd:
-		return KindMigrationEnd, true
-	case KindTableMigrationPortion:
-		return KindMigrationPortion, true
-	}
-	return 0, false
-}
-
-// tagged renders the (kind, payload) pair a record for table should be
-// written with: table 0 keeps the untagged v2 kinds (so single-table logs
-// stay byte-identical across format versions), every other table gets the
-// tagged kind with the u32 table id prefixed to the payload.
-func tagged(table uint32, base Kind, payload []byte) (Kind, []byte) {
-	if table == 0 {
-		return base, payload
-	}
-	p := make([]byte, 4, 4+len(payload))
-	binary.LittleEndian.PutUint32(p, table)
-	return tagTable(base), append(p, payload...)
-}
-
 // ForTable returns the redo logger a table's store logs through: a view
-// of the log that tags every record with the table's id (table 0's tag is
-// the untagged kind). All views share the log's latch, buffer and
-// group-commit batching.
+// of the log that opens every record with the table's id. All views share
+// the log's latch, buffer and group-commit batching.
 func (l *Log) ForTable(table uint32) masm.RedoLogger {
 	return &tableLogger{l: l, table: table}
 }
@@ -946,8 +852,7 @@ func (t *tableLogger) LogTxnBatch(at sim.Time, parts []masm.TxnPart) (sim.Time, 
 }
 
 func (t *tableLogger) LogUpdate(at sim.Time, rec update.Record) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindUpdate, update.AppendEncode(nil, &rec))
-	return t.l.append(at, kind, payload)
+	return t.l.append(at, KindUpdate, update.AppendEncode(tablePrefix(t.table, update.EncodedSize(&rec)), &rec))
 }
 
 // LogFlush implements masm.RedoLogger. With hooks installed, the run data
@@ -955,24 +860,22 @@ func (t *tableLogger) LogUpdate(at sim.Time, rec update.Record) (sim.Time, error
 // durable, recovery drops the covered updates from the replayed buffer, so
 // the record must never be readable while the run it points at is not.
 func (t *tableLogger) LogFlush(at sim.Time, run masm.RunMeta) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindFlush, encodeRunMeta(nil, run))
-	return t.l.logRunRecord(at, kind, payload)
+	return t.l.logRunRecord(at, KindFlush, encodeRunMeta(tablePrefix(t.table, runMetaSize), run))
 }
 
 // LogMerge implements masm.RedoLogger. The same ordering as LogFlush
 // applies; additionally the consumed runs' extents may be reused by later
 // flushes, so the record must be durable before that reuse can be.
 func (t *tableLogger) LogMerge(at sim.Time, run masm.RunMeta, consumed []int64) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindMerge, encodeIDs(encodeRunMeta(nil, run), consumed))
-	return t.l.logRunRecord(at, kind, payload)
+	return t.l.logRunRecord(at, KindMerge, encodeIDs(encodeRunMeta(tablePrefix(t.table, runMetaSize), run), consumed))
 }
 
 // LogMigrationBegin implements masm.RedoLogger. Migration boundaries are
 // forced to disk: recovery must know about a migration that may have
 // dirtied data pages.
 func (t *tableLogger) LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindMigrationBegin, encodeIDs(binary.LittleEndian.AppendUint64(nil, uint64(migTS)), runIDs))
-	return t.l.logForced(at, kind, payload, false)
+	payload := encodeIDs(binary.LittleEndian.AppendUint64(tablePrefix(t.table, 8), uint64(migTS)), runIDs)
+	return t.l.logForced(at, KindMigrationBegin, payload, false)
 }
 
 // LogMigrationPortion implements masm.RedoLogger. With hooks installed,
@@ -981,8 +884,8 @@ func (t *tableLogger) LogMigrationBegin(at sim.Time, migTS int64, runIDs []int64
 // and the record is forced, because the consumed runs' extents may be
 // reused by later flushes.
 func (t *tableLogger) LogMigrationPortion(at sim.Time, migTS int64, consumed []int64) (sim.Time, error) {
-	kind, payload := tagged(t.table, KindMigrationPortion, encodeIDs(binary.LittleEndian.AppendUint64(nil, uint64(migTS)), consumed))
-	return t.l.logForced(at, kind, payload, true)
+	payload := encodeIDs(binary.LittleEndian.AppendUint64(tablePrefix(t.table, 8), uint64(migTS)), consumed)
+	return t.l.logForced(at, KindMigrationPortion, payload, true)
 }
 
 func encodeTxnBatch(parts []masm.TxnPart) []byte {

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -201,11 +200,11 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err = l.LogFlush(now, masm.RunMeta{RunID: 1, Off: 0, Size: 100, MaxTS: 5, Passes: 1})
+	now, err = l.LogFlush(now, masm.RunMeta{RunID: 1, Off: 0, Size: 100, MaxTS: 5, Passes: 1, IndexSize: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err = l.LogMerge(now, masm.RunMeta{RunID: 2, Off: 200, Size: 300, MaxTS: 5, Passes: 2}, []int64{0, 1})
+	now, err = l.LogMerge(now, masm.RunMeta{RunID: 2, Off: 200, Size: 300, MaxTS: 5, Passes: 2, IndexSize: 80}, []int64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,66 +237,6 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if entries[4].Kind != KindMigrationPortion || entries[4].MigTS != 7 || len(entries[4].Consumed) != 1 {
 		t.Fatalf("entry 4: %+v", entries[4])
-	}
-}
-
-// legacyMigrationEnd hand-builds the frame earlier builds closed a
-// whole-table migration with: KindMigrationEnd [migTS u64] for table 0,
-// KindTableMigrationEnd [table u32][migTS u64] for any other.
-func legacyMigrationEnd(table uint32, migTS int64) (Kind, []byte) {
-	payload := binary.LittleEndian.AppendUint64(nil, uint64(migTS))
-	if table == 0 {
-		return KindMigrationEnd, payload
-	}
-	return KindTableMigrationEnd, append(binary.LittleEndian.AppendUint32(nil, table), payload...)
-}
-
-// TestReplayLegacyMigrationEnd: no writer produces KindMigrationEnd any
-// more (a migration's one closing record is KindMigrationPortion), but
-// directories written by earlier builds hold it, so a hand-built frame —
-// untagged for table 0, tagged for table 5 — must still replay as "the
-// whole begin set is consumed and nothing needs redoing".
-func TestReplayLegacyMigrationEnd(t *testing.T) {
-	hdd := sim.NewDevice(sim.Barracuda7200())
-	vol, _ := storage.NewVolume(hdd, 0, 16<<20)
-	l := Open(vol)
-	now := sim.Time(0)
-	var err error
-	for _, table := range []uint32{0, 5} {
-		tl := l.ForTable(table)
-		for id := int64(1); id <= 3; id++ {
-			if now, err = tl.LogFlush(now, masm.RunMeta{RunID: id, Off: id * 4096, Size: 100, MaxTS: id, Passes: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if now, err = tl.LogMigrationBegin(now, 9, []int64{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-		kind, payload := legacyMigrationEnd(table, 9)
-		if now, err = l.append(now, kind, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A later migration that never closed still asks for its redo.
-	if now, err = l.ForTable(5).LogMigrationBegin(now, 12, []int64{3}); err != nil {
-		t.Fatal(err)
-	}
-	if now, err = l.Sync(now); err != nil {
-		t.Fatal(err)
-	}
-	rp := NewReplayer()
-	if _, err := ReadStream(vol, now, func(e Entry) error { rp.Observe(e); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	states := rp.States()
-	for table, wantRedo := range map[uint32]int{0: 0, 5: 1} {
-		st := states[table]
-		if st == nil || len(st.Runs) != 1 || st.Runs[0].RunID != 3 {
-			t.Fatalf("table %d: live runs %+v, want only run 3 (1 and 2 were consumed by the end record)", table, st)
-		}
-		if len(st.RedoMigration) != wantRedo || st.MaxTS < 9 {
-			t.Fatalf("table %d: redo %v, maxTS %d", table, st.RedoMigration, st.MaxTS)
-		}
 	}
 }
 

@@ -210,18 +210,6 @@ func coreConfig(cfg Config) core.Config {
 	return ccfg
 }
 
-// coreConfigFor is coreConfig specialized to a live engine: file-backed
-// engines persist run zone-map blocks so reopen can rebuild run indexes
-// from one small read instead of rescanning run data. In-memory (simulated)
-// engines keep the format-1 layout — the golden experiments' byte streams
-// and timings stay bit-identical, and a crash-restored sim engine exercises
-// the full Rebuild path the paper's recovery analysis prices.
-func (e *Engine) coreConfigFor() core.Config {
-	ccfg := coreConfig(e.cfg)
-	ccfg.Run.PersistZoneMaps = e.fs != nil
-	return ccfg
-}
-
 // dataBytesFor sizes the main-data volume for a bulk load generously:
 // the loaded data plus room for growth. Open and OpenDir share it so the
 // sim and file backends always lay out identical geometry.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"masm/internal/obs"
+	"masm/internal/wal"
 )
 
 // TestEngineMetricsEndToEnd drives one table through writes, flushes, a
@@ -89,6 +90,67 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("prometheus text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestSSDBytesWrittenCountsZoneBlocks: every run ends in a zone-map block
+// the SSD is written with too, so masm_ssd_bytes_written is the sum of
+// Size + IndexSize over every run the log names — one-pass and two-pass —
+// while masm_run_bytes, the cache-fill ledger, holds the live runs' data
+// bytes only.
+func TestSSDBytesWrittenCountsZoneBlocks(t *testing.T) {
+	e, err := NewEngine(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl := loadTable(t, e, "orders", 400, TableOptions{})
+	// More one-pass runs than a scan has query pages for, so the scan
+	// below first merges the earliest ones into a two-pass run.
+	for i := 0; i < 20*30; i++ {
+		if err := tbl.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("upd-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%30 == 29 {
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scanAll(t, tbl)
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	lbl := obs.L("table", "orders")
+	snap := e.Metrics()
+	if snap.Counter("masm_two_pass_merges", lbl) == 0 {
+		t.Fatal("setup ran no two-pass merge")
+	}
+
+	var written, blocks int64
+	rep := wal.NewReplayer()
+	if _, err := wal.ReadStream(e.logVol, 0, func(ent wal.Entry) error {
+		if ent.Kind == wal.KindFlush || ent.Kind == wal.KindMerge {
+			written += ent.Run.Size + ent.Run.IndexSize
+			blocks += ent.Run.IndexSize
+		}
+		rep.Observe(ent)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if blocks == 0 {
+		t.Fatal("the log names no zone-map block")
+	}
+	if got := snap.Counter("masm_ssd_bytes_written", lbl); got != written {
+		t.Fatalf("masm_ssd_bytes_written = %d, the log's runs sum to %d (%d of it zone-map blocks)", got, written, blocks)
+	}
+	var live int64
+	for _, rm := range rep.States()[tbl.ID()].Runs {
+		live += rm.Size
+	}
+	if got := snap.Gauge("masm_run_bytes", lbl); got != live {
+		t.Fatalf("masm_run_bytes = %d, the live runs hold %d data bytes", got, live)
 	}
 }
 

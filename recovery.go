@@ -48,7 +48,7 @@ import (
 // clock); everything outside those tests passes storage.DefaultIOWorkers.
 func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time, tables []*Table, rebuildWorkers int) (sim.Time, error) {
 	start := time.Now()
-	ccfg := e.coreConfigFor()
+	ccfg := coreConfig(e.cfg)
 	rb := newRunRebuilder(e.ssdVol, ccfg.Run, tables, rebuildWorkers)
 	// No scan may outlive recovery: an error return hands the files back
 	// to the caller's cleanup while a scan could still be mid-pread. On
@@ -144,7 +144,7 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 
 // runRebuilder reconstructs surviving runs' indexes on the data plane while
 // the rest of recovery proceeds. A scan is pure data-plane work
-// (runfile.RebuildOffline — PeekAt, no pricing), so starting one the moment
+// (runfile.LoadIndexOffline — PeekAt, no pricing), so starting one the moment
 // its run metadata streams out of the log cannot move the virtual clock; it
 // only moves the scan's real I/O wait under the replay's and the restores'
 // CPU time. core.Restore charges the recorded spans where an inline rebuild
@@ -184,8 +184,8 @@ func newRunRebuilder(vol *storage.Volume, cfg runfile.Config, tables []*Table, w
 
 // dispatch starts run rm's rebuild scan unless one was already started.
 func (rb *runRebuilder) dispatch(table uint32, rm core.RunMeta) {
-	if rb.sem == nil || rm.Format > runfile.MaxFormat {
-		return // inline mode, or core.Restore reports the version error
+	if rb.sem == nil {
+		return // inline mode
 	}
 	if rb.prebuilt[table] == nil {
 		return // a dropped table's records: replay ignores them too
@@ -201,15 +201,8 @@ func (rb *runRebuilder) dispatch(table uint32, rm core.RunMeta) {
 		rb.sem <- struct{}{}
 		defer func() { <-rb.sem }()
 		var pb core.PrebuiltRun
-		if rm.Format >= runfile.FormatZoneMaps && rm.IndexSize > 0 {
-			// Zone-mapped runs skip record decode: the persisted block
-			// restores the index, the data is swept for its checksum only.
-			pb.Run, pb.Spans, pb.Err = runfile.LoadIndexOffline(rb.vol, rm.Off, rm.Size,
-				rm.IndexSize, rm.RunID, rm.Passes, rm.CRC, rb.cfg)
-		} else {
-			pb.Run, pb.Spans, pb.Err = runfile.RebuildOffline(rb.vol, rm.Off, rm.Size,
-				rm.RunID, rm.Passes, rm.CRC, rb.cfg)
-		}
+		pb.Run, pb.Spans, pb.Err = runfile.LoadIndexOffline(rb.vol, rm.Off, rm.Size,
+			rm.IndexSize, rm.RunID, rm.Passes, rm.CRC, rb.cfg)
 		rb.mu.Lock()
 		rb.prebuilt[table][rm.RunID] = pb
 		rb.mu.Unlock()
@@ -276,6 +269,9 @@ func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File, rebuildWo
 			if oldWal != nil {
 				oldWal.Close()
 			}
+			// A refused or failed recovery leaves the directory as it found
+			// it (once wal.log is superseded the temp name is gone already).
+			os.Remove(filepath.Join(dir, walTmpFileName))
 		}
 	}()
 	if ds.data, err = ds.openBackend(dataFileName, m.DataBytes); err != nil {
