@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"masm/internal/obs"
 )
 
 // stressBody builds the self-validating row format used by the stress
@@ -161,6 +163,150 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 		return true
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentGetsSeeCompletedWrites runs point lookups against writers,
+// flushes and migrations, and holds them to the
+// read-your-predecessors rule a fresh read timestamp implies: a Get that
+// starts after a write returned must see that write or a later one. Each
+// writer owns its keys and bumps a per-key generation; it publishes the
+// generation only after the write returned, so a reader that loads the
+// published value and then Gets the key may never read an older one — not
+// when the record sits in the memtable's unsorted tail, not when a flush
+// moves it into a run between the lookup's latch hold and its reads, not
+// when a migration folds it into the page. A snapshot's Get must agree
+// with the snapshot's own scan of the key.
+func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
+	const n, nKeys, perWriter = 2000, 64, 1500
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 256 << 10
+	db := loadStressDB(t, n, cfg)
+	defer db.Close()
+	hotKey := func(i int) uint64 { return uint64(i)*50 + 1 } // odd: inserted, never loaded
+	published := make([]atomic.Int64, nKeys)
+	genOf := func(key uint64, body []byte) (int64, error) {
+		if err := checkStressRow(key, body); err != nil {
+			return 0, err
+		}
+		g, err := strconv.Atoi(string(body[genOffset : genOffset+6]))
+		return int64(g), err
+	}
+
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			gen := make(map[int]int)
+			for i := 0; i < perWriter; i++ {
+				k := 2*rng.Intn(nKeys/2) + w // this writer's keys
+				gen[k]++
+				var err error
+				if gen[k] == 1 || rng.Intn(4) == 0 {
+					err = db.Insert(hotKey(k), stressBody(hotKey(k), gen[k]))
+				} else {
+					err = db.Modify(hotKey(k), genOffset, []byte(fmt.Sprintf("%06d", gen[k])))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				published[k].Store(int64(gen[k]))
+				if i%100 == 99 {
+					err = db.Flush()
+				}
+				// A migration waits for lookups older than it; the readers
+				// pause often enough to let one through.
+				for i%500 == 499 && err == nil {
+					if err = db.Migrate(); errors.Is(err, ErrActiveQueries) || errors.Is(err, ErrMigrationInProgress) {
+						err = nil
+						time.Sleep(20 * time.Microsecond)
+						continue
+					}
+					break
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := rng.Intn(nKeys)
+				key := hotKey(k)
+				floor := published[k].Load()
+				body, ok, err := db.Get(key)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !ok {
+					if floor > 0 {
+						t.Errorf("Get(%d) found nothing after generation %d was written", key, floor)
+						return
+					}
+					continue
+				}
+				if g, err := genOf(key, body); err != nil || g < floor {
+					t.Errorf("Get(%d) read generation %d (%v) after generation %d was written", key, g, err, floor)
+					return
+				}
+				if i%50 != 0 {
+					continue
+				}
+				time.Sleep(50 * time.Microsecond)
+				sn, err := db.Snapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, gotOK, err := sn.Get(key)
+				var ref []byte
+				refOK := false
+				if err == nil {
+					err = sn.Scan(key, key, func(_ uint64, b []byte) bool {
+						ref, refOK = append([]byte(nil), b...), true
+						return false
+					})
+				}
+				sn.Close()
+				if err != nil || gotOK != refOK || string(got) != string(ref) {
+					t.Errorf("snapshot %d key %d: Get (%q,%v), Scan (%q,%v), err %v", sn.TS(), key, got, gotOK, ref, refOK, err)
+					return
+				}
+			}
+		}(int64(r + 100))
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	for k := range published {
+		body, ok, err := db.Get(hotKey(k))
+		want := published[k].Load()
+		if err != nil || ok != (want > 0) {
+			t.Fatalf("final Get(%d) = (%v, %v), %d generations written", hotKey(k), ok, err, want)
+		}
+		if g, err := genOf(hotKey(k), body); ok && (err != nil || g != want) {
+			t.Fatalf("final Get(%d) read generation %d (%v), want %d", hotKey(k), g, err, want)
+		}
+	}
+	m := db.Metrics()
+	if m.Counter("masm_migrations", obs.L("table", DefaultTableName)) == 0 || m.Counter("masm_one_pass_runs", obs.L("table", DefaultTableName)) == 0 {
+		t.Fatal("no flush or no migration ran beside the lookups")
 	}
 }
 

@@ -510,16 +510,22 @@ func (e *Engine) drainQuery(q *core.Query, fn func(key uint64, body []byte) bool
 }
 
 // Get returns the freshest version of one record, or ok=false if it does
-// not exist.
+// not exist: what Scan(key, key) would deliver, by the store's point
+// lookup (memtable probe, the runs whose key filter admits the key, one
+// page) instead of a merge over every run.
 func (t *Table) Get(key uint64) ([]byte, bool, error) {
-	var body []byte
-	found := false
-	err := t.Scan(key, key, func(_ uint64, b []byte) bool {
-		body = append([]byte(nil), b...)
-		found = true
-		return false
-	})
-	return body, found, err
+	e := t.eng
+	// Held across the lookup, as apply holds it across a write: the lookup
+	// registers as a reader inside the store, and a DropTable must not slip
+	// between the liveness check and that registration.
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if err := t.liveLocked(); err != nil {
+		return nil, false, err
+	}
+	row, found, end, err := t.store.Get(e.clock.now(), key)
+	e.clock.advance(end)
+	return row.Body, found, err
 }
 
 // Flush forces the table's in-memory update buffer into a materialized

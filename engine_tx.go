@@ -135,7 +135,9 @@ func (tx *EngineTx) Scan(tableName string, begin, end uint64, fn func(key uint64
 	return err
 }
 
-// Get returns the transaction's view of one record of tableName.
+// Get returns the transaction's view of one record of tableName. It stays
+// a one-key Scan rather than the store's point lookup: the overlay of the
+// transaction's own writes lives in txn's scan.
 func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 	var body []byte
 	found := false

@@ -419,6 +419,22 @@ func (x *exec) step(i int, op Op) *Failure {
 			}
 			return x.fail(i, op, "engine-error", "Get(%d): %v", op.Key, err)
 		}
+		// The equivalent query: the point lookup and a one-key range scan
+		// must agree whatever the model says (ghost keys included).
+		var ref []byte
+		rok := false
+		if err := tbl.Scan(op.Key, op.Key, func(_ uint64, b []byte) bool {
+			ref, rok = append([]byte(nil), b...), true
+			return false
+		}); err != nil {
+			if x.anyCrashed() {
+				return x.recoverCrash(i, op)
+			}
+			return x.fail(i, op, "engine-error", "Scan(%d,%d): %v", op.Key, op.Key, err)
+		}
+		if ok != rok || !bytesEqual(body, ref) {
+			return x.fail(i, op, "scan", "Get(%d) = (%q,%v) but Scan(%d,%d) = (%q,%v)", op.Key, body, ok, op.Key, op.Key, ref, rok)
+		}
 		if t.ghosts[op.Key] {
 			return nil
 		}

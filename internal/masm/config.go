@@ -95,7 +95,11 @@ func (c Config) MemoryPages() int {
 	return int(math.Ceil(c.Alpha * float64(c.MPages())))
 }
 
-// MemoryBytes returns the total memory allocation in bytes.
+// MemoryBytes returns the total memory allocation in bytes: Table 1's αM,
+// the update buffer plus the scan pages. Like the run indexes, the runs'
+// key filters (runfile/point.go) are DRAM outside it: 10 bits per cached
+// record, ≈1.1 % of the cached bytes at ~110-byte records — about 750 KB
+// under a full 64 MiB cache — reported as masm_run_filter_bytes.
 func (c Config) MemoryBytes() int { return c.MemoryPages() * c.SSDPage }
 
 // SPages returns S_opt = 0.5·αM, the pages dedicated to buffering

@@ -38,6 +38,13 @@ func body(key uint64, size int) []byte {
 // insertable (paper §4.1).
 func newEnv(t *testing.T, nRows int, cfg Config) *env {
 	t.Helper()
+	return newEnvOn(t, nRows, cfg, func(_ string, be storage.Backend) storage.Backend { return be })
+}
+
+// newEnvOn is newEnv with each volume's backend ("data", "ssd") passed
+// through wrap first, for tests that watch the I/O.
+func newEnvOn(t *testing.T, nRows int, cfg Config, wrap func(name string, be storage.Backend) storage.Backend) *env {
+	t.Helper()
 	e := &env{
 		t:      t,
 		hdd:    sim.NewDevice(sim.Barracuda7200()),
@@ -46,7 +53,7 @@ func newEnv(t *testing.T, nRows int, cfg Config) *env {
 		model:  make(map[uint64][]byte),
 		rng:    rand.New(rand.NewSource(42)),
 	}
-	dataVol, err := storage.NewVolume(e.hdd, 0, 4<<30)
+	dataVol, err := storage.NewVolumeOn(e.hdd, 0, wrap("data", storage.NewMemBackend(4<<30)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func newEnv(t *testing.T, nRows int, cfg Config) *env {
 	}
 	// Volume is over-provisioned 2x relative to the logical cache
 	// capacity, giving 2-pass merges transient space (as real SSDs do).
-	ssdVol, err := storage.NewVolume(e.ssd, 0, 2*cfg.SSDCapacity)
+	ssdVol, err := storage.NewVolumeOn(e.ssd, 0, wrap("ssd", storage.NewMemBackend(2*cfg.SSDCapacity)))
 	if err != nil {
 		t.Fatal(err)
 	}

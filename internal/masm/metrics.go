@@ -5,6 +5,7 @@ import (
 
 	"masm/internal/extsort"
 	"masm/internal/obs"
+	"masm/internal/runfile"
 )
 
 // StoreMetrics is a store's pre-resolved handles into an obs.Registry:
@@ -28,6 +29,7 @@ type StoreMetrics struct {
 	TwoPassMerges   *obs.Counter
 	RunBytes        *obs.Gauge
 	RunCount        *obs.Gauge
+	RunFilterBytes  *obs.Gauge // DRAM held by the live runs' key filters
 	MemtableBytes   *obs.Gauge
 
 	// Migration.
@@ -50,6 +52,12 @@ type StoreMetrics struct {
 	ActiveQueries    *obs.Gauge
 	OpenSnapshots    *obs.Gauge
 	QueryPagesInUse  *obs.Gauge
+
+	// Point lookups (Store.Get): how many ran, and over them how many runs
+	// were read and how many the span/timestamp/filter check spared.
+	Gets            *obs.Counter
+	GetRunsProbed   *obs.Counter
+	GetRunsFiltered *obs.Counter
 
 	// Query executor: zone-map pruning and predicate pushdown. Folded in
 	// at query close (run-scan stats), never per record.
@@ -87,6 +95,7 @@ func NewStoreMetrics(reg *obs.Registry, labels ...obs.Label) *StoreMetrics {
 		TwoPassMerges:   reg.Counter("masm_two_pass_merges", labels...),
 		RunBytes:        reg.Gauge("masm_run_bytes", labels...),
 		RunCount:        reg.Gauge("masm_run_count", labels...),
+		RunFilterBytes:  reg.Gauge("masm_run_filter_bytes", labels...),
 		MemtableBytes:   reg.Gauge("masm_memtable_bytes", labels...),
 
 		Migrations:            reg.Counter("masm_migrations", labels...),
@@ -107,6 +116,10 @@ func NewStoreMetrics(reg *obs.Registry, labels ...obs.Label) *StoreMetrics {
 		ActiveQueries:    reg.Gauge("masm_active_queries", labels...),
 		OpenSnapshots:    reg.Gauge("masm_open_snapshots", labels...),
 		QueryPagesInUse:  reg.Gauge("masm_query_pages_in_use", labels...),
+
+		Gets:            reg.Counter("masm_gets", labels...),
+		GetRunsProbed:   reg.Counter("masm_get_runs_probed", labels...),
+		GetRunsFiltered: reg.Counter("masm_get_runs_filtered", labels...),
 
 		GranulesSkipped:  reg.Counter("masm_query_granules_skipped", labels...),
 		PushdownFiltered: reg.Counter("masm_pushdown_records_filtered", labels...),
@@ -163,6 +176,19 @@ func (s *Store) CheckMetrics() error {
 	}
 	if g, w := s.m.RunCount.Value(), int64(len(s.runs)); g != w {
 		return fmt.Errorf("masm: run-count gauge %d != live run count %d", g, w)
+	}
+	var filterBytes int64
+	for _, r := range s.runs {
+		// A filter rebuilt at recovery must come out the size its writer
+		// made it: both derive it from the record count.
+		if g, w := r.FilterBytes(), runfile.FilterBytesFor(r.Count); g != w {
+			return fmt.Errorf("masm: run %d: key filter of %d bytes for %d records, want %d", r.ID, g, r.Count, w)
+		}
+		filterBytes += r.FilterBytes()
+	}
+	if g := s.m.RunFilterBytes.Value(); g != filterBytes || s.runFilterBytes != filterBytes {
+		return fmt.Errorf("masm: run-filter-bytes gauge %d, ledger %d != live runs' filters %d",
+			g, s.runFilterBytes, filterBytes)
 	}
 	if g, w := s.m.MemtableBytes.Value(), int64(s.buf.Bytes()); g != w {
 		return fmt.Errorf("masm: memtable-bytes gauge %d != live buffer bytes %d", g, w)

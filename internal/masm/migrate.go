@@ -241,7 +241,7 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 	if m.last {
 		s.runs = slices.DeleteFunc(s.runs, func(r *runfile.Run) bool { return slices.Contains(consumed, r) })
 		for _, r := range consumed {
-			s.addRunBytesLocked(-r.Size)
+			s.accountRunLocked(r, -1)
 			s.m.MigrationBytesRead.Add(r.Size)
 			s.releaseRunLocked(r)
 		}

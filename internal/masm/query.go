@@ -241,40 +241,14 @@ func (q *Query) Next() (table.Row, bool, error) {
 			q.cpu += q.CPUPerRecord
 			q.rowBytes += int64(len(row.Body))
 			return row, true, nil
-		case haveRow && row.Key == upd.Key:
-			// Apply the whole same-key update group onto the base row,
-			// skipping updates the page already absorbed via migration
-			// (timestamp check, §3.2).
-			q.consumeData()
-			body, exists := row.Body, true
-			ts := row.PageTS
-			for {
-				u, ok, err := q.peekUpd()
-				if err != nil {
-					q.err = err
-					return table.Row{}, false, err
-				}
-				if !ok || u.Key != row.Key {
-					break
-				}
-				q.consumeUpd()
-				if u.TS > row.PageTS {
-					body, exists = update.Apply(body, exists, &u)
-					ts = u.TS
-				}
-			}
-			if exists {
-				q.cpu += q.CPUPerRecord
-				q.rowBytes += int64(len(body))
-				return table.Row{Key: row.Key, Body: body, PageTS: ts}, true, nil
-			}
 		default:
-			// Update group with no base row: a new insertion (or a
-			// delete/modify of a nonexistent key, which yields nothing).
+			// An update group, with or without a base row under it.
 			key := upd.Key
-			var body []byte
-			exists := false
-			var ts int64
+			var fold rowFold
+			if haveRow && row.Key == key {
+				q.consumeData()
+				fold = foldOnto(row)
+			}
 			for {
 				u, ok, err := q.peekUpd()
 				if err != nil {
@@ -285,13 +259,12 @@ func (q *Query) Next() (table.Row, bool, error) {
 					break
 				}
 				q.consumeUpd()
-				body, exists = update.Apply(body, exists, &u)
-				ts = u.TS
+				fold.apply(&u)
 			}
-			if exists {
+			if fold.exists {
 				q.cpu += q.CPUPerRecord
-				q.rowBytes += int64(len(body))
-				return table.Row{Key: key, Body: body, PageTS: ts}, true, nil
+				q.rowBytes += int64(len(fold.body))
+				return table.Row{Key: key, Body: fold.body, PageTS: fold.ts}, true, nil
 			}
 		}
 	}

@@ -97,7 +97,7 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 		run.Table = s.tableID
 		s.extents[rm.RunID] = extent{off: rm.Off, size: roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))}
 		s.runs = append(s.runs, run)
-		s.addRunBytesLocked(run.Size)
+		s.accountRunLocked(run, +1)
 		if rm.RunID >= s.nextRunID {
 			s.nextRunID = rm.RunID + 1
 		}

@@ -110,9 +110,12 @@ type Store struct {
 	// runBytes is the summed Size of s.runs, maintained at every run-set
 	// mutation so the per-update cache-fill check is O(1) instead of a
 	// walk of the run list under the latch.
-	runBytes  int64
-	alloc     RunAllocator
-	nextRunID int64
+	runBytes int64
+	// runFilterBytes is the summed FilterBytes of s.runs: DRAM outside the
+	// αM budget, like the run indexes.
+	runFilterBytes int64
+	alloc          RunAllocator
+	nextRunID      int64
 	// queryPagesInUse counts memory pages pinned by open queries'
 	// Run_scan read buffers; MaSM-M steals idle query pages for the
 	// update buffer (paper Fig 8).
@@ -123,7 +126,10 @@ type Store struct {
 	// readers for the purposes of the §3.5 merge-safety policy and the
 	// migration wait, even while they have no query open.
 	snaps map[*Snapshot]int64
-	// pins counts open queries and snapshots holding each run; dead parks
+	// gets counts the point lookups in flight at each read timestamp (Get);
+	// readers like the two above, for the instant they last.
+	gets map[int64]int
+	// pins counts open queries, lookups and snapshots holding each run; dead parks
 	// migrated runs whose extents cannot be reclaimed until their pins
 	// drain.
 	pins map[int64]int
@@ -203,6 +209,7 @@ func NewStoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *O
 		alloc:           alloc,
 		activeQueries:   make(map[*Query]int64),
 		snaps:           make(map[*Snapshot]int64),
+		gets:            make(map[int64]int),
 		pins:            make(map[int64]int),
 		dead:            make(map[int64]*runfile.Run),
 		extents:         make(map[int64]extent),
@@ -219,13 +226,17 @@ func (s *Store) Config() Config { return s.cfg }
 // (0 for a standalone single-table store).
 func (s *Store) TableID() uint32 { return s.tableID }
 
-// Idle reports whether the store has no open queries, snapshots or
-// in-flight migration — the precondition for dropping its table from a
+// Idle reports whether the store has no open queries, snapshots, lookups
+// or in-flight migration — the precondition for dropping its table from a
 // catalog.
 func (s *Store) Idle() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.activeQueries) == 0 && len(s.snaps) == 0 && !s.migrating
+	return s.idleLocked()
+}
+
+func (s *Store) idleLocked() bool {
+	return len(s.activeQueries) == 0 && len(s.snaps) == 0 && len(s.gets) == 0 && !s.migrating
 }
 
 // ReleaseAllRuns frees every live run's extent back to the allocator and
@@ -234,11 +245,11 @@ func (s *Store) Idle() bool {
 func (s *Store) ReleaseAllRuns() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.activeQueries) != 0 || len(s.snaps) != 0 || s.migrating {
+	if !s.idleLocked() {
 		return fmt.Errorf("masm: table %d still has active readers or a migration", s.tableID)
 	}
 	for _, r := range s.runs {
-		s.addRunBytesLocked(-r.Size)
+		s.accountRunLocked(r, -1)
 		s.releaseRunLocked(r)
 	}
 	s.runs = nil
@@ -283,13 +294,15 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// addRunBytesLocked moves the run-set byte ledger and its mirroring
-// gauge together; every s.runBytes mutation goes through here so the
-// gauge can never drift from the state CheckInvariants audits. Caller
-// holds s.mu.
-func (s *Store) addRunBytesLocked(delta int64) {
-	s.runBytes += delta
+// accountRunLocked moves the run-set byte ledgers and their mirroring
+// gauges together as r joins (sign +1) or leaves (-1) the live run set;
+// every mutation goes through here so the gauges can never drift from the
+// state CheckInvariants and CheckMetrics audit. Caller holds s.mu.
+func (s *Store) accountRunLocked(r *runfile.Run, sign int64) {
+	s.runBytes += sign * r.Size
 	s.m.RunBytes.Set(s.runBytes)
+	s.runFilterBytes += sign * r.FilterBytes()
+	s.m.RunFilterBytes.Set(s.runFilterBytes)
 }
 
 // Runs returns the current number of materialized sorted runs.
@@ -479,7 +492,7 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 	}
 	s.extents[id] = extent{off: off, size: extSize}
 	s.runs = append(s.runs, run)
-	s.addRunBytesLocked(run.Size)
+	s.accountRunLocked(run, +1)
 	s.m.RunCount.Set(int64(len(s.runs)))
 	if len(s.activeQueries) > 0 {
 		_, fe := s.buf.Epochs()
@@ -522,16 +535,20 @@ func (s *Store) combineLocked(recs []update.Record) []update.Record {
 }
 
 // readerTSsLocked returns the timestamps of every active reader: open
-// queries and open snapshots. Caller holds s.mu.
+// queries, open snapshots and point lookups in flight. Caller holds s.mu.
 func (s *Store) readerTSsLocked() []int64 {
-	if len(s.activeQueries) == 0 && len(s.snaps) == 0 {
+	n := len(s.activeQueries) + len(s.snaps) + len(s.gets)
+	if n == 0 {
 		return nil
 	}
-	qts := make([]int64, 0, len(s.activeQueries)+len(s.snaps))
+	qts := make([]int64, 0, n)
 	for _, ts := range s.activeQueries {
 		qts = append(qts, ts)
 	}
 	for _, ts := range s.snaps {
+		qts = append(qts, ts)
+	}
+	for ts := range s.gets {
 		qts = append(qts, ts)
 	}
 	return qts
@@ -711,7 +728,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 	s.runs = append(kept, nil)
 	copy(s.runs[first+1:], s.runs[first:len(s.runs)-1])
 	s.runs[first] = merged
-	s.addRunBytesLocked(merged.Size)
+	s.accountRunLocked(merged, +1)
 	if len(s.activeQueries) > 0 {
 		for _, o := range olds {
 			s.mergedInto[o.ID] = id
@@ -720,7 +737,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 	s.pruneScanTrackingLocked()
 	s.extents[id] = extent{off: off, size: extSize}
 	for _, o := range olds {
-		s.addRunBytesLocked(-o.Size)
+		s.accountRunLocked(o, -1)
 		s.releaseRunLocked(o)
 	}
 	s.m.RunCount.Set(int64(len(s.runs)))

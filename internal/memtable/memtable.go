@@ -13,6 +13,9 @@
 //   - The buffer records a flush timestamp when it is drained into a run;
 //     a Mem_scan that detects a flush reports it so the owning operator
 //     tree can replace it with a Run_scan over the new run.
+//   - Point probes (AppendKey) do not sort: they binary-search the sorted
+//     prefix and walk the unsorted tail, so a one-key read never bumps the
+//     sort epoch under a running Mem_scan. Only scans and drains sort.
 package memtable
 
 import (
@@ -200,6 +203,28 @@ func (b *Buffer) lowerBoundLocked(key uint64, ts int64) int {
 		}
 		return recs[i].TS > ts
 	})
+}
+
+// AppendKey appends to dst the buffered records for key with timestamps
+// below queryTS, without sorting the buffer: a binary search of the sorted
+// prefix, then a pass over the tail appended since the last sort. The
+// result is in timestamp order unless a failed flush restored older
+// records into the tail; a caller that depends on the order sorts the
+// handful of records it gets.
+func (b *Buffer) AppendKey(dst []update.Record, key uint64, queryTS int64) []update.Record {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := b.lowerBoundLocked(key, -1); i < b.sorted && b.recs[i].Key == key; i++ {
+		if b.recs[i].TS < queryTS {
+			dst = append(dst, b.recs[i])
+		}
+	}
+	for i := b.sorted; i < len(b.recs); i++ {
+		if r := &b.recs[i]; r.Key == key && r.TS < queryTS {
+			dst = append(dst, *r)
+		}
+	}
+	return dst
 }
 
 // Scan is a Mem_scan operator instance. Multiple Scans may run over the

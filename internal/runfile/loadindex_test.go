@@ -66,8 +66,9 @@ var runBackings = []runBacking{
 	}},
 }
 
-// diffRun reports how two runs differ, ignoring which volume they sit on
-// and the nil-versus-empty distinction of an empty run's index.
+// diffRun reports how two runs differ — index, zone maps and key filter
+// included — ignoring which volume they sit on and the nil-versus-empty
+// distinction of an empty run's index.
 func diffRun(got, want *Run) string {
 	g, w := *got, *want
 	g.vol, w.vol = nil, nil
@@ -139,6 +140,14 @@ func checkLoadIndexMatchesWriter(t *testing.T, b runBacking, recs []update.Recor
 	if offlineEnd != inlineEnd {
 		t.Fatalf("charged spans end at %d, inline open at %d", offlineEnd, inlineEnd)
 	}
+
+	// The key filter is memory-only, so the writer's run answers for it
+	// even over a volume since closed; both opens rebuilt theirs from the
+	// data sweep (diffRun above already held them bit-equal) and serve
+	// point lookups from the reopened bytes.
+	checkPointLookups(t, w, recs, false)
+	checkPointLookups(t, inline, recs, true)
+	checkPointLookups(t, offline, recs, true)
 
 	// Byte-identical iteration: the opened run yields exactly the records
 	// that were written, in order.

@@ -146,6 +146,8 @@ type Run struct {
 	vol   *storage.Volume
 	index []indexEntry
 	zones []zoneEntry
+	// filter is the in-memory key filter point lookups consult (point.go).
+	filter keyFilter
 }
 
 // IndexEntries returns the number of run-index entries (for space
@@ -168,6 +170,9 @@ type Writer struct {
 	index   []indexEntry
 	zones   []zoneEntry
 	nextIdx int64 // next granule boundary (bytes) needing an index entry
+	// hashes holds KeyHash of each distinct key appended; Close sizes the
+	// key filter from the final record count and fills it from these.
+	hashes []uint64
 
 	minKey, maxKey uint64
 	minTS, maxTS   int64
@@ -211,6 +216,9 @@ func (w *Writer) Append(r update.Record) error {
 		}
 	}
 	w.zones[len(w.zones)-1].add(&r)
+	if w.count == 0 || r.Key != w.lastKey {
+		w.hashes = append(w.hashes, KeyHash(r.Key))
+	}
 	w.buf = update.AppendEncode(w.buf, &r)
 	if w.count == 0 {
 		w.minKey, w.minTS = r.Key, r.TS
@@ -268,6 +276,10 @@ func (w *Writer) Close(passes int) (*Run, sim.Time, error) {
 		vol:    w.vol,
 		index:  w.index,
 		zones:  w.zones,
+		filter: newKeyFilter(w.count),
+	}
+	for _, h := range w.hashes {
+		r.filter.add(h)
 	}
 	block := encodeZoneBlock(w.index, w.zones, w.count, w.crc)
 	if _, err := w.sw.Write(block); err != nil {

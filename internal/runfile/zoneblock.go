@@ -7,6 +7,7 @@ import (
 
 	"masm/internal/sim"
 	"masm/internal/storage"
+	"masm/internal/update"
 )
 
 // The persisted zone-map block sits inside the run's extent immediately
@@ -119,7 +120,8 @@ func decodeZoneBlock(p []byte, id int64) (index []indexEntry, zones []zoneEntry,
 // without decoding a single record, then a sequential CRC sweep of the
 // data bytes (cfg.IOSize chunks) verifies them against the block's stored
 // data CRC and wantCRC from the redo log, so a flipped data byte or a
-// half-written run fails the open instead of serving wrong query results.
+// half-written run fails the open instead of serving wrong query results;
+// the same sweep rebuilds the run's in-memory key filter (point.go).
 // Crash recovery uses this: the run survives on the non-volatile SSD, but
 // its metadata and run index live in memory and must be reconstructed
 // (paper §3.6). The reads are charged as sequential SSD reads.
@@ -186,8 +188,16 @@ func loadIndexScan(vol *storage.Volume, off, size, indexSize int64,
 		return nil, fmt.Errorf("runfile: load run %d: data checksum mismatch (block %08x, logged %08x)",
 			id, dataCRC, wantCRC)
 	}
+	// Each record is at least a header long; a count beyond that is not a
+	// count this data can hold, and must not size an allocation.
+	if count < 0 || count > size/update.HeaderSize {
+		return nil, fmt.Errorf("runfile: load run %d: %d records cannot fit %d data bytes", id, count, size)
+	}
 	stage := storage.GetAligned(cfg.IOSize)
 	defer storage.PutAligned(stage)
+	// The key filter is memory-only: it is rebuilt from the bytes the
+	// checksum sweep reads anyway, allocated once from the block's count.
+	fb := filterBuilder{f: newKeyFilter(count)}
 	var crc uint32
 	for readOff := int64(0); readOff < size; {
 		n := int64(cfg.IOSize)
@@ -199,6 +209,7 @@ func loadIndexScan(vol *storage.Volume, off, size, indexSize int64,
 			return nil, err
 		}
 		crc = crc32.Update(crc, castagnoli, chunk)
+		fb.feed(chunk)
 		readOff += n
 	}
 	if crc != dataCRC {
@@ -208,7 +219,7 @@ func loadIndexScan(vol *storage.Volume, off, size, indexSize int64,
 	r := &Run{
 		ID: id, Off: off, Size: size, Count: count,
 		Passes: passes, CRC: dataCRC, IndexSize: indexSize,
-		cfg: cfg, vol: vol, index: index, zones: zones,
+		cfg: cfg, vol: vol, index: index, zones: zones, filter: fb.f,
 	}
 	if len(zones) > 0 {
 		r.MinKey = zones[0].minKey

@@ -448,19 +448,28 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		if err != nil {
 			return c.replyErr(m.Seq, proto.CodeNoTable, false, err) == nil
 		}
+		// A one-key scan is a point read: answered inline, it needs no
+		// credit channel and never occupies its seq in c.scans.
+		point := m.Begin == m.End
+		var ch chan uint32
+		c.mu.Lock()
+		_, dup := c.scans[m.Seq]
+		if !dup && !point {
+			ch = make(chan uint32, 16)
+			c.scans[m.Seq] = ch
+		}
+		c.mu.Unlock()
+		if dup {
+			return c.replyErr(m.Seq, proto.CodeBadRequest, false, errors.New("scan seq already in use")) == nil
+		}
+		s.mScans.Inc()
+		if point {
+			return c.getInline(tbl, m.Seq, m.Begin)
+		}
 		credits := m.Credits
 		if credits == 0 {
 			credits = 1
 		}
-		ch := make(chan uint32, 16)
-		c.mu.Lock()
-		if _, dup := c.scans[m.Seq]; dup {
-			c.mu.Unlock()
-			return c.replyErr(m.Seq, proto.CodeBadRequest, false, errors.New("scan seq already in use")) == nil
-		}
-		c.scans[m.Seq] = ch
-		c.mu.Unlock()
-		s.mScans.Inc()
 		c.scanWG.Add(1)
 		go c.runScan(tbl, m.Seq, m.Begin, m.End, m.Limit, credits, ch)
 		return true
@@ -559,6 +568,24 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		// under newer clients.
 		return c.replyErr(m.Seq, proto.CodeBadRequest, false, fmt.Errorf("unknown op %d", m.Op)) == nil
 	}
+}
+
+// getInline answers a one-key scan on the connection's own goroutine with
+// a single final OpRows frame: the engine's point lookup returns at most
+// one row, so there is nothing to stream, no credit to wait for (every
+// scan opens with at least one) and no goroutine, credit channel or
+// c.scans entry worth setting up.
+func (c *conn) getInline(tbl *masm.Table, seq uint32, key uint64) bool {
+	body, found, err := tbl.Get(key)
+	if err != nil {
+		return c.replyErr(seq, proto.CodeInternal, false, err) == nil
+	}
+	rows := &proto.Msg{Op: proto.OpRows, Seq: seq, Final: true}
+	if found {
+		rows.Rows = []proto.Row{{Key: key, Body: body}}
+		c.s.mScanRows.Inc()
+	}
+	return c.reply(rows) == nil
 }
 
 // runScan streams one table scan as credit-gated row batches. Every

@@ -12,6 +12,7 @@ import (
 
 	"masm"
 	"masm/internal/chaos"
+	"masm/internal/obs"
 	"masm/internal/proto"
 	"masm/internal/storage"
 )
@@ -535,5 +536,131 @@ func TestServerCloseDrains(t *testing.T) {
 	}
 	if got := eng.Registry().Snapshot().Gauge("masm_server_conns"); got != 0 {
 		t.Fatalf("%d connections still registered after Close", got)
+	}
+}
+
+// startFileServer is startServer over a file-backed engine in a temporary
+// directory: commits pay a real fsync, which is what the gathering window
+// is sized from.
+func startFileServer(t *testing.T, tables ...string) (*masm.Engine, string) {
+	t.Helper()
+	eng, err := masm.OpenEngineDir(t.TempDir(), masm.EngineDirOptions{DataBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tables {
+		if _, err := eng.CreateTable(name, masm.TableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(eng, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		srv.Close()
+		eng.Close()
+	})
+	return eng, ln.Addr().String()
+}
+
+func dial(t *testing.T, addr string) *proto.Client {
+	t.Helper()
+	c, err := proto.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestTwoWritersStillGroup guards what any change to the committer's
+// gathering policy must keep: two closed-loop writers share every fsync
+// (mean group size 2.0 today), or ingest throughput halves.
+func TestTwoWritersStillGroup(t *testing.T) {
+	eng, addr := startFileServer(t, "t0")
+	clients := []*proto.Client{dial(t, addr), dial(t, addr)}
+	run := func(base uint64, n int) {
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			wg.Add(1)
+			go func(i int, c *proto.Client) {
+				defer wg.Done()
+				for j := 0; j < n; j++ {
+					if err := c.Put("t0", base+uint64(i*n+j), []byte("v")); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(i, c)
+		}
+		wg.Wait()
+	}
+	run(1, 100) // warm up
+	before := eng.Registry().Snapshot().Histogram("masm_wal_group_size")
+	run(10000, 1000)
+	after := eng.Registry().Snapshot().Histogram("masm_wal_group_size")
+	tickets, syncs := after.Sum-before.Sum, after.Count-before.Count
+	mean := float64(tickets) / float64(syncs)
+	t.Logf("two writers: %d tickets over %d syncs (mean %.2f)", tickets, syncs, mean)
+	if mean < 1.8 {
+		t.Fatalf("two closed-loop writers stopped grouping: mean group size %.2f < 1.8", mean)
+	}
+}
+
+// TestPointScanInline: a one-key OpScan is answered on the connection's
+// goroutine with one final frame — same rows, same counters, no scan
+// state left behind — and a seq a streaming scan still holds is refused.
+func TestPointScanInline(t *testing.T) {
+	_, eng, addr := startServer(t, Options{}, "t0")
+	c := dial(t, addr)
+	for k := uint64(1); k <= 50; k++ {
+		if err := c.Put("t0", k, []byte(fmt.Sprintf("val-%03d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete("t0", 9); err != nil {
+		t.Fatal(err)
+	}
+	snap := eng.Registry().Snapshot()
+	scans0, rows0 := snap.Counter("masm_server_scans"), snap.Counter("masm_server_scan_rows")
+	gets0 := snap.Counter("masm_gets", obs.L("table", "t0"))
+	started0 := snap.Counter("masm_scans_started", obs.L("table", "t0"))
+	for k := uint64(1); k <= 60; k++ {
+		var got []byte
+		n := 0
+		if err := c.Scan("t0", k, k, 1, func(key uint64, body []byte) bool {
+			if key != k {
+				t.Errorf("scan of %d returned key %d", k, key)
+			}
+			got, n = append([]byte(nil), body...), n+1
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("val-%03d", k)
+		switch {
+		case k == 9 || k > 50:
+			if n != 0 {
+				t.Fatalf("key %d: %d rows, want none", k, n)
+			}
+		case n != 1 || string(got) != want:
+			t.Fatalf("key %d: %d rows, body %q, want %q", k, n, got, want)
+		}
+	}
+	snap = eng.Registry().Snapshot()
+	if d := snap.Counter("masm_server_scans") - scans0; d != 60 {
+		t.Errorf("masm_server_scans moved by %d, want 60", d)
+	}
+	if d := snap.Counter("masm_server_scan_rows") - rows0; d != 49 {
+		t.Errorf("masm_server_scan_rows moved by %d, want 49", d)
+	}
+	if d := snap.Counter("masm_gets", obs.L("table", "t0")) - gets0; d != 60 {
+		t.Errorf("masm_gets moved by %d, want 60: one-key scans did not take the point lookup", d)
+	}
+	if d := snap.Counter("masm_scans_started", obs.L("table", "t0")) - started0; d != 0 {
+		t.Errorf("masm_scans_started moved by %d: a point read opened a range scan", d)
 	}
 }

@@ -16,6 +16,26 @@ func (t *Table) PageForKey(key uint64) int64 {
 	return t.refs[t.refIndexForKey(key)].pageNo
 }
 
+// Lookup reads the one page whose key range covers key, issued at at, and
+// returns the row stored under key if the page holds one. The page
+// timestamp is reported either way: a caller folding cached updates onto
+// the row needs it to skip the ones migration already applied.
+func (t *Table) Lookup(at sim.Time, key uint64) (row Row, found bool, end sim.Time, err error) {
+	pageNo := t.PageForKey(key)
+	if pageNo < 0 {
+		return Row{}, false, at, nil
+	}
+	p, c, err := t.readPage(at, pageNo)
+	if err != nil {
+		return Row{}, false, at, err
+	}
+	row = Row{Key: key, PageTS: p.TS}
+	if i, ok := p.find(key); ok {
+		row.Body, found = p.Bodies[i], true
+	}
+	return row, found, c.End, nil
+}
+
 // ReadPageAt reads and decodes one page, charging simulated time; it is
 // the building block of the in-place-update baseline's random
 // read-modify-write I/Os (paper §2.2).

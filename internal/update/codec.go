@@ -13,15 +13,24 @@ import (
 //	op      uint8
 //	plen    uint16 little-endian
 //	payload plen bytes
-const headerSize = 8 + 8 + 1 + 2
+//
+// HeaderSize is the fixed part, everything before the payload.
+const HeaderSize = 8 + 8 + 1 + 2
+
+// DecodeHeader returns the key and payload length from the record header
+// at the front of p, which must hold at least HeaderSize bytes — all a
+// pass that only walks record boundaries needs.
+func DecodeHeader(p []byte) (key uint64, payloadLen int) {
+	return binary.LittleEndian.Uint64(p[8:]), int(binary.LittleEndian.Uint16(p[17:]))
+}
 
 // EncodedSize returns the wire size of r.
-func EncodedSize(r *Record) int { return headerSize + len(r.Payload) }
+func EncodedSize(r *Record) int { return HeaderSize + len(r.Payload) }
 
 // AppendEncode appends the wire form of r to dst and returns the extended
 // slice.
 func AppendEncode(dst []byte, r *Record) []byte {
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(r.TS))
 	binary.LittleEndian.PutUint64(hdr[8:], r.Key)
 	hdr[16] = byte(r.Op)
@@ -37,7 +46,7 @@ func AppendEncode(dst []byte, r *Record) []byte {
 // Decode parses one record from the front of p, returning the record and
 // the number of bytes consumed. The record's payload aliases p.
 func Decode(p []byte) (Record, int, error) {
-	if len(p) < headerSize {
+	if len(p) < HeaderSize {
 		return Record{}, 0, fmt.Errorf("update: short record header: %d bytes", len(p))
 	}
 	r := Record{
@@ -46,17 +55,17 @@ func Decode(p []byte) (Record, int, error) {
 		Op:  Op(p[16]),
 	}
 	plen := int(binary.LittleEndian.Uint16(p[17:]))
-	if len(p) < headerSize+plen {
+	if len(p) < HeaderSize+plen {
 		return Record{}, 0, fmt.Errorf("update: short record payload: want %d have %d",
-			plen, len(p)-headerSize)
+			plen, len(p)-HeaderSize)
 	}
 	if plen > 0 {
-		r.Payload = p[headerSize : headerSize+plen : headerSize+plen]
+		r.Payload = p[HeaderSize : HeaderSize+plen : HeaderSize+plen]
 	}
 	if r.Op < Insert || r.Op > Replace {
 		return Record{}, 0, fmt.Errorf("update: bad op byte %d", p[16])
 	}
-	return r, headerSize + plen, nil
+	return r, HeaderSize + plen, nil
 }
 
 // Iterator yields a stream of update records in (key, ts) order. It is the

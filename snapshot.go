@@ -49,16 +49,18 @@ func (s *Snapshot) Scan(begin, end uint64, fn func(key uint64, body []byte) bool
 }
 
 // Get returns the version of one record as of the snapshot, or ok=false
-// if it did not exist then.
+// if it did not exist then, by the same point lookup as Table.Get.
 func (s *Snapshot) Get(key uint64) ([]byte, bool, error) {
-	var body []byte
-	found := false
-	err := s.Scan(key, key, func(_ uint64, b []byte) bool {
-		body = append([]byte(nil), b...)
-		found = true
-		return false
-	})
-	return body, found, err
+	e := s.t.eng
+	e.mu.RLock() // across the lookup; see Table.Get
+	defer e.mu.RUnlock()
+	if err := s.t.liveLocked(); err != nil {
+		return nil, false, err
+	}
+	row, found, end, err := s.snap.Get(e.clock.now(), key)
+	e.clock.advance(end)
+	runtime.KeepAlive(s) // see Table.Snapshot's AddCleanup
+	return row.Body, found, err
 }
 
 // Close releases the snapshot's pins and unblocks migration. Close is
