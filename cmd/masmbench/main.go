@@ -7,7 +7,6 @@
 //	masmbench -exp fig9
 //	masmbench -exp all -short
 //	masmbench -exp fig12 -table 128MB -cache 8MB
-//	masmbench -mergebench -json BENCH_3.json
 //	masmbench -chaos -seed 1 -steps 20000
 //
 // The paper experiments always run on the simulated in-memory backend —
@@ -37,10 +36,8 @@ func main() {
 		cacheSz   = flag.String("cache", "", "override SSD cache size (e.g. 16MB)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		rows      = flag.Int("rows", 200_000, "tenantbench: loaded rows per table")
-		mergeBnc  = flag.Bool("mergebench", false, "run the merge-engine wall-clock microbenchmark (heap vs loser tree) instead of a paper experiment")
-		mergeRec  = flag.Int("mergerecords", 1<<20, "mergebench: records per measurement")
-		metrics   = flag.String("metricsout", "", "mergebench/tenantbench: write a reconciled JSON metrics snapshot to this path")
-		jsonOut   = flag.String("json", "default", "mergebench/tenantbench: machine-readable output path; 'default' selects BENCH_3.json / BENCH_4.json per mode, empty skips the file")
+		metrics   = flag.String("metricsout", "", "tenantbench: write a reconciled JSON metrics snapshot to this path")
+		jsonOut   = flag.String("json", "BENCH_4.json", "tenantbench: machine-readable output path; empty skips the file")
 		tenantBnc = flag.Bool("tenantbench", false, "run the multi-tenant shared-cache benchmark (one engine, N tables, one SSD vs N private caches) instead of a paper experiment")
 		tenants   = flag.Int("tenants", 6, "tenantbench: number of tables sharing the engine")
 		tenantUpd = flag.Int("updates", 60_000, "tenantbench: updates across all tenants")
@@ -56,17 +53,6 @@ func main() {
 		}
 		return
 	}
-	if *mergeBnc {
-		out := *jsonOut
-		if out == "default" {
-			out = "BENCH_3.json"
-		}
-		if _, err := bench.MergeBench(os.Stdout, out, *metrics, *seed, *mergeRec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *chaosBnc {
 		if err := chaosRun(*seed, *chaosStep, *chaosOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -75,11 +61,7 @@ func main() {
 		return
 	}
 	if *tenantBnc {
-		out := *jsonOut
-		if out == "default" {
-			out = "BENCH_4.json"
-		}
-		if _, err := bench.TenantBench(os.Stdout, out, *metrics, *seed, *tenants, *rows, *tenantUpd); err != nil {
+		if _, err := bench.TenantBench(os.Stdout, *jsonOut, *metrics, *seed, *tenants, *rows, *tenantUpd); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

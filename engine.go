@@ -443,10 +443,10 @@ func (t *Table) apply(rec update.Record) error {
 	return nil
 }
 
-// Snapshot pins a consistent logical view of the table: every scan opened
-// from it sees exactly the updates applied before the snapshot was taken,
-// regardless of concurrent writers. Close must be called when done; an
-// open snapshot blocks migration.
+// Snapshot captures a consistent logical view of the table: every scan
+// opened from it sees exactly the updates applied before the snapshot was
+// taken, regardless of concurrent writers. Close must be called when done;
+// an open snapshot blocks migration.
 func (t *Table) Snapshot() (*Snapshot, error) {
 	e := t.eng
 	e.mu.RLock()
@@ -456,9 +456,8 @@ func (t *Table) Snapshot() (*Snapshot, error) {
 	}
 	snap := &Snapshot{t: t, snap: t.store.Snapshot()}
 	// Safety net mirroring BeginTx's: a Snapshot abandoned without Close
-	// would block migration and pin SSD run extents for the engine's
-	// lifetime. Close is idempotent, so the cleanup is a no-op for
-	// properly closed snapshots.
+	// would block migration for the engine's lifetime. Close is idempotent,
+	// so the cleanup is a no-op for properly closed snapshots.
 	runtime.AddCleanup(snap, func(sn *core.Snapshot) { sn.Close() }, snap.snap)
 	return snap, nil
 }
@@ -479,7 +478,7 @@ func (t *Table) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) e
 	}
 	// A single scan needs no Snapshot wrapper: NewQuery issues the read
 	// timestamp and registers the query atomically under the store latch.
-	q, err := t.store.NewQuery(e.clock.now(), begin, end)
+	q, err := t.store.NewQuery(e.clock.now(), begin, end, nil)
 	e.mu.RUnlock()
 	if err != nil {
 		return err

@@ -130,7 +130,7 @@ func AlphaSweep(opts Options) (*Result, error) {
 				}
 				now = end
 			}
-			q, err := store.NewQuery(now, 0, 10)
+			q, err := store.NewQuery(now, 0, 10, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -84,7 +84,7 @@ func newFilledStore(opts Options, alpha, fill float64) (*storeEnv, error) {
 	// Warm up: one throwaway query performs any pending scan-setup work
 	// (flushing the buffer, merging 1-pass runs) so measurements observe
 	// the steady state, as the paper's repeated-range methodology does.
-	q, err := store.NewQuery(end, 0, 1)
+	q, err := store.NewQuery(end, 0, 1, nil)
 	if err != nil {
 		return nil, err
 	}

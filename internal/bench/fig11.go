@@ -137,7 +137,7 @@ func Fig13(opts Options) (*Result, error) {
 			pure = cpuTotal
 		}
 		qStart := se.env.quiesce(se.fillEnd)
-		q, err := se.store.NewQuery(qStart, begin, end)
+		q, err := se.store.NewQuery(qStart, begin, end, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func Fig9(opts Options) (*Result, error) {
 		return nil, err
 	}
 	// Warm up scan-setup work (flush + merges) before measuring.
-	if wq, err := store.NewQuery(fillEnd, 0, 1); err != nil {
+	if wq, err := store.NewQuery(fillEnd, 0, 1, nil); err != nil {
 		return nil, err
 	} else {
 		if _, _, err := wq.Drain(); err != nil {
@@ -153,7 +153,7 @@ func Fig9(opts Options) (*Result, error) {
 
 // masmScan runs one MaSM query to completion and returns its duration.
 func masmScan(store *masm.Store, at sim.Time, begin, end uint64) (sim.Duration, error) {
-	q, err := store.NewQuery(at, begin, end)
+	q, err := store.NewQuery(at, begin, end, nil)
 	if err != nil {
 		return 0, err
 	}

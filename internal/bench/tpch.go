@@ -277,7 +277,7 @@ func Fig14(opts Options) (*Result, error) {
 		for _, t := range plan.Tables {
 			endKey := uint64(eM.db.Rows[t]) * 2
 			if st, ok := stores[t]; ok {
-				q, err := st.NewQuery(mNow, 0, endKey)
+				q, err := st.NewQuery(mNow, 0, endKey, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -243,7 +243,7 @@ func TestCoreStoreENOSPCOnMemBackend(t *testing.T) {
 	fb.SetPlan(Plan{})
 	// Everything acknowledged stays readable via a query.
 	readAll := func() map[uint64][]byte {
-		q, err := store.NewQuery(now, 0, ^uint64(0))
+		q, err := store.NewQuery(now, 0, ^uint64(0), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

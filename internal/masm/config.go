@@ -99,7 +99,11 @@ func (c Config) MemoryPages() int {
 // the update buffer plus the scan pages. Like the run indexes, the runs'
 // key filters (runfile/point.go) are DRAM outside it: 10 bits per cached
 // record, ≈1.1 % of the cached bytes at ~110-byte records — about 750 KB
-// under a full 64 MiB cache — reported as masm_run_filter_bytes.
+// under a full 64 MiB cache — reported as masm_run_filter_bytes. So is
+// each open query's copy of the buffered records it may see: 48-byte
+// record headers (payloads are shared), under S pages of encoded records
+// since setup flushes at S pages first — about 0.4·S pages at 100-byte
+// bodies, ≤ ~105 KB per open query at a 64 MiB cache.
 func (c Config) MemoryBytes() int { return c.MemoryPages() * c.SSDPage }
 
 // SPages returns S_opt = 0.5·αM, the pages dedicated to buffering

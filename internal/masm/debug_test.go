@@ -38,7 +38,7 @@ func TestDebugMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.now = end
-	q, err := e.store.NewQuery(e.now, 0, ^uint64(0))
+	q, err := e.store.NewQuery(e.now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

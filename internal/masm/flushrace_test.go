@@ -10,14 +10,12 @@ import (
 	"masm/internal/update"
 )
 
-// TestScanSurvivesFlushThenMergeOfFlushRun reproduces the interleaving
-// where a scan's Mem_scan is flushed out from under it and the flush run
-// is then consumed by a query-setup merge before the scan resumes. The
-// scan must chase its flush run through the merge (flushRunByEpoch +
-// mergedInto) and still deliver every record committed before it started.
-// The earlier ID-ordering heuristic latched onto the earliest surviving
-// newer run — which no longer holds the records — and silently dropped
-// them.
+// TestScanSurvivesFlushThenMergeOfFlushRun is a regression from the
+// in-place Mem_scan: the buffer a scan was reading is flushed, and the
+// flush run is consumed by a query-setup merge before the scan resumes.
+// An in-place reader had to find its records again through the merge, and
+// once latched onto the wrong run and silently dropped them. The scan must
+// still deliver every record committed before it started.
 func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 	// Tiny geometry: 256 KB cache at 4 KB pages → M=8, S=4, QueryPages=4,
 	// so 5+ runs force a merge at the next query setup.
@@ -70,7 +68,7 @@ func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 	}
 
 	// Query starts while the marker is still only in the memtable.
-	q, err := s.NewQuery(now, 0, 1000)
+	q, err := s.NewQuery(now, 0, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 
 	// A second query's setup merges the earliest runs — including F1, the
 	// run holding the marker — into a fresh, higher-ID run.
-	q2, err := s.NewQuery(now, 0, 1000)
+	q2, err := s.NewQuery(now, 0, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +126,11 @@ func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 	}
 }
 
-// TestScanSurvivesFlushBeyondMergeBatch reproduces the batched-merge
-// regression: with more pre-query memtable records than one merge-source
-// batch (128), the merger buffers only the first batch before the flush
-// lands; at the refill the Mem_scan reports the flush ONCE (it latches
-// done), and the iterator must act on that one-shot signal immediately.
-// An earlier version consumed the signal, re-polled the drained scan, saw
-// a clean end of stream, and silently dropped every record past the first
-// batch.
+// TestScanSurvivesFlushBeyondMergeBatch is a regression from the batched
+// in-place Mem_scan: with more pre-query buffered records than one
+// merge-source batch (128), the merger held only the first batch when the
+// flush landed, and an earlier version dropped every record past it. The
+// scan must deliver all of them.
 func TestScanSurvivesFlushBeyondMergeBatch(t *testing.T) {
 	cfg := DefaultConfig(1 << 20)
 	cfg.SSDPage = 4 << 10
@@ -176,7 +171,7 @@ func TestScanSurvivesFlushBeyondMergeBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := s.NewQuery(now, 0, ^uint64(0))
+	q, err := s.NewQuery(now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +201,8 @@ func TestScanSurvivesFlushBeyondMergeBatch(t *testing.T) {
 // TestFailedFlushRestoresBufferAndScans: when the SSD extent allocator is
 // exhausted (migration held off), a failed flush must not lose the
 // acknowledged records it had already drained — they return to the
-// buffer, later scans still see them, and a scan whose Mem_scan was
-// interrupted by the failed flush resumes from the restored buffer
-// instead of silently truncating.
+// buffer, later scans still see them, and a scan open across the failed
+// flush delivers them too instead of silently truncating.
 func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 	cfg := DefaultConfig(256 << 10)
 	cfg.SSDPage = 4 << 10
@@ -270,7 +264,7 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 	}
 
 	// Every acknowledged record must still be visible to a fresh scan.
-	q, err := s.NewQuery(now, 0, ^uint64(0))
+	q, err := s.NewQuery(now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +286,7 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 		}
 	}
 
-	// In-flight variant: a query open across a failing flush resumes from
-	// the restored buffer.
+	// In-flight variant: a query open across a failing flush.
 	for i := 0; i < 3; i++ {
 		key++
 		now2, err := s.ApplyAuto(now, update.Record{Key: key, Op: update.Insert, Payload: []byte("late-marker")})
@@ -303,7 +296,7 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 		now = now2
 		acked[key] = true
 	}
-	q2, err := s.NewQuery(now, 0, ^uint64(0))
+	q2, err := s.NewQuery(now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

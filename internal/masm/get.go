@@ -89,14 +89,14 @@ func (s *Store) get(at sim.Time, key uint64, sn *Snapshot) (table.Row, bool, sim
 	var qts int64
 	if sn == nil {
 		qts = s.oracle.Next()
-	} else if _, registered := s.snaps[sn]; registered {
+	} else if !sn.closed {
 		qts = sn.ts
 	} else {
 		s.mu.Unlock()
 		sc.release()
 		return table.Row{}, false, at, ErrSnapshotClosed
 	}
-	s.gets[qts]++
+	s.addReaderLocked(qts)
 	for _, r := range s.runs {
 		if r.Admits(key, hash, qts) {
 			s.pins[r.ID]++
@@ -111,9 +111,7 @@ func (s *Store) get(at sim.Time, key uint64, sn *Snapshot) (table.Row, bool, sim
 	row, found, end, err := s.readKey(at, key, qts, gran, sc)
 
 	s.mu.Lock()
-	if s.gets[qts]--; s.gets[qts] == 0 {
-		delete(s.gets, qts)
-	}
+	s.dropReaderLocked(qts)
 	for _, r := range sc.runs {
 		s.unpinRunLocked(r.ID)
 	}

@@ -118,7 +118,7 @@ func TestGetAllocations(t *testing.T) {
 	// A loaded key no cached update touches, and a key nobody ever wrote.
 	var plain uint64
 	for k := uint64(2); plain == 0; k += 2 {
-		q, err := e.store.NewQuery(e.now, k, k)
+		q, err := e.store.NewQuery(e.now, k, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

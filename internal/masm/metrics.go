@@ -193,10 +193,10 @@ func (s *Store) CheckMetrics() error {
 	if g, w := s.m.MemtableBytes.Value(), int64(s.buf.Bytes()); g != w {
 		return fmt.Errorf("masm: memtable-bytes gauge %d != live buffer bytes %d", g, w)
 	}
-	if g, w := s.m.ActiveQueries.Value(), int64(len(s.activeQueries)); g != w {
+	if g, w := s.m.ActiveQueries.Value(), int64(s.queries); g != w {
 		return fmt.Errorf("masm: active-queries gauge %d != live query count %d", g, w)
 	}
-	if g, w := s.m.OpenSnapshots.Value(), int64(len(s.snaps)); g != w {
+	if g, w := s.m.OpenSnapshots.Value(), int64(s.snapshots); g != w {
 		return fmt.Errorf("masm: open-snapshots gauge %d != live snapshot count %d", g, w)
 	}
 	if g, w := s.m.QueryPagesInUse.Value(), int64(s.queryPagesInUse); g != w {

@@ -30,9 +30,10 @@ func drainQueryRows(t *testing.T, q *Query) []kv {
 
 // TestQueryPredDifferential is the store-level pushdown oracle: a
 // predicated query must return byte-identical rows to an unpredicated
-// query at the SAME timestamp followed by a linear predicate filter —
-// across random update mixes (flushes, merges, migrations included),
-// random scan bounds, and random multi-range predicates.
+// query at the SAME timestamp (both read at one snapshot) followed by a
+// linear predicate filter — across random update mixes (flushes, merges,
+// migrations included), random scan bounds, and random multi-range
+// predicates.
 func TestQueryPredDifferential(t *testing.T) {
 	e := newEnv(t, 3000, smallConfig())
 	e.applyRandom(2500)
@@ -46,9 +47,9 @@ func TestQueryPredDifferential(t *testing.T) {
 			ranges = append(ranges, update.KeyRange{Lo: lo, Hi: lo + uint64(e.rng.Int63n(400))})
 		}
 		pred := update.NewPred(ranges)
-		qts := e.oracle.Next()
+		sn := e.store.Snapshot()
 
-		naive, err := e.store.NewQueryAt(e.now, begin, end, qts)
+		naive, err := sn.NewQuery(e.now, begin, end, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +61,13 @@ func TestQueryPredDifferential(t *testing.T) {
 		}
 		naive.Close()
 
-		pq, err := e.store.NewQueryPredAt(e.now, begin, end, qts, pred)
+		pq, err := sn.NewQuery(e.now, begin, end, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := drainQueryRows(t, pq)
 		pq.Close()
+		sn.Close()
 
 		if len(got) != len(want) {
 			t.Fatalf("probe %d (begin %d end %d ranges %d): %d rows, want %d",
@@ -90,9 +92,10 @@ func TestQueryPredProjectionDifferential(t *testing.T) {
 	e.applyRandom(1200)
 	pred := update.NewPred([]update.KeyRange{{Lo: 100, Hi: 600}, {Lo: 1500, Hi: 1700}})
 	const off, width = 8, 16
-	qts := e.oracle.Next()
+	sn := e.store.Snapshot()
+	defer sn.Close()
 
-	naive, err := e.store.NewQueryAt(e.now, 0, ^uint64(0), qts)
+	naive, err := sn.NewQuery(e.now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func TestQueryPredProjectionDifferential(t *testing.T) {
 	}
 	naive.Close()
 
-	pq, err := e.store.NewQueryPredAt(e.now, 0, ^uint64(0), qts, pred)
+	pq, err := sn.NewQuery(e.now, 0, ^uint64(0), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestQueryPredPruningMetrics(t *testing.T) {
 	filtered0 := e.store.m.PushdownFiltered.Value()
 
 	pred := update.NewPred([]update.KeyRange{{Lo: 40, Hi: 60}})
-	q, err := e.store.NewQueryPred(e.now, 0, ^uint64(0), pred)
+	q, err := e.store.NewQuery(e.now, 0, ^uint64(0), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestQueryPredPruningMetrics(t *testing.T) {
 
 	// An unpredicated query must leave both counters untouched.
 	s1, f1 := e.store.m.GranulesSkipped.Value(), e.store.m.PushdownFiltered.Value()
-	nq, err := e.store.NewQuery(e.now, 0, ^uint64(0))
+	nq, err := e.store.NewQuery(e.now, 0, ^uint64(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,59 +2,51 @@ package masm
 
 import (
 	"errors"
-	"sync"
 
 	"masm/internal/sim"
+	"masm/internal/update"
 )
 
 // ErrSnapshotClosed reports use of a closed Snapshot.
 var ErrSnapshotClosed = errors.New("masm: snapshot closed")
 
-// Snapshot pins an immutable logical view of the store at one timestamp,
-// without holding any lock while it is open. It is the mechanism behind
+// Snapshot is an immutable logical view of the store at one timestamp,
+// held without any lock while it is open. It is the mechanism behind
 // snapshot-isolated scans: a long analytical read captures a Snapshot,
 // releases the store latch, and iterates at leisure while concurrent
 // updates stream into the buffer and new runs materialize around it.
 //
 // A Snapshot guarantees:
 //
-//   - Visibility: queries opened from it see exactly the updates with
-//     timestamps below the snapshot's (the paper's timestamp rule, §3.2).
-//   - Stability: the materialized sorted runs existing at capture time are
-//     refcount-pinned, so their SSD extents survive concurrent merges for
-//     the snapshot's lifetime (they are parked in the dead set, not freed).
+//   - Visibility: queries and lookups opened from it see exactly the
+//     updates with timestamps below the snapshot's (the paper's timestamp
+//     rule, §3.2). Each opens on the run set current when it starts and
+//     pins that itself, so the snapshot holds no runs: a merge that
+//     retires runs while it is open frees their extents at once.
 //   - Safety: the snapshot registers as an active reader, so the §3.5
 //     duplicate-combining policy never merges two updates across its
 //     timestamp, and migration waits for it (migration only proceeds when
 //     no reader older than the migration timestamp exists).
 //
 // Close must be called exactly once per snapshot; a Snapshot left open
-// blocks migration and run-extent reclamation indefinitely.
+// blocks migration indefinitely.
 type Snapshot struct {
-	s  *Store
-	ts int64
-	// pinned is the refcounted run set captured at snapshot time.
-	pinned []int64
-
-	mu     sync.Mutex
-	closed bool
+	s      *Store
+	ts     int64
+	closed bool // guarded by s.mu
 }
 
 // Snapshot captures the store's current logical state: it takes a fresh
-// timestamp and pins the current run set, atomically under the store
-// latch. The call itself performs no I/O and holds the latch only
-// briefly. Transactions use it to pin their begin-time view.
+// timestamp and registers it as a reader, atomically under the store
+// latch. The call performs no I/O and holds the latch only briefly.
+// Transactions use it to pin their begin-time view.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := &Snapshot{s: s, ts: s.oracle.Next()}
-	sn.pinned = make([]int64, 0, len(s.runs))
-	for _, r := range s.runs {
-		s.pins[r.ID]++
-		sn.pinned = append(sn.pinned, r.ID)
-	}
-	s.snaps[sn] = sn.ts
-	s.m.OpenSnapshots.Set(int64(len(s.snaps)))
+	s.addReaderLocked(sn.ts)
+	s.snapshots++
+	s.m.OpenSnapshots.Set(int64(s.snapshots))
 	return sn
 }
 
@@ -63,42 +55,38 @@ func (s *Store) Snapshot() *Snapshot {
 func (sn *Snapshot) TS() int64 { return sn.ts }
 
 // NewQuery opens a range scan over [begin, end] reading at the snapshot's
-// timestamp. Any number of queries may be opened from one snapshot,
-// concurrently or sequentially; each sees the same logical view. The
-// returned query must be Closed independently of the snapshot.
+// timestamp, with an optional pushdown predicate (see Store.NewQuery). Any
+// number of queries may be opened from one snapshot, concurrently or
+// sequentially; each sees the same logical view. The returned query must
+// be Closed independently of the snapshot.
 //
-// Liveness is checked against the snapshot's registration in the reader
-// set, in the same latch hold that registers the query: a Close racing
-// with NewQuery either wins (ErrSnapshotClosed) or loses (the query
-// registers while the snapshot still protects its timestamp) — never the
-// in-between where the view's protection lapses with a query opening.
-func (sn *Snapshot) NewQuery(at sim.Time, begin, end uint64) (*Query, error) {
+// Liveness is checked in the same latch hold that registers the query: a
+// Close racing with NewQuery either wins (ErrSnapshotClosed) or loses (the
+// query registers while the snapshot still protects its timestamp) —
+// never the in-between where the view's protection lapses with a query
+// opening.
+func (sn *Snapshot) NewQuery(at sim.Time, begin, end uint64, pred *update.Pred) (*Query, error) {
 	s := sn.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, registered := s.snaps[sn]; !registered {
+	if sn.closed {
 		return nil, ErrSnapshotClosed
 	}
-	return s.newQueryLocked(at, begin, end, sn.ts)
+	return s.newQueryLocked(at, begin, end, sn.ts, pred)
 }
 
-// Close releases the snapshot: it unregisters the reader timestamp and
-// drops the run pins. Queries already opened from the snapshot remain
-// valid (they hold their own pins). Close is idempotent.
+// Close releases the snapshot: it unregisters the reader timestamp.
+// Queries already opened from the snapshot remain valid (they hold their
+// own pins). Close is idempotent.
 func (sn *Snapshot) Close() {
-	sn.mu.Lock()
+	s := sn.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if sn.closed {
-		sn.mu.Unlock()
 		return
 	}
 	sn.closed = true
-	sn.mu.Unlock()
-	s := sn.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.snaps, sn)
-	s.m.OpenSnapshots.Set(int64(len(s.snaps)))
-	for _, id := range sn.pinned {
-		s.unpinRunLocked(id)
-	}
+	s.dropReaderLocked(sn.ts)
+	s.snapshots--
+	s.m.OpenSnapshots.Set(int64(s.snapshots))
 }

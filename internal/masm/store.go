@@ -121,29 +121,18 @@ type Store struct {
 	// update buffer (paper Fig 8).
 	queryPagesInUse int
 	stolenPages     int
-	activeQueries   map[*Query]int64 // open query -> its timestamp
-	// snaps tracks open Snapshots -> their timestamps. Snapshots are
-	// readers for the purposes of the §3.5 merge-safety policy and the
-	// migration wait, even while they have no query open.
-	snaps map[*Snapshot]int64
-	// gets counts the point lookups in flight at each read timestamp (Get);
-	// readers like the two above, for the instant they last.
-	gets map[int64]int
-	// pins counts open queries, lookups and snapshots holding each run; dead parks
-	// migrated runs whose extents cannot be reclaimed until their pins
-	// drain.
+	// readers counts the open readers at each read timestamp: queries,
+	// snapshots (even with no query open) and point lookups in flight. The
+	// §3.5 merge-safety policy and the migration wait respect every one.
+	// Only addReaderLocked and dropReaderLocked change it; queries and
+	// snapshots count the open ones of each kind for their gauges.
+	readers            map[int64]int
+	queries, snapshots int
+	// pins counts open queries, lookups and migrations holding each run;
+	// dead parks retired runs whose extents cannot be reclaimed until their
+	// pins drain.
 	pins map[int64]int
 	dead map[int64]*runfile.Run
-	// flushRunByEpoch maps the memtable's flush epoch to the run that
-	// flush produced, and mergedInto maps a retired run's ID to the merge
-	// product that absorbed it. Together they let a scan whose Mem_scan
-	// was flushed out from under it find its exact replacement run — the
-	// run holding the records it had not yet returned — even when
-	// concurrent query-setup merges mint newer run IDs around the flush.
-	// Both maps are pruned whenever no query is active (later readers
-	// only ever need entries created after they start).
-	flushRunByEpoch map[int64]int64
-	mergedInto      map[int64]int64
 	// extents records the allocated extent per run ID. Allocation happens
 	// before the run is written, so (especially for 2-pass merges, whose
 	// output shrinks under duplicate combining) the extent may be larger
@@ -198,23 +187,19 @@ func NewStoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *O
 		m = NewStoreMetrics(obs.NewRegistry())
 	}
 	s := &Store{
-		m:               m,
-		cfg:             cfg,
-		tbl:             tbl,
-		ssd:             ssd,
-		oracle:          oracle,
-		log:             logger,
-		tableID:         tableID,
-		buf:             memtable.New(cfg.SPages() * cfg.SSDPage),
-		alloc:           alloc,
-		activeQueries:   make(map[*Query]int64),
-		snaps:           make(map[*Snapshot]int64),
-		gets:            make(map[int64]int),
-		pins:            make(map[int64]int),
-		dead:            make(map[int64]*runfile.Run),
-		extents:         make(map[int64]extent),
-		flushRunByEpoch: make(map[int64]int64),
-		mergedInto:      make(map[int64]int64),
+		m:       m,
+		cfg:     cfg,
+		tbl:     tbl,
+		ssd:     ssd,
+		oracle:  oracle,
+		log:     logger,
+		tableID: tableID,
+		buf:     memtable.New(cfg.SPages() * cfg.SSDPage),
+		alloc:   alloc,
+		readers: make(map[int64]int),
+		pins:    make(map[int64]int),
+		dead:    make(map[int64]*runfile.Run),
+		extents: make(map[int64]extent),
 	}
 	return s, nil
 }
@@ -236,7 +221,17 @@ func (s *Store) Idle() bool {
 }
 
 func (s *Store) idleLocked() bool {
-	return len(s.activeQueries) == 0 && len(s.snaps) == 0 && len(s.gets) == 0 && !s.migrating
+	return len(s.readers) == 0 && !s.migrating
+}
+
+// addReaderLocked registers one open reader at ts. Caller holds s.mu.
+func (s *Store) addReaderLocked(ts int64) { s.readers[ts]++ }
+
+// dropReaderLocked unregisters one reader at ts. Caller holds s.mu.
+func (s *Store) dropReaderLocked(ts int64) {
+	if s.readers[ts]--; s.readers[ts] == 0 {
+		delete(s.readers, ts)
+	}
 }
 
 // ReleaseAllRuns frees every live run's extent back to the allocator and
@@ -494,11 +489,6 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 	s.runs = append(s.runs, run)
 	s.accountRunLocked(run, +1)
 	s.m.RunCount.Set(int64(len(s.runs)))
-	if len(s.activeQueries) > 0 {
-		_, fe := s.buf.Epochs()
-		s.flushRunByEpoch[fe] = id
-	}
-	s.pruneScanTrackingLocked()
 	s.m.OnePassRuns.Inc()
 	s.m.RecordWritesSSD.Add(run.Count)
 	s.m.BytesWrittenSSD.Add(run.Size + run.IndexSize)
@@ -534,29 +524,22 @@ func (s *Store) combineLocked(recs []update.Record) []update.Record {
 	return out
 }
 
-// readerTSsLocked returns the timestamps of every active reader: open
-// queries, open snapshots and point lookups in flight. Caller holds s.mu.
+// readerTSsLocked returns the distinct timestamps of the open readers.
+// Caller holds s.mu.
 func (s *Store) readerTSsLocked() []int64 {
-	n := len(s.activeQueries) + len(s.snaps) + len(s.gets)
-	if n == 0 {
+	if len(s.readers) == 0 {
 		return nil
 	}
-	qts := make([]int64, 0, n)
-	for _, ts := range s.activeQueries {
-		qts = append(qts, ts)
-	}
-	for _, ts := range s.snaps {
-		qts = append(qts, ts)
-	}
-	for ts := range s.gets {
+	qts := make([]int64, 0, len(s.readers))
+	for ts := range s.readers {
 		qts = append(qts, ts)
 	}
 	return qts
 }
 
 // mergePolicyLocked returns the §3.5 safety policy: two updates with
-// timestamps t1 < t2 may merge iff no active reader (query or snapshot)
-// has timestamp t with t1 < t ≤ t2. Caller holds s.mu; the returned
+// timestamps t1 < t2 may merge iff no open reader (query, snapshot or
+// lookup) has timestamp t with t1 < t ≤ t2. Caller holds s.mu; the returned
 // closure snapshots the active set.
 func (s *Store) mergePolicyLocked() extsort.MergePolicy {
 	qts := s.readerTSsLocked()
@@ -729,12 +712,6 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 	copy(s.runs[first+1:], s.runs[first:len(s.runs)-1])
 	s.runs[first] = merged
 	s.accountRunLocked(merged, +1)
-	if len(s.activeQueries) > 0 {
-		for _, o := range olds {
-			s.mergedInto[o.ID] = id
-		}
-	}
-	s.pruneScanTrackingLocked()
 	s.extents[id] = extent{off: off, size: extSize}
 	for _, o := range olds {
 		s.accountRunLocked(o, -1)
@@ -751,7 +728,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 }
 
 // releaseRunLocked frees the extent behind a run (or parks it in dead if
-// still pinned by open queries or snapshots). Caller holds s.mu.
+// still pinned by open queries, lookups or a migration). Caller holds s.mu.
 func (s *Store) releaseRunLocked(r *runfile.Run) {
 	if s.pins[r.ID] > 0 {
 		s.dead[r.ID] = r
@@ -761,50 +738,6 @@ func (s *Store) releaseRunLocked(r *runfile.Run) {
 		s.alloc.Release(e.off, e.size)
 		delete(s.extents, r.ID)
 	}
-}
-
-// pruneScanTrackingLocked drops flush/merge tracking entries no active
-// query can ever look up — epochs at or before every open query's start
-// epoch, and run IDs at or before every open query's initial newest run —
-// bounding both maps under sustained overlapping scan traffic. Caller
-// holds s.mu.
-func (s *Store) pruneScanTrackingLocked() {
-	if len(s.activeQueries) == 0 {
-		clear(s.flushRunByEpoch)
-		clear(s.mergedInto)
-		return
-	}
-	minEpoch := int64(1) << 62
-	minRunID := int64(1) << 62
-	for q := range s.activeQueries {
-		if q.mem.epoch0 < minEpoch {
-			minEpoch = q.mem.epoch0
-		}
-		if q.mem.maxRunID < minRunID {
-			minRunID = q.mem.maxRunID
-		}
-	}
-	for e := range s.flushRunByEpoch {
-		if e <= minEpoch {
-			delete(s.flushRunByEpoch, e)
-		}
-	}
-	for id := range s.mergedInto {
-		if id <= minRunID {
-			delete(s.mergedInto, id)
-		}
-	}
-}
-
-// runByIDLocked returns the live run with the given ID, or nil. Caller
-// holds s.mu.
-func (s *Store) runByIDLocked(id int64) *runfile.Run {
-	for _, r := range s.runs {
-		if r.ID == id {
-			return r
-		}
-	}
-	return nil
 }
 
 // unpinRunLocked drops one pin on a run, releasing a parked dead run whose

@@ -1,21 +1,14 @@
 // Package memtable implements MaSM's latched in-memory update buffer
 // (paper §3.2): incoming well-formed updates are appended to the buffer;
-// range scans sort it and read it through Mem_scan operators; when the
-// buffer fills, its contents are flushed into a materialized sorted run.
+// when it fills, its contents are flushed into a materialized sorted run.
 //
-// The subtle parts are concurrency-related and follow the paper closely:
-//
-//   - Appends go to the tail and do not disturb ongoing Mem_scans, because
-//     a scan's query timestamp filters out records committed after it.
-//   - The buffer records a sort timestamp whenever it is sorted; a
-//     Mem_scan that detects a newer sort re-positions itself by searching
-//     for its last-returned key.
-//   - The buffer records a flush timestamp when it is drained into a run;
-//     a Mem_scan that detects a flush reports it so the owning operator
-//     tree can replace it with a Run_scan over the new run.
-//   - Point probes (AppendKey) do not sort: they binary-search the sorted
-//     prefix and walk the unsorted tail, so a one-key read never bumps the
-//     sort epoch under a running Mem_scan. Only scans and drains sort.
+// Readers never iterate the buffer in place. Each takes a private copy of
+// the records it may see under the latch — a range scan through
+// AppendRange, a point read through AppendKey — so later appends, sorts
+// and drains cannot disturb it. This replaces the paper's Mem_scan, which
+// reads in place and must hand over to a Run_scan when a flush drains the
+// buffer under it. The copy is of 48-byte record headers only: payloads
+// are shared, and never mutated once buffered.
 package memtable
 
 import (
@@ -35,11 +28,7 @@ type Buffer struct {
 	bytes    int
 	capBytes int
 
-	sorted    int   // length of the sorted prefix of recs
-	sortEpoch int64 // bumped every time the buffer is (re)sorted
-	// flushEpoch is bumped every time the buffer is drained to a run;
-	// Mem_scans compare it against the epoch they started under.
-	flushEpoch int64
+	sorted int // length of the sorted prefix of recs
 }
 
 // New creates a buffer with the given capacity in bytes.
@@ -96,8 +85,7 @@ func (b *Buffer) SetCapacity(capBytes int) {
 	b.capBytes = capBytes
 }
 
-// sortLocked sorts the buffer by (key, ts) and bumps the sort epoch.
-// Caller holds b.mu.
+// sortLocked sorts the buffer by (key, ts). Caller holds b.mu.
 func (b *Buffer) sortLocked() {
 	if b.sorted == len(b.recs) {
 		return
@@ -105,21 +93,11 @@ func (b *Buffer) sortLocked() {
 	recs := b.recs
 	sort.SliceStable(recs, func(i, j int) bool { return update.Less(&recs[i], &recs[j]) })
 	b.sorted = len(recs)
-	b.sortEpoch++
-}
-
-// Sort sorts the buffer in (key, timestamp) order, as the table-range-scan
-// setup requires before instantiating a Mem_scan.
-func (b *Buffer) Sort() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sortLocked()
 }
 
 // Drain sorts and removes every record with timestamp < beforeTS (all of
-// them if beforeTS is MaxDrain), returning them in (key, ts) order. It
-// bumps the flush epoch so Mem_scans notice. The caller writes the result
-// into a materialized sorted run.
+// them if beforeTS is MaxDrain), returning them in (key, ts) order. The
+// caller writes the result into a materialized sorted run.
 func (b *Buffer) Drain(beforeTS int64) []update.Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -138,14 +116,13 @@ func (b *Buffer) Drain(beforeTS int64) []update.Record {
 	b.recs = rest
 	b.bytes = bytes
 	b.sorted = len(rest) // rest preserved sorted order
-	b.flushEpoch++
 	return out
 }
 
 // Restore re-appends records that a failed flush could not materialize,
 // ignoring the capacity limit (the buffer is simply considered full until
 // the next successful flush). The records re-enter as an unsorted tail;
-// the next Sort/Scan re-sorts them.
+// the next AppendRange or Drain re-sorts them.
 func (b *Buffer) Restore(recs []update.Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -158,51 +135,40 @@ func (b *Buffer) Restore(recs []update.Record) {
 // MaxDrain drains every record regardless of timestamp.
 const MaxDrain = int64(1<<63 - 1)
 
-// Epochs returns the current (sortEpoch, flushEpoch) pair.
-func (b *Buffer) Epochs() (int64, int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sortEpoch, b.flushEpoch
+// lowerBoundLocked returns the first index of the sorted prefix holding
+// a key ≥ key. Caller holds b.mu.
+func (b *Buffer) lowerBoundLocked(key uint64) int {
+	recs := b.recs[:b.sorted]
+	return sort.Search(len(recs), func(i int) bool { return recs[i].Key >= key })
 }
 
-// Scan creates a Mem_scan over [begin, end] for a query with timestamp
-// queryTS. The buffer is sorted as a side effect (paper §3.2, table range
-// scan setup step 2).
-func (b *Buffer) Scan(begin, end uint64, queryTS int64) *Scan {
-	return b.ScanPred(begin, end, queryTS, nil)
-}
-
-// ScanPred is Scan with a pushdown predicate: records whose keys fail
-// pred are dropped under the latch, before they ever enter the merge. A
-// nil pred is Scan.
-func (b *Buffer) ScanPred(begin, end uint64, queryTS int64, pred *update.Pred) *Scan {
+// AppendRange appends to dst, in (key, ts) order, the buffered records
+// with key in [begin, end], timestamp below queryTS and a key pred matches
+// (a nil pred matches every key); filtered counts the records pred
+// dropped. It sorts the buffer first, as the paper's range-scan setup
+// does (§3.2, step 2). The appended records are the caller's: nothing the
+// buffer does later changes them.
+func (b *Buffer) AppendRange(dst []update.Record, begin, end uint64, queryTS int64, pred *update.Pred) (_ []update.Record, filtered int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.sortLocked()
-	s := &Scan{
-		b:          b,
-		begin:      begin,
-		end:        end,
-		queryTS:    queryTS,
-		pred:       pred,
-		sortEpoch:  b.sortEpoch,
-		flushEpoch: b.flushEpoch,
-	}
-	s.pos = b.lowerBoundLocked(begin, -1)
-	return s
-}
-
-// lowerBoundLocked returns the first index i with
-// (recs[i].Key, recs[i].TS) > (key, ts) in the sorted prefix.
-// Caller holds b.mu.
-func (b *Buffer) lowerBoundLocked(key uint64, ts int64) int {
-	recs := b.recs[:b.sorted]
-	return sort.Search(len(recs), func(i int) bool {
-		if recs[i].Key != key {
-			return recs[i].Key > key
+	for _, r := range b.recs[b.lowerBoundLocked(begin):] {
+		if r.Key > end {
+			break
 		}
-		return recs[i].TS > ts
-	})
+		// Records committed at or after the query's timestamp are invisible
+		// (paper: "a query can only see earlier updates with smaller
+		// timestamps").
+		if r.TS >= queryTS {
+			continue
+		}
+		if pred != nil && !pred.Match(r.Key) {
+			filtered++
+			continue
+		}
+		dst = append(dst, r)
+	}
+	return dst, filtered
 }
 
 // AppendKey appends to dst the buffered records for key with timestamps
@@ -214,7 +180,7 @@ func (b *Buffer) lowerBoundLocked(key uint64, ts int64) int {
 func (b *Buffer) AppendKey(dst []update.Record, key uint64, queryTS int64) []update.Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := b.lowerBoundLocked(key, -1); i < b.sorted && b.recs[i].Key == key; i++ {
+	for i := b.lowerBoundLocked(key); i < b.sorted && b.recs[i].Key == key; i++ {
 		if b.recs[i].TS < queryTS {
 			dst = append(dst, b.recs[i])
 		}
@@ -226,107 +192,3 @@ func (b *Buffer) AppendKey(dst []update.Record, key uint64, queryTS int64) []upd
 	}
 	return dst
 }
-
-// Scan is a Mem_scan operator instance. Multiple Scans may run over the
-// same buffer concurrently; each tracks its own position.
-type Scan struct {
-	b          *Buffer
-	begin, end uint64
-	queryTS    int64
-	pred       *update.Pred
-
-	filtered   int64
-	pos        int
-	sortEpoch  int64
-	flushEpoch int64
-	lastKey    uint64
-	lastTS     int64
-	started    bool
-	done       bool
-
-	one [1]update.Record // scratch for Next delegating to NextBatch
-}
-
-// Next returns the next visible update record in key order. flushed=true
-// reports that the buffer was drained since the scan began: the records
-// this scan had not yet returned now live in a materialized sorted run,
-// and the caller must replace this Mem_scan with a Run_scan positioned
-// after the last returned record (paper §3.2, "Online Updates and Range
-// Scan").
-func (s *Scan) Next() (rec update.Record, ok bool, flushed bool) {
-	n, flushed := s.NextBatch(s.one[:])
-	if n == 0 {
-		return update.Record{}, false, flushed
-	}
-	return s.one[0], true, false
-}
-
-// NextBatch fills dst with the next visible records under a single latch
-// acquisition and returns how many it wrote. n == 0 with flushed == true
-// reports the buffer was drained since the scan began (see Next); n == 0
-// with flushed == false is end of scan. A flush is only ever reported at
-// a batch boundary: records copied out before the flush was detected are
-// delivered first, and the replacement Run_scan resumes after them.
-func (s *Scan) NextBatch(dst []update.Record) (n int, flushed bool) {
-	if s.done || len(dst) == 0 {
-		return 0, false
-	}
-	s.b.mu.Lock()
-	defer s.b.mu.Unlock()
-
-	if s.flushEpoch != s.b.flushEpoch {
-		// Buffer was flushed underneath us. Signal the caller to switch
-		// to the new run; this scan is finished.
-		s.done = true
-		return 0, true
-	}
-	if s.sortEpoch != s.b.sortEpoch {
-		// Re-sorted (another query arrived): re-locate our position by
-		// searching for the last returned (key, ts).
-		if s.started {
-			s.pos = s.b.lowerBoundLocked(s.lastKey, s.lastTS)
-		} else {
-			s.pos = s.b.lowerBoundLocked(s.begin, -1)
-		}
-		s.sortEpoch = s.b.sortEpoch
-	}
-	recs := s.b.recs[:s.b.sorted]
-	for s.pos < len(recs) && n < len(dst) {
-		r := recs[s.pos]
-		s.pos++
-		if r.Key > s.end {
-			s.done = true
-			return n, false
-		}
-		// Records committed at or after the query's timestamp are
-		// invisible (paper: "a query can only see earlier updates with
-		// smaller timestamps").
-		if r.TS >= s.queryTS {
-			continue
-		}
-		if r.Key < s.begin {
-			continue
-		}
-		if s.pred != nil && !s.pred.Match(r.Key) {
-			s.filtered++
-			continue
-		}
-		s.lastKey, s.lastTS = r.Key, r.TS
-		s.started = true
-		dst[n] = r
-		n++
-	}
-	if n == 0 {
-		s.done = true
-	}
-	return n, false
-}
-
-// Resume reports the position after the last returned record, for the
-// replacement Run_scan when a flush interrupts this scan.
-func (s *Scan) Resume() (key uint64, ts int64, started bool) {
-	return s.lastKey, s.lastTS, s.started
-}
-
-// Filtered returns how many records the pushdown predicate dropped.
-func (s *Scan) Filtered() int64 { return s.filtered }

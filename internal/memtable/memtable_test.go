@@ -69,23 +69,14 @@ func TestScanVisibilityFilter(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		b.Append(rec(int64(i), uint64(i)))
 	}
-	s := b.Scan(0, ^uint64(0), 6) // query ts 6 sees ts 1..5
-	n := 0
-	for {
-		r, ok, flushed := s.Next()
-		if flushed {
-			t.Fatal("unexpected flush signal")
-		}
-		if !ok {
-			break
-		}
+	got, _ := b.AppendRange(nil, 0, ^uint64(0), 6, nil) // query ts 6 sees ts 1..5
+	for _, r := range got {
 		if r.TS >= 6 {
 			t.Fatalf("saw invisible record ts=%d", r.TS)
 		}
-		n++
 	}
-	if n != 5 {
-		t.Fatalf("scan saw %d records, want 5", n)
+	if len(got) != 5 {
+		t.Fatalf("scan saw %d records, want 5", len(got))
 	}
 }
 
@@ -94,108 +85,68 @@ func TestScanRangeFilter(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		b.Append(rec(int64(i), uint64(i*3)))
 	}
-	s := b.Scan(30, 60, 1000)
-	n := 0
-	for {
-		r, ok, _ := s.Next()
-		if !ok {
-			break
-		}
+	got, _ := b.AppendRange(nil, 30, 60, 1000, nil)
+	for _, r := range got {
 		if r.Key < 30 || r.Key > 60 {
 			t.Fatalf("key %d outside [30,60]", r.Key)
 		}
-		n++
 	}
-	if n != 11 { // 30,33,...,60
-		t.Fatalf("scan saw %d, want 11", n)
+	if len(got) != 11 { // 30,33,...,60
+		t.Fatalf("scan saw %d, want 11", len(got))
 	}
 }
 
-func TestScanSurvivesResort(t *testing.T) {
+// TestAppendRangePredFilter: the predicate drops keys below the copy and
+// counts only the in-range, visible records it dropped.
+func TestAppendRangePredFilter(t *testing.T) {
 	b := New(1 << 20)
-	for i := 1; i <= 50; i++ {
+	for i := 1; i <= 100; i++ {
 		b.Append(rec(int64(i), uint64(i)))
 	}
-	s := b.Scan(0, ^uint64(0), 51)
-	// Read half.
-	for i := 0; i < 25; i++ {
-		if _, ok, _ := s.Next(); !ok {
-			t.Fatal("early end")
+	pred := update.NewPred([]update.KeyRange{{Lo: 10, Hi: 19}, {Lo: 40, Hi: 44}})
+	got, filtered := b.AppendRange(nil, 15, 60, 51, pred) // keys 15..50 visible
+	if len(got) != 5+5 || filtered != 36-10 {
+		t.Fatalf("copied %d, filtered %d; want 10, 26", len(got), filtered)
+	}
+	for _, r := range got {
+		if !pred.Match(r.Key) {
+			t.Fatalf("key %d escaped the predicate", r.Key)
 		}
 	}
-	// New updates arrive (interleaving keys) and another query sorts.
+}
+
+// TestAppendRangeCopyIsolated: a copy is the caller's — later appends,
+// sorts (another reader's copy) and drains leave it exactly as taken.
+func TestAppendRangeCopyIsolated(t *testing.T) {
+	b := New(1 << 20)
+	for i := 1; i <= 50; i++ {
+		b.Append(rec(int64(i), uint64(51-i)))
+	}
+	got, _ := b.AppendRange(nil, 0, ^uint64(0), 51, nil)
+	want := append([]update.Record(nil), got...)
 	for i := 51; i <= 80; i++ {
 		b.Append(rec(int64(i), uint64(i%25)))
 	}
-	b.Sort()
-	// Original scan must continue, seeing only its visible remainder.
-	n := 25
-	for {
-		r, ok, flushed := s.Next()
-		if flushed {
-			t.Fatal("unexpected flush")
-		}
-		if !ok {
-			break
-		}
-		if r.TS >= 51 {
-			t.Fatalf("saw new record ts=%d after resort", r.TS)
-		}
-		n++
-	}
-	if n != 50 {
-		t.Fatalf("scan saw %d total, want 50", n)
-	}
-}
-
-func TestScanDetectsFlush(t *testing.T) {
-	b := New(1 << 20)
-	for i := 1; i <= 20; i++ {
-		b.Append(rec(int64(i), uint64(i)))
-	}
-	s := b.Scan(0, ^uint64(0), 21)
-	for i := 0; i < 5; i++ {
-		s.Next()
-	}
+	b.AppendRange(nil, 0, ^uint64(0), 100, nil) // re-sorts the interleaved tail
+	b.Drain(60)
+	b.Restore([]update.Record{rec(7, 3)})
 	b.Drain(MaxDrain)
-	_, ok, flushed := s.Next()
-	if ok || !flushed {
-		t.Fatalf("scan after drain: ok=%v flushed=%v, want flush signal", ok, flushed)
+	if len(got) != 50 {
+		t.Fatalf("copy holds %d records, want 50", len(got))
 	}
-	key, ts, started := s.Resume()
-	if !started || key != 5 || ts != 5 {
-		t.Fatalf("resume = (%d,%d,%v), want (5,5,true)", key, ts, started)
-	}
-	// Subsequent Next stays terminated.
-	if _, ok, flushed := s.Next(); ok || flushed {
-		t.Fatal("scan not terminated after flush signal")
-	}
-}
-
-func TestEpochs(t *testing.T) {
-	b := New(1 << 20)
-	s0, f0 := b.Epochs()
-	b.Append(rec(1, 1))
-	b.Sort()
-	s1, _ := b.Epochs()
-	if s1 != s0+1 {
-		t.Fatalf("sort epoch %d -> %d", s0, s1)
-	}
-	b.Sort() // already sorted: no bump
-	if s2, _ := b.Epochs(); s2 != s1 {
-		t.Fatalf("no-op sort bumped epoch")
-	}
-	b.Drain(MaxDrain)
-	_, f1 := b.Epochs()
-	if f1 != f0+1 {
-		t.Fatalf("flush epoch %d -> %d", f0, f1)
+	for i := range got {
+		if got[i].Key != want[i].Key || got[i].TS != want[i].TS {
+			t.Fatalf("copy record %d changed: %+v, want %+v", i, got[i], want[i])
+		}
+		if i > 0 && update.Less(&got[i], &got[i-1]) {
+			t.Fatalf("copy out of (key, ts) order at %d", i)
+		}
 	}
 }
 
 func TestScanEmptyBuffer(t *testing.T) {
 	b := New(1024)
-	s := b.Scan(0, ^uint64(0), 100)
-	if _, ok, flushed := s.Next(); ok || flushed {
+	if got, filtered := b.AppendRange(nil, 0, ^uint64(0), 100, nil); len(got) != 0 || filtered != 0 {
 		t.Fatal("empty scan returned something")
 	}
 }
@@ -205,16 +156,13 @@ func TestDuplicateKeysOrderedByTS(t *testing.T) {
 	b.Append(rec(3, 7))
 	b.Append(rec(1, 7))
 	b.Append(rec(2, 7))
-	s := b.Scan(7, 7, 100)
-	var last int64
-	for i := 0; i < 3; i++ {
-		r, ok, _ := s.Next()
-		if !ok {
-			t.Fatal("missing duplicate")
+	got, _ := b.AppendRange(nil, 7, 7, 100, nil)
+	if len(got) != 3 {
+		t.Fatalf("%d duplicates, want 3", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].TS <= got[i-1].TS {
+			t.Fatalf("duplicates out of ts order: %d after %d", got[i].TS, got[i-1].TS)
 		}
-		if r.TS <= last {
-			t.Fatalf("duplicates out of ts order: %d after %d", r.TS, last)
-		}
-		last = r.TS
 	}
 }

@@ -61,8 +61,9 @@ func TestQuickDrainIsSortedMultiset(t *testing.T) {
 	}
 }
 
-// TestQuickScanMatchesFilter: a Mem_scan returns exactly the records with
-// key in range and ts below the query's, regardless of append order.
+// TestQuickScanMatchesFilter: a range copy holds exactly the records with
+// key in range and ts below the query's, in (key, ts) order, regardless
+// of append order.
 func TestQuickScanMatchesFilter(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,27 +84,16 @@ func TestQuickScanMatchesFilter(t *testing.T) {
 				want++
 			}
 		}
-		s := b.Scan(lo, hi, qts)
-		got := 0
-		var prev update.Record
-		for {
-			r, ok, flushed := s.Next()
-			if flushed {
-				return false
-			}
-			if !ok {
-				break
-			}
+		got, _ := b.AppendRange(nil, lo, hi, qts, nil)
+		for i, r := range got {
 			if r.Key < lo || r.Key > hi || r.TS >= qts {
 				return false
 			}
-			if got > 0 && update.Less(&r, &prev) {
+			if i > 0 && update.Less(&r, &got[i-1]) {
 				return false
 			}
-			prev = r
-			got++
 		}
-		return got == want
+		return len(got) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -478,8 +478,8 @@ func (s *Scanner) Stats() (granulesSkipped, recordsFiltered int64) {
 	return s.skipped, s.filtered
 }
 
-// SkipTo positions the scanner just after record (key, ts); used when a
-// Run_scan replaces a flushed Mem_scan mid-query (paper §3.2).
+// SkipTo positions the scanner just after record (key, ts), so a reader
+// can resume a run mid-stream.
 func (s *Scanner) SkipTo(key uint64, ts int64) {
 	s.skipKey, s.skipTS, s.skipValid = key, ts, true
 }

@@ -212,7 +212,7 @@ func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(row table.Row) bool) 
 			return at, err
 		}
 	}
-	q, err := t.snap.NewQuery(at, begin, end)
+	q, err := t.snap.NewQuery(at, begin, end, nil)
 	if err != nil {
 		return at, err
 	}

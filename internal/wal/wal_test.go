@@ -166,7 +166,7 @@ func (r *rig) restore(oracle *masm.Oracle, runs []masm.RunMeta, pending []update
 
 func (r *rig) verify() {
 	r.t.Helper()
-	q, err := r.store.NewQuery(r.now, 0, ^uint64(0))
+	q, err := r.store.NewQuery(r.now, 0, ^uint64(0), nil)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRecoverAfterMerges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := r.store.NewQuery(r.now, 0, 10)
+	q, err := r.store.NewQuery(r.now, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (t *Table) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) err
 		e.mu.RUnlock()
 		return err
 	}
-	q, err := t.store.NewQueryPred(e.clock.now(), spec.Begin, spec.End, pred)
+	q, err := t.store.NewQuery(e.clock.now(), spec.Begin, spec.End, pred)
 	e.mu.RUnlock()
 	if err != nil {
 		return err

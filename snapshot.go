@@ -8,15 +8,16 @@ import (
 	"masm/internal/table"
 )
 
-// Snapshot is a pinned, consistent view of one table at one point in the
+// Snapshot is a consistent view of one table at one point in the
 // update timeline. Scans opened from it all observe the same state:
 // exactly the updates applied before the snapshot was taken, none after.
 // Concurrent writers proceed unblocked while a snapshot is open; the
 // table's migration waits for it (other tables of the same engine migrate
 // freely).
 //
-// A Snapshot must be Closed when no longer needed — an open snapshot pins
-// SSD run extents and blocks its table's migration.
+// A Snapshot must be Closed when no longer needed — an open snapshot
+// blocks its table's migration. It holds no SSD runs: each scan or lookup
+// opened from it pins the runs it reads, for as long as it reads them.
 type Snapshot struct {
 	t         *Table
 	snap      *core.Snapshot
@@ -38,7 +39,7 @@ func (s *Snapshot) Scan(begin, end uint64, fn func(key uint64, body []byte) bool
 		e.mu.RUnlock()
 		return err
 	}
-	q, err := s.snap.NewQuery(e.clock.now(), begin, end)
+	q, err := s.snap.NewQuery(e.clock.now(), begin, end, nil)
 	e.mu.RUnlock()
 	if err != nil {
 		return err
@@ -63,7 +64,7 @@ func (s *Snapshot) Get(key uint64) ([]byte, bool, error) {
 	return row.Body, found, err
 }
 
-// Close releases the snapshot's pins and unblocks migration. Close is
+// Close releases the snapshot and unblocks migration. Close is
 // idempotent; scans already running from this snapshot finish normally.
 func (s *Snapshot) Close() {
 	s.closeOnce.Do(func() { s.snap.Close() })
