@@ -468,7 +468,8 @@ func (t *Table) Snapshot() (*Snapshot, error) {
 // sequential disk reads merged with the SSD-cached updates — the paper's
 // replacement for Table_range_scan. Scan holds no lock while iterating:
 // concurrent Insert/Delete/Modify proceed unblocked and are invisible to
-// this scan (snapshot isolation).
+// this scan (snapshot isolation). body is valid only until fn returns: it
+// aliases the scan's read buffer, so a caller that keeps it must copy it.
 func (t *Table) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	e := t.eng
 	e.mu.RLock()

@@ -120,7 +120,8 @@ func (tx *EngineTx) update(table string, rec update.Record) error {
 }
 
 // Scan reads [begin, end] of tableName at the transaction's snapshot of
-// that table, overlaid with the transaction's own writes to it.
+// that table, overlaid with the transaction's own writes to it. body is
+// valid only until fn returns, as in Table.Scan: copy it to keep it.
 func (tx *EngineTx) Scan(tableName string, begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	s, err := tx.sub(tableName)
 	if err != nil {

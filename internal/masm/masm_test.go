@@ -234,13 +234,15 @@ func TestQuerySnapshotIgnoresLaterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read a few rows, then apply more updates mid-scan.
+	// Read a few rows, then apply more updates mid-scan. A body is valid
+	// only until the next Next, so each one is copied.
 	var rows []table.Row
 	for i := 0; i < 10; i++ {
 		row, ok, err := q.Next()
 		if err != nil || !ok {
 			t.Fatalf("early end: %v", err)
 		}
+		row.Body = append([]byte(nil), row.Body...)
 		rows = append(rows, row)
 	}
 	e.applyRandom(200)
@@ -252,6 +254,7 @@ func TestQuerySnapshotIgnoresLaterUpdates(t *testing.T) {
 		if !ok {
 			break
 		}
+		row.Body = append([]byte(nil), row.Body...)
 		rows = append(rows, row)
 	}
 	q.Close()

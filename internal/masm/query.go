@@ -187,7 +187,10 @@ func (q *Query) Err() error { return q.err }
 
 // Next returns the next merged row of the range, in key order, reflecting
 // exactly the updates with timestamps below the query's (the outer join of
-// main data and cached updates, §3.1).
+// main data and cached updates, §3.1). The row's body may alias the data
+// scanner's read buffer, so it is valid only until the next call: Next
+// keeps at most one data row of lookahead and never reads past a row it
+// has not yet returned.
 func (q *Query) Next() (table.Row, bool, error) {
 	if q.err != nil || q.closed {
 		return table.Row{}, false, q.err

@@ -23,11 +23,25 @@ type Client struct {
 	w    *bufio.Writer
 
 	mu      sync.Mutex
-	pending map[uint32]chan *Msg
+	pending map[uint32]chan *inbound
 	nextSeq uint32
 	err     error // set once the reader dies; fails all later calls
 	done    chan struct{}
 }
+
+// inbound is one received frame: the decoded message and the read buffer
+// it was decoded from. A row batch travels to its Scan with row bodies
+// aliasing buf and comes back to inboundPool once the Scan has delivered
+// it; every other reply carries a copy of its body and no buffer.
+type inbound struct {
+	m   Msg
+	buf []byte
+}
+
+var inboundPool = sync.Pool{New: func() any { return new(inbound) }}
+
+// release recycles a received frame, its buffer and its row slice.
+func (in *inbound) release() { inboundPool.Put(in) }
 
 // DefaultScanWindow is the credit window a Scan opens with: the server
 // may have this many row batches in flight before the consumer must
@@ -50,7 +64,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 		conn:    conn,
 		r:       bufio.NewReaderSize(conn, 64<<10),
 		w:       bufio.NewWriterSize(conn, 64<<10),
-		pending: make(map[uint32]chan *Msg),
+		pending: make(map[uint32]chan *inbound),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -71,30 +85,42 @@ func NewClient(conn net.Conn) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) readLoop() {
-	var buf []byte
 	for {
-		m := &Msg{}
-		var err error
-		buf, err = ReadFrame(c.r, buf, m)
-		if err != nil {
+		if err := c.readFrame(); err != nil {
 			c.fail(err)
 			return
 		}
-		// Bodies alias the read buffer, which the next frame overwrites:
-		// copy before handing off.
-		m.Body = append([]byte(nil), m.Body...)
-		for i := range m.Rows {
-			m.Rows[i].Body = append([]byte(nil), m.Rows[i].Body...)
-		}
-		c.mu.Lock()
-		ch := c.pending[m.Seq]
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- m
-		}
-		// A frame for an unknown seq (e.g. trailing batches of an
-		// abandoned scan) is dropped.
 	}
+}
+
+// readFrame reads one frame into a recycled buffer and hands it to the
+// request waiting on its seq. A row batch goes as is, its bodies aliasing
+// the buffer, and its Scan recycles it; any other reply gets a copy of its
+// body and the buffer is recycled at once. A frame for an unknown seq
+// (e.g. trailing batches of an abandoned scan) is recycled unread.
+func (c *Client) readFrame() error {
+	in := inboundPool.Get().(*inbound)
+	var err error
+	if in.buf, err = ReadFrame(c.r, in.buf, &in.m); err != nil {
+		in.release()
+		return err
+	}
+	c.mu.Lock()
+	ch := c.pending[in.m.Seq]
+	c.mu.Unlock()
+	switch {
+	case ch == nil:
+		in.release()
+	case in.m.Op == OpRows:
+		ch <- in
+	default:
+		out := &inbound{m: in.m}
+		out.m.Body = append([]byte(nil), in.m.Body...)
+		out.m.Rows = nil
+		in.release()
+		ch <- out
+	}
+	return nil
 }
 
 func (c *Client) fail(err error) {
@@ -113,7 +139,7 @@ func (c *Client) fail(err error) {
 // bounds the number of undelivered frames; scans size it by their
 // credit window so the reader never blocks on a slow consumer's
 // channel beyond the advertised window.
-func (c *Client) register(size int) (uint32, chan *Msg, error) {
+func (c *Client) register(size int) (uint32, chan *inbound, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -121,7 +147,7 @@ func (c *Client) register(size int) (uint32, chan *Msg, error) {
 	}
 	seq := c.nextSeq
 	c.nextSeq++
-	ch := make(chan *Msg, size)
+	ch := make(chan *inbound, size)
 	c.pending[seq] = ch
 	return seq, ch, nil
 }
@@ -156,7 +182,8 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 		return nil, err
 	}
 	select {
-	case resp := <-ch:
+	case in := <-ch:
+		resp := &in.m
 		if resp.Op == OpErr {
 			return nil, &WireError{Code: resp.Code, Retryable: resp.Retryable, Msg: resp.ErrMsg}
 		}
@@ -191,7 +218,9 @@ func (c *Client) Modify(table string, key uint64, off int, val []byte) error {
 // Scan streams table's rows in [begin, end] through fn in key order
 // until fn returns false, limit rows have been delivered (0 = no
 // limit), or the range is exhausted. Row bodies are only valid during
-// the callback.
+// the callback: they alias the frame's read buffer, which is recycled for
+// a later frame once the batch is delivered, so a caller that keeps a
+// body must copy it.
 func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64, body []byte) bool) error {
 	const window = DefaultScanWindow
 	seq, ch, err := c.register(window)
@@ -202,10 +231,12 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 	if err := c.send(&Msg{Op: OpScan, Seq: seq, Table: table, Begin: begin, End: end, Limit: limit, Credits: window}); err != nil {
 		return err
 	}
+	credit := Msg{Op: OpCredit, Seq: seq, Credits: 1}
 	stopped := false
 	for {
 		select {
-		case m := <-ch:
+		case in := <-ch:
+			m := &in.m
 			switch m.Op {
 			case OpErr:
 				return &WireError{Code: m.Code, Retryable: m.Retryable, Msg: m.ErrMsg}
@@ -221,10 +252,12 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 						}
 					}
 				}
-				if m.Final {
+				final := m.Final
+				in.release()
+				if final {
 					return nil
 				}
-				if err := c.send(&Msg{Op: OpCredit, Seq: seq, Credits: 1}); err != nil {
+				if err := c.send(&credit); err != nil {
 					return err
 				}
 			default:

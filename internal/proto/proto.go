@@ -163,6 +163,43 @@ func appendBytes(b []byte, p []byte) []byte {
 	return append(b, p...)
 }
 
+// BeginRows starts an OpRows frame for seq in buf, reusing its capacity.
+// Rows are added with AppendRow and the frame is sealed by FinishRows:
+// the streaming form of WriteFrame for a row batch, which writes each row
+// straight into the outgoing frame instead of collecting a Msg first. The
+// frame's fixed head is 14 bytes: length u32, op u8, seq u32, final u8,
+// nrows u32.
+func BeginRows(buf []byte, seq uint32) []byte {
+	buf = append(buf[:0], 0, 0, 0, 0, byte(OpRows))
+	buf = appendU32(buf, seq)
+	return append(buf, 0, 0, 0, 0, 0) // final, nrows: set by FinishRows
+}
+
+// AppendRow appends one row to b: to a frame begun by BeginRows, or to an
+// OpRows payload (AppendPayload's own row encoder).
+func AppendRow(b []byte, key uint64, body []byte) []byte {
+	b = appendU64(b, key)
+	return appendBytes(b, body)
+}
+
+// FinishRows seals a frame begun by BeginRows that holds n rows, setting
+// its length, final flag and row count. The frame is then exactly what
+// WriteFrame writes for the equivalent Msg. A payload beyond MaxFrame is
+// ErrFrameTooLarge.
+func FinishRows(frame []byte, n int, final bool) error {
+	payload := len(frame) - 4
+	if payload > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(payload))
+	frame[9] = 0
+	if final {
+		frame[9] = 1
+	}
+	binary.LittleEndian.PutUint32(frame[10:14], uint32(n))
+	return nil
+}
+
 // AppendPayload appends m's payload (op byte onward) to b. It is the
 // inverse of DecodePayload.
 func AppendPayload(b []byte, m *Msg) ([]byte, error) {
@@ -221,8 +258,7 @@ func AppendPayload(b []byte, m *Msg) ([]byte, error) {
 		}
 		b = appendU32(b, uint32(len(m.Rows)))
 		for _, r := range m.Rows {
-			b = appendU64(b, r.Key)
-			b = appendBytes(b, r.Body)
+			b = AppendRow(b, r.Key, r.Body)
 		}
 	case OpStatsJSON:
 		b = appendBytes(b, m.Body)
@@ -409,11 +445,16 @@ func WriteFrame(w io.Writer, buf []byte, m *Msg) ([]byte, error) {
 // clean frame boundary so callers can distinguish an orderly close from
 // a torn frame (io.ErrUnexpectedEOF).
 func ReadFrame(r io.Reader, buf []byte, m *Msg) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf too: a local array would escape
+	// through the io.Reader call and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	buf = buf[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf))
 	if n > MaxFrame {
 		return buf, ErrFrameTooLarge
 	}

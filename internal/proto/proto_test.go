@@ -1,10 +1,13 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // sampleMsgs covers every op with representative field values.
@@ -151,6 +154,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpRows), 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0x7F})
+	// Row batches as the server builds them, length prefix stripped.
+	f.Add(rowsFrame(f, nil, 3, nil, false)[4:])
+	f.Add(rowsFrame(f, nil, 4, []Row{{Key: 9, Body: nil}}, true)[4:])
+	f.Add(rowsFrame(f, nil, 5, []Row{{Key: 1, Body: []byte("a")}, {Key: 2, Body: bytes.Repeat([]byte("b"), 1000)}}, false)[4:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
 		if err := DecodePayload(data, &m); err != nil {
@@ -166,4 +173,158 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decode/encode not canonical:\n in: % x\nout: % x", data, re)
 		}
 	})
+}
+
+// rowsFrame builds an OpRows frame in buf with the streaming helpers, the
+// way the server builds a scan's frames.
+func rowsFrame(tb testing.TB, buf []byte, seq uint32, rows []Row, final bool) []byte {
+	tb.Helper()
+	frame := BeginRows(buf, seq)
+	for _, r := range rows {
+		frame = AppendRow(frame, r.Key, r.Body)
+	}
+	if err := FinishRows(frame, len(rows), final); err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// TestRowsHelpersMatchWriteFrame: for random row sets — empty, final and
+// not, zero-length and 64 KiB bodies — BeginRows, AppendRow and FinishRows
+// produce exactly the bytes WriteFrame writes for the equivalent Msg, and
+// the same ErrFrameTooLarge past MaxFrame. One buffer is reused
+// throughout, as a scan reuses its frame.
+func TestRowsHelpersMatchWriteFrame(t *testing.T) {
+	noise := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(noise)
+	var buf []byte
+	check := func(seq uint32, final bool, keys []uint64, sizes []uint16) bool {
+		rows := make([]Row, len(keys))
+		for i, k := range keys {
+			n := 0
+			if i < len(sizes) {
+				switch s := int(sizes[i]); s % 4 {
+				case 0: // empty body
+				case 1:
+					n = len(noise)
+				default:
+					n = s % 300
+				}
+			}
+			rows[i] = Row{Key: k, Body: noise[len(noise)-n:]}
+		}
+		var want bytes.Buffer
+		_, werr := WriteFrame(&want, nil, &Msg{Op: OpRows, Seq: seq, Final: final, Rows: rows})
+		frame := BeginRows(buf, seq)
+		for _, r := range rows {
+			frame = AppendRow(frame, r.Key, r.Body)
+		}
+		buf = frame
+		if err := FinishRows(frame, len(rows), final); err != werr {
+			t.Logf("%d rows: FinishRows err %v, WriteFrame err %v", len(rows), err, werr)
+			return false
+		}
+		return werr != nil || bytes.Equal(frame, want.Bytes())
+	}
+	for _, final := range []bool{false, true} {
+		if !check(7, final, nil, nil) {
+			t.Fatalf("empty batch (final %v) differs from WriteFrame", final)
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinishRowsFrameTooLarge pins the MaxFrame boundary: one row whose
+// payload fills MaxFrame exactly is sealed, one byte more is refused, as
+// WriteFrame refuses it.
+func TestFinishRowsFrameTooLarge(t *testing.T) {
+	const fixed = 1 + 4 + 1 + 4 + 8 + 4 // op, seq, final, nrows, key, body length
+	for _, extra := range []int{0, 1} {
+		body := make([]byte, MaxFrame-fixed+extra)
+		frame := AppendRow(BeginRows(nil, 1), 5, body)
+		err := FinishRows(frame, 1, true)
+		_, werr := WriteFrame(io.Discard, nil, &Msg{Op: OpRows, Seq: 1, Final: true, Rows: []Row{{Key: 5, Body: body}}})
+		switch {
+		case extra == 0 && (err != nil || werr != nil):
+			t.Fatalf("payload of exactly MaxFrame refused: FinishRows %v, WriteFrame %v", err, werr)
+		case extra == 1 && (err != ErrFrameTooLarge || werr != ErrFrameTooLarge):
+			t.Fatalf("payload past MaxFrame: FinishRows %v, WriteFrame %v, want ErrFrameTooLarge", err, werr)
+		}
+	}
+}
+
+func TestAppendRowZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	body := make([]byte, 100)
+	frame := BeginRows(make([]byte, 0, 64<<10), 7)
+	head := len(frame)
+	if n := testing.AllocsPerRun(1000, func() {
+		frame = frame[:head]
+		for k := uint64(0); k < 256; k++ {
+			frame = AppendRow(frame, k, body)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendRow into a warm frame: %v allocs per 256 rows, want 0", n)
+	}
+}
+
+// loopReader replays one byte stream forever.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestClientRowsFrameZeroAllocs gates the client's read path for a row
+// batch: once its frame buffer is recycled, reading it, decoding it,
+// handing it to its scan and delivering every row allocates nothing. A
+// frame for a seq nobody waits on is recycled unread, also for free.
+func TestClientRowsFrameZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	rows := make([]Row, 256)
+	for i := range rows {
+		rows[i] = Row{Key: uint64(i), Body: bytes.Repeat([]byte{byte(i)}, 100)}
+	}
+	stream := rowsFrame(t, nil, 1, rows, false)
+	stream = append(stream, rowsFrame(t, nil, 2, rows, false)...)
+	ch := make(chan *inbound, 1)
+	c := &Client{
+		r:       bufio.NewReaderSize(&loopReader{b: stream}, 64<<10),
+		pending: map[uint32]chan *inbound{1: ch},
+	}
+	var sum uint64
+	deliver := func() {
+		if err := c.readFrame(); err != nil {
+			t.Fatal(err)
+		}
+		in := <-ch
+		for _, r := range in.m.Rows {
+			sum += r.Key + uint64(r.Body[0])
+		}
+		in.release()
+		if err := c.readFrame(); err != nil { // seq 2: nobody waits
+			t.Fatal(err)
+		}
+		if len(ch) != 0 {
+			t.Fatal("a frame for an unknown seq was delivered")
+		}
+	}
+	deliver()
+	if n := testing.AllocsPerRun(200, deliver); n != 0 {
+		t.Fatalf("delivering a recycled row batch: %v allocs per frame, want 0", n)
+	}
+	if want := uint64(202) * 2 * 255 * 256 / 2; sum != want {
+		t.Fatalf("callback saw key+body sum %d, want %d", sum, want)
+	}
 }

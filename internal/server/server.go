@@ -39,8 +39,6 @@ type Options struct {
 	// short wait often rides out a transient spike. 0 selects 2ms;
 	// negative disables waiting.
 	AdmitWait time.Duration
-	// ScanBatchRows caps rows per streamed OpRows frame. 0 selects 256.
-	ScanBatchRows int
 }
 
 func (o *Options) withDefaults() Options {
@@ -51,11 +49,12 @@ func (o *Options) withDefaults() Options {
 	if out.AdmitWait == 0 {
 		out.AdmitWait = 2 * time.Millisecond
 	}
-	if out.ScanBatchRows <= 0 {
-		out.ScanBatchRows = 256
-	}
 	return out
 }
+
+// scanBatchRows caps the rows of one streamed OpRows frame; a frame also
+// closes once its rows pass MaxFrame/2 bytes.
+const scanBatchRows = 256
 
 // maxGroup caps how many commit tickets one fsync may absorb.
 const maxGroup = 1024
@@ -371,6 +370,14 @@ func (c *conn) reply(m *proto.Msg) error {
 	return err
 }
 
+// writeFrame writes one already-encoded frame, serialized with reply.
+func (c *conn) writeFrame(frame []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.c.Write(frame)
+	return err
+}
+
 func (c *conn) replyErr(seq uint32, code uint16, retryable bool, err error) error {
 	return c.reply(&proto.Msg{Op: proto.OpErr, Seq: seq, Code: code, Retryable: retryable, ErrMsg: err.Error()})
 }
@@ -580,12 +587,20 @@ func (c *conn) getInline(tbl *masm.Table, seq uint32, key uint64) bool {
 	if err != nil {
 		return c.replyErr(seq, proto.CodeInternal, false, err) == nil
 	}
-	rows := &proto.Msg{Op: proto.OpRows, Seq: seq, Final: true}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = proto.BeginRows(c.wbuf, seq)
+	n := 0
 	if found {
-		rows.Rows = []proto.Row{{Key: key, Body: body}}
+		c.wbuf = proto.AppendRow(c.wbuf, key, body)
+		n = 1
 		c.s.mScanRows.Inc()
 	}
-	return c.reply(rows) == nil
+	if proto.FinishRows(c.wbuf, n, true) != nil {
+		return false
+	}
+	_, err = c.c.Write(c.wbuf)
+	return err == nil
 }
 
 // runScan streams one table scan as credit-gated row batches. Every
@@ -594,6 +609,10 @@ func (c *conn) getInline(tbl *masm.Table, seq uint32, key uint64) bool {
 // dies mid-stream the credit wait unblocks via c.quit and the scan
 // callback returns false, which closes the underlying query — no
 // goroutine, pin, or snapshot outlives the connection.
+//
+// Each frame is built in place in the scan's own buffer, so a row is
+// copied once, from the engine's page or update buffer into the frame,
+// and the buffer is reused by every frame of the scan.
 func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, credits uint32, creditCh chan uint32) {
 	defer func() {
 		c.mu.Lock()
@@ -602,11 +621,12 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 		c.scanWG.Done()
 	}()
 	avail := int64(credits)
-	batch := &proto.Msg{Op: proto.OpRows, Seq: seq}
-	var batchBytes int
+	frame := proto.BeginRows(nil, seq)
+	head := len(frame) // rows start here
+	rows := 0
 	var sent uint64
-	// flush ships the accumulated batch once a credit is available; it
-	// reports false when the scan must abort (dead connection).
+	// flush ships the frame once a credit is available and begins the
+	// next; it reports false when the scan must abort (dead connection).
 	flush := func(final bool) bool {
 		for avail == 0 {
 			select {
@@ -617,13 +637,11 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 			}
 		}
 		avail--
-		batch.Final = final
-		if err := c.reply(batch); err != nil {
+		if proto.FinishRows(frame, rows, final) != nil || c.writeFrame(frame) != nil {
 			return false
 		}
-		c.s.mScanRows.Add(int64(len(batch.Rows)))
-		batch.Rows = batch.Rows[:0]
-		batchBytes = 0
+		c.s.mScanRows.Add(int64(rows))
+		frame, rows = proto.BeginRows(frame, seq), 0
 		return true
 	}
 	aborted := false
@@ -634,13 +652,13 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 			return false
 		default:
 		}
-		batch.Rows = append(batch.Rows, proto.Row{Key: key, Body: append([]byte(nil), body...)})
-		batchBytes += 12 + len(body)
+		frame = proto.AppendRow(frame, key, body)
+		rows++
 		sent++
 		if limit > 0 && sent >= limit {
 			return false
 		}
-		if len(batch.Rows) >= c.s.opts.ScanBatchRows || batchBytes >= proto.MaxFrame/2 {
+		if rows >= scanBatchRows || len(frame)-head >= proto.MaxFrame/2 {
 			if !flush(false) {
 				aborted = true
 				return false

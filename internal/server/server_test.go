@@ -32,6 +32,14 @@ func startServer(t *testing.T, opts Options, tables ...string) (*Server, *masm.E
 			t.Fatal(err)
 		}
 	}
+	srv, addr := serve(t, eng, opts)
+	return srv, eng, addr
+}
+
+// serve serves eng on a loopback listener. Cleanup closes server then
+// engine.
+func serve(t *testing.T, eng *masm.Engine, opts Options) (*Server, string) {
+	t.Helper()
 	srv := New(eng, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,7 +50,7 @@ func startServer(t *testing.T, opts Options, tables ...string) (*Server, *masm.E
 		srv.Close()
 		eng.Close()
 	})
-	return srv, eng, ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -243,7 +251,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // credit wait) and checks the server sheds the scan completely: no
 // goroutines, and no open query pinning the table against migration.
 func TestTornConnectionLeaksNothing(t *testing.T) {
-	_, eng, addr := startServer(t, Options{ScanBatchRows: 16}, "t0")
+	_, eng, addr := startServer(t, Options{}, "t0")
 	c0, err := proto.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -553,17 +561,8 @@ func startFileServer(t *testing.T, tables ...string) (*masm.Engine, string) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(eng, Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Close()
-		eng.Close()
-	})
-	return eng, ln.Addr().String()
+	_, addr := serve(t, eng, Options{})
+	return eng, addr
 }
 
 func dial(t *testing.T, addr string) *proto.Client {

@@ -14,6 +14,7 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // pageHeaderSize is the fixed page header: timestamp (8), record count (2),
@@ -77,33 +78,43 @@ func (p *Page) Encode(buf []byte) error {
 
 // DecodePage parses a page image. Bodies alias buf.
 func DecodePage(buf []byte) (*Page, error) {
-	if len(buf) < pageHeaderSize {
-		return nil, fmt.Errorf("table: short page: %d bytes", len(buf))
+	p := &Page{}
+	if err := decodePageInto(p, buf); err != nil {
+		return nil, err
 	}
-	p := &Page{TS: int64(binary.LittleEndian.Uint64(buf[0:]))}
+	return p, nil
+}
+
+// decodePageInto parses a page image into p, reusing the capacity of p's
+// key and body slices. Bodies alias buf.
+func decodePageInto(p *Page, buf []byte) error {
+	if len(buf) < pageHeaderSize {
+		return fmt.Errorf("table: short page: %d bytes", len(buf))
+	}
+	p.TS = int64(binary.LittleEndian.Uint64(buf[0:]))
 	n := int(binary.LittleEndian.Uint16(buf[8:]))
 	used := int(binary.LittleEndian.Uint16(buf[10:]))
 	if pageHeaderSize+used > len(buf) {
-		return nil, fmt.Errorf("table: page used bytes %d exceed page size %d", used, len(buf))
+		return fmt.Errorf("table: page used bytes %d exceed page size %d", used, len(buf))
 	}
-	p.Keys = make([]uint64, 0, n)
-	p.Bodies = make([][]byte, 0, n)
+	p.Keys = slices.Grow(p.Keys[:0], n)
+	p.Bodies = slices.Grow(p.Bodies[:0], n)
 	off := pageHeaderSize
 	for i := 0; i < n; i++ {
 		if off+recHeaderSize > len(buf) {
-			return nil, fmt.Errorf("table: truncated record %d of %d", i, n)
+			return fmt.Errorf("table: truncated record %d of %d", i, n)
 		}
 		key := binary.LittleEndian.Uint64(buf[off:])
 		blen := int(binary.LittleEndian.Uint16(buf[off+8:]))
 		off += recHeaderSize
 		if off+blen > len(buf) {
-			return nil, fmt.Errorf("table: truncated record body %d of %d", i, n)
+			return fmt.Errorf("table: truncated record body %d of %d", i, n)
 		}
 		p.Keys = append(p.Keys, key)
 		p.Bodies = append(p.Bodies, buf[off:off+blen:off+blen])
 		off += blen
 	}
-	return p, nil
+	return nil
 }
 
 // insertAt places (key, body) at index i, shifting later records.

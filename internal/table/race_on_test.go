@@ -1,0 +1,7 @@
+//go:build race
+
+package table
+
+// raceEnabled gates allocation-count assertions: the race detector
+// instruments allocations and makes AllocsPerRun meaningless.
+const raceEnabled = true

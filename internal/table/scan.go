@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"sort"
 
 	"masm/internal/sim"
@@ -38,8 +39,13 @@ type Scanner struct {
 	// nextKey is the lower bound (inclusive) on keys still to return.
 	nextKey uint64
 
-	// Current decoded batch of pages.
-	pages   []*Page
+	// The current batch: refs names its pages, buf holds their images and
+	// pages their decoded form, whose bodies alias buf. All three are reused
+	// by every batch, so a returned row's body is valid only until the next
+	// call to Next.
+	refs    []pageRef
+	buf     []byte
+	pages   []Page
 	pageIdx int
 	recIdx  int
 	done    bool
@@ -88,7 +94,7 @@ func (s *Scanner) Err() error { return s.err }
 
 // nextBatchRefs picks the next disk-contiguous batch of page refs from the
 // live index, strictly after curFirstKey in key order and within the scan
-// range.
+// range, into s.refs.
 func (s *Scanner) nextBatchRefs(pagesPerIO int) []pageRef {
 	s.t.mu.RLock()
 	defer s.t.mu.RUnlock()
@@ -138,14 +144,15 @@ func (s *Scanner) nextBatchRefs(pagesPerIO int) []pageRef {
 		}
 		n++
 	}
-	out := make([]pageRef, n)
-	copy(out, refs[lo:lo+n])
-	return out
+	s.refs = append(s.refs[:0], refs[lo:lo+n]...)
+	return s.refs
 }
 
 // fetchBatch reads the next maximal contiguous run of pages, capped at the
-// scan I/O size, and decodes them.
+// scan I/O size, into the scanner's buffer and decodes them in place,
+// overwriting the previous batch.
 func (s *Scanner) fetchBatch() bool {
+	s.pages, s.pageIdx, s.recIdx = s.pages[:0], 0, 0
 	if s.err != nil || s.done {
 		return false
 	}
@@ -154,35 +161,41 @@ func (s *Scanner) fetchBatch() bool {
 		s.done = true
 		return false
 	}
-	first := batch[0].pageNo
-	buf := make([]byte, len(batch)*s.t.cfg.PageSize)
-	c, err := s.t.vol.ReadAt(s.now, buf, first*int64(s.t.cfg.PageSize))
+	ps := s.t.cfg.PageSize
+	if cap(s.buf) < len(batch)*ps {
+		s.buf = make([]byte, len(batch)*ps)
+	}
+	buf := s.buf[:len(batch)*ps]
+	c, err := s.t.vol.ReadAt(s.now, buf, batch[0].pageNo*int64(ps))
 	if err != nil {
 		s.err = err
 		return false
 	}
 	s.now = c.End
-	s.pages = s.pages[:0]
-	for i := range batch {
-		p, err := DecodePage(buf[i*s.t.cfg.PageSize : (i+1)*s.t.cfg.PageSize])
-		if err != nil {
+	// Reslicing within capacity keeps each Page's key and body slices for
+	// decodePageInto to reuse.
+	pages := slices.Grow(s.pages, len(batch))[:len(batch)]
+	for i := range pages {
+		if err := decodePageInto(&pages[i], buf[i*ps:(i+1)*ps]); err != nil {
 			s.err = err
 			return false
 		}
-		s.pages = append(s.pages, p)
 	}
+	s.pages = pages
 	s.curFirstKey = batch[len(batch)-1].firstKey
 	s.startedPage = true
-	s.pageIdx = 0
-	s.recIdx = 0
 	return true
 }
 
-// Next returns the next row in the range, or ok=false at the end.
+// Next returns the next row in the range, or ok=false at the end. The
+// row's body aliases the scanner's read buffer, which the next call may
+// overwrite: a caller must finish with (or copy) a body before calling
+// Next again. The merge operators (masm.Query, lsm, iu) hold at most one
+// row of lookahead and call Next only once that row has been returned.
 func (s *Scanner) Next() (Row, bool) {
 	for {
 		if s.pageIdx < len(s.pages) {
-			p := s.pages[s.pageIdx]
+			p := &s.pages[s.pageIdx]
 			for s.recIdx < len(p.Keys) {
 				i := s.recIdx
 				s.recIdx++

@@ -394,3 +394,26 @@ func ExampleTable_NewScanner() {
 	// 2=b
 	// 3=c
 }
+
+// TestScannerReusesBuffersZeroAllocs gates the scanner's steady state:
+// once its read buffer, decoded pages and ref slice have grown to a full
+// scan I/O, Next crosses batch boundaries without allocating.
+func TestScannerReusesBuffersZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	tbl := loadTable(t, 80000, 2, 92) // ~8.7 scan I/Os
+	sc := tbl.NewScanner(0, 0, ^uint64(0))
+	crossBatch := func() {
+		for first := sc.curFirstKey; sc.curFirstKey == first; {
+			if _, ok := sc.Next(); !ok {
+				t.Fatalf("scan ended early: %v", sc.Err())
+			}
+		}
+	}
+	crossBatch()
+	crossBatch()
+	if n := testing.AllocsPerRun(4, crossBatch); n != 0 {
+		t.Fatalf("warm Scanner.Next across a batch boundary: %v allocs, want 0", n)
+	}
+}

@@ -68,8 +68,9 @@ func (spec *QuerySpec) pred() *update.Pred {
 
 // Query streams the table rows matching spec into fn, in key order,
 // under snapshot isolation (one timestamp for the whole query, exactly
-// like Scan). fn returning false stops early. See QuerySpec for the
-// pushdown contract.
+// like Scan). fn returning false stops early. body is valid only until fn
+// returns, as in Scan: copy it to keep it. See QuerySpec for the pushdown
+// contract.
 func (t *Table) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) error {
 	if spec.Begin > spec.End {
 		return fmt.Errorf("masm: query begin %d > end %d", spec.Begin, spec.End)

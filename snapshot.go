@@ -31,7 +31,8 @@ func (s *Snapshot) TS() int64 { return s.snap.TS() }
 // Scan calls fn for every live record with key in [begin, end] as of the
 // snapshot, in key order. fn returning false stops the scan early. Any
 // number of Scans may run from one snapshot, concurrently or sequentially;
-// they all see identical data.
+// they all see identical data. body is valid only until fn returns, as in
+// Table.Scan: copy it to keep it.
 func (s *Snapshot) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	e := s.t.eng
 	e.mu.RLock()
