@@ -25,11 +25,11 @@ func main() {
 		dir        = flag.String("dir", "", "database directory (created if missing; required)")
 		addr       = flag.String("addr", "127.0.0.1:7643", "TCP listen address for the wire protocol")
 		metrics    = flag.String("metrics", "", "HTTP listen address for /metrics, /debug/vars, /debug/pprof (empty = off)")
-		cacheMB    = flag.Int64("cache", 256, "shared SSD update-cache budget, MiB")
+		cacheMB    = flag.Int64("cache", 256, "shared SSD update-cache budget, MiB, of a new directory (an existing one keeps its own, and says so)")
 		dataMB     = flag.Int64("data", 1024, "main data capacity, MiB (sparse)")
 		ntables    = flag.Int("ntables", 1, "tables to create on first start (t0..tN-1)")
 		tableCache = flag.Int64("table-cache", 0, "per-table cache quota, MiB (0 = whole shared cache; the per-tenant knob)")
-		admit      = flag.Float64("admit", 0.95, "cache-fill fraction above which writes are shed with a retryable error")
+		admit      = flag.Float64("admit", masm.AdmitFill, "cache-fill fraction above which writes are shed with a retryable error")
 		admitWait  = flag.Duration("admit-wait", 2*time.Millisecond, "how long a write may wait out pressure before rejection")
 		sched      = flag.Duration("sched", masm.DefaultMigrationInterval, "migration scheduler poll interval")
 		directIO   = flag.Bool("directio", false, "open data files with O_DIRECT where supported")
@@ -53,6 +53,10 @@ func main() {
 		log.Fatalf("masmd: open %s: %v", *dir, err)
 	}
 	defer eng.Close()
+	if got := eng.CacheBytes(); got != cfg.CacheBytes {
+		log.Printf("masmd: %s keeps its update cache of %g MiB; -cache %d applies to new directories only",
+			*dir, float64(got)/(1<<20), *cacheMB)
+	}
 
 	// Ensure the initial tables exist (idempotent across restarts).
 	existing := make(map[string]bool)

@@ -573,3 +573,33 @@ func TestFileCrashViaCrashAPI(t *testing.T) {
 		t.Fatalf("post-recovery insert unreadable: %q %v %v", got, ok, err)
 	}
 }
+
+// TestReopenKeepsCacheGeometry: a reopened directory keeps the cache size it
+// was created with — the reopen's Config.CacheBytes is ignored — and
+// Engine.CacheBytes reports the size in force (masmd logs it when -cache
+// differs).
+func TestReopenKeepsCacheGeometry(t *testing.T) {
+	dir := t.TempDir()
+	open := func(cacheBytes int64) *Engine {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.CacheBytes = cacheBytes
+		e, err := OpenEngineDir(dir, EngineDirOptions{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := open(2 << 20)
+	if got := e.CacheBytes(); got != 2<<20 {
+		t.Fatalf("new directory: CacheBytes %d, want %d", got, 2<<20)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = open(256 << 20)
+	defer e.Close()
+	if got := e.CacheBytes(); got != 2<<20 {
+		t.Fatalf("reopened with a 256 MiB request: CacheBytes %d, want the directory's %d", got, 2<<20)
+	}
+}

@@ -765,6 +765,11 @@ func (e *Engine) CacheFill() float64 {
 	return float64(total) / float64(e.cfg.CacheBytes)
 }
 
+// CacheBytes returns the size of the engine's shared SSD update cache. A
+// reopened directory keeps the size it was created with, whatever
+// Config.CacheBytes the reopen asked for.
+func (e *Engine) CacheBytes() int64 { return e.cfg.CacheBytes }
+
 // Stats returns a snapshot of the engine's counters with the per-table
 // breakdown.
 func (e *Engine) Stats() EngineStats {

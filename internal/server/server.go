@@ -29,9 +29,10 @@ import (
 type Options struct {
 	// AdmitThreshold is the cache-fill fraction (per table, and for the
 	// engine's shared pool) above which writes are shed with a
-	// retryable backpressure error. 0 selects 0.95. Admission uses the
-	// same occupancy signal MigrateIfPressured arbitrates on, so load
-	// shedding engages exactly when migration is already maximally
+	// retryable backpressure error. 0 selects masm.AdmitFill (0.95), the
+	// fill at which the engine holds transaction commits back. Admission
+	// uses the same occupancy signal MigrateIfPressured arbitrates on, so
+	// load shedding engages exactly when migration is already maximally
 	// behind.
 	AdmitThreshold float64
 	// AdmitWait is how long a write may wait for pressure to drop below
@@ -44,7 +45,7 @@ type Options struct {
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.AdmitThreshold == 0 {
-		out.AdmitThreshold = 0.95
+		out.AdmitThreshold = masm.AdmitFill
 	}
 	if out.AdmitWait == 0 {
 		out.AdmitWait = 2 * time.Millisecond
@@ -74,6 +75,7 @@ type Server struct {
 	commitQuit chan struct{}
 	commitDone chan struct{}
 	syncEWMA   atomic.Int64 // smoothed WAL sync cost, ns; feeds gatherWindow
+	writers    atomic.Int64 // connections whose latest request was a write or a commit
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -86,6 +88,7 @@ type Server struct {
 	mQueueDepth *obs.Gauge
 	mGroupSize  *obs.Histogram
 	mCommitWait *obs.Histogram
+	mGatherWait *obs.Histogram
 	mRejects    *obs.Counter
 	mWrites     *obs.Counter
 	mScanRows   *obs.Counter
@@ -111,6 +114,7 @@ func New(eng *masm.Engine, opts Options) *Server {
 		mQueueDepth: reg.Gauge("masm_server_commit_queue_depth"),
 		mGroupSize:  reg.Histogram("masm_wal_group_size"),
 		mCommitWait: reg.Histogram("masm_server_commit_wait_ns"),
+		mGatherWait: reg.Histogram("masm_server_gather_wait_ns"),
 		mRejects:    reg.Counter("masm_server_backpressure_rejects"),
 		mWrites:     reg.Counter("masm_server_writes"),
 		mScanRows:   reg.Counter("masm_server_scan_rows"),
@@ -184,7 +188,8 @@ func (s *Server) Close() error {
 // ticket, opportunistically drains every ticket already queued behind
 // it (bounded by maxGroup), issues ONE WAL sync for the whole batch,
 // and only then releases the tickets — many clients' commits, one
-// fsync. masm_wal_group_size records how much each sync amortized.
+// fsync. masm_wal_group_size records how much each sync amortized, and
+// masm_server_gather_wait_ns how long each gathered batch was held open.
 func (s *Server) committer() {
 	defer close(s.commitDone)
 	for {
@@ -202,15 +207,18 @@ func (s *Server) committer() {
 		// fsyncs. Holding the batch open for about one sync's cost lets
 		// the rest of the fleet pile on (waiting one sync's worth at most
 		// doubles a commit's latency, while under N writers it multiplies
-		// the batch — and divides the fsync rate — by up to N); a batch
-		// already as large as the live connection count stops early, since
-		// a closed-loop client has at most one commit in flight. The
-		// window is skipped outright when at most one connection is live,
-		// so a lone client still sees bare-fsync latency.
-		if conns := s.mConns.Value(); conns > 1 {
+		// the batch — and divides the fsync rate — by up to N). Only
+		// writers are waited for: connections whose latest request was a
+		// write or a commit, whose next ticket is a round-trip away. A
+		// batch as large as the writer count stops early, since a
+		// closed-loop client has at most one commit in flight, and the
+		// window is skipped outright for a lone writer, so one beside
+		// readers still sees bare-fsync latency.
+		if writers := s.writers.Load(); writers > 1 {
+			start := time.Now()
 			timer := time.NewTimer(s.gatherWindow())
 		gather:
-			for len(batch) < maxGroup && int64(len(batch)) < conns {
+			for len(batch) < maxGroup && int64(len(batch)) < writers {
 				select {
 				case t := <-s.tickets:
 					batch = append(batch, t)
@@ -221,6 +229,7 @@ func (s *Server) committer() {
 				}
 			}
 			timer.Stop()
+			s.mGatherWait.Observe(time.Since(start).Nanoseconds())
 		}
 	drain:
 		for len(batch) < maxGroup {
@@ -307,10 +316,8 @@ func (s *Server) admit(t *masm.Table) error {
 		}
 	}
 	s.mRejects.Inc()
-	return errBackpressure
+	return masm.ErrBackpressure
 }
-
-var errBackpressure = errors.New("cache pressure: migration behind, retry after backoff")
 
 // conn is the per-connection state shared between its reader goroutine
 // and the scan goroutines it spawns.
@@ -321,6 +328,10 @@ type conn struct {
 
 	wmu  sync.Mutex
 	wbuf []byte
+
+	// writer is whether the latest request (credit top-ups aside) was a
+	// write or a commit; the reader goroutine alone touches it.
+	writer bool
 
 	mu    sync.Mutex
 	scans map[uint32]chan uint32 // scan seq -> credit top-ups
@@ -339,6 +350,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		txs:   make(map[uint64]*masm.EngineTx),
 	}
 	c.serve()
+	c.markWriter(false)
 
 	// Teardown: wake every scan, wait for them, abort open transactions,
 	// then release the socket. After this a torn connection holds no
@@ -418,10 +430,32 @@ func (c *conn) serve() {
 	}
 }
 
+// markWriter records whether the connection's latest request was a write
+// or a commit, keeping the server's count of such connections — the
+// writers the group committer waits for.
+func (c *conn) markWriter(w bool) {
+	if w == c.writer {
+		return
+	}
+	c.writer = w
+	if w {
+		c.s.writers.Add(1)
+	} else {
+		c.s.writers.Add(-1)
+	}
+}
+
 // dispatch handles one request frame; it reports false when the
 // connection should end (write failure or protocol violation).
 func (c *conn) dispatch(m *proto.Msg) bool {
 	s := c.s
+	switch m.Op {
+	case proto.OpCredit: // tops up a scan: says nothing about what comes next
+	case proto.OpPut, proto.OpDelete, proto.OpModify, proto.OpTxCommit:
+		c.markWriter(true)
+	default:
+		c.markWriter(false)
+	}
 	switch m.Op {
 	case proto.OpPut, proto.OpDelete, proto.OpModify:
 		tbl, err := s.eng.OpenTable(m.Table)
@@ -540,8 +574,12 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
 		}
 		if err := tx.Commit(); err != nil {
-			if errors.Is(err, txn.ErrWriteConflict) {
+			switch {
+			case errors.Is(err, txn.ErrWriteConflict):
 				return c.replyErr(m.Seq, proto.CodeConflict, true, err) == nil
+			case errors.Is(err, masm.ErrBackpressure):
+				s.mRejects.Inc()
+				return c.replyErr(m.Seq, proto.CodeBackpressure, true, err) == nil
 			}
 			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil
 		}

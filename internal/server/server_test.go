@@ -550,7 +550,7 @@ func TestServerCloseDrains(t *testing.T) {
 // startFileServer is startServer over a file-backed engine in a temporary
 // directory: commits pay a real fsync, which is what the gathering window
 // is sized from.
-func startFileServer(t *testing.T, tables ...string) (*masm.Engine, string) {
+func startFileServer(t *testing.T, tables ...string) (*Server, *masm.Engine, string) {
 	t.Helper()
 	eng, err := masm.OpenEngineDir(t.TempDir(), masm.EngineDirOptions{DataBytes: 64 << 20})
 	if err != nil {
@@ -561,8 +561,8 @@ func startFileServer(t *testing.T, tables ...string) (*masm.Engine, string) {
 			t.Fatal(err)
 		}
 	}
-	_, addr := serve(t, eng, Options{})
-	return eng, addr
+	srv, addr := serve(t, eng, Options{})
+	return srv, eng, addr
 }
 
 func dial(t *testing.T, addr string) *proto.Client {
@@ -579,7 +579,7 @@ func dial(t *testing.T, addr string) *proto.Client {
 // gathering policy must keep: two closed-loop writers share every fsync
 // (mean group size 2.0 today), or ingest throughput halves.
 func TestTwoWritersStillGroup(t *testing.T) {
-	eng, addr := startFileServer(t, "t0")
+	_, eng, addr := startFileServer(t, "t0")
 	clients := []*proto.Client{dial(t, addr), dial(t, addr)}
 	run := func(base uint64, n int) {
 		var wg sync.WaitGroup
@@ -661,5 +661,152 @@ func TestPointScanInline(t *testing.T) {
 	}
 	if d := snap.Counter("masm_scans_started", obs.L("table", "t0")) - started0; d != 0 {
 		t.Errorf("masm_scans_started moved by %d: a point read opened a range scan", d)
+	}
+}
+
+// gathers is how many commit batches the server has held open for
+// companions so far.
+func gathers(t *testing.T, eng *masm.Engine) int64 {
+	t.Helper()
+	h := eng.Registry().Snapshot().Histogram("masm_server_gather_wait_ns")
+	if h == nil {
+		t.Fatal("masm_server_gather_wait_ns is not registered")
+	}
+	return h.Count
+}
+
+// readLoop issues one-key reads on c until stop closes; it returns how many
+// it made.
+func readLoop(t *testing.T, c *proto.Client, stop chan struct{}) <-chan int {
+	n := make(chan int, 1)
+	go func() {
+		reads := 0
+		defer func() { n <- reads }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.Scan("t0", 1, 1, 1, func(uint64, []byte) bool { return true }); err != nil {
+				t.Error(err)
+				return
+			}
+			reads++
+		}
+	}()
+	return n
+}
+
+// TestLoneWriterBesideReader: a writer whose only neighbour reads pays one
+// fsync per commit and no gathering window — the reader never sends the
+// ticket a window would wait for.
+func TestLoneWriterBesideReader(t *testing.T) {
+	_, eng, addr := startFileServer(t, "t0")
+	reader, writer := dial(t, addr), dial(t, addr)
+	if err := writer.Put("t0", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before := gathers(t, eng)
+	stop := make(chan struct{})
+	reads := readLoop(t, reader, stop)
+	for k := uint64(2); k < 502; k++ {
+		if err := writer.Put("t0", k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if n := <-reads; n == 0 {
+		t.Fatal("the reader made no reads while the writer wrote")
+	}
+	if d := gathers(t, eng) - before; d != 0 {
+		t.Fatalf("%d of 500 lone-writer commits were held open for a companion", d)
+	}
+}
+
+// TestAlternatingWriterNeverGathers: a connection that alternates one-key
+// reads and puts, beside a reader, is a lone writer: every read clears its
+// mark and every put sets it once, so the writer count never passes one,
+// no batch is held open, and the count is back at zero after its last read
+// and after its connection closes.
+func TestAlternatingWriterNeverGathers(t *testing.T) {
+	srv, eng, addr := startFileServer(t, "t0")
+	reader, alt := dial(t, addr), dial(t, addr)
+	before := gathers(t, eng)
+	stop := make(chan struct{})
+	reads := readLoop(t, reader, stop)
+	for k := uint64(1); k <= 300; k++ {
+		if err := alt.Put("t0", k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := alt.Scan("t0", k, k, 1, func(uint64, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-reads
+	if d := gathers(t, eng) - before; d != 0 {
+		t.Fatalf("%d of 300 commits were held open for a companion", d)
+	}
+	if w := srv.writers.Load(); w != 0 {
+		t.Fatalf("writer count %d after the alternating connection's last read, want 0", w)
+	}
+	if err := alt.Put("t0", 1000, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if w := srv.writers.Load(); w != 1 {
+		t.Fatalf("writer count %d after a put, want 1", w)
+	}
+	alt.Close()
+	waitFor(t, "the closed writer to leave the count", func() bool { return srv.writers.Load() == 0 })
+}
+
+// TestTxCommitBackpressure: a wire commit the engine's admission refuses —
+// the cache full, a reader vetoing migration, the scheduler running —
+// reaches the client as typed, retryable backpressure, and publishes
+// nothing.
+func TestTxCommitBackpressure(t *testing.T) {
+	cfg := masm.DefaultConfig()
+	cfg.CacheBytes = 1 << 20
+	eng, err := masm.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := eng.CreateTable("t0", masm.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte("x"), 100)
+	for k := uint64(2); tbl.CacheFill() < masm.AdmitFill; k += 2 {
+		if err := tbl.Insert(k, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reader, err := tbl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if _, err := eng.StartMigrationScheduler(0); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serve(t, eng, Options{})
+	c := dial(t, addr)
+	txid, err := c.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.TxPut(txid, "t0", 1, []byte("refused")); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Commit(txid)
+	if !proto.ErrBackpressure(err) || !proto.IsRetryable(err) {
+		t.Fatalf("commit refused by admission: %v, want typed retryable backpressure", err)
+	}
+	if _, found, err := tbl.Get(1); err != nil || found {
+		t.Fatalf("refused commit's key: found %v, err %v", found, err)
+	}
+	if n := eng.Registry().Snapshot().Counter("masm_server_backpressure_rejects"); n != 1 {
+		t.Fatalf("masm_server_backpressure_rejects = %d, want 1", n)
 	}
 }

@@ -129,6 +129,17 @@ func (t *Txn) finish() {
 	t.snap.Close()
 }
 
+// ReleaseReads ends the transaction's reads ahead of its end: the pinned
+// snapshot closes, so migration stops waiting for the transaction. Commit
+// still validates and publishes the write set — first-committer-wins reads
+// the manager's commit history, not the snapshot — but Scan fails from
+// here on. A transaction about to commit calls it before it waits for
+// migration, or its own reader would veto the migration it waits for.
+func (t *Txn) ReleaseReads() { t.snap.Close() }
+
+// Wrote reports whether the transaction has buffered an update.
+func (t *Txn) Wrote() bool { return len(t.private) > 0 }
+
 // lock acquires a lock, upgrading shared→exclusive when possible.
 func (m *Manager) lock(t *Txn, key uint64, exclusive bool) error {
 	m.mu.Lock()

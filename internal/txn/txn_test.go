@@ -260,6 +260,48 @@ func TestDoneTxnRejected(t *testing.T) {
 	})
 }
 
+// TestCommitAfterReleaseReads: a transaction that released its reads no
+// longer holds migration back, and still commits — validating
+// first-committer-wins against the commits made in between — while its
+// scans are refused.
+func TestCommitAfterReleaseReads(t *testing.T) {
+	store := newStore(t, 100)
+	m := NewManager(store)
+	a := m.Begin(Snapshot)
+	b := m.Begin(Snapshot)
+	a.Update(update.Record{Key: 40, Op: update.Insert, Payload: []byte("a")})
+	b.Update(update.Record{Key: 42, Op: update.Delete})
+	if _, _, err := store.Migrate(0); !errors.Is(err, masm.ErrActiveQueries) {
+		t.Fatalf("migration with two open transactions: %v, want ErrActiveQueries", err)
+	}
+	a.ReleaseReads()
+	a.ReleaseReads() // idempotent
+	b.ReleaseReads()
+	if _, err := a.Scan(0, 0, 100, func(table.Row) bool { return true }); !errors.Is(err, masm.ErrSnapshotClosed) {
+		t.Fatalf("scan after ReleaseReads: %v, want ErrSnapshotClosed", err)
+	}
+	if _, _, err := store.Migrate(0); err != nil {
+		t.Fatalf("migration after both released their reads: %v", err)
+	}
+	c := m.Begin(Snapshot)
+	c.Update(update.Record{Key: 42, Op: update.Insert, Payload: []byte("c")})
+	if _, err := c.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Commit(0); err != nil {
+		t.Fatalf("commit after ReleaseReads: %v", err)
+	}
+	if _, err := b.Commit(0); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("released reader's conflicting commit: %v, want ErrWriteConflict", err)
+	}
+	check := m.Begin(Snapshot)
+	got := scanAll(t, check)
+	check.Abort()
+	if !bytes.Equal(got[40], []byte("a")) || !bytes.Equal(got[42], []byte("c")) {
+		t.Fatalf("after the commits: key 40 = %q, key 42 = %q", got[40], got[42])
+	}
+}
+
 func TestTxnScanRange(t *testing.T) {
 	store := newStore(t, 1000)
 	m := NewManager(store)

@@ -37,6 +37,9 @@ type MigrationScheduler struct {
 
 	mu      sync.Mutex
 	byTable map[string]int64
+	// swept, once a waiter has asked for it (nextSweep), is closed at the
+	// end of the next sweep: commits waiting for migration wake on it.
+	swept chan struct{}
 }
 
 // errBox gives every stored error the same concrete type: atomic.Value
@@ -157,7 +160,23 @@ func (ms *MigrationScheduler) sweep() bool {
 		ms.mu.Unlock()
 	}
 	ms.failed.Store(errBox{firstErr})
+	ms.mu.Lock()
+	if ms.swept != nil {
+		close(ms.swept)
+		ms.swept = nil
+	}
+	ms.mu.Unlock()
 	return true
+}
+
+// nextSweep returns a channel closed when the next sweep to end has ended.
+func (ms *MigrationScheduler) nextSweep() <-chan struct{} {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.swept == nil {
+		ms.swept = make(chan struct{})
+	}
+	return ms.swept
 }
 
 // KickScheduler nudges the engine's background migration scheduler, if
