@@ -53,20 +53,23 @@ func countRows(t *testing.T, eng *masm.Engine, tables []string) int {
 // it in pieces — 128 of these 150 rows survived the in-memory crash.
 func TestCommitCrashAtomic(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
-		db, err := masm.Open(masm.DefaultConfig(), nil, nil)
+		eng, err := masm.NewEngine(masm.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables := []string{masm.DefaultTableName}
-		if err := commitWriteSet(db.Engine(), tables); err != nil {
+		tables := []string{"a"}
+		if _, err := eng.CreateTable("a", masm.TableOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		db2, err := db.Crash() // no Sync: the commit's tail is still buffered
+		if err := commitWriteSet(eng, tables); err != nil {
+			t.Fatal(err)
+		}
+		eng2, err := eng.Crash() // no Sync: the commit's tail is still buffered
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer db2.Close()
-		if n := countRows(t, db2.Engine(), tables); n != 0 && n != commitCrashRows {
+		defer eng2.Close()
+		if n := countRows(t, eng2, tables); n != 0 && n != commitCrashRows {
 			t.Fatalf("crash after an unsynced commit recovered %d of %d rows", n, commitCrashRows)
 		}
 	})

@@ -45,20 +45,8 @@ func checkStressRow(key uint64, body []byte) error {
 	return nil
 }
 
-func loadStressDB(t testing.TB, n int, cfg Config) *DB {
-	t.Helper()
-	keys := make([]uint64, n)
-	bodies := make([][]byte, n)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2
-		bodies[i] = stressBody(keys[i], 0)
-	}
-	db, err := Open(cfg, keys, bodies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
+// stressRow is the bulk-load format of stressBody's generation 0.
+const stressRow = "key=%020d;gen=000000;padding-padding-padding"
 
 // TestConcurrentScansAndUpdates is the headline scenario of the paper run
 // for real: analytical scans iterating while updates stream in from
@@ -68,9 +56,9 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
 	cfg.MigrateThreshold = 0.3
-	db := loadStressDB(t, n, cfg)
-	defer db.Close()
-	if _, err := db.StartMigrationScheduler(5 * time.Millisecond); err != nil {
+	tbl := openTable(t, "", cfg, evenRows(n, stressRow))
+	defer tbl.eng.Close()
+	if _, err := tbl.eng.StartMigrationScheduler(5 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,11 +77,11 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 				var err error
 				switch rng.Intn(3) {
 				case 0:
-					err = db.Insert(key, stressBody(key, i+1))
+					err = tbl.Insert(key, stressBody(key, i+1))
 				case 1:
-					err = db.Delete(key)
+					err = tbl.Delete(key)
 				default:
-					err = db.Modify(key, genOffset, []byte(fmt.Sprintf("%06d", i+1)))
+					err = tbl.Modify(key, genOffset, []byte(fmt.Sprintf("%06d", i+1)))
 				}
 				if err != nil {
 					t.Error(err)
@@ -120,7 +108,7 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 				hi := lo + uint64(rng.Intn(4*n))
 				var prev uint64
 				first := true
-				err := db.Scan(lo, hi, func(key uint64, body []byte) bool {
+				err := tbl.Scan(lo, hi, func(key uint64, body []byte) bool {
 					if key < lo || key > hi {
 						t.Errorf("scan [%d,%d] returned key %d", lo, hi, key)
 						return false
@@ -150,7 +138,7 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 	// Final full verification pass.
 	var prev uint64
 	first := true
-	if err := db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
+	if err := tbl.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
 		if !first && key <= prev {
 			t.Errorf("keys not increasing: %d after %d", key, prev)
 			return false
@@ -181,8 +169,8 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 	const n, nKeys, perWriter = 2000, 64, 1500
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 256 << 10
-	db := loadStressDB(t, n, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(n, stressRow))
+	defer tbl.eng.Close()
 	hotKey := func(i int) uint64 { return uint64(i)*50 + 1 } // odd: inserted, never loaded
 	published := make([]atomic.Int64, nKeys)
 	genOf := func(key uint64, body []byte) (int64, error) {
@@ -206,9 +194,9 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 				gen[k]++
 				var err error
 				if gen[k] == 1 || rng.Intn(4) == 0 {
-					err = db.Insert(hotKey(k), stressBody(hotKey(k), gen[k]))
+					err = tbl.Insert(hotKey(k), stressBody(hotKey(k), gen[k]))
 				} else {
-					err = db.Modify(hotKey(k), genOffset, []byte(fmt.Sprintf("%06d", gen[k])))
+					err = tbl.Modify(hotKey(k), genOffset, []byte(fmt.Sprintf("%06d", gen[k])))
 				}
 				if err != nil {
 					t.Error(err)
@@ -216,12 +204,12 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 				}
 				published[k].Store(int64(gen[k]))
 				if i%100 == 99 {
-					err = db.Flush()
+					err = tbl.Flush()
 				}
 				// A migration waits for lookups older than it; the readers
 				// pause often enough to let one through.
 				for i%500 == 499 && err == nil {
-					if err = db.Migrate(); errors.Is(err, ErrActiveQueries) || errors.Is(err, ErrMigrationInProgress) {
+					if err = tbl.Migrate(); errors.Is(err, ErrActiveQueries) || errors.Is(err, ErrMigrationInProgress) {
 						err = nil
 						time.Sleep(20 * time.Microsecond)
 						continue
@@ -249,7 +237,7 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 				k := rng.Intn(nKeys)
 				key := hotKey(k)
 				floor := published[k].Load()
-				body, ok, err := db.Get(key)
+				body, ok, err := tbl.Get(key)
 				if err != nil {
 					t.Error(err)
 					return
@@ -269,7 +257,7 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 					continue
 				}
 				time.Sleep(50 * time.Microsecond)
-				sn, err := db.Snapshot()
+				sn, err := tbl.Snapshot()
 				if err != nil {
 					t.Error(err)
 					return
@@ -295,7 +283,7 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	for k := range published {
-		body, ok, err := db.Get(hotKey(k))
+		body, ok, err := tbl.Get(hotKey(k))
 		want := published[k].Load()
 		if err != nil || ok != (want > 0) {
 			t.Fatalf("final Get(%d) = (%v, %v), %d generations written", hotKey(k), ok, err, want)
@@ -304,8 +292,8 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 			t.Fatalf("final Get(%d) read generation %d (%v), want %d", hotKey(k), g, err, want)
 		}
 	}
-	m := db.Metrics()
-	if m.Counter("masm_migrations", obs.L("table", DefaultTableName)) == 0 || m.Counter("masm_one_pass_runs", obs.L("table", DefaultTableName)) == 0 {
+	m := tbl.eng.Metrics()
+	if m.Counter("masm_migrations", obs.L("table", testTable)) == 0 || m.Counter("masm_one_pass_runs", obs.L("table", testTable)) == 0 {
 		t.Fatal("no flush or no migration ran beside the lookups")
 	}
 }
@@ -321,8 +309,8 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	const markerBase = uint64(1) << 40
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 8 << 20
-	db := loadStressDB(t, n, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(n, stressRow))
+	defer tbl.eng.Close()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -351,9 +339,9 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 				key := uint64(rng.Intn(3*n)) + 1
 				var err error
 				if rng.Intn(2) == 0 {
-					err = db.Insert(key, stressBody(key, 1))
+					err = tbl.Insert(key, stressBody(key, 1))
 				} else {
-					err = db.Delete(key)
+					err = tbl.Delete(key)
 				}
 				if err != nil {
 					t.Error(err)
@@ -373,7 +361,7 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 	}
 
 	for round := 0; round < 8; round++ {
-		snap, err := db.Snapshot()
+		snap, err := tbl.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,11 +374,11 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 		for j := 0; j < 10; j++ {
 			mk := markerBase + markerSeq.Add(1)
 			markers = append(markers, mk)
-			if err := db.Insert(mk, stressBody(mk, 0)); err != nil {
+			if err := tbl.Insert(mk, stressBody(mk, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := db.Flush(); err != nil { // force the markers into a run
+		if err := tbl.Flush(); err != nil { // force the markers into a run
 			t.Fatal(err)
 		}
 		after, err := collect(snap)
@@ -420,14 +408,14 @@ func TestSnapshotIsolationUnderWrites(t *testing.T) {
 // TestScanDoesNotBlockWrites asserts the structural point of the refactor:
 // a scan paused mid-iteration does not prevent Insert from completing.
 func TestScanDoesNotBlockWrites(t *testing.T) {
-	db := loadStressDB(t, 2000, DefaultConfig())
-	defer db.Close()
+	tbl := openTable(t, "", DefaultConfig(), evenRows(2000, stressRow))
+	defer tbl.eng.Close()
 
 	inScan := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
+		done <- tbl.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
 			if key == 1000 { // pause mid-scan with the iterator open
 				close(inScan)
 				<-release
@@ -436,10 +424,10 @@ func TestScanDoesNotBlockWrites(t *testing.T) {
 		})
 	}()
 	<-inScan
-	// With the old big-lock facade this Insert would deadlock (the test
-	// would time out): the scan held the DB mutex for its whole run.
+	// Under a lock held for the whole scan this Insert would deadlock (the
+	// test would time out).
 	insertDone := make(chan error, 1)
-	go func() { insertDone <- db.Insert(1, stressBody(1, 1)) }()
+	go func() { insertDone <- tbl.Insert(1, stressBody(1, 1)) }()
 	select {
 	case err := <-insertDone:
 		if err != nil {
@@ -460,8 +448,8 @@ func TestScanDoesNotBlockWrites(t *testing.T) {
 func TestConcurrentMigrateStepTolerated(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
-	db := loadStressDB(t, 2000, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(2000, stressRow))
+	defer tbl.eng.Close()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -470,7 +458,7 @@ func TestConcurrentMigrateStepTolerated(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 1500; i++ {
 			key := uint64(rng.Intn(6000)) + 1
-			if err := db.Insert(key, stressBody(key, i)); err != nil {
+			if err := tbl.Insert(key, stressBody(key, i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -480,7 +468,7 @@ func TestConcurrentMigrateStepTolerated(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			if _, err := db.MigrateStep(64); err != nil {
+			if _, err := tbl.MigrateStep(64); err != nil {
 				// Blocked by concurrent readers or another migration: both
 				// are documented, recoverable outcomes.
 				continue
@@ -494,7 +482,7 @@ func TestConcurrentMigrateStepTolerated(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				var prev uint64
 				first := true
-				if err := db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
+				if err := tbl.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
 					if !first && key <= prev {
 						t.Errorf("keys not increasing: %d after %d", key, prev)
 						return false
@@ -520,10 +508,10 @@ func TestConcurrentMigrateStepTolerated(t *testing.T) {
 func TestCacheExhaustionDurability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
-	db := loadStressDB(t, 500, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(500, stressRow))
+	defer tbl.eng.Close()
 
-	snap, err := db.Snapshot()
+	snap, err := tbl.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +519,7 @@ func TestCacheExhaustionDurability(t *testing.T) {
 	k := uint64(1) << 30
 	for i := 0; i < 200000; i++ {
 		k++
-		if err := db.Insert(k, make([]byte, 512)); err != nil {
+		if err := tbl.Insert(k, make([]byte, 512)); err != nil {
 			break
 		}
 		acked[k] = true
@@ -542,7 +530,7 @@ func TestCacheExhaustionDurability(t *testing.T) {
 
 	countAcked := func() int {
 		seen := 0
-		if err := db.Scan(uint64(1)<<30, ^uint64(0), func(key uint64, _ []byte) bool {
+		if err := tbl.Scan(uint64(1)<<30, ^uint64(0), func(key uint64, _ []byte) bool {
 			if acked[key] {
 				seen++
 			}
@@ -557,16 +545,16 @@ func TestCacheExhaustionDurability(t *testing.T) {
 	}
 
 	snap.Close()
-	if err := db.Migrate(); err != nil {
+	if err := tbl.Migrate(); err != nil {
 		t.Fatalf("migrate after exhaustion: %v", err)
 	}
-	if err := db.Insert(k+1, make([]byte, 512)); err != nil {
+	if err := tbl.Insert(k+1, make([]byte, 512)); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	if got := countAcked(); got != len(acked) {
 		t.Fatalf("after recovery migration: %d/%d acknowledged rows survive", got, len(acked))
 	}
-	if fill := db.Stats().CacheFill; fill > 0.5 {
+	if fill := tbl.Stats().CacheFill; fill > 0.5 {
 		t.Fatalf("cache still %.0f%% full after recovery migration", fill*100)
 	}
 }

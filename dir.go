@@ -35,9 +35,6 @@ package masm
 // record, and the table pages plus MANIFEST are checkpointed before a
 // migration's closing record.
 //
-// OpenDir is the single-table wrapper: a one-table engine whose "default"
-// table is returned as a DB.
-//
 // This file opens and creates directories; recovery.go reopens one.
 
 import (
@@ -56,21 +53,6 @@ import (
 	"masm/internal/table"
 	"masm/internal/wal"
 )
-
-// DirOptions configures OpenDir.
-type DirOptions struct {
-	// Config is the engine configuration. A zero Config means
-	// DefaultConfig. CacheBytes fixes the cache geometry when the
-	// directory is created; on reopen the directory's own geometry wins
-	// and CacheBytes is ignored. DisableRedoLog is rejected: the redo log
-	// is the recovery mechanism.
-	Config
-	// Keys and Bodies bulk-load a newly created database (strictly
-	// increasing keys, like Open). They are ignored when the directory
-	// already holds a database.
-	Keys   []uint64
-	Bodies [][]byte
-}
 
 // EngineDirOptions configures OpenEngineDir.
 type EngineDirOptions struct {
@@ -215,7 +197,7 @@ func (ds *dirState) hooks() wal.Hooks {
 // openBackend opens (creating if absent) one of the directory's files as a
 // storage backend of the given capacity, applying the WrapBackend seam.
 func (ds *dirState) openBackend(name string, size int64) (storage.Backend, error) {
-	f, err := filedev.OpenWith(filepath.Join(ds.dir, name), size, filedev.Options{Direct: ds.opts.DirectIO})
+	f, err := filedev.Open(filepath.Join(ds.dir, name), size, filedev.Options{Direct: ds.opts.DirectIO})
 	if err != nil {
 		return nil, err
 	}
@@ -445,57 +427,4 @@ func createEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 		return nil, err
 	}
 	return e, nil
-}
-
-// OpenDir opens (creating if necessary) a durable, file-backed database in
-// dir: a one-table engine whose DefaultTableName table is returned as a
-// DB. A new directory is bulk-loaded from opts.Keys/Bodies; an existing
-// one is recovered completely (see OpenEngineDir).
-//
-// The returned DB behaves exactly like one from Open (same API, same
-// virtual-time accounting); additionally Close syncs and releases the
-// files, and Crash reopens from the directory instead of replaying in
-// memory.
-func OpenDir(dir string, opts DirOptions) (*DB, error) {
-	if opts.Config == (Config{}) {
-		opts.Config = DefaultConfig()
-	}
-	if opts.DisableRedoLog {
-		return nil, errors.New("masm: OpenDir: the file backend requires the redo log (it is the recovery mechanism)")
-	}
-	fresh := false
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		fresh = true
-	}
-	eopts := EngineDirOptions{Config: opts.Config}
-	if fresh {
-		if opts.CacheBytes <= 0 {
-			return nil, fmt.Errorf("masm: non-positive cache size %d", opts.CacheBytes)
-		}
-		if len(opts.Keys) != len(opts.Bodies) {
-			return nil, fmt.Errorf("masm: %d keys but %d bodies", len(opts.Keys), len(opts.Bodies))
-		}
-		// Size main.data exactly as the pre-catalog layout did, so the
-		// single table's geometry (and simulated timings) are unchanged.
-		eopts.DataBytes = dataBytesFor(opts.Keys, opts.Bodies)
-	}
-	e, err := OpenEngineDir(dir, eopts)
-	if err != nil {
-		return nil, err
-	}
-	t, err := e.OpenTable(DefaultTableName)
-	if errors.Is(err, ErrNoTable) {
-		// Not only on a fresh directory: a crash (or failed bulk load)
-		// between the catalog's creation and its first CreateTable leaves
-		// a valid empty catalog, which must not brick the directory.
-		t, err = e.CreateTable(DefaultTableName, TableOptions{Keys: opts.Keys, Bodies: opts.Bodies})
-	}
-	if err != nil {
-		e.Close()
-		return nil, err
-	}
-	return &DB{t}, nil
 }

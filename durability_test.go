@@ -17,21 +17,14 @@ import (
 	"testing"
 )
 
-// fileBase builds a small base table.
-func fileBase(n int) ([]uint64, [][]byte) {
-	keys := make([]uint64, n)
-	bodies := make([][]byte, n)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2 // even keys
-		bodies[i] = []byte(fmt.Sprintf("base row %08d payload................", keys[i]))
-	}
-	return keys, bodies
-}
+// baseRow is the body format of the file-backed tests' base table.
+const baseRow = "base row %08d payload................"
 
-func fileOpts(cacheBytes int64, keys []uint64, bodies [][]byte) DirOptions {
+// fileCfg is DefaultConfig with a cacheBytes update cache.
+func fileCfg(cacheBytes int64) Config {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = cacheBytes
-	return DirOptions{Config: cfg, Keys: keys, Bodies: bodies}
+	return cfg
 }
 
 // verifyDir checks a reopened database against the base table and the
@@ -40,15 +33,14 @@ func fileOpts(cacheBytes int64, keys []uint64, bodies [][]byte) DirOptions {
 // the base table, a committed update, or an uncommitted update that
 // happened to reach the disk before the crash (allowed: crashes lose the
 // unsynced tail, they do not roll it back).
-func verifyDir(t *testing.T, db *DB, baseKeys []uint64, baseBodies [][]byte,
-	committed, uncommitted map[uint64][]byte) {
+func verifyDir(t *testing.T, tbl *Table, baseRows TableOptions, committed, uncommitted map[uint64][]byte) {
 	t.Helper()
-	base := make(map[uint64][]byte, len(baseKeys))
-	for i, k := range baseKeys {
-		base[k] = baseBodies[i]
+	base := make(map[uint64][]byte, len(baseRows.Keys))
+	for i, k := range baseRows.Keys {
+		base[k] = baseRows.Bodies[i]
 	}
 	for k, want := range committed {
-		got, ok, err := db.Get(k)
+		got, ok, err := tbl.Get(k)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", k, err)
 		}
@@ -61,7 +53,7 @@ func verifyDir(t *testing.T, db *DB, baseKeys []uint64, baseBodies [][]byte,
 	}
 	var prev uint64
 	first := true
-	err := db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
+	err := tbl.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
 		if !first && key <= prev {
 			t.Fatalf("scan keys not strictly increasing: %d after %d", key, prev)
 		}
@@ -91,58 +83,49 @@ func verifyDir(t *testing.T, db *DB, baseKeys []uint64, baseBodies [][]byte,
 // flushed to the cache file and rows migrated into the main data.
 func TestOpenDirCreateCloseReopen(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(3000)
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := evenRows(3000, baseRow)
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
 	committed := make(map[uint64][]byte)
 	for i := 0; i < 800; i++ {
 		k := uint64(2*i + 1) // odd keys: fresh inserts
 		body := []byte(fmt.Sprintf("inserted %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		committed[k] = body
 	}
-	if err := db.Flush(); err != nil { // materialize a run in cache.runs
+	if err := tbl.Flush(); err != nil { // materialize a run in cache.runs
 		t.Fatal(err)
 	}
 	for i := 800; i < 1000; i++ {
 		k := uint64(2*i + 1)
 		body := []byte(fmt.Sprintf("inserted %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		committed[k] = body
 	}
-	if err := db.Close(); err != nil {
+	if err := tbl.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatal(err)
+	tbl2 := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	if got := tbl2.Stats().Rows; got != int64(len(base.Keys)) {
+		t.Fatalf("reopened table reports %d rows, want %d", got, len(base.Keys))
 	}
-	if got := db2.Stats().Rows; got != int64(len(keys)) {
-		t.Fatalf("reopened table reports %d rows, want %d", got, len(keys))
-	}
-	verifyDir(t, db2, keys, bodies, committed, nil)
+	verifyDir(t, tbl2, base, committed, nil)
 
 	// The reopened database accepts new work and survives another cycle.
-	if err := db2.Insert(999_999, []byte("second life")); err != nil {
+	if err := tbl2.Insert(999_999, []byte("second life")); err != nil {
 		t.Fatal(err)
 	}
 	committed[999_999] = []byte("second life")
-	if err := db2.Close(); err != nil {
+	if err := tbl2.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db3.Close()
-	verifyDir(t, db3, keys, bodies, committed, nil)
+	tbl3 := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	defer tbl3.eng.Close()
+	verifyDir(t, tbl3, base, committed, nil)
 }
 
 // TestFileCrashRecoveryConcurrent is the acceptance harness: a file-backed
@@ -152,11 +135,8 @@ func TestOpenDirCreateCloseReopen(t *testing.T) {
 // the model.
 func TestFileCrashRecoveryConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(4000)
-	db, err := OpenDir(dir, fileOpts(2<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := evenRows(4000, baseRow)
+	tbl := openTable(t, dir, fileCfg(2<<20), base)
 
 	const writers = 4
 	const batch = 25
@@ -186,7 +166,7 @@ func TestFileCrashRecoveryConcurrent(t *testing.T) {
 					k := next
 					next += 2
 					body := []byte(fmt.Sprintf("w%d b%d i%d key %d", w, b, i, k))
-					if err := db.Insert(k, body); err != nil {
+					if err := tbl.Insert(k, body); err != nil {
 						// The crash tore this batch off mid-flight; records
 						// already applied may or may not survive.
 						for kk, vv := range staged {
@@ -196,7 +176,7 @@ func TestFileCrashRecoveryConcurrent(t *testing.T) {
 					}
 					staged[k] = body
 				}
-				if err := db.Sync(); err != nil {
+				if err := tbl.eng.Sync(); err != nil {
 					for kk, vv := range staged {
 						res.uncommitted[kk] = vv
 					}
@@ -210,10 +190,10 @@ func TestFileCrashRecoveryConcurrent(t *testing.T) {
 	}
 	close(start)
 	// Let the workload run, then pull the plug mid-flight.
-	for db.Stats().UpdatesAccepted < writers*batch*6 {
+	for tbl.Stats().UpdatesAccepted < writers*batch*6 {
 		runtime.Gosched()
 	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -232,50 +212,44 @@ func TestFileCrashRecoveryConcurrent(t *testing.T) {
 		t.Fatal("workload committed nothing before the crash; harness too fast")
 	}
 
-	db2, err := OpenDir(dir, fileOpts(2<<20, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	verifyDir(t, db2, keys, bodies, committed, uncommitted)
+	tbl2 := openTable(t, dir, fileCfg(2<<20), TableOptions{})
+	defer tbl2.eng.Close()
+	verifyDir(t, tbl2, base, committed, uncommitted)
 }
 
 // crashWithTwoSyncPoints runs a deterministic workload with two sync
 // points, hard-stops, and returns the committed maps for each point plus
 // the log offset durable after the first. Shared by the torn-tail tests.
-func crashWithTwoSyncPoints(t *testing.T, dir string, keys []uint64, bodies [][]byte) (
+func crashWithTwoSyncPoints(t *testing.T, dir string, base TableOptions) (
 	phase1, phase2 map[uint64][]byte, end1 int64) {
 	t.Helper()
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
 	phase1 = make(map[uint64][]byte)
 	phase2 = make(map[uint64][]byte)
 	for i := 0; i < 50; i++ {
 		k := uint64(2*i + 1)
 		body := []byte(fmt.Sprintf("phase1 %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		phase1[k] = body
 	}
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	end1 = db.eng.log.EndOffset()
+	end1 = tbl.eng.log.EndOffset()
 	for i := 50; i < 100; i++ {
 		k := uint64(2*i + 1)
 		body := []byte(fmt.Sprintf("phase2 %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		phase2[k] = body
 	}
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
 	return phase1, phase2, end1
@@ -287,22 +261,19 @@ func crashWithTwoSyncPoints(t *testing.T, dir string, keys []uint64, bodies [][]
 // phase-2 tail is lost, and nothing errors.
 func TestFileCrashRecoveryTruncatedWALTail(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(2000)
-	phase1, phase2, end1 := crashWithTwoSyncPoints(t, dir, keys, bodies)
+	base := evenRows(2000, baseRow)
+	phase1, phase2, end1 := crashWithTwoSyncPoints(t, dir, base)
 
 	// Cut into the middle of the first phase-2 record's frame.
 	walPath := filepath.Join(dir, "wal.log")
 	if err := os.Truncate(walPath, end1+4); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatalf("recovery from truncated WAL tail: %v", err)
-	}
-	defer db.Close()
-	verifyDir(t, db, keys, bodies, phase1, phase2)
+	tbl := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	defer tbl.eng.Close()
+	verifyDir(t, tbl, base, phase1, phase2)
 	for k := range phase2 {
-		if _, ok, err := db.Get(k); err != nil {
+		if _, ok, err := tbl.Get(k); err != nil {
 			t.Fatal(err)
 		} else if ok {
 			t.Fatalf("key %d from the truncated tail survived; truncation did not cut the log", k)
@@ -315,8 +286,8 @@ func TestFileCrashRecoveryTruncatedWALTail(t *testing.T) {
 // replay there, keeping everything before the corruption.
 func TestFileCrashRecoveryCorruptWALTail(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(2000)
-	phase1, phase2, end1 := crashWithTwoSyncPoints(t, dir, keys, bodies)
+	base := evenRows(2000, baseRow)
+	phase1, phase2, end1 := crashWithTwoSyncPoints(t, dir, base)
 
 	walPath := filepath.Join(dir, "wal.log")
 	f, err := os.OpenFile(walPath, os.O_RDWR, 0)
@@ -335,12 +306,9 @@ func TestFileCrashRecoveryCorruptWALTail(t *testing.T) {
 	}
 	f.Close()
 
-	db, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatalf("recovery from corrupt WAL tail: %v", err)
-	}
-	defer db.Close()
-	verifyDir(t, db, keys, bodies, phase1, phase2)
+	tbl := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	defer tbl.eng.Close()
+	verifyDir(t, tbl, base, phase1, phase2)
 }
 
 // TestFileCrashDetectsMidLogCorruption: a checksum failure deep inside
@@ -350,32 +318,29 @@ func TestFileCrashRecoveryCorruptWALTail(t *testing.T) {
 // past the damage.
 func TestFileCrashDetectsMidLogCorruption(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(500)
-	db, err := OpenDir(dir, fileOpts(8<<20, keys, bodies))
-	if err != nil {
+	base := evenRows(500, baseRow)
+	tbl := openTable(t, dir, fileCfg(8<<20), base)
+	if err := tbl.Insert(1, []byte("early committed record")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert(1, []byte("early committed record")); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	corruptAt := db.eng.log.EndOffset() - 20 // inside the first synced batch
+	corruptAt := tbl.eng.log.EndOffset() - 20 // inside the first synced batch
 	// Grow the log well past the torn-batch span with committed updates.
 	big := bytes.Repeat([]byte{'x'}, 200)
 	for i := 0; i < 12000; i++ {
-		if err := db.Insert(uint64(2*i+3), big); err != nil {
+		if err := tbl.Insert(uint64(2*i+3), big); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if db.eng.log.EndOffset() < corruptAt+(2<<20) {
-		t.Fatalf("log too short for the scenario: end %d", db.eng.log.EndOffset())
+	if tbl.eng.log.EndOffset() < corruptAt+(2<<20) {
+		t.Fatalf("log too short for the scenario: end %d", tbl.eng.log.EndOffset())
 	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_RDWR, 0)
@@ -391,7 +356,7 @@ func TestFileCrashDetectsMidLogCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := OpenDir(dir, fileOpts(8<<20, nil, nil)); err == nil {
+	if _, err := OpenEngineDir(dir, EngineDirOptions{Config: fileCfg(8 << 20)}); err == nil {
 		t.Fatal("recovery silently truncated committed records after mid-log corruption")
 	}
 }
@@ -402,8 +367,8 @@ func TestFileCrashDetectsMidLogCorruption(t *testing.T) {
 // empty log and silently discarding every committed update.
 func TestFileCrashDetectsCorruptWALHeader(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(500)
-	phase1, _, _ := crashWithTwoSyncPoints(t, dir, keys, bodies)
+	base := evenRows(500, baseRow)
+	phase1, _, _ := crashWithTwoSyncPoints(t, dir, base)
 	if len(phase1) == 0 {
 		t.Fatal("nothing committed")
 	}
@@ -415,7 +380,7 @@ func TestFileCrashDetectsCorruptWALHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := OpenDir(dir, fileOpts(1<<20, nil, nil)); err == nil {
+	if _, err := OpenEngineDir(dir, EngineDirOptions{Config: fileCfg(1 << 20)}); err == nil {
 		t.Fatal("recovery accepted a corrupted WAL header (would wipe all committed updates)")
 	}
 }
@@ -426,64 +391,55 @@ func TestFileCrashDetectsCorruptWALHeader(t *testing.T) {
 // empty cache.
 func TestFileCrashAfterMigration(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(2000)
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := evenRows(2000, baseRow)
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
 	committed := make(map[uint64][]byte)
 	for i := 0; i < 1200; i++ {
 		k := uint64(2*i + 1)
 		body := []byte(fmt.Sprintf("migrated %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		committed[k] = body
 	}
-	if err := db.Migrate(); err != nil {
+	if err := tbl.Migrate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if runs := db2.Stats().Runs; runs != 0 {
+	tbl2 := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	defer tbl2.eng.Close()
+	if runs := tbl2.Stats().Runs; runs != 0 {
 		t.Fatalf("reopened with %d runs after a completed migration, want 0", runs)
 	}
-	if got, want := db2.Stats().Rows, int64(len(keys)+len(committed)); got != want {
+	if got, want := tbl2.Stats().Rows, int64(len(base.Keys)+len(committed)); got != want {
 		t.Fatalf("reopened table reports %d rows, want %d", got, want)
 	}
-	verifyDir(t, db2, keys, bodies, committed, nil)
+	verifyDir(t, tbl2, base, committed, nil)
 }
 
 // TestFileCrashDetectsCorruptRun flips a byte inside a flushed run's data:
 // recovery must fail with a checksum error rather than serve garbage.
 func TestFileCrashDetectsCorruptRun(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(1000)
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := evenRows(1000, baseRow)
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
 	for i := 0; i < 500; i++ {
-		if err := db.Insert(uint64(2*i+1), []byte(fmt.Sprintf("run payload %06d", i))); err != nil {
+		if err := tbl.Insert(uint64(2*i+1), []byte(fmt.Sprintf("run payload %06d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil { // run 0 lands at cache.runs offset 0
+	if err := tbl.Flush(); err != nil { // run 0 lands at cache.runs offset 0
 		t.Fatal(err)
 	}
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats().Runs == 0 {
+	if tbl.Stats().Runs == 0 {
 		t.Fatal("expected a materialized run")
 	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, "cache.runs"), os.O_RDWR, 0)
@@ -499,76 +455,67 @@ func TestFileCrashDetectsCorruptRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := OpenDir(dir, fileOpts(1<<20, nil, nil)); err == nil {
+	if _, err := OpenEngineDir(dir, EngineDirOptions{Config: fileCfg(1 << 20)}); err == nil {
 		t.Fatal("recovery accepted a corrupted run; checksum verification missing")
 	}
 }
 
-// TestOpenDirExclusiveLock: a directory has one owner. A second OpenDir
-// while the first is live must fail fast instead of interleaving writes;
+// TestOpenDirExclusiveLock: a directory has one owner. A second
+// OpenEngineDir while the first is live must fail fast instead of interleaving writes;
 // the lock frees with the descriptors, so it survives neither Close nor a
 // hard stop.
 func TestOpenDirExclusiveLock(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(500)
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
+	base := evenRows(500, baseRow)
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
+	if _, err := OpenEngineDir(dir, EngineDirOptions{Config: fileCfg(1 << 20)}); err == nil {
+		t.Fatal("second OpenEngineDir on a live directory succeeded")
 	}
-	if _, err := OpenDir(dir, fileOpts(1<<20, nil, nil)); err == nil {
-		t.Fatal("second OpenDir on a live directory succeeded")
-	}
-	if err := db.HardStop(); err != nil {
+	if err := tbl.eng.HardStop(); err != nil {
 		t.Fatal(err)
 	}
 	// A dead owner leaves no stale lock.
-	db2, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatalf("reopen after hard stop blocked by stale lock: %v", err)
-	}
-	if err := db2.Close(); err != nil {
+	tbl2 := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	if err := tbl2.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := OpenDir(dir, fileOpts(1<<20, nil, nil))
-	if err != nil {
-		t.Fatalf("reopen after clean close blocked by stale lock: %v", err)
-	}
-	db3.Close()
+	tbl3 := openTable(t, dir, fileCfg(1<<20), TableOptions{})
+	tbl3.eng.Close()
 }
 
-// TestFileCrashViaCrashAPI exercises DB.Crash on the file backend: the
-// same hard stop + reopen, packaged as the facade call the recovery
-// example uses.
+// TestFileCrashViaCrashAPI exercises Engine.Crash on the file backend: the
+// same hard stop + reopen, packaged as the call the recovery example uses.
 func TestFileCrashViaCrashAPI(t *testing.T) {
 	dir := t.TempDir()
-	keys, bodies := fileBase(1000)
-	db, err := OpenDir(dir, fileOpts(1<<20, keys, bodies))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := evenRows(1000, baseRow)
+	tbl := openTable(t, dir, fileCfg(1<<20), base)
 	committed := make(map[uint64][]byte)
 	for i := 0; i < 300; i++ {
 		k := uint64(2*i + 1)
 		body := []byte(fmt.Sprintf("pre-crash %06d", k))
-		if err := db.Insert(k, body); err != nil {
+		if err := tbl.Insert(k, body); err != nil {
 			t.Fatal(err)
 		}
 		committed[k] = body
 	}
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := db.Crash()
+	e2, err := tbl.eng.Crash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	verifyDir(t, db2, keys, bodies, committed, nil)
-	// And the recovered database keeps working.
-	if err := db2.Insert(999_999, []byte("alive")); err != nil {
+	defer e2.Close()
+	tbl2, err := e2.OpenTable(testTable)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := db2.Get(999_999)
+	verifyDir(t, tbl2, base, committed, nil)
+	// And the recovered database keeps working.
+	if err := tbl2.Insert(999_999, []byte("alive")); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := tbl2.Get(999_999)
 	if err != nil || !ok || !bytes.Equal(got, []byte("alive")) {
 		t.Fatalf("post-recovery insert unreadable: %q %v %v", got, ok, err)
 	}

@@ -15,9 +15,6 @@ package masm
 //     transactions publish atomically whatever tables they span;
 //   - one migration scheduler arbitrating across tables by cache-fill
 //     pressure.
-//
-// The single-table Open/OpenDir API is a thin wrapper over a one-table
-// engine and behaves exactly as it always has.
 
 import (
 	"errors"
@@ -35,10 +32,6 @@ import (
 	"masm/internal/update"
 	"masm/internal/wal"
 )
-
-// DefaultTableName is the table the single-table Open/OpenDir wrappers
-// create and operate on.
-const DefaultTableName = "default"
 
 // ErrNoTable reports a lookup of a table the catalog does not hold.
 var ErrNoTable = errors.New("masm: no such table")
@@ -61,7 +54,7 @@ type TableOptions struct {
 	// migration scheduler arbitrate the physical space).
 	CacheBytes int64
 	// Keys and Bodies bulk-load the table in strictly increasing key
-	// order, exactly like Open.
+	// order.
 	Keys   []uint64
 	Bodies [][]byte
 }
@@ -164,9 +157,9 @@ func (e *Engine) storeMetricsFor(name string) *core.StoreMetrics {
 }
 
 // ensureLogLocked lazily allocates the redo-log volume. It runs after the
-// first table's data volume is carved so a one-table engine lays out the
-// disk exactly as the classic single-table Open does (data first, then
-// log), keeping the simulated timings bit-identical. Caller holds e.mu.
+// first table's data volume is carved, so the simulated disk holds the
+// first table's data, then the log, then later tables' data. Caller holds
+// e.mu.
 func (e *Engine) ensureLogLocked() error {
 	if e.log != nil || e.cfg.DisableRedoLog || e.fs != nil {
 		return nil
@@ -183,8 +176,8 @@ func (e *Engine) ensureLogLocked() error {
 
 // Table is one named table of an Engine's catalog: a full MaSM instance
 // whose update cache lives on the engine's shared SSD. All methods are
-// safe for concurrent use and carry the same snapshot-isolation semantics
-// as the single-table DB.
+// safe for concurrent use; see the package comment for the isolation
+// semantics.
 type Table struct {
 	eng  *Engine
 	name string
@@ -706,9 +699,8 @@ func (e *Engine) migrateIfPressured(skip map[string]bool) (tableName string, ran
 	return target.name, true, nil
 }
 
-// Stats returns this table's engine counters. The device-level fields are
-// engine-wide and reported by Engine.Stats (and by DB.Stats for the
-// single-table wrapper); they are zero here.
+// Stats returns this table's counters. The device-level counters are
+// engine-wide: see Engine.Stats.
 func (t *Table) Stats() Stats {
 	st := t.store.Stats()
 	return Stats{
@@ -941,8 +933,16 @@ func (e *Engine) Close() error {
 	return firstErr
 }
 
-// HardStop abandons the engine with no clean shutdown whatsoever; see
-// DB.HardStop.
+// HardStop abandons the engine with no clean shutdown whatsoever: no log
+// sync, no file sync, no manifest write — the in-process equivalent of
+// kill -9. In-flight operations fail as their file descriptors close.
+// Updates not yet forced by Sync (or a filled group-commit batch) are
+// lost, exactly as a crash would lose them; everything committed is
+// recovered by the next OpenEngineDir. On an in-memory engine it behaves
+// like Close.
+//
+// It exists for crash-recovery tests and demos; production code wants
+// Close.
 func (e *Engine) HardStop() error {
 	e.mu.Lock()
 	if e.closed {

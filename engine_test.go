@@ -514,31 +514,31 @@ type v1ManifestBody struct {
 }
 
 // buildSingleTableDir creates, updates and cleanly closes a one-table
-// directory; two calls produce identical contents.
+// directory whose main.data holds exactly its table; two calls produce
+// identical contents.
 func buildSingleTableDir(t *testing.T, dir string) {
 	t.Helper()
-	keys := make([]uint64, 400)
-	bodies := make([][]byte, 400)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2
-		bodies[i] = []byte(fmt.Sprintf("row-%06d-payload-payload", keys[i]))
+	rows := evenRows(400, "row-%06d-payload-payload")
+	e, err := OpenEngineDir(dir, EngineDirOptions{Config: smallCfg(), DataBytes: dataBytesFor(rows.Keys, rows.Bodies)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	db, err := OpenDir(dir, DirOptions{Config: smallCfg(), Keys: keys, Bodies: bodies})
+	tbl, err := e.CreateTable(testTable, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := db.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("new-%d", i))); err != nil {
+		if err := tbl.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("new-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Delete(10); err != nil {
+	if err := tbl.Delete(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Sync(); err != nil {
+	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -608,24 +608,19 @@ func hashDirFiles(t *testing.T, dir string) map[string][sha256.Size]byte {
 	return sums
 }
 
-// assertOpenRefused opens dir both ways, wants every attempt to fail with an
-// error containing each of wants, and wants the directory's files — names
-// and bytes — exactly as they were.
+// assertOpenRefused opens dir, wants the open to fail with an error
+// containing each of wants, and wants the directory's files — names and
+// bytes — exactly as they were.
 func assertOpenRefused(t *testing.T, dir string, wants ...string) {
 	t.Helper()
 	before := hashDirFiles(t, dir)
-	for _, open := range []func() error{
-		func() error { _, err := OpenDir(dir, DirOptions{}); return err },
-		func() error { _, err := OpenEngineDir(dir, EngineDirOptions{}); return err },
-	} {
-		err := open()
-		if err == nil {
-			t.Fatalf("open succeeded, want an error naming %q", wants)
-		}
-		for _, want := range wants {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("open: %v, want an error naming %q", err, want)
-			}
+	_, err := OpenEngineDir(dir, EngineDirOptions{})
+	if err == nil {
+		t.Fatalf("open succeeded, want an error naming %q", wants)
+	}
+	for _, want := range wants {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("open: %v, want an error naming %q", err, want)
 		}
 	}
 	after := hashDirFiles(t, dir)
@@ -661,17 +656,14 @@ func TestOlderWALRefused(t *testing.T) {
 // both run format versions and leave the directory as it was.
 func TestFormat1RunRefused(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenDir(dir, DirOptions{Config: smallCfg(), Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("a"), []byte("b")}})
-	if err != nil {
+	tbl := openTable(t, dir, smallCfg(), TableOptions{Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("a"), []byte("b")}})
+	if err := tbl.Insert(3, []byte("cached")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert(3, []byte("cached")); err != nil {
+	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
+	if err := tbl.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Frames follow the 16-byte header: [kind u8][len u32][crc u32][payload],
@@ -700,17 +692,14 @@ func TestFormat1RunRefused(t *testing.T) {
 }
 
 // TestReopenGrowsDataBytes: a directory reopened with a larger DataBytes
-// is a catalog new tables can join (OpenDir sizes main.data exactly for
-// its one table).
+// is a catalog new tables can join (buildSingleTableDir sizes main.data
+// exactly for its one table).
 func TestReopenGrowsDataBytes(t *testing.T) {
 	dir := t.TempDir()
 	buildSingleTableDir(t, dir)
-	db, err := OpenDir(dir, DirOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(scanAll(t, db.Table))
-	if err := db.Close(); err != nil {
+	tbl := openTable(t, dir, Config{}, TableOptions{})
+	want := len(scanAll(t, tbl))
+	if err := tbl.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	m, err := readManifest(dir)
@@ -731,12 +720,12 @@ func TestReopenGrowsDataBytes(t *testing.T) {
 		t.Fatalf("new table on grown dir: %q %v", body, ok)
 	}
 	// The original table still reads through the grown layout.
-	def, err := e.OpenTable(DefaultTableName)
+	def, err := e.OpenTable(testTable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := scanAll(t, def); len(got) != want {
-		t.Fatalf("default table after growth: %d rows, want %d", len(got), want)
+		t.Fatalf("original table after growth: %d rows, want %d", len(got), want)
 	}
 }
 
@@ -787,8 +776,8 @@ func patchWALHeaderVersion(raw []byte, version uint32) {
 
 // TestOpenDirOnEmptyCatalog pins the recovery of a directory whose
 // manifest exists but holds no tables (a crash or failed bulk load
-// between catalog creation and the first CreateTable): OpenDir must
-// create the default table there instead of refusing forever.
+// between catalog creation and the first CreateTable): it must reopen as
+// an empty catalog that accepts the table, instead of refusing forever.
 func TestOpenDirOnEmptyCatalog(t *testing.T) {
 	dir := t.TempDir()
 	e, err := OpenEngineDir(dir, EngineDirOptions{Config: smallCfg()})
@@ -798,15 +787,21 @@ func TestOpenDirOnEmptyCatalog(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err := OpenDir(dir, DirOptions{Config: smallCfg(),
-		Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("a"), []byte("b")}})
+	e, err = OpenEngineDir(dir, EngineDirOptions{Config: smallCfg()})
 	if err != nil {
-		t.Fatalf("OpenDir on empty catalog: %v", err)
+		t.Fatalf("reopen of an empty catalog: %v", err)
 	}
-	if body, ok, _ := db.Get(4); !ok || string(body) != "b" {
+	if names := e.Tables(); len(names) != 0 {
+		t.Fatalf("empty catalog reopened with tables %v", names)
+	}
+	tbl, err := e.CreateTable(testTable, TableOptions{Keys: []uint64{2, 4}, Bodies: [][]byte{[]byte("a"), []byte("b")}})
+	if err != nil {
+		t.Fatalf("CreateTable on a reopened empty catalog: %v", err)
+	}
+	if body, ok, _ := tbl.Get(4); !ok || string(body) != "b" {
 		t.Fatalf("Get(4) = %q, %v", body, ok)
 	}
-	if err := db.Close(); err != nil {
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,31 +28,35 @@ func main() {
 	cfg := masm.DefaultConfig()
 	cfg.CacheBytes = 2 << 20
 	cfg.MigrateThreshold = 0.3
-	db, err := masm.Open(cfg, keys, bodies)
+	eng, err := masm.NewEngine(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
+	defer eng.Close()
+	facts, err := eng.CreateTable("facts", masm.TableOptions{Keys: keys, Bodies: bodies})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Background migration: watches cache fill, migrates off the update
-	// path, stopped automatically by db.Close.
-	sched, err := db.StartMigrationScheduler(0)
+	// path, stopped automatically by eng.Close.
+	sched, err := eng.StartMigrationScheduler(0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Baseline query time with a cold cache.
-	t0 := db.Elapsed()
+	t0 := eng.Elapsed()
 	count := 0
-	if err := db.Scan(0, ^uint64(0), func(uint64, []byte) bool { count++; return true }); err != nil {
+	if err := facts.Scan(0, ^uint64(0), func(uint64, []byte) bool { count++; return true }); err != nil {
 		log.Fatal(err)
 	}
-	pure := db.Elapsed() - t0
+	pure := eng.Elapsed() - t0
 	fmt.Printf("pure scan: %d rows in %v (simulated)\n", count, pure)
 
 	// Pin a snapshot before any update lands: whatever happens next, this
 	// view must keep answering with exactly the loaded data.
-	snap, err := db.Snapshot()
+	snap, err := facts.Snapshot()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,11 +75,11 @@ func main() {
 			var err error
 			switch rng.Intn(3) {
 			case 0:
-				err = db.Insert(key, []byte(fmt.Sprintf("fact-%07d: qty=%02d price=%04d status=NEW....", key, i%99, i%9999)))
+				err = facts.Insert(key, []byte(fmt.Sprintf("fact-%07d: qty=%02d price=%04d status=NEW....", key, i%99, i%9999)))
 			case 1:
-				err = db.Delete(key)
+				err = facts.Delete(key)
 			default:
-				err = db.Modify(key, 14, []byte(fmt.Sprintf("%02d", i%99)))
+				err = facts.Modify(key, 14, []byte(fmt.Sprintf("%02d", i%99)))
 			}
 			if err != nil {
 				log.Fatal(err)
@@ -88,7 +92,7 @@ func main() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				rows := 0
-				if err := db.Scan(0, ^uint64(0), func(uint64, []byte) bool { rows++; return true }); err != nil {
+				if err := facts.Scan(0, ^uint64(0), func(uint64, []byte) bool { rows++; return true }); err != nil {
 					log.Fatal(err)
 				}
 				fmt.Printf("reader %d scan %d: %d rows (concurrent with updates)\n", r, i, rows)
@@ -99,12 +103,12 @@ func main() {
 	fmt.Println("streamed 30000 updates concurrently with the scans")
 
 	// The same query over fresh data: overhead should be a few percent.
-	t0 = db.Elapsed()
+	t0 = eng.Elapsed()
 	count = 0
-	if err := db.Scan(0, ^uint64(0), func(uint64, []byte) bool { count++; return true }); err != nil {
+	if err := facts.Scan(0, ^uint64(0), func(uint64, []byte) bool { count++; return true }); err != nil {
 		log.Fatal(err)
 	}
-	withUpdates := db.Elapsed() - t0
+	withUpdates := eng.Elapsed() - t0
 	fmt.Printf("fresh-data scan: %d rows in %v — %.2fx the pure scan\n",
 		count, withUpdates, float64(withUpdates)/float64(pure))
 
@@ -122,7 +126,7 @@ func main() {
 	}
 	fmt.Printf("background migrations: %d\n", sched.Migrations())
 
-	st := db.Stats()
+	st := facts.Stats()
 	fmt.Printf("stats: rows=%d cache=%.0f%% runs=%d writes/update=%.2f ssd-random-writes=%d\n",
-		st.Rows, st.CacheFill*100, st.Runs, st.WritesPerUpdate, st.SSDRandomWrites)
+		st.Rows, st.CacheFill*100, st.Runs, st.WritesPerUpdate, eng.Stats().SSDRandomWrites)
 }

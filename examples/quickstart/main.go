@@ -1,6 +1,6 @@
-// Quickstart: open a MaSM-backed warehouse table, apply online updates,
-// and range-scan fresh data — the minimal end-to-end use of the public
-// API.
+// Quickstart: create a MaSM-backed warehouse table in an engine, apply
+// online updates, and range-scan fresh data — the minimal end-to-end use of
+// the public API.
 package main
 
 import (
@@ -20,27 +20,31 @@ func main() {
 		keys[i] = uint64(i+1) * 2
 		bodies[i] = []byte(fmt.Sprintf("order %06d: 1x widget @ $9.99 .......", keys[i]))
 	}
-	db, err := masm.Open(masm.DefaultConfig(), keys, bodies)
+	eng, err := masm.NewEngine(masm.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
+	defer eng.Close()
+	orders, err := eng.CreateTable("orders", masm.TableOptions{Keys: keys, Bodies: bodies})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Online updates: cached on the (simulated) SSD, never touching the
 	// main data until a migration.
-	if err := db.Insert(4001, []byte("order 004001: 3x gadget @ $4.20 .......")); err != nil {
+	if err := orders.Insert(4001, []byte("order 004001: 3x gadget @ $4.20 .......")); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.Delete(4000); err != nil {
+	if err := orders.Delete(4000); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.Modify(4002, 22, []byte("5x")); err != nil {
+	if err := orders.Modify(4002, 22, []byte("5x")); err != nil {
 		log.Fatal(err)
 	}
 
 	// A range scan sees all of it immediately.
 	fmt.Println("keys 3998..4006 after updates:")
-	err = db.Scan(3998, 4006, func(key uint64, body []byte) bool {
+	err = orders.Scan(3998, 4006, func(key uint64, body []byte) bool {
 		fmt.Printf("  %d  %s\n", key, body)
 		return true
 	})
@@ -49,12 +53,12 @@ func main() {
 	}
 
 	// Fold the cached updates back into the main data, in place.
-	if err := db.Migrate(); err != nil {
+	if err := orders.Migrate(); err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
+	st := orders.Stats()
 	fmt.Printf("\nafter migration: rows=%d cache=%.0f%% runs=%d migrations=%d\n",
 		st.Rows, st.CacheFill*100, st.Runs, st.Migrations)
-	fmt.Printf("SSD random writes: %d (design goal: zero)\n", st.SSDRandomWrites)
-	fmt.Printf("simulated I/O time consumed: %v\n", db.Elapsed())
+	fmt.Printf("SSD random writes: %d (design goal: zero)\n", eng.Stats().SSDRandomWrites)
+	fmt.Printf("simulated I/O time consumed: %v\n", eng.Elapsed())
 }

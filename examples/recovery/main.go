@@ -43,7 +43,11 @@ func main() {
 	}
 	cfg := masm.DefaultConfig()
 	cfg.CacheBytes = 4 << 20
-	db, err := masm.OpenDir(dir, masm.DirOptions{Config: cfg, Keys: keys, Bodies: bodies})
+	eng, err := masm.OpenEngineDir(dir, masm.EngineDirOptions{Config: cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
+	accounts, err := eng.CreateTable("accounts", masm.TableOptions{Keys: keys, Bodies: bodies})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,51 +57,55 @@ func main() {
 	// the tail stays in the volatile in-memory buffer.
 	for i := 0; i < 8_000; i++ {
 		key := uint64((i*37)%(2*n)) + 1
-		if err := db.Modify(key, 22, []byte(fmt.Sprintf("%07d", 100+i))); err != nil {
+		if err := accounts.Modify(key, 22, []byte(fmt.Sprintf("%07d", 100+i))); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := db.Insert(9_999, []byte("account 09999 balance 0424242")); err != nil {
+	if err := accounts.Insert(9_999, []byte("account 09999 balance 0424242")); err != nil {
 		log.Fatal(err)
 	}
-	st := db.Stats()
+	st := accounts.Stats()
 	fmt.Printf("before crash: %d updates accepted, %d runs on SSD, cache %.0f%% full\n",
 		st.UpdatesAccepted, st.Runs, st.CacheFill*100)
 
 	// Transactions work too: this one commits before the crash...
-	tx, err := db.Engine().BeginTx(masm.TxSnapshot)
+	tx, err := eng.BeginTx(masm.TxSnapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tx.Insert(masm.DefaultTableName, 10_001, []byte("account 10001 balance 0000777")); err != nil {
+	if err := tx.Insert("accounts", 10_001, []byte("account 10001 balance 0000777")); err != nil {
 		log.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		log.Fatal(err)
 	}
 	// ...and this one never commits, so it must not survive.
-	doomed, err := db.Engine().BeginTx(masm.TxSnapshot)
+	doomed, err := eng.BeginTx(masm.TxSnapshot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := doomed.Insert(masm.DefaultTableName, 10_003, []byte("account 10003 balance 0666666")); err != nil {
+	if err := doomed.Insert("accounts", 10_003, []byte("account 10003 balance 0666666")); err != nil {
 		log.Fatal(err)
 	}
 
 	// Make the acknowledged state durable (group commit + fsync), then
 	// crash for real: Crash hard-stops the files — no sync, no manifest,
 	// no shutdown — and reopens the directory from what is on disk.
-	if err := db.Sync(); err != nil {
+	if err := eng.Sync(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("crashing: closing the files with no shutdown, recovering from the directory...")
-	db2, err := db.Crash()
+	eng2, err := eng.Crash()
+	if err != nil {
+		log.Fatal(err)
+	}
+	accounts2, err := eng2.OpenTable("accounts")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	for _, key := range []uint64{9_999, 10_001, 10_003} {
-		body, ok, err := db2.Get(key)
+		body, ok, err := accounts2.Get(key)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -107,26 +115,30 @@ func main() {
 			fmt.Printf("  key %d not present (as expected for uncommitted work)\n", key)
 		}
 	}
-	st = db2.Stats()
+	st = accounts2.Stats()
 	fmt.Printf("after recovery: %d rows visible, %d runs rebuilt\n", st.Rows, st.Runs)
 
 	// The recovered database is fully operational: migrate, close cleanly,
 	// and reopen once more to show the migrated state is what persists.
-	if err := db2.Migrate(); err != nil {
+	if err := accounts2.Migrate(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("post-recovery migration completed")
-	if err := db2.Close(); err != nil {
+	if err := eng2.Close(); err != nil {
 		log.Fatal(err)
 	}
-	db3, err := masm.OpenDir(dir, masm.DirOptions{Config: cfg})
+	eng3, err := masm.OpenEngineDir(dir, masm.EngineDirOptions{Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	st = db3.Stats()
+	accounts3, err := eng3.OpenTable("accounts")
+	if err != nil {
+		log.Fatal(err)
+	}
+	st = accounts3.Stats()
 	fmt.Printf("clean reopen: %d rows, %d runs (migration folded everything into main.data)\n",
 		st.Rows, st.Runs)
-	if err := db3.Close(); err != nil {
+	if err := eng3.Close(); err != nil {
 		log.Fatal(err)
 	}
 }

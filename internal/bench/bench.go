@@ -237,8 +237,8 @@ func (e *env) pureScan(at sim.Time, begin, end uint64) (sim.Duration, error) {
 	return sc.Time().Sub(at), nil
 }
 
-// scanActor adapts a table scanner into a sim.Actor that performs one
-// disk I/O per step.
+// scanActor steps a table scanner one disk I/O at a time, so it can be
+// interleaved with an update stream.
 type scanActor struct {
 	sc   *table.Scanner
 	done bool

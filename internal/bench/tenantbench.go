@@ -83,13 +83,6 @@ func tenantLoad(rng *rand.Rand, tenants, updates int, skew float64) []int {
 	return seq
 }
 
-// tenantTable is the minimal per-tenant facade the two configurations
-// share: an engine table, or a standalone single-table DB.
-type tenantTable interface {
-	Modify(key uint64, off int, val []byte) error
-	Stats() masm.Stats
-}
-
 // runTenantWorkload drives one update sequence through the tenants,
 // invoking the configuration's migration policy inline after every update
 // (the virtual timeline has no background threads), and reports the
@@ -98,7 +91,7 @@ type tenantTable interface {
 // says so. Per-tenant attribution is NOT tallied here — it is read from
 // the engines' metric registries afterwards; the total returned here
 // cross-checks them.
-func runTenantWorkload(tenants []tenantTable, elapsed func() sim.Duration,
+func runTenantWorkload(tenants []*masm.Table, elapsed func() sim.Duration,
 	relieve func(justWrote int) (bool, error),
 	seq []int, rows int, seed int64) (sim.Duration, int64, int64, error) {
 
@@ -191,7 +184,7 @@ func TenantBench(w io.Writer, jsonPath, metricsPath string, seed int64, tenants,
 	if err != nil {
 		return nil, err
 	}
-	sharedTenants := make([]tenantTable, tenants)
+	sharedTenants := make([]*masm.Table, tenants)
 	for i := 0; i < tenants; i++ {
 		t, err := eng.CreateTable(tenantName(i), masm.TableOptions{Keys: loadKeys, Bodies: loadBodies})
 		if err != nil {
@@ -235,33 +228,36 @@ func TenantBench(w io.Writer, jsonPath, metricsPath string, seed int64, tenants,
 	eng.Close()
 
 	// Private: the same SSD statically split into per-tenant caches of
-	// capacity/N, each its own single-table DB on its own devices (a
+	// capacity/N, each tenant a one-table engine on its own devices (a
 	// dedicated slice of hardware, as a per-object deployment would be).
-	privTenants := make([]tenantTable, tenants)
-	privDBs := make([]*masm.DB, tenants)
+	privTenants := make([]*masm.Table, tenants)
+	privEngines := make([]*masm.Engine, tenants)
 	pcfg := cfg
 	pcfg.CacheBytes = cacheBytes / int64(tenants)
 	for i := 0; i < tenants; i++ {
-		db, err := masm.Open(pcfg, loadKeys, loadBodies)
+		e, err := masm.NewEngine(pcfg)
 		if err != nil {
 			return nil, err
 		}
-		privDBs[i] = db
-		privTenants[i] = db
+		t, err := e.CreateTable(tenantName(i), masm.TableOptions{Keys: loadKeys, Bodies: loadBodies})
+		if err != nil {
+			return nil, err
+		}
+		privEngines[i], privTenants[i] = e, t
 	}
 	privElapsed := func() sim.Duration {
 		// Tenants run on private hardware in parallel; the sustained rate
 		// is bounded by the slowest (hottest) tenant's timeline.
 		var max sim.Duration
-		for _, db := range privDBs {
-			if d := db.Elapsed(); d > max {
+		for _, e := range privEngines {
+			if d := e.Elapsed(); d > max {
 				max = d
 			}
 		}
 		return max
 	}
 	privRelieve := func(justWrote int) (bool, error) {
-		return privDBs[justWrote].MigrateIfNeeded()
+		return privTenants[justWrote].MigrateIfNeeded()
 	}
 	el2, mig2, peak2, err := runTenantWorkload(privTenants, privElapsed, privRelieve, seq, rows, seed+1)
 	if err != nil {
@@ -269,15 +265,13 @@ func TenantBench(w io.Writer, jsonPath, metricsPath string, seed int64, tenants,
 	}
 	var privWritten, regMig2 int64
 	per2, perUpd2, perP992 := make(map[string]int64), make(map[string]int64), make(map[string]int64)
-	for i, db := range privDBs {
-		privWritten += db.Stats().SSDBytesWritten
-		// Each private DB is its own engine with one table registered
-		// under masm.DefaultTableName; re-key its series by tenant.
-		m, u, p99 := tenantSeries(db.Metrics(), obs.L("table", masm.DefaultTableName))
+	for i, e := range privEngines {
+		privWritten += e.Stats().SSDBytesWritten
 		name := tenantName(i)
+		m, u, p99 := tenantSeries(e.Metrics(), obs.L("table", name))
 		per2[name], perUpd2[name], perP992[name] = m, u, p99
 		regMig2 += m
-		db.Close()
+		e.Close()
 	}
 	if regMig2 != mig2 {
 		return nil, fmt.Errorf("private config: registries counted %d migrations, workload loop %d", regMig2, mig2)

@@ -45,7 +45,11 @@ func TestTenantBenchSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("metrics snapshot does not round-trip: %v", err)
 	}
-	if got := snap.SumCounter("masm_updates_accepted"); got != int64(rep.Updates) {
+	var got int64
+	for i := 0; i < rep.Tenants; i++ {
+		got += snap.Counter("masm_updates_accepted", obs.L("table", tenantName(i)))
+	}
+	if got != int64(rep.Updates) {
 		t.Fatalf("shared snapshot counts %d accepted updates, want %d", got, rep.Updates)
 	}
 }

@@ -47,12 +47,6 @@ var ErrCrashed = errors.New("chaos: injected crash (power off)")
 // cleanly; tests match them with errors.Is.
 var ErrInjected = errors.New("chaos: injected I/O fault")
 
-// Convenience fault values for Plan schedules.
-var (
-	ErrInjectedEIO    = fmt.Errorf("%w: input/output error", ErrInjected)
-	ErrInjectedENOSPC = fmt.Errorf("%w: no space left on device", ErrInjected)
-)
-
 // Plan schedules faults on one FaultBackend. All schedules are keyed by
 // the backend's own operation counters (1-based: the first Sync is sync
 // 1), so a plan plus a deterministic workload pins the exact I/O that
@@ -150,18 +144,6 @@ func (f *FaultBackend) ArmCrashAtSync(delta int64, keepProb float64, torn bool) 
 	f.plan.TornWrites = torn
 }
 
-// SetOnSync installs a callback invoked (with the sync ordinal) after
-// each genuine, successful durability point — crash-point sweeps use it
-// to record what was acknowledged as durable when.
-func (f *FaultBackend) SetOnSync(fn func(sync int64)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.onSync = fn
-}
-
-// Name returns the backend's label.
-func (f *FaultBackend) Name() string { return f.name }
-
 // Syncs returns how many Sync calls the backend has seen.
 func (f *FaultBackend) Syncs() int64 {
 	f.mu.Lock()
@@ -181,13 +163,6 @@ func (f *FaultBackend) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.crashed
-}
-
-// Dirty reports how many un-synced writes the overlay holds.
-func (f *FaultBackend) Dirty() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.dirty)
 }
 
 // CrashNow cuts power immediately: un-synced writes survive only per the

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // identically over: the in-memory backend and a real file.
 func innerBackends(t *testing.T, size int64) map[string]storage.Backend {
 	t.Helper()
-	f, err := filedev.Open(filepath.Join(t.TempDir(), "fault.dat"), size)
+	f, err := filedev.Open(filepath.Join(t.TempDir(), "fault.dat"), size, filedev.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,3 +236,18 @@ func TestFaultBackendCrashSurvivors(t *testing.T) {
 		t.Fatalf("KeepProb=1 write lost: %q", got)
 	}
 }
+
+// SetOnSync installs a callback invoked (with the sync ordinal) after
+// each genuine, successful durability point — crash-point sweeps use it
+// to record what was acknowledged as durable when.
+func (f *FaultBackend) SetOnSync(fn func(sync int64)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.onSync = fn
+}
+
+// Convenience fault values for Plan schedules.
+var (
+	ErrInjectedEIO    = fmt.Errorf("%w: input/output error", ErrInjected)
+	ErrInjectedENOSPC = fmt.Errorf("%w: no space left on device", ErrInjected)
+)

@@ -268,9 +268,6 @@ type MergePolicy func(olderTS, newerTS int64) bool
 // in the affected timestamp window.
 func MergeAll(_, _ int64) bool { return true }
 
-// MergeNone never collapses; always safe.
-func MergeNone(_, _ int64) bool { return false }
-
 // Combiner wraps a (key, ts)-ordered stream and collapses consecutive
 // same-key records according to a MergePolicy, using update.Merge
 // semantics. With MergeAll it yields at most one record per key — the form

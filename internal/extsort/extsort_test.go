@@ -178,3 +178,6 @@ func TestCombinerEmpty(t *testing.T) {
 		t.Fatalf("empty combine produced %d", len(out))
 	}
 }
+
+// MergeNone never collapses; always safe.
+func MergeNone(_, _ int64) bool { return false }

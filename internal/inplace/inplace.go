@@ -16,17 +16,13 @@ import (
 
 // Updater applies well-formed updates in place on a table.
 type Updater struct {
-	tbl     *table.Table
-	applied int64
+	tbl *table.Table
 }
 
 // NewUpdater creates an in-place updater for tbl.
 func NewUpdater(tbl *table.Table) *Updater {
 	return &Updater{tbl: tbl}
 }
-
-// Applied returns the number of updates applied so far.
-func (u *Updater) Applied() int64 { return u.applied }
 
 // Apply performs one random read-modify-write: locate the page covering
 // the key, read it (4 KB random I/O), apply the update, write it back
@@ -56,7 +52,6 @@ func (u *Updater) Apply(at sim.Time, rec update.Record) (sim.Time, error) {
 		}
 	}
 	u.tbl.AdjustRows(int64(after - before))
-	u.applied++
 	return t, nil
 }
 
@@ -79,10 +74,11 @@ func (u *Updater) ApplyBatch(at sim.Time, recs []update.Record) (sim.Time, error
 	return now, nil
 }
 
-// Stream is a sim.Actor that applies a continuous stream of updates — the
-// "online random updates" half of the paper's interference experiments. It
-// runs until its generator is exhausted, its deadline passes, or Stop is
-// called (e.g. when the measured query completes).
+// Stream applies a continuous stream of updates — the "online random
+// updates" half of the paper's interference experiments — one Step at a
+// time, so a measurement can interleave it with a query by always stepping
+// whichever has the smaller local time. It runs until its generator is
+// exhausted or its update budget is spent.
 //
 // The stream keeps QueueDepth update requests outstanding, modelling the
 // OS I/O queue (NCQ) a real online update stream fills: a query I/O
@@ -99,12 +95,11 @@ type Stream struct {
 	// in flight. Defaults to 2.
 	QueueDepth int
 
-	submit  sim.Time   // next submission time
-	done    []sim.Time // completion times, oldest first, len < QueueDepth
-	i       int64
-	max     int64
-	stopped bool
-	err     error
+	submit sim.Time   // next submission time
+	done   []sim.Time // completion times, oldest first, len < QueueDepth
+	i      int64
+	max    int64
+	err    error
 }
 
 // NewStream creates a saturating update stream. gen produces the i-th
@@ -113,12 +108,12 @@ func NewStream(u *Updater, gen func(i int64) update.Record, think sim.Duration, 
 	return &Stream{u: u, gen: gen, think: think, max: max, QueueDepth: 2}
 }
 
-// Time implements sim.Actor: the next submission time.
+// Time returns the stream's local time: its next submission time.
 func (s *Stream) Time() sim.Time { return s.submit }
 
-// Step implements sim.Actor: submit one update.
+// Step submits one update; it reports false when the stream has ended.
 func (s *Stream) Step() bool {
-	if s.stopped || s.err != nil || (s.max >= 0 && s.i >= s.max) {
+	if s.err != nil || (s.max >= 0 && s.i >= s.max) {
 		return false
 	}
 	rec := s.gen(s.i)
@@ -145,14 +140,8 @@ func (s *Stream) Step() bool {
 	return true
 }
 
-// Stop makes the stream's next Step report completion.
-func (s *Stream) Stop() { s.stopped = true }
-
 // Err returns the first error encountered.
 func (s *Stream) Err() error { return s.err }
-
-// Count returns how many updates the stream has issued.
-func (s *Stream) Count() int64 { return s.i }
 
 // SustainedRate measures the best-case in-place update throughput: updates
 // applied back-to-back with no concurrent queries (paper Fig 12's

@@ -49,19 +49,11 @@ type Store struct {
 	bufRecs []update.Record
 	wOff    int64
 	nextTS  int64
-	applied int64
 }
 
 // NewStore creates an IU store over tbl caching updates on ssd.
 func NewStore(tbl *table.Table, ssd *storage.Volume) *Store {
 	return &Store{tbl: tbl, ssd: ssd}
-}
-
-// Applied returns the number of cached updates.
-func (s *Store) Applied() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
 }
 
 // CachedBytes returns the bytes appended to the SSD update tables.
@@ -87,7 +79,6 @@ func (s *Store) ApplyAuto(at sim.Time, rec update.Record) (sim.Time, error) {
 		len: int32(update.EncodedSize(&rec)),
 	})
 	s.dirty = true
-	s.applied++
 	for len(s.buf) >= ssdPageSize {
 		t, err := s.flushPageLocked(at)
 		if err != nil {

@@ -54,7 +54,7 @@ func manyRunsEnv(t *testing.T, nRows, nRuns, perRun int) (e *env, ssdReads, data
 func TestGetReadCounts(t *testing.T) {
 	const nRows, nRuns, gets = 20000, 40, 2000
 	e, ssdReads, dataReads := manyRunsEnv(t, nRows, nRuns, 500)
-	m := e.store.Metrics()
+	m := e.store.m
 	gets0, filter0 := m.Gets.Value(), m.RunFilterBytes.Value()
 	if filter0 == 0 {
 		t.Fatal("masm_run_filter_bytes is 0 with 40 live runs")

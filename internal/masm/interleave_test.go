@@ -107,12 +107,12 @@ func interleave(t *testing.T, seed int64, steps int) {
 			if !ok {
 				r.q.Close()
 				if len(r.got) != len(r.want) {
-					t.Fatalf("seed %d: query at ts %d delivered %d rows, want %d", seed, r.q.TS(), len(r.got), len(r.want))
+					t.Fatalf("seed %d: query at ts %d delivered %d rows, want %d", seed, r.q.ts, len(r.got), len(r.want))
 				}
 				for i := range r.got {
 					if r.got[i].key != r.want[i].key || !bytes.Equal(r.got[i].body, r.want[i].body) {
 						t.Fatalf("seed %d: query at ts %d row %d: key %d body %.8x, want key %d body %.8x",
-							seed, r.q.TS(), i, r.got[i].key, r.got[i].body, r.want[i].key, r.want[i].body)
+							seed, r.q.ts, i, r.got[i].key, r.got[i].body, r.want[i].key, r.want[i].body)
 					}
 				}
 				return true

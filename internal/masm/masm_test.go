@@ -664,7 +664,7 @@ func TestOracleMonotonic(t *testing.T) {
 		t.Fatal("AdvanceTo broken")
 	}
 	o.AdvanceTo(10) // no-op
-	if o.Last() < 5001 {
+	if o.last.Load() < 5001 {
 		t.Fatal("AdvanceTo moved backwards")
 	}
 }
@@ -712,8 +712,12 @@ func TestTwoInterleavedQueries(t *testing.T) {
 
 func TestApplyRejectsBadRecords(t *testing.T) {
 	e := newEnv(t, 100, smallConfig())
-	if _, err := e.store.Apply(0, update.Record{Key: 2, Op: update.Delete}); err == nil {
-		t.Fatal("update without timestamp accepted")
+	huge := update.Record{Key: 2, Op: update.Insert, Payload: make([]byte, e.store.cfg.SPages()*e.store.cfg.SSDPage)}
+	if _, err := e.store.ApplyAuto(0, huge); err == nil {
+		t.Fatal("update larger than the update buffer accepted")
+	}
+	if st := e.store.Stats(); st.UpdatesAccepted != 0 {
+		t.Fatalf("rejected update counted: %d accepted", st.UpdatesAccepted)
 	}
 }
 

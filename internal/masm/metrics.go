@@ -159,10 +159,6 @@ func (s *Store) syncSlotGauges() {
 	s.m.SlotsParked.Set(int64(parked))
 }
 
-// Metrics returns the store's metric handles (never nil; a store built
-// without an engine registry gets a private one).
-func (s *Store) Metrics() *StoreMetrics { return s.m }
-
 // CheckMetrics cross-checks the registry's gauges against the store's
 // live state: the byte/count ledgers must agree exactly, or the
 // instrumentation (or the state accounting it mirrors) has a bug. The

@@ -64,7 +64,7 @@ func TestStoreMetricsReconcile(t *testing.T) {
 	if err := e.store.CheckMetrics(); err != nil {
 		t.Fatalf("healthy store fails reconciliation: %v", err)
 	}
-	e.store.Metrics().RunBytes.Add(1)
+	e.store.m.RunBytes.Add(1)
 	if err := e.store.CheckMetrics(); err == nil {
 		t.Fatal("skewed run-bytes gauge passed reconciliation")
 	}

@@ -136,9 +136,6 @@ func (s *Store) beginMigration(at sim.Time, pages int) (*Migration, error) {
 	return m, nil
 }
 
-// MigTS returns the migration's timestamp.
-func (m *Migration) MigTS() int64 { return m.migTS }
-
 // Run performs the migration: a scan of the span's pages merging the run
 // set into them, written back with large sequential I/Os, then logs
 // completion and deletes the runs a finished sweep has fully applied.
@@ -190,7 +187,7 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 	var res table.ApplyResult
 	merger, err := extsort.NewMerger(iters...)
 	if err == nil {
-		end, res, err = s.tbl.ApplyStreamEmit(m.at, m.migTS, merger, migrateBatch, m.begin, m.end, fn)
+		end, res, err = s.tbl.ApplyStream(m.at, m.migTS, merger, migrateBatch, m.begin, m.end, fn)
 	}
 	if err != nil {
 		s.abortMigration(m.runs)

@@ -13,9 +13,6 @@ type Oracle struct {
 // Next returns a fresh timestamp, strictly larger than all previous ones.
 func (o *Oracle) Next() int64 { return o.last.Add(1) }
 
-// Last returns the most recently issued timestamp.
-func (o *Oracle) Last() int64 { return o.last.Load() }
-
 // AdvanceTo raises the oracle to at least ts; used by crash recovery to
 // resume after the largest logged timestamp.
 func (o *Oracle) AdvanceTo(ts int64) {

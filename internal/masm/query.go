@@ -169,9 +169,6 @@ func (s *Store) onePassCountLocked() int {
 	return n
 }
 
-// TS returns the query's timestamp.
-func (q *Query) TS() int64 { return q.ts }
-
 // Time returns the query's virtual completion time so far: the maximum
 // over the disk scan, every SSD run scan, and accumulated CPU.
 func (q *Query) Time() sim.Time {
@@ -181,9 +178,6 @@ func (q *Query) Time() sim.Time {
 	}
 	return sim.MaxTime(t, q.start.Add(q.cpu))
 }
-
-// Err returns the first error the query encountered.
-func (q *Query) Err() error { return q.err }
 
 // Next returns the next merged row of the range, in key order, reflecting
 // exactly the updates with timestamps below the query's (the outer join of

@@ -158,3 +158,12 @@ func TestConcurrentReadersSeeOneView(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Idle reports whether the store has no open queries, snapshots, lookups
+// or in-flight migration — the precondition for dropping its table from a
+// catalog.
+func (s *Store) Idle() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idleLocked()
+}

@@ -211,15 +211,6 @@ func (s *Store) Config() Config { return s.cfg }
 // (0 for a standalone single-table store).
 func (s *Store) TableID() uint32 { return s.tableID }
 
-// Idle reports whether the store has no open queries, snapshots, lookups
-// or in-flight migration — the precondition for dropping its table from a
-// catalog.
-func (s *Store) Idle() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idleLocked()
-}
-
 func (s *Store) idleLocked() bool {
 	return len(s.readers) == 0 && !s.migrating
 }
@@ -261,16 +252,6 @@ func (s *Store) SetScanGranularity(bytes int) {
 	defer s.mu.Unlock()
 	s.cfg.ScanGranularity = bytes
 }
-
-// Table returns the main-data table this store caches updates for.
-func (s *Store) Table() *table.Table { return s.tbl }
-
-// Oracle returns the shared timestamp oracle.
-func (s *Store) Oracle() *Oracle { return s.oracle }
-
-// SSDVolume returns the SSD volume holding the update cache (needed by
-// crash-recovery plumbing, which rebuilds a store over the same volume).
-func (s *Store) SSDVolume() *storage.Volume { return s.ssd }
 
 // Stats returns a snapshot of the store's counters. It is a derived view
 // over the metric registry — the counters the registry holds are the
@@ -329,31 +310,6 @@ func (s *Store) Fill() float64 {
 // when updates reach e.g. 90 % of the SSD size).
 func (s *Store) ShouldMigrate() bool {
 	return s.Fill() >= s.cfg.MigrateThreshold
-}
-
-// Apply caches one incoming well-formed update. The record must carry a
-// timestamp from the store's oracle (use ApplyAuto for the common case).
-// at is the caller's virtual time; the returned time includes any redo
-// logging and buffer-flush I/O triggered by this update.
-//
-// Apply with a pre-stamped record is only sound when the caller already
-// holds the timestamp-publication order — single-threaded use and crash
-// recovery. Concurrent writers must use ApplyAuto or CommitAcross, which
-// assign the timestamp and publish the record atomically under the store
-// latch, so a snapshot or migration timestamp issued by another
-// goroutine can never land between a record's stamping and its
-// publication (which would make the record invisible to a reader that
-// should see it, or worse, let a migration stamp pages past it).
-func (s *Store) Apply(at sim.Time, rec update.Record) (sim.Time, error) {
-	if rec.TS <= 0 {
-		return at, fmt.Errorf("masm: update without timestamp")
-	}
-	if err := s.checkRecordSize(&rec); err != nil {
-		return at, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked(at, rec)
 }
 
 // ApplyAuto assigns a fresh commit timestamp and caches the update, both

@@ -60,20 +60,6 @@ func (b *Buffer) Bytes() int {
 	return b.bytes
 }
 
-// Len returns the number of buffered records.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.recs)
-}
-
-// Capacity returns the configured capacity in bytes.
-func (b *Buffer) Capacity() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capBytes
-}
-
 // SetCapacity adjusts the capacity. MaSM-M uses this to steal idle query
 // pages for incoming updates and to shrink back to S pages after a flush
 // (paper Fig 8, "Incoming Updates" lines 2–6). Shrinking below the current

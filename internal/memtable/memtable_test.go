@@ -45,7 +45,7 @@ func TestDrainSortsAndEmpties(t *testing.T) {
 			t.Fatalf("drain not sorted at %d", i)
 		}
 	}
-	if b.Len() != 0 || b.Bytes() != 0 {
+	if len(b.recs) != 0 || b.Bytes() != 0 {
 		t.Fatal("buffer not empty after full drain")
 	}
 }
@@ -59,8 +59,8 @@ func TestDrainBeforeTS(t *testing.T) {
 	if len(out) != 5 {
 		t.Fatalf("drained %d, want 5 (ts 1..5)", len(out))
 	}
-	if b.Len() != 5 {
-		t.Fatalf("%d left, want 5", b.Len())
+	if len(b.recs) != 5 {
+		t.Fatalf("%d left, want 5", len(b.recs))
 	}
 }
 

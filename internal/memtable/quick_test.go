@@ -35,7 +35,7 @@ func TestQuickDrainIsSortedMultiset(t *testing.T) {
 				wantRest = append(wantRest, r)
 			}
 		}
-		if len(out) != len(wantOut) || b.Len() != len(wantRest) {
+		if len(out) != len(wantOut) || len(b.recs) != len(wantRest) {
 			return false
 		}
 		sort.SliceStable(wantOut, func(i, j int) bool { return update.Less(&wantOut[i], &wantOut[j]) })

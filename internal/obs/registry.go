@@ -216,13 +216,3 @@ func (r *Registry) Unregister(match Label) int {
 	}
 	return n
 }
-
-// Len reports how many series are registered.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}

@@ -99,15 +99,3 @@ func (s Snapshot) Histogram(name string, labels ...Label) *HistSnapshot {
 	}
 	return nil
 }
-
-// SumCounter totals every counter series with the given name across all
-// label sets — e.g. total updates across tables.
-func (s Snapshot) SumCounter(name string) int64 {
-	var total int64
-	for i := range s.Metrics {
-		if s.Metrics[i].Name == name && s.Metrics[i].Type == TypeCounter {
-			total += s.Metrics[i].Value
-		}
-	}
-	return total
-}

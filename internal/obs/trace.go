@@ -23,12 +23,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Event)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(e Event) { f(e) }
-
 // Tracer records lifecycle events into a bounded in-memory ring,
 // optionally teeing them to a pluggable sink. It is deliberately not on
 // any per-record hot path: only lifecycle operations (a handful per

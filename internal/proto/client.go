@@ -283,19 +283,9 @@ func (c *Client) BeginTx() (uint64, error) {
 	return resp.Value, nil
 }
 
-// TxPut, TxDelete, TxModify buffer updates in transaction txid.
+// TxPut buffers an insert of (key, body) in transaction txid.
 func (c *Client) TxPut(txid uint64, table string, key uint64, body []byte) error {
 	_, err := c.call(&Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxPut, Table: table, Key: key, Body: body})
-	return err
-}
-
-func (c *Client) TxDelete(txid uint64, table string, key uint64) error {
-	_, err := c.call(&Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxDelete, Table: table, Key: key})
-	return err
-}
-
-func (c *Client) TxModify(txid uint64, table string, key uint64, off int, val []byte) error {
-	_, err := c.call(&Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxModify, Table: table, Key: key, Off: uint32(off), Body: val})
 	return err
 }
 

@@ -43,8 +43,6 @@ const MaxFrame = 1 << 20
 type Op uint8
 
 const (
-	OpInvalid Op = 0
-
 	// Client → server.
 	OpHello    Op = 1  // magic u32, version u16
 	OpPut      Op = 2  // table, key, body
@@ -94,13 +92,6 @@ type WireError struct {
 
 func (e *WireError) Error() string {
 	return fmt.Sprintf("masmd: %s (code %d, retryable %v)", e.Msg, e.Code, e.Retryable)
-}
-
-// IsRetryable reports whether err is a wire error the client may retry
-// after backoff (backpressure, write conflicts, ...).
-func IsRetryable(err error) bool {
-	var we *WireError
-	return errors.As(err, &we) && we.Retryable
 }
 
 // Row is one streamed scan result.

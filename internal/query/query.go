@@ -32,12 +32,6 @@ type Iterator interface {
 	Next() (row Row, ok bool, err error)
 }
 
-// Func adapts a closure to Iterator.
-type Func func() (Row, bool, error)
-
-// Next implements Iterator.
-func (f Func) Next() (Row, bool, error) { return f() }
-
 // Pred is a row predicate for Filter. Key, TS and payload conditions are
 // all expressible as plain closures.
 type Pred func(r *Row) bool

@@ -138,3 +138,9 @@ func TestOperatorZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// Func adapts a closure to Iterator.
+type Func func() (Row, bool, error)
+
+// Next implements Iterator.
+func (f Func) Next() (Row, bool, error) { return f() }

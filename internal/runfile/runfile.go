@@ -150,10 +150,6 @@ type Run struct {
 	filter keyFilter
 }
 
-// IndexEntries returns the number of run-index entries (for space
-// accounting tests).
-func (r *Run) IndexEntries() int { return len(r.index) }
-
 // Writer streams update records in (key, ts) order into a new run,
 // writing sequentially in IOSize units and building the run index.
 type Writer struct {
@@ -478,24 +474,8 @@ func (s *Scanner) Stats() (granulesSkipped, recordsFiltered int64) {
 	return s.skipped, s.filtered
 }
 
-// SkipTo positions the scanner just after record (key, ts), so a reader
-// can resume a run mid-stream.
-func (s *Scanner) SkipTo(key uint64, ts int64) {
-	s.skipKey, s.skipTS, s.skipValid = key, ts, true
-}
-
 // Time returns the scanner's local virtual time.
 func (s *Scanner) Time() sim.Time { return s.now }
-
-// SetTime advances the local clock.
-func (s *Scanner) SetTime(t sim.Time) {
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Err returns the first error encountered.
-func (s *Scanner) Err() error { return s.err }
 
 // ioSize returns the read unit: large sequential I/O when much data
 // remains, a single granule when the indexed window is small. This is what
@@ -625,13 +605,4 @@ func (s *Scanner) fill(n int) error {
 	s.now = c.End
 	s.off += int64(n)
 	return nil
-}
-
-// ReadCost estimates, without performing it, the number of SSD bytes a
-// scan of [begin, end] would read at granularity gran. Used by analytic
-// experiments (Fig 1) and by tests validating the low-query-overhead
-// analysis of §3.7.
-func (r *Run) ReadCost(begin, end uint64, gran int) int64 {
-	start, limit := r.scanBounds(begin, end, gran)
-	return limit - start
 }

@@ -247,12 +247,26 @@ func TestIndexGranularitySpaceTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fine.IndexEntries() <= coarse.IndexEntries() {
+	if len(fine.index) <= len(coarse.index) {
 		t.Fatalf("fine index (%d entries) not larger than coarse (%d)",
-			fine.IndexEntries(), coarse.IndexEntries())
+			len(fine.index), len(coarse.index))
 	}
 	// ~16x ratio expected.
-	if r := float64(fine.IndexEntries()) / float64(coarse.IndexEntries()); r < 8 {
+	if r := float64(len(fine.index)) / float64(len(coarse.index)); r < 8 {
 		t.Fatalf("granularity ratio = %.1f, want >= 8", r)
 	}
+}
+
+// SkipTo positions the scanner just after record (key, ts), so a reader
+// can resume a run mid-stream.
+func (s *Scanner) SkipTo(key uint64, ts int64) {
+	s.skipKey, s.skipTS, s.skipValid = key, ts, true
+}
+
+// ReadCost estimates, without performing it, the number of SSD bytes a
+// scan of [begin, end] would read at granularity gran: the low
+// query-overhead analysis of §3.7.
+func (r *Run) ReadCost(begin, end uint64, gran int) int64 {
+	start, limit := r.scanBounds(begin, end, gran)
+	return limit - start
 }

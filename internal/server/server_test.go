@@ -405,7 +405,7 @@ func TestBackpressureTyped(t *testing.T) {
 	if lastErr == nil {
 		t.Fatal("no write was shed despite a zero admission threshold")
 	}
-	if !proto.ErrBackpressure(lastErr) || !proto.IsRetryable(lastErr) {
+	if !proto.ErrBackpressure(lastErr) || !retryable(lastErr) {
 		t.Fatalf("shed write error is not typed retryable backpressure: %v", lastErr)
 	}
 }
@@ -800,7 +800,7 @@ func TestTxCommitBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = c.Commit(txid)
-	if !proto.ErrBackpressure(err) || !proto.IsRetryable(err) {
+	if !proto.ErrBackpressure(err) || !retryable(err) {
 		t.Fatalf("commit refused by admission: %v, want typed retryable backpressure", err)
 	}
 	if _, found, err := tbl.Get(1); err != nil || found {
@@ -809,4 +809,10 @@ func TestTxCommitBackpressure(t *testing.T) {
 	if n := eng.Registry().Snapshot().Counter("masm_server_backpressure_rejects"); n != 1 {
 		t.Fatalf("masm_server_backpressure_rejects = %d, want 1", n)
 	}
+}
+
+// retryable reports whether err is a wire error carrying the retryable bit.
+func retryable(err error) bool {
+	var we *proto.WireError
+	return errors.As(err, &we) && we.Retryable
 }

@@ -98,36 +98,6 @@ func TestDeviceBoundsPanic(t *testing.T) {
 	d.Read(0, Barracuda7200().Capacity, 4<<10)
 }
 
-func TestSchedulerMinTimeOrder(t *testing.T) {
-	d := NewDevice(Barracuda7200())
-	var order []string
-	mkActor := func(name string, step Duration, n int) *FuncActor {
-		var now Time
-		left := n
-		return &FuncActor{
-			Now: func() Time { return now },
-			Work: func() bool {
-				order = append(order, name)
-				c := d.Read(now, 0, 4<<10)
-				now = c.End.Add(step)
-				left--
-				return left > 0
-			},
-		}
-	}
-	fast := mkActor("fast", 0, 3)
-	slow := mkActor("slow", 100*Millisecond, 3)
-	NewScheduler(fast, slow).Run()
-	// Both start at 0; after the first steps, fast (no think time) should
-	// run ahead of slow within each window.
-	if len(order) != 6 {
-		t.Fatalf("steps = %d, want 6", len(order))
-	}
-	if order[len(order)-1] != "slow" {
-		t.Fatalf("last step = %q, want slow (it has the largest think time)", order[len(order)-1])
-	}
-}
-
 func TestGroupMaxCompletion(t *testing.T) {
 	var g Group
 	g.Observe(Completion{Start: 0, End: 10})

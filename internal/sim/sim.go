@@ -10,8 +10,9 @@
 //
 // Time is virtual. Devices serialize their own requests on a private
 // timeline; callers thread an issue time through each request and receive a
-// Completion carrying the start and end times. Concurrent actors are
-// interleaved by a conservative minimum-time Scheduler.
+// Completion carrying the start and end times. Concurrent actors (a scan and
+// an update stream, say) are interleaved by stepping whichever has the
+// smaller local time.
 package sim
 
 import (
@@ -29,7 +30,6 @@ type Duration = time.Duration
 
 // Common time constants re-exported for callers of this package.
 const (
-	Nanosecond  = time.Nanosecond
 	Microsecond = time.Microsecond
 	Millisecond = time.Millisecond
 	Second      = time.Second
@@ -55,42 +55,12 @@ func MaxTime(a, b Time) Time {
 	return b
 }
 
-// MinTime returns the earlier of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Completion describes when a device finished servicing one request.
 type Completion struct {
 	Start Time // when the device began servicing the request
 	End   Time // when the last byte was transferred
 }
 
-// Latency is the total service time of the request including queueing.
-func (c Completion) Latency(issued Time) Duration { return c.End.Sub(issued) }
-
 func (c Completion) String() string {
 	return fmt.Sprintf("[%v..%v]", c.Start, c.End)
 }
-
-// Group accumulates completions of asynchronously issued requests and
-// reports when all of them have finished. It models the libaio-style
-// overlap the paper uses to hide SSD reads behind disk scans: requests on
-// different devices proceed on their own timelines and the group completes
-// at the maximum end time.
-type Group struct {
-	end Time
-}
-
-// Observe folds one completion into the group.
-func (g *Group) Observe(c Completion) { g.end = MaxTime(g.end, c.End) }
-
-// ObserveTime folds a bare time into the group.
-func (g *Group) ObserveTime(t Time) { g.end = MaxTime(g.end, t) }
-
-// Wait returns the time at which every observed request has completed,
-// never earlier than now.
-func (g *Group) Wait(now Time) Time { return MaxTime(g.end, now) }

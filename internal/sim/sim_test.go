@@ -2,77 +2,10 @@ package sim
 
 import "testing"
 
-func TestSchedulerRunDrainsAllActors(t *testing.T) {
-	mk := func(step Duration, n int) (*FuncActor, *int) {
-		var now Time
-		done := 0
-		left := n
-		return &FuncActor{
-			Now: func() Time { return now },
-			Work: func() bool {
-				now = now.Add(step)
-				done++
-				left--
-				return left > 0
-			},
-		}, &done
-	}
-	a, ca := mk(10*Millisecond, 5)
-	b, cb := mk(3*Millisecond, 7)
-	latest := NewScheduler(a, b).Run()
-	if *ca != 5 || *cb != 7 {
-		t.Fatalf("steps: a=%d b=%d, want 5/7", *ca, *cb)
-	}
-	if latest != Time(50*Millisecond) {
-		t.Fatalf("latest = %v, want 50ms", latest)
-	}
-}
-
-func TestSchedulerRunUntilDeadline(t *testing.T) {
-	var now Time
-	steps := 0
-	a := &FuncActor{
-		Now: func() Time { return now },
-		Work: func() bool {
-			now = now.Add(Millisecond)
-			steps++
-			return true
-		},
-	}
-	s := NewScheduler()
-	s.Add(a)
-	n := s.RunUntil(Time(10 * Millisecond))
-	if n != 10 || steps != 10 {
-		t.Fatalf("RunUntil executed %d/%d steps, want 10", n, steps)
-	}
-	// A second call resumes from the actor's time.
-	if n := s.RunUntil(Time(15 * Millisecond)); n != 5 {
-		t.Fatalf("resumed RunUntil executed %d, want 5", n)
-	}
-}
-
-func TestSchedulerRunUntilRetiresActors(t *testing.T) {
-	var now Time
-	a := &FuncActor{
-		Now: func() Time { return now },
-		Work: func() bool {
-			now = now.Add(Millisecond)
-			return false // one step only
-		},
-	}
-	s := NewScheduler(a)
-	if n := s.RunUntil(Time(Second)); n != 1 {
-		t.Fatalf("retired actor stepped %d times", n)
-	}
-}
-
 func TestTimeHelpers(t *testing.T) {
 	a, b := Time(5), Time(9)
 	if MaxTime(a, b) != b || MaxTime(b, a) != b {
 		t.Fatal("MaxTime broken")
-	}
-	if MinTime(a, b) != a || MinTime(b, a) != a {
-		t.Fatal("MinTime broken")
 	}
 	if Time(2*Second).Seconds() != 2 {
 		t.Fatal("Seconds broken")
@@ -147,3 +80,21 @@ func TestHDDNearSeekCheaperThanFar(t *testing.T) {
 			near.End.Sub(near.Start), far.End.Sub(far.Start))
 	}
 }
+
+// Latency is the total service time of the request including queueing.
+func (c Completion) Latency(issued Time) Duration { return c.End.Sub(issued) }
+
+// Group accumulates completions of asynchronously issued requests and
+// reports when all of them have finished: requests on different devices
+// proceed on their own timelines and the group completes at the maximum end
+// time.
+type Group struct {
+	end Time
+}
+
+// Observe folds one completion into the group.
+func (g *Group) Observe(c Completion) { g.end = MaxTime(g.end, c.End) }
+
+// Wait returns the time at which every observed request has completed,
+// never earlier than now.
+func (g *Group) Wait(now Time) Time { return MaxTime(g.end, now) }

@@ -65,14 +65,6 @@ func NewIOPool(workers int) *IOPool {
 // SetMetrics installs the pool's metric handles.
 func (p *IOPool) SetMetrics(m IOPoolMetrics) { p.m = m }
 
-// Workers returns the pool's concurrency bound.
-func (p *IOPool) Workers() int { return p.workers }
-
-// DepthPeak reports the highest in-flight operation count the pool has
-// sustained — the observable proof that batched I/O runs at queue depth
-// greater than one.
-func (p *IOPool) DepthPeak() int64 { return p.peak.Load() }
-
 func (p *IOPool) enter() {
 	p.sem <- struct{}{}
 	d := p.depth.Add(1)

@@ -48,7 +48,7 @@ func TestIOPoolRoundTrip(t *testing.T) {
 	if got != now {
 		t.Fatalf("pooled batch priced to %v, serial loop to %v: virtual timeline drifted", got, now)
 	}
-	if rs, ps := ref.Device().Stats(), vol.Device().Stats(); rs != ps {
+	if rs, ps := ref.dev.Stats(), vol.dev.Stats(); rs != ps {
 		t.Fatalf("device accounting drifted: serial %+v pooled %+v", rs, ps)
 	}
 
@@ -65,8 +65,8 @@ func TestIOPoolRoundTrip(t *testing.T) {
 			t.Fatalf("request %d round trip lost data", i)
 		}
 	}
-	if pool.DepthPeak() < 2 {
-		t.Fatalf("pool never sustained I/O depth > 1 (peak %d)", pool.DepthPeak())
+	if pool.peak.Load() < 2 {
+		t.Fatalf("pool never sustained I/O depth > 1 (peak %d)", pool.peak.Load())
 	}
 }
 

@@ -33,13 +33,6 @@ func (a *Arena) Alloc(size int64) (*Volume, error) {
 	return v, nil
 }
 
-// Remaining reports how many bytes are still unallocated.
-func (a *Arena) Remaining() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dev.Params().Capacity - a.next
-}
-
 // SequentialWriter appends fixed-position writes to a volume, tracking the
 // write cursor and the virtual time of the last completion. MaSM's
 // materialized sorted runs are produced exclusively through this type,
@@ -67,49 +60,5 @@ func (w *SequentialWriter) Write(p []byte) (sim.Completion, error) {
 	return c, nil
 }
 
-// Offset returns the current write cursor.
-func (w *SequentialWriter) Offset() int64 { return w.off }
-
 // Time returns the writer's local time (completion of the last write).
 func (w *SequentialWriter) Time() sim.Time { return w.now }
-
-// SequentialReader reads forward through a volume region in fixed-size
-// I/Os, modelling the 1 MB prefetching range scans of the prototype
-// (paper §4.1: "a range scan performs 1MB-sized disk I/O reads").
-type SequentialReader struct {
-	vol   *Volume
-	off   int64
-	limit int64
-	ioLen int64
-	now   sim.Time
-}
-
-// NewSequentialReader reads [off, limit) in chunks of ioLen bytes.
-func NewSequentialReader(vol *Volume, off, limit, ioLen int64, at sim.Time) *SequentialReader {
-	if ioLen <= 0 {
-		panic("storage: non-positive I/O size")
-	}
-	return &SequentialReader{vol: vol, off: off, limit: limit, ioLen: ioLen, now: at}
-}
-
-// Next reads the next chunk into p (which must be at least ioLen long) and
-// reports how many bytes were read; zero at end of region.
-func (r *SequentialReader) Next(p []byte) (int, sim.Completion, error) {
-	if r.off >= r.limit {
-		return 0, sim.Completion{Start: r.now, End: r.now}, nil
-	}
-	n := min64(r.ioLen, r.limit-r.off)
-	c, err := r.vol.ReadAt(r.now, p[:n], r.off)
-	if err != nil {
-		return 0, sim.Completion{}, err
-	}
-	r.off += n
-	r.now = c.End
-	return int(n), c, nil
-}
-
-// Time returns the reader's local time.
-func (r *SequentialReader) Time() sim.Time { return r.now }
-
-// Offset returns the current read cursor.
-func (r *SequentialReader) Offset() int64 { return r.off }

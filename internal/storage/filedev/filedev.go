@@ -1,7 +1,7 @@
 // Package filedev implements the OS-file storage backend: a
 // storage.Backend whose bytes live in a real file, written with
 // pwrite/pread and made durable with fsync. It is the persistence layer
-// behind masm.OpenDir — the point where the MaSM prototype stops being a
+// behind masm.OpenEngineDir — the point where the MaSM prototype stops being a
 // pure simulation and acquires state that survives a process restart.
 //
 // A File is a fixed-capacity region: it is created (or extended) to its
@@ -50,7 +50,7 @@ func setIOChunkLimit(n int) (restore func()) {
 	return func() { ioChunkLimit.Store(prev) }
 }
 
-// Options configures OpenWith.
+// Options configures Open.
 type Options struct {
 	// Direct requests O_DIRECT for aligned I/O. When the filesystem
 	// refuses O_DIRECT (tmpfs, some overlayfs), the file silently falls
@@ -76,12 +76,7 @@ var _ storage.Backend = (*File)(nil)
 // extended with a hole so the full capacity is readable. An existing file
 // larger than size is rejected: it belongs to a layout with a different
 // geometry.
-func Open(path string, size int64) (*File, error) {
-	return OpenWith(path, size, Options{})
-}
-
-// OpenWith is Open with explicit Options.
-func OpenWith(path string, size int64, opts Options) (*File, error) {
+func Open(path string, size int64, opts Options) (*File, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("filedev: non-positive size %d for %s", size, path)
 	}
@@ -118,15 +113,8 @@ func OpenWith(path string, size int64, opts Options) (*File, error) {
 	return d, nil
 }
 
-// Path returns the file's path.
-func (d *File) Path() string { return d.path }
-
 // Size implements storage.Backend.
 func (d *File) Size() int64 { return d.size }
-
-// DirectEnabled reports whether the O_DIRECT fd is open (direct mode was
-// requested and the filesystem accepted it).
-func (d *File) DirectEnabled() bool { return d.df != nil }
 
 // aligned reports whether a request may use the O_DIRECT fd.
 func aligned(p []byte, off int64) bool {

@@ -18,7 +18,7 @@ import (
 func TestShortIOLoops(t *testing.T) {
 	defer setIOChunkLimit(7)()
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 1<<20)
+	d, err := Open(path, 1<<20, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestShortIOLoops(t *testing.T) {
 func TestShortIOAcrossTruncatedTail(t *testing.T) {
 	defer setIOChunkLimit(3)()
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 8192)
+	d, err := Open(path, 8192, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestShortIOAcrossTruncatedTail(t *testing.T) {
 // loop.
 func TestIOPoolOverFile(t *testing.T) {
 	mk := func(name string) *storage.Volume {
-		d, err := OpenWith(filepath.Join(t.TempDir(), name), 1<<20, Options{Direct: true})
+		d, err := Open(filepath.Join(t.TempDir(), name), 1<<20, Options{Direct: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,12 +143,12 @@ func TestIOPoolOverFile(t *testing.T) {
 // fd served the request.
 func TestDirectModeRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := OpenWith(path, 1<<20, Options{Direct: true})
+	d, err := Open(path, 1<<20, Options{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	t.Logf("direct mode active: %v", d.DirectEnabled())
+	t.Logf("direct mode active: %v", d.df != nil)
 
 	aligned := storage.GetAligned(DirectAlign * 2)[:DirectAlign*2]
 	defer storage.PutAligned(aligned)

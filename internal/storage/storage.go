@@ -54,9 +54,6 @@ func (v *Volume) Size() int64 { return v.size }
 // Device returns the underlying simulated device.
 func (v *Volume) Device() *sim.Device { return v.dev }
 
-// Backend returns the data plane the volume stores its bytes on.
-func (v *Volume) Backend() Backend { return v.be }
-
 // ReadAt reads len(p) bytes at off, issued at virtual time at, and returns
 // the request's completion. Unwritten regions read as zero.
 func (v *Volume) ReadAt(at sim.Time, p []byte, off int64) (sim.Completion, error) {

@@ -137,41 +137,7 @@ func TestSequentialWriterIsSequentialOnDevice(t *testing.T) {
 	if st.Seeks > 1 {
 		t.Fatalf("sequential writer produced %d seeks, want <=1", st.Seeks)
 	}
-	if w.Offset() != 32*64<<10 {
-		t.Fatalf("offset = %d", w.Offset())
-	}
-}
-
-func TestSequentialReaderChunks(t *testing.T) {
-	dev := sim.NewDevice(sim.Barracuda7200())
-	v, err := NewVolume(dev, 0, 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 3<<20+123)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if err := v.PokeAt(payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	r := NewSequentialReader(v, 0, int64(len(payload)), 1<<20, 0)
-	var got []byte
-	buf := make([]byte, 1<<20)
-	for {
-		n, _, err := r.Next(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("sequential reader content mismatch: %d vs %d bytes", len(got), len(payload))
-	}
-	if r.Time() <= 0 {
-		t.Fatalf("reader charged no simulated time")
+	if w.off != 32*64<<10 {
+		t.Fatalf("offset = %d", w.off)
 	}
 }

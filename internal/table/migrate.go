@@ -8,7 +8,7 @@ import (
 	"masm/internal/update"
 )
 
-// migrateUpdateBatch is the number of update records ApplyStream* pulls
+// migrateUpdateBatch is the number of update records ApplyStream pulls
 // from its source per refill.
 const migrateUpdateBatch = 256
 
@@ -21,12 +21,12 @@ type ApplyResult struct {
 	RowDelta       int64 // net inserts minus deletes
 }
 
-// ApplyStream is the table side of MaSM's migration (paper §3.2): a full
-// table scan where each data page is merged with the cached updates
-// covering its key range. Pages are processed in batches of up to
-// batchBytes of disk-contiguous pages, so the disk alternates large
-// sequential reads and large sequential writes — the pattern behind the
-// paper's ≈2.3× migration cost relative to a pure scan (Fig 11).
+// ApplyStream is the table side of MaSM's migration (paper §3.2): a table
+// scan where each data page is merged with the cached updates covering its
+// key range. Pages are processed in batches of up to batchBytes of
+// disk-contiguous pages, so the disk alternates large sequential reads and
+// large sequential writes — the pattern behind the paper's ≈2.3× migration
+// cost relative to a pure scan (Fig 11).
 //
 // Rewritten batches are shadow-paged: the merged pages, and the overflow
 // pages their splits spill into, go to freshly allocated slots, and the
@@ -45,26 +45,19 @@ type ApplyResult struct {
 // §3.6): a redo pass over already-flipped pages finds nothing newer and
 // writes nothing at all. Records that overflow their page are split into
 // overflow pages linked into the table at the batch flip.
-func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batchBytes int) (sim.Time, ApplyResult, error) {
-	return t.ApplyStreamRange(at, migTS, src, batchBytes, 0, ^uint64(0))
-}
-
-// ApplyStreamRange is ApplyStream restricted to the pages covering
-// [begin, end] — the building block of incremental migration (§3.5):
-// migrating a portion of the table range at a time spreads the migration
-// cost across many operations. src must yield only updates with keys in
-// the covered range.
-func (t *Table) ApplyStreamRange(at sim.Time, migTS int64, src update.Iterator, batchBytes int, begin, end uint64) (sim.Time, ApplyResult, error) {
-	return t.ApplyStreamEmit(at, migTS, src, batchBytes, begin, end, nil)
-}
-
-// ApplyStreamEmit is ApplyStreamRange that additionally emits every
-// post-application record to emit (when non-nil), in key order — the
-// coordinated-scan optimization of §3.5: "we can combine the migration
-// with a table scan query in order to avoid the cost of performing a
-// table scan for migration purposes only". The emitted rows are exactly
-// what a fresh range scan at the migration timestamp would return.
-func (t *Table) ApplyStreamEmit(at sim.Time, migTS int64, src update.Iterator, batchBytes int, begin, end uint64, emit func(Row) bool) (sim.Time, ApplyResult, error) {
+//
+// Only the pages covering [begin, end] are visited — the building block of
+// incremental migration (§3.5): migrating a portion of the table range at
+// a time spreads the migration cost across many operations. src must yield
+// only updates with keys in the covered range.
+//
+// When emit is non-nil, every post-application record is passed to it in
+// key order — the coordinated-scan optimization of §3.5: "we can combine
+// the migration with a table scan query in order to avoid the cost of
+// performing a table scan for migration purposes only". The emitted rows
+// are exactly what a fresh range scan at the migration timestamp would
+// return.
+func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batchBytes int, begin, end uint64, emit func(Row) bool) (sim.Time, ApplyResult, error) {
 	var res ApplyResult
 	emitStopped := false
 	emitPage := func(p *Page) {

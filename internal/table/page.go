@@ -32,9 +32,6 @@ type Page struct {
 	Bodies [][]byte
 }
 
-// RecordCount returns the number of records on the page.
-func (p *Page) RecordCount() int { return len(p.Keys) }
-
 // UsedBytes returns the encoded size of the page content (excluding the
 // fixed header).
 func (p *Page) UsedBytes() int {

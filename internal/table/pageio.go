@@ -1,10 +1,6 @@
 package table
 
-import (
-	"fmt"
-
-	"masm/internal/sim"
-)
+import "masm/internal/sim"
 
 // PageForKey returns the number of the page whose key range covers key.
 func (t *Table) PageForKey(key uint64) int64 {
@@ -55,21 +51,4 @@ func (t *Table) WritePageAt(at sim.Time, pageNo int64, p *Page) (sim.Time, error
 		return at, err
 	}
 	return c.End, nil
-}
-
-// LastKeyBound returns the exclusive upper key bound of the page (the
-// first key of the next page in key order), or max uint64 for the last
-// page. pageNo must be a live page.
-func (t *Table) LastKeyBound(pageNo int64) (uint64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for i, r := range t.refs {
-		if r.pageNo == pageNo {
-			if i+1 < len(t.refs) {
-				return t.refs[i+1].firstKey, nil
-			}
-			return ^uint64(0), nil
-		}
-	}
-	return 0, fmt.Errorf("table: page %d not found", pageNo)
 }

@@ -11,7 +11,8 @@ import (
 // Scanner is the Table_range_scan operator (paper §3.2): it returns the
 // records of [begin, end] in key order, reading the underlying pages with
 // large sequential I/Os whenever pages are contiguous on disk. It carries
-// its own virtual-time cursor so it can act as a sim.Actor leaf.
+// its own virtual-time cursor, so a measurement can interleave it with
+// other simulated actors.
 //
 // The scanner consults the live page index at each batch rather than
 // snapshotting it, and enforces strictly increasing keys. This makes it
@@ -80,14 +81,6 @@ func (s *Scanner) Stats() (pagesSkipped, rowsFiltered int64) {
 
 // Time returns the scanner's local virtual time.
 func (s *Scanner) Time() sim.Time { return s.now }
-
-// SetTime advances the scanner's local clock (used when a parent operator
-// synchronizes children, e.g. after overlapping SSD reads).
-func (s *Scanner) SetTime(t sim.Time) {
-	if t > s.now {
-		s.now = t
-	}
-}
 
 // Err returns the first error encountered.
 func (s *Scanner) Err() error { return s.err }

@@ -252,21 +252,6 @@ func (t *Table) SizeBytes() int64 { return t.Pages() * int64(t.cfg.PageSize) }
 // Config returns the table's layout configuration.
 func (t *Table) Config() Config { return t.cfg }
 
-// Volume returns the backing volume (used by baselines that need raw page
-// I/O, e.g. in-place updaters).
-func (t *Table) Volume() *storage.Volume { return t.vol }
-
-// MinKey and MaxKey report the key bounds currently present (scan-free:
-// derived from the in-memory refs plus the last page).
-func (t *Table) MinKey() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(t.refs) == 0 {
-		return 0
-	}
-	return t.refs[0].firstKey
-}
-
 // refIndexForKey returns the index of the ref whose page covers key.
 // Caller holds t.mu.
 func (t *Table) refIndexForKey(key uint64) int {

@@ -43,14 +43,6 @@ func NewPred(ranges []KeyRange) *Pred {
 	return &Pred{ranges: out}
 }
 
-// Ranges returns the normalized interval list (not to be mutated).
-func (p *Pred) Ranges() []KeyRange {
-	if p == nil {
-		return nil
-	}
-	return p.ranges
-}
-
 // Match reports whether key satisfies the predicate.
 func (p *Pred) Match(key uint64) bool {
 	if p == nil {

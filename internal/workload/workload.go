@@ -13,9 +13,6 @@ import (
 	"masm/internal/update"
 )
 
-// RecordSize is the paper's record size (§4.1: 100-byte records).
-const RecordSize = 100
-
 // BodySize is the record body size, chosen so an encoded update record
 // (19-byte header: timestamp, key, op, length + body) is exactly the
 // paper's 100 bytes.

@@ -80,8 +80,8 @@ func TestUniformGenWellFormed(t *testing.T) {
 	}
 	// The encoded record size matches the paper's 100 bytes for inserts.
 	rec := update.Record{Key: 1, Op: update.Insert, Payload: make([]byte, BodySize)}
-	if got := update.EncodedSize(&rec); got != RecordSize {
-		t.Fatalf("encoded insert = %d bytes, want %d", got, RecordSize)
+	if got := update.EncodedSize(&rec); got != 100 {
+		t.Fatalf("encoded insert = %d bytes, want the paper's 100", got)
 	}
 }
 

@@ -11,20 +11,48 @@ import (
 	"masm/internal/txn"
 )
 
-func loadDB(t *testing.T, n int, cfg Config) *DB {
+// testTable names the one table each root test's engine serves.
+const testTable = "t"
+
+// openTable returns table testTable of a fresh in-memory engine (dir == "")
+// or of the engine of directory dir, creating the table from opts when the
+// catalog lacks it. Tests reach the engine through tbl.eng.
+func openTable(t testing.TB, dir string, cfg Config, opts TableOptions) *Table {
 	t.Helper()
-	keys := make([]uint64, n)
-	bodies := make([][]byte, n)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2
-		bodies[i] = []byte(fmt.Sprintf("row-%06d-padding-padding-padding", keys[i]))
+	var e *Engine
+	var err error
+	if dir == "" {
+		e, err = NewEngine(cfg)
+	} else {
+		e, err = OpenEngineDir(dir, EngineDirOptions{Config: cfg})
 	}
-	db, err := Open(cfg, keys, bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db
+	tbl, err := e.OpenTable(testTable)
+	if errors.Is(err, ErrNoTable) {
+		tbl, err = e.CreateTable(testTable, opts)
+	}
+	if err != nil {
+		e.Close()
+		t.Fatal(err)
+	}
+	return tbl
 }
+
+// evenRows bulk-loads n rows with keys 2, 4, ..., 2n, leaving the odd keys
+// free for inserts, and bodies fmt.Sprintf(format, key).
+func evenRows(n int, format string) TableOptions {
+	opts := TableOptions{Keys: make([]uint64, n), Bodies: make([][]byte, n)}
+	for i := range opts.Keys {
+		opts.Keys[i] = uint64(i+1) * 2
+		opts.Bodies[i] = []byte(fmt.Sprintf(format, opts.Keys[i]))
+	}
+	return opts
+}
+
+// paddedRow is the body format of most in-memory tests' rows.
+const paddedRow = "row-%06d-padding-padding-padding"
 
 func smallCfg() Config {
 	cfg := DefaultConfig()
@@ -33,10 +61,10 @@ func smallCfg() Config {
 }
 
 func TestOpenScan(t *testing.T) {
-	db := loadDB(t, 1000, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(1000, paddedRow))
+	defer tbl.eng.Close()
 	n := 0
-	if err := db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
+	if err := tbl.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
 		n++
 		return true
 	}); err != nil {
@@ -45,101 +73,89 @@ func TestOpenScan(t *testing.T) {
 	if n != 1000 {
 		t.Fatalf("scanned %d rows, want 1000", n)
 	}
-	if db.Elapsed() <= 0 {
+	if tbl.eng.Elapsed() <= 0 {
 		t.Fatal("no simulated time consumed")
 	}
 }
 
 func TestCRUDVisibleImmediately(t *testing.T) {
-	db := loadDB(t, 100, smallCfg())
-	defer db.Close()
-	if err := db.Insert(3, []byte("three")); err != nil {
+	tbl := openTable(t, "", smallCfg(), evenRows(100, paddedRow))
+	defer tbl.eng.Close()
+	if err := tbl.Insert(3, []byte("three")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete(4); err != nil {
+	if err := tbl.Delete(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Modify(6, 0, []byte("MOD")); err != nil {
+	if err := tbl.Modify(6, 0, []byte("MOD")); err != nil {
 		t.Fatal(err)
 	}
-	if body, ok, err := db.Get(3); err != nil || !ok || string(body) != "three" {
+	if body, ok, err := tbl.Get(3); err != nil || !ok || string(body) != "three" {
 		t.Fatalf("get(3) = %q %v %v", body, ok, err)
 	}
-	if _, ok, err := db.Get(4); err != nil || ok {
+	if _, ok, err := tbl.Get(4); err != nil || ok {
 		t.Fatalf("get(4) should be gone, err=%v", err)
 	}
-	if body, ok, _ := db.Get(6); !ok || !bytes.HasPrefix(body, []byte("MOD")) {
+	if body, ok, _ := tbl.Get(6); !ok || !bytes.HasPrefix(body, []byte("MOD")) {
 		t.Fatalf("get(6) = %q", body)
 	}
 }
 
 func TestMigrateAndContinue(t *testing.T) {
-	db := loadDB(t, 2000, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(2000, paddedRow))
+	defer tbl.eng.Close()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 3000; i++ {
 		key := uint64(rng.Intn(5000)) + 1
 		switch rng.Intn(3) {
 		case 0:
-			if err := db.Insert(key, []byte(fmt.Sprintf("ins-%d-%d-padpadpadpad", key, i))); err != nil {
+			if err := tbl.Insert(key, []byte(fmt.Sprintf("ins-%d-%d-padpadpadpad", key, i))); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := db.Delete(key); err != nil {
+			if err := tbl.Delete(key); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			if err := db.Modify(key, 0, []byte{byte(i)}); err != nil {
+			if err := tbl.Modify(key, 0, []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	before := snapshot(t, db)
-	if err := db.Migrate(); err != nil {
+	before := scanAll(t, tbl)
+	if err := tbl.Migrate(); err != nil {
 		t.Fatal(err)
 	}
-	after := snapshot(t, db)
+	after := scanAll(t, tbl)
 	if len(before) != len(after) {
 		t.Fatalf("migration changed visible rows: %d -> %d", len(before), len(after))
 	}
 	for k, v := range before {
-		if !bytes.Equal(after[k], v) {
+		if after[k] != v {
 			t.Fatalf("key %d changed across migration", k)
 		}
 	}
-	st := db.Stats()
+	st := tbl.Stats()
 	if st.Migrations != 1 || st.Runs != 0 {
 		t.Fatalf("stats after migration: %+v", st)
 	}
-	if st.SSDRandomWrites != 0 {
-		t.Fatalf("%d random SSD writes (design goal 2 violated)", st.SSDRandomWrites)
+	if n := tbl.eng.Stats().SSDRandomWrites; n != 0 {
+		t.Fatalf("%d random SSD writes (design goal 2 violated)", n)
 	}
-}
-
-func snapshot(t *testing.T, db *DB) map[uint64][]byte {
-	t.Helper()
-	out := make(map[uint64][]byte)
-	if err := db.Scan(0, ^uint64(0), func(key uint64, body []byte) bool {
-		out[key] = append([]byte(nil), body...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestMigrateIfNeeded(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MigrateThreshold = 0.05
-	db := loadDB(t, 1000, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(1000, paddedRow))
+	defer tbl.eng.Close()
 	ran := false
 	for i := 0; i < 20000 && !ran; i++ {
-		if err := db.Modify(uint64(i%2000)+1, 0, []byte{byte(i), byte(i), byte(i), byte(i)}); err != nil {
+		if err := tbl.Modify(uint64(i%2000)+1, 0, []byte{byte(i), byte(i), byte(i), byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		ran, err = db.MigrateIfNeeded()
+		ran, err = tbl.MigrateIfNeeded()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,86 +166,94 @@ func TestMigrateIfNeeded(t *testing.T) {
 }
 
 func TestCrashRecovery(t *testing.T) {
-	db := loadDB(t, 1500, smallCfg())
+	tbl := openTable(t, "", smallCfg(), evenRows(1500, paddedRow))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 2500; i++ {
 		key := uint64(rng.Intn(4000)) + 1
 		switch rng.Intn(3) {
 		case 0:
-			db.Insert(key, []byte(fmt.Sprintf("i-%d-%d-pad-pad-pad-pad", key, i)))
+			tbl.Insert(key, []byte(fmt.Sprintf("i-%d-%d-pad-pad-pad-pad", key, i)))
 		case 1:
-			db.Delete(key)
+			tbl.Delete(key)
 		default:
-			db.Modify(key, 2, []byte{byte(i)})
+			tbl.Modify(key, 2, []byte{byte(i)})
 		}
 	}
-	before := snapshot(t, db)
+	before := scanAll(t, tbl)
 	// Group-committed tail entries are genuinely lost by a crash; sync
 	// first so the snapshot is the durable state.
-	if err := db.Sync(); err != nil {
+	if err := tbl.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := db.Crash()
+	e2, err := tbl.eng.Crash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := snapshot(t, db2)
+	tbl2, err := e2.OpenTable(testTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := scanAll(t, tbl2)
 	if len(before) != len(after) {
 		t.Fatalf("recovery lost rows: %d -> %d", len(before), len(after))
 	}
 	for k, v := range before {
-		if !bytes.Equal(after[k], v) {
+		if after[k] != v {
 			t.Fatalf("key %d differs after recovery", k)
 		}
 	}
 	// A second crash must also recover (the new log is complete).
-	if err := db2.Sync(); err != nil {
+	if err := tbl2.eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := db2.Crash()
+	e3, err := e2.Crash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := snapshot(t, db3)
+	defer e3.Close()
+	tbl3, err := e3.OpenTable(testTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := scanAll(t, tbl3)
 	if len(again) != len(before) {
 		t.Fatalf("second recovery lost rows: %d -> %d", len(before), len(again))
 	}
-	db3.Close()
 }
 
 func TestCrashWithoutLogRejected(t *testing.T) {
 	cfg := smallCfg()
 	cfg.DisableRedoLog = true
-	db := loadDB(t, 10, cfg)
-	defer db.Close()
-	if _, err := db.Crash(); err == nil {
+	tbl := openTable(t, "", cfg, evenRows(10, paddedRow))
+	defer tbl.eng.Close()
+	if _, err := tbl.eng.Crash(); err == nil {
 		t.Fatal("crash recovery without redo log accepted")
 	}
 }
 
 func TestClosedDB(t *testing.T) {
-	db := loadDB(t, 10, smallCfg())
-	db.Close()
-	if err := db.Insert(1, []byte("x")); !errors.Is(err, ErrClosed) {
+	tbl := openTable(t, "", smallCfg(), evenRows(10, paddedRow))
+	tbl.eng.Close()
+	if err := tbl.Insert(1, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("insert on closed: %v", err)
 	}
-	if err := db.Scan(0, 10, nil); !errors.Is(err, ErrClosed) {
+	if err := tbl.Scan(0, 10, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("scan on closed: %v", err)
 	}
 }
 
 func TestTransactionsEndToEnd(t *testing.T) {
-	db := loadDB(t, 500, smallCfg())
-	defer db.Close()
-	tx, err := db.Engine().BeginTx(TxSnapshot)
+	tbl := openTable(t, "", smallCfg(), evenRows(500, paddedRow))
+	defer tbl.eng.Close()
+	tx, err := tbl.eng.BeginTx(TxSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert(DefaultTableName, 7, []byte("seven")); err != nil {
+	if err := tx.Insert(testTable, 7, []byte("seven")); err != nil {
 		t.Fatal(err)
 	}
 	seen := false
-	if err := tx.Scan(DefaultTableName, 0, 10, func(key uint64, body []byte) bool {
+	if err := tx.Scan(testTable, 0, 10, func(key uint64, body []byte) bool {
 		if key == 7 {
 			seen = true
 		}
@@ -240,23 +264,23 @@ func TestTransactionsEndToEnd(t *testing.T) {
 	if !seen {
 		t.Fatal("transaction does not see its own insert")
 	}
-	if _, ok, _ := db.Get(7); ok {
+	if _, ok, _ := tbl.Get(7); ok {
 		t.Fatal("uncommitted insert visible outside transaction")
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := db.Get(7); !ok {
+	if _, ok, _ := tbl.Get(7); !ok {
 		t.Fatal("committed insert invisible")
 	}
 	// Write-write conflict.
-	a, errA := db.Engine().BeginTx(TxSnapshot)
-	b, errB := db.Engine().BeginTx(TxSnapshot)
+	a, errA := tbl.eng.BeginTx(TxSnapshot)
+	b, errB := tbl.eng.BeginTx(TxSnapshot)
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
-	a.Modify(DefaultTableName, 8, 0, []byte("A"))
-	b.Modify(DefaultTableName, 8, 0, []byte("B"))
+	a.Modify(testTable, 8, 0, []byte("A"))
+	b.Modify(testTable, 8, 0, []byte("B"))
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,16 +293,16 @@ func TestTransactionsEndToEnd(t *testing.T) {
 // builder, which refuses an offset the wire format's u16 cannot hold
 // instead of truncating it (the one-table Tx.Modify used to).
 func TestModifyOffsetRange(t *testing.T) {
-	db := loadDB(t, 10, smallCfg())
-	defer db.Close()
-	tx, err := db.Engine().BeginTx(TxSnapshot)
+	tbl := openTable(t, "", smallCfg(), evenRows(10, paddedRow))
+	defer tbl.eng.Close()
+	tx, err := tbl.eng.BeginTx(TxSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tx.Abort()
 	entry := map[string]func(off int) error{
-		"Table.Modify":    func(off int) error { return db.Modify(2, off, []byte("x")) },
-		"EngineTx.Modify": func(off int) error { return tx.Modify(DefaultTableName, 2, off, []byte("x")) },
+		"Table.Modify":    func(off int) error { return tbl.Modify(2, off, []byte("x")) },
+		"EngineTx.Modify": func(off int) error { return tx.Modify(testTable, 2, off, []byte("x")) },
 	}
 	for name, modify := range entry {
 		for _, tc := range []struct {
@@ -293,7 +317,7 @@ func TestModifyOffsetRange(t *testing.T) {
 }
 
 func TestModelEquivalenceQuick(t *testing.T) {
-	// Property: any sequence of CRUD operations leaves the DB equal to a
+	// Property: any sequence of CRUD operations leaves the table equal to a
 	// plain map model.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -305,23 +329,20 @@ func TestModelEquivalenceQuick(t *testing.T) {
 			bodies[i] = []byte(fmt.Sprintf("b-%03d-xxxxxxxxxxxx", i))
 			model[keys[i]] = bodies[i]
 		}
-		db, err := Open(smallCfg(), keys, bodies)
-		if err != nil {
-			return false
-		}
-		defer db.Close()
+		tbl := openTable(t, "", smallCfg(), TableOptions{Keys: keys, Bodies: bodies})
+		defer tbl.eng.Close()
 		for i := 0; i < 300; i++ {
 			key := uint64(rng.Intn(500)) + 1
 			switch rng.Intn(4) {
 			case 0:
 				body := []byte(fmt.Sprintf("n-%d-%d-yyyyyyyy", key, i))
-				db.Insert(key, body)
+				tbl.Insert(key, body)
 				model[key] = body
 			case 1:
-				db.Delete(key)
+				tbl.Delete(key)
 				delete(model, key)
 			case 2:
-				if err := db.Modify(key, 1, []byte{byte(i)}); err != nil {
+				if err := tbl.Modify(key, 1, []byte{byte(i)}); err != nil {
 					return false
 				}
 				if old, ok := model[key]; ok && len(old) > 1 {
@@ -331,14 +352,14 @@ func TestModelEquivalenceQuick(t *testing.T) {
 				}
 			default:
 				if rng.Intn(10) == 0 {
-					if err := db.Migrate(); err != nil {
+					if err := tbl.Migrate(); err != nil {
 						return false
 					}
 				}
 			}
 		}
 		got := make(map[uint64][]byte)
-		if err := db.Scan(0, ^uint64(0), func(k uint64, b []byte) bool {
+		if err := tbl.Scan(0, ^uint64(0), func(k uint64, b []byte) bool {
 			got[k] = append([]byte(nil), b...)
 			return true
 		}); err != nil {
@@ -359,14 +380,16 @@ func TestModelEquivalenceQuick(t *testing.T) {
 	}
 }
 
-func ExampleOpen() {
-	keys := []uint64{2, 4, 6}
-	bodies := [][]byte{[]byte("two"), []byte("four"), []byte("six")}
-	db, _ := Open(DefaultConfig(), keys, bodies)
-	defer db.Close()
-	db.Insert(5, []byte("five"))
-	db.Delete(4)
-	db.Scan(0, 10, func(key uint64, body []byte) bool {
+func ExampleNewEngine() {
+	eng, _ := NewEngine(DefaultConfig())
+	defer eng.Close()
+	tbl, _ := eng.CreateTable("numbers", TableOptions{
+		Keys:   []uint64{2, 4, 6},
+		Bodies: [][]byte{[]byte("two"), []byte("four"), []byte("six")},
+	})
+	tbl.Insert(5, []byte("five"))
+	tbl.Delete(4)
+	tbl.Scan(0, 10, func(key uint64, body []byte) bool {
 		fmt.Printf("%d=%s\n", key, body)
 		return true
 	})
@@ -377,19 +400,19 @@ func ExampleOpen() {
 }
 
 func TestMigrateStepSweep(t *testing.T) {
-	db := loadDB(t, 3000, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(3000, paddedRow))
+	defer tbl.eng.Close()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 3000; i++ {
 		key := uint64(rng.Intn(7000)) + 1
-		if err := db.Insert(key, []byte(fmt.Sprintf("v-%d-%d-padpadpadpadpad", key, i))); err != nil {
+		if err := tbl.Insert(key, []byte(fmt.Sprintf("v-%d-%d-padpadpadpadpad", key, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := snapshot(t, db)
+	before := scanAll(t, tbl)
 	steps := 0
 	for {
-		done, err := db.MigrateStep(20)
+		done, err := tbl.MigrateStep(20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,28 +427,28 @@ func TestMigrateStepSweep(t *testing.T) {
 	if steps < 2 {
 		t.Fatalf("sweep completed in %d steps, want several", steps)
 	}
-	after := snapshot(t, db)
+	after := scanAll(t, tbl)
 	if len(before) != len(after) {
 		t.Fatalf("incremental migration changed visible rows: %d -> %d", len(before), len(after))
 	}
-	if db.Stats().Runs != 0 {
-		t.Fatalf("%d runs left after sweep", db.Stats().Runs)
+	if tbl.Stats().Runs != 0 {
+		t.Fatalf("%d runs left after sweep", tbl.Stats().Runs)
 	}
 }
 
 func TestScanAndMigrate(t *testing.T) {
-	db := loadDB(t, 1500, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(1500, paddedRow))
+	defer tbl.eng.Close()
 	for i := 0; i < 1000; i++ {
 		key := uint64((i*7)%4000) + 1
-		if err := db.Insert(key, []byte(fmt.Sprintf("c-%d-%d-padpadpadpad", key, i))); err != nil {
+		if err := tbl.Insert(key, []byte(fmt.Sprintf("c-%d-%d-padpadpadpad", key, i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := snapshot(t, db)
-	got := make(map[uint64][]byte)
-	if err := db.ScanAndMigrate(func(key uint64, body []byte) bool {
-		got[key] = append([]byte(nil), body...)
+	want := scanAll(t, tbl)
+	got := make(map[uint64]string)
+	if err := tbl.ScanAndMigrate(func(key uint64, body []byte) bool {
+		got[key] = string(body)
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -434,11 +457,11 @@ func TestScanAndMigrate(t *testing.T) {
 		t.Fatalf("coordinated scan emitted %d rows, want %d", len(got), len(want))
 	}
 	for k, v := range want {
-		if !bytes.Equal(got[k], v) {
+		if got[k] != v {
 			t.Fatalf("key %d mismatch", k)
 		}
 	}
-	if db.Stats().Runs != 0 {
+	if tbl.Stats().Runs != 0 {
 		t.Fatal("runs left after coordinated migration")
 	}
 }

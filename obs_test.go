@@ -179,8 +179,8 @@ func TestDropTableUnregistersMetrics(t *testing.T) {
 			t.Fatalf("cycle %d: recreated table inherited stale counters: masm_updates_accepted = %d, want %d", cycle, got, writes)
 		}
 		if cycle == 0 {
-			sizeAfterFirst = e.Registry().Len()
-		} else if got := e.Registry().Len(); got != sizeAfterFirst {
+			sizeAfterFirst = len(e.Metrics().Metrics)
+		} else if got := len(e.Metrics().Metrics); got != sizeAfterFirst {
 			t.Fatalf("cycle %d: registry grew from %d to %d series — per-table metrics leak across drop/recreate", cycle, sizeAfterFirst, got)
 		}
 		if err := e.DropTable("churn"); err != nil {

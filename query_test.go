@@ -11,10 +11,10 @@ import (
 // Scan: filter by the key ranges, project, apply the residual filter,
 // then the limit — the naive plan the pushdown executor must match
 // byte for byte.
-func queryOracle(t *testing.T, db *DB, spec QuerySpec) []kvRow {
+func queryOracle(t *testing.T, tbl *Table, spec QuerySpec) []kvRow {
 	t.Helper()
 	var out []kvRow
-	err := db.Scan(spec.Begin, spec.End, func(key uint64, body []byte) bool {
+	err := tbl.Scan(spec.Begin, spec.End, func(key uint64, body []byte) bool {
 		if len(spec.KeyRanges) > 0 {
 			hit := false
 			for _, r := range spec.KeyRanges {
@@ -52,10 +52,10 @@ type kvRow struct {
 	body []byte
 }
 
-func runQuerySpec(t *testing.T, db *DB, spec QuerySpec) []kvRow {
+func runQuerySpec(t *testing.T, tbl *Table, spec QuerySpec) []kvRow {
 	t.Helper()
 	var out []kvRow
-	if err := db.Query(spec, func(key uint64, body []byte) bool {
+	if err := tbl.Query(spec, func(key uint64, body []byte) bool {
 		out = append(out, kvRow{key, append([]byte(nil), body...)})
 		return true
 	}); err != nil {
@@ -80,22 +80,22 @@ func sameRows(a, b []kvRow) bool {
 // residual filter, limit — over a mutated database and checks each
 // against the scan-then-filter oracle.
 func TestQueryFacadeDifferential(t *testing.T) {
-	db := loadDB(t, 1500, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(1500, paddedRow))
+	defer tbl.eng.Close()
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		key := uint64(rng.Intn(4000)) + 1
 		switch rng.Intn(3) {
 		case 0:
-			if err := db.Insert(key, []byte(fmt.Sprintf("ins-%d-%d-padpadpadpad", key, i))); err != nil {
+			if err := tbl.Insert(key, []byte(fmt.Sprintf("ins-%d-%d-padpadpadpad", key, i))); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := db.Delete(key); err != nil {
+			if err := tbl.Delete(key); err != nil {
 				t.Fatal(err)
 			}
 		default:
-			if err := db.Modify(key, 0, []byte{byte(i)}); err != nil {
+			if err := tbl.Modify(key, 0, []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -119,8 +119,8 @@ func TestQueryFacadeDifferential(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			spec.Limit = int64(1 + rng.Intn(50))
 		}
-		want := queryOracle(t, db, spec)
-		got := runQuerySpec(t, db, spec)
+		want := queryOracle(t, tbl, spec)
+		got := runQuerySpec(t, tbl, spec)
 		if !sameRows(got, want) {
 			t.Fatalf("probe %d (%+v): %d rows, want %d", probe, spec, len(got), len(want))
 		}
@@ -129,19 +129,19 @@ func TestQueryFacadeDifferential(t *testing.T) {
 
 // TestQueryFacadeEdges pins the contract edges: empty normalized
 // predicate returns nothing without touching the engine, inverted bounds
-// error, early stop via fn, and Table.Query equivalence.
+// error, and early stop via fn.
 func TestQueryFacadeEdges(t *testing.T) {
-	db := loadDB(t, 200, smallCfg())
-	defer db.Close()
+	tbl := openTable(t, "", smallCfg(), evenRows(200, paddedRow))
+	defer tbl.eng.Close()
 
-	if err := db.Query(QuerySpec{Begin: 10, End: 5}, func(uint64, []byte) bool { return true }); err == nil {
+	if err := tbl.Query(QuerySpec{Begin: 10, End: 5}, func(uint64, []byte) bool { return true }); err == nil {
 		t.Fatal("inverted bounds did not error")
 	}
 
 	// KeyRanges entirely outside [Begin, End] normalize to empty: no rows,
 	// no error.
 	n := 0
-	err := db.Query(QuerySpec{Begin: 0, End: ^uint64(0), KeyRanges: []KeyRange{{Lo: 9, Hi: 5}}},
+	err := tbl.Query(QuerySpec{Begin: 0, End: ^uint64(0), KeyRanges: []KeyRange{{Lo: 9, Hi: 5}}},
 		func(uint64, []byte) bool { n++; return true })
 	if err != nil || n != 0 {
 		t.Fatalf("empty predicate: n=%d err=%v", n, err)
@@ -149,7 +149,7 @@ func TestQueryFacadeEdges(t *testing.T) {
 
 	// fn returning false stops the stream.
 	n = 0
-	if err := db.Query(QuerySpec{Begin: 0, End: ^uint64(0)}, func(uint64, []byte) bool {
+	if err := tbl.Query(QuerySpec{Begin: 0, End: ^uint64(0)}, func(uint64, []byte) bool {
 		n++
 		return n < 5
 	}); err != nil {
@@ -157,19 +157,5 @@ func TestQueryFacadeEdges(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("early stop delivered %d rows, want 5", n)
-	}
-
-	// DB.Query is the embedded default table's Query.
-	spec := QuerySpec{Begin: 0, End: 300, KeyRanges: []KeyRange{{Lo: 50, Hi: 120}}}
-	viaDB := runQuerySpec(t, db, spec)
-	var viaTable []kvRow
-	if err := db.Table.Query(spec, func(key uint64, body []byte) bool {
-		viaTable = append(viaTable, kvRow{key, append([]byte(nil), body...)})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sameRows(viaDB, viaTable) {
-		t.Fatalf("DB.Query %d rows, Table.Query %d rows", len(viaDB), len(viaTable))
 	}
 }

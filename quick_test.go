@@ -16,7 +16,7 @@ import (
 	"masm/internal/update"
 )
 
-// facadeModel mirrors a DB with a map, applying the same update records.
+// facadeModel mirrors a table with a map, applying the same update records.
 type facadeModel struct {
 	rows map[uint64][]byte
 }
@@ -71,30 +71,23 @@ func diffScan(scan func(func(uint64, []byte) bool) error, want map[uint64][]byte
 }
 
 // TestQuickFacadeModelEquivalence: any randomized operation sequence
-// leaves the DB scan-equivalent to the model, and every snapshot taken
+// leaves the table scan-equivalent to the model, and every snapshot taken
 // along the way keeps returning the model state at its capture point even
 // as later operations (including migrations attempted around it) proceed.
 func TestQuickFacadeModelEquivalence(t *testing.T) {
 	f := func(seed int64, nRaw uint16, disableLog bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%500) + 50
-		keys := make([]uint64, n)
-		bodies := make([][]byte, n)
+		rows := evenRows(n, "row-%06d-abcdefghijklmnopqrstuv")
 		model := &facadeModel{rows: make(map[uint64][]byte, n)}
-		for i := range keys {
-			keys[i] = uint64(i+1) * 2
-			bodies[i] = []byte(fmt.Sprintf("row-%06d-abcdefghijklmnopqrstuv", keys[i]))
-			model.rows[keys[i]] = bodies[i]
+		for i, k := range rows.Keys {
+			model.rows[k] = rows.Bodies[i]
 		}
 		cfg := DefaultConfig()
 		cfg.CacheBytes = 1 << 20
 		cfg.DisableRedoLog = disableLog
-		db, err := Open(cfg, keys, bodies)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		defer db.Close()
+		tbl := openTable(t, "", cfg, rows)
+		defer tbl.eng.Close()
 
 		// One long-lived snapshot checked at the end against the state it
 		// captured.
@@ -108,13 +101,13 @@ func TestQuickFacadeModelEquivalence(t *testing.T) {
 			case 0, 1, 2:
 				rec := update.Record{Key: key, Op: update.Insert,
 					Payload: []byte(fmt.Sprintf("new-%06d-%04d-abcdefghijklmnop", key, i))}
-				if err := db.Insert(key, rec.Payload); err != nil {
+				if err := tbl.Insert(key, rec.Payload); err != nil {
 					t.Log(err)
 					return false
 				}
 				model.apply(rec)
 			case 3, 4:
-				if err := db.Delete(key); err != nil {
+				if err := tbl.Delete(key); err != nil {
 					t.Log(err)
 					return false
 				}
@@ -122,27 +115,27 @@ func TestQuickFacadeModelEquivalence(t *testing.T) {
 			case 5, 6:
 				val := []byte(fmt.Sprintf("%03d", i%1000))
 				off := rng.Intn(8)
-				if err := db.Modify(key, off, val); err != nil {
+				if err := tbl.Modify(key, off, val); err != nil {
 					t.Log(err)
 					return false
 				}
 				model.apply(update.Record{Key: key, Op: update.Modify,
 					Payload: update.EncodeFields([]update.Field{{Off: uint16(off), Value: val}})})
 			case 7:
-				if err := db.Flush(); err != nil {
+				if err := tbl.Flush(); err != nil {
 					t.Log(err)
 					return false
 				}
 			case 8:
 				if pinned == nil { // migration would block on the snapshot
-					if err := db.Migrate(); err != nil {
+					if err := tbl.Migrate(); err != nil {
 						t.Log(err)
 						return false
 					}
 				}
 			case 9:
 				if pinned == nil {
-					if _, err := db.MigrateStep(8 + rng.Intn(32)); err != nil {
+					if _, err := tbl.MigrateStep(8 + rng.Intn(32)); err != nil {
 						t.Log(err)
 						return false
 					}
@@ -157,14 +150,15 @@ func TestQuickFacadeModelEquivalence(t *testing.T) {
 					}
 				}
 				if err := diffScan(func(fn func(uint64, []byte) bool) error {
-					return db.Scan(lo, hi, fn)
+					return tbl.Scan(lo, hi, fn)
 				}, sub); err != nil {
 					t.Logf("seed %d op %d: range scan: %v", seed, i, err)
 					return false
 				}
 			case 11:
 				if pinned == nil && rng.Intn(2) == 0 {
-					pinned, err = db.Snapshot()
+					var err error
+					pinned, err = tbl.Snapshot()
 					if err != nil {
 						t.Log(err)
 						return false
@@ -184,19 +178,19 @@ func TestQuickFacadeModelEquivalence(t *testing.T) {
 			pinned.Close()
 		}
 		if err := diffScan(func(fn func(uint64, []byte) bool) error {
-			return db.Scan(0, ^uint64(0), fn)
+			return tbl.Scan(0, ^uint64(0), fn)
 		}, model.rows); err != nil {
 			t.Logf("seed %d: final scan: %v", seed, err)
 			return false
 		}
 		// After closing the snapshot a full migration must go through and
 		// preserve the state.
-		if err := db.Migrate(); err != nil {
+		if err := tbl.Migrate(); err != nil {
 			t.Log(err)
 			return false
 		}
 		if err := diffScan(func(fn func(uint64, []byte) bool) error {
-			return db.Scan(0, ^uint64(0), fn)
+			return tbl.Scan(0, ^uint64(0), fn)
 		}, model.rows); err != nil {
 			t.Logf("seed %d: post-migration scan: %v", seed, err)
 			return false

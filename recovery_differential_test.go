@@ -174,7 +174,7 @@ func TestRecoveryDifferentialCrashSweep(t *testing.T) {
 			for _, w := range []int64{1, (writes + 1) / 2, writes} {
 				if !seenW[w] {
 					seenW[w] = true
-					plans = append(plans, chaos.Plan{FailWrite: map[int64]error{w: chaos.ErrInjectedEIO}})
+					plans = append(plans, chaos.Plan{FailWrite: map[int64]error{w: chaos.ErrInjected}})
 				}
 			}
 			for pi, plan := range plans {

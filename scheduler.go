@@ -22,9 +22,8 @@ import (
 // when their update tips a table over its threshold, and a ticker retries
 // while older scans temporarily block a migration.
 //
-// Obtain one with StartMigrationScheduler (on the Engine, or on a DB,
-// whose scheduler is the one-table special case). Stop is idempotent and
-// is invoked automatically by Close.
+// Obtain one with Engine.StartMigrationScheduler. Stop is idempotent and is
+// invoked automatically by Close.
 type MigrationScheduler struct {
 	eng      *Engine
 	interval time.Duration
@@ -90,13 +89,6 @@ func (e *Engine) StartMigrationScheduler(interval time.Duration) (*MigrationSche
 	e.sched = ms
 	go ms.loop()
 	return ms, nil
-}
-
-// StartMigrationScheduler starts the engine's background migration
-// scheduler; for a single-table DB that scheduler watches exactly this
-// table, as it always has.
-func (db *DB) StartMigrationScheduler(interval time.Duration) (*MigrationScheduler, error) {
-	return db.eng.StartMigrationScheduler(interval)
 }
 
 func (ms *MigrationScheduler) loop() {

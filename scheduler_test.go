@@ -25,15 +25,15 @@ func TestMigrationSchedulerTriggers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
 	cfg.MigrateThreshold = 0.05
-	db := loadStressDB(t, 1000, cfg)
-	defer db.Close()
-	ms, err := db.StartMigrationScheduler(time.Millisecond)
+	tbl := openTable(t, "", cfg, evenRows(1000, stressRow))
+	defer tbl.eng.Close()
+	ms, err := tbl.eng.StartMigrationScheduler(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
 		key := uint64(i%3000) + 1
-		if err := db.Insert(key, stressBody(key, i)); err != nil {
+		if err := tbl.Insert(key, stressBody(key, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestMigrationSchedulerTriggers(t *testing.T) {
 	if err := ms.Err(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
+	st := tbl.Stats()
 	if st.Migrations < 1 {
 		t.Fatalf("stats report %d migrations", st.Migrations)
 	}
@@ -55,18 +55,18 @@ func TestMigrationSchedulerErrClears(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
 	cfg.MigrateThreshold = 0.05
-	db := loadStressDB(t, 1000, cfg)
-	defer db.Close()
+	tbl := openTable(t, "", cfg, evenRows(1000, stressRow))
+	defer tbl.eng.Close()
 
 	boom := errors.New("injected: redo device full")
-	db.store.FailMigrations(boom)
-	ms, err := db.StartMigrationScheduler(time.Millisecond)
+	tbl.store.FailMigrations(boom)
+	ms, err := tbl.eng.StartMigrationScheduler(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
 		key := uint64(i%3000) + 1
-		if err := db.Insert(key, stressBody(key, i)); err != nil {
+		if err := tbl.Insert(key, stressBody(key, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestMigrationSchedulerErrClears(t *testing.T) {
 	}
 
 	// The fault heals; the next clean sweep must both migrate and clear Err.
-	db.store.FailMigrations(nil)
+	tbl.store.FailMigrations(nil)
 	ms.Kick()
 	waitFor(t, "background migration after recovery", func() bool { return ms.Migrations() >= 1 })
 	waitFor(t, "Err to clear after a clean sweep", func() bool { return ms.Err() == nil })
@@ -148,12 +148,12 @@ func TestMigrationSchedulerSweepContinuesPastFailure(t *testing.T) {
 // scheduler, Stop is idempotent, and Close both stops the scheduler and
 // stays idempotent itself.
 func TestMigrationSchedulerStartStop(t *testing.T) {
-	db := loadStressDB(t, 200, DefaultConfig())
-	ms1, err := db.StartMigrationScheduler(0)
+	tbl := openTable(t, "", DefaultConfig(), evenRows(200, stressRow))
+	ms1, err := tbl.eng.StartMigrationScheduler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms2, err := db.StartMigrationScheduler(time.Second)
+	ms2, err := tbl.eng.StartMigrationScheduler(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,28 +162,28 @@ func TestMigrationSchedulerStartStop(t *testing.T) {
 	}
 	ms1.Stop()
 	ms1.Stop() // idempotent
-	if err := db.Close(); err != nil {
+	if err := tbl.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil { // idempotent
+	if err := tbl.eng.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := db.StartMigrationScheduler(0); err != ErrClosed {
-		t.Fatalf("Start on closed DB: err = %v, want ErrClosed", err)
+	if _, err := tbl.eng.StartMigrationScheduler(0); err != ErrClosed {
+		t.Fatalf("Start on closed engine: err = %v, want ErrClosed", err)
 	}
-	if _, err := db.Engine().BeginTx(TxSnapshot); err != ErrClosed {
-		t.Fatalf("BeginTx on closed DB: err = %v, want ErrClosed", err)
+	if _, err := tbl.eng.BeginTx(TxSnapshot); err != ErrClosed {
+		t.Fatalf("BeginTx on closed engine: err = %v, want ErrClosed", err)
 	}
 }
 
 // TestCloseStopsScheduler: Close alone halts the scheduler goroutine.
 func TestCloseStopsScheduler(t *testing.T) {
-	db := loadStressDB(t, 200, DefaultConfig())
-	ms, err := db.StartMigrationScheduler(time.Millisecond)
+	tbl := openTable(t, "", DefaultConfig(), evenRows(200, stressRow))
+	ms, err := tbl.eng.StartMigrationScheduler(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	if err := tbl.eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
