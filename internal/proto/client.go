@@ -158,7 +158,8 @@ func (c *Client) unregister(seq uint32) {
 	c.mu.Unlock()
 }
 
-// send writes one frame; safe for concurrent use.
+// send writes one frame, and any TxPut frames queued before it; safe for
+// concurrent use.
 func (c *Client) send(m *Msg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -197,7 +198,7 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 }
 
 // Put upserts key in table. A backpressure rejection surfaces as a
-// retryable WireError (check IsRetryable).
+// retryable WireError (check ErrBackpressure, or WireError.Retryable).
 func (c *Client) Put(table string, key uint64, body []byte) error {
 	_, err := c.call(&Msg{Op: OpPut, Table: table, Key: key, Body: body})
 	return err
@@ -283,15 +284,28 @@ func (c *Client) BeginTx() (uint64, error) {
 	return resp.Value, nil
 }
 
-// TxPut buffers an insert of (key, body) in transaction txid.
+// TxPut queues an insert of (key, body) in transaction txid. The update
+// gets no reply: it is sent with the connection's next request (Commit,
+// Abort or any other call), so a transaction's updates reach the server
+// in one write. An update the server refuses fails the Commit; TxPut's
+// own error only reports a failed connection.
 func (c *Client) TxPut(txid uint64, table string, key uint64, body []byte) error {
-	_, err := c.call(&Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxPut, Table: table, Key: key, Body: body})
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf, err = WriteFrame(c.w, c.wbuf, &Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxPut, Table: table, Key: key, Body: body})
 	return err
 }
 
 // Commit durably commits transaction txid (through the server's group
 // commit, like every write). A conflict surfaces as a retryable
-// WireError with CodeConflict.
+// WireError with CodeConflict. If one of the transaction's updates was
+// refused, Commit aborts it and fails with that update's error.
 func (c *Client) Commit(txid uint64) error {
 	_, err := c.call(&Msg{Op: OpTxCommit, TxID: txid})
 	return err

@@ -8,7 +8,10 @@
 // subsequent client frame carries a sequence number that the server
 // echoes in its responses, so one connection multiplexes many in-flight
 // requests (and a streamed scan's row batches interleave freely with
-// other replies). Scans are flow-controlled by credits: the client
+// other replies). Not every client frame gets a reply: a transaction's
+// updates (OpTxUpdate) and credit top-ups are unanswered, and a refused
+// update is reported by the transaction's commit. Scans are
+// flow-controlled by credits: the client
 // grants N outstanding row batches up front and tops the window up as it
 // consumes them, so a slow consumer never forces the server to buffer an
 // unbounded result.
@@ -26,11 +29,13 @@ import (
 )
 
 // Magic opens the Hello frame. Version is bumped on any incompatible
-// frame-layout change; the server rejects mismatched clients at
-// handshake rather than misparsing mid-stream.
+// change to frame layouts or to which frames get replies; the server
+// rejects mismatched clients at handshake rather than misparsing
+// mid-stream or leaving them waiting. Version 2 stopped answering
+// OpTxUpdate.
 const (
 	Magic   uint32 = 0x4D61534D // "MaSM"
-	Version uint16 = 1
+	Version uint16 = 2
 )
 
 // MaxFrame bounds a single frame's payload. It limits a malicious
@@ -51,7 +56,7 @@ const (
 	OpScan     Op = 5  // table, begin, end, limit, credits u32
 	OpCredit   Op = 6  // credits u32 (seq names the scan being topped up)
 	OpBeginTx  Op = 7  // —
-	OpTxUpdate Op = 8  // txid, kind u8, table, key, off u32, body
+	OpTxUpdate Op = 8  // txid, kind u8, table, key, off u32, body; no reply
 	OpTxCommit Op = 9  // txid
 	OpTxAbort  Op = 10 // txid
 	OpStats    Op = 11 // —

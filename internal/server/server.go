@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -335,10 +336,19 @@ type conn struct {
 
 	mu    sync.Mutex
 	scans map[uint32]chan uint32 // scan seq -> credit top-ups
-	txs   map[uint64]*masm.EngineTx
+	txs   map[uint64]*wireTx
 	nexTx uint64
 
 	scanWG sync.WaitGroup
+}
+
+// wireTx is a transaction open on a connection. Its updates get no reply,
+// so the first one that failed is kept here, with its wire code, for the
+// commit to report; the reader goroutine alone touches code and err.
+type wireTx struct {
+	tx   *masm.EngineTx
+	code uint16
+	err  error
 }
 
 func (s *Server) handleConn(nc net.Conn) {
@@ -347,7 +357,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		c:     nc,
 		quit:  make(chan struct{}),
 		scans: make(map[uint32]chan uint32),
-		txs:   make(map[uint64]*masm.EngineTx),
+		txs:   make(map[uint64]*wireTx),
 	}
 	c.serve()
 	c.markWriter(false)
@@ -361,8 +371,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	txs := c.txs
 	c.txs = nil
 	c.mu.Unlock()
-	for _, tx := range txs {
-		tx.Abort()
+	for _, wt := range txs {
+		wt.tx.Abort()
 	}
 	nc.Close()
 	s.mu.Lock()
@@ -400,12 +410,15 @@ func (c *conn) replyOK(seq uint32, value uint64) error {
 
 // serve runs the connection's read loop until the peer goes away or
 // sends garbage. Handshake first: anything but a well-formed,
-// version-matched Hello ends the connection.
+// version-matched Hello ends the connection. The socket is read through
+// a buffer, so a burst of pipelined frames costs one read, not two per
+// frame.
 func (c *conn) serve() {
+	r := bufio.NewReaderSize(c.c, 64<<10)
 	var rbuf []byte
 	var m proto.Msg
 	var err error
-	rbuf, err = proto.ReadFrame(c.c, rbuf, &m)
+	rbuf, err = proto.ReadFrame(r, rbuf, &m)
 	if err != nil || m.Op != proto.OpHello || m.Magic != proto.Magic {
 		return
 	}
@@ -418,7 +431,7 @@ func (c *conn) serve() {
 		return
 	}
 	for {
-		rbuf, err = proto.ReadFrame(c.c, rbuf, &m)
+		rbuf, err = proto.ReadFrame(r, rbuf, &m)
 		if err != nil {
 			// Torn or closed connection (or garbage framing): the caller
 			// cleans up scans and transactions.
@@ -535,45 +548,54 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		c.mu.Lock()
 		c.nexTx++
 		id := c.nexTx
-		c.txs[id] = tx
+		c.txs[id] = &wireTx{tx: tx}
 		c.mu.Unlock()
 		return c.replyOK(m.Seq, id) == nil
 
 	case proto.OpTxUpdate:
+		// Unanswered. Later updates of a failed transaction are skipped;
+		// one for an unknown transaction is dropped (its commit answers
+		// CodeNoTx).
 		c.mu.Lock()
-		tx := c.txs[m.TxID]
+		wt := c.txs[m.TxID]
 		c.mu.Unlock()
-		if tx == nil {
-			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
+		if wt == nil || wt.err != nil {
+			return true
 		}
 		var err error
 		switch m.TxKind {
 		case proto.TxPut:
-			err = tx.Insert(m.Table, m.Key, m.Body)
+			err = wt.tx.Insert(m.Table, m.Key, m.Body)
 		case proto.TxDelete:
-			err = tx.Delete(m.Table, m.Key)
+			err = wt.tx.Delete(m.Table, m.Key)
 		case proto.TxModify:
-			err = tx.Modify(m.Table, m.Key, int(m.Off), m.Body)
+			err = wt.tx.Modify(m.Table, m.Key, int(m.Off), m.Body)
 		default:
-			return c.replyErr(m.Seq, proto.CodeBadRequest, false, fmt.Errorf("unknown tx update kind %d", m.TxKind)) == nil
+			wt.code, wt.err = proto.CodeBadRequest, fmt.Errorf("unknown tx update kind %d", m.TxKind)
+			return true
 		}
-		if errors.Is(err, masm.ErrNoTable) {
-			return c.replyErr(m.Seq, proto.CodeNoTable, false, err) == nil
+		switch {
+		case err == nil:
+		case errors.Is(err, masm.ErrNoTable):
+			wt.code, wt.err = proto.CodeNoTable, err
+		default:
+			wt.code, wt.err = proto.CodeInternal, err
 		}
-		if err != nil {
-			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil
-		}
-		return c.replyOK(m.Seq, 0) == nil
+		return true
 
 	case proto.OpTxCommit:
 		c.mu.Lock()
-		tx := c.txs[m.TxID]
+		wt := c.txs[m.TxID]
 		delete(c.txs, m.TxID)
 		c.mu.Unlock()
-		if tx == nil {
+		if wt == nil {
 			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
 		}
-		if err := tx.Commit(); err != nil {
+		if wt.err != nil {
+			wt.tx.Abort()
+			return c.replyErr(m.Seq, wt.code, false, wt.err) == nil
+		}
+		if err := wt.tx.Commit(); err != nil {
 			switch {
 			case errors.Is(err, txn.ErrWriteConflict):
 				return c.replyErr(m.Seq, proto.CodeConflict, true, err) == nil
@@ -591,13 +613,13 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 
 	case proto.OpTxAbort:
 		c.mu.Lock()
-		tx := c.txs[m.TxID]
+		wt := c.txs[m.TxID]
 		delete(c.txs, m.TxID)
 		c.mu.Unlock()
-		if tx == nil {
+		if wt == nil {
 			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
 		}
-		tx.Abort()
+		wt.tx.Abort()
 		return c.replyOK(m.Seq, 0) == nil
 
 	case proto.OpStats:

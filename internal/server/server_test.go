@@ -21,6 +21,14 @@ import (
 // serves it on a loopback listener. Cleanup closes server then engine.
 func startServer(t *testing.T, opts Options, tables ...string) (*Server, *masm.Engine, string) {
 	t.Helper()
+	eng := memEngine(t, tables...)
+	srv, addr := serve(t, eng, opts)
+	return srv, eng, addr
+}
+
+// memEngine builds an in-memory engine with the named tables.
+func memEngine(t *testing.T, tables ...string) *masm.Engine {
+	t.Helper()
 	cfg := masm.DefaultConfig()
 	cfg.CacheBytes = 8 << 20
 	eng, err := masm.NewEngine(cfg)
@@ -32,25 +40,29 @@ func startServer(t *testing.T, opts Options, tables ...string) (*Server, *masm.E
 			t.Fatal(err)
 		}
 	}
-	srv, addr := serve(t, eng, opts)
-	return srv, eng, addr
+	return eng
 }
 
 // serve serves eng on a loopback listener. Cleanup closes server then
 // engine.
 func serve(t *testing.T, eng *masm.Engine, opts Options) (*Server, string) {
 	t.Helper()
-	srv := New(eng, opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, eng, opts, ln), ln.Addr().String()
+}
+
+// serveOn serves eng on ln. Cleanup closes server then engine.
+func serveOn(t *testing.T, eng *masm.Engine, opts Options, ln net.Listener) *Server {
+	srv := New(eng, opts)
 	go srv.Serve(ln)
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -182,15 +194,15 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := c.Put("nope", 1, nil); err == nil || !errors.As(err, &we) || we.Code != proto.CodeNoTable {
 		t.Fatalf("put to unknown table: err = %v, want CodeNoTable", err)
 	}
-	// ...and the same type inside a transaction, which stays usable.
+	// ...and the same type inside a transaction, reported by its commit.
 	if txid, err = c.BeginTx(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.TxPut(txid, "nope", 1, nil); err == nil || !errors.As(err, &we) || we.Code != proto.CodeNoTable {
-		t.Fatalf("tx put to unknown table: err = %v, want CodeNoTable", err)
-	}
-	if err := c.Abort(txid); err != nil {
+	if err := c.TxPut(txid, "nope", 1, nil); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.Commit(txid); err == nil || !errors.As(err, &we) || we.Code != proto.CodeNoTable {
+		t.Fatalf("commit of tx put to unknown table: err = %v, want CodeNoTable", err)
 	}
 
 	blob, err := c.Stats()
@@ -270,37 +282,15 @@ func TestTornConnectionLeaksNothing(t *testing.T) {
 
 	// Open a raw protocol connection: handshake, start a scan with a
 	// 1-batch window, read exactly one batch, never credit — then die.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	var m proto.Msg
-	write := func(msg *proto.Msg) {
-		t.Helper()
-		if buf, err = proto.WriteFrame(nc, buf, msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var rbuf []byte
-	read := func() *proto.Msg {
-		t.Helper()
-		if rbuf, err = proto.ReadFrame(nc, rbuf, &m); err != nil {
-			t.Fatal(err)
-		}
-		return &m
-	}
-	write(&proto.Msg{Op: proto.OpHello, Magic: proto.Magic, Version: proto.Version})
-	if r := read(); r.Op != proto.OpOK {
-		t.Fatalf("handshake reply op %d", r.Op)
-	}
-	write(&proto.Msg{Op: proto.OpScan, Seq: 1, Table: "t0", End: ^uint64(0), Credits: 1})
-	if r := read(); r.Op != proto.OpRows || r.Final {
+	rc := rawDial(t, addr)
+	rc.handshake()
+	rc.write(&proto.Msg{Op: proto.OpScan, Seq: 1, Table: "t0", End: ^uint64(0), Credits: 1})
+	if r := rc.read(); r.Op != proto.OpRows || r.Final {
 		t.Fatalf("first batch: op %d final %v", r.Op, r.Final)
 	}
 	// The server-side scan is now blocked waiting for a credit with an
 	// open query pinning the store. Tear the connection.
-	nc.Close()
+	rc.nc.Close()
 
 	waitFor(t, "scan goroutines to unwind", func() bool {
 		return runtime.NumGoroutine() <= baseline
@@ -332,6 +322,11 @@ func TestTornConnectionAbortsTransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.TxPut(txid, "t0", 2, []byte("never committed")); err != nil {
+		t.Fatal(err)
+	}
+	// TxPut only queues its frame: a round trip sends it, so the update is
+	// in the transaction's write set before the connection tears.
+	if err := c.Put("t0", 3, []byte("flush")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
