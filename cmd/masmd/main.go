@@ -1,7 +1,8 @@
 // Command masmd serves a MaSM engine over TCP: the proto wire protocol,
-// group-committed writes, credit-flow-controlled scans, and cache-fill
-// admission control, with the observability plane on a second HTTP
-// port. See the README's "Running as a server" section.
+// group-committed writes and credit-flow-controlled scans, with the
+// observability plane on a second HTTP port. Writes are admitted by the
+// engine against cache fill while its migration scheduler runs. See the
+// README's "Running as a server" section.
 //
 //	masmd -dir /var/lib/masm -addr :7643 -metrics 127.0.0.1:7644
 package main
@@ -14,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"masm"
 	"masm/internal/server"
@@ -29,8 +29,6 @@ func main() {
 		dataMB     = flag.Int64("data", 1024, "main data capacity, MiB (sparse)")
 		ntables    = flag.Int("ntables", 1, "tables to create on first start (t0..tN-1)")
 		tableCache = flag.Int64("table-cache", 0, "per-table cache quota, MiB (0 = whole shared cache; the per-tenant knob)")
-		admit      = flag.Float64("admit", masm.AdmitFill, "cache-fill fraction above which writes are shed with a retryable error")
-		admitWait  = flag.Duration("admit-wait", 2*time.Millisecond, "how long a write may wait out pressure before rejection")
 		sched      = flag.Duration("sched", masm.DefaultMigrationInterval, "migration scheduler poll interval")
 		directIO   = flag.Bool("directio", false, "open data files with O_DIRECT where supported")
 	)
@@ -77,10 +75,7 @@ func main() {
 		log.Fatalf("masmd: start scheduler: %v", err)
 	}
 
-	srv := server.New(eng, server.Options{
-		AdmitThreshold: *admit,
-		AdmitWait:      *admitWait,
-	})
+	srv := server.New(eng, server.Options{})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("masmd: listen %s: %v", *addr, err)

@@ -1,7 +1,7 @@
 // Command masmload drives a masmd server with synthetic client load: N
 // concurrent connections, Zipf-skewed tenant (table) selection, closed-
 // or open-loop pacing, client-observed latency percentiles, and a
-// retry-on-backpressure loop exercising the server's admission control.
+// retry-on-backpressure loop exercising the engine's write admission.
 //
 // With -bench it runs the group-commit comparison the repo commits as
 // BENCH_10.json: the same closed-loop write workload through 1

@@ -11,9 +11,10 @@ import (
 	"masm"
 )
 
-// Commit admission, at the library boundary: with a migration scheduler
-// running, a transaction that would publish into a cache at or above
-// masm.AdmitFill waits for migration instead of overrunning the cache.
+// Write admission, at the library boundary: with a migration scheduler
+// running, a transaction commit or a Table write that would land in a
+// cache at or above masm.AdmitFill waits for migration instead of
+// overrunning the cache.
 
 const (
 	admitCache  = 2 << 20 // the engine's shared SSD update cache, bytes
@@ -180,86 +181,165 @@ func openFullTable(t *testing.T) (*masm.Engine, *masm.Table) {
 	return eng, tbl
 }
 
-// TestCommitAdmissionTimesOut: a reader held open vetoes migration, so a
-// commit into a full cache waits out the admission bound and is refused
-// with ErrBackpressure, publishing nothing. Once the reader closes, the
-// same transaction retried waits for the migration and lands.
-func TestCommitAdmissionTimesOut(t *testing.T) {
-	eng, tbl := openFullTable(t)
+// insertPuts inserts each key at version v through Table.Insert.
+func insertPuts(eng *masm.Engine, keys []uint64, v int) error {
+	tbl, err := eng.OpenTable("t")
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := tbl.Insert(k, admitRow(k, v)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// admitWrites are the two writes that pass admission: a transaction's
+// commit and a Table write.
+var admitWrites = []struct {
+	name  string
+	write func(eng *masm.Engine, keys []uint64, v int) error
+}{
+	{"Commit", commitPuts},
+	{"Insert", insertPuts},
+}
+
+// TestPutsWaitForMigration is TestCommitsWaitForMigration for Table
+// writes: back-to-back inserts from one goroutine with the scheduler
+// running, while a snapshot held for the first second vetoes migration.
+// Without admission for Table writes the table ran past its budget within
+// a few hundred milliseconds ("over its SSD cache budget"), and about one
+// insert in six failed; with it every insert waits out the reader, and
+// the migration after it, and lands.
+func TestPutsWaitForMigration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inserts 8 MiB of updates through a 2 MiB cache")
+	}
+	const rows = 50_000
+	const inserts = 4 * admitCache / admitBody
+	eng := openAdmitEngine(t, t.TempDir(), rows)
+	defer eng.Close()
+	tbl, err := eng.OpenTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := eng.StartMigrationScheduler(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reader, err := tbl.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := eng.StartMigrationScheduler(5 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 200 * time.Millisecond
-	masm.SetCommitAdmitWait(t, bound)
-	keys := []uint64{1, 3, 5}
+	closer := time.AfterFunc(time.Second, func() { reader.Close() })
+	defer closer.Stop()
 	start := time.Now()
-	err = commitPuts(eng, keys, 1)
-	if !errors.Is(err, masm.ErrBackpressure) {
-		t.Fatalf("commit into a full cache behind an open reader: %v, want ErrBackpressure", err)
-	}
-	if waited := time.Since(start); waited < bound {
-		t.Fatalf("refused after %v, before the %v bound", waited, bound)
-	}
-	for _, k := range keys {
-		if _, found, err := tbl.Get(k); err != nil || found {
-			t.Fatalf("key %d of the refused commit: found %v, err %v", k, found, err)
+	for i := 0; i < inserts; i++ {
+		k := 2 * uint64((i*7919)%rows+1)
+		if err := tbl.Insert(k, admitRow(k, i+1)); err != nil {
+			t.Fatalf("insert %d of %d after %v (%d migrations so far): %v", i, inserts, time.Since(start), ms.Migrations(), err)
 		}
 	}
-	if ms.Migrations() != 0 {
-		t.Fatalf("%d migrations ran past the open reader", ms.Migrations())
-	}
-
-	reader.Close()
-	masm.SetCommitAdmitWait(t, 10*time.Second)
-	if err := commitPuts(eng, keys, 2); err != nil {
-		t.Fatalf("retry once the reader closed: %v", err)
-	}
+	ms.Stop()
+	t.Logf("%d inserts in %v, %d migrations", inserts, time.Since(start), ms.Migrations())
 	if ms.Migrations() == 0 {
-		t.Fatal("the retried commit was admitted before any migration")
-	}
-	for _, k := range keys {
-		if body, found, err := tbl.Get(k); err != nil || !found || !bytes.Equal(body, admitRow(k, 2)) {
-			t.Fatalf("key %d of the retried commit: found %v, err %v", k, found, err)
-		}
+		t.Fatalf("no migration for %d bytes of updates into a %d-byte cache", inserts*admitBody, admitCache)
 	}
 	if err := eng.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestCommitAdmissionTimesOut: a reader held open vetoes migration, so a
+// write into a full cache — a commit or a Table insert — waits out the
+// admission bound and is refused with ErrBackpressure, publishing
+// nothing. Once the reader closes, the same write retried waits for the
+// migration and lands.
+func TestCommitAdmissionTimesOut(t *testing.T) {
+	for _, w := range admitWrites {
+		t.Run(w.name, func(t *testing.T) {
+			eng, tbl := openFullTable(t)
+			reader, err := tbl.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := eng.StartMigrationScheduler(5 * time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const bound = 200 * time.Millisecond
+			masm.SetAdmitWait(t, bound)
+			keys := []uint64{1, 3, 5}
+			start := time.Now()
+			err = w.write(eng, keys, 1)
+			if !errors.Is(err, masm.ErrBackpressure) {
+				t.Fatalf("write into a full cache behind an open reader: %v, want ErrBackpressure", err)
+			}
+			if waited := time.Since(start); waited < bound {
+				t.Fatalf("refused after %v, before the %v bound", waited, bound)
+			}
+			for _, k := range keys {
+				if _, found, err := tbl.Get(k); err != nil || found {
+					t.Fatalf("key %d of the refused write: found %v, err %v", k, found, err)
+				}
+			}
+			if ms.Migrations() != 0 {
+				t.Fatalf("%d migrations ran past the open reader", ms.Migrations())
+			}
+
+			reader.Close()
+			masm.SetAdmitWait(t, 10*time.Second)
+			if err := w.write(eng, keys, 2); err != nil {
+				t.Fatalf("retry once the reader closed: %v", err)
+			}
+			if ms.Migrations() == 0 {
+				t.Fatal("the retried write was admitted before any migration")
+			}
+			for _, k := range keys {
+				if body, found, err := tbl.Get(k); err != nil || !found || !bytes.Equal(body, admitRow(k, 2)) {
+					t.Fatalf("key %d of the retried write: found %v, err %v", k, found, err)
+				}
+			}
+			if err := eng.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestCommitWithoutSchedulerAdmitsAtOnce: with no migration scheduler —
-// none started, or one stopped — Commit is what it was before admission:
-// a full cache and an open reader do not hold it back.
+// none started, or one stopped — a write is what it was before admission:
+// a full cache and an open reader do not hold back a commit or an insert.
 func TestCommitWithoutSchedulerAdmitsAtOnce(t *testing.T) {
-	eng, tbl := openFullTable(t)
-	reader, err := tbl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-	masm.SetCommitAdmitWait(t, time.Minute)
-	if err := commitPuts(eng, []uint64{1}, 1); err != nil {
-		t.Fatalf("commit with no scheduler: %v", err)
-	}
-	ms, err := eng.StartMigrationScheduler(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Stop()
-	if err := commitPuts(eng, []uint64{3}, 1); err != nil {
-		t.Fatalf("commit after the scheduler stopped: %v", err)
-	}
-	for _, k := range []uint64{1, 3} {
-		if _, found, err := tbl.Get(k); err != nil || !found {
-			t.Fatalf("key %d: found %v, err %v", k, found, err)
-		}
-	}
-	if fill := tbl.CacheFill(); fill < masm.AdmitFill {
-		t.Fatalf("fill %.3f fell under AdmitFill with no migration", fill)
+	for _, w := range admitWrites {
+		t.Run(w.name, func(t *testing.T) {
+			eng, tbl := openFullTable(t)
+			reader, err := tbl.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+			masm.SetAdmitWait(t, time.Minute)
+			if err := w.write(eng, []uint64{1}, 1); err != nil {
+				t.Fatalf("write with no scheduler: %v", err)
+			}
+			ms, err := eng.StartMigrationScheduler(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.Stop()
+			if err := w.write(eng, []uint64{3}, 1); err != nil {
+				t.Fatalf("write after the scheduler stopped: %v", err)
+			}
+			for _, k := range []uint64{1, 3} {
+				if _, found, err := tbl.Get(k); err != nil || !found {
+					t.Fatalf("key %d: found %v, err %v", k, found, err)
+				}
+			}
+			if fill := tbl.CacheFill(); fill < masm.AdmitFill {
+				t.Fatalf("fill %.3f fell under AdmitFill with no migration", fill)
+			}
+		})
 	}
 }

@@ -396,17 +396,22 @@ func modifyRecord(key uint64, off int, val []byte) (update.Record, error) {
 
 // Insert caches an insertion of (key, body): a well-formed update, applied
 // to queries immediately and to the main data at the next migration.
+// While a migration scheduler runs, a write into a cache at AdmitFill
+// first waits for migration, and returns ErrBackpressure, publishing
+// nothing, if migration does not catch up within the admission wait.
 func (t *Table) Insert(key uint64, body []byte) error {
 	return t.apply(insertRecord(key, body))
 }
 
-// Delete caches a deletion of key from this table.
+// Delete caches a deletion of key from this table. It is admitted as
+// Insert is, and may return ErrBackpressure likewise.
 func (t *Table) Delete(key uint64) error {
 	return t.apply(update.Record{Key: key, Op: update.Delete})
 }
 
 // Modify caches an in-record field modification: len(val) bytes at byte
-// offset off of the record body.
+// offset off of the record body. It is admitted as Insert is, and may
+// return ErrBackpressure likewise.
 func (t *Table) Modify(key uint64, off int, val []byte) error {
 	rec, err := modifyRecord(key, off, val)
 	if err != nil {
@@ -417,6 +422,9 @@ func (t *Table) Modify(key uint64, off int, val []byte) error {
 
 func (t *Table) apply(rec update.Record) error {
 	e := t.eng
+	if err := e.admit(nil, t); err != nil {
+		return err
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if err := t.liveLocked(); err != nil {
@@ -739,12 +747,11 @@ type EngineStats struct {
 	DiskBytesRead   int64
 }
 
-// CacheFill returns the catalog's total cached update bytes as a
-// fraction of the engine's logical cache capacity — the shared-pool
-// pressure signal MigrateIfPressured arbitrates on, exposed cheaply
-// (no per-table stats map) so admission control can consult it on
-// every write.
-func (e *Engine) CacheFill() float64 {
+// cacheFill returns the catalog's total cached update bytes as a fraction
+// of the engine's logical cache capacity — the shared-pool pressure signal
+// MigrateIfPressured arbitrates on, computed without Stats' per-table map
+// since admission consults it on every write.
+func (e *Engine) cacheFill() float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.cfg.CacheBytes <= 0 {

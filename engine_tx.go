@@ -1,10 +1,8 @@
 package masm
 
 import (
-	"errors"
 	"runtime"
 	"sync"
-	"time"
 
 	"masm/internal/table"
 	"masm/internal/txn"
@@ -169,15 +167,16 @@ func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 // commit whose encoded write set exceeds 64 MiB is refused with an error
 // and publishes nothing.
 //
-// Commit admission: while a migration scheduler runs, a commit does not
-// publish into a cache that migration has not caught up with. When a
-// table the transaction wrote, or the engine's shared cache, is at or
-// above AdmitFill (or the engine's migration threshold, if higher),
-// Commit first releases the transaction's snapshots — it reads nothing
-// more, and its own reader would otherwise veto the migration it waits
-// for — then kicks the scheduler and waits, holding no engine lock, until
-// a sweep brings the fill back under. After two seconds it gives up: the
-// transaction is aborted, nothing of it is published, and Commit returns
+// Commit admission, the same as a Table write's: while a migration
+// scheduler runs, a commit does not publish into a cache that migration
+// has not caught up with. When a table the transaction wrote, or the
+// engine's shared cache, is at or above AdmitFill (or the engine's
+// migration threshold, if higher), Commit first releases the
+// transaction's snapshots — it reads nothing more, and its own reader
+// would otherwise veto the migration it waits for — then kicks the
+// scheduler and waits, holding no engine lock, until a sweep brings the
+// fill back under. After two seconds it gives up: the transaction is
+// aborted, nothing of it is published, and Commit returns
 // ErrBackpressure, which a caller may retry after a backoff. Without a
 // scheduler (manual migration) every commit is admitted at once.
 //
@@ -202,10 +201,21 @@ func (tx *EngineTx) Commit() error {
 	tx.done = true
 	tx.mu.Unlock()
 	subs := make([]*txn.Txn, 0, len(tx.subs))
-	for _, s := range tx.subs {
+	var wrote []*Table
+	e.mu.RLock()
+	for name, s := range tx.subs {
 		subs = append(subs, s)
+		if t := e.tables[name]; t != nil && s.Wrote() {
+			wrote = append(wrote, t)
+		}
 	}
-	if err := e.admitCommit(tx.subs); err != nil {
+	e.mu.RUnlock()
+	releaseReads := func() {
+		for _, s := range subs {
+			s.ReleaseReads()
+		}
+	}
+	if err := e.admit(releaseReads, wrote...); err != nil {
 		for _, s := range subs {
 			s.Abort()
 		}
@@ -229,73 +239,6 @@ func (tx *EngineTx) Commit() error {
 	}
 	e.clock.advance(end)
 	return nil
-}
-
-// AdmitFill is the cache fill — a table's cached update bytes over its
-// budget, or the engine's over its shared cache — at or above which a
-// transaction commit waits for migration (see EngineTx.Commit). It is also
-// masmd's default -admit threshold for single writes. It sits above
-// DefaultConfig's 0.9 migration threshold, so a commit held back only
-// ever waits for a migration that is already due; an engine configured to
-// migrate later admits commits up to its own threshold instead.
-const AdmitFill = 0.95
-
-// ErrBackpressure is returned by EngineTx.Commit when migration has not
-// brought the cache back under AdmitFill within the admission wait. The
-// transaction is aborted with nothing published; retry it after a backoff.
-var ErrBackpressure = errors.New("masm: cache pressure: migration behind, retry after backoff")
-
-// commitAdmitWait bounds a commit's wait for migration: about twice a
-// table's first migration on the benchmark's mixed dataset.
-var commitAdmitWait = 2 * time.Second
-
-// admitCommit is Commit's admission (see there): nil lets the commit go
-// ahead, ErrBackpressure refuses it.
-func (e *Engine) admitCommit(subs map[string]*txn.Txn) error {
-	e.mu.RLock()
-	ms := e.sched
-	var tables []*Table
-	for name, s := range subs {
-		if t := e.tables[name]; t != nil && s.Wrote() {
-			tables = append(tables, t)
-		}
-	}
-	e.mu.RUnlock()
-	if ms == nil || len(tables) == 0 {
-		return nil
-	}
-	limit := max(AdmitFill, e.cfg.MigrateThreshold)
-	pressured := func() bool {
-		for _, t := range tables {
-			if t.CacheFill() >= limit {
-				return true
-			}
-		}
-		return e.CacheFill() >= limit
-	}
-	if !pressured() {
-		return nil
-	}
-	for _, s := range subs {
-		s.ReleaseReads()
-	}
-	swept := ms.nextSweep()
-	ms.Kick()
-	deadline := time.NewTimer(commitAdmitWait)
-	defer deadline.Stop()
-	for {
-		select {
-		case <-swept:
-		case <-ms.done:
-			return nil // stopped: the commit goes ahead, or finds the engine closed
-		case <-deadline.C:
-			return ErrBackpressure
-		}
-		swept = ms.nextSweep()
-		if !pressured() {
-			return nil
-		}
-	}
 }
 
 // Abort discards the transaction, releasing every touched table's

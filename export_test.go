@@ -15,10 +15,10 @@ func OpenEngineDirInlineRebuild(dir string, opts EngineDirOptions) (*Engine, err
 
 func (e *Engine) CrashInlineRebuild() (*Engine, error) { return e.crash(0) }
 
-// SetCommitAdmitWait shortens how long a commit waits for migration before
+// SetAdmitWait sets how long a write waits for migration before
 // ErrBackpressure, for the rest of the test.
-func SetCommitAdmitWait(t testing.TB, d time.Duration) {
-	old := commitAdmitWait
-	commitAdmitWait = d
-	t.Cleanup(func() { commitAdmitWait = old })
+func SetAdmitWait(t testing.TB, d time.Duration) {
+	old := admitWait
+	admitWait = d
+	t.Cleanup(func() { admitWait = old })
 }

@@ -326,9 +326,9 @@ func (c *Client) Stats() ([]byte, error) {
 	return resp.Body, nil
 }
 
-// ErrBackpressure reports whether err is the server shedding write load
-// under cache-fill pressure — the typed, retryable rejection the
-// admission controller emits instead of collapsing.
+// ErrBackpressure reports whether err is a write the engine's admission
+// refused under cache-fill pressure (masm.ErrBackpressure) — the typed,
+// retryable rejection a server sends instead of collapsing.
 func ErrBackpressure(err error) bool {
 	var we *WireError
 	return errors.As(err, &we) && we.Code == CodeBackpressure

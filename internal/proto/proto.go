@@ -80,7 +80,7 @@ const (
 const (
 	CodeBadRequest   uint16 = 1 // malformed or unknown frame
 	CodeNoTable      uint16 = 2 // table does not exist
-	CodeBackpressure uint16 = 3 // admission control rejected the write; retry after backoff
+	CodeBackpressure uint16 = 3 // the engine's admission refused the write; retry after backoff
 	CodeConflict     uint16 = 4 // transaction write conflict; retry the transaction
 	CodeInternal     uint16 = 5 // engine error
 	CodeClosed       uint16 = 6 // server shutting down

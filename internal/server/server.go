@@ -1,8 +1,8 @@
 // Package server exposes a masm.Engine over the proto wire protocol:
-// one goroutine per connection, a shared group-commit pipeline that
-// batches every connection's writes into single WAL fsyncs, and
-// admission control that sheds write load with a typed retryable error
-// when migration cannot keep up with cache fill.
+// one goroutine per connection, and a shared group-commit pipeline that
+// batches every connection's writes into single WAL fsyncs. A write the
+// engine's admission refuses (masm.ErrBackpressure: migration has not
+// kept up with cache fill) reaches the client as a typed retryable error.
 //
 // Durability contract: a write is acknowledged only after the WAL sync
 // covering its append has returned. The group committer provides the
@@ -26,33 +26,10 @@ import (
 	"masm/internal/txn"
 )
 
-// Options tunes a Server. The zero value picks usable defaults.
-type Options struct {
-	// AdmitThreshold is the cache-fill fraction (per table, and for the
-	// engine's shared pool) above which writes are shed with a
-	// retryable backpressure error. 0 selects masm.AdmitFill (0.95), the
-	// fill at which the engine holds transaction commits back. Admission
-	// uses the same occupancy signal MigrateIfPressured arbitrates on, so
-	// load shedding engages exactly when migration is already maximally
-	// behind.
-	AdmitThreshold float64
-	// AdmitWait is how long a write may wait for pressure to drop below
-	// the threshold before rejection; migration is kicked first, so a
-	// short wait often rides out a transient spike. 0 selects 2ms;
-	// negative disables waiting.
-	AdmitWait time.Duration
-}
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.AdmitThreshold == 0 {
-		out.AdmitThreshold = masm.AdmitFill
-	}
-	if out.AdmitWait == 0 {
-		out.AdmitWait = 2 * time.Millisecond
-	}
-	return out
-}
+// Options configures a Server. It has no settings, since write admission
+// is the engine's (masm.AdmitFill); it stays so that callers passing
+// Options{} keep compiling.
+type Options struct{}
 
 // scanBatchRows caps the rows of one streamed OpRows frame; a frame also
 // closes once its rows pass MaxFrame/2 bytes.
@@ -69,8 +46,7 @@ type ticket struct {
 
 // Server serves the proto protocol for one engine.
 type Server struct {
-	eng  *masm.Engine
-	opts Options
+	eng *masm.Engine
 
 	tickets    chan *ticket
 	commitQuit chan struct{}
@@ -90,7 +66,6 @@ type Server struct {
 	mGroupSize  *obs.Histogram
 	mCommitWait *obs.Histogram
 	mGatherWait *obs.Histogram
-	mRejects    *obs.Counter
 	mWrites     *obs.Counter
 	mScanRows   *obs.Counter
 	mScans      *obs.Counter
@@ -99,12 +74,10 @@ type Server struct {
 // New builds a Server over eng. Metrics register in the engine's
 // registry, so obs.Serve (MetricsAddr) exports them alongside the
 // engine's own.
-func New(eng *masm.Engine, opts Options) *Server {
-	opts = opts.withDefaults()
+func New(eng *masm.Engine, _ Options) *Server {
 	reg := eng.Registry()
 	s := &Server{
 		eng:        eng,
-		opts:       opts,
 		tickets:    make(chan *ticket, maxGroup),
 		commitQuit: make(chan struct{}),
 		commitDone: make(chan struct{}),
@@ -116,7 +89,6 @@ func New(eng *masm.Engine, opts Options) *Server {
 		mGroupSize:  reg.Histogram("masm_wal_group_size"),
 		mCommitWait: reg.Histogram("masm_server_commit_wait_ns"),
 		mGatherWait: reg.Histogram("masm_server_gather_wait_ns"),
-		mRejects:    reg.Counter("masm_server_backpressure_rejects"),
 		mWrites:     reg.Counter("masm_server_writes"),
 		mScanRows:   reg.Counter("masm_server_scan_rows"),
 		mScans:      reg.Counter("masm_server_scans"),
@@ -298,28 +270,6 @@ func (s *Server) groupCommit() error {
 	return <-t.done
 }
 
-// admit applies write admission control for table t: under the
-// threshold it is free; over it, migration is kicked and the write may
-// briefly wait for relief before being shed.
-func (s *Server) admit(t *masm.Table) error {
-	thr := s.opts.AdmitThreshold
-	if t.CacheFill() < thr && s.eng.CacheFill() < thr {
-		return nil
-	}
-	s.eng.KickScheduler()
-	if s.opts.AdmitWait > 0 {
-		deadline := time.Now().Add(s.opts.AdmitWait)
-		for time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-			if t.CacheFill() < thr && s.eng.CacheFill() < thr {
-				return nil
-			}
-		}
-	}
-	s.mRejects.Inc()
-	return masm.ErrBackpressure
-}
-
 // conn is the per-connection state shared between its reader goroutine
 // and the scan goroutines it spawns.
 type conn struct {
@@ -475,9 +425,6 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		if err != nil {
 			return c.replyErr(m.Seq, proto.CodeNoTable, false, err) == nil
 		}
-		if err := s.admit(tbl); err != nil {
-			return c.replyErr(m.Seq, proto.CodeBackpressure, true, err) == nil
-		}
 		switch m.Op {
 		case proto.OpPut:
 			err = tbl.Insert(m.Key, m.Body)
@@ -485,6 +432,9 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 			err = tbl.Delete(m.Key)
 		case proto.OpModify:
 			err = tbl.Modify(m.Key, int(m.Off), m.Body)
+		}
+		if errors.Is(err, masm.ErrBackpressure) {
+			return c.replyErr(m.Seq, proto.CodeBackpressure, true, err) == nil
 		}
 		if err != nil {
 			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil
@@ -600,7 +550,6 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 			case errors.Is(err, txn.ErrWriteConflict):
 				return c.replyErr(m.Seq, proto.CodeConflict, true, err) == nil
 			case errors.Is(err, masm.ErrBackpressure):
-				s.mRejects.Inc()
 				return c.replyErr(m.Seq, proto.CodeBackpressure, true, err) == nil
 			}
 			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil

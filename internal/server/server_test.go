@@ -379,32 +379,6 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	t.Logf("group commit: %d tickets over %d syncs (mean %.1f)", h.Sum, h.Count, h.Mean())
 }
 
-// TestBackpressureTyped: with an admission threshold of zero headroom the
-// server sheds writes with the typed, retryable backpressure error
-// instead of failing opaquely or hanging.
-func TestBackpressureTyped(t *testing.T) {
-	_, _, addr := startServer(t, Options{AdmitThreshold: 1e-9, AdmitWait: -1}, "t0")
-	c, err := proto.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// First write may land (empty cache rounds to zero fill); keep
-	// writing until the threshold trips.
-	var lastErr error
-	for k := uint64(1); k <= 100; k++ {
-		if lastErr = c.Put("t0", k, bytes.Repeat([]byte("x"), 256)); lastErr != nil {
-			break
-		}
-	}
-	if lastErr == nil {
-		t.Fatal("no write was shed despite a zero admission threshold")
-	}
-	if !proto.ErrBackpressure(lastErr) || !retryable(lastErr) {
-		t.Fatalf("shed write error is not typed retryable backpressure: %v", lastErr)
-	}
-}
-
 // TestGroupCommitNeverAcksThenLoses is the durability half of group
 // commit: writes stream in from several connections while the WAL's
 // backing device is power-cut at a sync boundary and the server is
@@ -756,53 +730,68 @@ func TestAlternatingWriterNeverGathers(t *testing.T) {
 	waitFor(t, "the closed writer to leave the count", func() bool { return srv.writers.Load() == 0 })
 }
 
-// TestTxCommitBackpressure: a wire commit the engine's admission refuses —
+// TestTxCommitBackpressure: a wire write the engine's admission refuses —
 // the cache full, a reader vetoing migration, the scheduler running —
-// reaches the client as typed, retryable backpressure, and publishes
-// nothing.
+// reaches the client as typed, retryable backpressure, publishes nothing,
+// and is counted once in masm_server_backpressure_rejects, whether it is a
+// put or a transaction's commit. The cases run in parallel, each on its
+// own engine, so the engine's 2 s admission bound is paid once.
 func TestTxCommitBackpressure(t *testing.T) {
-	cfg := masm.DefaultConfig()
-	cfg.CacheBytes = 1 << 20
-	eng, err := masm.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		write func(c *proto.Client) error
+	}{
+		{"Put", func(c *proto.Client) error { return c.Put("t0", 1, []byte("refused")) }},
+		{"TxCommit", func(c *proto.Client) error {
+			txid, err := c.BeginTx()
+			if err != nil {
+				return err
+			}
+			if err := c.TxPut(txid, "t0", 1, []byte("refused")); err != nil {
+				return err
+			}
+			return c.Commit(txid)
+		}},
 	}
-	tbl, err := eng.CreateTable("t0", masm.TableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := bytes.Repeat([]byte("x"), 100)
-	for k := uint64(2); tbl.CacheFill() < masm.AdmitFill; k += 2 {
-		if err := tbl.Insert(k, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reader, err := tbl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-	if _, err := eng.StartMigrationScheduler(0); err != nil {
-		t.Fatal(err)
-	}
-	_, addr := serve(t, eng, Options{})
-	c := dial(t, addr)
-	txid, err := c.BeginTx()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.TxPut(txid, "t0", 1, []byte("refused")); err != nil {
-		t.Fatal(err)
-	}
-	err = c.Commit(txid)
-	if !proto.ErrBackpressure(err) || !retryable(err) {
-		t.Fatalf("commit refused by admission: %v, want typed retryable backpressure", err)
-	}
-	if _, found, err := tbl.Get(1); err != nil || found {
-		t.Fatalf("refused commit's key: found %v, err %v", found, err)
-	}
-	if n := eng.Registry().Snapshot().Counter("masm_server_backpressure_rejects"); n != 1 {
-		t.Fatalf("masm_server_backpressure_rejects = %d, want 1", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := masm.DefaultConfig()
+			cfg.CacheBytes = 1 << 20
+			eng, err := masm.NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := eng.CreateTable("t0", masm.TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := bytes.Repeat([]byte("x"), 100)
+			for k := uint64(2); tbl.CacheFill() < masm.AdmitFill; k += 2 {
+				if err := tbl.Insert(k, body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reader, err := tbl.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reader.Close()
+			if _, err := eng.StartMigrationScheduler(0); err != nil {
+				t.Fatal(err)
+			}
+			_, addr := serve(t, eng, Options{})
+			err = tc.write(dial(t, addr))
+			if !proto.ErrBackpressure(err) || !retryable(err) {
+				t.Fatalf("write refused by admission: %v, want typed retryable backpressure", err)
+			}
+			if _, found, err := tbl.Get(1); err != nil || found {
+				t.Fatalf("refused write's key: found %v, err %v", found, err)
+			}
+			if n := eng.Registry().Snapshot().Counter("masm_server_backpressure_rejects"); n != 1 {
+				t.Fatalf("masm_server_backpressure_rejects = %d, want 1", n)
+			}
+		})
 	}
 }
 

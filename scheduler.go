@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"masm/internal/obs"
 )
 
 // MigrationScheduler runs migration off the update path for every table of
@@ -20,7 +22,9 @@ import (
 // no individual table has (many moderately busy tenants), it migrates the
 // single largest consumer to relieve the shared pool. Writers nudge it
 // when their update tips a table over its threshold, and a ticker retries
-// while older scans temporarily block a migration.
+// while older scans temporarily block a migration. While it runs, writes
+// into a cache at AdmitFill wait for its sweeps instead of overrunning
+// the cache (see AdmitFill).
 //
 // Obtain one with Engine.StartMigrationScheduler. Stop is idempotent and is
 // invoked automatically by Close.
@@ -33,11 +37,15 @@ type MigrationScheduler struct {
 	stopOnce sync.Once
 	ran      atomic.Int64
 	failed   atomic.Value // errBox
+	// rejects counts the writes admission refused while this scheduler ran.
+	// Its series is masm_server_backpressure_rejects, the name the
+	// benchmark and dashboards read.
+	rejects *obs.Counter
 
 	mu      sync.Mutex
 	byTable map[string]int64
 	// swept, once a waiter has asked for it (nextSweep), is closed at the
-	// end of the next sweep: commits waiting for migration wake on it.
+	// end of the next sweep: writes waiting for migration wake on it.
 	swept chan struct{}
 }
 
@@ -85,6 +93,7 @@ func (e *Engine) StartMigrationScheduler(interval time.Duration) (*MigrationSche
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		byTable:  make(map[string]int64),
+		rejects:  e.reg.Counter("masm_server_backpressure_rejects"),
 	}
 	e.sched = ms
 	go ms.loop()
@@ -171,16 +180,72 @@ func (ms *MigrationScheduler) nextSweep() <-chan struct{} {
 	return ms.swept
 }
 
-// KickScheduler nudges the engine's background migration scheduler, if
-// one is running; it never blocks. Admission controllers call it when
-// they start shedding writes so relief is already underway by the time
-// a shed client retries.
-func (e *Engine) KickScheduler() {
+// AdmitFill is the cache fill — a table's cached update bytes over its
+// budget, or the engine's over its shared cache — at or above which a
+// write waits for migration while a scheduler runs: a Table's Insert,
+// Delete or Modify, or a transaction's Commit. It sits above
+// DefaultConfig's 0.9 migration threshold, so a write held back only ever
+// waits for a migration that is already due; an engine configured to
+// migrate later admits writes up to its own threshold instead.
+const AdmitFill = 0.95
+
+// ErrBackpressure is returned by a Table write or EngineTx.Commit when,
+// while a migration scheduler runs, migration has not brought the cache
+// back under AdmitFill within the admission wait. Nothing of the write is
+// published (a refused transaction is aborted); retry it after a backoff.
+var ErrBackpressure = errors.New("masm: cache pressure: migration behind, retry after backoff")
+
+// admitWait bounds a write's wait for migration: about twice a table's
+// first migration on the benchmark's mixed dataset.
+var admitWait = 2 * time.Second
+
+// admit is write admission, for Table writes and EngineTx.Commit alike:
+// nil lets the write go ahead, ErrBackpressure refuses it. With no
+// scheduler running it admits at once. Otherwise, when one of tables or
+// the shared cache is at or above AdmitFill (or the migration threshold,
+// if higher), it calls release (if not nil: a commit drops its snapshots
+// there, or its own reader would veto the migration it waits for), kicks
+// the scheduler, and waits for sweeps, holding no engine lock, until the
+// fill is back under or admitWait has passed.
+func (e *Engine) admit(release func(), tables ...*Table) error {
 	e.mu.RLock()
 	ms := e.sched
 	e.mu.RUnlock()
-	if ms != nil {
-		ms.Kick()
+	if ms == nil || len(tables) == 0 {
+		return nil
+	}
+	limit := max(AdmitFill, e.cfg.MigrateThreshold)
+	pressured := func() bool {
+		for _, t := range tables {
+			if t.CacheFill() >= limit {
+				return true
+			}
+		}
+		return e.cacheFill() >= limit
+	}
+	if !pressured() {
+		return nil
+	}
+	if release != nil {
+		release()
+	}
+	swept := ms.nextSweep()
+	ms.Kick()
+	deadline := time.NewTimer(admitWait)
+	defer deadline.Stop()
+	for {
+		select {
+		case <-swept:
+		case <-ms.done:
+			return nil // stopped: the write goes ahead, or finds the engine closed
+		case <-deadline.C:
+			ms.rejects.Inc()
+			return ErrBackpressure
+		}
+		swept = ms.nextSweep()
+		if !pressured() {
+			return nil
+		}
 	}
 }
 

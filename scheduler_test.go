@@ -194,3 +194,26 @@ func TestCloseStopsScheduler(t *testing.T) {
 		t.Fatal("scheduler still running after Close")
 	}
 }
+
+// TestAdmitUnpressuredAllocs: while a scheduler runs, every Table write
+// passes through admission, so the check of a cache under AdmitFill must
+// allocate nothing — neither the variadic table slice nor the pressure
+// closure may escape.
+func TestAdmitUnpressuredAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	tbl := openTable(t, "", DefaultConfig(), evenRows(200, stressRow))
+	defer tbl.eng.Close()
+	if _, err := tbl.eng.StartMigrationScheduler(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	e := tbl.eng
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := e.admit(nil, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("unpressured admission: %.1f allocs per write, want 0", n)
+	}
+}
