@@ -285,6 +285,9 @@ func openEngineDir(dir string, opts EngineDirOptions, rebuildWorkers int) (*Engi
 	if opts.Config == (Config{}) {
 		opts.Config = DefaultConfig()
 	}
+	if err := resolveThreshold(&opts.Config); err != nil {
+		return nil, err
+	}
 	if opts.DisableRedoLog {
 		return nil, errors.New("masm: OpenEngineDir: the file backend requires the redo log (it is the recovery mechanism)")
 	}

@@ -105,6 +105,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.CacheBytes <= 0 {
 		return nil, fmt.Errorf("masm: non-positive cache size %d", cfg.CacheBytes)
 	}
+	if err := resolveThreshold(&cfg); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:    cfg,
 		hdd:    sim.NewDevice(sim.Barracuda7200()),
@@ -360,15 +363,8 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
-// live checks the engine is open and the table not dropped, under the
-// engine's read lock; it is the prologue of every table operation.
-func (t *Table) live() error {
-	e := t.eng
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return t.liveLocked()
-}
-
+// liveLocked checks, under the engine's read lock, that the engine is open
+// and the table not dropped; it is the prologue of every table operation.
 func (t *Table) liveLocked() error {
 	if t.eng.closed {
 		return ErrClosed
@@ -422,7 +418,8 @@ func (t *Table) Modify(key uint64, off int, val []byte) error {
 
 func (t *Table) apply(rec update.Record) error {
 	e := t.eng
-	if err := e.admit(nil, t); err != nil {
+	due, err := e.admit(nil, t)
+	if err != nil {
 		return err
 	}
 	e.mu.RLock()
@@ -430,16 +427,13 @@ func (t *Table) apply(rec update.Record) error {
 	if err := t.liveLocked(); err != nil {
 		return err
 	}
-	end, shouldMigrate, err := t.store.ApplyAutoHint(e.clock.now(), rec)
+	end, err := t.store.ApplyAuto(e.clock.now(), rec)
 	if err != nil {
 		return err
 	}
 	e.clock.advance(end)
-	// Nudge the background migration scheduler off the update path when
-	// this table's cache crosses its threshold; the hint is O(1) and came
-	// from the latch the apply already held.
-	if shouldMigrate && e.sched != nil {
-		e.sched.Kick()
+	if due != nil {
+		due.Kick()
 	}
 	return nil
 }
@@ -552,16 +546,8 @@ func (t *Table) Flush() error {
 // waits for scans and snapshots older than its timestamp (returning
 // ErrActiveQueries while they are open).
 func (t *Table) Migrate() error {
-	if err := t.live(); err != nil {
-		return err
-	}
-	e := t.eng
-	end, _, err := t.store.Migrate(e.clock.now())
-	if err != nil {
-		return err
-	}
-	e.clock.advance(end)
-	return nil
+	_, err := t.migrate(0, nil)
+	return err
 }
 
 // ScanAndMigrate migrates every cached update into the main data while
@@ -571,59 +557,46 @@ func (t *Table) Migrate() error {
 // twice. fn returning false stops the stream; the migration still
 // completes.
 func (t *Table) ScanAndMigrate(fn func(key uint64, body []byte) bool) error {
-	e := t.eng
-	e.mu.RLock()
-	if err := t.liveLocked(); err != nil {
-		e.mu.RUnlock()
-		return err
-	}
-	mig, err := t.store.BeginMigration(e.clock.now())
-	e.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	end, _, err := mig.RunWithScan(func(row table.Row) bool {
+	_, err := t.migrate(0, func(row table.Row) bool {
 		return fn(row.Key, row.Body)
 	})
-	if err != nil {
-		return err
-	}
-	e.clock.advance(end)
-	return nil
+	return err
 }
 
 // MigrateStep performs one step of incremental migration, folding the
 // cached updates for the next span of portionPages table pages back into
 // the main data (paper §3.5: distribute the migration cost across many
 // small operations). It reports whether this step completed a full sweep
-// of the table, after which fully-applied runs are deleted.
+// of the table, after which fully-applied runs are deleted. portionPages
+// must be positive.
 func (t *Table) MigrateStep(portionPages int) (sweepDone bool, err error) {
-	if err := t.live(); err != nil {
-		return false, err
+	if portionPages < 1 {
+		return false, errors.New("masm: non-positive portion size")
 	}
-	e := t.eng
-	end, done, err := t.store.MigratePortion(e.clock.now(), portionPages)
-	if err != nil {
-		return false, err
-	}
-	e.clock.advance(end)
-	return done, nil
+	return t.migrate(portionPages, nil)
 }
 
-// MigrateIfNeeded migrates when this table's cache occupancy exceeds its
-// configured threshold; it reports whether a migration ran. It is a no-op
-// (false, nil) while open scans or an in-flight migration block it.
-func (t *Table) MigrateIfNeeded() (bool, error) {
-	if err := t.live(); err != nil {
+// migrate runs one migration of the whole table (pages 0) or of the next
+// pages pages of its sweep, streaming the fresh rows to fn if not nil, and
+// reports whether it completed a sweep.
+func (t *Table) migrate(pages int, fn func(row table.Row) bool) (sweepDone bool, err error) {
+	e := t.eng
+	e.mu.RLock()
+	if err := t.liveLocked(); err != nil {
+		e.mu.RUnlock()
 		return false, err
 	}
-	e := t.eng
-	end, ran, err := t.store.MigrateIfNeeded(e.clock.now())
+	mig, err := t.store.BeginMigration(e.clock.now(), pages)
+	e.mu.RUnlock()
+	if err != nil {
+		return false, err
+	}
+	end, rep, err := mig.Run(fn)
 	if err != nil {
 		return false, err
 	}
 	e.clock.advance(end)
-	return ran, nil
+	return rep.SweepDone, nil
 }
 
 // CacheFill returns the table's update-cache occupancy as a fraction of
@@ -631,11 +604,11 @@ func (t *Table) MigrateIfNeeded() (bool, error) {
 func (t *Table) CacheFill() float64 { return t.store.Fill() }
 
 // MigrateIfPressured performs one round of cache-pressure arbitration
-// synchronously: if any table's occupancy is over its own threshold, the
-// most-pressured table migrates; otherwise, if the *total* cached bytes
-// cross the engine cache's threshold while no individual table has (many
-// moderately busy tenants sharing the pool), the single largest consumer
-// migrates to relieve it. It reports which table migrated, if any.
+// synchronously: if any table's occupancy is at Config.MigrateThreshold of
+// its budget, the most-pressured table migrates; otherwise, if the *total*
+// cached bytes reach the threshold of the engine's cache while no
+// individual table has (many moderately busy tenants sharing the pool),
+// the single largest consumer migrates to relieve it. It reports which table migrated, if any.
 // Transient blockers (open readers, an in-flight migration) are absorbed
 // as ("", false, nil); the MigrationScheduler calls this in a loop, and
 // synchronous multi-tenant drivers can too.
@@ -680,20 +653,16 @@ func (e *Engine) migrateIfPressured(skip map[string]bool) (tableName string, ran
 		if cached > biggestCached || (cached == biggestCached && (biggest == nil || t.id < biggest.id)) {
 			biggest, biggestCached = t, cached
 		}
-		if !t.store.ShouldMigrate() {
+		fill := t.store.Fill()
+		if fill < e.cfg.MigrateThreshold {
 			continue
 		}
-		fill := t.store.Fill()
 		if target == nil || fill > targetFill || (fill == targetFill && t.id < target.id) {
 			target, targetFill = t, fill
 		}
 	}
 	if target == nil {
-		threshold := e.cfg.MigrateThreshold
-		if threshold <= 0 {
-			threshold = DefaultConfig().MigrateThreshold
-		}
-		if float64(total) < threshold*float64(e.cfg.CacheBytes) || biggestCached == 0 {
+		if float64(total) < e.cfg.MigrateThreshold*float64(e.cfg.CacheBytes) || biggestCached == 0 {
 			return "", false, nil
 		}
 		target = biggest

@@ -80,6 +80,30 @@ func TestMigrateIntoEmptyTable(t *testing.T) {
 	}
 }
 
+// TestMigrateThresholdResolved: both constructors give a zero
+// MigrateThreshold DefaultConfig's value and refuse one outside (0, 1].
+func TestMigrateThresholdResolved(t *testing.T) {
+	cfg := smallCfg()
+	cfg.MigrateThreshold = 0
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.cfg.MigrateThreshold, DefaultConfig().MigrateThreshold; got != want {
+		t.Fatalf("zero threshold resolved to %v, want %v", got, want)
+	}
+	e.Close()
+	for _, bad := range []float64{-0.1, 1.5} {
+		cfg.MigrateThreshold = bad
+		if _, err := NewEngine(cfg); err == nil {
+			t.Fatalf("NewEngine accepted threshold %v", bad)
+		}
+		if _, err := OpenEngineDir(t.TempDir(), EngineDirOptions{Config: cfg}); err == nil {
+			t.Fatalf("OpenEngineDir accepted threshold %v", bad)
+		}
+	}
+}
+
 func TestEngineCatalogLifecycle(t *testing.T) {
 	e, err := NewEngine(smallCfg())
 	if err != nil {
@@ -260,6 +284,9 @@ func TestEngineCrossTableTxn(t *testing.T) {
 	loadTable(t, e, "orders", 200, TableOptions{})
 	loadTable(t, e, "lineitem", 200, TableOptions{})
 
+	if _, err := e.BeginTx(TxSnapshot + 1); err == nil {
+		t.Fatal("BeginTx accepted a mode other than TxSnapshot")
+	}
 	tx, err := e.BeginTx(TxSnapshot)
 	if err != nil {
 		t.Fatal(err)

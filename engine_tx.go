@@ -1,6 +1,7 @@
 package masm
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 
@@ -10,16 +11,12 @@ import (
 )
 
 // TxMode selects the concurrency-control scheme for a transaction
-// (paper §3.6).
+// (paper §3.6). Snapshot isolation is the one scheme.
 type TxMode int
 
-const (
-	// TxSnapshot runs the transaction under snapshot isolation with
-	// first-committer-wins conflict resolution.
-	TxSnapshot TxMode = TxMode(txn.Snapshot)
-	// TxLocking runs the transaction under two-phase locking.
-	TxLocking TxMode = TxMode(txn.Locking)
-)
+// TxSnapshot runs the transaction under snapshot isolation with
+// first-committer-wins conflict resolution.
+const TxSnapshot TxMode = 0
 
 // EngineTx is a transaction spanning any number of the engine's tables.
 // Each table touched gets a sub-transaction on that table's manager
@@ -37,8 +34,7 @@ const (
 //
 // An EngineTx is not safe for concurrent use by multiple goroutines.
 type EngineTx struct {
-	eng  *Engine
-	mode TxMode
+	eng *Engine
 
 	mu   sync.Mutex
 	subs map[string]*txn.Txn
@@ -46,8 +42,8 @@ type EngineTx struct {
 }
 
 // BeginTx starts a transaction that may read and write any table of the
-// catalog. TxSnapshot gives snapshot isolation with first-committer-wins;
-// TxLocking gives two-phase locking. The transaction must end in Commit or
+// catalog. mode must be TxSnapshot: snapshot isolation with
+// first-committer-wins. The transaction must end in Commit or
 // Abort: each table it touches pins a snapshot, and like any reader an
 // open transaction makes that table's migration wait (the paper's rule,
 // §3.2) — under continuously overlapping transactions, leave gaps or bound
@@ -55,12 +51,15 @@ type EngineTx struct {
 // migration under admission releases its own snapshots first: see
 // Commit.)
 func (e *Engine) BeginTx(mode TxMode) (*EngineTx, error) {
+	if mode != TxSnapshot {
+		return nil, errors.New("masm: unknown transaction mode")
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return nil, ErrClosed
 	}
-	tx := &EngineTx{eng: e, mode: mode, subs: make(map[string]*txn.Txn)}
+	tx := &EngineTx{eng: e, subs: make(map[string]*txn.Txn)}
 	return tx, nil
 }
 
@@ -78,14 +77,14 @@ func (tx *EngineTx) sub(tableName string) (*txn.Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := t.txns.Begin(txn.Mode(tx.mode))
+	s := t.txns.Begin()
 	tx.subs[tableName] = s
 	// Safety net for abandoned transactions: an unreferenced EngineTx that
 	// never reached Commit or Abort would otherwise pin every touched
-	// table's snapshot (and Locking-mode locks) forever, permanently
-	// blocking migration. Abort is idempotent, so the cleanup is a no-op for
-	// properly finished transactions; the KeepAlive calls keep tx reachable
-	// across each inner call.
+	// table's snapshot forever, permanently blocking migration. Abort is
+	// idempotent, so the cleanup is a no-op for properly finished
+	// transactions; the KeepAlive calls keep tx reachable across each inner
+	// call.
 	runtime.AddCleanup(tx, func(s *txn.Txn) { s.Abort() }, s)
 	return s, nil
 }
@@ -156,9 +155,9 @@ func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 // across every table it touched: one commit record in the shared redo
 // log, consecutive commit timestamps from the shared oracle, and
 // all-or-nothing visibility per table — and, after a crash, all-or-nothing
-// recovery, on one table or many. Under TxSnapshot it returns
-// txn.ErrWriteConflict if any table's write set conflicts with a commit
-// after this transaction first touched that table.
+// recovery, on one table or many. It returns txn.ErrWriteConflict if any
+// table's write set conflicts with a commit after this transaction first
+// touched that table.
 //
 // The transaction manager serializes commits with each other
 // (first-committer-wins needs an atomic validate-and-publish) but not
@@ -168,9 +167,10 @@ func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 // and publishes nothing.
 //
 // Commit admission, the same as a Table write's: while a migration
-// scheduler runs, a commit does not publish into a cache that migration
-// has not caught up with. When a table the transaction wrote, or the
-// engine's shared cache, is at or above AdmitFill (or the engine's
+// scheduler runs, a commit that finds a table it wrote, or the engine's
+// shared cache, at the migration threshold kicks the scheduler once it
+// has published; and a commit does not publish into a cache that
+// migration has not caught up with. At AdmitFill (or the engine's
 // migration threshold, if higher), Commit first releases the
 // transaction's snapshots — it reads nothing more, and its own reader
 // would otherwise veto the migration it waits for — then kicks the
@@ -215,7 +215,8 @@ func (tx *EngineTx) Commit() error {
 			s.ReleaseReads()
 		}
 	}
-	if err := e.admit(releaseReads, wrote...); err != nil {
+	due, err := e.admit(releaseReads, wrote...)
+	if err != nil {
 		for _, s := range subs {
 			s.Abort()
 		}
@@ -238,11 +239,14 @@ func (tx *EngineTx) Commit() error {
 		return err
 	}
 	e.clock.advance(end)
+	if due != nil {
+		due.Kick()
+	}
 	return nil
 }
 
 // Abort discards the transaction, releasing every touched table's
-// snapshot and locks.
+// snapshot.
 func (tx *EngineTx) Abort() {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()

@@ -166,7 +166,6 @@ func (e *env) masmConfig() masm.Config {
 	cfg.Run.IOSize = 64 << 10
 	cfg.Run.IndexGranularity = 4 << 10
 	cfg.ScanGranularity = 4 << 10
-	cfg.MigrateThreshold = 0.9
 	return cfg
 }
 

@@ -41,7 +41,11 @@ func Portion(opts Options) (*Result, error) {
 		ops := 0
 		for {
 			t0 := now
-			end, done, err := se.store.MigratePortion(now, pages)
+			mig, err := se.store.BeginMigration(now, pages)
+			if err != nil {
+				return nil, err
+			}
+			end, rep, err := mig.Run(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +56,7 @@ func Portion(opts Options) (*Result, error) {
 			if d > worst {
 				worst = d
 			}
-			if done {
+			if rep.SweepDone {
 				break
 			}
 			if ops > parts*2 {

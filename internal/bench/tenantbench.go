@@ -257,7 +257,8 @@ func TenantBench(w io.Writer, jsonPath, metricsPath string, seed int64, tenants,
 		return max
 	}
 	privRelieve := func(justWrote int) (bool, error) {
-		return privTenants[justWrote].MigrateIfNeeded()
+		_, ran, err := privEngines[justWrote].MigrateIfPressured()
+		return ran, err
 	}
 	el2, mig2, peak2, err := runTenantWorkload(privTenants, privElapsed, privRelieve, seq, rows, seed+1)
 	if err != nil {

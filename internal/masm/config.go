@@ -34,9 +34,6 @@ type Config struct {
 	// range scans, in bytes: Run.IndexGranularity for the paper's
 	// fine-grain configuration, Run.IOSize for the coarse-grain one.
 	ScanGranularity int
-	// MigrateThreshold is the cache fill fraction above which ShouldMigrate
-	// reports true (paper: e.g. 90 %).
-	MigrateThreshold float64
 }
 
 // migrateBatch is the number of bytes of table pages migrated per
@@ -46,16 +43,15 @@ const migrateBatch = 4 << 20
 
 // DefaultConfig returns a MaSM-M configuration for an update cache of the
 // given size, mirroring the paper's defaults (64 KB SSD I/O, fine-grain
-// index, 90 % migration threshold).
+// index). When to migrate is the caller's policy, not the store's.
 func DefaultConfig(ssdCapacity int64) Config {
 	rc := runfile.DefaultConfig()
 	return Config{
-		SSDCapacity:      ssdCapacity,
-		SSDPage:          rc.IOSize,
-		Alpha:            1,
-		Run:              rc,
-		ScanGranularity:  rc.IndexGranularity,
-		MigrateThreshold: 0.9,
+		SSDCapacity:     ssdCapacity,
+		SSDPage:         rc.IOSize,
+		Alpha:           1,
+		Run:             rc,
+		ScanGranularity: rc.IndexGranularity,
 	}
 }
 
@@ -77,9 +73,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ScanGranularity <= 0 {
 		return fmt.Errorf("masm: non-positive scan granularity")
-	}
-	if c.MigrateThreshold <= 0 || c.MigrateThreshold > 1 {
-		return fmt.Errorf("masm: migrate threshold %v outside (0,1]", c.MigrateThreshold)
 	}
 	return nil
 }

@@ -173,7 +173,7 @@ func interleave(t *testing.T, seed int64, steps int) {
 			alloc.full = false
 		case 9, 10:
 			if mig != nil {
-				end, _, err := mig.Run()
+				end, _, err := mig.Run(nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +186,7 @@ func interleave(t *testing.T, seed int64, steps int) {
 			} else {
 				alloc.full = rng.Intn(3) == 0
 			}
-			m, err := s.beginMigration(e.now, pages)
+			m, err := s.BeginMigration(e.now, pages)
 			alloc.full = false
 			if errors.Is(err, ErrActiveQueries) {
 				continue
@@ -214,7 +214,7 @@ func interleave(t *testing.T, seed int64, steps int) {
 		sp.sn.Close()
 	}
 	if mig != nil {
-		if _, _, err := mig.Run(); err != nil {
+		if _, _, err := mig.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -368,7 +368,7 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 	for k, v := range e.model {
 		snapshot[k] = v
 	}
-	mig, err := e.store.BeginMigration(e.now)
+	mig, err := e.store.BeginMigration(e.now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 		got[row.Key] = append([]byte(nil), row.Body...)
 	}
 	// ...migration completes in the middle...
-	end, _, err := mig.Run()
+	end, _, err := mig.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,6 +767,20 @@ func ExampleStore_NewQuery() {
 	// 6=six
 }
 
+// migratePortion begins and runs one portion of the incremental sweep,
+// reporting whether it completed the sweep.
+func migratePortion(s *Store, at sim.Time, pages int) (sim.Time, bool, error) {
+	m, err := s.BeginMigration(at, pages)
+	if err != nil {
+		return at, false, err
+	}
+	end, rep, err := m.Run(nil)
+	if err != nil {
+		return at, false, err
+	}
+	return end, rep.SweepDone, nil
+}
+
 func TestIncrementalMigrationSweep(t *testing.T) {
 	e := newEnv(t, 3000, smallConfig())
 	e.applyRandom(3000)
@@ -775,7 +789,7 @@ func TestIncrementalMigrationSweep(t *testing.T) {
 	sweeps := 0
 	steps := 0
 	for sweeps == 0 {
-		end, done, err := e.store.MigratePortion(e.now, portion)
+		end, done, err := migratePortion(e.store, e.now, portion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -803,7 +817,7 @@ func TestIncrementalMigrationSweep(t *testing.T) {
 	// A second round with interleaved updates also converges.
 	e.applyRandom(1000)
 	for {
-		end, done, err := e.store.MigratePortion(e.now, portion)
+		end, done, err := migratePortion(e.store, e.now, portion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -831,7 +845,7 @@ func TestIncrementalMigrationSpreadsCost(t *testing.T) {
 	inc.applyRandom(3000)
 	portion := int(inc.tbl.Pages())/10 + 1
 	start = inc.now
-	end, _, err = inc.store.MigratePortion(start, portion)
+	end, _, err = migratePortion(inc.store, start, portion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -843,14 +857,14 @@ func TestIncrementalMigrationSpreadsCost(t *testing.T) {
 
 func TestMigratePortionValidation(t *testing.T) {
 	e := newEnv(t, 100, smallConfig())
-	if _, _, err := e.store.MigratePortion(0, 0); err == nil {
-		t.Fatal("zero portion accepted")
+	if _, err := e.store.BeginMigration(0, -1); err == nil {
+		t.Fatal("negative portion accepted")
 	}
 	q, err := e.store.NewQuery(e.now, 0, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.store.MigratePortion(e.now, 5); err != ErrActiveQueries {
+	if _, _, err := migratePortion(e.store, e.now, 5); err != ErrActiveQueries {
 		t.Fatalf("portion with open query: %v", err)
 	}
 	q.Close()
@@ -865,7 +879,7 @@ func TestMigratePortionAfterWholeMigration(t *testing.T) {
 	e.applyRandom(3000)
 	portion := int(e.tbl.Pages())/5 + 1
 	step := func() bool {
-		end, done, err := e.store.MigratePortion(e.now, portion)
+		end, done, err := migratePortion(e.store, e.now, portion)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -903,14 +917,14 @@ func TestMigratePortionAfterWholeMigration(t *testing.T) {
 func TestCoordinatedScanMigration(t *testing.T) {
 	e := newEnv(t, 2500, smallConfig())
 	e.applyRandom(2500)
-	mig, err := e.store.BeginMigration(e.now)
+	mig, err := e.store.BeginMigration(e.now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[uint64][]byte)
 	var prev uint64
 	first := true
-	end, rep, err := mig.RunWithScan(func(row table.Row) bool {
+	end, rep, err := mig.Run(func(row table.Row) bool {
 		if !first && row.Key <= prev {
 			t.Fatalf("coordinated scan out of order: %d after %d", row.Key, prev)
 		}

@@ -20,10 +20,13 @@ var ErrActiveQueries = errors.New("masm: queries older than the migration timest
 // ErrMigrationInProgress is returned when a migration is already running.
 var ErrMigrationInProgress = errors.New("masm: migration already in progress")
 
-// MigrateReport summarizes one completed migration.
+// MigrateReport summarizes one completed migration. SweepDone reports
+// that it finished a sweep of the whole table: a whole-table migration
+// always does, a portion when it was the sweep's last.
 type MigrateReport struct {
 	MigTS        int64
 	RunsMigrated int
+	SweepDone    bool
 	table.ApplyResult
 }
 
@@ -56,15 +59,20 @@ type Migration struct {
 
 // BeginMigration logs the migration timestamp and the IDs of the current
 // set R of materialized sorted runs, after verifying that no query older
-// than the timestamp is active. The migration covers the whole table.
-func (s *Store) BeginMigration(at sim.Time) (*Migration, error) {
-	return s.beginMigration(at, 0)
-}
-
-// beginMigration starts a migration of the whole table (pages == 0) or of
-// the next pages table pages of the incremental sweep.
-func (s *Store) beginMigration(at sim.Time, pages int) (*Migration, error) {
+// than the timestamp is active. pages 0 migrates the whole table; a
+// positive pages migrates the next pages table pages of the incremental
+// sweep (paper §3.5, "Improving Migration"), which cycles through the key
+// space and deletes the runs a completed sweep has fully applied.
+func (s *Store) BeginMigration(at sim.Time, pages int) (*Migration, error) {
+	if pages < 0 {
+		return nil, errors.New("masm: negative portion size")
+	}
 	s.mu.Lock()
+	if s.failMigrate != nil {
+		err := s.failMigrate
+		s.mu.Unlock()
+		return nil, err
+	}
 	if s.migrating {
 		s.mu.Unlock()
 		return nil, ErrMigrationInProgress
@@ -141,15 +149,12 @@ func (s *Store) beginMigration(at sim.Time, pages int) (*Migration, error) {
 // completion and deletes the runs a finished sweep has fully applied.
 // Runs still pinned by concurrent (newer) queries are parked until those
 // queries close.
-func (m *Migration) Run() (sim.Time, *MigrateReport, error) {
-	return m.RunWithScan(nil)
-}
-
-// RunWithScan is Run with the coordinated-scan optimization (paper §3.5):
-// while migrating, the fresh post-migration rows are emitted to fn in key
-// order — a full-table query answered by the migration's own scan, so no
-// separate table scan is needed for migration purposes only. fn may be
-// nil; returning false stops emission (the migration still completes).
+//
+// A non-nil fn gets the coordinated-scan optimization (paper §3.5): while
+// migrating, the fresh post-migration rows are emitted to fn in key order
+// — a full-table query answered by the migration's own scan, so no
+// separate table scan is needed for migration purposes only. Returning
+// false stops emission (the migration still completes).
 //
 // Whatever the outcome the migration is finished for good: an error drops
 // its run pins, so a retry would read unpinned extents. Callers begin
@@ -159,7 +164,7 @@ func (m *Migration) Run() (sim.Time, *MigrateReport, error) {
 // sweep cursor does not advance, and the slots the span's ref flips
 // retired stay retired — the lagging durable manifest may still name
 // them — until the table's next committed checkpoint.
-func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *MigrateReport, error) {
+func (m *Migration) Run(fn func(row table.Row) bool) (sim.Time, *MigrateReport, error) {
 	if m.done {
 		return m.at, nil, errors.New("masm: migration already completed")
 	}
@@ -167,7 +172,7 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 	s := m.s
 	if len(m.runs) == 0 && len(m.pending) == 0 && m.begin == 0 && m.last {
 		s.abortMigration(nil)
-		return m.at, &MigrateReport{MigTS: m.migTS}, nil
+		return m.at, &MigrateReport{MigTS: m.migTS, SweepDone: true}, nil
 	}
 	// The SSD reads of the run scanners overlap the disk scan; the merge
 	// ends at the later of the two.
@@ -264,7 +269,7 @@ func (m *Migration) RunWithScan(fn func(row table.Row) bool) (sim.Time, *Migrate
 	s.syncSlotGauges()
 	s.m.trace("migration", "end",
 		fmt.Sprintf("migTS=%d runs=%d records=%d sweepDone=%v", m.migTS, len(consumed), res.RecordsApplied, m.last), int64(end))
-	return end, &MigrateReport{MigTS: m.migTS, RunsMigrated: len(consumed), ApplyResult: res}, nil
+	return end, &MigrateReport{MigTS: m.migTS, RunsMigrated: len(consumed), SweepDone: m.last, ApplyResult: res}, nil
 }
 
 // abortMigration clears the in-flight flag and drops the pins taken on
@@ -278,68 +283,23 @@ func (s *Store) abortMigration(pinned []*runfile.Run) {
 	s.migrating = false
 }
 
-// MigratePortion performs one step of incremental migration (paper §3.5,
-// "Improving Migration"): instead of rewriting the whole table at once,
-// each call migrates the cached updates falling in the next span of
-// pagesPerPortion table pages, cycling through the key space. Runs whose
-// contents a completed sweep has fully applied are deleted at the wrap.
-//
-// sweepDone reports that this call completed a full cycle. Like Migrate,
-// it refuses while queries older than the portion's timestamp are active.
-func (s *Store) MigratePortion(at sim.Time, pagesPerPortion int) (end sim.Time, sweepDone bool, err error) {
-	if pagesPerPortion < 1 {
-		return at, false, errors.New("masm: non-positive portion size")
-	}
-	m, err := s.beginMigration(at, pagesPerPortion)
-	if err != nil {
-		return at, false, err
-	}
-	if end, _, err = m.Run(); err != nil {
-		return at, false, err
-	}
-	return end, m.last, nil
-}
-
 // FailMigrations arms (or, with nil, disarms) a migration failpoint:
-// while set, every Migrate attempt on this store fails with err before
-// touching any state. Chaos and scheduler tests use it to model a table
-// whose migration path is transiently broken (a full redo device, a bad
-// extent) while the rest of the catalog stays healthy.
+// while set, every BeginMigration on this store fails with err before
+// touching any state. Scheduler tests use it to model a table whose
+// migration path is transiently broken (a full redo device, a bad extent)
+// while the rest of the catalog stays healthy.
 func (s *Store) FailMigrations(err error) {
 	s.mu.Lock()
 	s.failMigrate = err
 	s.mu.Unlock()
 }
 
-// Migrate begins and runs a migration in one call: the common path when
-// the caller knows no older queries are active.
+// Migrate begins and runs a whole-table migration in one call: the common
+// path when the caller knows no older queries are active.
 func (s *Store) Migrate(at sim.Time) (sim.Time, *MigrateReport, error) {
-	s.mu.Lock()
-	failErr := s.failMigrate
-	s.mu.Unlock()
-	if failErr != nil {
-		return at, nil, failErr
-	}
-	m, err := s.BeginMigration(at)
+	m, err := s.BeginMigration(at, 0)
 	if err != nil {
 		return at, nil, err
 	}
-	return m.Run()
-}
-
-// MigrateIfNeeded migrates when the cache is above the configured
-// threshold and no older queries block it; it reports whether a migration
-// ran.
-func (s *Store) MigrateIfNeeded(at sim.Time) (sim.Time, bool, error) {
-	if !s.ShouldMigrate() {
-		return at, false, nil
-	}
-	end, _, err := s.Migrate(at)
-	if errors.Is(err, ErrActiveQueries) || errors.Is(err, ErrMigrationInProgress) {
-		return at, false, nil
-	}
-	if err != nil {
-		return at, false, err
-	}
-	return end, true, nil
+	return m.Run(nil)
 }

@@ -139,7 +139,7 @@ type Store struct {
 	// than the run's final size.
 	extents   map[int64]extent
 	migrating bool
-	// failMigrate, when non-nil, fails every Migrate attempt with this
+	// failMigrate, when non-nil, fails every BeginMigration with this
 	// error — a test failpoint for modeling one broken table in a shared
 	// catalog (see FailMigrations).
 	failMigrate error
@@ -293,10 +293,6 @@ func (s *Store) Runs() int {
 func (s *Store) CachedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cachedBytesLocked()
-}
-
-func (s *Store) cachedBytesLocked() int64 {
 	return int64(s.buf.Bytes()) + s.runBytes
 }
 
@@ -305,37 +301,16 @@ func (s *Store) Fill() float64 {
 	return float64(s.CachedBytes()) / float64(s.cfg.SSDCapacity)
 }
 
-// ShouldMigrate reports whether cache occupancy exceeds the configured
-// migration threshold (paper §3.2: migrate when the system load is low or
-// when updates reach e.g. 90 % of the SSD size).
-func (s *Store) ShouldMigrate() bool {
-	return s.Fill() >= s.cfg.MigrateThreshold
-}
-
 // ApplyAuto assigns a fresh commit timestamp and caches the update, both
 // atomically under the store latch.
 func (s *Store) ApplyAuto(at sim.Time, rec update.Record) (sim.Time, error) {
-	end, _, err := s.ApplyAutoHint(at, rec)
-	return end, err
-}
-
-// ApplyAutoHint is ApplyAuto, additionally reporting whether the cache
-// sits at or above the migration threshold — an O(1) computation under
-// the latch the apply already holds, so hot write paths that want to
-// nudge a background migrator need not re-acquire the latch to find out.
-func (s *Store) ApplyAutoHint(at sim.Time, rec update.Record) (end sim.Time, shouldMigrate bool, err error) {
 	if err := s.checkRecordSize(&rec); err != nil {
-		return at, false, err
+		return at, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec.TS = s.oracle.Next()
-	end, err = s.applyLocked(at, rec)
-	if err != nil {
-		return end, false, err
-	}
-	fill := float64(s.cachedBytesLocked()) / float64(s.cfg.SSDCapacity)
-	return end, fill >= s.cfg.MigrateThreshold, nil
+	return s.applyLocked(at, rec)
 }
 
 // checkRecordSize rejects records that could never fit the update buffer.

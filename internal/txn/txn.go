@@ -1,17 +1,11 @@
 // Package txn provides transaction support over a MaSM store (paper
 // §3.6). MaSM itself guarantees serializability among individual queries
 // and updates via timestamps; this package extends that to general
-// transactions in the two ways the paper describes:
-//
-//   - Snapshot isolation: a transaction reads the snapshot at its start
-//     timestamp and buffers its own updates in a small private buffer,
-//     visible only to itself; at commit, the first committer wins and the
-//     private updates move to MaSM's global update buffer with the commit
-//     timestamp.
-//
-//   - Locking (two-phase locking): updates are buffered privately and
-//     become globally visible only when the protecting exclusive lock is
-//     released at commit, receiving their timestamp at that point.
+// transactions under snapshot isolation, the first of the two schemes the
+// paper describes: a transaction reads the snapshot at its start timestamp
+// and buffers its own updates in a small private buffer, visible only to
+// itself; at commit, the first committer wins and the private updates move
+// to MaSM's global update buffer with the commit timestamp.
 //
 // Physical interference is MaSM's department; this package is purely the
 // logical visibility layer on top.
@@ -20,6 +14,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -29,24 +24,10 @@ import (
 	"masm/internal/update"
 )
 
-// Mode selects a concurrency-control scheme.
-type Mode int
-
-const (
-	// Snapshot runs the transaction under snapshot isolation.
-	Snapshot Mode = iota
-	// Locking runs the transaction under two-phase locking.
-	Locking
-)
-
 // ErrWriteConflict aborts a snapshot transaction whose write set was
 // modified by a transaction that committed after this one began (first
 // committer wins).
 var ErrWriteConflict = errors.New("txn: write-write conflict (first committer wins)")
-
-// ErrLockConflict reports a lock request that conflicts with another
-// transaction. The simulation never blocks; callers abort or retry.
-var ErrLockConflict = errors.New("txn: lock conflict")
 
 // ErrDone reports use of a finished transaction.
 var ErrDone = errors.New("txn: transaction already committed or aborted")
@@ -63,24 +44,29 @@ type Manager struct {
 
 	mu sync.Mutex
 	// lastCommit tracks, per key, the latest commit timestamp — the
-	// validation state for first-committer-wins.
+	// validation state for first-committer-wins. An entry at or below the
+	// oldest open transaction's start timestamp can never cause a conflict,
+	// so markCommitted prunes those whenever the map has doubled since the
+	// last prune (pruneAt), bounding it by the keys committed while the
+	// oldest open transaction has been running.
 	lastCommit map[uint64]int64
-	// locks maps keys to their lock state.
-	locks map[uint64]*lockState
-	seq   int64
+	pruneAt    int
+	// open maps each open transaction's id to its start timestamp. A
+	// transaction is open from Begin until Commit or Abort finishes it.
+	open map[int64]int64
+	seq  int64
 }
 
-type lockState struct {
-	sharedBy  map[int64]bool
-	exclusive int64 // txn id, 0 if none
-}
+// minPruneAt is the smallest lastCommit size at which a prune runs.
+const minPruneAt = 1024
 
 // NewManager creates a transaction manager over store.
 func NewManager(store *masm.Store) *Manager {
 	return &Manager{
 		store:      store,
 		lastCommit: make(map[uint64]int64),
-		locks:      make(map[uint64]*lockState),
+		pruneAt:    minPruneAt,
+		open:       make(map[int64]int64),
 	}
 }
 
@@ -88,7 +74,6 @@ func NewManager(store *masm.Store) *Manager {
 type Txn struct {
 	m       *Manager
 	id      int64
-	mode    Mode
 	startTS int64
 	// snap pins the transaction's reader view in the store from Begin to
 	// Commit/Abort, so migration waits for the transaction and the §3.5
@@ -99,34 +84,38 @@ type Txn struct {
 	// private buffer for the updates performed by the transaction").
 	private []update.Record
 	writes  map[uint64]bool
-	held    map[uint64]bool // keys with any lock held (Locking mode)
 	done    bool
 }
 
 // Begin starts a transaction. The start timestamp fixes the snapshot the
 // transaction reads; the store pins it (timestamp issue and reader
-// registration are atomic) until the transaction ends.
-func (m *Manager) Begin(mode Mode) *Txn {
+// registration are atomic) until the transaction ends. The transaction is
+// registered as open in the same hold of the manager's mutex that issues
+// its timestamp, so no prune can drop a commit it must still validate
+// against.
+func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.seq++
-	id := m.seq
-	m.mu.Unlock()
 	snap := m.store.Snapshot()
+	m.open[m.seq] = snap.TS()
 	return &Txn{
 		m:       m,
-		id:      id,
-		mode:    mode,
+		id:      m.seq,
 		startTS: snap.TS(),
 		snap:    snap,
 		writes:  make(map[uint64]bool),
-		held:    make(map[uint64]bool),
 	}
 }
 
-// finish marks the transaction done and releases its pinned snapshot.
+// finish marks the transaction done, releases its pinned snapshot and
+// closes it in the manager.
 func (t *Txn) finish() {
 	t.done = true
 	t.snap.Close()
+	t.m.mu.Lock()
+	delete(t.m.open, t.id)
+	t.m.mu.Unlock()
 }
 
 // ReleaseReads ends the transaction's reads ahead of its end: the pinned
@@ -140,64 +129,11 @@ func (t *Txn) ReleaseReads() { t.snap.Close() }
 // Wrote reports whether the transaction has buffered an update.
 func (t *Txn) Wrote() bool { return len(t.private) > 0 }
 
-// lock acquires a lock, upgrading shared→exclusive when possible.
-func (m *Manager) lock(t *Txn, key uint64, exclusive bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ls := m.locks[key]
-	if ls == nil {
-		ls = &lockState{sharedBy: make(map[int64]bool)}
-		m.locks[key] = ls
-	}
-	if exclusive {
-		if ls.exclusive != 0 && ls.exclusive != t.id {
-			return ErrLockConflict
-		}
-		for id := range ls.sharedBy {
-			if id != t.id {
-				return ErrLockConflict
-			}
-		}
-		ls.exclusive = t.id
-	} else {
-		if ls.exclusive != 0 && ls.exclusive != t.id {
-			return ErrLockConflict
-		}
-		ls.sharedBy[t.id] = true
-	}
-	t.held[key] = true
-	return nil
-}
-
-func (m *Manager) unlockAll(t *Txn) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for key := range t.held {
-		ls := m.locks[key]
-		if ls == nil {
-			continue
-		}
-		delete(ls.sharedBy, t.id)
-		if ls.exclusive == t.id {
-			ls.exclusive = 0
-		}
-		if ls.exclusive == 0 && len(ls.sharedBy) == 0 {
-			delete(m.locks, key)
-		}
-	}
-	t.held = make(map[uint64]bool)
-}
-
 // Update buffers a well-formed update in the transaction's private
-// buffer. Under Locking, the key's exclusive lock is acquired first.
+// buffer.
 func (t *Txn) Update(rec update.Record) error {
 	if t.done {
 		return ErrDone
-	}
-	if t.mode == Locking {
-		if err := t.m.lock(t, rec.Key, true); err != nil {
-			return err
-		}
 	}
 	// Private updates are ordered after everything the snapshot sees and
 	// among themselves by arrival; sequence them just above startTS.
@@ -214,14 +150,6 @@ func (t *Txn) Update(rec update.Record) error {
 func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(row table.Row) bool) (sim.Time, error) {
 	if t.done {
 		return at, ErrDone
-	}
-	if t.mode == Locking {
-		// Shared-lock the scanned range's written keys is not enough for
-		// full rigor; for the prototype we shared-lock the range bounds
-		// as a coarse predicate substitute.
-		if err := t.m.lock(t, begin, false); err != nil {
-			return at, err
-		}
 	}
 	q, err := t.snap.NewQuery(at, begin, end, nil)
 	if err != nil {
@@ -300,10 +228,8 @@ func (t *Txn) applyOverlay(key uint64, base []byte, exists bool) (table.Row, boo
 
 // Commit validates and publishes t — together with the sub-transactions
 // in with, one per further table and each from that table's own Manager —
-// as one atomic transaction. Under Snapshot each sub-transaction validates
-// first-committer-wins against its table's commit history; under Locking
-// the updates become visible exactly when the exclusive locks are released
-// — here, atomically with the publication. Validation and publication
+// as one atomic transaction. Each sub-transaction validates
+// first-committer-wins against its table's commit history. Validation and publication
 // happen while every involved manager's commit mutex is held, and the
 // publication itself is masm.CommitAcross, which stamps the whole write set
 // under every store's latch and logs it as a single redo record. A
@@ -334,18 +260,13 @@ func (t *Txn) Commit(at sim.Time, with ...*Txn) (sim.Time, error) {
 		for i := len(sorted) - 1; i >= 0; i-- {
 			sub := sorted[i]
 			sub.finish()
-			if sub.mode == Locking {
-				sub.m.unlockAll(sub)
-			}
 			sub.m.commitMu.Unlock()
 		}
 	}()
 	batches := make([]masm.StoreBatch, len(sorted))
 	for i, sub := range sorted {
-		if sub.mode == Snapshot {
-			if key, ok := sub.m.conflict(sub); ok {
-				return at, fmt.Errorf("table %d key %d: %w", sub.m.store.TableID(), key, ErrWriteConflict)
-			}
+		if key, ok := sub.m.conflict(sub); ok {
+			return at, fmt.Errorf("table %d key %d: %w", sub.m.store.TableID(), key, ErrWriteConflict)
 		}
 		batches[i] = masm.StoreBatch{Store: sub.m.store, Recs: sub.private}
 	}
@@ -379,7 +300,8 @@ func (m *Manager) conflict(t *Txn) (uint64, bool) {
 	return 0, false
 }
 
-// markCommitted raises the last-commit timestamp of t's write set to ts.
+// markCommitted raises the last-commit timestamp of t's write set to ts,
+// then prunes the history if it has doubled since the last prune.
 func (m *Manager) markCommitted(t *Txn, ts int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -388,16 +310,33 @@ func (m *Manager) markCommitted(t *Txn, ts int64) {
 			m.lastCommit[key] = ts
 		}
 	}
+	if len(m.lastCommit) >= m.pruneAt {
+		m.pruneLocked()
+	}
 }
 
-// Abort discards the private buffer and releases locks.
+// pruneLocked drops every commit-history entry at or below the oldest open
+// transaction's start timestamp: conflict only asks whether an entry lies
+// above an open transaction's start timestamp, and transactions begun
+// later start above every timestamp issued so far.
+func (m *Manager) pruneLocked() {
+	oldest := int64(math.MaxInt64)
+	for _, ts := range m.open {
+		oldest = min(oldest, ts)
+	}
+	for key, ts := range m.lastCommit {
+		if ts <= oldest {
+			delete(m.lastCommit, key)
+		}
+	}
+	m.pruneAt = max(minPruneAt, 2*len(m.lastCommit))
+}
+
+// Abort discards the private buffer and finishes the transaction.
 func (t *Txn) Abort() {
 	if t.done {
 		return
 	}
 	t.finish()
 	t.private = nil
-	if t.mode == Locking {
-		t.m.unlockAll(t)
-	}
 }

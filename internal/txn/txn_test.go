@@ -78,13 +78,13 @@ func forEachArity(t *testing.T, nRows int, fn func(t *testing.T, m *Manager, com
 		key := uint64(1001)
 		fn(t, m, func(tx *Txn) error {
 			key += 2
-			rider := m2.Begin(tx.mode)
+			rider := m2.Begin()
 			if err := rider.Update(update.Record{Key: key, Op: update.Insert, Payload: []byte("rider")}); err != nil {
 				t.Fatal(err)
 			}
 			_, err := tx.Commit(0, rider)
 			rider.Abort() // a refused commit (ErrDone) finishes nobody
-			check := m2.Begin(Snapshot)
+			check := m2.Begin()
 			_, published := scanAll(t, check)[key]
 			check.Abort()
 			if published != (err == nil) {
@@ -110,7 +110,7 @@ func scanAll(t *testing.T, tx *Txn) map[uint64][]byte {
 func TestTxnReadsOwnWrites(t *testing.T) {
 	store := newStore(t, 100)
 	m := NewManager(store)
-	tx := m.Begin(Snapshot)
+	tx := m.Begin()
 	if err := tx.Update(update.Record{Key: 3, Op: update.Insert, Payload: []byte("mine")}); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 		t.Fatal("own delete invisible")
 	}
 	// Other transactions do not see uncommitted writes.
-	tx2 := m.Begin(Snapshot)
+	tx2 := m.Begin()
 	got2 := scanAll(t, tx2)
 	if _, ok := got2[3]; ok {
 		t.Fatal("uncommitted write leaked")
@@ -139,12 +139,12 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 
 func TestTxnCommitPublishes(t *testing.T) {
 	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
-		tx := m.Begin(Snapshot)
+		tx := m.Begin()
 		tx.Update(update.Record{Key: 5, Op: update.Insert, Payload: []byte("pub")})
 		if err := commit(tx); err != nil {
 			t.Fatal(err)
 		}
-		tx2 := m.Begin(Snapshot)
+		tx2 := m.Begin()
 		got := scanAll(t, tx2)
 		if !bytes.Equal(got[5], []byte("pub")) {
 			t.Fatal("committed write not visible to later txn")
@@ -156,8 +156,8 @@ func TestTxnCommitPublishes(t *testing.T) {
 func TestSnapshotIsolationStability(t *testing.T) {
 	store := newStore(t, 100)
 	m := NewManager(store)
-	reader := m.Begin(Snapshot)
-	writer := m.Begin(Snapshot)
+	reader := m.Begin()
+	writer := m.Begin()
 	writer.Update(update.Record{Key: 2, Op: update.Delete})
 	if _, err := writer.Commit(0); err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func TestSnapshotIsolationStability(t *testing.T) {
 
 func TestFirstCommitterWins(t *testing.T) {
 	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
-		a := m.Begin(Snapshot)
-		b := m.Begin(Snapshot)
+		a := m.Begin()
+		b := m.Begin()
 		a.Update(update.Record{Key: 10, Op: update.Modify,
 			Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("A")}})})
 		b.Update(update.Record{Key: 10, Op: update.Modify,
@@ -185,7 +185,7 @@ func TestFirstCommitterWins(t *testing.T) {
 			t.Fatalf("second committer got %v, want ErrWriteConflict", err)
 		}
 		// Non-conflicting writer commits fine.
-		c := m.Begin(Snapshot)
+		c := m.Begin()
 		c.Update(update.Record{Key: 12, Op: update.Delete})
 		if err := commit(c); err != nil {
 			t.Fatal(err)
@@ -193,61 +193,33 @@ func TestFirstCommitterWins(t *testing.T) {
 	})
 }
 
-func TestLockingConflicts(t *testing.T) {
-	forEachArity(t, 100, func(t *testing.T, m *Manager, commit func(*Txn) error) {
-		a := m.Begin(Locking)
-		b := m.Begin(Locking)
-		if err := a.Update(update.Record{Key: 20, Op: update.Delete}); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Update(update.Record{Key: 20, Op: update.Delete}); !errors.Is(err, ErrLockConflict) {
-			t.Fatalf("conflicting X lock got %v, want ErrLockConflict", err)
-		}
-		// After a commits (releasing locks), b can proceed.
-		if err := commit(a); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Update(update.Record{Key: 20, Op: update.Insert, Payload: []byte("re")}); err != nil {
-			t.Fatal(err)
-		}
-		if err := commit(b); err != nil {
-			t.Fatal(err)
-		}
-		// Two-phase locking serialized a before b: final state is b's.
-		tx := m.Begin(Snapshot)
-		got := scanAll(t, tx)
-		if !bytes.Equal(got[20], []byte("re")) {
-			t.Fatalf("serialization broken: key 20 = %v", got[20])
-		}
-		tx.Abort()
-	})
-}
-
 func TestAbortDiscards(t *testing.T) {
 	store := newStore(t, 100)
 	m := NewManager(store)
-	tx := m.Begin(Locking)
+	tx := m.Begin()
 	tx.Update(update.Record{Key: 30, Op: update.Delete})
 	tx.Abort()
-	// Lock released: another txn may write.
-	tx2 := m.Begin(Locking)
+	// Another txn may still write the key and commit.
+	tx2 := m.Begin()
 	if err := tx2.Update(update.Record{Key: 30, Op: update.Modify,
 		Payload: update.EncodeFields([]update.Field{{Off: 0, Value: []byte("k")}})}); err != nil {
 		t.Fatal(err)
 	}
-	tx2.Abort()
+	if _, err := tx2.Commit(0); err != nil {
+		t.Fatal(err)
+	}
 	// And the aborted delete never happened.
-	tx3 := m.Begin(Snapshot)
+	tx3 := m.Begin()
 	got := scanAll(t, tx3)
-	if _, ok := got[30]; !ok {
-		t.Fatal("aborted delete took effect")
+	if !bytes.HasPrefix(got[30], []byte("k")) {
+		t.Fatalf("aborted delete took effect: key 30 = %v", got[30])
 	}
 	tx3.Abort()
 }
 
 func TestDoneTxnRejected(t *testing.T) {
 	forEachArity(t, 10, func(t *testing.T, m *Manager, commit func(*Txn) error) {
-		tx := m.Begin(Snapshot)
+		tx := m.Begin()
 		if err := commit(tx); err != nil {
 			t.Fatal(err)
 		}
@@ -267,8 +239,8 @@ func TestDoneTxnRejected(t *testing.T) {
 func TestCommitAfterReleaseReads(t *testing.T) {
 	store := newStore(t, 100)
 	m := NewManager(store)
-	a := m.Begin(Snapshot)
-	b := m.Begin(Snapshot)
+	a := m.Begin()
+	b := m.Begin()
 	a.Update(update.Record{Key: 40, Op: update.Insert, Payload: []byte("a")})
 	b.Update(update.Record{Key: 42, Op: update.Delete})
 	if _, _, err := store.Migrate(0); !errors.Is(err, masm.ErrActiveQueries) {
@@ -283,7 +255,7 @@ func TestCommitAfterReleaseReads(t *testing.T) {
 	if _, _, err := store.Migrate(0); err != nil {
 		t.Fatalf("migration after both released their reads: %v", err)
 	}
-	c := m.Begin(Snapshot)
+	c := m.Begin()
 	c.Update(update.Record{Key: 42, Op: update.Insert, Payload: []byte("c")})
 	if _, err := c.Commit(0); err != nil {
 		t.Fatal(err)
@@ -294,7 +266,7 @@ func TestCommitAfterReleaseReads(t *testing.T) {
 	if _, err := b.Commit(0); !errors.Is(err, ErrWriteConflict) {
 		t.Fatalf("released reader's conflicting commit: %v, want ErrWriteConflict", err)
 	}
-	check := m.Begin(Snapshot)
+	check := m.Begin()
 	got := scanAll(t, check)
 	check.Abort()
 	if !bytes.Equal(got[40], []byte("a")) || !bytes.Equal(got[42], []byte("c")) {
@@ -305,7 +277,7 @@ func TestCommitAfterReleaseReads(t *testing.T) {
 func TestTxnScanRange(t *testing.T) {
 	store := newStore(t, 1000)
 	m := NewManager(store)
-	tx := m.Begin(Snapshot)
+	tx := m.Begin()
 	tx.Update(update.Record{Key: 101, Op: update.Insert, Payload: []byte("odd")})
 	n := 0
 	if _, err := tx.Scan(0, 100, 110, func(row table.Row) bool {
@@ -322,4 +294,68 @@ func TestTxnScanRange(t *testing.T) {
 		t.Fatalf("scan saw %d rows, want 7", n)
 	}
 	tx.Abort()
+}
+
+// historyLen returns the size of m's first-committer-wins history.
+func historyLen(m *Manager) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.lastCommit)
+}
+
+// TestCommitHistoryBounded: sequential commits of distinct keys must not
+// grow the commit history with every key ever written — a long-running
+// server would hold one entry per key forever.
+func TestCommitHistoryBounded(t *testing.T) {
+	m := NewManager(newStore(t, 10))
+	for i := 0; i < 10000; i++ {
+		tx := m.Begin()
+		tx.Update(update.Record{Key: uint64(100000 + i), Op: update.Delete})
+		if _, err := tx.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := historyLen(m); n > minPruneAt {
+		t.Fatalf("commit history holds %d keys after 10000 sequential commits, want at most %d", n, minPruneAt)
+	}
+}
+
+// TestFirstCommitterWinsAcrossPrunes: pruning keeps every entry a still
+// open transaction validates against. Transactions open across many
+// prunes are refused a key committed after they began, and allowed one
+// whose entry the prunes dropped.
+func TestFirstCommitterWinsAcrossPrunes(t *testing.T) {
+	m := NewManager(newStore(t, 10))
+	commit := func(key uint64) {
+		t.Helper()
+		tx := m.Begin()
+		tx.Update(update.Record{Key: key, Op: update.Delete})
+		if _, err := tx.Commit(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(7)
+	before, after := m.Begin(), m.Begin()
+	commit(8)
+	for i := 0; i < 10000; i++ {
+		commit(uint64(100000 + i))
+		if i%1000 == 0 {
+			// Other transactions come and go while these stay open.
+			m.Begin().Abort()
+		}
+	}
+	m.mu.Lock()
+	_, kept := m.lastCommit[7]
+	m.mu.Unlock()
+	if kept {
+		t.Fatal("no prune dropped the entry committed before every open transaction")
+	}
+	before.Update(update.Record{Key: 7, Op: update.Delete})
+	if _, err := before.Commit(0); err != nil {
+		t.Fatalf("write to a key committed before the transaction began: %v", err)
+	}
+	after.Update(update.Record{Key: 8, Op: update.Delete})
+	if _, err := after.Commit(0); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("long-open transaction's write to a key committed after it began: %v, want ErrWriteConflict", err)
+	}
 }

@@ -332,7 +332,7 @@ func TestRecoverInterruptedMigration(t *testing.T) {
 	// migration" by logging the begin record and applying only part of
 	// the run set manually: simplest faithful approach is to log begin
 	// and crash before Run() completes (no end record, pages untouched).
-	mig, err := r.store.BeginMigration(r.now)
+	mig, err := r.store.BeginMigration(r.now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	// redo idempotent.
 	r := newRig(t, 2000)
 	r.applyRandom(2500, 7)
-	mig, err := r.store.BeginMigration(r.now)
+	mig, err := r.store.BeginMigration(r.now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	// run migration, then recover from a log snapshot taken before the
 	// end record. For determinism we copy the log volume's readable
 	// prefix now.
-	end, _, err := mig.Run()
+	end, _, err := mig.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,7 @@ package masm
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	core "masm/internal/masm"
@@ -84,8 +85,10 @@ type Config struct {
 	// Alpha in [2/∛M, 2] selects the MaSM variant: 2 = MaSM-2M (minimal
 	// SSD writes), 1 = MaSM-M (half the memory, ~1.75 writes/update).
 	Alpha float64
-	// MigrateThreshold is the cache fill fraction above which
-	// MigrateIfNeeded acts.
+	// MigrateThreshold is the cache fill fraction — of a table's budget or
+	// of the shared cache — at which a table is due for migration (paper
+	// §3.2: "when updates reach e.g. 90% of the SSD size"). Zero means
+	// DefaultConfig's 0.9; a value outside (0, 1] is refused.
 	MigrateThreshold float64
 	// DisableRedoLog turns off write-ahead logging (and crash recovery).
 	DisableRedoLog bool
@@ -136,7 +139,7 @@ var ErrClosed = errors.New("masm: database closed")
 // ErrActiveQueries is returned by Migrate, ScanAndMigrate and MigrateStep
 // while scans, snapshots or transactions older than the migration
 // timestamp are still open. It means "retry after they close", not
-// failure; MigrateIfNeeded and the MigrationScheduler absorb it.
+// failure; MigrateIfPressured and the MigrationScheduler absorb it.
 var ErrActiveQueries = core.ErrActiveQueries
 
 // ErrMigrationInProgress is returned by migration entry points while
@@ -157,10 +160,20 @@ func coreConfig(cfg Config) core.Config {
 	if cfg.Alpha != 0 {
 		ccfg.Alpha = cfg.Alpha
 	}
-	if cfg.MigrateThreshold != 0 {
-		ccfg.MigrateThreshold = cfg.MigrateThreshold
-	}
 	return ccfg
+}
+
+// resolveThreshold gives cfg's MigrateThreshold its default and refuses
+// it outside (0, 1]. Both constructors call it, so the engine compares
+// fills with one resolved value.
+func resolveThreshold(cfg *Config) error {
+	if cfg.MigrateThreshold == 0 {
+		cfg.MigrateThreshold = DefaultConfig().MigrateThreshold
+	}
+	if cfg.MigrateThreshold <= 0 || cfg.MigrateThreshold > 1 {
+		return fmt.Errorf("masm: migrate threshold %v outside (0,1]", cfg.MigrateThreshold)
+	}
+	return nil
 }
 
 // dataBytesFor sizes a table's main-data region for a bulk load

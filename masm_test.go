@@ -144,7 +144,7 @@ func TestMigrateAndContinue(t *testing.T) {
 	}
 }
 
-func TestMigrateIfNeeded(t *testing.T) {
+func TestMigrateIfPressured(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MigrateThreshold = 0.05
 	tbl := openTable(t, "", cfg, evenRows(1000, paddedRow))
@@ -154,11 +154,17 @@ func TestMigrateIfNeeded(t *testing.T) {
 		if err := tbl.Modify(uint64(i%2000)+1, 0, []byte{byte(i), byte(i), byte(i), byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		var err error
-		ran, err = tbl.MigrateIfNeeded()
+		name, r, err := tbl.eng.MigrateIfPressured()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if r && name != testTable {
+			t.Fatalf("migrated %q, want %q", name, testTable)
+		}
+		if !r && tbl.CacheFill() >= cfg.MigrateThreshold {
+			t.Fatalf("fill %.3f at the threshold, yet nothing migrated", tbl.CacheFill())
+		}
+		ran = r
 	}
 	if !ran {
 		t.Fatal("threshold migration never triggered")
@@ -410,6 +416,9 @@ func TestMigrateStepSweep(t *testing.T) {
 		}
 	}
 	before := scanAll(t, tbl)
+	if _, err := tbl.MigrateStep(0); err == nil {
+		t.Fatal("MigrateStep(0) accepted")
+	}
 	steps := 0
 	for {
 		done, err := tbl.MigrateStep(20)

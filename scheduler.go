@@ -17,14 +17,14 @@ import (
 //
 // Arbitration is by cache-fill pressure rather than a single fill hint:
 // each round the scheduler ranks the catalog's tables by occupancy and
-// migrates, most-pressured first, every table over its own threshold; and
-// when the *total* cached bytes cross the engine cache's threshold while
+// migrates, most-pressured first, every table at the migration threshold;
+// and when the *total* cached bytes reach it for the engine's cache while
 // no individual table has (many moderately busy tenants), it migrates the
-// single largest consumer to relieve the shared pool. Writers nudge it
-// when their update tips a table over its threshold, and a ticker retries
-// while older scans temporarily block a migration. While it runs, writes
-// into a cache at AdmitFill wait for its sweeps instead of overrunning
-// the cache (see AdmitFill).
+// single largest consumer to relieve the shared pool. Write admission
+// (Engine.admit) kicks it when a Table write or a commit finds its cache
+// at the threshold, and a ticker retries while older scans temporarily
+// block a migration. While it runs, writes into a cache at AdmitFill wait
+// for its sweeps instead of overrunning the cache (see AdmitFill).
 //
 // Obtain one with Engine.StartMigrationScheduler. Stop is idempotent and is
 // invoked automatically by Close.
@@ -55,8 +55,8 @@ type errBox struct{ err error }
 
 // DefaultMigrationInterval is the polling cadence used when
 // StartMigrationScheduler is given a non-positive interval. Kicks from
-// writers make the scheduler responsive regardless; the ticker exists to
-// retry while open scans block migration.
+// write admission make the scheduler responsive regardless; the ticker
+// exists to retry while open scans block migration.
 const DefaultMigrationInterval = 50 * time.Millisecond
 
 // StartMigrationScheduler starts (or returns the already-running)
@@ -199,32 +199,42 @@ var ErrBackpressure = errors.New("masm: cache pressure: migration behind, retry 
 // first migration on the benchmark's mixed dataset.
 var admitWait = 2 * time.Second
 
-// admit is write admission, for Table writes and EngineTx.Commit alike:
-// nil lets the write go ahead, ErrBackpressure refuses it. With no
-// scheduler running it admits at once. Otherwise, when one of tables or
-// the shared cache is at or above AdmitFill (or the migration threshold,
-// if higher), it calls release (if not nil: a commit drops its snapshots
-// there, or its own reader would veto the migration it waits for), kicks
-// the scheduler, and waits for sweeps, holding no engine lock, until the
-// fill is back under or admitWait has passed.
-func (e *Engine) admit(release func(), tables ...*Table) error {
+// admit is write admission, for Table writes and EngineTx.Commit alike,
+// and the one place a write compares a fill with the migration threshold.
+// It reads the highest fill among tables and the shared cache once:
+//
+//   - with no scheduler running, or below MigrateThreshold, it returns
+//     (nil, nil) and the write goes ahead;
+//   - at MigrateThreshold it returns the scheduler as due, and the caller
+//     kicks it once the write is published (kicked sooner, a committing
+//     transaction's own snapshot would veto the migration);
+//   - at AdmitFill (or the threshold, if higher) it first calls release
+//     (if not nil: a commit drops its snapshots there, or its own reader
+//     would veto the migration it waits for), kicks the scheduler, and
+//     waits for sweeps, holding no engine lock, until the fill is back
+//     under; after admitWait it returns ErrBackpressure.
+func (e *Engine) admit(release func(), tables ...*Table) (due *MigrationScheduler, err error) {
 	e.mu.RLock()
 	ms := e.sched
 	e.mu.RUnlock()
 	if ms == nil || len(tables) == 0 {
-		return nil
+		return nil, nil
 	}
-	limit := max(AdmitFill, e.cfg.MigrateThreshold)
-	pressured := func() bool {
+	fill := func() float64 {
+		f := e.cacheFill()
 		for _, t := range tables {
-			if t.CacheFill() >= limit {
-				return true
-			}
+			f = max(f, t.CacheFill())
 		}
-		return e.cacheFill() >= limit
+		return f
 	}
-	if !pressured() {
-		return nil
+	threshold := e.cfg.MigrateThreshold
+	limit := max(AdmitFill, threshold)
+	f := fill()
+	if f < threshold {
+		return nil, nil
+	}
+	if f < limit {
+		return ms, nil
 	}
 	if release != nil {
 		release()
@@ -237,14 +247,14 @@ func (e *Engine) admit(release func(), tables ...*Table) error {
 		select {
 		case <-swept:
 		case <-ms.done:
-			return nil // stopped: the write goes ahead, or finds the engine closed
+			return nil, nil // stopped: the write goes ahead, or finds the engine closed
 		case <-deadline.C:
 			ms.rejects.Inc()
-			return ErrBackpressure
+			return nil, ErrBackpressure
 		}
 		swept = ms.nextSweep()
-		if !pressured() {
-			return nil
+		if fill() < limit {
+			return ms, nil
 		}
 	}
 }

@@ -47,6 +47,46 @@ func TestMigrationSchedulerTriggers(t *testing.T) {
 	}
 }
 
+// TestCommitsKickScheduler: a commit that finds its table's cache at the
+// migration threshold, but under AdmitFill, kicks the scheduler as a Table
+// write does. With the ticker an hour away, the kick is the only way the
+// migration can start.
+func TestCommitsKickScheduler(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 1 << 20
+	cfg.MigrateThreshold = 0.05
+	tbl := openTable(t, "", cfg, evenRows(1000, stressRow))
+	defer tbl.eng.Close()
+	e := tbl.eng
+	ms, err := e.StartMigrationScheduler(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(i int) {
+		t.Helper()
+		tx, err := e.BeginTx(TxSnapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := uint64(i%3000) + 1
+		if err := tx.Insert(testTable, key, stressBody(key, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	for ; tbl.CacheFill() < cfg.MigrateThreshold; i++ {
+		commit(i)
+	}
+	commit(i)
+	if fill := tbl.CacheFill(); fill >= AdmitFill {
+		t.Fatalf("fill %.3f reached AdmitFill: admission, not the kick, would migrate", fill)
+	}
+	waitFor(t, "a migration kicked by a commit", func() bool { return ms.Migrations() >= 1 })
+}
+
 // TestMigrationSchedulerErrClears: a transient migration failure shows up
 // in Err, and the first fully clean sweep after recovery clears it. Before
 // the fix Err was sticky for the scheduler's lifetime: one ENOSPC'd redo
@@ -196,9 +236,9 @@ func TestCloseStopsScheduler(t *testing.T) {
 }
 
 // TestAdmitUnpressuredAllocs: while a scheduler runs, every Table write
-// passes through admission, so the check of a cache under AdmitFill must
-// allocate nothing — neither the variadic table slice nor the pressure
-// closure may escape.
+// passes through admission, so the check of a cache under the migration
+// threshold must allocate nothing — neither the variadic table slice nor
+// the fill closure may escape.
 func TestAdmitUnpressuredAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
@@ -210,8 +250,8 @@ func TestAdmitUnpressuredAllocs(t *testing.T) {
 	}
 	e := tbl.eng
 	if n := testing.AllocsPerRun(1000, func() {
-		if err := e.admit(nil, tbl); err != nil {
-			t.Fatal(err)
+		if due, err := e.admit(nil, tbl); due != nil || err != nil {
+			t.Fatal(due, err)
 		}
 	}); n != 0 {
 		t.Fatalf("unpressured admission: %.1f allocs per write, want 0", n)
