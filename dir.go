@@ -45,7 +45,6 @@ import (
 	"sync"
 	"syscall"
 
-	core "masm/internal/masm"
 	"masm/internal/obs"
 	"masm/internal/sim"
 	"masm/internal/storage"
@@ -352,31 +351,24 @@ func deviceFor(p sim.DeviceParams, need int64) *sim.Device {
 // the main.data and cache.runs volumes. The caller lays out the log.
 func newDirEngine(ds *dirState, logs int64) (*Engine, error) {
 	m := &ds.m
-	e := &Engine{
-		cfg:    ds.opts.Config,
-		hdd:    deviceFor(sim.Barracuda7200(), m.DataBytes+logs*m.LogBytes),
-		ssd:    deviceFor(sim.IntelX25E(), m.CacheBytes*2),
-		oracle: &core.Oracle{},
-		tables: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		nextID: m.NextTableID,
-		fs:     ds,
-		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
+	hdd := deviceFor(sim.Barracuda7200(), m.DataBytes+logs*m.LogBytes)
+	ssd := deviceFor(sim.IntelX25E(), m.CacheBytes*2)
+	dataRoot, err := storage.NewVolumeOn(hdd, 0, ds.data)
+	if err != nil {
+		return nil, err
 	}
+	ssdVol, err := storage.NewVolumeOn(ssd, 0, ds.cache)
+	if err != nil {
+		return nil, err
+	}
+	ds.dataRoot = dataRoot
+	e := newEngine(ds.opts.Config, hdd, ssd, ssdVol)
+	e.nextID = m.NextTableID
+	e.fs = ds
 	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
 	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
 	e.iopool = storage.NewIOPool(storage.DefaultIOWorkers)
 	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
-	var err error
-	if ds.dataRoot, err = storage.NewVolumeOn(e.hdd, 0, ds.data); err != nil {
-		return nil, err
-	}
-	if e.ssdVol, err = storage.NewVolumeOn(e.ssd, 0, ds.cache); err != nil {
-		return nil, err
-	}
-	e.shared = core.NewSharedAlloc(e.ssdVol.Size())
-	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
 	return e, nil
 }
 
@@ -420,9 +412,7 @@ func createEngineDir(dir string, opts EngineDirOptions, lock *os.File) (e *Engin
 	if err = ds.checkpointManifest(); err != nil {
 		return nil, err
 	}
-	e.log = wal.Open(e.logVol)
-	e.log.SetHooks(ds.hooks())
-	e.log.SetMetrics(walMetricsFor(e.reg))
+	e.openLog()
 	// Force the header down now, before any records: from here on, a
 	// header that fails validation on reopen is corruption, never a torn
 	// first write.

@@ -108,34 +108,50 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := resolveThreshold(&cfg); err != nil {
 		return nil, err
 	}
+	hdd := sim.NewDevice(sim.Barracuda7200())
+	ssd := sim.NewDevice(sim.IntelX25E())
+	ssdVol, err := storage.NewVolume(ssd, 0, cfg.CacheBytes*2)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(cfg, hdd, ssd, ssdVol)
+	e.arena = storage.NewArena(hdd)
+	return e, nil
+}
+
+// newEngine builds the shell of one engine generation over its devices and
+// SSD update-cache volume: a fresh oracle, catalog maps, metric registry and
+// tracer, and the shared run allocator over ssdVol with its pool metrics.
+// The caller adds the main-data layout and the redo log.
+func newEngine(cfg Config, hdd, ssd *sim.Device, ssdVol *storage.Volume) *Engine {
 	e := &Engine{
 		cfg:    cfg,
-		hdd:    sim.NewDevice(sim.Barracuda7200()),
-		ssd:    sim.NewDevice(sim.IntelX25E()),
+		hdd:    hdd,
+		ssd:    ssd,
+		ssdVol: ssdVol,
+		shared: core.NewSharedAlloc(ssdVol.Size()),
 		oracle: &core.Oracle{},
 		tables: make(map[string]*Table),
 		byID:   make(map[uint32]*Table),
 		reg:    obs.NewRegistry(),
 		tracer: obs.NewTracer(obs.DefaultTraceRing),
 	}
-	e.arena = storage.NewArena(e.hdd)
-	var err error
-	e.ssdVol, err = storage.NewVolume(e.ssd, 0, cfg.CacheBytes*2)
-	if err != nil {
-		return nil, err
-	}
-	e.shared = core.NewSharedAlloc(e.ssdVol.Size())
 	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
-	return e, nil
+	return e
 }
 
-// walMetricsFor registers the shared redo log's series in reg.
-func walMetricsFor(reg *obs.Registry) wal.Metrics {
-	return wal.Metrics{
-		Appends:   reg.Counter("masm_wal_appends"),
-		Syncs:     reg.Counter("masm_wal_syncs"),
-		SyncNanos: reg.Histogram("masm_wal_sync_nanos"),
+// openLog starts the engine's redo log on e.logVol, with its series in the
+// engine registry and, when file-backed, the directory's durability hooks.
+func (e *Engine) openLog() {
+	e.log = wal.Open(e.logVol)
+	if e.fs != nil {
+		e.log.SetHooks(e.fs.hooks())
 	}
+	e.log.SetMetrics(wal.Metrics{
+		Appends:   e.reg.Counter("masm_wal_appends"),
+		Syncs:     e.reg.Counter("masm_wal_syncs"),
+		SyncNanos: e.reg.Histogram("masm_wal_sync_nanos"),
+	})
 }
 
 // ioPoolMetricsFor registers the async I/O pool's series in reg: the
@@ -159,6 +175,18 @@ func (e *Engine) storeMetricsFor(name string) *core.StoreMetrics {
 	return sm
 }
 
+// newStore builds t's update-cache store on the shared SSD volume: its
+// logical capacity is the table's budget, its partition of the shared
+// allocator is capped at twice that (the transient space 2-pass merges
+// write into before their inputs are released), and its series go to the
+// engine registry. CreateTable and recovery both build stores here.
+func (e *Engine) newStore(t *Table, logger core.RedoLogger) (*core.Store, error) {
+	ccfg := coreConfig(e.cfg)
+	ccfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
+	return core.NewStore(ccfg, t.tbl, e.ssdVol, e.oracle, logger,
+		e.shared.Partition(t.id, t.cacheBudget*2), e.storeMetricsFor(t.name))
+}
+
 // ensureLogLocked lazily allocates the redo-log volume. It runs after the
 // first table's data volume is carved, so the simulated disk holds the
 // first table's data, then the log, then later tables' data. Caller holds
@@ -172,8 +200,7 @@ func (e *Engine) ensureLogLocked() error {
 	if err != nil {
 		return err
 	}
-	e.log = wal.Open(e.logVol)
-	e.log.SetMetrics(walMetricsFor(e.reg))
+	e.openLog()
 	return nil
 }
 
@@ -279,10 +306,7 @@ func (e *Engine) CreateTable(name string, opts TableOptions) (*Table, error) {
 	if e.log != nil {
 		logger = e.log.ForTable(id)
 	}
-	alloc := e.shared.Partition(id, budget*2)
-	ccfg := coreConfig(e.cfg)
-	ccfg.SSDCapacity = roundTo(budget, 4<<10)
-	if t.store, err = core.NewStoreShared(ccfg, t.tbl, e.ssdVol, e.oracle, logger, alloc, id, e.storeMetricsFor(name)); err != nil {
+	if t.store, err = e.newStore(t, logger); err != nil {
 		e.shared.Drop(id)
 		e.reg.Unregister(obs.L("table", name))
 		return nil, err

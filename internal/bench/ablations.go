@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"masm/internal/lsm"
-	"masm/internal/masm"
 	"masm/internal/sim"
 	"masm/internal/storage"
 	"masm/internal/workload"
@@ -55,8 +54,7 @@ func HDDCache(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := eH.masmConfig()
-	storeH, err := masm.NewStore(cfg, eH.tbl, hddVol, &masm.Oracle{}, nil)
+	storeH, err := newMaSMStore(masmConfig(opts.CacheBytes), eH.tbl, hddVol)
 	if err != nil {
 		return nil, err
 	}
@@ -110,12 +108,12 @@ func AlphaSweep(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := e.masmConfig()
+		cfg := masmConfig(opts.CacheBytes)
 		cfg.Alpha = alpha
 		if err := cfg.Validate(); err != nil {
 			continue // below 2/cbrt(M) for this geometry
 		}
-		store, err := masm.NewStore(cfg, e.tbl, e.ssdVol, &masm.Oracle{}, nil)
+		store, err := newMaSMStore(cfg, e.tbl, e.ssdVol)
 		if err != nil {
 			return nil, err
 		}

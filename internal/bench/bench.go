@@ -156,12 +156,12 @@ func newEnv(opts Options) (*env, error) {
 	return e, nil
 }
 
-// masmConfig is the scaled MaSM-M configuration: 4 KB SSD accounting
-// pages (so M stays realistic at small cache sizes), 64 KB run I/O,
-// fine-grain 4 KB index entries. Coarse-grain scans subsample to
-// CoarseGranularity.
-func (e *env) masmConfig() masm.Config {
-	cfg := masm.DefaultConfig(e.opts.CacheBytes)
+// masmConfig is the scaled MaSM-M configuration for an update cache of
+// cacheBytes: 4 KB SSD accounting pages (so M stays realistic at small
+// cache sizes), 64 KB run I/O, fine-grain 4 KB index entries.
+// Coarse-grain scans subsample to CoarseGranularity.
+func masmConfig(cacheBytes int64) masm.Config {
+	cfg := masm.DefaultConfig(cacheBytes)
 	cfg.SSDPage = 4 << 10
 	cfg.Run.IOSize = 64 << 10
 	cfg.Run.IndexGranularity = 4 << 10
@@ -178,9 +178,20 @@ const CoarseGranularity = 256 << 10
 
 // newStore builds a MaSM store over the environment's table.
 func (e *env) newStore(alpha float64) (*masm.Store, error) {
-	cfg := e.masmConfig()
+	cfg := masmConfig(e.opts.CacheBytes)
 	cfg.Alpha = alpha
-	return masm.NewStore(cfg, e.tbl, e.ssdVol, &masm.Oracle{}, nil)
+	return newMaSMStore(cfg, e.tbl, e.ssdVol)
+}
+
+// newMaSMStore builds every experiment's MaSM store: its update cache is
+// vol, and its runs come from the one partition of a SharedAlloc over the
+// whole volume — the engine's run allocator, serving one table. Every
+// volume here is twice its cache, as the engine caps a table at twice its
+// budget: the over-provisioned space lets 2-pass merges write their output
+// before the input runs are released, as real SSDs over-provision flash.
+func newMaSMStore(cfg masm.Config, tbl *table.Table, vol *storage.Volume) (*masm.Store, error) {
+	alloc := masm.NewSharedAlloc(vol.Size()).Partition(0, vol.Size())
+	return masm.NewStore(cfg, tbl, vol, &masm.Oracle{}, nil, alloc, nil)
 }
 
 // fill applies uniformly distributed updates to the store until its cache

@@ -232,16 +232,12 @@ func Fig14(opts Options) (*Result, error) {
 	var fillEnd sim.Time
 	for t, share := range workload.UpdateMix() {
 		cacheBytes := int64(float64(opts.CacheBytes) * share)
-		cfg := masm.DefaultConfig(roundTo(cacheBytes, 4<<10))
-		cfg.SSDPage = 4 << 10
-		cfg.Run.IOSize = 64 << 10
-		cfg.Run.IndexGranularity = 4 << 10
-		cfg.ScanGranularity = 4 << 10
+		cfg := masmConfig(roundTo(cacheBytes, 4<<10))
 		vol, err := ssdArena.Alloc(cfg.SSDCapacity * 2)
 		if err != nil {
 			return nil, err
 		}
-		st, err := masm.NewStore(cfg, eM.db.Tables[t], vol, &masm.Oracle{}, nil)
+		st, err := newMaSMStore(cfg, eM.db.Tables[t], vol)
 		if err != nil {
 			return nil, err
 		}

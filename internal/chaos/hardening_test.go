@@ -222,7 +222,8 @@ func TestCoreStoreENOSPCOnMemBackend(t *testing.T) {
 	}
 	ccfg := core.DefaultConfig(8 << 20)
 	ccfg.SSDPage = 4 << 10
-	store, err := core.NewStore(ccfg, tbl, ssdVol, &core.Oracle{}, nil)
+	alloc := core.NewSharedAlloc(ssdVol.Size()).Partition(0, ssdVol.Size())
+	store, err := core.NewStore(ccfg, tbl, ssdVol, &core.Oracle{}, nil, alloc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,30 +13,12 @@ type extent struct {
 	off, size int64
 }
 
-// RunAllocator hands out extents of an SSD update-cache volume to a store's
-// materialized sorted runs. A single-table store owns a private allocator
-// over its whole volume; in a multi-table engine every table draws from one
-// SharedAlloc partitioning a single physical volume by byte budget.
-type RunAllocator interface {
-	// Alloc reserves size bytes, returning the extent's offset.
-	Alloc(size int64) (int64, error)
-	// Release returns an extent to the free pool.
-	Release(off, size int64)
-	// Reserve removes a specific range from the free pool (crash recovery
-	// re-registering surviving runs). It fails if the range is not free.
-	Reserve(off, size int64) error
-}
-
-// Exported RunAllocator methods over the private extent allocator, so a
-// store's default single-owner allocator satisfies the same interface as a
-// shared-partition view. No locking: the owning store's latch serializes.
-func (a *extentAlloc) Alloc(size int64) (int64, error) { return a.alloc(size) }
-func (a *extentAlloc) Release(off, size int64)         { a.release(off, size) }
-func (a *extentAlloc) Reserve(off, size int64) error   { return a.reserve(off, size) }
-
-// SharedAlloc is the multi-table run allocator: one physical extent pool
-// over the shared SSD volume, plus per-table byte accounting against a cap.
-// Tables may be oversubscribed — the sum of caps can exceed the physical
+// SharedAlloc is the run allocator: one physical extent pool over an SSD
+// update-cache volume, plus per-table byte accounting against a cap. Every
+// store draws its run extents from a Partition of one (paper §5: "MaSM
+// divides the flash space to maintain cached updates per table"); a
+// single-table volume is one partition capped at the whole volume. Tables
+// may be oversubscribed — the sum of caps can exceed the physical
 // volume (the paper's §5 sharing argument: idle objects lend their space to
 // busy ones; the migration scheduler keeps total pressure bounded) — but a
 // single table can never grow past its own cap, so one runaway tenant
@@ -144,18 +126,19 @@ func NewSharedAlloc(capacity int64) *SharedAlloc {
 	}
 }
 
-// Partition registers table with a physical byte cap and returns its
-// RunAllocator view. Registering an existing table replaces its cap.
-func (sa *SharedAlloc) Partition(table uint32, cap int64) RunAllocator {
+// Partition registers table with a physical byte cap and returns its view
+// of the allocator. Registering an existing table replaces its cap.
+func (sa *SharedAlloc) Partition(table uint32, cap int64) *Partition {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	sa.cap[table] = cap
 	sa.syncMetricsLocked()
-	return &allocPartition{sa: sa, table: table}
+	return &Partition{sa: sa, table: table}
 }
 
-// Drop forgets a table, returning its physical bytes held (which the caller
-// releases extent by extent before dropping).
+// Drop forgets a table's cap and its held-bytes ledger. The caller releases
+// the table's extents first (Store.ReleaseAllRuns); bytes still held when it
+// drops simply leave the ledger.
 func (sa *SharedAlloc) Drop(table uint32) {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -171,13 +154,18 @@ func (sa *SharedAlloc) Used(table uint32) int64 {
 	return sa.used[table]
 }
 
-// allocPartition is one table's view of a SharedAlloc.
-type allocPartition struct {
+// Partition is one table's view of a SharedAlloc: the store's run extents
+// come from the shared pool and count against the table's cap. Its table id
+// is the store's (Store.TableID).
+type Partition struct {
 	sa    *SharedAlloc
 	table uint32
 }
 
-func (p *allocPartition) Alloc(size int64) (int64, error) {
+// Alloc reserves size bytes, returning the extent's offset. It fails, and
+// counts one allocation failure, when the table's cap or the pool would be
+// exceeded.
+func (p *Partition) Alloc(size int64) (int64, error) {
 	sa := p.sa
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -196,7 +184,8 @@ func (p *allocPartition) Alloc(size int64) (int64, error) {
 	return off, nil
 }
 
-func (p *allocPartition) Release(off, size int64) {
+// Release returns an extent to the pool.
+func (p *Partition) Release(off, size int64) {
 	sa := p.sa
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -205,7 +194,9 @@ func (p *allocPartition) Release(off, size int64) {
 	sa.syncMetricsLocked()
 }
 
-func (p *allocPartition) Reserve(off, size int64) error {
+// Reserve removes a specific range from the pool (crash recovery
+// re-registering surviving runs). It fails if the range is not free.
+func (p *Partition) Reserve(off, size int64) error {
 	sa := p.sa
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -214,18 +205,6 @@ func (p *allocPartition) Reserve(off, size int64) error {
 	}
 	sa.used[p.table] += size
 	sa.syncMetricsLocked()
-	return nil
-}
-
-// ReserveRunExtents re-registers a table's surviving runs with its
-// allocator, page-rounded exactly as the store sizes extents. Recovery
-// calls it for every table before Restore rebuilds any (see Restore).
-func ReserveRunExtents(cfg Config, alloc RunAllocator, runs []RunMeta) error {
-	for _, rm := range runs {
-		if err := alloc.Reserve(rm.Off, roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))); err != nil {
-			return fmt.Errorf("masm: reserve run %d extent [%d,+%d): %w", rm.RunID, rm.Off, rm.Size, err)
-		}
-	}
 	return nil
 }
 

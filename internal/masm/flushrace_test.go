@@ -48,7 +48,7 @@ func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil)
+	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil, wholeVolume(ssdVol), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestScanSurvivesFlushBeyondMergeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil)
+	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil, wholeVolume(ssdVol), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil)
+	s, err := NewStore(cfg, tbl, ssdVol, &Oracle{}, nil, wholeVolume(ssdVol), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,20 +13,6 @@ import (
 	"masm/internal/update"
 )
 
-// fullAlloc fails every Alloc while full is set: an exhausted SSD cache on
-// demand.
-type fullAlloc struct {
-	RunAllocator
-	full bool
-}
-
-func (a *fullAlloc) Alloc(size int64) (int64, error) {
-	if a.full {
-		return 0, errors.New("fullAlloc: cache full")
-	}
-	return a.RunAllocator.Alloc(size)
-}
-
 // openReader is one query of an interleaving: the rows it has delivered so
 // far and the rows the model held in its range at its timestamp.
 type openReader struct {
@@ -57,9 +43,18 @@ func interleave(t *testing.T, seed int64, steps int) {
 	e := newEnv(t, 1500, smallConfig())
 	e.rng = rand.New(rand.NewSource(seed))
 	rng := rand.New(rand.NewSource(^seed))
-	alloc := &fullAlloc{RunAllocator: e.store.alloc}
-	e.store.alloc = alloc
 	s := e.store
+	// setFull exhausts the SSD cache on demand: re-registering the store's
+	// partition with its cap at the bytes it already holds refuses every
+	// Alloc, and the whole volume's cap lifts the refusal again.
+	pool, id := s.alloc.sa, s.TableID()
+	setFull := func(full bool) {
+		limit := s.ssd.Size()
+		if full {
+			limit = pool.Used(id)
+		}
+		pool.Partition(id, limit)
+	}
 
 	type snap struct {
 		sn    *Snapshot
@@ -163,14 +158,14 @@ func interleave(t *testing.T, seed int64, steps int) {
 			// A failed flush restores its records; a setup against the full
 			// cache proceeds on the unflushed buffer.
 			e.applyRandom(1 + rng.Intn(20))
-			alloc.full = true
+			setFull(true)
 			if _, err := s.Flush(e.now); err == nil {
 				t.Fatal("flush succeeded against a full allocator")
 			}
 			if rng.Intn(2) == 0 {
 				open(nil, e.model)
 			}
-			alloc.full = false
+			setFull(false)
 		case 9, 10:
 			if mig != nil {
 				end, _, err := mig.Run(nil)
@@ -184,10 +179,10 @@ func interleave(t *testing.T, seed int64, steps int) {
 			if op == 10 {
 				pages = 1 + rng.Intn(20)
 			} else {
-				alloc.full = rng.Intn(3) == 0
+				setFull(rng.Intn(3) == 0)
 			}
 			m, err := s.BeginMigration(e.now, pages)
-			alloc.full = false
+			setFull(false)
 			if errors.Is(err, ErrActiveQueries) {
 				continue
 			}

@@ -74,11 +74,17 @@ func newEnvOn(t *testing.T, nRows int, cfg Config, wrap func(name string, be sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.store, err = NewStore(cfg, e.tbl, ssdVol, e.oracle, nil)
+	e.store, err = NewStore(cfg, e.tbl, ssdVol, e.oracle, nil, wholeVolume(ssdVol), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// wholeVolume is a single table's run allocator: the only partition of a
+// SharedAlloc over vol, capped at the whole volume.
+func wholeVolume(vol *storage.Volume) *Partition {
+	return NewSharedAlloc(vol.Size()).Partition(0, vol.Size())
 }
 
 // smallConfig is a deliberately tiny geometry so flushes and merges
@@ -334,7 +340,7 @@ func TestMigrationFoldsUpdatesInPlace(t *testing.T) {
 	}
 	// All SSD extents for the migrated runs must be reclaimed (no
 	// doubling of capacity requirements).
-	if free, want := e.store.alloc.(*extentAlloc).totalFree(), 2*e.store.cfg.SSDCapacity; free != want {
+	if free, want := e.store.alloc.sa.pool.totalFree(), 2*e.store.cfg.SSDCapacity; free != want {
 		t.Fatalf("SSD free = %d after migration, want full volume %d", free, want)
 	}
 	if e.tbl.Rows() == rowsBefore && rep.RowDelta != 0 {
@@ -418,7 +424,7 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 		}
 	}
 	// Pinned dead runs must be reclaimed once the query closed.
-	if free, want := e.store.alloc.(*extentAlloc).totalFree(), 2*e.store.cfg.SSDCapacity; free != want {
+	if free, want := e.store.alloc.sa.pool.totalFree(), 2*e.store.cfg.SSDCapacity; free != want {
 		t.Fatalf("SSD free = %d, want %d after pinned runs released", free, want)
 	}
 	e.verifyRange(0, ^uint64(0))
@@ -749,7 +755,7 @@ func ExampleStore_NewQuery() {
 	cfg := DefaultConfig(4 << 20)
 	cfg.SSDPage = 4 << 10
 	var oracle Oracle
-	store, _ := NewStore(cfg, tbl, ssdVol, &oracle, nil)
+	store, _ := NewStore(cfg, tbl, ssdVol, &oracle, nil, NewSharedAlloc(ssdVol.Size()).Partition(0, ssdVol.Size()), nil)
 	store.ApplyAuto(0, update.Record{Key: 3, Op: update.Insert, Payload: []byte("three")})
 	store.ApplyAuto(0, update.Record{Key: 4, Op: update.Delete})
 	q, _ := store.NewQuery(0, 0, 10, nil)

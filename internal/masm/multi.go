@@ -58,14 +58,14 @@ func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time
 	}
 	sorted := append([]StoreBatch(nil), batches...)
 	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].Store.tableID < sorted[j].Store.tableID
+		return sorted[i].Store.TableID() < sorted[j].Store.TableID()
 	})
 	oracle := sorted[0].Store.oracle
 	var base any
 	unlogged := 0
 	for i, b := range sorted {
-		if i > 0 && b.Store.tableID == sorted[i-1].Store.tableID {
-			return 0, at, fmt.Errorf("masm: commit names table %d twice", b.Store.tableID)
+		if i > 0 && b.Store.TableID() == sorted[i-1].Store.TableID() {
+			return 0, at, fmt.Errorf("masm: commit names table %d twice", b.Store.TableID())
 		}
 		if b.Store.oracle != oracle {
 			return 0, at, fmt.Errorf("masm: commit spans stores with different oracles")
@@ -107,7 +107,7 @@ func CommitAcross(at sim.Time, batches []StoreBatch) (lastTS int64, end sim.Time
 			b.Recs[i].TS = oracle.Next()
 			lastTS = b.Recs[i].TS
 		}
-		parts = append(parts, TxnPart{Table: b.Store.tableID, Recs: b.Recs})
+		parts = append(parts, TxnPart{Table: b.Store.TableID(), Recs: b.Recs})
 	}
 	now := at
 	if base != nil && lastTS > 0 {

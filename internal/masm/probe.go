@@ -36,48 +36,48 @@ func (s *Store) CheckInvariants() (extentBytes int64, err error) {
 	for _, r := range s.runs {
 		runBytes += r.Size
 		if r.ID >= s.nextRunID {
-			return 0, fmt.Errorf("masm: table %d: live run %d at or above next run id %d", s.tableID, r.ID, s.nextRunID)
+			return 0, fmt.Errorf("masm: table %d: live run %d at or above next run id %d", s.TableID(), r.ID, s.nextRunID)
 		}
 		if _, dup := owner[r.ID]; dup {
-			return 0, fmt.Errorf("masm: table %d: run %d appears twice in the live set", s.tableID, r.ID)
+			return 0, fmt.Errorf("masm: table %d: run %d appears twice in the live set", s.TableID(), r.ID)
 		}
 		e, ok := s.extents[r.ID]
 		if !ok {
-			return 0, fmt.Errorf("masm: table %d: live run %d has no extent", s.tableID, r.ID)
+			return 0, fmt.Errorf("masm: table %d: live run %d has no extent", s.TableID(), r.ID)
 		}
 		if r.Size > e.size {
-			return 0, fmt.Errorf("masm: table %d: run %d holds %d bytes in a %d-byte extent", s.tableID, r.ID, r.Size, e.size)
+			return 0, fmt.Errorf("masm: table %d: run %d holds %d bytes in a %d-byte extent", s.TableID(), r.ID, r.Size, e.size)
 		}
 		owner[r.ID] = "live"
 	}
 	if runBytes != s.runBytes {
-		return 0, fmt.Errorf("masm: table %d: runBytes counter %d but live runs sum to %d", s.tableID, s.runBytes, runBytes)
+		return 0, fmt.Errorf("masm: table %d: runBytes counter %d but live runs sum to %d", s.TableID(), s.runBytes, runBytes)
 	}
 	for id := range s.dead {
 		if s.pins[id] <= 0 {
-			return 0, fmt.Errorf("masm: table %d: dead run %d parked without pins", s.tableID, id)
+			return 0, fmt.Errorf("masm: table %d: dead run %d parked without pins", s.TableID(), id)
 		}
 		if owner[id] == "live" {
-			return 0, fmt.Errorf("masm: table %d: run %d is both live and dead", s.tableID, id)
+			return 0, fmt.Errorf("masm: table %d: run %d is both live and dead", s.TableID(), id)
 		}
 		if _, ok := s.extents[id]; !ok {
-			return 0, fmt.Errorf("masm: table %d: dead run %d has no extent", s.tableID, id)
+			return 0, fmt.Errorf("masm: table %d: dead run %d has no extent", s.TableID(), id)
 		}
 		owner[id] = "dead"
 	}
 	for id, n := range s.pins {
 		if n < 0 {
-			return 0, fmt.Errorf("masm: table %d: run %d pin count %d negative", s.tableID, id, n)
+			return 0, fmt.Errorf("masm: table %d: run %d pin count %d negative", s.TableID(), id, n)
 		}
 	}
 
 	exts := make([]extent, 0, len(s.extents))
 	for id, e := range s.extents {
 		if owner[id] == "" {
-			return 0, fmt.Errorf("masm: table %d: extent [%d,+%d) belongs to no live or dead run (id %d)", s.tableID, e.off, e.size, id)
+			return 0, fmt.Errorf("masm: table %d: extent [%d,+%d) belongs to no live or dead run (id %d)", s.TableID(), e.off, e.size, id)
 		}
 		if e.off < 0 || e.size <= 0 || e.off+e.size > s.ssd.Size() {
-			return 0, fmt.Errorf("masm: table %d: extent [%d,+%d) outside the %d-byte SSD volume", s.tableID, e.off, e.size, s.ssd.Size())
+			return 0, fmt.Errorf("masm: table %d: extent [%d,+%d) outside the %d-byte SSD volume", s.TableID(), e.off, e.size, s.ssd.Size())
 		}
 		extentBytes += e.size
 		exts = append(exts, e)
@@ -86,14 +86,14 @@ func (s *Store) CheckInvariants() (extentBytes int64, err error) {
 	for i := 1; i < len(exts); i++ {
 		if exts[i-1].off+exts[i-1].size > exts[i].off {
 			return 0, fmt.Errorf("masm: table %d: extents [%d,+%d) and [%d,+%d) overlap",
-				s.tableID, exts[i-1].off, exts[i-1].size, exts[i].off, exts[i].size)
+				s.TableID(), exts[i-1].off, exts[i-1].size, exts[i].off, exts[i].size)
 		}
 	}
 	if s.buf.Bytes() < 0 {
-		return 0, fmt.Errorf("masm: table %d: negative buffer occupancy %d", s.tableID, s.buf.Bytes())
+		return 0, fmt.Errorf("masm: table %d: negative buffer occupancy %d", s.TableID(), s.buf.Bytes())
 	}
 	if err := s.tbl.CheckSlotInvariants(); err != nil {
-		return 0, fmt.Errorf("masm: table %d: %w", s.tableID, err)
+		return 0, fmt.Errorf("masm: table %d: %w", s.TableID(), err)
 	}
 	return extentBytes, nil
 }

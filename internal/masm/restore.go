@@ -6,8 +6,6 @@ import (
 
 	"masm/internal/runfile"
 	"masm/internal/sim"
-	"masm/internal/storage"
-	"masm/internal/table"
 	"masm/internal/update"
 )
 
@@ -24,7 +22,21 @@ type PrebuiltRun struct {
 	Err   error
 }
 
-// Restore rebuilds one table's Store after a crash (paper §3.6): the
+// ReserveRunExtents re-registers a freshly built store's surviving runs
+// with its partition, page-rounded exactly as the store sizes extents.
+// Recovery calls it for every table before Restore rebuilds any (see
+// Restore).
+func (s *Store) ReserveRunExtents(runs []RunMeta) error {
+	for _, rm := range runs {
+		if err := s.alloc.Reserve(rm.Off, roundUp(rm.Size+rm.IndexSize, int64(s.cfg.SSDPage))); err != nil {
+			return fmt.Errorf("masm: reserve run %d extent [%d,+%d): %w", rm.RunID, rm.Off, rm.Size, err)
+		}
+	}
+	return nil
+}
+
+// Restore rebuilds a freshly built store (NewStore) into its table's state
+// after a crash (paper §3.6), starting at virtual time at: the
 // surviving materialized sorted runs (their data is on the non-volatile
 // SSD) have their in-memory metadata and run indexes reconstructed, and
 // the lost in-memory buffer is repopulated from the redo-logged updates
@@ -35,8 +47,8 @@ type PrebuiltRun struct {
 //
 // The caller derives runs, pending and redoMigration by replaying the redo
 // log (wal.Replayer), and must already have re-registered every surviving
-// run's extent with alloc (ReserveRunExtents) — for every table of the
-// engine, before restoring any: a restore can allocate fresh extents
+// run's extent with the store's partition (ReserveRunExtents) — for every
+// table of the engine, before restoring any: a restore can allocate fresh extents
 // (redoing an interrupted migration flushes the replayed buffer), and
 // without the other tables' reservations in place those allocations can
 // land on — and overwrite — their durable run data (found by the chaos
@@ -50,36 +62,29 @@ type PrebuiltRun struct {
 // from the map (or with a nil map): the reference the differential tests
 // compare the offline shape against.
 //
-// m carries the table's metric handles (nil for a private registry); the
-// restore path repopulates the state gauges — run bytes/count, memtable
-// fill — so a recovered engine's metrics resume from the recovered state
-// rather than zero.
-func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
-	logger RedoLogger, alloc RunAllocator, tableID uint32, runs []RunMeta,
-	prebuilt map[int64]PrebuiltRun, pending []update.Record, redoMigration []int64,
-	at sim.Time, m *StoreMetrics) (*Store, sim.Time, error) {
-
-	s, err := NewStoreShared(cfg, tbl, ssd, oracle, logger, alloc, tableID, m)
-	if err != nil {
-		return nil, at, err
-	}
+// Restore repopulates the state gauges — run bytes/count, memtable fill —
+// so a recovered engine's metrics resume from the recovered state rather
+// than zero. It returns the time the restore completes. Restore runs before
+// the store serves anything, so it takes no latch of its own.
+func (s *Store) Restore(at sim.Time, runs []RunMeta, prebuilt map[int64]PrebuiltRun,
+	pending []update.Record, redoMigration []int64) (sim.Time, error) {
 	// Rebuild runs in creation (ID) order, which is also time order.
 	sorted := append([]RunMeta(nil), runs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RunID < sorted[j].RunID })
 	var maxTS int64
 	for _, rm := range sorted {
 		if rm.Format != runfile.FormatVersion {
-			return nil, at, fmt.Errorf("masm: restore run %d: run format version %d unsupported (this build reads %d)",
+			return at, fmt.Errorf("masm: restore run %d: run format version %d unsupported (this build reads %d)",
 				rm.RunID, rm.Format, runfile.FormatVersion)
 		}
 		var run *runfile.Run
 		if pb, ok := prebuilt[rm.RunID]; ok {
 			if pb.Err != nil {
-				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, pb.Err)
+				return at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, pb.Err)
 			}
-			end, cerr := runfile.ChargeSpans(ssd, at, pb.Spans)
+			end, cerr := runfile.ChargeSpans(s.ssd, at, pb.Spans)
 			if cerr != nil {
-				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, cerr)
+				return at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, cerr)
 			}
 			run, at = pb.Run, end
 		} else {
@@ -87,15 +92,16 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 			// without decoding records; the data bytes are swept for their
 			// checksum, so corruption still fails recovery.
 			var end sim.Time
-			run, end, err = runfile.LoadIndex(ssd, rm.Off, rm.Size, rm.IndexSize,
-				at, rm.RunID, rm.Passes, rm.CRC, cfg.Run)
+			var err error
+			run, end, err = runfile.LoadIndex(s.ssd, rm.Off, rm.Size, rm.IndexSize,
+				at, rm.RunID, rm.Passes, rm.CRC, s.cfg.Run)
 			if err != nil {
-				return nil, at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, err)
+				return at, fmt.Errorf("masm: restore run %d: %w", rm.RunID, err)
 			}
 			at = end
 		}
-		run.Table = s.tableID
-		s.extents[rm.RunID] = extent{off: rm.Off, size: roundUp(rm.Size+rm.IndexSize, int64(cfg.SSDPage))}
+		run.Table = s.TableID()
+		s.extents[rm.RunID] = extent{off: rm.Off, size: roundUp(rm.Size+rm.IndexSize, int64(s.cfg.SSDPage))}
 		s.runs = append(s.runs, run)
 		s.accountRunLocked(run, +1)
 		if rm.RunID >= s.nextRunID {
@@ -114,13 +120,13 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 		for !s.buf.Append(rec) {
 			end, err := s.flushLocked(at, int64(1)<<62)
 			if err != nil {
-				return nil, at, err
+				return at, err
 			}
 			at = end
 		}
 	}
 	s.m.MemtableBytes.Set(int64(s.buf.Bytes()))
-	oracle.AdvanceTo(maxTS)
+	s.oracle.AdvanceTo(maxTS)
 	// Redo an interrupted migration. The run set may have changed IDs if
 	// the crash also lost merges; migrating everything currently live is
 	// always correct (a superset of the interrupted set). The redo is a
@@ -132,9 +138,9 @@ func Restore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
 	if redoMigration != nil {
 		end, _, err := s.Migrate(at)
 		if err != nil {
-			return nil, at, fmt.Errorf("masm: redo migration: %w", err)
+			return at, fmt.Errorf("masm: redo migration: %w", err)
 		}
 		at = end
 	}
-	return s, at, nil
+	return at, nil
 }

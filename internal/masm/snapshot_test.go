@@ -39,7 +39,7 @@ func TestOpenSnapshotParksNoRetiredRuns(t *testing.T) {
 	for _, r := range s.runs {
 		live += s.extents[r.ID].size
 	}
-	used := s.ssd.Size() - s.alloc.(*extentAlloc).totalFree()
+	used := s.ssd.Size() - s.alloc.sa.pool.totalFree()
 	s.mu.Unlock()
 	if s.Stats().TwoPassMerges == 0 {
 		t.Fatal("query setup merged nothing")

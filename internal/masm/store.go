@@ -99,10 +99,10 @@ type Store struct {
 	ssd    *storage.Volume
 	oracle *Oracle
 	log    RedoLogger
-	// tableID names this store's table within a multi-table engine sharing
-	// one SSD volume, WAL and oracle; a standalone single-table store is
-	// table 0.
-	tableID uint32
+	// alloc is the table's partition of the SSD volume's SharedAlloc; its
+	// table id names this store within an engine sharing one SSD volume,
+	// WAL and oracle.
+	alloc *Partition
 
 	mu   sync.Mutex
 	buf  *memtable.Buffer
@@ -114,7 +114,6 @@ type Store struct {
 	// runFilterBytes is the summed FilterBytes of s.runs: DRAM outside the
 	// αM budget, like the run indexes.
 	runFilterBytes int64
-	alloc          RunAllocator
 	nextRunID      int64
 	// queryPagesInUse counts memory pages pinned by open queries'
 	// Run_scan read buffers; MaSM-M steals idle query pages for the
@@ -155,27 +154,16 @@ type Store struct {
 }
 
 // NewStore creates a MaSM store over the given table, SSD volume (the
-// update cache) and shared timestamp oracle. logger may be nil to run
-// without a redo log.
-func NewStore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle, logger RedoLogger) (*Store, error) {
-	// The private allocator manages the whole physical volume, which may be
-	// over-provisioned relative to the logical cache capacity; the
-	// transient space lets 2-pass merges write their output before
-	// the input runs are released, as real SSDs over-provision flash.
-	return NewStoreShared(cfg, tbl, ssd, oracle, logger, newExtentAlloc(ssd.Size()), 0, nil)
-}
-
-// NewStoreShared creates a MaSM store drawing its run extents from a shared
-// allocator over a (possibly multi-table) SSD volume, identified as tableID
-// within the engine that owns the volume. NewStore is the single-table
-// special case: a private allocator and table 0.
+// update cache) and timestamp oracle, drawing its run extents from alloc,
+// the table's partition of the volume's SharedAlloc; the partition's table
+// id is the store's. logger may be nil to run without a redo log.
 //
 // m supplies the store's metric handles (an engine passes handles from
 // its shared registry, labeled with the table name); nil gets a private
 // registry so counters — and the Stats() view derived from them — work
 // everywhere.
-func NewStoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
-	logger RedoLogger, alloc RunAllocator, tableID uint32, m *StoreMetrics) (*Store, error) {
+func NewStore(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *Oracle,
+	logger RedoLogger, alloc *Partition, m *StoreMetrics) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -193,7 +181,6 @@ func NewStoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *O
 		ssd:     ssd,
 		oracle:  oracle,
 		log:     logger,
-		tableID: tableID,
 		buf:     memtable.New(cfg.SPages() * cfg.SSDPage),
 		alloc:   alloc,
 		readers: make(map[int64]int),
@@ -207,9 +194,9 @@ func NewStoreShared(cfg Config, tbl *table.Table, ssd *storage.Volume, oracle *O
 // Config returns the store's configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// TableID returns the table identity this store carries within its engine
-// (0 for a standalone single-table store).
-func (s *Store) TableID() uint32 { return s.tableID }
+// TableID returns the table identity this store carries within its engine:
+// its partition's table id.
+func (s *Store) TableID() uint32 { return s.alloc.table }
 
 func (s *Store) idleLocked() bool {
 	return len(s.readers) == 0 && !s.migrating
@@ -232,7 +219,7 @@ func (s *Store) ReleaseAllRuns() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.idleLocked() {
-		return fmt.Errorf("masm: table %d still has active readers or a migration", s.tableID)
+		return fmt.Errorf("masm: table %d still has active readers or a migration", s.TableID())
 	}
 	for _, r := range s.runs {
 		s.accountRunLocked(r, -1)
@@ -394,7 +381,7 @@ func (s *Store) flushLocked(at sim.Time, beforeTS int64) (sim.Time, error) {
 		s.alloc.Release(off, extSize)
 		return at, err
 	}
-	run.Table = s.tableID
+	run.Table = s.TableID()
 	if used := roundUp(run.Size+run.IndexSize, int64(s.cfg.SSDPage)); used < extSize {
 		s.alloc.Release(off+used, extSize-used)
 		extSize = used
@@ -590,7 +577,7 @@ func (s *Store) mergeRunsLocked(at sim.Time, n int) (sim.Time, error) {
 		s.alloc.Release(off, extSize)
 		return at, err
 	}
-	merged.Table = s.tableID
+	merged.Table = s.TableID()
 	// Duplicate combining can shrink the merged run well below the sum of
 	// its inputs; return the unused tail of the extent.
 	if used := roundUp(merged.Size+merged.IndexSize, int64(s.cfg.SSDPage)); used < extSize {

@@ -317,7 +317,8 @@ func (c *Client) Abort(txid uint64) error {
 	return err
 }
 
-// Stats fetches the server's engine stats as JSON.
+// Stats fetches a snapshot of the server engine's metric registry as JSON
+// (obs.Snapshot: the series /metrics exports).
 func (c *Client) Stats() ([]byte, error) {
 	resp, err := c.call(&Msg{Op: OpStats})
 	if err != nil {

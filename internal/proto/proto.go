@@ -65,7 +65,7 @@ const (
 	OpOK        Op = 16 // value u64 (txid for BeginTx, version for Hello)
 	OpErr       Op = 17 // code u16, retryable u8, message
 	OpRows      Op = 18 // final u8, nrows u32, nrows × (key u64, body)
-	OpStatsJSON Op = 19 // JSON bytes
+	OpStatsJSON Op = 19 // JSON bytes (the engine's registry snapshot)
 )
 
 // TxUpdate kinds.

@@ -123,8 +123,8 @@ type Run struct {
 	Size  int64 // data size in bytes
 	Count int64 // number of update records
 	// Table identifies the catalog table that owns this run when several
-	// tables materialize runs onto one shared SSD volume (0 for a
-	// standalone single-table store). Ownership is metadata: the extent
+	// tables materialize runs onto one shared SSD volume (the store's
+	// partition's table id). Ownership is metadata: the extent
 	// itself comes from the shared allocator, and the WAL's table-tagged
 	// records route the run back to its owner during recovery.
 	Table uint32

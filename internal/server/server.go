@@ -572,7 +572,7 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		return c.replyOK(m.Seq, 0) == nil
 
 	case proto.OpStats:
-		blob, err := json.Marshal(s.eng.Stats())
+		blob, err := json.Marshal(s.eng.Metrics())
 		if err != nil {
 			return c.replyErr(m.Seq, proto.CodeInternal, false, err) == nil
 		}

@@ -209,8 +209,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(blob, []byte(`"Tables"`)) {
-		t.Fatalf("stats JSON missing Tables: %s", blob)
+	if !bytes.Contains(blob, []byte(`"masm_pool_used_bytes"`)) {
+		t.Fatalf("stats JSON missing the registry's masm_pool_used_bytes: %s", blob)
 	}
 }
 

@@ -53,7 +53,7 @@ func newTableStore(t *testing.T, nRows int, oracle *masm.Oracle, id uint32) *mas
 	cfg.Run.IOSize = 16 << 10
 	cfg.Run.IndexGranularity = 4 << 10
 	cfg.ScanGranularity = 4 << 10
-	store, err := masm.NewStoreShared(cfg, tbl, ssdVol, oracle, nil, masm.NewSharedAlloc(ssdVol.Size()).Partition(id, ssdVol.Size()), id, nil)
+	store, err := masm.NewStore(cfg, tbl, ssdVol, oracle, nil, masm.NewSharedAlloc(ssdVol.Size()).Partition(id, ssdVol.Size()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestRunMetaDescriptor(t *testing.T) {
 		t.Fatalf("round trip: %+v (rest %d)", dec, len(rest))
 	}
 
-	// The format field is carried, not judged, here: core.Restore refuses a
+	// The format field is carried, not judged, here: core.Store.Restore refuses a
 	// version it cannot read, naming both.
 	old := rm
 	old.Format = 1

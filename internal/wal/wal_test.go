@@ -33,6 +33,12 @@ type rig struct {
 	now    sim.Time
 }
 
+// wholeVolume is a single table's run allocator: the only partition of a
+// SharedAlloc over vol, capped at the whole volume.
+func wholeVolume(vol *storage.Volume) *masm.Partition {
+	return masm.NewSharedAlloc(vol.Size()).Partition(0, vol.Size())
+}
+
 func smallCfg() masm.Config {
 	cfg := masm.DefaultConfig(4 << 20)
 	cfg.SSDPage = 4 << 10
@@ -74,7 +80,7 @@ func newRig(t *testing.T, nRows int) *rig {
 	r := &rig{t: t, tbl: tbl, ssdVol: ssdVol, logVol: logVol,
 		oracle: &masm.Oracle{}, model: model}
 	r.log = Open(logVol)
-	r.store, err = masm.NewStore(smallCfg(), tbl, ssdVol, r.oracle, r.log.ForTable(0))
+	r.store, err = masm.NewStore(smallCfg(), tbl, ssdVol, r.oracle, r.log.ForTable(0), wholeVolume(ssdVol), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,16 +152,18 @@ func (r *rig) crashRecover() {
 	r.restore(newOracle, st.Runs, st.Pending, st.RedoMigration, now)
 }
 
-// restore rebuilds the rig's store over a fresh private allocator with the
+// restore rebuilds the rig's store over a fresh allocator with the
 // surviving runs' extents re-registered, as the engine's recovery does.
 func (r *rig) restore(oracle *masm.Oracle, runs []masm.RunMeta, pending []update.Record, redo []int64, at sim.Time) {
 	r.t.Helper()
-	alloc := masm.NewSharedAlloc(r.ssdVol.Size()).Partition(0, r.ssdVol.Size())
-	if err := masm.ReserveRunExtents(smallCfg(), alloc, runs); err != nil {
+	store, err := masm.NewStore(smallCfg(), r.tbl, r.ssdVol, oracle, nil, wholeVolume(r.ssdVol), nil)
+	if err != nil {
 		r.t.Fatal(err)
 	}
-	store, end, err := masm.Restore(smallCfg(), r.tbl, r.ssdVol, oracle, nil, alloc, 0,
-		runs, nil, pending, redo, at, nil)
+	if err := store.ReserveRunExtents(runs); err != nil {
+		r.t.Fatal(err)
+	}
+	end, err := store.Restore(at, runs, nil, pending, redo)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -373,7 +381,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	r.now = end
 	// The log now contains begin+end; emulate the torn case by replaying
 	// only up to the begin record: recovery with a truncated entry list.
-	// (Directly exercising masm.Restore's redo path.)
+	// (Directly exercising masm.Store.Restore's redo path.)
 	entries, _, err := readAll(r.logVol, r.now)
 	if err != nil {
 		t.Fatal(err)

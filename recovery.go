@@ -16,7 +16,6 @@ import (
 	"time"
 
 	core "masm/internal/masm"
-	"masm/internal/obs"
 	"masm/internal/runfile"
 	"masm/internal/sim"
 	"masm/internal/storage"
@@ -38,7 +37,7 @@ import (
 //  2. resume the oracle above every logged timestamp;
 //  3. checkpoint the recovered state into the new log, so a crash during
 //     or after the rest recovers too;
-//  4. reserve every table's surviving run extents;
+//  4. build every table's store and reserve its surviving run extents;
 //  5. restore each table: run indexes, the lost in-memory buffer, and an
 //     interrupted migration's redo.
 //
@@ -103,13 +102,14 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 		return now, err
 	}
 
-	// 4. Reserve EVERY table's extents before restoring ANY table (see
-	// core.Restore).
-	allocs := make(map[uint32]core.RunAllocator, len(tables))
+	// 4. Build every table's store and reserve EVERY table's extents
+	// before restoring ANY table (see core.Store.Restore).
 	for _, t := range tables {
-		allocs[t.id] = e.shared.Partition(t.id, t.cacheBudget*2)
+		if t.store, err = e.newStore(t, e.log.ForTable(t.id)); err != nil {
+			return now, fmt.Errorf("masm: %s table %q: %w", what, t.name, err)
+		}
 		if st := states[t.id]; st != nil {
-			if err := core.ReserveRunExtents(ccfg, allocs[t.id], st.Runs); err != nil {
+			if err := t.store.ReserveRunExtents(st.Runs); err != nil {
 				return now, fmt.Errorf("masm: %s table %q: %w", what, t.name, err)
 			}
 		}
@@ -125,17 +125,12 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 		if st == nil {
 			st = &wal.TableState{}
 		}
-		tcfg := ccfg
-		tcfg.SSDCapacity = roundTo(t.cacheBudget, 4<<10)
-		store, end, err := core.Restore(tcfg, t.tbl, e.ssdVol, e.oracle, e.log.ForTable(t.id),
-			allocs[t.id], t.id, st.Runs, rb.wait(t.id), st.Pending, st.RedoMigration, now,
-			e.storeMetricsFor(t.name))
+		end, err := t.store.Restore(now, st.Runs, rb.wait(t.id), st.Pending, st.RedoMigration)
 		if err != nil {
 			return now, fmt.Errorf("masm: %s table %q: %w", what, t.name, err)
 		}
 		now = end
-		t.store = store
-		t.txns = txn.NewManager(store)
+		t.txns = txn.NewManager(t.store)
 	}
 	e.reg.Gauge("masm_recovery_wall_nanos").Set(time.Since(start).Nanoseconds())
 	e.tracer.Emit("recovery", "", "end", fmt.Sprintf("tables=%d", len(tables)), int64(now))
@@ -147,13 +142,14 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 // (runfile.LoadIndexOffline — PeekAt, no pricing), so starting one the moment
 // its run metadata streams out of the log cannot move the virtual clock; it
 // only moves the scan's real I/O wait under the replay's and the restores'
-// CPU time. core.Restore charges the recorded spans where an inline rebuild
-// would have read.
+// CPU time. core.Store.Restore charges the recorded spans where an inline
+// rebuild would have read.
 type runRebuilder struct {
 	vol *storage.Volume
 	cfg runfile.Config
 	// sem bounds the scans in flight; nil (zero workers) turns dispatch
-	// into a no-op, leaving every run to core.Restore's inline rebuild.
+	// into a no-op, leaving every run to core.Store.Restore's inline
+	// rebuild.
 	sem chan struct{}
 	// dispatched is touched only by the recovering goroutine: it dedupes
 	// repeated announcements (a checkpointed run re-flushed) and is how
@@ -329,9 +325,7 @@ func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File, rebuildWo
 		e.byID[t.id] = t
 		ds.catalog = append(ds.catalog, t)
 	}
-	e.log = wal.Open(e.logVol)
-	e.log.SetHooks(ds.hooks())
-	e.log.SetMetrics(walMetricsFor(e.reg))
+	e.openLog()
 
 	now, err := e.recoverTables("recover "+dir, oldLogVol, 0, ds.catalog, rebuildWorkers)
 	if err != nil {
@@ -391,29 +385,16 @@ func (e *Engine) crashInMemory(rebuildWorkers int) (*Engine, error) {
 		sched.Stop()
 	}
 	sort.Slice(old, func(i, j int) bool { return old[i].id < old[j].id })
-	e2 := &Engine{
-		cfg:    e.cfg,
-		hdd:    e.hdd,
-		ssd:    e.ssd,
-		arena:  e.arena,
-		ssdVol: e.ssdVol,
-		oracle: &core.Oracle{},
-		logVol: e.logVol,
-		tables: make(map[string]*Table),
-		byID:   make(map[uint32]*Table),
-		nextID: e.nextID,
-		// A crash loses the volatile metric state with everything else: the
-		// new engine generation starts a fresh registry, and recovery
-		// re-primes the state gauges from the recovered state.
-		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
-	}
-	e2.shared = core.NewSharedAlloc(e.ssdVol.Size())
-	e2.shared.SetMetrics(core.NewPoolMetrics(e2.reg))
+	// A crash loses the volatile metric state with everything else: the
+	// new engine generation starts a fresh registry, and recovery re-primes
+	// the state gauges from the recovered state.
+	e2 := newEngine(e.cfg, e.hdd, e.ssd, e.ssdVol)
+	e2.arena = e.arena
+	e2.nextID = e.nextID
 	// The new log reuses the old one's volume: replay finishes reading
 	// before the checkpoint starts overwriting.
-	e2.log = wal.Open(e.logVol)
-	e2.log.SetMetrics(walMetricsFor(e2.reg))
+	e2.logVol = e.logVol
+	e2.openLog()
 	tables := make([]*Table, len(old))
 	for i, t := range old {
 		t2 := &Table{eng: e2, name: t.name, id: t.id, cacheBudget: t.cacheBudget, tbl: t.tbl}
