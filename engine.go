@@ -488,7 +488,9 @@ func (t *Table) Snapshot() (*Snapshot, error) {
 // replacement for Table_range_scan. Scan holds no lock while iterating:
 // concurrent Insert/Delete/Modify proceed unblocked and are invisible to
 // this scan (snapshot isolation). body is valid only until fn returns: it
-// aliases the scan's read buffer, so a caller that keeps it must copy it.
+// aliases the scan's read buffer, a cached update's payload or, for a
+// modified row, the scan's scratch body, so a caller that keeps it must
+// copy it.
 func (t *Table) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	e := t.eng
 	e.mu.RLock()

@@ -107,3 +107,26 @@ func TestCombinerZeroAllocs(t *testing.T) {
 		t.Fatalf("Combiner.NextBatch allocates %.2f per batch in steady state, want 0", avg)
 	}
 }
+
+// TestMergerReleaseReusesBatches: a released merger's source batches
+// serve the next NewMerger, so building a merge over already-sized
+// sources allocates nothing.
+func TestMergerReleaseReusesBatches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	its := make([]update.Iterator, 8)
+	for i := range its {
+		its[i] = update.NewSliceIterator(nil)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		m, err := NewMerger(its...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	})
+	if avg != 0 {
+		t.Fatalf("NewMerger after Release allocates %.2f, want 0", avg)
+	}
+}

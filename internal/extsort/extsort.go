@@ -20,6 +20,9 @@
 package extsort
 
 import (
+	"slices"
+	"sync"
+
 	"masm/internal/update"
 )
 
@@ -98,27 +101,40 @@ func (m *Merger) Stats() MergerStats {
 	return MergerStats{Comparisons: m.cmps, Refills: m.refills, Records: m.records}
 }
 
+var mergerPool = sync.Pool{New: func() any { return new(Merger) }}
+
 // NewMerger builds a merger over the given iterators. Iterators are pulled
 // lazily; an empty iterator contributes nothing. The initial batch of each
 // source is fetched in argument order, matching the record-at-a-time
-// engine's first-read order.
+// engine's first-read order. The merger comes from a pool: Release hands
+// its batches to the next one.
 func NewMerger(its ...update.Iterator) (*Merger, error) {
 	k := len(its)
-	m := &Merger{
-		srcs:   make([]mergeSource, k),
-		curKey: make([]uint64, k),
-		curTS:  make([]int64, k),
-		alive:  make([]bool, k),
-		tree:   make([]int32, max(k, 1)),
+	m := mergerPool.Get().(*Merger)
+	// Reslicing within capacity keeps each source's batch for reuse.
+	srcs := slices.Grow(m.srcs[:0], k)[:k]
+	for i, it := range its {
+		buf := srcs[i].buf
+		if cap(buf) < sourceBatch {
+			buf = make([]update.Record, sourceBatch)
+		}
+		srcs[i] = mergeSource{it: it, buf: buf[:sourceBatch]}
+	}
+	*m = Merger{
+		srcs:   srcs,
+		curKey: slices.Grow(m.curKey[:0], k)[:k],
+		curTS:  slices.Grow(m.curTS[:0], k)[:k],
+		alive:  slices.Grow(m.alive[:0], k)[:k],
+		tree:   slices.Grow(m.tree[:0], max(k, 1))[:max(k, 1)],
 		k:      k,
 	}
 	for i := range m.tree {
 		m.tree[i] = -1
 	}
-	for i, it := range its {
-		m.srcs[i] = mergeSource{it: it, buf: make([]update.Record, sourceBatch)}
+	for i := range m.srcs {
 		m.refills++
 		if err := m.srcs[i].refill(); err != nil {
+			m.Release()
 			return nil, err
 		}
 		m.syncCur(i)
@@ -127,6 +143,16 @@ func NewMerger(its ...update.Iterator) (*Merger, error) {
 		m.seed(i)
 	}
 	return m, nil
+}
+
+// Release returns the merger to the pool. Neither it nor its sources may
+// be used afterwards; the records it returned are copies and stay valid.
+func (m *Merger) Release() {
+	for i := range m.srcs {
+		clear(m.srcs[i].buf) // the pool must not pin payloads
+		m.srcs[i].it = nil
+	}
+	mergerPool.Put(m)
 }
 
 // syncCur refreshes the dense comparison mirror of source i.

@@ -1,6 +1,7 @@
 package masm
 
 import (
+	"fmt"
 	"sync"
 
 	"masm/internal/runfile"
@@ -11,7 +12,10 @@ import (
 
 // rowFold applies one key's update group, oldest first, onto its base
 // row: the one definition of that step, shared by the range scan's
-// Merge_data_updates (Query.Next) and the point lookup.
+// Merge_data_updates (Query.Next) and the point lookup. It allocates
+// nothing: an insert or replace folds to its payload (payloads are never
+// overwritten: run-scan bytes and the buffer copy's records alike), and a
+// modify patches the fold's scratch body.
 type rowFold struct {
 	body   []byte
 	exists bool
@@ -23,18 +27,44 @@ type rowFold struct {
 	// delete/modify of a nonexistent key, which yields nothing.
 	based  bool
 	pageTS int64
+	// scratch is the fold's own body buffer, reused by every fold of one
+	// query or lookup; owned reports that body lives in it, so a further
+	// modify patches it in place.
+	scratch []byte
+	owned   bool
 }
 
-func foldOnto(row table.Row) rowFold {
-	return rowFold{body: row.Body, exists: true, ts: row.PageTS, based: true, pageTS: row.PageTS}
+// reset starts a fold with no base row, keeping the scratch buffer.
+func (f *rowFold) reset() { *f = rowFold{scratch: f.scratch} }
+
+// onto starts a fold on a row read off a page.
+func (f *rowFold) onto(row table.Row) {
+	*f = rowFold{body: row.Body, exists: true, ts: row.PageTS, based: true, pageTS: row.PageTS, scratch: f.scratch}
 }
 
+// apply folds u, the next update of the key, as update.Apply would.
 func (f *rowFold) apply(u *update.Record) {
 	if f.based && u.TS <= f.pageTS {
 		return
 	}
-	f.body, f.exists = update.Apply(f.body, f.exists, u)
 	f.ts = u.TS
+	switch u.Op {
+	case update.Insert, update.Replace:
+		f.body, f.exists, f.owned = u.Payload, true, false
+	case update.Delete:
+		f.body, f.exists, f.owned = nil, false, false
+	case update.Modify:
+		if !f.exists {
+			return
+		}
+		if !f.owned {
+			f.scratch = append(f.scratch[:0], f.body...)
+			f.body, f.owned = f.scratch, true
+		}
+		update.PatchFields(f.body, u.Payload)
+	default:
+		panic(fmt.Sprintf("masm: fold of unknown op %v", u.Op))
+	}
 }
 
 // getScratch is the reusable state of one point lookup.
@@ -42,6 +72,7 @@ type getScratch struct {
 	runs []*runfile.Run // pinned runs whose filter admits the key
 	mem  []update.Record
 	pb   runfile.PointBuf
+	fold rowFold
 }
 
 var getScratchPool = sync.Pool{New: func() any { return new(getScratch) }}
@@ -53,6 +84,7 @@ func (sc *getScratch) release() {
 	clear(sc.mem)
 	sc.runs, sc.mem = sc.runs[:0], sc.mem[:0]
 	sc.pb.Reset()
+	sc.fold.reset()
 	getScratchPool.Put(sc)
 }
 
@@ -149,9 +181,11 @@ func (s *Store) readKey(at sim.Time, key uint64, qts int64, gran int, sc *getScr
 			recs[j], recs[j-1] = recs[j-1], recs[j]
 		}
 	}
-	var fold rowFold
+	fold := &sc.fold
 	if onPage {
-		fold = foldOnto(base)
+		fold.onto(base)
+	} else {
+		fold.reset()
 	}
 	for i := range recs {
 		fold.apply(&recs[i])
@@ -159,11 +193,7 @@ func (s *Store) readKey(at sim.Time, key uint64, qts int64, gran int, sc *getScr
 	if !fold.exists {
 		return table.Row{}, false, end, nil
 	}
-	if onPage && fold.ts == base.PageTS {
-		// No update applied (one would have raised ts past the stamp): the
-		// body still aliases the page image. Hand out a copy rather than
-		// keep the whole page alive behind one row.
-		fold.body = append([]byte(nil), fold.body...)
-	}
-	return table.Row{Key: key, Body: fold.body, PageTS: fold.ts}, true, end, nil
+	// The folded body aliases the page image, an update's payload or the
+	// scratch; the caller keeps what Get returns, so it gets a copy.
+	return table.Row{Key: key, Body: append([]byte(nil), fold.body...), PageTS: fold.ts}, true, end, nil
 }

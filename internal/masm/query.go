@@ -51,9 +51,12 @@ type Query struct {
 	cpu         sim.Duration
 	pinnedRuns  []int64
 	pinnedPages int
-	dataPend    pendingRow
 	closed      bool
 	err         error
+
+	// fold is the update-group fold; its scratch body, which a modify
+	// patches, is the query's own and reused by every row.
+	fold rowFold
 
 	// rowBytes accumulates the body bytes of every row returned; observed
 	// into the scan-bytes histogram when the query closes.
@@ -182,53 +185,59 @@ func (q *Query) Time() sim.Time {
 // Next returns the next merged row of the range, in key order, reflecting
 // exactly the updates with timestamps below the query's (the outer join of
 // main data and cached updates, §3.1). The row's body may alias the data
-// scanner's read buffer, so it is valid only until the next call: Next
-// keeps at most one data row of lookahead and never reads past a row it
-// has not yet returned.
+// scanner's read buffer or, for a modified row, the query's scratch body,
+// so it is valid only until the next call: Next never reads past a data
+// row it has not yet returned.
+//
+// A row costs one key comparison: the data scanner's next row against
+// the head of Merge_updates. A data row that comes first is returned
+// straight from its page; an update group folds onto the row under it.
+// The update stream is read through a BatchReader window; a batched
+// refill only accelerates the consumer side: the merger's sources still
+// perform device reads at the same points in the merged stream, so
+// simulated times are unchanged.
 func (q *Query) Next() (table.Row, bool, error) {
 	if q.err != nil || q.closed {
 		return table.Row{}, false, q.err
 	}
 	for {
-		row, haveRow := q.peekData()
-		upd, haveUpd, err := q.peekUpd()
+		haveRow := q.data.Peek()
+		key, haveUpd, err := q.upd.PeekKey()
 		if err != nil {
 			q.err = err
 			return table.Row{}, false, err
 		}
-		switch {
-		case !haveRow && !haveUpd:
-			return table.Row{}, false, q.data.Err()
-		case haveRow && (!haveUpd || row.Key < upd.Key):
-			q.consumeData()
+		if haveRow && (!haveUpd || q.data.Key() < key) {
+			row := q.data.Take()
 			q.cpu += q.CPUPerRecord
 			q.rowBytes += int64(len(row.Body))
 			return row, true, nil
-		default:
-			// An update group, with or without a base row under it.
-			key := upd.Key
-			var fold rowFold
-			if haveRow && row.Key == key {
-				q.consumeData()
-				fold = foldOnto(row)
+		}
+		if !haveUpd {
+			return table.Row{}, false, q.data.Err()
+		}
+		// An update group, with or without a base row under it.
+		if haveRow && q.data.Key() == key {
+			q.fold.onto(q.data.Take())
+		} else {
+			q.fold.reset()
+		}
+		for {
+			q.fold.apply(q.upd.Head())
+			q.upd.Consume()
+			k, ok, err := q.upd.PeekKey()
+			if err != nil {
+				q.err = err
+				return table.Row{}, false, err
 			}
-			for {
-				u, ok, err := q.peekUpd()
-				if err != nil {
-					q.err = err
-					return table.Row{}, false, err
-				}
-				if !ok || u.Key != key {
-					break
-				}
-				q.consumeUpd()
-				fold.apply(&u)
+			if !ok || k != key {
+				break
 			}
-			if fold.exists {
-				q.cpu += q.CPUPerRecord
-				q.rowBytes += int64(len(fold.body))
-				return table.Row{Key: key, Body: fold.body, PageTS: fold.ts}, true, nil
-			}
+		}
+		if q.fold.exists {
+			q.cpu += q.CPUPerRecord
+			q.rowBytes += int64(len(q.fold.body))
+			return table.Row{Key: key, Body: q.fold.body, PageTS: q.fold.ts}, true, nil
 		}
 	}
 }
@@ -266,14 +275,23 @@ func (q *Query) Drain() (int64, sim.Time, error) {
 	}
 }
 
-// Close releases the query's memory pages and unregisters it. It must be
-// called exactly once; migration waits for queries older than its
-// timestamp to close.
+// Close releases the query's memory pages and unregisters it, and
+// returns its scan and merge buffers to their pools: no row it returned
+// may be used afterwards. It must be called exactly once; migration waits
+// for queries older than its timestamp to close.
 func (q *Query) Close() {
 	if q.closed {
 		return
 	}
 	q.closed = true
+	q.closeLocked()
+	q.data.Release()
+	q.merger.Release()
+	q.upd.Release()
+}
+
+// closeLocked is Close's bookkeeping under the store latch.
+func (q *Query) closeLocked() {
 	s := q.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,38 +326,3 @@ func (q *Query) Close() {
 		s.unpinRunLocked(id)
 	}
 }
-
-type pendingRow struct {
-	row   table.Row
-	valid bool
-	done  bool
-}
-
-// peekData/consumeData implement one-row lookahead over the data scan.
-func (q *Query) peekData() (table.Row, bool) {
-	if q.dataPend.valid {
-		return q.dataPend.row, true
-	}
-	if q.dataPend.done {
-		return table.Row{}, false
-	}
-	row, ok := q.data.Next()
-	if !ok {
-		q.dataPend.done = true
-		return table.Row{}, false
-	}
-	q.dataPend.row, q.dataPend.valid = row, true
-	return row, true
-}
-
-func (q *Query) consumeData() { q.dataPend.valid = false }
-
-// peekUpd/consumeUpd implement lookahead over Merge_updates through a
-// BatchReader window. A batched refill only accelerates the consumer
-// side: the merger's sources still perform device reads at the same
-// points in the merged stream, so simulated times are unchanged.
-func (q *Query) peekUpd() (update.Record, bool, error) {
-	return q.upd.Peek()
-}
-
-func (q *Query) consumeUpd() { q.upd.Consume() }

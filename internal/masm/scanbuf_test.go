@@ -1,0 +1,249 @@
+package masm
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"masm/internal/sim"
+	"masm/internal/table"
+	"masm/internal/update"
+)
+
+// TestQueryNextZeroAllocs gates the merged scan's inner loop: once a
+// query is under way, Next allocates nothing per row. The rows come from
+// main data, runs and the buffer, and every one of them carries a folded
+// insert, replace or modify (deletes drop rows in between): the fold
+// returns payloads in place and patches modifies in the query's scratch.
+func TestQueryNextZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	const n = 20000
+	e := newEnv(t, n, smallConfig())
+	for i := 0; i < n; i++ {
+		key := uint64(i+1) * 2
+		var rec update.Record
+		switch i % 8 {
+		case 0:
+			rec = update.Record{Key: key, Op: update.Delete}
+		case 1:
+			rec = update.Record{Key: key, Op: update.Replace, Payload: body(key+1, 92)}
+		case 2:
+			rec = update.Record{Key: key - 1, Op: update.Insert, Payload: body(key-1, 92)}
+		default:
+			rec = update.Record{Key: key, Op: update.Modify,
+				Payload: update.EncodeFields([]update.Field{{Off: uint16(i % 80), Value: []byte{byte(i), byte(i >> 8)}}})}
+		}
+		e.apply(rec)
+	}
+	if e.store.Runs() == 0 || e.store.buf.Bytes() == 0 {
+		t.Fatalf("want updates in runs and in the buffer: %d runs, %d buffered bytes", e.store.Runs(), e.store.buf.Bytes())
+	}
+	q, err := e.store.NewQuery(e.now, 0, ^uint64(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	next := func() {
+		if _, ok, err := q.Next(); err != nil || !ok {
+			t.Fatalf("query ended during the gate: %v", err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm up: the first batch and the scratch body
+		next()
+	}
+	if avg := testing.AllocsPerRun(5000, next); avg != 0 {
+		t.Fatalf("Query.Next allocates %v per row in steady state, want 0", avg)
+	}
+}
+
+// TestScanBuffersRecycled: a query's scan buffer and decoded pages go
+// back to their pool when it closes, so back-to-back scans across three
+// ScanIO batches allocate far less than one buffer each.
+func TestScanBuffersRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	e := newEnv(t, 30000, smallConfig())
+	e.applyRandom(200)
+	scanIO := table.DefaultConfig().ScanIO
+	scan := func() {
+		q, err := e.store.NewQuery(e.now, 0, ^uint64(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if _, _, err := q.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.tbl.SizeBytes(); got <= int64(3*scanIO) {
+		t.Fatalf("a %d-byte table spans no more than three scan batches", got)
+	}
+	// One P, as in AllocsPerRun: a pooled buffer put back on one P is
+	// cached there for the next scan on it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	scan()
+	const scans = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scans; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / scans; per >= uint64(scanIO/2) {
+		t.Fatalf("a scan allocates %d bytes, want under %d (half a scan buffer)", per, scanIO/2)
+	}
+}
+
+// TestConcurrentScansRecycledBuffers runs scans that cross scan-batch
+// boundaries on two goroutines while a third inserts and modifies rows:
+// pooled scan buffers and per-query scratch bodies must never be shared
+// by two live queries. Each body is checked against the model as of its
+// query's snapshot the moment Next returns it, before the next call.
+func TestConcurrentScansRecycledBuffers(t *testing.T) {
+	const rows = 30000
+	e := newEnv(t, rows, smallConfig())
+	s := e.store
+
+	// The writer's updates, fixed in advance: versions[k] lists the body of
+	// key k after each write to it, tagged with the write's index.
+	type version struct {
+		seq  int
+		body []byte
+	}
+	versions := make(map[uint64][]version)
+	base := func(key uint64) []byte {
+		if key%2 == 0 && key <= 2*rows {
+			return body(key, 92)
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(7))
+	var writes []update.Record
+	for i := 0; i < 6000; i++ {
+		key := uint64(rng.Intn(2*rows)) + 1
+		cur := base(key)
+		if vs := versions[key]; len(vs) > 0 {
+			cur = vs[len(vs)-1].body
+		}
+		var rec update.Record
+		next := make([]byte, 92)
+		if cur == nil || rng.Intn(4) == 0 {
+			binary.LittleEndian.PutUint64(next, key)
+			binary.LittleEndian.PutUint64(next[8:], uint64(i))
+			copy(next[16:], body(key+uint64(i), 76))
+			rec = update.Record{Key: key, Op: update.Insert, Payload: next}
+		} else {
+			val := body(key*7+uint64(i), 24)
+			copy(next, cur)
+			copy(next[20:], val)
+			rec = update.Record{Key: key, Op: update.Modify, Payload: update.EncodeFields([]update.Field{{Off: 20, Value: val}})}
+		}
+		versions[key] = append(versions[key], version{seq: i, body: next})
+		writes = append(writes, rec)
+	}
+	// want is key's body as of the first n writes, nil if it has none.
+	want := func(key uint64, n int) []byte {
+		vs := versions[key]
+		for i := len(vs) - 1; i >= 0; i-- {
+			if vs[i].seq < n {
+				return vs[i].body
+			}
+		}
+		return base(key)
+	}
+
+	// applied counts the writes made; mu orders a snapshot against them.
+	var mu sync.RWMutex
+	applied := 0
+	write := func(i int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, err := s.ApplyAuto(0, writes[i]); err != nil {
+			t.Error(err)
+			return false
+		}
+		applied++
+		return true
+	}
+	for i := 0; i < len(writes)/2; i++ { // half before the scans start
+		if !write(i) {
+			return
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := len(writes) / 2; i < len(writes); i++ {
+			if !write(i) {
+				return
+			}
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for i := 0; i < 50; i++ {
+				// About 10,000 rows: every range crosses a batch boundary.
+				begin := uint64(rng.Intn(rows))
+				end := begin + 20000
+				mu.RLock()
+				sn := s.Snapshot()
+				n := applied
+				mu.RUnlock()
+				err := checkScan(sn, begin, end, func(key uint64) []byte { return want(key, n) })
+				sn.Close()
+				if err != nil {
+					t.Errorf("scan %d of goroutine %d, [%d,%d] at write %d: %v", i, g, begin, end, n, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkScan runs one query over [begin, end] at sn and checks each row's
+// body against want before asking for the next, then that no row want
+// expects is missing.
+func checkScan(sn *Snapshot, begin, end uint64, want func(key uint64) []byte) error {
+	q, err := sn.NewQuery(sim.Time(0), begin, end, nil)
+	if err != nil {
+		return err
+	}
+	defer q.Close()
+	got := 0
+	for {
+		row, ok, err := q.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if w := want(row.Key); !bytes.Equal(row.Body, w) {
+			return fmt.Errorf("key %d: body %x, want %x", row.Key, row.Body, w)
+		}
+		got++
+	}
+	n := 0
+	for k := begin; k <= end; k++ {
+		if want(k) != nil {
+			n++
+		}
+	}
+	if got != n {
+		return fmt.Errorf("%d rows, want %d", got, n)
+	}
+	return nil
+}

@@ -12,7 +12,9 @@
 package memtable
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,7 +30,8 @@ type Buffer struct {
 	bytes    int
 	capBytes int
 
-	sorted int // length of the sorted prefix of recs
+	sorted int             // length of the sorted prefix of recs
+	tail   []update.Record // sortLocked's merge scratch
 }
 
 // New creates a buffer with the given capacity in bytes.
@@ -71,13 +74,38 @@ func (b *Buffer) SetCapacity(capBytes int) {
 	b.capBytes = capBytes
 }
 
-// sortLocked sorts the buffer by (key, ts). Caller holds b.mu.
+// sortLocked sorts the buffer by (key, ts), stably. Only the tail
+// appended since the last sort is sorted; it is then merged into the
+// sorted prefix, prefix records first on ties, which is exactly a stable
+// sort of the whole buffer. Caller holds b.mu.
 func (b *Buffer) sortLocked() {
 	if b.sorted == len(b.recs) {
 		return
 	}
-	recs := b.recs
-	sort.SliceStable(recs, func(i, j int) bool { return update.Less(&recs[i], &recs[j]) })
+	recs, n := b.recs, b.sorted
+	slices.SortStableFunc(recs[n:], func(x, y update.Record) int {
+		if c := cmp.Compare(x.Key, y.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.TS, y.TS)
+	})
+	if n > 0 && update.Less(&recs[n], &recs[n-1]) {
+		// Merge from the back: the tail moves aside, and each slot, right
+		// to left, takes the larger of the two heads — the tail's on a tie.
+		tail := append(b.tail[:0], recs[n:]...)
+		i, j := n-1, len(tail)-1
+		for w := len(recs) - 1; j >= 0; w-- {
+			if i >= 0 && update.Less(&tail[j], &recs[i]) {
+				recs[w] = recs[i]
+				i--
+			} else {
+				recs[w] = tail[j]
+				j--
+			}
+		}
+		clear(tail) // the scratch must not pin payloads
+		b.tail = tail[:0]
+	}
 	b.sorted = len(recs)
 }
 
@@ -108,7 +136,7 @@ func (b *Buffer) Drain(beforeTS int64) []update.Record {
 // Restore re-appends records that a failed flush could not materialize,
 // ignoring the capacity limit (the buffer is simply considered full until
 // the next successful flush). The records re-enter as an unsorted tail;
-// the next AppendRange or Drain re-sorts them.
+// the next AppendRange or Drain sorts them into the prefix.
 func (b *Buffer) Restore(recs []update.Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -636,7 +636,14 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 	var sent uint64
 	// flush ships the frame once a credit is available and begins the
 	// next; it reports false when the scan must abort (dead connection).
+	// Checking c.quit here, once per frame, stops an aborted scan within
+	// one frame.
 	flush := func(final bool) bool {
+		select {
+		case <-c.quit:
+			return false
+		default:
+		}
 		for avail == 0 {
 			select {
 			case n := <-creditCh:
@@ -655,12 +662,6 @@ func (c *conn) runScan(tbl *masm.Table, seq uint32, begin, end, limit uint64, cr
 	}
 	aborted := false
 	err := tbl.Scan(begin, end, func(key uint64, body []byte) bool {
-		select {
-		case <-c.quit:
-			aborted = true
-			return false
-		default:
-		}
 		frame = proto.AppendRow(frame, key, body)
 		rows++
 		sent++

@@ -3,6 +3,7 @@ package table
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"masm/internal/sim"
 	"masm/internal/update"
@@ -40,20 +41,35 @@ type Scanner struct {
 	// nextKey is the lower bound (inclusive) on keys still to return.
 	nextKey uint64
 
-	// The current batch: refs names its pages, buf holds their images and
-	// pages their decoded form, whose bodies alias buf. All three are reused
-	// by every batch, so a returned row's body is valid only until the next
-	// call to Next.
-	refs    []pageRef
-	buf     []byte
+	// bufs is the batch memory (nil until the first batch), drawn from
+	// scanBufPool and reused by every batch, so a returned row's body is
+	// valid only until the next call to Peek or Next. pages is the current
+	// batch's decoded pages; [pageIdx, recIdx] is the next row to examine.
+	bufs    *scanBufs
 	pages   []Page
 	pageIdx int
 	recIdx  int
 	done    bool
+	// ready marks the row at [pageIdx, recIdx] as peeked: in range, past
+	// the key cursor and matching the predicate. key is its key.
+	ready bool
+	key   uint64
 
 	now sim.Time
 	err error
 }
+
+// scanBufs is one scanner's batch memory: the batch's page refs, the
+// images read (ScanIO bytes) and their decoded pages, whose bodies alias
+// buf. A scanner draws it from scanBufPool at its first batch and Release
+// hands it back, so back-to-back scans reuse one buffer.
+type scanBufs struct {
+	refs  []pageRef
+	buf   []byte
+	pages []Page
+}
+
+var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
 
 // NewScanner starts a range scan of [begin, end] at virtual time at.
 func (t *Table) NewScanner(at sim.Time, begin, end uint64) *Scanner {
@@ -137,8 +153,8 @@ func (s *Scanner) nextBatchRefs(pagesPerIO int) []pageRef {
 		}
 		n++
 	}
-	s.refs = append(s.refs[:0], refs[lo:lo+n]...)
-	return s.refs
+	s.bufs.refs = append(s.bufs.refs[:0], refs[lo:lo+n]...)
+	return s.bufs.refs
 }
 
 // fetchBatch reads the next maximal contiguous run of pages, capped at the
@@ -149,16 +165,20 @@ func (s *Scanner) fetchBatch() bool {
 	if s.err != nil || s.done {
 		return false
 	}
+	if s.bufs == nil {
+		s.bufs = scanBufPool.Get().(*scanBufs)
+	}
+	b := s.bufs
 	batch := s.nextBatchRefs(s.t.cfg.ScanIO / s.t.cfg.PageSize)
 	if len(batch) == 0 {
 		s.done = true
 		return false
 	}
 	ps := s.t.cfg.PageSize
-	if cap(s.buf) < len(batch)*ps {
-		s.buf = make([]byte, len(batch)*ps)
+	if cap(b.buf) < len(batch)*ps {
+		b.buf = make([]byte, len(batch)*ps)
 	}
-	buf := s.buf[:len(batch)*ps]
+	buf := b.buf[:len(batch)*ps]
 	c, err := s.t.vol.ReadAt(s.now, buf, batch[0].pageNo*int64(ps))
 	if err != nil {
 		s.err = err
@@ -167,7 +187,8 @@ func (s *Scanner) fetchBatch() bool {
 	s.now = c.End
 	// Reslicing within capacity keeps each Page's key and body slices for
 	// decodePageInto to reuse.
-	pages := slices.Grow(s.pages, len(batch))[:len(batch)]
+	pages := slices.Grow(b.pages[:0], len(batch))[:len(batch)]
+	b.pages = pages
 	for i := range pages {
 		if err := decodePageInto(&pages[i], buf[i*ps:(i+1)*ps]); err != nil {
 			s.err = err
@@ -180,19 +201,20 @@ func (s *Scanner) fetchBatch() bool {
 	return true
 }
 
-// Next returns the next row in the range, or ok=false at the end. The
-// row's body aliases the scanner's read buffer, which the next call may
-// overwrite: a caller must finish with (or copy) a body before calling
-// Next again. The merge operators (masm.Query, lsm, iu) hold at most one
-// row of lookahead and call Next only once that row has been returned.
-func (s *Scanner) Next() (Row, bool) {
+// Peek positions the scanner on the next row in the range and reports
+// whether there is one (false at the end, or on an error: see Err). It
+// reads the next batch only once the current one is used up, so it
+// overwrites the body of a row Take returned, never of one it has not.
+// Peeking again without a Take stays on the same row.
+func (s *Scanner) Peek() bool {
+	if s.ready {
+		return true
+	}
 	for {
 		if s.pageIdx < len(s.pages) {
-			p := &s.pages[s.pageIdx]
-			for s.recIdx < len(p.Keys) {
-				i := s.recIdx
-				s.recIdx++
-				k := p.Keys[i]
+			keys := s.pages[s.pageIdx].Keys
+			for ; s.recIdx < len(keys); s.recIdx++ {
+				k := keys[s.recIdx]
 				if k < s.nextKey {
 					continue
 				}
@@ -201,23 +223,63 @@ func (s *Scanner) Next() (Row, bool) {
 					// in-range keys on later pages only if this page
 					// ends the range; stop here.
 					s.done = true
-					return Row{}, false
+					return false
 				}
 				if s.pred != nil && !s.pred.Match(k) {
 					s.filtered++
 					s.nextKey = k + 1
 					continue
 				}
-				s.nextKey = k + 1
-				return Row{Key: k, Body: p.Bodies[i], PageTS: p.TS}, true
+				s.key, s.ready = k, true
+				return true
 			}
 			s.pageIdx++
 			s.recIdx = 0
 			continue
 		}
 		if !s.fetchBatch() {
-			return Row{}, false
+			return false
 		}
+	}
+}
+
+// Key returns the key of the row Peek positioned on.
+func (s *Scanner) Key() uint64 { return s.key }
+
+// Take consumes the row Peek positioned on and returns it. Its body
+// aliases the scanner's read buffer, valid until the next Peek or Next;
+// Take must follow a Peek that reported a row.
+func (s *Scanner) Take() Row {
+	p := &s.pages[s.pageIdx]
+	i := s.recIdx
+	s.recIdx++
+	s.nextKey = s.key + 1
+	s.ready = false
+	return Row{Key: s.key, Body: p.Bodies[i], PageTS: p.TS}
+}
+
+// Next returns the next row in the range, or ok=false at the end: Peek
+// then Take. The row's body aliases the scanner's read buffer, which the
+// next call may overwrite: a caller must finish with (or copy) a body
+// before calling Next again. The merge operators (masm.Query, lsm, iu)
+// call Next or Peek only once the row before has been returned.
+func (s *Scanner) Next() (Row, bool) {
+	if !s.Peek() {
+		return Row{}, false
+	}
+	return s.Take(), true
+}
+
+// Release returns the scanner's batch memory to the pool, ending the
+// scan: no row it returned may be used afterwards, and Peek and Next
+// report the end. A scanner that is never released simply leaves its
+// memory to the collector.
+func (s *Scanner) Release() {
+	s.done, s.ready = true, false
+	s.pages = nil
+	if s.bufs != nil {
+		scanBufPool.Put(s.bufs)
+		s.bufs = nil
 	}
 }
 

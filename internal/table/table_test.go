@@ -62,6 +62,28 @@ func TestPageEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPeekTake: Peek stays on its row until Take consumes it, Next is
+// Peek then Take, and a released scanner reports the end.
+func TestPeekTake(t *testing.T) {
+	tbl := loadTable(t, 100, 2, 92)
+	sc := tbl.NewScanner(0, 10, 1000)
+	for _, want := range []uint64{10, 12} {
+		if !sc.Peek() || !sc.Peek() || sc.Key() != want {
+			t.Fatalf("Peek: key %d, want %d", sc.Key(), want)
+		}
+		if row := sc.Take(); row.Key != want || !bytes.Equal(row.Body, body(want, 92)) {
+			t.Fatalf("Take: key %d, want %d", row.Key, want)
+		}
+	}
+	if row, ok := sc.Next(); !ok || row.Key != 14 {
+		t.Fatalf("Next after Take: key %d ok %v, want 14", row.Key, ok)
+	}
+	sc.Release()
+	if sc.Peek() {
+		t.Fatal("Peek after Release found a row")
+	}
+}
+
 func TestPageEncodeOverflowRejected(t *testing.T) {
 	p := &Page{}
 	p.Keys = append(p.Keys, 1)

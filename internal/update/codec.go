@@ -3,6 +3,7 @@ package update
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Wire format of an update record, used for the in-memory buffer pages,
@@ -140,21 +141,38 @@ type BatchReader struct {
 	err    error
 }
 
-// NewBatchReader wraps src with a window of up to batch records.
+var batchReaderPool = sync.Pool{New: func() any { return new(BatchReader) }}
+
+// NewBatchReader wraps src with a window of up to batch records. The
+// reader comes from a pool: Release hands its window to the next one.
 func NewBatchReader(src Iterator, batch int) *BatchReader {
 	if batch < 1 {
 		batch = 1
 	}
-	return &BatchReader{src: src, buf: make([]Record, batch), win: 1}
+	r := batchReaderPool.Get().(*BatchReader)
+	buf := r.buf
+	if cap(buf) < batch {
+		buf = make([]Record, batch)
+	}
+	*r = BatchReader{src: src, buf: buf[:batch], win: 1}
+	return r
 }
 
-// Peek returns the record at the head of the stream without consuming it,
-// refilling the window as needed. ok=false reports end of stream (or,
-// with err != nil, a broken one).
-func (r *BatchReader) Peek() (Record, bool, error) {
+// Release returns the reader to the pool. Neither it nor a pointer Head
+// returned may be used afterwards; records Peek copied out stay valid.
+func (r *BatchReader) Release() {
+	clear(r.buf) // the pool must not pin payloads
+	*r = BatchReader{buf: r.buf}
+	batchReaderPool.Put(r)
+}
+
+// fill refills an empty window from the source and reports whether a
+// record is at its head; false means end of stream, or a broken one with
+// r.err set.
+func (r *BatchReader) fill() bool {
 	for r.pos >= r.n {
 		if r.done {
-			return Record{}, false, r.err
+			return false
 		}
 		n, err := FillBatch(r.src, r.buf[:r.win])
 		r.pos, r.n = 0, n
@@ -168,10 +186,37 @@ func (r *BatchReader) Peek() (Record, bool, error) {
 			r.done = true
 		}
 	}
+	return true
+}
+
+// Peek returns the record at the head of the stream without consuming it,
+// refilling the window as needed. ok=false reports end of stream (or,
+// with err != nil, a broken one).
+func (r *BatchReader) Peek() (Record, bool, error) {
+	if !r.fill() {
+		return Record{}, false, r.err
+	}
 	return r.buf[r.pos], true, nil
 }
 
-// Consume advances past the record Peek returned.
+// PeekKey is Peek reporting only the head record's key, so a merge can
+// compare against the head without copying the record out.
+func (r *BatchReader) PeekKey() (uint64, bool, error) {
+	if r.pos < r.n {
+		return r.buf[r.pos].Key, true, nil
+	}
+	if !r.fill() {
+		return 0, false, r.err
+	}
+	return r.buf[r.pos].Key, true, nil
+}
+
+// Head returns the record at the head of the stream in place. It must
+// follow a Peek or PeekKey that reported a record, and the pointer is
+// valid until Consume.
+func (r *BatchReader) Head() *Record { return &r.buf[r.pos] }
+
+// Consume advances past the record at the head.
 func (r *BatchReader) Consume() { r.pos++ }
 
 // SliceIterator iterates over an in-memory slice of records.

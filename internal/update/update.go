@@ -161,10 +161,7 @@ func Merge(older, newer *Record) Record {
 			// Apply the fields to the inserted body so the merged record
 			// stays a self-contained insert/replace.
 			body := append([]byte(nil), older.Payload...)
-			fields, err := decodeFields(newer.Payload)
-			if err == nil {
-				applyFields(body, fields)
-			}
+			PatchFields(body, newer.Payload)
 			out.Op = older.Op
 			out.Payload = body
 		case Modify:
@@ -209,14 +206,43 @@ func mergeModifies(older, newer []byte) []byte {
 	return EncodeFields(merged)
 }
 
-func applyFields(body []byte, fields []Field) {
-	for _, f := range fields {
-		end := int(f.Off) + len(f.Value)
-		if end > len(body) {
-			continue // out-of-range modify against shorter record: ignore
-		}
-		copy(body[f.Off:end], f.Value)
+// PatchFields applies the field list of a Modify payload to body in
+// place, walking the encoding without decoding it into Fields. A field
+// reaching past the end of body is skipped (an out-of-range modify
+// against a shorter record), and a malformed payload changes nothing.
+func PatchFields(body, payload []byte) {
+	if !fieldsWellFormed(payload) {
+		return
 	}
+	n, p := int(payload[0]), payload[1:]
+	for i := 0; i < n; i++ {
+		off := int(binary.LittleEndian.Uint16(p[0:]))
+		vlen := int(binary.LittleEndian.Uint16(p[2:]))
+		if off+vlen <= len(body) {
+			copy(body[off:], p[4:4+vlen])
+		}
+		p = p[4+vlen:]
+	}
+}
+
+// fieldsWellFormed reports whether payload decodes as a field list: the
+// same checks as decodeFields.
+func fieldsWellFormed(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	n, p := int(payload[0]), payload[1:]
+	for i := 0; i < n; i++ {
+		if len(p) < 4 {
+			return false
+		}
+		vlen := int(binary.LittleEndian.Uint16(p[2:]))
+		if len(p) < 4+vlen {
+			return false
+		}
+		p = p[4+vlen:]
+	}
+	return true
 }
 
 // Apply produces the record body visible after applying upd to the current
@@ -233,10 +259,7 @@ func Apply(body []byte, exists bool, upd *Record) ([]byte, bool) {
 			return nil, false
 		}
 		out := append([]byte(nil), body...)
-		fields, err := decodeFields(upd.Payload)
-		if err == nil {
-			applyFields(out, fields)
-		}
+		PatchFields(out, upd.Payload)
 		return out, true
 	default:
 		panic(fmt.Sprintf("update: apply unknown op %v", upd.Op))

@@ -199,3 +199,38 @@ func TestApplyModifyMissingRecord(t *testing.T) {
 		t.Fatal("modify of missing record should not create it")
 	}
 }
+
+// TestQuickPatchFieldsMatchesDecodedFields: walking a payload in place
+// patches exactly what its decoded field list would, skipping fields past
+// the body's end, and a payload that does not decode (a random or cut one)
+// changes nothing.
+func TestQuickPatchFieldsMatchesDecodedFields(t *testing.T) {
+	f := func(offs []uint8, vals [][]byte, cut uint8, junk []byte) bool {
+		var fields []Field
+		for i, off := range offs {
+			if i < len(vals) {
+				fields = append(fields, Field{Off: uint16(off), Value: vals[i]})
+			}
+		}
+		enc := EncodeFields(fields)
+		for _, payload := range [][]byte{enc, enc[:int(cut)%(1+len(enc))], junk} {
+			body := bytes.Repeat([]byte{0xaa}, 120)
+			want := append([]byte(nil), body...)
+			if decoded, err := decodeFields(payload); err == nil {
+				for _, f := range decoded {
+					if end := int(f.Off) + len(f.Value); end <= len(want) {
+						copy(want[f.Off:end], f.Value)
+					}
+				}
+			}
+			PatchFields(body, payload)
+			if !bytes.Equal(body, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

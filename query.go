@@ -69,7 +69,8 @@ func (spec *QuerySpec) pred() *update.Pred {
 // Query streams the table rows matching spec into fn, in key order,
 // under snapshot isolation (one timestamp for the whole query, exactly
 // like Scan). fn returning false stops early. body is valid only until fn
-// returns, as in Scan: copy it to keep it. See QuerySpec for the pushdown
+// returns, as in Scan, folded rows included (a modified row's body is the
+// query's scratch): copy it to keep it. See QuerySpec for the pushdown
 // contract.
 func (t *Table) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) error {
 	if spec.Begin > spec.End {

@@ -32,7 +32,8 @@ func (s *Snapshot) TS() int64 { return s.snap.TS() }
 // snapshot, in key order. fn returning false stops the scan early. Any
 // number of Scans may run from one snapshot, concurrently or sequentially;
 // they all see identical data. body is valid only until fn returns, as in
-// Table.Scan: copy it to keep it.
+// Table.Scan, folded rows included (a modified row's body is the scan's
+// scratch): copy it to keep it.
 func (s *Snapshot) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) error {
 	e := s.t.eng
 	e.mu.RLock()
