@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,26 +96,36 @@ func TestNoOrphanPackages(t *testing.T) {
 }
 
 // testSeams lists the exported declarations under internal/ that no
-// non-test file references but that tests in another package drive. Every
-// other declaration only tests use is deleted, or moved into a _test.go
-// file of its own package.
+// non-test file references but that tests in another package drive, keyed
+// by import path (internal/masm's package name is masm too). Every other
+// declaration only tests use is deleted, or moved into a _test.go file of
+// its own package.
 var testSeams = map[string]string{
-	"chaos.FaultBackend.Writes": "the recovery differential tests plan a fault at the next write",
-	"masm.Store.FailMigrations": "the scheduler tests inject a failing migration into one table",
-	"proto.Client.Abort":        "the server tests abort wire transactions",
-	"proto.Client.Stats":        "the server tests read OpStats",
-	"sim.Device.ResetStats":     "the inplace, iu and table tests measure one phase's device I/O",
-	"storage.Volume.Device":     "the table tests read a volume's device counters",
-	"update.Record.Fields":      "the workload and root tests decode generated Modify records",
-	"wal.Log.EndOffset":         "the crash tests cut the log at a synced offset",
+	"masm/internal/chaos.FaultBackend.Writes": "the recovery differential tests plan a fault at the next write",
+	"masm/internal/masm.Store.FailMigrations": "the scheduler tests inject a failing migration into one table",
+	"masm/internal/obs.Server.Addr":           "the root metrics-endpoint test dials the port the kernel picked",
+	"masm/internal/proto.Client.Abort":        "the server tests abort wire transactions",
+	"masm/internal/proto.Client.Stats":        "the server tests read OpStats",
+	"masm/internal/sim.Device.ResetStats":     "the inplace, iu and table tests measure one phase's device I/O",
+	"masm/internal/storage.Volume.Device":     "the table tests read a volume's device counters",
+	"masm/internal/update.Record.Fields":      "the workload and root tests decode generated Modify records",
+	"masm/internal/wal.Log.EndOffset":         "the crash tests cut the log at a synced offset",
 }
 
+// rootSeams is the root package's own list, keyed as "masm.Decl". The root
+// package is the API importers see, so nothing is listed: a seam only the
+// root's tests use goes into export_test.go instead (OpenEngineDirInlineRebuild,
+// SetAdmitWait, Table.SlotLedger), and the tests of package masm read
+// unexported fields.
+var rootSeams = map[string]string{}
+
 // TestNoTestOnlyExports extends TestNoOrphanPackages to declarations: every
-// exported func, method, type, var and const declared in a non-test file
-// under internal/ must be referenced by a non-test file of this module or of
-// the benchmark module, outside its own declaration (a method's receiver
-// does not count). A method that implements an interface the program uses
-// counts as referenced, since a call through the interface never names it.
+// exported func, method, type, var and const declared in a non-test file of
+// the root package or under internal/ must be referenced by a non-test file
+// of this module or of the benchmark module, outside its own declaration (a
+// method's receiver does not count), or be listed in testSeams or
+// rootSeams. A method that implements an interface the program uses counts
+// as referenced, since a call through the interface never names it.
 func TestNoTestOnlyExports(t *testing.T) {
 	pkgs := loadProgram(t, goTool(t))
 
@@ -135,20 +146,22 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 
+	seams := maps.Clone(testSeams)
+	maps.Copy(seams, rootSeams)
 	declared := make(map[string]bool)
 	var offenders []string
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.path, "masm/internal/") {
+		if p.path != "masm" && !strings.HasPrefix(p.path, "masm/internal/") {
 			continue
 		}
 		for _, f := range p.files {
 			for _, d := range exportedDecls(f, p.info) {
-				name := p.types.Name() + "." + d.name
+				name := p.path + "." + d.name
 				declared[name] = true
 				if refs[d.obj] || implementsUsed(d.obj, ifaces) {
 					continue
 				}
-				if _, ok := testSeams[name]; !ok {
+				if _, ok := seams[name]; !ok {
 					offenders = append(offenders, fmt.Sprintf("%s (%s)", name, p.fset.Position(d.obj.Pos())))
 				}
 			}
@@ -156,13 +169,140 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(offenders)
 	for _, o := range offenders {
-		t.Errorf("%s is referenced only by tests: delete it, move it into a _test.go file of its package, or list it in testSeams", o)
+		t.Errorf("%s is referenced only by tests: delete it, move it into a _test.go file of its package, or list it in testSeams or rootSeams", o)
 	}
-	for name := range testSeams {
+	for name := range seams {
 		if !declared[name] {
-			t.Errorf("testSeams lists %s, which is not an exported declaration under internal/", name)
+			t.Errorf("%s is listed as a test seam but is not an exported declaration of the root package or under internal/", name)
 		}
 	}
+}
+
+// internalAPITypes lists the masm/internal/... types an exported signature
+// of the root package may name, keyed by import path. An importer outside
+// this module cannot name them, so each is a debt with a reason.
+var internalAPITypes = map[string]string{
+	"masm/internal/obs.Snapshot":    "Engine.Metrics; the benchmark module reads it, so it changes with the benchmark",
+	"masm/internal/obs.Registry":    "Engine.Registry; the benchmark module reads it, so it changes with the benchmark",
+	"masm/internal/obs.Sink":        "Engine.SetTraceSink; the benchmark module installs one, so it changes with the benchmark",
+	"masm/internal/sim.Duration":    "Engine.Elapsed; the benchmark module reads it, so it changes with the benchmark",
+	"masm/internal/storage.Backend": "EngineDirOptions.WrapBackend, the fault-injection seam internal/chaos drives",
+}
+
+// TestNoInternalTypesInAPI fails when an exported signature of the root
+// package — a function's or an exported method's parameters and results,
+// an exported struct field, an exported variable, or what an exported
+// alias names — mentions a named type from masm/internal/... that
+// internalAPITypes does not list. It looks through pointers, slices, maps,
+// channels, function types and type arguments, but not into a named
+// type's own definition.
+func TestNoInternalTypesInAPI(t *testing.T) {
+	var root *checkedPkg
+	for _, p := range loadProgram(t, goTool(t)) {
+		if p.path == "masm" {
+			root = p
+		}
+	}
+	if root == nil {
+		t.Fatal("the root package masm was not loaded")
+	}
+	used := make(map[string][]string) // internal type -> where the API names it
+	for _, name := range root.types.Scope().Names() {
+		obj := root.types.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		for typ, where := range apiTypes(obj) {
+			used[typ] = append(used[typ], where)
+		}
+	}
+	var bad []string
+	for typ, where := range used {
+		if _, ok := internalAPITypes[typ]; !ok {
+			sort.Strings(where)
+			bad = append(bad, fmt.Sprintf("%s (in %s)", typ, strings.Join(where, ", ")))
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Errorf("the public API names internal type %s: use a type of package masm, or list it in internalAPITypes with a reason", b)
+	}
+	for typ := range internalAPITypes {
+		if used[typ] == nil {
+			t.Errorf("internalAPITypes lists %s, which no exported signature of package masm names", typ)
+		}
+	}
+}
+
+// apiTypes maps each masm/internal/... named type that obj's exported
+// surface mentions to the member that mentions it.
+func apiTypes(obj types.Object) map[string]string {
+	out := make(map[string]string)
+	note := func(tn *types.TypeName, where string) {
+		if pkg := tn.Pkg(); pkg != nil && strings.HasPrefix(pkg.Path(), "masm/internal/") {
+			out[pkg.Path()+"."+tn.Name()] = where
+		}
+	}
+	var walk func(typ types.Type, where string)
+	walk = func(typ types.Type, where string) {
+		switch t := typ.(type) {
+		case *types.Alias: // sim.Duration is time.Duration, but go doc shows sim.Duration
+			note(t.Obj(), where)
+			walk(types.Unalias(t), where)
+		case *types.Named:
+			note(t.Obj(), where)
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i), where)
+			}
+		case *types.Pointer:
+			walk(t.Elem(), where)
+		case *types.Slice:
+			walk(t.Elem(), where)
+		case *types.Array:
+			walk(t.Elem(), where)
+		case *types.Chan:
+			walk(t.Elem(), where)
+		case *types.Map:
+			walk(t.Key(), where)
+			walk(t.Elem(), where)
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					walk(tup.At(i).Type(), where)
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() {
+					walk(f.Type(), where+"."+f.Name())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				walk(t.Method(i).Type(), where+"."+t.Method(i).Name())
+			}
+		}
+	}
+	switch o := obj.(type) {
+	case *types.TypeName:
+		if o.IsAlias() {
+			walk(o.Type(), o.Name())
+			break
+		}
+		named, ok := o.Type().(*types.Named)
+		if !ok {
+			break
+		}
+		walk(named.Underlying(), o.Name())
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Exported() {
+				walk(m.Type(), o.Name()+"."+m.Name())
+			}
+		}
+	default:
+		walk(obj.Type(), obj.Name())
+	}
+	return out
 }
 
 // checkedPkg is one package of the program, type-checked from its non-test

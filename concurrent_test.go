@@ -163,8 +163,8 @@ func TestConcurrentScansAndUpdates(t *testing.T) {
 // published value and then Gets the key may never read an older one — not
 // when the record sits in the memtable's unsorted tail, not when a flush
 // moves it into a run between the lookup's latch hold and its reads, not
-// when a migration folds it into the page. A snapshot's Get must agree
-// with the snapshot's own scan of the key.
+// when a migration folds it into the page. A snapshot taken after a write
+// returned sees it too, and two scans of the key from one snapshot agree.
 func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 	const n, nKeys, perWriter = 2000, 64, 1500
 	cfg := DefaultConfig()
@@ -256,24 +256,33 @@ func TestConcurrentGetsSeeCompletedWrites(t *testing.T) {
 				if i%50 != 0 {
 					continue
 				}
-				time.Sleep(50 * time.Microsecond)
+				floor = published[k].Load()
 				sn, err := tbl.Snapshot()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, gotOK, err := sn.Get(key)
+				got, gotOK, err := scanOne(sn.Scan, key)
+				time.Sleep(50 * time.Microsecond)
 				var ref []byte
 				refOK := false
 				if err == nil {
-					err = sn.Scan(key, key, func(_ uint64, b []byte) bool {
-						ref, refOK = append([]byte(nil), b...), true
-						return false
-					})
+					ref, refOK, err = scanOne(sn.Scan, key)
 				}
 				sn.Close()
 				if err != nil || gotOK != refOK || string(got) != string(ref) {
-					t.Errorf("snapshot %d key %d: Get (%q,%v), Scan (%q,%v), err %v", sn.TS(), key, got, gotOK, ref, refOK, err)
+					t.Errorf("snapshot key %d: first Scan (%q,%v), second Scan (%q,%v), err %v", key, got, gotOK, ref, refOK, err)
+					return
+				}
+				if floor == 0 {
+					continue
+				}
+				if !gotOK {
+					t.Errorf("snapshot key %d found nothing after generation %d was written", key, floor)
+					return
+				}
+				if g, err := genOf(key, got); err != nil || g < floor {
+					t.Errorf("snapshot key %d read generation %d (%v) after generation %d was written", key, g, err, floor)
 					return
 				}
 			}

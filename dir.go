@@ -326,16 +326,6 @@ func openEngineDir(dir string, opts EngineDirOptions, rebuildWorkers int) (*Engi
 	return e, nil
 }
 
-// MetricsAddr returns the listen address of the engine's metrics endpoint
-// ("" when EngineDirOptions.MetricsAddr was not set). With ":0" the kernel
-// picks the port; this reports the resolved address.
-func (e *Engine) MetricsAddr() string {
-	if e.msrv == nil {
-		return ""
-	}
-	return e.msrv.Addr()
-}
-
 // deviceFor builds a simulated device big enough for the volumes laid out
 // on it, keeping the paper's performance envelope.
 func deviceFor(p sim.DeviceParams, need int64) *sim.Device {

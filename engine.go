@@ -81,8 +81,9 @@ type Engine struct {
 
 	// reg is the engine's metric registry; every layer's counters, gauges
 	// and histograms live here, labeled per table where appropriate. tracer
-	// buffers lifecycle events (flush, merge, migration, recovery). msrv is
-	// the optional metrics/pprof HTTP endpoint (EngineDirOptions.MetricsAddr).
+	// numbers lifecycle events (flush, merge, migration) and hands them to
+	// the sink SetTraceSink installs. msrv is the optional metrics/pprof
+	// HTTP endpoint (EngineDirOptions.MetricsAddr).
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	msrv   *obs.Server
@@ -134,7 +135,7 @@ func newEngine(cfg Config, hdd, ssd *sim.Device, ssdVol *storage.Volume) *Engine
 		tables: make(map[string]*Table),
 		byID:   make(map[uint32]*Table),
 		reg:    obs.NewRegistry(),
-		tracer: obs.NewTracer(obs.DefaultTraceRing),
+		tracer: obs.NewTracer(),
 	}
 	e.shared.SetMetrics(core.NewPoolMetrics(e.reg))
 	return e
@@ -224,14 +225,8 @@ type Table struct {
 	dropped            bool // guarded by eng.mu
 }
 
-// Name returns the table's catalog name.
-func (t *Table) Name() string { return t.name }
-
 // ID returns the table's catalog id (its tag in the shared redo log).
 func (t *Table) ID() uint32 { return t.id }
-
-// CacheBudget returns the table's SSD update-cache cap in bytes.
-func (t *Table) CacheBudget() int64 { return t.cacheBudget }
 
 // CreateTable adds a table to the catalog, bulk-loaded from opts.Keys and
 // opts.Bodies (strictly increasing keys). The table's update cache is
@@ -572,20 +567,7 @@ func (t *Table) Flush() error {
 // waits for scans and snapshots older than its timestamp (returning
 // ErrActiveQueries while they are open).
 func (t *Table) Migrate() error {
-	_, err := t.migrate(0, nil)
-	return err
-}
-
-// ScanAndMigrate migrates every cached update into the main data while
-// streaming the fresh, post-migration rows to fn in key order — the
-// paper's coordinated-scan optimization (§3.5): a full-table query served
-// by the migration's own scan, so the table is read once instead of
-// twice. fn returning false stops the stream; the migration still
-// completes.
-func (t *Table) ScanAndMigrate(fn func(key uint64, body []byte) bool) error {
-	_, err := t.migrate(0, func(row table.Row) bool {
-		return fn(row.Key, row.Body)
-	})
+	_, err := t.migrate(0)
 	return err
 }
 
@@ -599,13 +581,12 @@ func (t *Table) MigrateStep(portionPages int) (sweepDone bool, err error) {
 	if portionPages < 1 {
 		return false, errors.New("masm: non-positive portion size")
 	}
-	return t.migrate(portionPages, nil)
+	return t.migrate(portionPages)
 }
 
 // migrate runs one migration of the whole table (pages 0) or of the next
-// pages pages of its sweep, streaming the fresh rows to fn if not nil, and
-// reports whether it completed a sweep.
-func (t *Table) migrate(pages int, fn func(row table.Row) bool) (sweepDone bool, err error) {
+// pages pages of its sweep, and reports whether it completed a sweep.
+func (t *Table) migrate(pages int) (sweepDone bool, err error) {
 	e := t.eng
 	e.mu.RLock()
 	if err := t.liveLocked(); err != nil {
@@ -617,7 +598,7 @@ func (t *Table) migrate(pages int, fn func(row table.Row) bool) (sweepDone bool,
 	if err != nil {
 		return false, err
 	}
-	end, rep, err := mig.Run(fn)
+	end, rep, err := mig.Run()
 	if err != nil {
 		return false, err
 	}
@@ -715,16 +696,6 @@ func (t *Table) Stats() Stats {
 		WritesPerUpdate: st.WritesPerUpdate(),
 		Migrations:      st.Migrations,
 	}
-}
-
-// SlotLedger reports the table's main-store page-slot accounting under
-// shadow-paged migration: live (named by a ref), free, retired (awaiting
-// the next durable checkpoint), parked (pinned by an open MainSnapshot),
-// and the allocation cursor. At quiescent points (no migration batch in
-// flight) live+free+retired+parked equals next; property tests compare
-// ledgers across crash-recovery loops to prove migration leaks no slots.
-func (t *Table) SlotLedger() (live, free, retired, parked, next int64) {
-	return t.tbl.SlotLedger()
 }
 
 // EngineStats aggregates the catalog: total cache pressure, the shared
@@ -841,13 +812,8 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 // JSON, or query it with its lookup helpers.
 func (e *Engine) Metrics() obs.Snapshot { return e.reg.Snapshot() }
 
-// TraceEvents returns the engine's buffered lifecycle events (flush,
-// merge, migration, recovery), oldest first.
-func (e *Engine) TraceEvents() []obs.Event { return e.tracer.Events() }
-
-// SetTraceSink installs a live sink receiving every lifecycle event as it
-// is emitted (in addition to the bounded ring TraceEvents reads). Pass nil
-// to detach.
+// SetTraceSink installs a live sink receiving every lifecycle event
+// (flush, merge, migration) as it is emitted. Pass nil to detach.
 func (e *Engine) SetTraceSink(s obs.Sink) { e.tracer.SetSink(s) }
 
 // CheckMetrics cross-checks the metric plane against the engine's live

@@ -155,7 +155,7 @@ func (tx *EngineTx) Get(tableName string, key uint64) ([]byte, bool, error) {
 // across every table it touched: one commit record in the shared redo
 // log, consecutive commit timestamps from the shared oracle, and
 // all-or-nothing visibility per table — and, after a crash, all-or-nothing
-// recovery, on one table or many. It returns txn.ErrWriteConflict if any
+// recovery, on one table or many. It returns ErrWriteConflict if any
 // table's write set conflicts with a commit after this transaction first
 // touched that table.
 //

@@ -22,3 +22,7 @@ func SetAdmitWait(t testing.TB, d time.Duration) {
 	admitWait = d
 	t.Cleanup(func() { admitWait = old })
 }
+
+// SlotLedger reports the table's main-store slot ledger: live, free and
+// retired slots and the allocation cursor.
+func (t *Table) SlotLedger() (live, free, retired, next int64) { return t.tbl.SlotCounts() }

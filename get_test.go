@@ -88,23 +88,17 @@ func (c *getChecker) check(what string, key uint64) bool {
 	return true
 }
 
-// checkSnapshot holds a snapshot's Get and one-key Scan to the state the
-// snapshot captured.
+// checkSnapshot holds a snapshot's one-key Scan to the state the snapshot
+// captured.
 func (c *getChecker) checkSnapshot(what string, sn *Snapshot, state map[uint64][]byte, key uint64) bool {
-	got, ok, err := sn.Get(key)
-	if err != nil {
-		c.t.Logf("%s: Snapshot.Get(%d): %v", what, key, err)
-		return false
-	}
-	ref, refOK, err := scanOne(sn.Scan, key)
+	got, ok, err := scanOne(sn.Scan, key)
 	if err != nil {
 		c.t.Logf("%s: Snapshot.Scan(%d,%d): %v", what, key, key, err)
 		return false
 	}
 	want, wantOK := state[key]
-	if ok != refOK || !bytes.Equal(got, ref) || ok != wantOK || !bytes.Equal(got, want) {
-		c.t.Logf("%s: key %d at snapshot %d: Get (%q,%v), Scan (%q,%v), captured (%q,%v)",
-			what, key, sn.TS(), got, ok, ref, refOK, want, wantOK)
+	if ok != wantOK || !bytes.Equal(got, want) {
+		c.t.Logf("%s: key %d at snapshot: Scan (%q,%v), captured (%q,%v)", what, key, got, ok, want, wantOK)
 		return false
 	}
 	return true
@@ -143,8 +137,8 @@ func (c *getChecker) checkCost(what string, key uint64) bool {
 // TestGetMatchesScan drives random histories of insert, modify and delete
 // (replaces arise where a delete and a later insert combine) through
 // flushes, two-pass merges (the 256 KiB cache leaves four query pages), whole
-// and stepwise migrations, and a migration in flight, and holds Get,
-// Snapshot.Get and Scan(k, k) to each other at every step: on keys just
+// and stepwise migrations, and holds Get and Scan(k, k) to each other, and
+// a snapshot's Scan(k, k) to the state it captured, at every step: on keys just
 // written (only in the memtable's unsorted tail), keys in runs, keys on
 // pages only, keys absent everywhere, and one hot key whose chains of
 // uncombinable updates — a reader open between every two — span
@@ -279,20 +273,27 @@ func getMatchesScan(t *testing.T, open func(*testing.T, Config) *Engine, seed in
 				return false
 			}
 		case r == 36 && snap == nil:
-			// A migration in flight: the coordinated scan's callback runs
-			// between page batches, some pages rewritten and stamped, the
-			// rest not, the runs still live.
-			op = "migration in flight"
-			ok, seen := true, 0
-			err := tbl.ScanAndMigrate(func(k uint64, _ []byte) bool {
-				if seen++; ok && seen%97 == 0 {
-					ok = c.check(what(i, op), k) && c.check(what(i, op), uint64(rng.Intn(3*n))+1)
-				}
-				return true
-			})
-			if err != nil || !ok {
+			// A migration, then a full scan sampling its keys: every row
+			// on a freshly stamped page.
+			op = "migrate and scan"
+			if err := tbl.Migrate(); err != nil {
 				t.Logf("%s: %v", what(i, op), err)
 				return false
+			}
+			var sampled []uint64
+			if err := tbl.Scan(0, ^uint64(0), func(k uint64, _ []byte) bool {
+				if len(sampled) < 8 && k%97 == 0 {
+					sampled = append(sampled, k)
+				}
+				return true
+			}); err != nil {
+				t.Logf("%s: %v", what(i, op), err)
+				return false
+			}
+			for _, k := range sampled {
+				if !c.check(what(i, op), k) || !c.check(what(i, op), uint64(rng.Intn(3*n))+1) {
+					return false
+				}
 			}
 		case r >= 37:
 			if snap == nil {

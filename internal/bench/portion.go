@@ -45,7 +45,7 @@ func Portion(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			end, rep, err := mig.Run(nil)
+			end, rep, err := mig.Run()
 			if err != nil {
 				return nil, err
 			}

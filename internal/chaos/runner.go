@@ -11,7 +11,6 @@ import (
 
 	"masm"
 	"masm/internal/storage"
-	"masm/internal/txn"
 )
 
 // Options configures a scenario.
@@ -709,7 +708,7 @@ func (x *exec) step(i int, op Op) *Failure {
 				ghostWrites()
 				return x.recoverCrash(i, op)
 			}
-			if errors.Is(err, txn.ErrWriteConflict) {
+			if errors.Is(err, masm.ErrWriteConflict) {
 				return nil // discarded cleanly, nothing published
 			}
 			if isTransient(err) || isCapacity(err) {

@@ -99,35 +99,16 @@ func (sc *getScratch) release() {
 // completion time is the latest of them. The returned body is the
 // caller's.
 func (s *Store) Get(at sim.Time, key uint64) (row table.Row, found bool, end sim.Time, err error) {
-	return s.get(at, key, nil)
-}
-
-// Get is Store.Get reading at the snapshot's timestamp.
-func (sn *Snapshot) Get(at sim.Time, key uint64) (row table.Row, found bool, end sim.Time, err error) {
-	return sn.s.get(at, key, sn)
-}
-
-func (s *Store) get(at sim.Time, key uint64, sn *Snapshot) (table.Row, bool, sim.Time, error) {
 	sc := getScratchPool.Get().(*getScratch)
 	hash := runfile.KeyHash(key)
 
-	// One latch hold stamps (or adopts) the timestamp, registers the
-	// lookup as a reader — migration and §3.5 combining respect it like a
-	// query's — pins the runs worth reading and probes the memtable. The
-	// probe must share the hold with the run-set capture: a flush in
-	// between would move records from the buffer into a run this lookup
-	// never pinned.
+	// One latch hold stamps the timestamp, registers the lookup as a
+	// reader — migration and §3.5 combining respect it like a query's —
+	// pins the runs worth reading and probes the memtable. The probe must
+	// share the hold with the run-set capture: a flush in between would
+	// move records from the buffer into a run this lookup never pinned.
 	s.mu.Lock()
-	var qts int64
-	if sn == nil {
-		qts = s.oracle.Next()
-	} else if !sn.closed {
-		qts = sn.ts
-	} else {
-		s.mu.Unlock()
-		sc.release()
-		return table.Row{}, false, at, ErrSnapshotClosed
-	}
+	qts := s.oracle.Next()
 	s.addReaderLocked(qts)
 	for _, r := range s.runs {
 		if r.Admits(key, hash, qts) {
@@ -140,7 +121,7 @@ func (s *Store) get(at sim.Time, key uint64, sn *Snapshot) (table.Row, bool, sim
 	gran := s.cfg.ScanGranularity
 	s.mu.Unlock()
 
-	row, found, end, err := s.readKey(at, key, qts, gran, sc)
+	row, found, end, err = s.readKey(at, key, qts, gran, sc)
 
 	s.mu.Lock()
 	s.dropReaderLocked(qts)

@@ -168,7 +168,7 @@ func interleave(t *testing.T, seed int64, steps int) {
 			setFull(false)
 		case 9, 10:
 			if mig != nil {
-				end, _, err := mig.Run(nil)
+				end, _, err := mig.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +209,7 @@ func interleave(t *testing.T, seed int64, steps int) {
 		sp.sn.Close()
 	}
 	if mig != nil {
-		if _, _, err := mig.Run(nil); err != nil {
+		if _, _, err := mig.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}

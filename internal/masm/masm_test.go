@@ -395,7 +395,7 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 		got[row.Key] = append([]byte(nil), row.Body...)
 	}
 	// ...migration completes in the middle...
-	end, _, err := mig.Run(nil)
+	end, _, err := mig.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,7 +780,7 @@ func migratePortion(s *Store, at sim.Time, pages int) (sim.Time, bool, error) {
 	if err != nil {
 		return at, false, err
 	}
-	end, rep, err := m.Run(nil)
+	end, rep, err := m.Run()
 	if err != nil {
 		return at, false, err
 	}
@@ -916,47 +916,6 @@ func TestMigratePortionAfterWholeMigration(t *testing.T) {
 	}
 	if e.store.Runs() != 0 {
 		t.Fatalf("%d runs left after the fresh sweep", e.store.Runs())
-	}
-	e.verifyRange(0, ^uint64(0))
-}
-
-func TestCoordinatedScanMigration(t *testing.T) {
-	e := newEnv(t, 2500, smallConfig())
-	e.applyRandom(2500)
-	mig, err := e.store.BeginMigration(e.now, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[uint64][]byte)
-	var prev uint64
-	first := true
-	end, rep, err := mig.Run(func(row table.Row) bool {
-		if !first && row.Key <= prev {
-			t.Fatalf("coordinated scan out of order: %d after %d", row.Key, prev)
-		}
-		prev, first = row.Key, false
-		got[row.Key] = append([]byte(nil), row.Body...)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.now = end
-	if rep.RunsMigrated == 0 {
-		t.Fatal("nothing migrated")
-	}
-	// The emitted rows are exactly the fresh table contents.
-	if len(got) != len(e.model) {
-		t.Fatalf("coordinated scan emitted %d rows, want %d", len(got), len(e.model))
-	}
-	for k, v := range e.model {
-		if !bytes.Equal(got[k], v) {
-			t.Fatalf("key %d mismatch in coordinated scan", k)
-		}
-	}
-	// Migration completed normally.
-	if e.store.Runs() != 0 {
-		t.Fatalf("%d runs left", e.store.Runs())
 	}
 	e.verifyRange(0, ^uint64(0))
 }

@@ -43,7 +43,6 @@ type StoreMetrics struct {
 	MigrationMergeNanos   *obs.Histogram // merge + shadow-write phase (virtual)
 	MigrationCommitNanos  *obs.Histogram // end/portion record + checkpoint (virtual)
 	SlotsRetired          *obs.Gauge
-	SlotsParked           *obs.Gauge
 
 	// Scans.
 	ScansStarted     *obs.Counter
@@ -108,7 +107,6 @@ func NewStoreMetrics(reg *obs.Registry, labels ...obs.Label) *StoreMetrics {
 		MigrationMergeNanos:   reg.Histogram("masm_migration_merge_nanos", labels...),
 		MigrationCommitNanos:  reg.Histogram("masm_migration_commit_nanos", labels...),
 		SlotsRetired:          reg.Gauge("masm_slots_retired", labels...),
-		SlotsParked:           reg.Gauge("masm_slots_parked", labels...),
 
 		ScansStarted:     reg.Counter("masm_scans_started", labels...),
 		ScanLatencyNanos: reg.Histogram("masm_scan_latency_nanos", labels...),
@@ -151,12 +149,11 @@ func (m *StoreMetrics) trace(op, phase, detail string, vnanos int64) {
 	m.Tracer.Emit(op, m.table, phase, detail, vnanos)
 }
 
-// syncSlotGauges refreshes the shadow-slot gauges from the table's
+// syncSlotGauges refreshes the shadow-slot gauge from the table's
 // allocator state; called after the reclaim points of a migration.
 func (s *Store) syncSlotGauges() {
-	retired, parked := s.tbl.SlotCounts()
-	s.m.SlotsRetired.Set(int64(retired))
-	s.m.SlotsParked.Set(int64(parked))
+	_, _, retired, _ := s.tbl.SlotCounts()
+	s.m.SlotsRetired.Set(retired)
 }
 
 // CheckMetrics cross-checks the registry's gauges against the store's

@@ -150,12 +150,6 @@ func (s *Store) BeginMigration(at sim.Time, pages int) (*Migration, error) {
 // Runs still pinned by concurrent (newer) queries are parked until those
 // queries close.
 //
-// A non-nil fn gets the coordinated-scan optimization (paper §3.5): while
-// migrating, the fresh post-migration rows are emitted to fn in key order
-// — a full-table query answered by the migration's own scan, so no
-// separate table scan is needed for migration purposes only. Returning
-// false stops emission (the migration still completes).
-//
 // Whatever the outcome the migration is finished for good: an error drops
 // its run pins, so a retry would read unpinned extents. Callers begin
 // again. A failure to log the closing record leaves the span's pages
@@ -164,7 +158,7 @@ func (s *Store) BeginMigration(at sim.Time, pages int) (*Migration, error) {
 // sweep cursor does not advance, and the slots the span's ref flips
 // retired stay retired — the lagging durable manifest may still name
 // them — until the table's next committed checkpoint.
-func (m *Migration) Run(fn func(row table.Row) bool) (sim.Time, *MigrateReport, error) {
+func (m *Migration) Run() (sim.Time, *MigrateReport, error) {
 	if m.done {
 		return m.at, nil, errors.New("masm: migration already completed")
 	}
@@ -192,7 +186,7 @@ func (m *Migration) Run(fn func(row table.Row) bool) (sim.Time, *MigrateReport, 
 	var res table.ApplyResult
 	merger, err := extsort.NewMerger(iters...)
 	if err == nil {
-		end, res, err = s.tbl.ApplyStream(m.at, m.migTS, merger, migrateBatch, m.begin, m.end, fn)
+		end, res, err = s.tbl.ApplyStream(m.at, m.migTS, merger, migrateBatch, m.begin, m.end)
 	}
 	if err != nil {
 		s.abortMigration(m.runs)
@@ -301,5 +295,5 @@ func (s *Store) Migrate(at sim.Time) (sim.Time, *MigrateReport, error) {
 	if err != nil {
 		return at, nil, err
 	}
-	return m.Run(nil)
+	return m.Run()
 }

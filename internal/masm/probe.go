@@ -24,7 +24,7 @@ import (
 //   - the in-memory buffer's occupancy is non-negative and run IDs are
 //     below the next-ID watermark;
 //   - the table's shadow-paging slot ledger is sound: the live, free,
-//     retired, parked and in-flight slot sets are pairwise disjoint (no
+//     retired and in-flight slot sets are pairwise disjoint (no
 //     live ref points at a reclaimed slot) and together account for every
 //     allocated slot.
 func (s *Store) CheckInvariants() (extentBytes int64, err error) {

@@ -57,7 +57,7 @@ func TestOpenSnapshotParksNoRetiredRuns(t *testing.T) {
 }
 
 // TestConcurrentReadersSeeOneView: snapshots, their range scans (plain and
-// predicated) and their lookups register, copy the buffer and unregister
+// predicated) and one-key scans register, copy the buffer and unregister
 // from several goroutines while a writer appends and flushes. Every read
 // at one snapshot agrees; once all are done the store holds no reader, no
 // pin and no parked run.
@@ -137,9 +137,9 @@ func TestConcurrentReadersSeeOneView(t *testing.T) {
 				}
 				for k := 0; k < 5 && len(plain) > 0; k++ {
 					r := plain[rng.Intn(len(plain))]
-					row, found, _, err := sn.Get(0, r.key)
-					if err != nil || !found || !bytes.Equal(row.Body, r.body) {
-						t.Errorf("snapshot %d: Get(%d) = %v, %v; scan saw the row", sn.TS(), r.key, found, err)
+					one, err := read(sn, r.key, r.key, nil)
+					if err != nil || len(one) != 1 || !bytes.Equal(one[0].body, r.body) {
+						t.Errorf("snapshot %d: one-key scan of %d = %d rows, %v; range scan saw the row", sn.TS(), r.key, len(one), err)
 						return
 					}
 				}

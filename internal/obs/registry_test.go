@@ -213,26 +213,29 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
-// TestTracerRing: the ring keeps the newest events in order, the
-// sequence is gapless, and a sink sees every emit.
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(4)
+// TestTracerSink: the sink sees every emit in order with a gapless
+// sequence, and events emitted while no sink is installed still take
+// their sequence numbers.
+func TestTracerSink(t *testing.T) {
+	tr := NewTracer()
+	tr.Emit("flush", "t", "end", "", 0) // no sink: dropped, numbered 1
 	var sunk []Event
 	tr.SetSink(SinkFunc(func(e Event) { sunk = append(sunk, e) }))
 	for i := 0; i < 10; i++ {
 		tr.Emit("flush", "t", "end", "", int64(i))
 	}
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if e.Seq != int64(7+i) {
-			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, 7+i)
-		}
-	}
 	if len(sunk) != 10 {
 		t.Fatalf("sink saw %d events, want 10", len(sunk))
+	}
+	for i, e := range sunk {
+		if e.Seq != int64(2+i) || e.VirtualNanos != int64(i) {
+			t.Fatalf("event %d: seq %d vnanos %d, want seq %d vnanos %d", i, e.Seq, e.VirtualNanos, 2+i, i)
+		}
+	}
+	tr.SetSink(nil)
+	tr.Emit("flush", "t", "end", "", 0)
+	if len(sunk) != 10 {
+		t.Fatalf("detached sink saw %d events, want 10", len(sunk))
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"masm"
 	"masm/internal/obs"
 	"masm/internal/proto"
-	"masm/internal/txn"
 )
 
 // Options configures a Server. It has no settings, since write admission
@@ -547,7 +546,7 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		}
 		if err := wt.tx.Commit(); err != nil {
 			switch {
-			case errors.Is(err, txn.ErrWriteConflict):
+			case errors.Is(err, masm.ErrWriteConflict):
 				return c.replyErr(m.Seq, proto.CodeConflict, true, err) == nil
 			case errors.Is(err, masm.ErrBackpressure):
 				return c.replyErr(m.Seq, proto.CodeBackpressure, true, err) == nil

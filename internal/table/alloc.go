@@ -3,21 +3,17 @@ package table
 import (
 	"fmt"
 	"sort"
-
-	"masm/internal/sim"
 )
 
 // Shadow-paging slot allocator. The refs array is the authoritative
 // logical→physical page mapping; every slot below the allocation cursor
-// nextPage is, at all times, in exactly one of five states:
+// nextPage is, at all times, in exactly one of four states:
 //
 //	live     — named by a ref; holds committed (or committing) page data
 //	free     — reusable now: no ref and no durable manifest names it
 //	retired  — unlinked by a migration's ref flip, but possibly still
 //	           named by the last durable MANIFEST; reusable only after
 //	           the next committed checkpoint (ReclaimRetired)
-//	parked   — reclaimed while a ref snapshot still pins it; freed when
-//	           the last pin drops
 //	in-flight— allocated by a migration batch whose ref flip has not
 //	           happened yet
 //
@@ -133,38 +129,28 @@ func (t *Table) commitShadowBatch(old []pageRef, shadowFirst int64, ovfs []shado
 
 // ReclaimRetired moves retired slots to the free list — called by the
 // migration driver once a durable commit (the MANIFEST rewrite inside
-// the migration's closing checkpoint) no longer names them. Slots
-// pinned by open ref snapshots are parked instead and freed when the
-// last pin drops. Retired slots of an aborted migration simply stay
-// retired until the table's next successful commit.
+// the migration's closing checkpoint) no longer names them. Retired
+// slots of an aborted migration simply stay retired until the table's
+// next successful commit.
 func (t *Table) ReclaimRetired() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.retired) == 0 {
 		return
 	}
-	for _, s := range t.retired {
-		if t.pins[s] > 0 {
-			if t.parked == nil {
-				t.parked = make(map[int64]bool)
-			}
-			t.parked[s] = true
-		} else {
-			t.free = append(t.free, s)
-		}
-	}
+	t.free = append(t.free, t.retired...)
 	t.retired = t.retired[:0]
 	sortSlots(t.free)
 }
 
-// SlotCounts reports the shadow-slot bookkeeping sizes: slots retired by
-// migrations and awaiting a durable commit, and slots parked behind open
-// ref snapshots. Observability reads them into gauges after each
-// migration's reclaim point.
-func (t *Table) SlotCounts() (retired, parked int) {
+// SlotCounts reports the slot ledger: live (ref-named), free and retired
+// slots, and the allocation cursor. At a quiescent point (no migration
+// batch in flight) live+free+retired equals next. Observability reads the
+// retired count into a gauge after each migration's reclaim point.
+func (t *Table) SlotCounts() (live, free, retired, next int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.retired), len(t.parked)
+	return int64(len(t.refs)), int64(len(t.free)), int64(len(t.retired)), t.nextPage
 }
 
 // NoteMigTS records the timestamp of a migration pass over this table —
@@ -187,20 +173,10 @@ func (t *Table) LastMigTS() int64 {
 	return t.migTS
 }
 
-// SlotLedger reports the slot accounting — live (ref-named), free,
-// retired, parked — plus the allocation cursor. Property tests compare
-// ledgers across crash-recovery loops to prove migration leaks nothing.
-func (t *Table) SlotLedger() (live, free, retired, parked, next int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return int64(len(t.refs)), int64(len(t.free)), int64(len(t.retired)), int64(len(t.parked)), t.nextPage
-}
-
 // CheckSlotInvariants verifies the allocator's ground truth: the live,
-// free, retired, parked and in-flight sets are pairwise disjoint (in
-// particular, no live ref points at a reclaimed slot), every slot below
-// the cursor is in exactly one of them, every pin names an accounted
-// slot, and the cursor fits the volume.
+// free, retired and in-flight sets are pairwise disjoint (in particular,
+// no live ref points at a reclaimed slot), every slot below the cursor is
+// in exactly one of them, and the cursor fits the volume.
 func (t *Table) CheckSlotInvariants() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -230,11 +206,6 @@ func (t *Table) CheckSlotInvariants() error {
 			return err
 		}
 	}
-	for s := range t.parked {
-		if err := note(s, "parked"); err != nil {
-			return err
-		}
-	}
 	for s := range t.inflight {
 		if err := note(s, "in-flight"); err != nil {
 			return err
@@ -243,103 +214,10 @@ func (t *Table) CheckSlotInvariants() error {
 	if int64(len(seen)) != t.nextPage {
 		return fmt.Errorf("table: %d of %d slots accounted for (slots leaked)", len(seen), t.nextPage)
 	}
-	for s, n := range t.pins {
-		if n <= 0 {
-			return fmt.Errorf("table: slot %d holds a non-positive pin count %d", s, n)
-		}
-		if _, ok := seen[s]; !ok {
-			return fmt.Errorf("table: pinned slot %d not accounted for", s)
-		}
-	}
 	if t.nextPage*int64(t.cfg.PageSize) > t.vol.Size() {
 		return fmt.Errorf("table: cursor %d pages exceeds volume size %d", t.nextPage, t.vol.Size())
 	}
 	return nil
-}
-
-// RefSnapshot is a point-in-time copy of the table's page references.
-// Because migration never modifies a linked page in place — it writes
-// shadow copies and flips refs — the snapshot's refs keep describing the
-// exact main-store state at capture time: reading the snapshot's pages
-// after any number of later migrations returns the original contents.
-// The snapshot pins its slots so reclamation parks rather than reuses
-// them; Close releases the pins (idempotent).
-type RefSnapshot struct {
-	t      *Table
-	refs   []Ref
-	closed bool
-}
-
-// SnapshotRefs captures the current refs and pins their slots — the
-// cheap point-in-time snapshot shadow paging buys: copy the ref table,
-// not the pages.
-func (t *Table) SnapshotRefs() *RefSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pins == nil {
-		t.pins = make(map[int64]int)
-	}
-	s := &RefSnapshot{t: t, refs: make([]Ref, len(t.refs))}
-	for i, r := range t.refs {
-		s.refs[i] = Ref{FirstKey: r.firstKey, PageNo: r.pageNo}
-		t.pins[r.pageNo]++
-	}
-	return s
-}
-
-// Refs returns the snapshot's page references in key order.
-func (s *RefSnapshot) Refs() []Ref {
-	out := make([]Ref, len(s.refs))
-	copy(out, s.refs)
-	return out
-}
-
-// ScanRows reads the snapshot's frozen page set in key order, charging
-// simulated time, and calls fn for every row; fn returning false stops
-// the scan early.
-func (s *RefSnapshot) ScanRows(at sim.Time, fn func(Row) bool) (sim.Time, error) {
-	now := at
-	for _, r := range s.refs {
-		p, c, err := s.t.readPage(now, r.PageNo)
-		if err != nil {
-			return now, err
-		}
-		now = c.End
-		for i := range p.Keys {
-			if !fn(Row{Key: p.Keys[i], Body: p.Bodies[i], PageTS: p.TS}) {
-				return now, nil
-			}
-		}
-	}
-	return now, nil
-}
-
-// Close drops the snapshot's pins; slots parked while pinned move to the
-// free list once their last pin is gone. Idempotent.
-func (s *RefSnapshot) Close() {
-	t := s.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	changed := false
-	for _, r := range s.refs {
-		if t.pins[r.PageNo] <= 1 {
-			delete(t.pins, r.PageNo)
-			if t.parked[r.PageNo] {
-				delete(t.parked, r.PageNo)
-				t.free = append(t.free, r.PageNo)
-				changed = true
-			}
-		} else {
-			t.pins[r.PageNo]--
-		}
-	}
-	if changed {
-		sortSlots(t.free)
-	}
 }
 
 func sortSlots(s []int64) {

@@ -50,31 +50,8 @@ type ApplyResult struct {
 // incremental migration (§3.5): migrating a portion of the table range at
 // a time spreads the migration cost across many operations. src must yield
 // only updates with keys in the covered range.
-//
-// When emit is non-nil, every post-application record is passed to it in
-// key order — the coordinated-scan optimization of §3.5: "we can combine
-// the migration with a table scan query in order to avoid the cost of
-// performing a table scan for migration purposes only". The emitted rows
-// are exactly what a fresh range scan at the migration timestamp would
-// return.
-func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batchBytes int, begin, end uint64, emit func(Row) bool) (sim.Time, ApplyResult, error) {
+func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batchBytes int, begin, end uint64) (sim.Time, ApplyResult, error) {
 	var res ApplyResult
-	emitStopped := false
-	emitPage := func(p *Page) {
-		if emit == nil || emitStopped {
-			return
-		}
-		for i := range p.Keys {
-			if p.Keys[i] < begin || p.Keys[i] > end {
-				continue
-			}
-			if !emit(Row{Key: p.Keys[i], Body: p.Bodies[i], PageTS: p.TS}) {
-				emitStopped = true
-				return
-			}
-		}
-	}
-
 	refs := t.snapshotRefs(begin, end)
 	if len(refs) == 0 {
 		return at, res, nil
@@ -104,18 +81,13 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 	// through a scratch page to avoid clobbering bodies that still alias
 	// the batch.
 	scratch := make([]byte, t.cfg.PageSize)
-	// Without an emit callback nothing aliasing the batch buffer escapes
-	// an iteration (overflow bodies are copied, the shadow writes complete
-	// before the next batch), so one pooled aligned buffer serves the
-	// whole pass — megabyte-scale scratch stops churning the GC and, on a
-	// direct-I/O file backend, the batch reads/writes become O_DIRECT
-	// eligible. With emit, rows handed to the callback alias the buffer,
-	// so each batch keeps its own.
-	var batchBuf []byte
-	if emit == nil {
-		batchBuf = storage.GetAligned(pagesPerBatch * t.cfg.PageSize)
-		defer func() { storage.PutAligned(batchBuf) }()
-	}
+	// Nothing aliasing the batch buffer escapes an iteration (overflow
+	// bodies are copied, the shadow writes complete before the next batch),
+	// so one pooled aligned buffer serves the whole pass — megabyte-scale
+	// scratch stops churning the GC and, on a direct-I/O file backend, the
+	// batch reads/writes become O_DIRECT eligible.
+	batchBuf := storage.GetAligned(pagesPerBatch * t.cfg.PageSize)
+	defer storage.PutAligned(batchBuf)
 	now := at
 	for i := 0; i < len(refs); {
 		// Collect a disk-contiguous batch.
@@ -125,12 +97,7 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 			n++
 		}
 		first := refs[i].pageNo
-		var buf []byte
-		if emit == nil {
-			buf = batchBuf[:n*t.cfg.PageSize]
-		} else {
-			buf = make([]byte, n*t.cfg.PageSize)
-		}
+		buf := batchBuf[:n*t.cfg.PageSize]
 		c, err := t.vol.ReadAt(now, buf, first*int64(t.cfg.PageSize))
 		if err != nil {
 			return now, res, err
@@ -168,13 +135,6 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 				upds = append(upds, u)
 			}
 			if len(upds) == 0 {
-				if emit != nil && !emitStopped {
-					p, err := DecodePage(pbuf)
-					if err != nil {
-						return now, res, err
-					}
-					emitPage(p)
-				}
 				continue
 			}
 			p, err := DecodePage(pbuf)
@@ -187,14 +147,12 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 				// rewriting the page, so re-running a committed migration
 				// costs reads only.
 				res.RecordsApplied += int64(len(upds))
-				emitPage(p)
 				continue
 			}
 			before := len(p.Keys)
 			ovfs := ApplyUpdatesToPage(p, upds, migTS, t.cfg.PageSize)
 			res.RecordsApplied += int64(len(upds))
 			after := len(p.Keys)
-			emitPage(p)
 			for _, ovf := range ovfs {
 				after += len(ovf.Keys)
 				// The split pages' bodies alias the batch buffer, which
@@ -203,7 +161,6 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 				for bi, b := range ovf.Bodies {
 					ovf.Bodies[bi] = append([]byte(nil), b...)
 				}
-				emitPage(ovf)
 				batchOvfs = append(batchOvfs, ovf)
 			}
 			res.RowDelta += int64(after - before)

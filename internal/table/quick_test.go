@@ -120,7 +120,7 @@ func TestQuickMigrationEquivalence(t *testing.T) {
 			}
 		}
 		sort.SliceStable(upds, func(i, j int) bool { return update.Less(&upds[i], &upds[j]) })
-		if _, _, err := tbl.ApplyStream(0, 1000, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0), nil); err != nil {
+		if _, _, err := tbl.ApplyStream(0, 1000, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0)); err != nil {
 			return false
 		}
 		got := make(map[uint64][]byte)

@@ -22,8 +22,7 @@ import (
 // (old pages until the flip, shadow pages after — both complete states),
 // an overflow ref inserted behind the cursor only holds keys the scanner
 // already returned (filtered by the key cursor), and one inserted ahead
-// is simply visited in key order. For a view frozen at one instant, use
-// SnapshotRefs.
+// is simply visited in key order.
 type Scanner struct {
 	t          *Table
 	begin, end uint64

@@ -55,7 +55,7 @@ func TestScanByteWindowsAcrossSlotSeam(t *testing.T) {
 		want[k] = b
 		ts++
 	}
-	if _, _, err := tbl.ApplyStream(0, ts, update.NewSliceIterator(upds), 64<<10, lo, hi, nil); err != nil {
+	if _, _, err := tbl.ApplyStream(0, ts, update.NewSliceIterator(upds), 64<<10, lo, hi); err != nil {
 		t.Fatal(err)
 	}
 

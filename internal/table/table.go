@@ -66,12 +66,9 @@ type Table struct {
 	rows     int64
 
 	// Shadow-paging slot accounting (see alloc.go): every slot below
-	// nextPage is live (named by a ref), free, retired, parked, or
-	// in-flight.
+	// nextPage is live (named by a ref), free, retired or in-flight.
 	free     []int64 // reusable now, sorted ascending
 	retired  []int64 // replaced by a ref flip, awaiting durable commit
-	parked   map[int64]bool
-	pins     map[int64]int
 	inflight map[int64]bool
 	migTS    int64 // newest migration stamp a page may carry
 

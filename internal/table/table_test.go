@@ -280,7 +280,7 @@ func TestApplyStreamFullMigration(t *testing.T) {
 	sortRecs(upds)
 	migTS := ts
 	before := tbl.Rows()
-	_, res, err := tbl.ApplyStream(0, migTS, update.NewSliceIterator(upds), 4<<20, 0, ^uint64(0), nil)
+	_, res, err := tbl.ApplyStream(0, migTS, update.NewSliceIterator(upds), 4<<20, 0, ^uint64(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +325,12 @@ func TestApplyStreamIdempotent(t *testing.T) {
 		{TS: 1, Key: 100, Op: update.Delete},
 		{TS: 2, Key: 101, Op: update.Insert, Payload: body(101, 92)},
 	}
-	if _, _, err := tbl.ApplyStream(0, 10, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0), nil); err != nil {
+	if _, _, err := tbl.ApplyStream(0, 10, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	rows := tbl.Rows()
 	// Re-running the same migration (crash redo) must be a no-op.
-	if _, _, err := tbl.ApplyStream(0, 10, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0), nil); err != nil {
+	if _, _, err := tbl.ApplyStream(0, 10, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Rows() != rows {
@@ -355,7 +355,7 @@ func TestOverflowPagePreservesScanOrder(t *testing.T) {
 		upds = append(upds, update.Record{TS: ts, Key: k, Op: update.Insert, Payload: body(k, 92)})
 		ts++
 	}
-	if _, res, err := tbl.ApplyStream(0, ts, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0), nil); err != nil {
+	if _, res, err := tbl.ApplyStream(0, ts, update.NewSliceIterator(upds), 1<<20, 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	} else if res.OverflowPages == 0 {
 		t.Fatal("expected overflow pages")

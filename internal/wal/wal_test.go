@@ -374,7 +374,7 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	// run migration, then recover from a log snapshot taken before the
 	// end record. For determinism we copy the log volume's readable
 	// prefix now.
-	end, _, err := mig.Run(nil)
+	end, _, err := mig.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,10 @@
 //     directory and recovers it on reopen (dir.go).
 //
 //   - A *Table, from CreateTable or OpenTable, reads, updates and migrates
-//     one table. Transactions span tables and begin on the engine.
+//     one table: Insert, Delete and Modify; Scan, Get and Query; Migrate
+//     (or MigrateStep, one incremental portion). Transactions span tables
+//     and begin on the engine; the loser of a write-write race gets
+//     ErrWriteConflict from Commit.
 //
 //     eng, _ := masm.NewEngine(masm.DefaultConfig())
 //     orders, _ := eng.CreateTable("orders", masm.TableOptions{Keys: keys, Bodies: bodies})
@@ -50,7 +53,8 @@
 //     increasing order.
 //   - Snapshot pins a view explicitly, so several scans can read the same
 //     consistent state while updates continue to stream in; Migrate waits
-//     for open scans and snapshots older than its timestamp.
+//     for open scans, lookups, snapshots and transactions older than its
+//     timestamp (ErrActiveQueries).
 //   - Background migration (Engine.StartMigrationScheduler) runs off the
 //     update path and observes the same rules.
 //   - One table's migration never blocks another table's scans or
@@ -73,6 +77,7 @@ import (
 
 	core "masm/internal/masm"
 	"masm/internal/sim"
+	"masm/internal/txn"
 )
 
 // Config configures an Engine: the infrastructure its tables share and the
@@ -136,10 +141,10 @@ func (c *clock) advance(t sim.Time) {
 // ErrClosed reports use of a closed Engine, or of a table of one.
 var ErrClosed = errors.New("masm: database closed")
 
-// ErrActiveQueries is returned by Migrate, ScanAndMigrate and MigrateStep
-// while scans, snapshots or transactions older than the migration
-// timestamp are still open. It means "retry after they close", not
-// failure; MigrateIfPressured and the MigrationScheduler absorb it.
+// ErrActiveQueries is returned by Migrate and MigrateStep while scans,
+// snapshots or transactions older than the migration timestamp are still
+// open. It means "retry after they close", not failure;
+// MigrateIfPressured and the MigrationScheduler absorb it.
 var ErrActiveQueries = core.ErrActiveQueries
 
 // ErrMigrationInProgress is returned by migration entry points while
@@ -150,6 +155,12 @@ var ErrMigrationInProgress = core.ErrMigrationInProgress
 // ErrSnapshotClosed is returned by reads through a Snapshot that has been
 // Closed; take a fresh Snapshot to read current data.
 var ErrSnapshotClosed = core.ErrSnapshotClosed
+
+// ErrWriteConflict is returned by EngineTx.Commit when a table's write set
+// conflicts with a commit made after the transaction first touched that
+// table (first committer wins). Nothing of the transaction is published;
+// retry it from BeginTx.
+var ErrWriteConflict = txn.ErrWriteConflict
 
 func coreConfig(cfg Config) core.Config {
 	ccfg := core.DefaultConfig(roundTo(cfg.CacheBytes, 4<<10))

@@ -444,33 +444,3 @@ func TestMigrateStepSweep(t *testing.T) {
 		t.Fatalf("%d runs left after sweep", tbl.Stats().Runs)
 	}
 }
-
-func TestScanAndMigrate(t *testing.T) {
-	tbl := openTable(t, "", smallCfg(), evenRows(1500, paddedRow))
-	defer tbl.eng.Close()
-	for i := 0; i < 1000; i++ {
-		key := uint64((i*7)%4000) + 1
-		if err := tbl.Insert(key, []byte(fmt.Sprintf("c-%d-%d-padpadpadpad", key, i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := scanAll(t, tbl)
-	got := make(map[uint64]string)
-	if err := tbl.ScanAndMigrate(func(key uint64, body []byte) bool {
-		got[key] = string(body)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("coordinated scan emitted %d rows, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d mismatch", k)
-		}
-	}
-	if tbl.Stats().Runs != 0 {
-		t.Fatal("runs left after coordinated migration")
-	}
-}

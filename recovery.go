@@ -72,7 +72,6 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 	}
 	states := rep.States()
 	e.reg.Gauge("masm_wal_replay_entries").Set(replayed)
-	e.tracer.Emit("recovery", "", "replay", fmt.Sprintf("entries=%d", replayed), int64(now))
 
 	// 2. Resume the shared oracle — above migration timestamps too: they
 	// are stamped onto data pages, and would otherwise suppress
@@ -133,7 +132,6 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 		t.txns = txn.NewManager(t.store)
 	}
 	e.reg.Gauge("masm_recovery_wall_nanos").Set(time.Since(start).Nanoseconds())
-	e.tracer.Emit("recovery", "", "end", fmt.Sprintf("tables=%d", len(tables)), int64(now))
 	return now, nil
 }
 

@@ -36,7 +36,9 @@ type MigrationScheduler struct {
 	done     chan struct{}
 	stopOnce sync.Once
 	ran      atomic.Int64
-	failed   atomic.Value // errBox
+	// failures counts the table migrations that failed inside a sweep
+	// (masm_migration_failures).
+	failures *obs.Counter
 	// rejects counts the writes admission refused while this scheduler ran.
 	// Its series is masm_server_backpressure_rejects, the name the
 	// benchmark and dashboards read.
@@ -48,10 +50,6 @@ type MigrationScheduler struct {
 	// end of the next sweep: writes waiting for migration wake on it.
 	swept chan struct{}
 }
-
-// errBox gives every stored error the same concrete type: atomic.Value
-// panics when consecutive stores carry inconsistently typed values.
-type errBox struct{ err error }
 
 // DefaultMigrationInterval is the polling cadence used when
 // StartMigrationScheduler is given a non-positive interval. Kicks from
@@ -93,6 +91,7 @@ func (e *Engine) StartMigrationScheduler(interval time.Duration) (*MigrationSche
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		byTable:  make(map[string]int64),
+		failures: e.reg.Counter("masm_migration_failures"),
 		rejects:  e.reg.Counter("masm_server_backpressure_rejects"),
 	}
 	e.sched = ms
@@ -125,22 +124,18 @@ func (ms *MigrationScheduler) loop() {
 // A failing table does not end the round: it is quarantined for the rest
 // of this sweep and arbitration continues, so one table with a broken
 // migration path (a full redo device, say) cannot starve every other
-// pressured table out of the kick that was already consumed. The first
-// error is retained for Err; a sweep that finishes with no error clears
-// any earlier one — the scheduler retries forever, and a transient
-// failure thousands of clean sweeps ago is not worth reporting.
+// pressured table out of the kick that was already consumed. Each failure
+// counts in masm_migration_failures; the scheduler retries on later
+// sweeps.
 func (ms *MigrationScheduler) sweep() bool {
 	var skip map[string]bool
-	var firstErr error
 	for {
 		name, ran, err := ms.eng.migrateIfPressured(skip)
 		if errors.Is(err, ErrClosed) {
 			return false
 		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			ms.failures.Inc()
 			if name == "" {
 				// Engine-level failure with no table to quarantine; give
 				// up on this round and let the next tick retry.
@@ -160,7 +155,6 @@ func (ms *MigrationScheduler) sweep() bool {
 		ms.byTable[name]++
 		ms.mu.Unlock()
 	}
-	ms.failed.Store(errBox{firstErr})
 	ms.mu.Lock()
 	if ms.swept != nil {
 		close(ms.swept)
@@ -282,17 +276,6 @@ func (ms *MigrationScheduler) TableMigrations() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Err returns the first unexpected migration error from the most recent
-// sweep, or nil after a fully clean sweep. The scheduler keeps retrying
-// after errors; Err lets callers surface a *current* failure without a
-// long-recovered transient masquerading as one forever.
-func (ms *MigrationScheduler) Err() error {
-	if b, ok := ms.failed.Load().(errBox); ok {
-		return b.err
-	}
-	return nil
 }
 
 // Stop halts the scheduler and waits for its goroutine to exit, then

@@ -6,6 +6,9 @@ import (
 	"time"
 )
 
+// migrationFailures reads the scheduler's failure counter from e's registry.
+func migrationFailures(e *Engine) int64 { return e.Metrics().Counter("masm_migration_failures") }
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -38,8 +41,8 @@ func TestMigrationSchedulerTriggers(t *testing.T) {
 		}
 	}
 	waitFor(t, "background migration", func() bool { return ms.Migrations() >= 1 })
-	if err := ms.Err(); err != nil {
-		t.Fatal(err)
+	if n := migrationFailures(tbl.eng); n != 0 {
+		t.Fatalf("%d migrations failed", n)
 	}
 	st := tbl.Stats()
 	if st.Migrations < 1 {
@@ -87,11 +90,10 @@ func TestCommitsKickScheduler(t *testing.T) {
 	waitFor(t, "a migration kicked by a commit", func() bool { return ms.Migrations() >= 1 })
 }
 
-// TestMigrationSchedulerErrClears: a transient migration failure shows up
-// in Err, and the first fully clean sweep after recovery clears it. Before
-// the fix Err was sticky for the scheduler's lifetime: one ENOSPC'd redo
-// write would be reported forever, through thousands of clean sweeps.
-func TestMigrationSchedulerErrClears(t *testing.T) {
+// TestMigrationSchedulerRetriesAfterFailure: a transient migration failure
+// counts in masm_migration_failures, and once the fault heals the
+// scheduler's next sweeps migrate.
+func TestMigrationSchedulerRetriesAfterFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 1 << 20
 	cfg.MigrateThreshold = 0.05
@@ -110,36 +112,33 @@ func TestMigrationSchedulerErrClears(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "scheduler to report the injected error", func() bool {
-		return errors.Is(ms.Err(), boom)
+	waitFor(t, "scheduler to count the injected failure", func() bool {
+		return migrationFailures(tbl.eng) >= 1
 	})
 	if ms.Migrations() != 0 {
 		t.Fatalf("%d migrations ran despite the failpoint", ms.Migrations())
 	}
 
-	// The fault heals; the next clean sweep must both migrate and clear Err.
+	// The fault heals; a later sweep migrates.
 	tbl.store.FailMigrations(nil)
 	ms.Kick()
 	waitFor(t, "background migration after recovery", func() bool { return ms.Migrations() >= 1 })
-	waitFor(t, "Err to clear after a clean sweep", func() bool { return ms.Err() == nil })
 }
 
-// TestMigrationSchedulerSweepContinuesPastFailure: one table with a broken
-// migration path must not starve the rest of the round. Both tables are
-// pressured; table a's migration fails; a single deterministic sweep must
-// still migrate table b, report the failure, and — once a heals — clear
-// the error on the next clean sweep.
-func TestMigrationSchedulerSweepContinuesPastFailure(t *testing.T) {
+// pressureTwo loads tables a and b on a fresh engine and writes both past
+// the migration threshold, with no scheduler running.
+func pressureTwo(t *testing.T) (e *Engine, a, b *Table) {
+	t.Helper()
 	cfg := smallCfg()
 	cfg.MigrateThreshold = 0.05
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { e.Close() })
 	opts := TableOptions{CacheBytes: 1 << 20}
-	a := loadTable(t, e, "a", 500, opts)
-	b := loadTable(t, e, "b", 500, opts)
+	a = loadTable(t, e, "a", 500, opts)
+	b = loadTable(t, e, "b", 500, opts)
 	for i := 0; i < 2000; i++ {
 		key := uint64(i%3000) + 1
 		if err := a.Insert(key, stressBody(key, i)); err != nil {
@@ -152,12 +151,48 @@ func TestMigrationSchedulerSweepContinuesPastFailure(t *testing.T) {
 	if a.CacheFill() < cfg.MigrateThreshold || b.CacheFill() < cfg.MigrateThreshold {
 		t.Fatalf("setup did not pressure both tables: a=%.3f b=%.3f", a.CacheFill(), b.CacheFill())
 	}
+	return e, a, b
+}
 
-	boom := errors.New("injected: table a cannot migrate")
-	a.store.FailMigrations(boom)
+// TestMigrationSchedulerCountsFailures: with one of two pressured tables
+// unable to migrate, one sweep of a running scheduler counts the failure
+// in masm_migration_failures, the series /metrics exports, and still
+// migrates the healthy table.
+func TestMigrationSchedulerCountsFailures(t *testing.T) {
+	e, a, _ := pressureTwo(t)
+	a.store.FailMigrations(errors.New("injected: table a cannot migrate"))
+	// The ticker is an hour away: the one kick below is the one sweep.
+	ms, err := e.StartMigrationScheduler(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept := ms.nextSweep()
+	ms.Kick()
+	select {
+	case <-swept:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no sweep ended after a kick")
+	}
+	if n := migrationFailures(e); n != 1 {
+		t.Fatalf("masm_migration_failures = %d after one sweep with one failing table, want 1", n)
+	}
+	if got := ms.TableMigrations(); got["b"] == 0 || got["a"] != 0 {
+		t.Fatalf("per-table migrations %v: want b migrated in the sweep where a failed", got)
+	}
+}
+
+// TestMigrationSchedulerSweepContinuesPastFailure: one table with a broken
+// migration path must not starve the rest of the round. Both tables are
+// pressured; table a's migration fails; a single deterministic sweep must
+// still migrate table b and count the failure, and — once a heals — the
+// next sweep migrates a and counts nothing.
+func TestMigrationSchedulerSweepContinuesPastFailure(t *testing.T) {
+	e, a, _ := pressureTwo(t)
+	a.store.FailMigrations(errors.New("injected: table a cannot migrate"))
 	// Drive sweeps directly — no goroutine, no ticks — so "same round" is
 	// literal, not a property of retry timing.
-	ms := &MigrationScheduler{eng: e, byTable: make(map[string]int64)}
+	ms := &MigrationScheduler{eng: e, byTable: make(map[string]int64),
+		failures: e.reg.Counter("masm_migration_failures")}
 	if !ms.sweep() {
 		t.Fatal("sweep reported engine closed")
 	}
@@ -168,16 +203,16 @@ func TestMigrationSchedulerSweepContinuesPastFailure(t *testing.T) {
 	if got["a"] != 0 {
 		t.Fatalf("table a migrated despite the failpoint: %v", got)
 	}
-	if !errors.Is(ms.Err(), boom) {
-		t.Fatalf("Err = %v, want the injected failure", ms.Err())
+	if n := migrationFailures(e); n != 1 {
+		t.Fatalf("masm_migration_failures = %d, want the one injected failure", n)
 	}
 
 	a.store.FailMigrations(nil)
 	if !ms.sweep() {
 		t.Fatal("sweep reported engine closed")
 	}
-	if ms.Err() != nil {
-		t.Fatalf("Err = %v after a clean sweep, want nil", ms.Err())
+	if n := migrationFailures(e); n != 1 {
+		t.Fatalf("masm_migration_failures = %d after a clean sweep, want still 1", n)
 	}
 	if got := ms.TableMigrations(); got["a"] == 0 {
 		t.Fatalf("table a never migrated after recovery: %v", got)

@@ -1,13 +1,15 @@
-package chaos
+package masm_test
 
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"masm"
+	"masm/internal/chaos"
 	"masm/internal/storage"
 )
 
@@ -21,19 +23,34 @@ import (
 
 // ledgerString renders one table's slot ledger for exact comparison.
 func ledgerString(t *masm.Table) string {
-	live, free, retired, parked, next := t.SlotLedger()
-	return fmt.Sprintf("live=%d free=%d retired=%d parked=%d next=%d", live, free, retired, parked, next)
+	live, free, retired, next := t.SlotLedger()
+	return fmt.Sprintf("live=%d free=%d retired=%d next=%d", live, free, retired, next)
 }
 
-// openLeakEngine opens dir with a FaultBackend on every file, the
-// survivor lotteries driven by seed.
-func openLeakEngine(t *testing.T, dir string, seed int64) (*masm.Engine, map[string]*FaultBackend) {
+// leakBase is the table the crash loop modifies: 120 even keys.
+func leakBase() ([]uint64, [][]byte) {
+	keys := make([]uint64, 120)
+	bodies := make([][]byte, len(keys))
+	for i := range keys {
+		keys[i] = uint64(2 * (i + 1))
+		bodies[i] = []byte(fmt.Sprintf("sweep row %08d ........................", keys[i]))
+	}
+	return keys, bodies
+}
+
+// openLeakEngine opens dir with a FaultBackend on every file, keyed by
+// file name, the survivor lotteries driven by seed.
+func openLeakEngine(t *testing.T, dir string, seed int64) (*masm.Engine, map[string]*chaos.FaultBackend) {
 	t.Helper()
-	backends := make(map[string]*FaultBackend)
-	opts := masm.EngineDirOptions{Config: sweepConfig(), DataBytes: 128 << 20}
+	backends := make(map[string]*chaos.FaultBackend)
+	cfg := masm.DefaultConfig()
+	cfg.CacheBytes = 1 << 20
+	opts := masm.EngineDirOptions{Config: cfg, DataBytes: 128 << 20}
 	opts.WrapBackend = func(name string, be storage.Backend) storage.Backend {
-		fb := NewFaultBackend(be, name, seed^hashName(name))
-		backends[roleFor(name)] = fb
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		fb := chaos.NewFaultBackend(be, name, seed^int64(h.Sum64()))
+		backends[name] = fb
 		return fb
 	}
 	eng, err := masm.OpenEngineDir(dir, opts)
@@ -105,7 +122,7 @@ func TestMigrationCrashLoopLeaksNoSlots(t *testing.T) {
 
 	// Seed the table durably, modify-only from here on: the page count —
 	// and therefore the fixed-point ledger — stays constant.
-	keys, bodies := sweepBase()
+	keys, bodies := leakBase()
 	eng, _ := openLeakEngine(t, dir, 1)
 	if _, err := eng.CreateTable("loop", masm.TableOptions{Keys: keys, Bodies: bodies}); err != nil {
 		t.Fatal(err)
@@ -142,7 +159,7 @@ func TestMigrationCrashLoopLeaksNoSlots(t *testing.T) {
 		}
 		// Cut power at the migration's main.data fsync with this round's
 		// survivor lottery, then hard-stop the whole engine.
-		backends["data"].ArmCrashAtSync(1, keep, false)
+		backends["main.data"].ArmCrashAtSync(1, keep, false)
 		if err := tbl.Migrate(); err == nil {
 			t.Fatalf("round %d: migration survived the armed data-sync power cut", i)
 		}
@@ -190,8 +207,8 @@ func TestMigrationCrashLoopLeaksNoSlots(t *testing.T) {
 			}
 		}
 		ledger := ledgerString(tbl2)
-		live, free, retired, parked, next := tbl2.SlotLedger()
-		if retired != 0 || parked != 0 {
+		live, free, retired, next := tbl2.SlotLedger()
+		if retired != 0 {
 			t.Fatalf("round %d: recovery left slots behind: %s", i, ledger)
 		}
 		if live+free != next {
