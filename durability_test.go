@@ -14,7 +14,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"masm/internal/storage"
 )
 
 // baseRow is the body format of the file-backed tests' base table.
@@ -548,5 +552,178 @@ func TestReopenKeepsCacheGeometry(t *testing.T) {
 	defer e.Close()
 	if got := e.CacheBytes(); got != 2<<20 {
 		t.Fatalf("reopened with a 256 MiB request: CacheBytes %d, want the directory's %d", got, 2<<20)
+	}
+}
+
+// walMaxUnforced is the redo log's bound on written-but-unforced bytes
+// (internal/wal's maxUnforced, half its torn-batch span).
+const walMaxUnforced = 512 << 10
+
+// TestLogForceCount: a log append never fsyncs. Inserts whose log stays
+// under the unforced bound, with no flush, cost no fsync; a larger volume
+// costs at most one force per walMaxUnforced bytes; Engine.Sync costs
+// exactly one, and a Sync with nothing new costs none.
+func TestLogForceCount(t *testing.T) {
+	tbl := openTable(t, t.TempDir(), fileCfg(1<<30), TableOptions{})
+	eng := tbl.eng
+	defer eng.Close()
+	syncs := func() int64 { return eng.Metrics().Counter("masm_wal_syncs") }
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{'x'}, 100)
+	key := uint64(0)
+	for _, inserts := range []int{2000, 12000} {
+		start, before := eng.log.EndOffset(), syncs()
+		for i := 0; i < inserts; i++ {
+			key++
+			if err := tbl.Insert(key, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		forced := syncs() - before
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := syncs() - before - forced; n != 1 {
+			t.Fatalf("Engine.Sync after %d inserts cost %d fsyncs, want 1", inserts, n)
+		}
+		logged := eng.log.EndOffset() - start
+		switch bound := (logged + walMaxUnforced - 1) / walMaxUnforced; {
+		case logged <= walMaxUnforced && forced != 0:
+			t.Fatalf("%d inserts (%d log bytes, under the bound) fsynced the log %d times", inserts, logged, forced)
+		case forced > bound:
+			t.Fatalf("%d inserts (%d log bytes) fsynced the log %d times, want at most %d", inserts, logged, forced, bound)
+		}
+		before = syncs()
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n := syncs() - before; n != 0 {
+			t.Fatalf("a Sync with nothing new cost %d fsyncs", n)
+		}
+	}
+	if runs := tbl.Stats().Runs; runs != 0 {
+		t.Fatalf("the inserts flushed %d runs; a flush forces the log, so the counts above prove nothing", runs)
+	}
+}
+
+// syncGate is a backend whose next Sync, once armed, blocks until the
+// test releases it.
+type syncGate struct {
+	storage.Backend
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	syncs   atomic.Int64
+}
+
+func (g *syncGate) Sync() error {
+	g.syncs.Add(1)
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Backend.Sync()
+}
+
+// TestLogForceOutsideLatch: the log's fsync runs outside the log latch,
+// so while a Sync is stuck in it, writes and reads of the table being
+// synced, and writes of another table, go on; Syncs that arrive meanwhile
+// share one more fsync once it returns.
+func TestLogForceOutsideLatch(t *testing.T) {
+	gate := &syncGate{entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	eng, err := OpenEngineDir(t.TempDir(), EngineDirOptions{Config: fileCfg(16 << 20),
+		WrapBackend: func(name string, be storage.Backend) storage.Backend {
+			if name != "wal.log" {
+				return be
+			}
+			gate.Backend = be
+			return gate
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		release()
+		eng.Close()
+	})
+	a, err := eng.CreateTable("a", TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := eng.CreateTable("b", TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{'y'}, 100)
+	for k := uint64(1); k <= 100; k++ {
+		if err := a.Insert(k, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Insert(101, body); err != nil {
+		t.Fatal(err)
+	}
+	before := gate.syncs.Load()
+	gate.armed.Store(true)
+	blocked := make(chan error, 1)
+	go func() { blocked <- eng.Sync() }()
+	<-gate.entered
+
+	within := func(what string, fn func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- fn() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited for the log's fsync", what)
+		}
+	}
+	within("an Insert on the table being synced", func() error { return a.Insert(102, body) })
+	within("a Get on that table", func() error {
+		if _, ok, err := a.Get(102); err != nil || !ok {
+			return fmt.Errorf("key 102: found %v, err %v", ok, err)
+		}
+		return nil
+	})
+	within("a Scan on that table", func() error {
+		n := 0
+		err := a.Scan(0, ^uint64(0), func(uint64, []byte) bool { n++; return true })
+		if err == nil && n != 102 {
+			err = fmt.Errorf("%d rows, want 102", n)
+		}
+		return err
+	})
+	within("an Insert on another table", func() error { return b.Insert(1, body) })
+
+	const syncers = 8
+	errs := make(chan error, syncers)
+	for i := 0; i < syncers; i++ {
+		go func() { errs <- eng.Sync() }()
+	}
+	// Give them time to queue behind the stuck force; the bound below
+	// holds however many of them do.
+	time.Sleep(20 * time.Millisecond)
+	release()
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < syncers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := gate.syncs.Load() - before; n > 2 {
+		t.Fatalf("a stuck Sync and %d Syncs behind it cost %d fsyncs, want at most 2", syncers, n)
 	}
 }

@@ -841,10 +841,13 @@ func (e *Engine) CheckMetrics() error {
 	return e.shared.CheckMetrics()
 }
 
-// Sync forces the shared redo log to stable storage. Updates are
-// group-committed (batched) by default; an update is guaranteed to survive
-// Crash only after a Sync (or after enough later traffic flushed its
-// batch).
+// Sync forces the shared redo log to stable storage; concurrent Syncs
+// share one fsync, which runs outside the log latch. Updates are
+// group-committed: a filled 4 KiB batch is written, so it survives Crash,
+// HardStop and a killed process, but it is not forced, and a power cut can
+// lose up to 512 KiB of log written since the last force (the log forces
+// itself before it would leave more unforced). An update is guaranteed to
+// survive a power cut only after a Sync.
 func (e *Engine) Sync() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -904,10 +907,10 @@ func (e *Engine) Close() error {
 // HardStop abandons the engine with no clean shutdown whatsoever: no log
 // sync, no file sync, no manifest write — the in-process equivalent of
 // kill -9. In-flight operations fail as their file descriptors close.
-// Updates not yet forced by Sync (or a filled group-commit batch) are
-// lost, exactly as a crash would lose them; everything committed is
-// recovered by the next OpenEngineDir. On an in-memory engine it behaves
-// like Close.
+// Updates not yet written by Sync (or with a filled group-commit batch)
+// are lost, exactly as a killed process would lose them; everything
+// committed is recovered by the next OpenEngineDir. On an in-memory engine
+// it behaves like Close.
 //
 // It exists for crash-recovery tests and demos; production code wants
 // Close.

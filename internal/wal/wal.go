@@ -126,13 +126,10 @@ var magic = [8]byte{'M', 'a', 'S', 'M', 'w', 'a', 'l', '\x00'}
 // polynomial iSCSI and ext4 use; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameCRC checksums one entry's kind, length and payload.
-func frameCRC(kind Kind, payload []byte) uint32 {
-	var hdr [5]byte
-	hdr[0] = byte(kind)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	c := crc32.Update(0, castagnoli, hdr[:])
-	return crc32.Update(c, castagnoli, payload)
+// frameCRC checksums one entry's kind and length — the first five bytes of
+// its frame header, head — and its payload.
+func frameCRC(head, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, head[:5]), castagnoli, payload)
 }
 
 // encodeHeader renders the 16-byte log header.
@@ -162,33 +159,44 @@ type Hooks struct {
 
 // groupCommitBytes is the buffering threshold: entries are held in memory
 // and written to the log volume once this many bytes accumulate (or on
-// Sync). This models group commit; per-update synchronous commits would
-// be dominated by log latency in any real deployment too.
+// Sync). A written batch survives a process kill (it is in the OS page
+// cache) but not a power cut until a force covers it; at most maxUnforced
+// bytes are ever written but unforced. This models group commit:
+// per-update synchronous commits would be dominated by log latency in any
+// real deployment too.
 const groupCommitBytes = 4 << 10
+
+// maxUnforced bounds the written-but-unforced span of the log. A power cut
+// may keep any subset of the unforced batches, and replay tells a torn
+// tail from mid-log corruption by distance (tornBatchSpan): every intact
+// frame a cut can leave past the first bad one must lie within that span.
+// A batch write that would pass the bound forces the log first.
+const maxUnforced = tornBatchSpan / 2
+
+// endMarker is the zero frame header written after every batch (and the
+// blank an entry's header is filled into).
+var endMarker [frameHeaderSize]byte
 
 // Log is an append-only redo log on a volume; stores log through the
 // per-table view ForTable returns. It is safe for concurrent use: appends
 // from concurrent updaters are serialized by an internal latch, preserving
-// the group-commit batching.
+// the group-commit batching. An append never waits for a force: Sync
+// writes the batch under the latch and fsyncs after releasing it, so
+// appends go on while the log is forced.
 type Log struct {
 	mu            sync.Mutex
 	vol           *storage.Volume
 	buf           []byte
-	off           int64
 	headerWritten bool
-	// checkpointing suppresses the per-batch backend sync: a checkpoint
-	// rewrite is one atomic operation whose only durability point is the
-	// final force before the log is renamed into place, so forcing every
-	// intermediate group-commit batch buys nothing and costs one fsync per
-	// 4KB of checkpoint. Batches are still written out at the same
-	// boundaries (flushLocked), so the simulated write charges are
-	// identical either way.
-	checkpointing bool
-	// unsynced records that flushLocked wrote bytes the backend has not
-	// yet been asked to force.
-	unsynced bool
-	hooks    Hooks
-	metrics  Metrics
+	// written is the end of the bytes handed to the volume; it is stored
+	// under mu, after the write returns, and read by forcers without it.
+	written atomic.Int64
+	// forceMu admits one forcer at a time. durable is the end of the log
+	// the last force covered: every byte below it survives a power cut.
+	forceMu sync.Mutex
+	durable atomic.Int64
+	hooks   Hooks
+	metrics Metrics
 }
 
 // Metrics carries the log's observability handles. All fields are optional
@@ -198,14 +206,17 @@ type Log struct {
 // timeline.
 type Metrics struct {
 	Appends   *obs.Counter   // entries appended (buffered, pre-force)
-	Syncs     *obs.Counter   // forced batches reaching the backend sync
+	Syncs     *obs.Counter   // backend syncs (forces of the log)
 	SyncNanos *obs.Histogram // wall-clock nanoseconds per backend sync
 }
 
 // Open creates a log writing from the start of vol. Nothing is written
-// until the first forced batch; the header goes down with it.
+// until the first batch fills or is forced; the header goes down with it.
 func Open(vol *storage.Volume) *Log {
-	return &Log{vol: vol, off: headerSize}
+	l := &Log{vol: vol}
+	l.written.Store(headerSize)
+	l.durable.Store(headerSize)
+	return l
 }
 
 // SetHooks installs the durable-ordering hooks (see Hooks). Call it before
@@ -243,24 +254,17 @@ func (l *Log) Bootstrap(at sim.Time) (sim.Time, error) {
 	if err != nil {
 		return at, err
 	}
-	syncStart := time.Now()
-	if err := l.vol.Sync(); err != nil {
+	if err := l.fsync(); err != nil {
 		return at, err
 	}
-	l.metrics.Syncs.Inc()
-	l.metrics.SyncNanos.Observe(time.Since(syncStart).Nanoseconds())
 	l.headerWritten = true
 	return c.End, nil
 }
 
-// EndOffset reports the byte offset of the end of the synced log — the
-// position the next forced batch will be written at. Crash tests use it to
-// locate the durable tail for truncation.
-func (l *Log) EndOffset() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.off
-}
+// EndOffset reports the byte offset of the end of the forced log: every
+// entry below it survives a power cut. Crash tests use it to locate the
+// durable tail for truncation.
+func (l *Log) EndOffset() int64 { return l.durable.Load() }
 
 func (l *Log) append(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
 	l.mu.Lock()
@@ -268,80 +272,117 @@ func (l *Log) append(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
 	return l.appendLocked(at, kind, payload)
 }
 
-// appendLocked buffers one entry; caller holds l.mu.
+// appendLocked buffers one entry, writing the batch out (unforced) once it
+// reaches groupCommitBytes; caller holds l.mu.
 func (l *Log) appendLocked(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
 	l.metrics.Appends.Inc()
-	var hdr [frameHeaderSize]byte
+	start := len(l.buf)
+	l.buf = append(l.buf, endMarker[:]...)
+	hdr := l.buf[start:]
 	hdr[0] = byte(kind)
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:], frameCRC(kind, payload))
-	l.buf = append(l.buf, hdr[:]...)
+	binary.LittleEndian.PutUint32(hdr[5:], frameCRC(hdr, payload))
 	l.buf = append(l.buf, payload...)
 	if len(l.buf) >= groupCommitBytes {
-		if l.checkpointing {
-			return l.flushLocked(at)
-		}
-		return l.syncLocked(at)
+		return l.flushLocked(at)
 	}
 	return at, nil
 }
 
-// Sync forces buffered entries to the log volume, followed by an end
+// Sync writes buffered entries to the log volume, followed by an end
 // marker (not advancing the cursor) so replay never runs into stale bytes
 // from a previous log generation occupying the same volume, and then
-// syncs the volume's backend — the point at which the entries survive a
-// crash.
+// forces the volume's backend — the point at which the entries survive a
+// power cut. Concurrent Syncs share one force.
 func (l *Log) Sync(at sim.Time) (sim.Time, error) {
+	return l.forceAfter(at, func() (sim.Time, error) { return at, nil })
+}
+
+// forceAfter runs fn with l.mu held and writes the buffered batch out,
+// then releases l.mu and forces the log through that batch.
+func (l *Log) forceAfter(at sim.Time, fn func() (sim.Time, error)) (sim.Time, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked(at)
+	now, err := fn()
+	if err == nil {
+		now, err = l.flushLocked(now)
+	}
+	target := l.written.Load()
+	l.mu.Unlock()
+	if err != nil {
+		return at, err
+	}
+	if err := l.force(target); err != nil {
+		return at, err
+	}
+	return now, nil
 }
 
 // flushLocked writes buffered entries (with the trailing end marker) to
-// the volume without forcing them; caller holds l.mu. The bytes are
-// durable only after the next syncLocked.
+// the volume without forcing them; caller holds l.mu. A write that would
+// leave more than maxUnforced bytes unforced forces the log first.
 func (l *Log) flushLocked(at sim.Time) (sim.Time, error) {
-	if len(l.buf) == 0 {
+	n := len(l.buf)
+	if n == 0 {
 		return at, nil
 	}
-	payload := make([]byte, len(l.buf)+frameHeaderSize)
-	copy(payload, l.buf)
-	writeOff := l.off
+	off := l.written.Load()
+	if off+int64(n)-l.durable.Load() > maxUnforced {
+		if err := l.force(off); err != nil {
+			return at, err
+		}
+	}
+	// The end marker goes in the buffer's spare capacity, so a warm log
+	// writes a batch without allocating.
+	l.buf = append(l.buf, endMarker[:]...)
+	payload, writeOff := l.buf, off
 	if !l.headerWritten {
-		// First force: lay the header down in front of the first batch in
+		// First write: lay the header down in front of the first batch in
 		// one sequential write.
 		h := encodeHeader()
-		payload = append(h[:], payload...)
+		payload = append(h[:], l.buf...)
 		writeOff = 0
 	}
 	c, err := l.vol.WriteAt(at, payload, writeOff)
 	if err != nil {
+		l.buf = l.buf[:n]
 		return at, err
 	}
 	l.headerWritten = true
-	l.off += int64(len(l.buf))
+	l.written.Store(off + int64(n))
 	l.buf = l.buf[:0]
-	l.unsynced = true
 	return c.End, nil
 }
 
-// syncLocked is Sync with l.mu held.
-func (l *Log) syncLocked(at sim.Time) (sim.Time, error) {
-	if len(l.buf) == 0 && !l.unsynced {
-		return at, nil
+// force makes the log durable through at least target. One forcer at a
+// time fsyncs everything written so far, without l.mu, and publishes the
+// durable offset; a caller whose target an earlier force covered — one it
+// waited for included — returns without an fsync.
+func (l *Log) force(target int64) error {
+	if l.durable.Load() >= target {
+		return nil
 	}
-	now, err := l.flushLocked(at)
-	if err != nil {
-		return at, err
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	if l.durable.Load() >= target {
+		return nil
 	}
-	syncStart := time.Now()
+	end := l.written.Load()
+	if err := l.fsync(); err != nil {
+		return err
+	}
+	l.durable.Store(end)
+	return nil
+}
+
+// fsync syncs the volume's backend and counts it.
+func (l *Log) fsync() error {
+	start := time.Now()
 	if err := l.vol.Sync(); err != nil {
-		return at, err
+		return err
 	}
 	l.metrics.Syncs.Inc()
-	l.metrics.SyncNanos.Observe(time.Since(syncStart).Nanoseconds())
-	l.unsynced = false
-	return now, nil
+	l.metrics.SyncNanos.Observe(time.Since(start).Nanoseconds())
+	return nil
 }
 
 // runMetaSize is the wire size of a run descriptor: the location fields,
@@ -415,40 +456,31 @@ func decodeIDs(p []byte) ([]int64, []byte, error) {
 }
 
 // logRunRecord appends a flush/merge record with the durable ordering:
-// run data first, then the record, forced.
+// run data first, then the record, forced. Hooks are installed before any
+// logging starts, so reading them needs no latch.
 func (l *Log) logRunRecord(at sim.Time, kind Kind, payload []byte) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hooks.SyncRuns != nil {
+	if l.hooks.SyncRuns == nil {
+		return l.append(at, kind, payload)
+	}
+	return l.forceAfter(at, func() (sim.Time, error) {
 		if err := l.hooks.SyncRuns(); err != nil {
 			return at, fmt.Errorf("wal: sync run data before %d record: %w", kind, err)
 		}
-	}
-	t, err := l.appendLocked(at, kind, payload)
-	if err != nil {
-		return at, err
-	}
-	if l.hooks.SyncRuns != nil {
-		return l.syncLocked(t)
-	}
-	return t, nil
+		return l.appendLocked(at, kind, payload)
+	})
 }
 
 // logForced appends a migration boundary record and forces it, after the
 // Checkpoint hook when the record is one that asserts durable pages.
 func (l *Log) logForced(at sim.Time, kind Kind, payload []byte, checkpoint bool) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if checkpoint && l.hooks.Checkpoint != nil {
-		if err := l.hooks.Checkpoint(); err != nil {
-			return at, fmt.Errorf("wal: checkpoint before migration portion: %w", err)
+	return l.forceAfter(at, func() (sim.Time, error) {
+		if checkpoint && l.hooks.Checkpoint != nil {
+			if err := l.hooks.Checkpoint(); err != nil {
+				return at, fmt.Errorf("wal: checkpoint before migration portion: %w", err)
+			}
 		}
-	}
-	t, err := l.appendLocked(at, kind, payload)
-	if err != nil {
-		return at, err
-	}
-	return l.syncLocked(t)
+		return l.appendLocked(at, kind, payload)
+	})
 }
 
 // TableCheckpoint is one table's recovered state for CheckpointAll.
@@ -463,45 +495,43 @@ type TableCheckpoint struct {
 }
 
 // CheckpointAll appends the recovered state of a whole catalog — every
-// table's live run set, then its still-buffered updates — as one batch
-// forced with a single sync. Recovery writes it into a fresh log so a
-// second crash recovers too. The per-record hook ordering (SyncRuns before
-// each run record) is skipped on purpose: checkpointed runs are already
-// durable, that is how they survived the crash, so one force at the end is
-// the only barrier needed.
+// table's live run set, then its still-buffered updates — and forces it
+// once at the end (and once per maxUnforced on the way). Recovery writes
+// it into a fresh log so a second crash recovers too. The per-record hook
+// ordering (SyncRuns before each run record) is skipped on purpose:
+// checkpointed runs are already durable, that is how they survived the
+// crash, so one force at the end is the only barrier needed.
 func (l *Log) CheckpointAll(at sim.Time, tables []TableCheckpoint) (sim.Time, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.checkpointing = true
-	defer func() { l.checkpointing = false }()
-	now := at
-	var err error
-	var maxTS int64
-	for _, tc := range tables {
-		if tc.MaxTS > maxTS {
-			maxTS = tc.MaxTS
+	return l.forceAfter(at, func() (sim.Time, error) {
+		now := at
+		var err error
+		var maxTS int64
+		for _, tc := range tables {
+			if tc.MaxTS > maxTS {
+				maxTS = tc.MaxTS
+			}
 		}
-	}
-	if maxTS > 0 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(maxTS))
-		if now, err = l.appendLocked(now, KindOracleAdvance, b[:]); err != nil {
-			return at, err
-		}
-	}
-	for _, tc := range tables {
-		for _, rm := range tc.Runs {
-			if now, err = l.appendLocked(now, KindFlush, encodeRunMeta(tablePrefix(tc.Table, runMetaSize), rm)); err != nil {
+		if maxTS > 0 {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(maxTS))
+			if now, err = l.appendLocked(now, KindOracleAdvance, b[:]); err != nil {
 				return at, err
 			}
 		}
-		for i := range tc.Pending {
-			if now, err = l.appendLocked(now, KindUpdate, update.AppendEncode(tablePrefix(tc.Table, update.EncodedSize(&tc.Pending[i])), &tc.Pending[i])); err != nil {
-				return at, err
+		for _, tc := range tables {
+			for _, rm := range tc.Runs {
+				if now, err = l.appendLocked(now, KindFlush, encodeRunMeta(tablePrefix(tc.Table, runMetaSize), rm)); err != nil {
+					return at, err
+				}
+			}
+			for i := range tc.Pending {
+				if now, err = l.appendLocked(now, KindUpdate, update.AppendEncode(tablePrefix(tc.Table, update.EncodedSize(&tc.Pending[i])), &tc.Pending[i])); err != nil {
+					return at, err
+				}
 			}
 		}
-	}
-	return l.syncLocked(now)
+		return now, nil
+	})
 }
 
 // replayChunk is the sequential read unit of streaming replay — one pread
@@ -648,7 +678,7 @@ func ReadStream(vol *storage.Volume, at sim.Time, emit func(Entry) error) (sim.T
 		}
 		w = buf[start:]
 		payload := w[frameHeaderSize : frameHeaderSize+plen]
-		if frameCRC(kind, payload) != wantCRC {
+		if frameCRC(w, payload) != wantCRC {
 			if err := fill(tornBatchSpan + tornScanWindow); err != nil {
 				return now, err
 			}
@@ -680,19 +710,19 @@ func min64(a, b int64) int64 {
 }
 
 // Torn-tail vs mid-log corruption. A bad frame has two possible causes: a
-// crash tore the final forced batch (expected; replay truncates there, and
-// only an un-acknowledged batch is lost), or committed bytes rotted in the
+// crash tore the unforced tail (expected; replay truncates there, and only
+// un-acknowledged batches are lost), or committed bytes rotted in the
 // middle of the log (replay must fail — truncating would silently discard
 // updates whose Sync returned). The two are distinguished by distance: a
-// torn write is confined to one forced batch — at most the group-commit
-// buffer plus a single oversized record (~70 KB today), and the OS may
-// apply its sectors in any order, so intact frames *within* that span
-// prove nothing. An intact frame found *beyond* any possible batch span
-// cannot belong to the torn batch and is evidence of committed data past
-// the damage. The window is generous (1 MB vs ~70 KB) so a future, larger
-// record type cannot turn real crashes into false corruption reports; the
-// price is that corruption within the last window of the log is
-// indistinguishable from a torn tail and still truncates.
+// power cut can only damage what was written since the last force — at
+// most maxUnforced (half this span) plus one batch — and the OS may apply
+// those pages in any order, so intact frames *within* that span prove
+// nothing. An intact frame found *beyond* it cannot belong to the unforced
+// tail and is evidence of committed data past the damage. The margin over
+// maxUnforced is kept so a future, larger record type cannot turn real
+// crashes into false corruption reports; the price is that corruption
+// within the last span of the log is indistinguishable from a torn tail and
+// still truncates.
 const (
 	tornBatchSpan  = 1 << 20
 	tornScanWindow = 4 << 20
@@ -718,7 +748,7 @@ func corruptionBeyondTornBatch(buf []byte) (int, bool) {
 			continue
 		}
 		payload := p[i+frameHeaderSize : int64(i)+frameHeaderSize+plen]
-		if frameCRC(kind, payload) != binary.LittleEndian.Uint32(p[i+5:]) {
+		if frameCRC(p[i:], payload) != binary.LittleEndian.Uint32(p[i+5:]) {
 			continue
 		}
 		if _, err := decodeEntry(kind, payload); err != nil {
@@ -842,7 +872,7 @@ func (t *tableLogger) BatchBase() any { return t.l }
 // LogTxnBatch implements masm.RedoLogger: the entire write set (the batch
 // already names every table it touches) goes down as one CRC-framed
 // record, so it replays all-or-nothing. Like per-record updates it is
-// group-committed; Sync (or a filled batch) makes it durable.
+// group-committed: Sync makes it durable.
 func (t *tableLogger) LogTxnBatch(at sim.Time, parts []masm.TxnPart) (sim.Time, error) {
 	payload := encodeTxnBatch(parts)
 	if len(payload) > maxPayload {

@@ -432,3 +432,70 @@ func TestRecoverPartiallyAppliedMigration(t *testing.T) {
 	// that harmless.
 	r.verify()
 }
+
+// TestWarmLogAppendsAllocateNothing: an append, and the batch write it
+// triggers every groupCommitBytes, reuse the log's buffer — the end marker
+// goes in its spare capacity — so a warm log allocates nothing.
+func TestWarmLogAppendsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is meaningless under the race detector")
+	}
+	vol, err := storage.NewVolume(sim.NewDevice(sim.Barracuda7200()), 0, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Touch the whole volume first: the in-memory backend allocates a
+	// chunk on its first write, which is not the log's doing.
+	if err := vol.PokeAt(make([]byte, vol.Size()), 0); err != nil {
+		t.Fatal(err)
+	}
+	l := Open(vol)
+	payload := body(1, 100)
+	var now sim.Time
+	appendBatch := func() {
+		for i := 0; i < 2*groupCommitBytes/len(payload); i++ {
+			if now, err = l.append(now, KindUpdate, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendBatch() // warm: the header write and the buffer's growth
+	written := l.written.Load()
+	if n := testing.AllocsPerRun(20, appendBatch); n != 0 {
+		t.Fatalf("appends and batch writes allocate %.1f times per run, want 0", n)
+	}
+	if l.written.Load() <= written {
+		t.Fatal("no batch was written during the measured runs")
+	}
+}
+
+// TestUnforcedSpanStaysBounded: appends never force on their own account,
+// but the written-but-unforced span never passes maxUnforced, so a power
+// cut leaves every intact frame within tornBatchSpan of the first bad one.
+func TestUnforcedSpanStaysBounded(t *testing.T) {
+	vol, err := storage.NewVolume(sim.NewDevice(sim.Barracuda7200()), 0, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := Open(vol)
+	var now sim.Time
+	payload := body(2, 300)
+	total := 3 * maxUnforced
+	for n := 0; n < total; n += frameHeaderSize + len(payload) {
+		if now, err = l.append(now, KindUpdate, payload); err != nil {
+			t.Fatal(err)
+		}
+		if span := l.written.Load() - l.durable.Load(); span > maxUnforced {
+			t.Fatalf("after %d bytes: %d bytes written but unforced, bound %d", n, span, maxUnforced)
+		}
+	}
+	if l.EndOffset() == headerSize {
+		t.Fatal("the bound never forced the log")
+	}
+	if _, err := l.Sync(now); err != nil {
+		t.Fatal(err)
+	}
+	if l.EndOffset() != l.written.Load() {
+		t.Fatalf("after Sync the durable end %d trails the written end %d", l.EndOffset(), l.written.Load())
+	}
+}
