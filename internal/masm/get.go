@@ -72,6 +72,7 @@ type getScratch struct {
 	runs []*runfile.Run // pinned runs whose filter admits the key
 	mem  []update.Record
 	pb   runfile.PointBuf
+	page []byte // the main-data page image the row is read from
 	fold rowFold
 }
 
@@ -147,7 +148,7 @@ func (s *Store) readKey(at sim.Time, key uint64, qts int64, gran int, sc *getScr
 		}
 		end = sim.MaxTime(end, t)
 	}
-	base, onPage, t, err := s.tbl.Lookup(at, key)
+	base, onPage, t, err := s.tbl.Lookup(at, key, &sc.page)
 	if err != nil {
 		return table.Row{}, false, at, err
 	}

@@ -107,9 +107,9 @@ func TestGetReadCounts(t *testing.T) {
 	}
 }
 
-// TestGetAllocations: a whole lookup over 40 runs allocates the page it
-// decodes (buffer, page, keys, bodies) and the body it returns — no
-// scanners, no merge tree, no per-run buffers.
+// TestGetAllocations: a whole lookup over 40 runs allocates only the body
+// it returns — no page buffer or decoded page, no scanners, no merge tree,
+// no per-run buffers.
 func TestGetAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -131,7 +131,7 @@ func TestGetAllocations(t *testing.T) {
 		key   uint64
 		found bool
 		max   float64
-	}{"untouched row": {plain, true, 5}, "absent key": {2*20000 + 1001, false, 4}} {
+	}{"untouched row": {plain, true, 1}, "absent key": {2*20000 + 1001, false, 0}} {
 		n := testing.AllocsPerRun(200, func() {
 			_, found, _, err := e.store.Get(e.now, tc.key)
 			if err != nil || found != tc.found {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // Client is a masmd connection: a background reader demultiplexes
@@ -27,6 +28,8 @@ type Client struct {
 	nextSeq uint32
 	err     error // set once the reader dies; fails all later calls
 	done    chan struct{}
+
+	nextTx atomic.Uint64 // the last transaction id BeginTx handed out
 }
 
 // inbound is one received frame: the decoded message and the read buffer
@@ -45,7 +48,8 @@ func (in *inbound) release() { inboundPool.Put(in) }
 
 // DefaultScanWindow is the credit window a Scan opens with: the server
 // may have this many row batches in flight before the consumer must
-// drain one.
+// drain one. The consumer tops it up by half a window once it has drained
+// half a window, so a scan sends one credit frame per four row batches.
 const DefaultScanWindow = 8
 
 // Dial connects to a masmd server and completes the Hello handshake.
@@ -158,7 +162,7 @@ func (c *Client) unregister(seq uint32) {
 	c.mu.Unlock()
 }
 
-// send writes one frame, and any TxPut frames queued before it; safe for
+// send writes one frame, and any frames queued before it; safe for
 // concurrent use.
 func (c *Client) send(m *Msg) error {
 	c.wmu.Lock()
@@ -232,7 +236,9 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 	if err := c.send(&Msg{Op: OpScan, Seq: seq, Table: table, Begin: begin, End: end, Limit: limit, Credits: window}); err != nil {
 		return err
 	}
-	credit := Msg{Op: OpCredit, Seq: seq, Credits: 1}
+	const half = window / 2
+	credit := Msg{Op: OpCredit, Seq: seq, Credits: half}
+	drained := 0 // batches drained since the last top-up
 	stopped := false
 	for {
 		select {
@@ -258,6 +264,10 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 				if final {
 					return nil
 				}
+				if drained++; drained < half {
+					continue
+				}
+				drained = 0
 				if err := c.send(&credit); err != nil {
 					return err
 				}
@@ -274,14 +284,18 @@ func (c *Client) Scan(table string, begin, end, limit uint64, fn func(key uint64
 }
 
 // BeginTx opens a server-side cross-table transaction and returns its
-// id. The transaction is bound to this connection and aborted if the
-// connection drops.
+// id, which the client chooses: the next one of this connection. Like
+// TxPut it only queues its frame, so a transaction's begin, updates and
+// commit reach the server in one write and cost one round trip. A begin
+// the server refuses (the engine closed, say) fails the Commit; BeginTx's
+// own error only reports a failed connection. The transaction is bound to
+// this connection and aborted if the connection drops.
 func (c *Client) BeginTx() (uint64, error) {
-	resp, err := c.call(&Msg{Op: OpBeginTx})
-	if err != nil {
+	id := c.nextTx.Add(1)
+	if err := c.queue(&Msg{Op: OpBeginTx, TxID: id}); err != nil {
 		return 0, err
 	}
-	return resp.Value, nil
+	return id, nil
 }
 
 // TxPut queues an insert of (key, body) in transaction txid. The update
@@ -290,6 +304,13 @@ func (c *Client) BeginTx() (uint64, error) {
 // in one write. An update the server refuses fails the Commit; TxPut's
 // own error only reports a failed connection.
 func (c *Client) TxPut(txid uint64, table string, key uint64, body []byte) error {
+	return c.queue(&Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxPut, Table: table, Key: key, Body: body})
+}
+
+// queue writes m's frame into the connection's buffer without flushing
+// it: the frame goes out with the connection's next request. Its error
+// only reports a failed connection.
+func (c *Client) queue(m *Msg) error {
 	c.mu.Lock()
 	err := c.err
 	c.mu.Unlock()
@@ -298,7 +319,7 @@ func (c *Client) TxPut(txid uint64, table string, key uint64, body []byte) error
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wbuf, err = WriteFrame(c.w, c.wbuf, &Msg{Op: OpTxUpdate, TxID: txid, TxKind: TxPut, Table: table, Key: key, Body: body})
+	c.wbuf, err = WriteFrame(c.w, c.wbuf, m)
 	return err
 }
 

@@ -9,10 +9,11 @@
 // echoes in its responses, so one connection multiplexes many in-flight
 // requests (and a streamed scan's row batches interleave freely with
 // other replies). Not every client frame gets a reply: a transaction's
-// updates (OpTxUpdate) and credit top-ups are unanswered, and a refused
-// update is reported by the transaction's commit. Scans are
-// flow-controlled by credits: the client
-// grants N outstanding row batches up front and tops the window up as it
+// begin (OpBeginTx, naming a client-chosen id) and its updates
+// (OpTxUpdate) are unanswered, as are credit top-ups. A refused begin or
+// update is reported by the transaction's commit, so a transaction costs
+// one round trip. Scans are flow-controlled by credits: the client grants
+// N outstanding row batches up front and tops the window up as it
 // consumes them, so a slow consumer never forces the server to buffer an
 // unbounded result.
 //
@@ -32,10 +33,11 @@ import (
 // change to frame layouts or to which frames get replies; the server
 // rejects mismatched clients at handshake rather than misparsing
 // mid-stream or leaving them waiting. Version 2 stopped answering
-// OpTxUpdate.
+// OpTxUpdate; version 3 made OpBeginTx carry the client's txid and stopped
+// answering it.
 const (
 	Magic   uint32 = 0x4D61534D // "MaSM"
-	Version uint16 = 2
+	Version uint16 = 3
 )
 
 // MaxFrame bounds a single frame's payload. It limits a malicious
@@ -55,14 +57,14 @@ const (
 	OpModify   Op = 4  // table, key, off u32, body
 	OpScan     Op = 5  // table, begin, end, limit, credits u32
 	OpCredit   Op = 6  // credits u32 (seq names the scan being topped up)
-	OpBeginTx  Op = 7  // —
+	OpBeginTx  Op = 7  // txid; no reply
 	OpTxUpdate Op = 8  // txid, kind u8, table, key, off u32, body; no reply
 	OpTxCommit Op = 9  // txid
 	OpTxAbort  Op = 10 // txid
 	OpStats    Op = 11 // —
 
 	// Server → client.
-	OpOK        Op = 16 // value u64 (txid for BeginTx, version for Hello)
+	OpOK        Op = 16 // value u64 (the version for Hello, 0 otherwise)
 	OpErr       Op = 17 // code u16, retryable u8, message
 	OpRows      Op = 18 // final u8, nrows u32, nrows × (key u64, body)
 	OpStatsJSON Op = 19 // JSON bytes (the engine's registry snapshot)
@@ -124,7 +126,7 @@ type Msg struct {
 	End     uint64 // Scan
 	Limit   uint64 // Scan
 	Credits uint32 // Scan (initial window), Credit (top-up)
-	TxID    uint64 // TxUpdate/TxCommit/TxAbort
+	TxID    uint64 // BeginTx/TxUpdate/TxCommit/TxAbort
 	TxKind  uint8  // TxUpdate
 
 	Value     uint64 // OK
@@ -225,7 +227,7 @@ func AppendPayload(b []byte, m *Msg) ([]byte, error) {
 		b = appendU32(b, m.Credits)
 	case OpCredit:
 		b = appendU32(b, m.Credits)
-	case OpBeginTx, OpStats:
+	case OpStats:
 		// Seq only.
 	case OpTxUpdate:
 		b = appendU64(b, m.TxID)
@@ -234,7 +236,7 @@ func AppendPayload(b []byte, m *Msg) ([]byte, error) {
 		b = appendU64(b, m.Key)
 		b = appendU32(b, m.Off)
 		b = appendBytes(b, m.Body)
-	case OpTxCommit, OpTxAbort:
+	case OpBeginTx, OpTxCommit, OpTxAbort:
 		b = appendU64(b, m.TxID)
 	case OpOK:
 		b = appendU64(b, m.Value)
@@ -379,7 +381,7 @@ func DecodePayload(p []byte, m *Msg) error {
 		m.Credits = d.u32()
 	case OpCredit:
 		m.Credits = d.u32()
-	case OpBeginTx, OpStats:
+	case OpStats:
 	case OpTxUpdate:
 		m.TxID = d.u64()
 		m.TxKind = d.u8()
@@ -387,7 +389,7 @@ func DecodePayload(p []byte, m *Msg) error {
 		m.Key = d.u64()
 		m.Off = d.u32()
 		m.Body = d.bytes()
-	case OpTxCommit, OpTxAbort:
+	case OpBeginTx, OpTxCommit, OpTxAbort:
 		m.TxID = d.u64()
 	case OpOK:
 		m.Value = d.u64()

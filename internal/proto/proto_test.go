@@ -3,11 +3,14 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sampleMsgs covers every op with representative field values.
@@ -20,7 +23,7 @@ func sampleMsgs() []*Msg {
 		{Op: OpModify, Seq: 4, Table: "t1", Key: 7, Off: 8, Body: []byte{1, 2, 3}},
 		{Op: OpScan, Seq: 5, Table: "t2", Begin: 10, End: 99999, Limit: 100, Credits: 8},
 		{Op: OpCredit, Seq: 5, Credits: 2},
-		{Op: OpBeginTx, Seq: 6},
+		{Op: OpBeginTx, Seq: 6, TxID: 3},
 		{Op: OpTxUpdate, Seq: 7, TxID: 3, TxKind: TxPut, Table: "t0", Key: 9, Body: []byte("x")},
 		{Op: OpTxUpdate, Seq: 8, TxID: 3, TxKind: TxModify, Table: "t0", Key: 9, Off: 4, Body: []byte("yy")},
 		{Op: OpTxCommit, Seq: 9, TxID: 3},
@@ -112,6 +115,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{99, 0, 0, 0, 0},                         // unknown op, full seq
 		{byte(OpPut), 0, 0, 0},                   // truncated seq
 		{byte(OpDelete), 0, 0, 0, 0, 0xFF, 0xFF}, // table length runs past payload
+		{byte(OpBeginTx), 6, 0, 0, 0},            // version 2's BeginTx: no txid
 	}
 	// Every valid sample, truncated at every length, must error not panic.
 	for _, m := range sampleMsgs() {
@@ -326,5 +330,105 @@ func TestClientRowsFrameZeroAllocs(t *testing.T) {
 	}
 	if want := uint64(202) * 2 * 255 * 256 / 2; sum != want {
 		t.Fatalf("callback saw key+body sum %d, want %d", sum, want)
+	}
+}
+
+// TestScanCreditsBatched: a Scan tops its window up by half a window once
+// it has drained half a window of row batches, so a 40-batch stream costs
+// 9 credit frames, not 39. A scan whose consumer stops keeps granting
+// credits, so the stream still drains to its final frame. The server is a
+// stand-in that sends one-row batches as its credits allow.
+func TestScanCreditsBatched(t *testing.T) {
+	const frames = 40
+	for _, stopAt := range []int{0, 1} { // rows delivered before fn stops the scan; 0 never stops
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			sent, credits int
+			err           error
+		}
+		done := make(chan result, 1)
+		go func() {
+			var res result
+			defer func() { done <- res }()
+			nc, err := ln.Accept()
+			if err != nil {
+				res.err = err
+				return
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			r := bufio.NewReader(nc)
+			var m Msg
+			var rbuf, wbuf []byte
+			if rbuf, res.err = ReadFrame(r, rbuf, &m); res.err != nil {
+				return
+			}
+			if wbuf, res.err = WriteFrame(nc, wbuf, &Msg{Op: OpOK, Seq: m.Seq, Value: uint64(Version)}); res.err != nil {
+				return
+			}
+			if rbuf, res.err = ReadFrame(r, rbuf, &m); res.err != nil {
+				return
+			}
+			if m.Op != OpScan {
+				res.err = fmt.Errorf("op %d, want OpScan", m.Op)
+				return
+			}
+			seq, avail := m.Seq, int(m.Credits)
+			// readCredit reads one top-up of the scan's window.
+			readCredit := func() error {
+				var err error
+				if rbuf, err = ReadFrame(r, rbuf, &m); err != nil {
+					return err
+				}
+				if m.Op != OpCredit || m.Seq != seq {
+					return fmt.Errorf("op %d seq %d, want a credit for seq %d", m.Op, m.Seq, seq)
+				}
+				avail += int(m.Credits)
+				res.credits++
+				return nil
+			}
+			for ; res.sent < frames; res.sent++ {
+				for avail == 0 {
+					if res.err = readCredit(); res.err != nil {
+						return
+					}
+				}
+				avail--
+				rows := &Msg{Op: OpRows, Seq: seq, Final: res.sent == frames-1, Rows: []Row{{Key: uint64(res.sent)}}}
+				if wbuf, res.err = WriteFrame(nc, wbuf, rows); res.err != nil {
+					return
+				}
+			}
+			// Count the credits still in flight until the client hangs up.
+			for readCredit() == nil {
+			}
+		}()
+		c, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		err = c.Scan("t", 0, ^uint64(0), 0, func(uint64, []byte) bool {
+			delivered++
+			return delivered != stopAt
+		})
+		c.Close()
+		res := <-done
+		ln.Close()
+		if err != nil || res.err != nil {
+			t.Fatalf("stop at %d: scan err %v, server err %v", stopAt, err, res.err)
+		}
+		if want := frames; stopAt == 0 && delivered != want || stopAt > 0 && delivered != stopAt {
+			t.Fatalf("stop at %d: %d rows delivered", stopAt, delivered)
+		}
+		if res.sent != frames {
+			t.Fatalf("stop at %d: the stream stopped after %d of %d frames", stopAt, res.sent, frames)
+		}
+		if want := (frames - 1) / (DefaultScanWindow / 2); res.credits != want {
+			t.Fatalf("stop at %d: %d credit frames for %d row batches, want %d", stopAt, res.credits, frames, want)
+		}
 	}
 }

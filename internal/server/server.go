@@ -1,13 +1,16 @@
 // Package server exposes a masm.Engine over the proto wire protocol:
-// one goroutine per connection, and a shared group-commit pipeline that
-// batches every connection's writes into single WAL fsyncs. A write the
-// engine's admission refuses (masm.ErrBackpressure: migration has not
-// kept up with cache fill) reaches the client as a typed retryable error.
+// one goroutine per connection, and leader/follower group commit that
+// batches every connection's writes into single WAL fsyncs, forced by the
+// connection whose write opened the batch. A write the engine's admission
+// refuses (masm.ErrBackpressure: migration has not kept up with cache
+// fill) reaches the client as a typed retryable error.
 //
 // Durability contract: a write is acknowledged only after the WAL sync
-// covering its append has returned. The group committer provides the
-// sync; acknowledgement strictly follows it, so a crash between append
-// and sync can lose only unacknowledged writes — never ack-then-lose.
+// covering its append has returned. A write joins a batch only after its
+// append, and the batch's leader syncs only after closing it, so
+// acknowledgement strictly follows a sync that covers the write: a crash
+// between append and sync can lose only unacknowledged writes — never
+// ack-then-lose.
 package server
 
 import (
@@ -34,24 +37,25 @@ type Options struct{}
 // closes once its rows pass MaxFrame/2 bytes.
 const scanBatchRows = 256
 
-// maxGroup caps how many commit tickets one fsync may absorb.
-const maxGroup = 1024
-
-// ticket is one write's seat in the group-commit queue; done receives
-// the result of the WAL sync that covered it.
-type ticket struct {
-	done chan error
+// batch is one group commit: the writes that share a WAL sync. The write
+// that opens it leads: it gathers, closes the batch and syncs, and the
+// writes that joined wait for done.
+type batch struct {
+	n    int64         // writes in the batch, the leader's included
+	want int64         // the writer count the leader gathers for; 0 if it does not
+	full chan struct{} // closed when n reaches want: the leader stops gathering
+	done chan struct{} // closed once the covering sync returned
+	err  error         // the sync's result, set before done closes
 }
 
 // Server serves the proto protocol for one engine.
 type Server struct {
 	eng *masm.Engine
 
-	tickets    chan *ticket
-	commitQuit chan struct{}
-	commitDone chan struct{}
-	syncEWMA   atomic.Int64 // smoothed WAL sync cost, ns; feeds gatherWindow
-	writers    atomic.Int64 // connections whose latest request was a write or a commit
+	gmu      sync.Mutex
+	open     *batch       // the batch taking writes, nil if none; guarded by gmu
+	syncEWMA atomic.Int64 // smoothed WAL sync cost, ns; feeds gatherWindow
+	writers  atomic.Int64 // connections whose latest request was a write or a commit
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -61,7 +65,6 @@ type Server struct {
 	connWG sync.WaitGroup
 
 	mConns      *obs.Gauge
-	mQueueDepth *obs.Gauge
 	mGroupSize  *obs.Histogram
 	mCommitWait *obs.Histogram
 	mGatherWait *obs.Histogram
@@ -72,19 +75,16 @@ type Server struct {
 
 // New builds a Server over eng. Metrics register in the engine's
 // registry, so obs.Serve (MetricsAddr) exports them alongside the
-// engine's own.
+// engine's own. It starts no goroutine: connections run on Serve's, and
+// each write's sync on its own connection's.
 func New(eng *masm.Engine, _ Options) *Server {
 	reg := eng.Registry()
-	s := &Server{
-		eng:        eng,
-		tickets:    make(chan *ticket, maxGroup),
-		commitQuit: make(chan struct{}),
-		commitDone: make(chan struct{}),
-		conns:      make(map[net.Conn]struct{}),
-		quit:       make(chan struct{}),
+	return &Server{
+		eng:   eng,
+		conns: make(map[net.Conn]struct{}),
+		quit:  make(chan struct{}),
 
 		mConns:      reg.Gauge("masm_server_conns"),
-		mQueueDepth: reg.Gauge("masm_server_commit_queue_depth"),
 		mGroupSize:  reg.Histogram("masm_wal_group_size"),
 		mCommitWait: reg.Histogram("masm_server_commit_wait_ns"),
 		mGatherWait: reg.Histogram("masm_server_gather_wait_ns"),
@@ -92,8 +92,6 @@ func New(eng *masm.Engine, _ Options) *Server {
 		mScanRows:   reg.Counter("masm_server_scan_rows"),
 		mScans:      reg.Counter("masm_server_scans"),
 	}
-	go s.committer()
-	return s
 }
 
 // Serve accepts connections on ln until Close; it returns nil after a
@@ -132,8 +130,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops accepting, tears down every connection (aborting its
-// open transactions and scans), waits for the handlers to drain, and
-// stops the group committer. It does not close the engine.
+// open transactions and scans) and waits for the handlers to drain. It
+// does not close the engine.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -151,78 +149,7 @@ func (s *Server) Close() error {
 		ln.Close()
 	}
 	s.connWG.Wait()
-	close(s.commitQuit)
-	<-s.commitDone
 	return nil
-}
-
-// committer is the group-commit pipeline: it blocks for the first
-// ticket, opportunistically drains every ticket already queued behind
-// it (bounded by maxGroup), issues ONE WAL sync for the whole batch,
-// and only then releases the tickets — many clients' commits, one
-// fsync. masm_wal_group_size records how much each sync amortized, and
-// masm_server_gather_wait_ns how long each gathered batch was held open.
-func (s *Server) committer() {
-	defer close(s.commitDone)
-	for {
-		var first *ticket
-		select {
-		case first = <-s.tickets:
-		case <-s.commitQuit:
-			s.failPending()
-			return
-		}
-		batch := append(make([]*ticket, 0, 64), first)
-		// Gathering window: concurrent writers' tickets trail the first
-		// by a client round-trip, so an immediate sync would commit a
-		// batch of one and serialize every connection behind per-ticket
-		// fsyncs. Holding the batch open for about one sync's cost lets
-		// the rest of the fleet pile on (waiting one sync's worth at most
-		// doubles a commit's latency, while under N writers it multiplies
-		// the batch — and divides the fsync rate — by up to N). Only
-		// writers are waited for: connections whose latest request was a
-		// write or a commit, whose next ticket is a round-trip away. A
-		// batch as large as the writer count stops early, since a
-		// closed-loop client has at most one commit in flight, and the
-		// window is skipped outright for a lone writer, so one beside
-		// readers still sees bare-fsync latency.
-		if writers := s.writers.Load(); writers > 1 {
-			start := time.Now()
-			timer := time.NewTimer(s.gatherWindow())
-		gather:
-			for len(batch) < maxGroup && int64(len(batch)) < writers {
-				select {
-				case t := <-s.tickets:
-					batch = append(batch, t)
-				case <-timer.C:
-					break gather
-				case <-s.commitQuit:
-					break gather
-				}
-			}
-			timer.Stop()
-			s.mGatherWait.Observe(time.Since(start).Nanoseconds())
-		}
-	drain:
-		for len(batch) < maxGroup {
-			select {
-			case t := <-s.tickets:
-				batch = append(batch, t)
-			default:
-				break drain
-			}
-		}
-		s.mQueueDepth.Set(int64(len(s.tickets)))
-		start := time.Now()
-		err := s.eng.Sync()
-		syncNanos := time.Since(start).Nanoseconds()
-		s.recordSyncCost(syncNanos)
-		s.mCommitWait.Observe(syncNanos)
-		s.mGroupSize.Observe(int64(len(batch)))
-		for _, t := range batch {
-			t.done <- err
-		}
-	}
 }
 
 // gatherWindow is the gathering window: an EWMA of recent sync costs
@@ -244,29 +171,70 @@ func (s *Server) recordSyncCost(nanos int64) {
 	s.syncEWMA.Store(old - old/4 + nanos/4)
 }
 
-func (s *Server) failPending() {
-	for {
-		select {
-		case t := <-s.tickets:
-			t.done <- masm.ErrClosed
-		default:
-			return
-		}
-	}
-}
-
-// groupCommit seats one just-appended write in the commit queue and
-// waits for the covering sync. The ticket is enqueued strictly after
-// the engine apply (WAL append), so the sync that releases it is
-// ordered after the append it must make durable.
+// groupCommit makes one just-appended write durable: it joins the open
+// batch, or opens one and leads it, and returns once a WAL sync that
+// covers the write has returned. A write joins strictly after its engine
+// apply (WAL append), and the leader syncs strictly after closing the
+// batch, so the sync that releases a write is ordered after its append.
+//
+// Gathering window: concurrent writers' commits trail the first by a
+// client round trip, so an immediate sync would commit a batch of one and
+// serialize every connection behind per-write fsyncs. Holding the batch
+// open for about one sync's cost lets the rest of the fleet join (waiting
+// one sync's worth at most doubles a commit's latency, while under N
+// writers it multiplies the batch — and divides the fsync rate — by up to
+// N). Only writers are waited for: connections whose latest request was a
+// write or a commit, whose next commit is a round trip away. A batch as
+// large as the writer count closes early, since a closed-loop client has
+// at most one commit in flight, and a lone writer does not gather at all,
+// so one beside readers still sees bare-fsync latency. A leader whose
+// batch is closed no longer takes writes: the next write opens a new
+// batch, which gathers while this one is forced (the log merges
+// concurrent forces). masm_wal_group_size records how much each sync
+// amortized, and masm_server_gather_wait_ns how long each gathered batch
+// was held open.
 func (s *Server) groupCommit() error {
-	t := &ticket{done: make(chan error, 1)}
-	select {
-	case s.tickets <- t:
-	case <-s.quit:
-		return masm.ErrClosed
+	s.gmu.Lock()
+	if b := s.open; b != nil {
+		b.n++
+		if b.n == b.want {
+			close(b.full)
+		}
+		s.gmu.Unlock()
+		<-b.done
+		return b.err
 	}
-	return <-t.done
+	b := &batch{n: 1, done: make(chan struct{})}
+	if writers := s.writers.Load(); writers > 1 {
+		b.want, b.full = writers, make(chan struct{})
+	}
+	s.open = b
+	s.gmu.Unlock()
+
+	if b.full != nil {
+		start := time.Now()
+		timer := time.NewTimer(s.gatherWindow())
+		select {
+		case <-b.full:
+		case <-timer.C:
+		case <-s.quit:
+		}
+		timer.Stop()
+		s.mGatherWait.Observe(time.Since(start).Nanoseconds())
+	}
+	s.gmu.Lock()
+	s.open = nil
+	n := b.n
+	s.gmu.Unlock()
+
+	start := time.Now()
+	b.err = s.eng.Sync()
+	syncNanos := time.Since(start).Nanoseconds()
+	s.recordSyncCost(syncNanos)
+	s.mCommitWait.Observe(syncNanos)
+	s.mGroupSize.Observe(n)
+	close(b.done)
+	return b.err
 }
 
 // conn is the per-connection state shared between its reader goroutine
@@ -285,19 +253,34 @@ type conn struct {
 
 	mu    sync.Mutex
 	scans map[uint32]chan uint32 // scan seq -> credit top-ups
-	txs   map[uint64]*wireTx
-	nexTx uint64
+	txs   map[uint64]*wireTx     // by the id the client's begin named
 
 	scanWG sync.WaitGroup
 }
 
-// wireTx is a transaction open on a connection. Its updates get no reply,
-// so the first one that failed is kept here, with its wire code, for the
-// commit to report; the reader goroutine alone touches code and err.
+// wireTx is a transaction open on a connection. Its begin and updates get
+// no reply, so the first of them that failed is kept here, with its wire
+// code and retryable bit, for the commit to report; the reader goroutine
+// alone touches code, retry and err. tx is nil if the begin was refused.
 type wireTx struct {
-	tx   *masm.EngineTx
-	code uint16
-	err  error
+	tx    *masm.EngineTx
+	code  uint16
+	retry bool
+	err   error
+}
+
+// fail keeps err as the transaction's failure unless one is kept already.
+func (wt *wireTx) fail(code uint16, retry bool, err error) {
+	if wt.err == nil {
+		wt.code, wt.retry, wt.err = code, retry, err
+	}
+}
+
+// abort discards the transaction's engine state, if its begin made any.
+func (wt *wireTx) abort() {
+	if wt.tx != nil {
+		wt.tx.Abort()
+	}
 }
 
 func (s *Server) handleConn(nc net.Conn) {
@@ -321,7 +304,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	c.txs = nil
 	c.mu.Unlock()
 	for _, wt := range txs {
-		wt.tx.Abort()
+		wt.abort()
 	}
 	nc.Close()
 	s.mu.Lock()
@@ -394,7 +377,7 @@ func (c *conn) serve() {
 
 // markWriter records whether the connection's latest request was a write
 // or a commit, keeping the server's count of such connections — the
-// writers the group committer waits for.
+// writers a commit batch's leader waits for.
 func (c *conn) markWriter(w bool) {
 	if w == c.writer {
 		return
@@ -490,16 +473,25 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		return true
 
 	case proto.OpBeginTx:
+		// Unanswered. A refused begin is kept as a failed transaction, for
+		// its commit to report; a begin naming an open transaction fails
+		// that one.
+		c.mu.Lock()
+		wt := c.txs[m.TxID]
+		c.mu.Unlock()
+		if wt != nil {
+			wt.fail(proto.CodeBadRequest, false, fmt.Errorf("transaction %d is already open", m.TxID))
+			return true
+		}
 		tx, err := s.eng.BeginTx(masm.TxSnapshot)
+		wt = &wireTx{tx: tx}
 		if err != nil {
-			return c.replyErr(m.Seq, proto.CodeClosed, true, err) == nil
+			wt.fail(proto.CodeClosed, true, err)
 		}
 		c.mu.Lock()
-		c.nexTx++
-		id := c.nexTx
-		c.txs[id] = &wireTx{tx: tx}
+		c.txs[m.TxID] = wt
 		c.mu.Unlock()
-		return c.replyOK(m.Seq, id) == nil
+		return true
 
 	case proto.OpTxUpdate:
 		// Unanswered. Later updates of a failed transaction are skipped;
@@ -520,15 +512,15 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		case proto.TxModify:
 			err = wt.tx.Modify(m.Table, m.Key, int(m.Off), m.Body)
 		default:
-			wt.code, wt.err = proto.CodeBadRequest, fmt.Errorf("unknown tx update kind %d", m.TxKind)
+			wt.fail(proto.CodeBadRequest, false, fmt.Errorf("unknown tx update kind %d", m.TxKind))
 			return true
 		}
 		switch {
 		case err == nil:
 		case errors.Is(err, masm.ErrNoTable):
-			wt.code, wt.err = proto.CodeNoTable, err
+			wt.fail(proto.CodeNoTable, false, err)
 		default:
-			wt.code, wt.err = proto.CodeInternal, err
+			wt.fail(proto.CodeInternal, false, err)
 		}
 		return true
 
@@ -541,8 +533,8 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
 		}
 		if wt.err != nil {
-			wt.tx.Abort()
-			return c.replyErr(m.Seq, wt.code, false, wt.err) == nil
+			wt.abort()
+			return c.replyErr(m.Seq, wt.code, wt.retry, wt.err) == nil
 		}
 		if err := wt.tx.Commit(); err != nil {
 			switch {
@@ -567,7 +559,7 @@ func (c *conn) dispatch(m *proto.Msg) bool {
 		if wt == nil {
 			return c.replyErr(m.Seq, proto.CodeNoTx, false, fmt.Errorf("unknown transaction %d", m.TxID)) == nil
 		}
-		wt.tx.Abort()
+		wt.abort()
 		return c.replyOK(m.Seq, 0) == nil
 
 	case proto.OpStats:

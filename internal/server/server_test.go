@@ -379,6 +379,22 @@ func TestGroupCommitAmortizes(t *testing.T) {
 	t.Logf("group commit: %d tickets over %d syncs (mean %.1f)", h.Sum, h.Count, h.Mean())
 }
 
+// TestGroupCommitStartsNoGoroutine: the server has no committer. New
+// starts no goroutine, since each write's sync runs on its own
+// connection's, and Close of a server that never served returns at once.
+func TestGroupCommitStartsNoGoroutine(t *testing.T) {
+	eng := memEngine(t, "t0")
+	t.Cleanup(func() { eng.Close() })
+	before := runtime.NumGoroutine()
+	srv := New(eng, Options{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGroupCommitNeverAcksThenLoses is the durability half of group
 // commit: writes stream in from several connections while the WAL's
 // backing device is power-cut at a sync boundary and the server is

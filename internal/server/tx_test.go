@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,10 +92,10 @@ func (c *countConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestTxRepliesToBeginAndCommitOnly: a transaction of 100 updates is two
-// round trips. Its updates get no reply, they reach the server in the
+// TestTxRepliesToCommitOnly: a transaction of 100 updates is one round
+// trip. Its begin and updates get no reply, they reach the server in the
 // commit's write, and the server reads that burst in a few calls.
-func TestTxRepliesToBeginAndCommitOnly(t *testing.T) {
+func TestTxRepliesToCommitOnly(t *testing.T) {
 	eng := memEngine(t, "t0")
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -123,8 +124,8 @@ func TestTxRepliesToBeginAndCommitOnly(t *testing.T) {
 	// wrote the commit's reply.
 	writes, reads := ln.writes.Load()-writes0, ln.reads.Load()-reads0
 	t.Logf("BeginTx + %d TxPut + Commit: %d reply frames, %d reads", puts, writes, reads)
-	if writes != 2 {
-		t.Fatalf("%d reply frames, want 2 (BeginTx and Commit)", writes)
+	if writes != 1 {
+		t.Fatalf("%d reply frames, want 1 (the Commit's)", writes)
 	}
 	if reads > 8 {
 		t.Fatalf("%d reads for %d request frames, want a handful", reads, puts+2)
@@ -196,12 +197,8 @@ func TestTxBadKindReportedAtCommit(t *testing.T) {
 	_, _, addr := startServer(t, Options{}, "t0")
 	rc := rawDial(t, addr)
 	rc.handshake()
-	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 1})
-	r := rc.read()
-	if r.Op != proto.OpOK {
-		t.Fatalf("BeginTx reply op %d", r.Op)
-	}
-	txid := r.Value
+	const txid = 5
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 1, TxID: txid})
 	rc.write(&proto.Msg{Op: proto.OpTxUpdate, Seq: 2, TxID: txid, TxKind: 9, Table: "t0", Key: 1})
 	rc.write(&proto.Msg{Op: proto.OpTxCommit, Seq: 3, TxID: txid})
 	if r := rc.read(); r.Seq != 3 || r.Op != proto.OpErr || r.Code != proto.CodeBadRequest || r.Retryable {
@@ -224,21 +221,131 @@ func TestTxUpdateForUnknownTxDropped(t *testing.T) {
 
 // TestHandshakeRefusesOtherVersion: a client of another protocol version
 // is told so and disconnected, before it can send a request whose reply
-// it would wait for in vain.
+// it would wait for in vain. Version 3 is the only one served.
 func TestHandshakeRefusesOtherVersion(t *testing.T) {
 	_, _, addr := startServer(t, Options{}, "t0")
+	for _, v := range []uint16{1, 2, proto.Version + 1} {
+		rc := rawDial(t, addr)
+		rc.write(&proto.Msg{Op: proto.OpHello, Magic: proto.Magic, Version: v})
+		r := rc.read()
+		if r.Op != proto.OpErr || r.Code != proto.CodeBadRequest {
+			t.Fatalf("Hello v%d reply: op %d code %d, want OpErr CodeBadRequest", v, r.Op, r.Code)
+		}
+		if !strings.Contains(r.ErrMsg, fmt.Sprintf("version %d", v)) || !strings.Contains(r.ErrMsg, "speaks 3") {
+			t.Fatalf("refusal %q does not name both versions", r.ErrMsg)
+		}
+		var m proto.Msg
+		if _, err := proto.ReadFrame(rc.nc, nil, &m); err != io.EOF {
+			t.Fatalf("after refusal: read err %v (op %d), want EOF", err, m.Op)
+		}
+	}
+}
+
+// TestTxBeginRefusedReportedAtCommit: a begin the engine refuses (it is
+// closed) gets no reply; the transaction's commit reports it as
+// CodeClosed, retryable, and an abort of such a transaction answers OK.
+func TestTxBeginRefusedReportedAtCommit(t *testing.T) {
+	_, eng, addr := startServer(t, Options{}, "t0")
+	c := dial(t, addr)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	txid, err := c.BeginTx()
+	if err != nil {
+		t.Fatalf("BeginTx = %v, want nil: begins are unanswered", err)
+	}
+	if err := c.TxPut(txid, "t0", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	code, retry := wireCode(t, c.Commit(txid))
+	if code != proto.CodeClosed || !retry {
+		t.Fatalf("commit: code %d retryable %v, want CodeClosed, retryable", code, retry)
+	}
+	if txid, err = c.BeginTx(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Abort(txid); err != nil {
+		t.Fatalf("abort of a refused begin: %v, want OK", err)
+	}
+	if code, _ := wireCode(t, c.Commit(txid)); code != proto.CodeNoTx {
+		t.Fatalf("commit after abort: code %d, want CodeNoTx", code)
+	}
+}
+
+// TestTxBeginReusedIDFailsAtCommit: a begin naming a transaction that is
+// still open fails that transaction: its commit answers CodeBadRequest and
+// publishes nothing, and the id is free again afterwards.
+func TestTxBeginReusedIDFailsAtCommit(t *testing.T) {
+	_, eng, addr := startServer(t, Options{}, "t0")
 	rc := rawDial(t, addr)
-	rc.write(&proto.Msg{Op: proto.OpHello, Magic: proto.Magic, Version: 1})
-	r := rc.read()
-	if r.Op != proto.OpErr || r.Code != proto.CodeBadRequest {
-		t.Fatalf("Hello v1 reply: op %d code %d, want OpErr CodeBadRequest", r.Op, r.Code)
+	rc.handshake()
+	const txid = 7
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 1, TxID: txid})
+	rc.write(&proto.Msg{Op: proto.OpTxUpdate, Seq: 2, TxID: txid, TxKind: proto.TxPut, Table: "t0", Key: 1, Body: []byte("a")})
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 3, TxID: txid})
+	rc.write(&proto.Msg{Op: proto.OpTxUpdate, Seq: 4, TxID: txid, TxKind: proto.TxPut, Table: "t0", Key: 2, Body: []byte("b")})
+	rc.write(&proto.Msg{Op: proto.OpTxCommit, Seq: 5, TxID: txid})
+	if r := rc.read(); r.Seq != 5 || r.Op != proto.OpErr || r.Code != proto.CodeBadRequest || r.Retryable {
+		t.Fatalf("commit reply: seq %d op %d code %d retryable %v, want seq 5 CodeBadRequest, not retryable", r.Seq, r.Op, r.Code, r.Retryable)
 	}
-	if !strings.Contains(r.ErrMsg, "version 1") || !strings.Contains(r.ErrMsg, "speaks 2") {
-		t.Fatalf("refusal %q does not name both versions", r.ErrMsg)
+	tbl, err := eng.OpenTable("t0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	var m proto.Msg
-	if _, err := proto.ReadFrame(rc.nc, nil, &m); err != io.EOF {
-		t.Fatalf("after refusal: read err %v (op %d), want EOF", err, m.Op)
+	if err := tbl.Scan(0, ^uint64(0), func(k uint64, _ []byte) bool {
+		t.Errorf("key %d of a failed transaction is visible", k)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The failed transaction is retired and its snapshot released: the id
+	// begins afresh, and nothing pins the table against migration.
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 6, TxID: txid})
+	rc.write(&proto.Msg{Op: proto.OpTxUpdate, Seq: 7, TxID: txid, TxKind: proto.TxPut, Table: "t0", Key: 3, Body: []byte("c")})
+	rc.write(&proto.Msg{Op: proto.OpTxCommit, Seq: 8, TxID: txid})
+	if r := rc.read(); r.Seq != 8 || r.Op != proto.OpOK {
+		t.Fatalf("commit of the reused id: seq %d op %d code %d, want OK", r.Seq, r.Op, r.Code)
+	}
+	if err := tbl.Migrate(); err != nil {
+		t.Fatalf("migration blocked after the failed transaction: %v", err)
+	}
+	if _, found, err := tbl.Get(3); err != nil || !found {
+		t.Fatalf("key 3 after commit: found %v, err %v", found, err)
+	}
+}
+
+// TestTornConnectionWithBegunTxLeaksNothing: a connection torn while it
+// holds begun transactions — one untouched, one with an update — leaves no
+// goroutine, pin or visible write behind.
+func TestTornConnectionWithBegunTxLeaksNothing(t *testing.T) {
+	_, eng, addr := startServer(t, Options{}, "t0")
+	baseline := runtime.NumGoroutine()
+	rc := rawDial(t, addr)
+	rc.handshake()
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 1, TxID: 1})
+	rc.write(&proto.Msg{Op: proto.OpBeginTx, Seq: 2, TxID: 2})
+	rc.write(&proto.Msg{Op: proto.OpTxUpdate, Seq: 3, TxID: 2, TxKind: proto.TxPut, Table: "t0", Key: 1, Body: []byte("never committed")})
+	// A round trip: the server has handled the begins and the update.
+	rc.write(&proto.Msg{Op: proto.OpStats, Seq: 4})
+	if r := rc.read(); r.Seq != 4 || r.Op != proto.OpStatsJSON {
+		t.Fatalf("stats reply: seq %d op %d", r.Seq, r.Op)
+	}
+	rc.nc.Close()
+	waitFor(t, "handler teardown", func() bool {
+		return eng.Registry().Snapshot().Gauge("masm_server_conns") == 0
+	})
+	waitFor(t, "the connection's goroutines to exit", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+	tbl, err := eng.OpenTable("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Migrate(); err != nil {
+		t.Fatalf("migration blocked by a torn connection's transactions: %v", err)
+	}
+	if _, found, err := tbl.Get(1); err != nil || found {
+		t.Fatalf("uncommitted key: found %v, err %v", found, err)
 	}
 }
 

@@ -85,33 +85,80 @@ func DecodePage(buf []byte) (*Page, error) {
 // decodePageInto parses a page image into p, reusing the capacity of p's
 // key and body slices. Bodies alias buf.
 func decodePageInto(p *Page, buf []byte) error {
-	if len(buf) < pageHeaderSize {
-		return fmt.Errorf("table: short page: %d bytes", len(buf))
+	ts, n, err := pageHeader(buf)
+	if err != nil {
+		return err
 	}
-	p.TS = int64(binary.LittleEndian.Uint64(buf[0:]))
-	n := int(binary.LittleEndian.Uint16(buf[8:]))
-	used := int(binary.LittleEndian.Uint16(buf[10:]))
-	if pageHeaderSize+used > len(buf) {
-		return fmt.Errorf("table: page used bytes %d exceed page size %d", used, len(buf))
-	}
+	p.TS = ts
 	p.Keys = slices.Grow(p.Keys[:0], n)
 	p.Bodies = slices.Grow(p.Bodies[:0], n)
 	off := pageHeaderSize
 	for i := 0; i < n; i++ {
-		if off+recHeaderSize > len(buf) {
+		key, body, next := pageRecord(buf, off)
+		if next < 0 {
 			return fmt.Errorf("table: truncated record %d of %d", i, n)
 		}
-		key := binary.LittleEndian.Uint64(buf[off:])
-		blen := int(binary.LittleEndian.Uint16(buf[off+8:]))
-		off += recHeaderSize
-		if off+blen > len(buf) {
-			return fmt.Errorf("table: truncated record body %d of %d", i, n)
-		}
 		p.Keys = append(p.Keys, key)
-		p.Bodies = append(p.Bodies, buf[off:off+blen:off+blen])
-		off += blen
+		p.Bodies = append(p.Bodies, body)
+		off = next
 	}
 	return nil
+}
+
+// findInPage walks a page image's records in place up to key and returns
+// the row stored under key, if any, with the page timestamp either way:
+// what DecodePage and find give for one key, with no allocation. The body
+// aliases buf.
+func findInPage(buf []byte, key uint64) (row Row, found bool, err error) {
+	ts, n, err := pageHeader(buf)
+	if err != nil {
+		return Row{}, false, err
+	}
+	row = Row{Key: key, PageTS: ts}
+	off := pageHeaderSize
+	for i := 0; i < n; i++ {
+		k, body, next := pageRecord(buf, off)
+		if next < 0 {
+			return Row{}, false, fmt.Errorf("table: truncated record %d of %d", i, n)
+		}
+		if k >= key {
+			if k == key {
+				row.Body, found = body, true
+			}
+			break
+		}
+		off = next
+	}
+	return row, found, nil
+}
+
+// pageHeader checks a page image's header and returns its timestamp and
+// record count.
+func pageHeader(buf []byte) (ts int64, n int, err error) {
+	if len(buf) < pageHeaderSize {
+		return 0, 0, fmt.Errorf("table: short page: %d bytes", len(buf))
+	}
+	used := int(binary.LittleEndian.Uint16(buf[10:]))
+	if pageHeaderSize+used > len(buf) {
+		return 0, 0, fmt.Errorf("table: page used bytes %d exceed page size %d", used, len(buf))
+	}
+	return int64(binary.LittleEndian.Uint64(buf[0:])), int(binary.LittleEndian.Uint16(buf[8:])), nil
+}
+
+// pageRecord reads the record whose header starts at off: its key, its
+// body (aliasing buf) and the offset of the next record, which is -1 if
+// the end of buf cuts the record off.
+func pageRecord(buf []byte, off int) (key uint64, body []byte, next int) {
+	if off+recHeaderSize > len(buf) {
+		return 0, nil, -1
+	}
+	key = binary.LittleEndian.Uint64(buf[off:])
+	off += recHeaderSize
+	next = off + int(binary.LittleEndian.Uint16(buf[off-2:]))
+	if next > len(buf) {
+		return 0, nil, -1
+	}
+	return key, buf[off:next:next], next
 }
 
 // insertAt places (key, body) at index i, shifting later records.

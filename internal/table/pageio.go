@@ -1,6 +1,10 @@
 package table
 
-import "masm/internal/sim"
+import (
+	"fmt"
+
+	"masm/internal/sim"
+)
 
 // PageForKey returns the number of the page whose key range covers key.
 func (t *Table) PageForKey(key uint64) int64 {
@@ -12,22 +16,29 @@ func (t *Table) PageForKey(key uint64) int64 {
 	return t.refs[t.refIndexForKey(key)].pageNo
 }
 
-// Lookup reads the one page whose key range covers key, issued at at, and
-// returns the row stored under key if the page holds one. The page
+// Lookup reads the one page whose key range covers key, issued at at,
+// and returns the row stored under key if the page holds one. The page is
+// read into *page, the caller's buffer, sized to one page here and reused
+// across lookups; the row's body aliases it. Only the record headers up to
+// key are walked, in place: nothing is decoded or allocated. The page
 // timestamp is reported either way: a caller folding cached updates onto
 // the row needs it to skip the ones migration already applied.
-func (t *Table) Lookup(at sim.Time, key uint64) (row Row, found bool, end sim.Time, err error) {
+func (t *Table) Lookup(at sim.Time, key uint64, page *[]byte) (row Row, found bool, end sim.Time, err error) {
 	pageNo := t.PageForKey(key)
 	if pageNo < 0 {
 		return Row{}, false, at, nil
 	}
-	p, c, err := t.readPage(at, pageNo)
+	if cap(*page) < t.cfg.PageSize {
+		*page = make([]byte, t.cfg.PageSize)
+	}
+	buf := (*page)[:t.cfg.PageSize]
+	c, err := t.vol.ReadAt(at, buf, pageNo*int64(t.cfg.PageSize))
 	if err != nil {
 		return Row{}, false, at, err
 	}
-	row = Row{Key: key, PageTS: p.TS}
-	if i, ok := p.find(key); ok {
-		row.Body, found = p.Bodies[i], true
+	row, found, err = findInPage(buf, key)
+	if err != nil {
+		return Row{}, false, at, fmt.Errorf("table: page %d: %w", pageNo, err)
 	}
 	return row, found, c.End, nil
 }

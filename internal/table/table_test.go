@@ -62,6 +62,45 @@ func TestPageEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLookupMatchesDecode: Lookup's in-place walk finds what DecodePage
+// and find find, for every loaded key and the gaps between them, reusing
+// one page buffer; a corrupt page image is an error, not a panic.
+func TestLookupMatchesDecode(t *testing.T) {
+	tbl := loadTable(t, 2000, 2, 92)
+	var page []byte
+	for key := uint64(0); key <= 4003; key++ {
+		row, found, _, err := tbl.Lookup(0, key, &page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err := tbl.ReadPageAt(0, tbl.PageForKey(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i, want := p.find(key)
+		if found != want || row.Key != key || row.PageTS != p.TS || found && !bytes.Equal(row.Body, p.Bodies[i]) {
+			t.Fatalf("key %d: Lookup found %v (ts %d), decode found %v (ts %d)", key, found, row.PageTS, want, p.TS)
+		}
+	}
+	good := make([]byte, 64)
+	if err := (&Page{TS: 1, Keys: []uint64{5}, Bodies: [][]byte{body(5, 20)}}).Encode(good); err != nil {
+		t.Fatal(err)
+	}
+	usedPastEnd := append([]byte(nil), good...)
+	usedPastEnd[10], usedPastEnd[11] = 0xFF, 0xFF
+	truncated := append([]byte(nil), good[:pageHeaderSize+recHeaderSize+4]...)
+	truncated[10], truncated[11] = 0, 0 // used bytes that fit: the record itself is cut
+	for name, buf := range map[string][]byte{
+		"short":          good[:8],
+		"used past end":  usedPastEnd,
+		"truncated body": truncated,
+	} {
+		if _, _, err := findInPage(buf, 5); err == nil {
+			t.Errorf("%s page: no error", name)
+		}
+	}
+}
+
 // TestPeekTake: Peek stays on its row until Take consumes it, Next is
 // Peek then Take, and a released scanner reports the end.
 func TestPeekTake(t *testing.T) {
