@@ -503,26 +503,15 @@ func (t *Table) Scan(begin, end uint64, fn func(key uint64, body []byte) bool) e
 	return e.drainQuery(q, fn)
 }
 
-// drainQuery iterates a query to completion (or early stop), advancing
-// the virtual clock and closing the query — the shared tail of every scan
-// entry point.
+// drainQuery hands a query's rows to fn until the end or an early stop,
+// then advances the virtual clock and closes the query — the shared tail
+// of every scan entry point.
 func (e *Engine) drainQuery(q *core.Query, fn func(key uint64, body []byte) bool) error {
 	defer func() {
 		e.clock.advance(q.Time())
 		q.Close()
 	}()
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(row.Key, row.Body) {
-			return nil
-		}
-	}
+	return q.Each(fn)
 }
 
 // Get returns the freshest version of one record, or ok=false if it does

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"masm/internal/table"
 	"masm/internal/txn"
 	"masm/internal/update"
 )
@@ -129,9 +128,7 @@ func (tx *EngineTx) Scan(tableName string, begin, end uint64, fn func(key uint64
 		return err
 	}
 	e := tx.eng
-	end2, err := s.Scan(e.clock.now(), begin, end, func(row table.Row) bool {
-		return fn(row.Key, row.Body)
-	})
+	end2, err := s.Scan(e.clock.now(), begin, end, fn)
 	e.clock.advance(end2)
 	runtime.KeepAlive(tx)
 	return err

@@ -250,16 +250,13 @@ func TestCoreStoreENOSPCOnMemBackend(t *testing.T) {
 		}
 		defer q.Close()
 		got := make(map[uint64][]byte)
-		for {
-			row, ok, err := q.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				return got
-			}
-			got[row.Key] = append([]byte(nil), row.Body...)
+		if err := q.Each(func(key uint64, body []byte) bool {
+			got[key] = append([]byte(nil), body...)
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
+		return got
 	}
 	got := readAll()
 	for k, want := range acked {

@@ -44,15 +44,12 @@ func TestDebugMigration(t *testing.T) {
 	}
 	defer q.Close()
 	got := make(map[uint64][]byte)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got[row.Key] = append([]byte(nil), row.Body...)
+	rows, err := collectRows(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		got[r.key] = r.body
 	}
 	for k, v := range e.model {
 		gv, ok := got[k]

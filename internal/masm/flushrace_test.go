@@ -103,19 +103,16 @@ func TestScanSurvivesFlushThenMergeOfFlushRun(t *testing.T) {
 
 	// Drive the first query to completion: it must still see every marker.
 	seen := make(map[uint64]bool)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
+	rows, err := collectRows(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if string(r.body) == "marker-row" {
+			seen[r.key] = true
 		}
-		if !ok {
-			break
-		}
-		if string(row.Body) == "marker-row" {
-			seen[row.Key] = true
-		}
-		if row.Key >= 500 {
-			t.Fatalf("scan leaked post-query update for key %d", row.Key)
+		if r.key >= 500 {
+			t.Fatalf("scan leaked post-query update for key %d", r.key)
 		}
 	}
 	q.Close()
@@ -180,17 +177,13 @@ func TestScanSurvivesFlushBeyondMergeBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if string(row.Body) == "marker-row" {
+	if err := q.Each(func(_ uint64, body []byte) bool {
+		if string(body) == "marker-row" {
 			got++
 		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	q.Close()
 	if got != markers {
@@ -269,15 +262,8 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[uint64]bool)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		seen[row.Key] = true
+	if err := q.Each(func(key uint64, _ []byte) bool { seen[key] = true; return true }); err != nil {
+		t.Fatal(err)
 	}
 	q.Close()
 	for k := range acked {
@@ -304,15 +290,8 @@ func TestFailedFlushRestoresBufferAndScans(t *testing.T) {
 		t.Fatal("expected the flush to fail with an exhausted allocator")
 	}
 	seen2 := make(map[uint64]bool)
-	for {
-		row, ok, err := q2.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		seen2[row.Key] = true
+	if err := q2.Each(func(key uint64, _ []byte) bool { seen2[key] = true; return true }); err != nil {
+		t.Fatal(err)
 	}
 	q2.Close()
 	for k := range acked {

@@ -12,10 +12,11 @@ import (
 
 // rowFold applies one key's update group, oldest first, onto its base
 // row: the one definition of that step, shared by the range scan's
-// Merge_data_updates (Query.Next) and the point lookup. It allocates
-// nothing: an insert or replace folds to its payload (payloads are never
-// overwritten: run-scan bytes and the buffer copy's records alike), and a
-// modify patches the fold's scratch body.
+// Merge_data_updates (Query.Each, once per update group; rows with no
+// update go from their page to the consumer without it) and the point
+// lookup. It allocates nothing: an insert or replace folds to its payload
+// (payloads are never overwritten: run-scan bytes and the buffer copy's
+// records alike), and a modify patches the fold's scratch body.
 type rowFold struct {
 	body   []byte
 	exists bool

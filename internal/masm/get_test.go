@@ -122,9 +122,12 @@ func TestGetAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if row, ok, _ := q.Next(); ok && bytes.Equal(row.Body, body(k, 92)) {
-			plain = k
-		}
+		q.Each(func(_ uint64, b []byte) bool {
+			if bytes.Equal(b, body(k, 92)) {
+				plain = k
+			}
+			return false
+		})
 		q.Close()
 	}
 	for name, tc := range map[string]struct {

@@ -94,27 +94,26 @@ func interleave(t *testing.T, seed int64, steps int) {
 	// advance delivers up to n rows of r (all of them if n < 0) and, at the
 	// end of its stream, checks and closes it.
 	advance := func(r *openReader, n int) (done bool) {
-		for ; n != 0; n-- {
-			row, ok, err := r.q.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				r.q.Close()
-				if len(r.got) != len(r.want) {
-					t.Fatalf("seed %d: query at ts %d delivered %d rows, want %d", seed, r.q.ts, len(r.got), len(r.want))
-				}
-				for i := range r.got {
-					if r.got[i].key != r.want[i].key || !bytes.Equal(r.got[i].body, r.want[i].body) {
-						t.Fatalf("seed %d: query at ts %d row %d: key %d body %.8x, want key %d body %.8x",
-							seed, r.q.ts, i, r.got[i].key, r.got[i].body, r.want[i].key, r.want[i].body)
-					}
-				}
-				return true
-			}
-			r.got = append(r.got, kv{key: row.Key, body: append([]byte(nil), row.Body...)})
+		ended, err := take(r.q, n, func(key uint64, body []byte) {
+			r.got = append(r.got, kv{key: key, body: append([]byte(nil), body...)})
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
+		if !ended {
+			return false
+		}
+		r.q.Close()
+		if len(r.got) != len(r.want) {
+			t.Fatalf("seed %d: query at ts %d delivered %d rows, want %d", seed, r.q.ts, len(r.got), len(r.want))
+		}
+		for i := range r.got {
+			if r.got[i].key != r.want[i].key || !bytes.Equal(r.got[i].body, r.want[i].body) {
+				t.Fatalf("seed %d: query at ts %d row %d: key %d body %.8x, want key %d body %.8x",
+					seed, r.q.ts, i, r.got[i].key, r.got[i].body, r.want[i].key, r.want[i].body)
+			}
+		}
+		return true
 	}
 	flush := func() {
 		end, err := s.Flush(e.now)

@@ -152,21 +152,18 @@ func (e *env) verifyRange(begin, end uint64) {
 func (e *env) verifyQuery(q *Query, begin, end uint64, model map[uint64][]byte) {
 	e.t.Helper()
 	got := make(map[uint64][]byte)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			e.t.Fatal(err)
+	rows, err := collectRows(q)
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.key < begin || r.key > end {
+			e.t.Fatalf("row key %d outside [%d,%d]", r.key, begin, end)
 		}
-		if !ok {
-			break
+		if _, dup := got[r.key]; dup {
+			e.t.Fatalf("duplicate key %d in query output", r.key)
 		}
-		if row.Key < begin || row.Key > end {
-			e.t.Fatalf("row key %d outside [%d,%d]", row.Key, begin, end)
-		}
-		if _, dup := got[row.Key]; dup {
-			e.t.Fatalf("duplicate key %d in query output", row.Key)
-		}
-		got[row.Key] = append([]byte(nil), row.Body...)
+		got[r.key] = r.body
 	}
 	want := 0
 	for k, v := range model {
@@ -241,35 +238,23 @@ func TestQuerySnapshotIgnoresLaterUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read a few rows, then apply more updates mid-scan. A body is valid
-	// only until the next Next, so each one is copied.
-	var rows []table.Row
-	for i := 0; i < 10; i++ {
-		row, ok, err := q.Next()
-		if err != nil || !ok {
-			t.Fatalf("early end: %v", err)
-		}
-		row.Body = append([]byte(nil), row.Body...)
-		rows = append(rows, row)
+	// only until fn returns, so each one is copied.
+	var rows []kv
+	keep := func(key uint64, body []byte) { rows = append(rows, kv{key, append([]byte(nil), body...)}) }
+	if ended, err := take(q, 10, keep); err != nil || ended {
+		t.Fatalf("early end: %v", err)
 	}
 	e.applyRandom(200)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		row.Body = append([]byte(nil), row.Body...)
-		rows = append(rows, row)
+	if _, err := take(q, -1, keep); err != nil {
+		t.Fatal(err)
 	}
 	q.Close()
 	if len(rows) != len(snapshot) {
 		t.Fatalf("snapshot query returned %d rows, want %d", len(rows), len(snapshot))
 	}
 	for _, r := range rows {
-		if want, ok := snapshot[r.Key]; !ok || !bytes.Equal(r.Body, want) {
-			t.Fatalf("key %d does not match snapshot", r.Key)
+		if want, ok := snapshot[r.key]; !ok || !bytes.Equal(r.body, want) {
+			t.Fatalf("key %d does not match snapshot", r.key)
 		}
 	}
 	// And a fresh query sees the new state.
@@ -291,27 +276,19 @@ func TestScanViewSurvivesFlush(t *testing.T) {
 	}
 	defer q.Close()
 	count := 0
-	for i := 0; i < 5; i++ {
-		if _, ok, err := q.Next(); err != nil || !ok {
-			t.Fatalf("early end: %v", err)
-		}
-		count++
+	if ended, err := take(q, 5, func(uint64, []byte) { count++ }); err != nil || ended {
+		t.Fatalf("early end: %v", err)
 	}
 	// Force a flush mid-scan.
 	if _, err := e.store.Flush(e.now); err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[uint64][]byte)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if _, err := take(q, -1, func(key uint64, body []byte) {
 		count++
-		got[row.Key] = append([]byte(nil), row.Body...)
+		got[key] = append([]byte(nil), body...)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if count != len(snapshot) {
 		t.Fatalf("query crossed flush returned %d rows, want %d", count, len(snapshot))
@@ -387,12 +364,10 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 	}
 	// Read part of the range pre-migration...
 	got := make(map[uint64][]byte)
-	for i := 0; i < 500; i++ {
-		row, ok, err := q.Next()
-		if err != nil || !ok {
-			t.Fatalf("early end at %d: %v", i, err)
-		}
-		got[row.Key] = append([]byte(nil), row.Body...)
+	if ended, err := take(q, 500, func(key uint64, body []byte) {
+		got[key] = append([]byte(nil), body...)
+	}); err != nil || ended {
+		t.Fatalf("early end at %d: %v", len(got), err)
 	}
 	// ...migration completes in the middle...
 	end, _, err := mig.Run()
@@ -401,18 +376,15 @@ func TestConcurrentQueryDuringMigration(t *testing.T) {
 	}
 	e.now = end
 	// ...and the query finishes on rewritten pages.
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
+	rest, err := collectRows(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rest {
+		if _, dup := got[r.key]; dup {
+			t.Fatalf("duplicate key %d across migration boundary", r.key)
 		}
-		if !ok {
-			break
-		}
-		if _, dup := got[row.Key]; dup {
-			t.Fatalf("duplicate key %d across migration boundary", row.Key)
-		}
-		got[row.Key] = append([]byte(nil), row.Body...)
+		got[r.key] = r.body
 	}
 	q.Close()
 	if len(got) != len(snapshot) {
@@ -481,17 +453,13 @@ func TestMergePolicyRespectsActiveQueries(t *testing.T) {
 	}
 	// The straddling query must see only the first modify.
 	var seen []byte
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
+	if err := q.Each(func(key uint64, body []byte) bool {
+		if key == 4 {
+			seen = append([]byte(nil), body...)
 		}
-		if !ok {
-			break
-		}
-		if row.Key == 4 {
-			seen = append([]byte(nil), row.Body...)
-		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	q.Close()
 	if seen == nil || seen[0] != 'A' || seen[1] == 'B' {
@@ -689,23 +657,16 @@ func TestTwoInterleavedQueries(t *testing.T) {
 	}
 	n1, n2 := 0, 0
 	done1, done2 := false, false
+	var err1, err2 error
 	for !done1 || !done2 {
 		if !done1 {
-			if _, ok, err := q1.Next(); err != nil {
-				t.Fatal(err)
-			} else if ok {
-				n1++
-			} else {
-				done1 = true
+			if done1, err1 = take(q1, 1, func(uint64, []byte) { n1++ }); err1 != nil {
+				t.Fatal(err1)
 			}
 		}
 		if !done2 {
-			if _, ok, err := q2.Next(); err != nil {
-				t.Fatal(err)
-			} else if ok {
-				n2++
-			} else {
-				done2 = true
+			if done2, err2 = take(q2, 1, func(uint64, []byte) { n2++ }); err2 != nil {
+				t.Fatal(err2)
 			}
 		}
 	}
@@ -759,13 +720,10 @@ func ExampleStore_NewQuery() {
 	store.ApplyAuto(0, update.Record{Key: 3, Op: update.Insert, Payload: []byte("three")})
 	store.ApplyAuto(0, update.Record{Key: 4, Op: update.Delete})
 	q, _ := store.NewQuery(0, 0, 10, nil)
-	for {
-		row, ok, _ := q.Next()
-		if !ok {
-			break
-		}
-		fmt.Printf("%d=%s\n", row.Key, row.Body)
-	}
+	q.Each(func(key uint64, body []byte) bool {
+		fmt.Printf("%d=%s\n", key, body)
+		return true
+	})
 	q.Close()
 	// Output:
 	// 2=two

@@ -3,7 +3,6 @@ package masm
 import (
 	"masm/internal/extsort"
 	"masm/internal/memtable"
-	"masm/internal/query"
 	"masm/internal/runfile"
 	"masm/internal/sim"
 	"masm/internal/table"
@@ -11,8 +10,9 @@ import (
 )
 
 // Query is a table range scan with online updates merged in: the paper's
-// replacement for the plain Table_range_scan operator (§3.2). It is a
-// Volcano-style iterator tree:
+// replacement for the plain Table_range_scan operator (§3.2). It is an
+// operator tree whose root pushes rows to the consumer (Each) rather than
+// being pulled one row at a time:
 //
 //	Merge_data_updates
 //	├── Table_range_scan            (disk, large sequential I/Os)
@@ -26,6 +26,9 @@ import (
 // Disk and SSD children advance independent virtual-time cursors, so their
 // I/O overlaps exactly as the paper's asynchronous I/O does; the query's
 // completion time is the maximum across children plus injected CPU time.
+// Each is the one merge loop; every consumer (Table.Scan and the server's
+// scans, Table.Query's pipeline, a transaction's overlay, the paper
+// experiments' Drain) is a callback on it.
 type Query struct {
 	s  *Store
 	ts int64
@@ -182,42 +185,52 @@ func (q *Query) Time() sim.Time {
 	return sim.MaxTime(t, q.start.Add(q.cpu))
 }
 
-// Next returns the next merged row of the range, in key order, reflecting
-// exactly the updates with timestamps below the query's (the outer join of
-// main data and cached updates, §3.1). The row's body may alias the data
-// scanner's read buffer or, for a modified row, the query's scratch body,
-// so it is valid only until the next call: Next never reads past a data
-// row it has not yet returned.
+// Each hands fn the query's merged rows in key order, reflecting exactly
+// the updates with timestamps below the query's (the outer join of main
+// data and cached updates, §3.1): Merge_data_updates as one push loop.
+// Per update group it reads the group's key once; the data scanner hands
+// fn every main-data row below it straight from its page, and the group
+// then folds onto the row under it, if any. A row's body may alias the
+// data scanner's read buffer, an update's payload or, for a modified row,
+// the query's scratch body, so it is valid only until fn returns.
 //
-// A row costs one key comparison: the data scanner's next row against
-// the head of Merge_updates. A data row that comes first is returned
-// straight from its page; an update group folds onto the row under it.
-// The update stream is read through a BatchReader window; a batched
-// refill only accelerates the consumer side: the merger's sources still
-// perform device reads at the same points in the merged stream, so
-// simulated times are unchanged.
-func (q *Query) Next() (table.Row, bool, error) {
+// fn returning false stops Each, which returns nil; a later call resumes
+// at the next row. The update stream is read through a BatchReader
+// window; a batched refill only accelerates the consumer side: the
+// merger's sources and the data scanner still read at the same points in
+// the merged stream, so simulated times do not depend on how the rows
+// are consumed.
+func (q *Query) Each(fn func(key uint64, body []byte) bool) error {
 	if q.err != nil || q.closed {
-		return table.Row{}, false, q.err
+		return q.err
 	}
 	for {
-		haveRow := q.data.Peek()
 		key, haveUpd, err := q.upd.PeekKey()
 		if err != nil {
 			q.err = err
-			return table.Row{}, false, err
+			return err
 		}
-		if haveRow && (!haveUpd || q.data.Key() < key) {
-			row := q.data.Take()
-			q.cpu += q.CPUPerRecord
-			q.rowBytes += int64(len(row.Body))
-			return row, true, nil
+		if !haveUpd || key > 0 {
+			hi := ^uint64(0)
+			if haveUpd {
+				hi = key - 1
+			}
+			rows, bytes, more := q.data.EachTo(hi, fn)
+			q.cpu += sim.Duration(rows) * q.CPUPerRecord
+			q.rowBytes += bytes
+			if !more {
+				return nil
+			}
+		}
+		if err := q.data.Err(); err != nil {
+			q.err = err
+			return err
 		}
 		if !haveUpd {
-			return table.Row{}, false, q.data.Err()
+			return nil
 		}
 		// An update group, with or without a base row under it.
-		if haveRow && q.data.Key() == key {
+		if q.data.Peek() && q.data.Key() == key {
 			q.fold.onto(q.data.Take())
 		} else {
 			q.fold.reset()
@@ -228,7 +241,7 @@ func (q *Query) Next() (table.Row, bool, error) {
 			k, ok, err := q.upd.PeekKey()
 			if err != nil {
 				q.err = err
-				return table.Row{}, false, err
+				return err
 			}
 			if !ok || k != key {
 				break
@@ -237,42 +250,19 @@ func (q *Query) Next() (table.Row, bool, error) {
 		if q.fold.exists {
 			q.cpu += q.CPUPerRecord
 			q.rowBytes += int64(len(q.fold.body))
-			return table.Row{Key: key, Body: q.fold.body, PageTS: q.fold.ts}, true, nil
+			if !fn(key, q.fold.body) {
+				return nil
+			}
 		}
 	}
-}
-
-// Rows adapts the query's merged row stream to the streaming operator
-// package's Iterator, so relational pipelines (filter, project,
-// aggregate, join) compose directly over the merge engine. The adapter
-// is single-use, like the query itself; TS carries the row's newest
-// applied update timestamp (the page timestamp for untouched base rows).
-func (q *Query) Rows() query.Iterator { return queryRows{q} }
-
-type queryRows struct{ q *Query }
-
-func (r queryRows) Next() (query.Row, bool, error) {
-	row, ok, err := r.q.Next()
-	if err != nil || !ok {
-		return query.Row{}, false, err
-	}
-	return query.Row{Key: row.Key, TS: row.PageTS, Body: row.Body}, true, nil
 }
 
 // Drain consumes the remaining rows, returning how many were produced and
 // the completion time. Most experiments only need the count and the time.
 func (q *Query) Drain() (int64, sim.Time, error) {
 	var n int64
-	for {
-		_, ok, err := q.Next()
-		if err != nil {
-			return n, q.Time(), err
-		}
-		if !ok {
-			return n, q.Time(), nil
-		}
-		n++
-	}
+	err := q.Each(func(uint64, []byte) bool { n++; return true })
+	return n, q.Time(), err
 }
 
 // Close releases the query's memory pages and unregisters it, and

@@ -7,7 +7,7 @@ import (
 	"masm/internal/update"
 )
 
-// collect drains a query into (key, body) rows.
+// kv is one collected row.
 type kv struct {
 	key  uint64
 	body []byte
@@ -15,17 +15,37 @@ type kv struct {
 
 func drainQueryRows(t *testing.T, q *Query) []kv {
 	t.Helper()
-	var out []kv
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, kv{key: row.Key, body: append([]byte(nil), row.Body...)})
+	out, err := collectRows(q)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
+}
+
+// collectRows drains q's remaining rows, bodies copied.
+func collectRows(q *Query) ([]kv, error) {
+	var out []kv
+	_, err := take(q, -1, func(key uint64, body []byte) {
+		out = append(out, kv{key: key, body: append([]byte(nil), body...)})
+	})
+	return out, err
+}
+
+// take hands fn at most n more rows of q (every remaining row if n < 0),
+// by a call to Each that fn's n-th row stops, and reports whether q ran
+// out first. It lets a test interleave a query's rows with other work.
+func take(q *Query, n int, fn func(key uint64, body []byte)) (ended bool, err error) {
+	if n == 0 {
+		return false, nil
+	}
+	stopped := false
+	err = q.Each(func(key uint64, body []byte) bool {
+		fn(key, body)
+		n--
+		stopped = n == 0
+		return !stopped
+	})
+	return !stopped && err == nil, err
 }
 
 // TestQueryPredDifferential is the store-level pushdown oracle: a
@@ -84,8 +104,8 @@ func TestQueryPredDifferential(t *testing.T) {
 	}
 }
 
-// TestQueryPredProjectionDifferential layers the operator pipeline over
-// the predicated query and checks it against project-then-filter applied
+// TestQueryPredProjectionDifferential projects the rows of the
+// predicated query and checks it against project-then-filter applied
 // to the naive scan.
 func TestQueryPredProjectionDifferential(t *testing.T) {
 	e := newEnv(t, 1500, smallConfig())
@@ -116,21 +136,16 @@ func TestQueryPredProjectionDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := pq.Rows()
 	var got []kv
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := pq.Each(func(key uint64, body []byte) bool {
 		col := []byte{}
-		if off+width <= len(r.Body) {
-			col = r.Body[off : off+width]
+		if off+width <= len(body) {
+			col = body[off : off+width]
 		}
-		got = append(got, kv{key: r.Key, body: append([]byte(nil), col...)})
+		got = append(got, kv{key: key, body: append([]byte(nil), col...)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	pq.Close()
 

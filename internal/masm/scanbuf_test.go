@@ -3,6 +3,7 @@ package masm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -14,18 +15,21 @@ import (
 	"masm/internal/update"
 )
 
-// TestQueryNextZeroAllocs gates the merged scan's inner loop: once a
-// query is under way, Next allocates nothing per row. The rows come from
-// main data, runs and the buffer, and every one of them carries a folded
-// insert, replace or modify (deletes drop rows in between): the fold
-// returns payloads in place and patches modifies in the query's scratch.
-func TestQueryNextZeroAllocs(t *testing.T) {
+// TestQueryEachZeroAllocs gates the merged scan's push loop: once a query
+// is under way, Each allocates nothing per row it hands on. The loop is
+// stepped one row at a time (fn stops every call, and the next call
+// resumes), over two stretches of one table: keys below n+1 carry no
+// update, so their rows go straight from the page batch to fn; above it
+// every row carries a folded insert, replace or modify (deletes drop rows
+// in between), from runs and the buffer alike: the fold returns payloads
+// in place and patches modifies in the query's scratch.
+func TestQueryEachZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
 	}
 	const n = 20000
 	e := newEnv(t, n, smallConfig())
-	for i := 0; i < n; i++ {
+	for i := n / 2; i < n; i++ {
 		key := uint64(i+1) * 2
 		var rec update.Record
 		switch i % 8 {
@@ -44,21 +48,33 @@ func TestQueryNextZeroAllocs(t *testing.T) {
 	if e.store.Runs() == 0 || e.store.buf.Bytes() == 0 {
 		t.Fatalf("want updates in runs and in the buffer: %d runs, %d buffered bytes", e.store.Runs(), e.store.buf.Bytes())
 	}
-	q, err := e.store.NewQuery(e.now, 0, ^uint64(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	next := func() {
-		if _, ok, err := q.Next(); err != nil || !ok {
-			t.Fatalf("query ended during the gate: %v", err)
-		}
-	}
-	for i := 0; i < 100; i++ { // warm up: the first batch and the scratch body
-		next()
-	}
-	if avg := testing.AllocsPerRun(5000, next); avg != 0 {
-		t.Fatalf("Query.Next allocates %v per row in steady state, want 0", avg)
+	for _, tc := range []struct {
+		name       string
+		begin, end uint64
+	}{{"data-only", 0, n}, {"folded", n + 1, ^uint64(0)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := e.store.NewQuery(e.now, tc.begin, tc.end, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			rows := 0
+			one := func(uint64, []byte) bool { rows++; return false }
+			next := func() {
+				if err := q.Each(one); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ { // warm up: the first batch and the scratch body
+				next()
+			}
+			if avg := testing.AllocsPerRun(4000, next); avg != 0 {
+				t.Fatalf("Query.Each allocates %v per row in steady state, want 0", avg)
+			}
+			if rows != 4101 { // 100, AllocsPerRun's warm-up call, 4000
+				t.Fatalf("query ended during the gate: %d rows", rows)
+			}
+		})
 	}
 }
 
@@ -105,7 +121,7 @@ func TestScanBuffersRecycled(t *testing.T) {
 // boundaries on two goroutines while a third inserts and modifies rows:
 // pooled scan buffers and per-query scratch bodies must never be shared
 // by two live queries. Each body is checked against the model as of its
-// query's snapshot the moment Next returns it, before the next call.
+// query's snapshot the moment the query hands it on, before the next row.
 func TestConcurrentScansRecycledBuffers(t *testing.T) {
 	const rows = 30000
 	e := newEnv(t, rows, smallConfig())
@@ -214,7 +230,7 @@ func TestConcurrentScansRecycledBuffers(t *testing.T) {
 }
 
 // checkScan runs one query over [begin, end] at sn and checks each row's
-// body against want before asking for the next, then that no row want
+// body against want before the next is read, then that no row want
 // expects is missing.
 func checkScan(sn *Snapshot, begin, end uint64, want func(key uint64) []byte) error {
 	q, err := sn.NewQuery(sim.Time(0), begin, end, nil)
@@ -223,18 +239,17 @@ func checkScan(sn *Snapshot, begin, end uint64, want func(key uint64) []byte) er
 	}
 	defer q.Close()
 	got := 0
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if w := want(row.Key); !bytes.Equal(row.Body, w) {
-			return fmt.Errorf("key %d: body %x, want %x", row.Key, row.Body, w)
+	var bad error
+	err = q.Each(func(key uint64, body []byte) bool {
+		if w := want(key); !bytes.Equal(body, w) {
+			bad = fmt.Errorf("key %d: body %x, want %x", key, body, w)
+			return false
 		}
 		got++
+		return true
+	})
+	if err != nil || bad != nil {
+		return errors.Join(err, bad)
 	}
 	n := 0
 	for k := begin; k <= end; k++ {

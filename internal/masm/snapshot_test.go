@@ -70,14 +70,7 @@ func TestConcurrentReadersSeeOneView(t *testing.T) {
 			return nil, err
 		}
 		defer q.Close()
-		var rows []kv
-		for {
-			row, ok, err := q.Next()
-			if err != nil || !ok {
-				return rows, err
-			}
-			rows = append(rows, kv{key: row.Key, body: append([]byte(nil), row.Body...)})
-		}
+		return collectRows(q)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -42,8 +42,9 @@ type Scanner struct {
 
 	// bufs is the batch memory (nil until the first batch), drawn from
 	// scanBufPool and reused by every batch, so a returned row's body is
-	// valid only until the next call to Peek or Next. pages is the current
-	// batch's decoded pages; [pageIdx, recIdx] is the next row to examine.
+	// valid only until the next call to Peek, Next or EachTo. pages is the
+	// current batch's decoded pages; [pageIdx, recIdx] is the next row to
+	// examine.
 	bufs    *scanBufs
 	pages   []Page
 	pageIdx int
@@ -206,40 +207,10 @@ func (s *Scanner) fetchBatch() bool {
 // overwrites the body of a row Take returned, never of one it has not.
 // Peeking again without a Take stays on the same row.
 func (s *Scanner) Peek() bool {
-	if s.ready {
-		return true
+	if !s.ready {
+		s.EachTo(0, nil)
 	}
-	for {
-		if s.pageIdx < len(s.pages) {
-			keys := s.pages[s.pageIdx].Keys
-			for ; s.recIdx < len(keys); s.recIdx++ {
-				k := keys[s.recIdx]
-				if k < s.nextKey {
-					continue
-				}
-				if k > s.end {
-					// Keys beyond the range can still be followed by
-					// in-range keys on later pages only if this page
-					// ends the range; stop here.
-					s.done = true
-					return false
-				}
-				if s.pred != nil && !s.pred.Match(k) {
-					s.filtered++
-					s.nextKey = k + 1
-					continue
-				}
-				s.key, s.ready = k, true
-				return true
-			}
-			s.pageIdx++
-			s.recIdx = 0
-			continue
-		}
-		if !s.fetchBatch() {
-			return false
-		}
-	}
+	return s.ready
 }
 
 // Key returns the key of the row Peek positioned on.
@@ -257,11 +228,67 @@ func (s *Scanner) Take() Row {
 	return Row{Key: s.key, Body: p.Bodies[i], PageTS: p.TS}
 }
 
+// EachTo hands fn, in key order, every remaining row of the range with
+// key at most hi, straight from the decoded batch: the merged scan's
+// inner loop (masm.Query.Each), which calls it once per update group with
+// hi just below the group's key. It returns how many rows fn was handed
+// and their body bytes, and more=false if fn stopped it by returning
+// false (that row is consumed). Otherwise it stops on the first row past
+// hi, left peeked (Peek, Key and Take see it), or at the end of the range
+// or on an error (see Err). A nil fn is handed nothing: EachTo then only
+// peeks the next row, as Peek does. A body aliases the read buffer: fn
+// must finish with it before returning, since the next batch is read only
+// after fn has returned for the last row of this one.
+func (s *Scanner) EachTo(hi uint64, fn func(key uint64, body []byte) bool) (rows, bytes int64, more bool) {
+	s.ready = false
+	next, end, pred := s.nextKey, s.end, s.pred
+	for {
+		for ; s.pageIdx < len(s.pages); s.pageIdx, s.recIdx = s.pageIdx+1, 0 {
+			p := &s.pages[s.pageIdx]
+			keys, bodies := p.Keys, p.Bodies
+			for i := s.recIdx; i < len(keys); i++ {
+				k := keys[i]
+				if k < next {
+					continue
+				}
+				if k > end {
+					// Keys beyond the range can still be followed by
+					// in-range keys on later pages only if this page
+					// ends the range; stop here.
+					s.done, s.nextKey = true, next
+					return rows, bytes, true
+				}
+				if pred != nil && !pred.Match(k) {
+					s.filtered++
+					next = k + 1
+					continue
+				}
+				if k > hi || fn == nil {
+					s.recIdx, s.nextKey = i, next
+					s.key, s.ready = k, true
+					return rows, bytes, true
+				}
+				next = k + 1
+				rows++
+				bytes += int64(len(bodies[i]))
+				if !fn(k, bodies[i]) {
+					s.recIdx, s.nextKey = i+1, next
+					return rows, bytes, false
+				}
+			}
+		}
+		s.nextKey = next
+		if !s.fetchBatch() {
+			return rows, bytes, true
+		}
+	}
+}
+
 // Next returns the next row in the range, or ok=false at the end: Peek
 // then Take. The row's body aliases the scanner's read buffer, which the
 // next call may overwrite: a caller must finish with (or copy) a body
-// before calling Next again. The merge operators (masm.Query, lsm, iu)
-// call Next or Peek only once the row before has been returned.
+// before calling Next again. The baseline merge operators (lsm, iu) call
+// Next only once the row before has been returned.
 func (s *Scanner) Next() (Row, bool) {
 	if !s.Peek() {
 		return Row{}, false

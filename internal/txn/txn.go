@@ -15,12 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
 	"masm/internal/masm"
 	"masm/internal/sim"
-	"masm/internal/table"
 	"masm/internal/update"
 )
 
@@ -145,9 +145,10 @@ func (t *Txn) Update(rec update.Record) error {
 
 // Scan reads [begin, end] at the transaction's snapshot, overlaying the
 // transaction's own private updates (the paper's extra Mem_scan operator
-// on the private buffer). fn is called per visible row; returning false
-// stops early. It returns the completion time of the scan.
-func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(row table.Row) bool) (sim.Time, error) {
+// on the private buffer). fn is called per visible row, with a body valid
+// only until it returns; returning false stops early. It returns the
+// completion time of the scan.
+func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(key uint64, body []byte) bool) (sim.Time, error) {
 	if t.done {
 		return at, ErrDone
 	}
@@ -156,8 +157,8 @@ func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(row table.Row) bool) 
 		return at, err
 	}
 	defer q.Close()
-	// Build the per-key overlay from the private buffer, applied in
-	// arrival order.
+	// The per-key overlay: each key's private updates in arrival order,
+	// and the keys in key order.
 	overlay := make(map[uint64][]update.Record)
 	var keys []uint64
 	for _, r := range t.private {
@@ -169,61 +170,42 @@ func (t *Txn) Scan(at sim.Time, begin, end uint64, fn func(row table.Row) bool) 
 		}
 		overlay[r.Key] = append(overlay[r.Key], r)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	ki := 0
-	emit := func(row table.Row) bool { return fn(row) }
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			return q.Time(), err
+	slices.Sort(keys)
+	// emit folds key's overlay onto the snapshot's row (exists says there
+	// is one) and hands fn the result, if the key still exists.
+	emit := func(key uint64, body []byte, exists bool) bool {
+		recs := overlay[key]
+		for i := range recs {
+			body, exists = update.Apply(body, exists, &recs[i])
 		}
-		if !ok {
-			break
-		}
-		// Emit private-only keys ordered before this row.
-		for ki < len(keys) && keys[ki] < row.Key {
-			if r, ok2 := t.applyOverlay(keys[ki], nil, false); ok2 {
-				if !emit(r) {
-					return q.Time(), nil
-				}
+		return !exists || fn(key, body)
+	}
+	ki, stopped := 0, false
+	err = q.Each(func(key uint64, body []byte) bool {
+		// Private-only keys ordered before this row.
+		for ; ki < len(keys) && keys[ki] < key; ki++ {
+			if !emit(keys[ki], nil, false) {
+				stopped = true
+				return false
 			}
+		}
+		if ki < len(keys) && keys[ki] == key {
 			ki++
+			stopped = !emit(key, body, true)
+		} else {
+			stopped = !fn(key, body)
 		}
-		if ki < len(keys) && keys[ki] == row.Key {
-			r, ok2 := t.applyOverlay(row.Key, row.Body, true)
-			ki++
-			if ok2 && !emit(r) {
-				return q.Time(), nil
-			}
-			continue
-		}
-		if !emit(row) {
-			return q.Time(), nil
-		}
+		return !stopped
+	})
+	if err != nil || stopped {
+		return q.Time(), err
 	}
 	for ; ki < len(keys); ki++ {
-		if r, ok2 := t.applyOverlay(keys[ki], nil, false); ok2 {
-			if !emit(r) {
-				return q.Time(), nil
-			}
+		if !emit(keys[ki], nil, false) {
+			break
 		}
 	}
 	return q.Time(), nil
-}
-
-func (t *Txn) applyOverlay(key uint64, base []byte, exists bool) (table.Row, bool) {
-	body := base
-	for i := range t.private {
-		r := t.private[i]
-		if r.Key != key {
-			continue
-		}
-		body, exists = update.Apply(body, exists, &r)
-	}
-	if !exists {
-		return table.Row{}, false
-	}
-	return table.Row{Key: key, Body: body}, true
 }
 
 // Commit validates and publishes t — together with the sub-transactions

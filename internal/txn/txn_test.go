@@ -98,8 +98,8 @@ func forEachArity(t *testing.T, nRows int, fn func(t *testing.T, m *Manager, com
 func scanAll(t *testing.T, tx *Txn) map[uint64][]byte {
 	t.Helper()
 	got := make(map[uint64][]byte)
-	if _, err := tx.Scan(0, 0, ^uint64(0), func(row table.Row) bool {
-		got[row.Key] = append([]byte(nil), row.Body...)
+	if _, err := tx.Scan(0, 0, ^uint64(0), func(key uint64, body []byte) bool {
+		got[key] = append([]byte(nil), body...)
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestCommitAfterReleaseReads(t *testing.T) {
 	a.ReleaseReads()
 	a.ReleaseReads() // idempotent
 	b.ReleaseReads()
-	if _, err := a.Scan(0, 0, 100, func(table.Row) bool { return true }); !errors.Is(err, masm.ErrSnapshotClosed) {
+	if _, err := a.Scan(0, 0, 100, func(uint64, []byte) bool { return true }); !errors.Is(err, masm.ErrSnapshotClosed) {
 		t.Fatalf("scan after ReleaseReads: %v, want ErrSnapshotClosed", err)
 	}
 	if _, _, err := store.Migrate(0); err != nil {
@@ -280,9 +280,9 @@ func TestTxnScanRange(t *testing.T) {
 	tx := m.Begin()
 	tx.Update(update.Record{Key: 101, Op: update.Insert, Payload: []byte("odd")})
 	n := 0
-	if _, err := tx.Scan(0, 100, 110, func(row table.Row) bool {
-		if row.Key < 100 || row.Key > 110 {
-			t.Fatalf("row %d outside range", row.Key)
+	if _, err := tx.Scan(0, 100, 110, func(key uint64, _ []byte) bool {
+		if key < 100 || key > 110 {
+			t.Fatalf("row %d outside range", key)
 		}
 		n++
 		return true

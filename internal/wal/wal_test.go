@@ -180,15 +180,11 @@ func (r *rig) verify() {
 	}
 	defer q.Close()
 	got := make(map[uint64][]byte)
-	for {
-		row, ok, err := q.Next()
-		if err != nil {
-			r.t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got[row.Key] = append([]byte(nil), row.Body...)
+	if err := q.Each(func(key uint64, body []byte) bool {
+		got[key] = append([]byte(nil), body...)
+		return true
+	}); err != nil {
+		r.t.Fatal(err)
 	}
 	if len(got) != len(r.model) {
 		r.t.Fatalf("recovered store: %d rows, want %d", len(got), len(r.model))

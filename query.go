@@ -5,14 +5,12 @@ package masm
 // pushes the key predicate below the merge (zone maps prune whole run
 // granules and data pages before their reads are issued, and surviving
 // scans filter records before they enter the merge), narrows bodies with
-// the projection, and streams rows through the internal/query operator
-// pipeline without materializing a result.
+// the projection, and pushes each row through the projection, filter and
+// limit callbacks into the caller's without materializing a result.
 
 import (
 	"fmt"
 
-	core "masm/internal/masm"
-	"masm/internal/query"
 	"masm/internal/update"
 )
 
@@ -48,8 +46,7 @@ type QuerySpec struct {
 	// KeyRanges instead.
 	Filter func(key uint64, body []byte) bool
 	// Limit stops the query after this many rows (0 = unlimited). The
-	// scan stops pulling when the limit is hit, so unread granules cost
-	// nothing.
+	// scan stops at the limit's last row, so unread granules cost nothing.
 	Limit int64
 }
 
@@ -91,38 +88,33 @@ func (t *Table) Query(spec QuerySpec, fn func(key uint64, body []byte) bool) err
 	if err != nil {
 		return err
 	}
-	defer func() {
-		e.clock.advance(q.Time())
-		q.Close()
-	}()
-	it := buildPipeline(q, &spec)
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(r.Key, r.Body) {
-			return nil
-		}
-	}
+	return e.drainQuery(q, spec.pipeline(fn))
 }
 
-// buildPipeline composes the operator tree above a merge-engine query:
-// projection, then the residual filter, then the limit.
-func buildPipeline(q *core.Query, spec *QuerySpec) query.Iterator {
-	var it query.Iterator = q.Rows()
-	if spec.Project != nil {
-		it = query.NewProject(it, spec.Project.Off, spec.Project.Width)
+// pipeline composes the operators above the merge as callbacks around fn:
+// each row is projected, then filtered, then counted against the limit.
+// The returned function is the one Query.Each calls per row; projection
+// narrows a body by reslicing, so the pipeline copies nothing.
+func (spec *QuerySpec) pipeline(fn func(key uint64, body []byte) bool) func(key uint64, body []byte) bool {
+	if spec.Limit > 0 {
+		left, inner := spec.Limit, fn
+		fn = func(k uint64, b []byte) bool {
+			left--
+			return inner(k, b) && left > 0
+		}
 	}
 	if spec.Filter != nil {
-		fn := spec.Filter
-		it = query.NewFilter(it, func(r *query.Row) bool { return fn(r.Key, r.Body) })
+		keep, inner := spec.Filter, fn
+		fn = func(k uint64, b []byte) bool { return !keep(k, b) || inner(k, b) }
 	}
-	if spec.Limit > 0 {
-		it = query.NewLimit(it, spec.Limit)
+	if p := spec.Project; p != nil {
+		off, end, inner := p.Off, p.Off+p.Width, fn
+		fn = func(k uint64, b []byte) bool {
+			if end <= len(b) {
+				return inner(k, b[off:end:end])
+			}
+			return inner(k, nil)
+		}
 	}
-	return it
+	return fn
 }
