@@ -371,33 +371,46 @@ func TestQueryPipelineProjectReslices(t *testing.T) {
 	}
 }
 
+// runPipeline feeds rows numbered 0..rows-1 with bodies "body-%04d"
+// through spec's pipeline and returns the keys it kept and the row at which
+// it stopped the scan (-1 if it never did).
+func runPipeline(spec QuerySpec, rows int) (kept []uint64, stoppedAt int) {
+	fn := spec.pipeline(func(k uint64, _ []byte) bool { kept = append(kept, k); return true })
+	for i := 0; i < rows; i++ {
+		if !fn(uint64(i), []byte(fmt.Sprintf("body-%04d", i))) {
+			return kept, i
+		}
+	}
+	return kept, -1
+}
+
 // TestQueryPipelineFilterThenLimit: the filter sees projected bodies and
 // the limit counts only the rows the filter keeps, stopping the scan on
-// its last one; zero is no limit.
+// its last one.
 func TestQueryPipelineFilterThenLimit(t *testing.T) {
-	run := func(spec QuerySpec, rows int) (kept []uint64, stoppedAt int) {
-		fn := spec.pipeline(func(k uint64, _ []byte) bool { kept = append(kept, k); return true })
-		for i := 0; i < rows; i++ {
-			if !fn(uint64(i), []byte(fmt.Sprintf("body-%04d", i))) {
-				return kept, i
-			}
-		}
-		return kept, -1
-	}
 	spec := QuerySpec{Project: &Projection{Off: 5, Width: 4},
 		Filter: func(k uint64, b []byte) bool { return string(b) == fmt.Sprintf("%04d", k) && k%3 == 0 }}
-	if kept, stop := run(spec, 30); len(kept) != 10 || kept[9] != 27 || stop != -1 {
+	if kept, stop := runPipeline(spec, 30); len(kept) != 10 || kept[9] != 27 || stop != -1 {
 		t.Fatalf("filter kept %v (stopped at %d), want the 10 multiples of 3 and no stop", kept, stop)
 	}
 	spec.Limit = 7
-	if kept, stop := run(spec, 100); len(kept) != 7 || stop != 18 {
+	if kept, stop := runPipeline(spec, 100); len(kept) != 7 || stop != 18 {
 		t.Fatalf("limit 7 kept %v and stopped at row %d, want 7 rows and a stop at row 18", kept, stop)
 	}
-	if kept, stop := run(QuerySpec{Limit: 7}, 3); len(kept) != 3 || stop != -1 {
+}
+
+// TestQueryPipelineLimit: a limit of k keeps the first k rows and stops the
+// scan on the k-th, a limit past the end keeps every row, and zero is no
+// limit.
+func TestQueryPipelineLimit(t *testing.T) {
+	if kept, stop := runPipeline(QuerySpec{Limit: 7}, 100); len(kept) != 7 || kept[6] != 6 || stop != 6 {
+		t.Fatalf("limit 7 kept %v and stopped at row %d, want rows 0-6 and a stop at row 6", kept, stop)
+	}
+	if kept, stop := runPipeline(QuerySpec{Limit: 7}, 3); len(kept) != 3 || stop != -1 {
 		t.Fatalf("limit past the end kept %d rows (stopped at %d)", len(kept), stop)
 	}
-	if kept, _ := run(QuerySpec{}, 50); len(kept) != 50 {
-		t.Fatalf("limit 0 kept %d of 50 rows", len(kept))
+	if kept, stop := runPipeline(QuerySpec{}, 50); len(kept) != 50 || stop != -1 {
+		t.Fatalf("limit 0 kept %d of 50 rows (stopped at %d)", len(kept), stop)
 	}
 }
 
@@ -410,21 +423,24 @@ func TestQueryPipelineZeroAllocs(t *testing.T) {
 	pred := update.NewPred([]update.KeyRange{{Lo: 0, Hi: 1 << 20}})
 	spec := QuerySpec{Project: &Projection{Off: 2, Width: 4}, Limit: 1 << 40,
 		Filter: func(k uint64, b []byte) bool { return pred.Match(k) && len(b) == 4 }}
-	rows := 0
-	fn := spec.pipeline(func(uint64, []byte) bool { rows++; return true })
-	body := []byte("body-0000")
-	key := uint64(0)
-	if avg := testing.AllocsPerRun(10000, func() {
-		key++
-		if !fn(key, body) {
-			t.Fatal("pipeline stopped")
+
+	t.Run("pipeline", func(t *testing.T) {
+		rows := 0
+		fn := spec.pipeline(func(uint64, []byte) bool { rows++; return true })
+		body := []byte("body-0000")
+		key := uint64(0)
+		if avg := testing.AllocsPerRun(10000, func() {
+			key++
+			if !fn(key, body) {
+				t.Fatal("pipeline stopped")
+			}
+		}); avg != 0 {
+			t.Fatalf("the pipeline allocates %.1f per row, want 0", avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("the pipeline allocates %.1f per row, want 0", avg)
-	}
-	if rows != 10001 {
-		t.Fatalf("the pipeline kept %d of 10001 rows", rows)
-	}
+		if rows != 10001 {
+			t.Fatalf("the pipeline kept %d of 10001 rows", rows)
+		}
+	})
 }
 
 // failReads is a backend whose reads fail once armed.
