@@ -30,7 +30,6 @@ func main() {
 		ntables    = flag.Int("ntables", 1, "tables to create on first start (t0..tN-1)")
 		tableCache = flag.Int64("table-cache", 0, "per-table cache quota, MiB (0 = whole shared cache; the per-tenant knob)")
 		sched      = flag.Duration("sched", masm.DefaultMigrationInterval, "migration scheduler poll interval")
-		directIO   = flag.Bool("directio", false, "open data files with O_DIRECT where supported")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -45,7 +44,6 @@ func main() {
 		Config:      cfg,
 		DataBytes:   *dataMB << 20,
 		MetricsAddr: *metrics,
-		DirectIO:    *directIO,
 	})
 	if err != nil {
 		log.Fatalf("masmd: open %s: %v", *dir, err)

@@ -80,11 +80,6 @@ type EngineDirOptions struct {
 	// registry's atomic snapshots and never touches engine locks or the
 	// simulated timeline. The listener closes with the engine.
 	MetricsAddr string
-	// DirectIO opens the directory's files with O_DIRECT where the
-	// filesystem supports it: aligned requests bypass the page cache,
-	// unaligned ones silently take the buffered descriptor. Purely a
-	// wall-clock knob — the simulated timeline never sees it.
-	DirectIO bool
 }
 
 // defaultEngineDataBytes sizes main.data when EngineDirOptions.DataBytes
@@ -196,7 +191,7 @@ func (ds *dirState) hooks() wal.Hooks {
 // openBackend opens (creating if absent) one of the directory's files as a
 // storage backend of the given capacity, applying the WrapBackend seam.
 func (ds *dirState) openBackend(name string, size int64) (storage.Backend, error) {
-	f, err := filedev.Open(filepath.Join(ds.dir, name), size, filedev.Options{Direct: ds.opts.DirectIO})
+	f, err := filedev.Open(filepath.Join(ds.dir, name), size)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +270,7 @@ func syncDir(dir string) error {
 // batch — is visible after reopen, even if the previous process was killed
 // mid-write and left a torn redo-log tail.
 func OpenEngineDir(dir string, opts EngineDirOptions) (*Engine, error) {
-	return openEngineDir(dir, opts, storage.DefaultIOWorkers)
+	return openEngineDir(dir, opts, defaultRebuildWorkers)
 }
 
 // openEngineDir is OpenEngineDir with recovery's rebuild concurrency
@@ -337,8 +332,8 @@ func deviceFor(p sim.DeviceParams, need int64) *sim.Device {
 
 // newDirEngine builds the engine shell over an opened directory: the
 // simulated devices sized for ds.m's geometry (with room for logs redo-log
-// regions after main.data on the disk), the registry, the I/O pool, and
-// the main.data and cache.runs volumes. The caller lays out the log.
+// regions after main.data on the disk), the registry, and the main.data
+// and cache.runs volumes. The caller lays out the log.
 func newDirEngine(ds *dirState, logs int64) (*Engine, error) {
 	m := &ds.m
 	hdd := deviceFor(sim.Barracuda7200(), m.DataBytes+logs*m.LogBytes)
@@ -357,8 +352,6 @@ func newDirEngine(ds *dirState, logs int64) (*Engine, error) {
 	e.fs = ds
 	ds.manifestWrites = e.reg.Counter("masm_manifest_writes")
 	ds.manifestNanos = e.reg.Histogram("masm_manifest_commit_nanos")
-	e.iopool = storage.NewIOPool(storage.DefaultIOWorkers)
-	e.iopool.SetMetrics(ioPoolMetricsFor(e.reg))
 	return e, nil
 }
 

@@ -74,10 +74,6 @@ type Engine struct {
 	log    *wal.Log
 	// fs is non-nil for file-backed engines (OpenEngineDir).
 	fs *dirState
-	// iopool batches data-plane I/O (migration shadow-batch writes) for
-	// file-backed engines; nil (in-memory engines) leaves tables on the
-	// package default pool.
-	iopool *storage.IOPool
 
 	// reg is the engine's metric registry; every layer's counters, gauges
 	// and histograms live here, labeled per table where appropriate. tracer
@@ -153,19 +149,6 @@ func (e *Engine) openLog() {
 		Syncs:     e.reg.Counter("masm_wal_syncs"),
 		SyncNanos: e.reg.Histogram("masm_wal_sync_nanos"),
 	})
-}
-
-// ioPoolMetricsFor registers the async I/O pool's series in reg: the
-// instantaneous and high-water queue depth the data plane sustains, and
-// batch/op throughput. Depth peak > 1 is the observable proof that batched
-// migration writes and recovery scans reach the kernel concurrently.
-func ioPoolMetricsFor(reg *obs.Registry) storage.IOPoolMetrics {
-	return storage.IOPoolMetrics{
-		Depth:     reg.Gauge("masm_io_depth"),
-		DepthPeak: reg.Gauge("masm_io_depth_peak"),
-		Batches:   reg.Counter("masm_io_batches"),
-		Ops:       reg.Counter("masm_io_ops"),
-	}
 }
 
 // storeMetricsFor registers (or re-attaches to) a table's series in the
@@ -283,9 +266,6 @@ func (e *Engine) CreateTable(name string, opts TableOptions) (*Table, error) {
 	}
 	if t.tbl, err = table.Load(dataVol, tcfg, opts.Keys, opts.Bodies); err != nil {
 		return nil, err
-	}
-	if e.iopool != nil {
-		t.tbl.SetIOPool(e.iopool)
 	}
 	if err := e.ensureLogLocked(); err != nil {
 		return nil, err
@@ -932,7 +912,7 @@ func (e *Engine) HardStop() error {
 // the catalog). On a file-backed engine the crash is real: a HardStop
 // followed by a fresh OpenEngineDir of the same directory.
 func (e *Engine) Crash() (*Engine, error) {
-	return e.crash(storage.DefaultIOWorkers)
+	return e.crash(defaultRebuildWorkers)
 }
 
 // crash is Crash with recovery's rebuild concurrency explicit (see

@@ -15,7 +15,7 @@ import (
 // identically over: the in-memory backend and a real file.
 func innerBackends(t *testing.T, size int64) map[string]storage.Backend {
 	t.Helper()
-	f, err := filedev.Open(filepath.Join(t.TempDir(), "fault.dat"), size, filedev.Options{})
+	f, err := filedev.Open(filepath.Join(t.TempDir(), "fault.dat"), size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ var runBackings = []runBacking{
 		const volSize = 4 << 20
 		path := filepath.Join(t.TempDir(), "cache.runs")
 		open := func() *storage.Volume {
-			be, err := filedev.Open(path, volSize, filedev.Options{})
+			be, err := filedev.Open(path, volSize)
 			if err != nil {
 				t.Fatal(err)
 			}

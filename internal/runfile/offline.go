@@ -33,7 +33,7 @@ type stagedReader struct {
 }
 
 func newStagedReader(vol *storage.Volume, hi int64, batch int) *stagedReader {
-	return &stagedReader{vol: vol, hi: hi, pbuf: storage.GetAligned(batch)}
+	return &stagedReader{vol: vol, hi: hi, pbuf: storage.GetBuf(batch)}
 }
 
 func (sr *stagedReader) read(p []byte, readOff int64) error {
@@ -60,7 +60,7 @@ func (sr *stagedReader) read(p []byte, readOff int64) error {
 	return nil
 }
 
-func (sr *stagedReader) release() { storage.PutAligned(sr.pbuf) }
+func (sr *stagedReader) release() { storage.PutBuf(sr.pbuf) }
 
 // offlineBatch is how many priced-size reads one offline physical pread
 // stages (1MB batches at the default 64KB I/O size).

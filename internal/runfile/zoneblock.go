@@ -193,8 +193,8 @@ func loadIndexScan(vol *storage.Volume, off, size, indexSize int64,
 	if count < 0 || count > size/update.HeaderSize {
 		return nil, fmt.Errorf("runfile: load run %d: %d records cannot fit %d data bytes", id, count, size)
 	}
-	stage := storage.GetAligned(cfg.IOSize)
-	defer storage.PutAligned(stage)
+	stage := storage.GetBuf(cfg.IOSize)
+	defer storage.PutBuf(stage)
 	// The key filter is memory-only: it is rebuilt from the bytes the
 	// checksum sweep reads anyway, allocated once from the block's count.
 	fb := filterBuilder{f: newKeyFilter(count)}

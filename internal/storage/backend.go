@@ -28,15 +28,6 @@ type Backend interface {
 	Size() int64
 }
 
-// Discarder is an optional Backend extension: Discard drops the content of
-// [off, off+length), freeing the space. Implementations guarantee that
-// discarded regions read as zero. Backends that cannot reclaim space (plain
-// files) simply do not implement it; the stale bytes are harmless because
-// every extent is fully rewritten before it is read again.
-type Discarder interface {
-	Discard(off, length int64) error
-}
-
 // memChunkSize is the granularity of sparse allocation. One megabyte keeps
 // the map small for multi-gigabyte volumes while wasting little on small
 // ones.
@@ -74,7 +65,7 @@ func (m *MemBackend) ReadAt(p []byte, off int64) error {
 	for n := int64(0); n < int64(len(p)); {
 		c := (off + n) / memChunkSize
 		co := (off + n) % memChunkSize
-		span := min64(memChunkSize-co, int64(len(p))-n)
+		span := min(memChunkSize-co, int64(len(p))-n)
 		if chunk, ok := m.chunks[c]; ok {
 			copy(p[n:n+span], chunk[co:co+span])
 		} else {
@@ -94,7 +85,7 @@ func (m *MemBackend) WriteAt(p []byte, off int64) error {
 	for n := int64(0); n < int64(len(p)); {
 		c := (off + n) / memChunkSize
 		co := (off + n) % memChunkSize
-		span := min64(memChunkSize-co, int64(len(p))-n)
+		span := min(memChunkSize-co, int64(len(p))-n)
 		chunk, ok := m.chunks[c]
 		if !ok {
 			chunk = make([]byte, memChunkSize)
@@ -102,31 +93,6 @@ func (m *MemBackend) WriteAt(p []byte, off int64) error {
 		}
 		copy(chunk[co:co+span], p[n:n+span])
 		n += span
-	}
-	return nil
-}
-
-// Discard implements Discarder: whole chunks fully inside the range are
-// freed; partial overlaps are zeroed.
-func (m *MemBackend) Discard(off, length int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	end := off + length
-	first := off / memChunkSize
-	last := (end - 1) / memChunkSize
-	for c := first; c <= last; c++ {
-		cs, ce := c*memChunkSize, (c+1)*memChunkSize
-		if cs >= off && ce <= end {
-			delete(m.chunks, c)
-			continue
-		}
-		if chunk, ok := m.chunks[c]; ok {
-			zs := max64(cs, off) - cs
-			ze := min64(ce, end) - cs
-			for i := zs; i < ze; i++ {
-				chunk[i] = 0
-			}
-		}
 	}
 	return nil
 }

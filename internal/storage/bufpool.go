@@ -1,66 +1,39 @@
 package storage
 
-import (
-	"sync"
-	"unsafe"
-)
+import "sync"
 
-// IOAlign is the alignment the aligned buffer pool guarantees for every
-// buffer it hands out: 4096 bytes, the strictest alignment Linux O_DIRECT
-// demands on current filesystems. The file backend routes a request to
-// its O_DIRECT fd only when offset, length and buffer address are all
-// IOAlign-multiples, so I/O-heavy paths (migration batches, WAL replay
-// chunks, run rebuild windows) draw their buffers from this pool to stay
-// direct-eligible — and, direct mode or not, to stop re-allocating
-// megabyte-scale scratch on every batch.
-const IOAlign = 4096
-
-// Aligned reports whether p's backing address is a multiple of align.
-func Aligned(p []byte, align int) bool {
-	if len(p) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&p[0]))%uintptr(align) == 0
-}
+// The buffer pool serves the I/O-heavy paths (migration batches, WAL
+// replay chunks, run rebuild windows, page encodes) so they stop
+// re-allocating megabyte-scale scratch on every batch.
 
 // bufClasses are the pooled size classes: powers of two from 4 KiB
 // (one page) to 16 MiB (largest migration batch window). Requests above
 // the largest class allocate directly and are not pooled.
 var bufClasses = func() []int {
 	var cs []int
-	for n := IOAlign; n <= 16<<20; n <<= 1 {
+	for n := 4 << 10; n <= 16<<20; n <<= 1 {
 		cs = append(cs, n)
 	}
 	return cs
 }()
 
-// The pools hold *[]byte rather than []byte: boxing a slice header into
-// an interface allocates on every Put, which would show up in the
-// AllocsPerRun gates this pool exists to satisfy.
-var bufPools = func() []*sync.Pool {
-	ps := make([]*sync.Pool, len(bufClasses))
-	for i, n := range bufClasses {
-		n := n
-		ps[i] = &sync.Pool{New: func() any {
-			b := alignedAlloc(n)
-			return &b
-		}}
-	}
-	return ps
-}()
-
-// alignedAlloc returns a fresh n-byte slice whose first byte sits on an
-// IOAlign boundary. It over-allocates by one alignment unit and slices
-// forward; the slice keeps the whole backing array alive, so the aligned
-// view can be pooled and reused without losing its alignment.
-func alignedAlloc(n int) []byte {
-	raw := make([]byte, n+IOAlign)
-	off := 0
-	if r := int(uintptr(unsafe.Pointer(&raw[0])) % uintptr(IOAlign)); r != 0 {
-		off = IOAlign - r
-	}
-	return raw[off : off+n : off+n]
-}
+// The class pools hold *[]byte rather than []byte: boxing a slice header
+// into an interface allocates. The boxes themselves circulate through
+// bufBoxes — GetBuf empties a box into it, PutBuf fills one from it — so
+// a Get/Put round trip allocates nothing.
+var (
+	bufPools = func() []*sync.Pool {
+		ps := make([]*sync.Pool, len(bufClasses))
+		for i, n := range bufClasses {
+			ps[i] = &sync.Pool{New: func() any {
+				b := make([]byte, n)
+				return &b
+			}}
+		}
+		return ps
+	}()
+	bufBoxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // classFor returns the pool index for a request of n bytes, or -1 when n
 // exceeds the largest class.
@@ -73,34 +46,32 @@ func classFor(n int) int {
 	return -1
 }
 
-// GetAligned returns a zero-length, IOAlign-aligned buffer with capacity
-// at least n, drawn from the pool. The contents of the backing array are
-// unspecified (recycled buffers keep old bytes); callers append or slice
-// and overwrite. Release with PutAligned.
-func GetAligned(n int) []byte {
-	if n <= 0 {
-		n = 1
-	}
-	ci := classFor(n)
+// GetBuf returns a zero-length buffer with capacity at least n, drawn
+// from the pool. The contents of the backing array are unspecified
+// (recycled buffers keep old bytes); callers append or slice and
+// overwrite. Release with PutBuf.
+func GetBuf(n int) []byte {
+	ci := classFor(max(n, 1))
 	if ci < 0 {
-		return alignedAlloc(n)[:0]
+		return make([]byte, 0, n)
 	}
-	return (*bufPools[ci].Get().(*[]byte))[:0]
+	box := bufPools[ci].Get().(*[]byte)
+	b := *box
+	*box = nil
+	bufBoxes.Put(box)
+	return b[:0]
 }
 
-// PutAligned returns a buffer obtained from GetAligned to the pool.
-// Passing a foreign or misaligned slice is safe: it is simply dropped.
-func PutAligned(p []byte) {
+// PutBuf returns a buffer to the pool; the caller must not touch it
+// afterwards. Only exact class-capacity buffers re-enter the pool;
+// anything else (oversize one-offs, resliced views, nil) is left to the GC.
+func PutBuf(p []byte) {
 	c := cap(p)
-	if c == 0 || !Aligned(p[:1], IOAlign) {
-		return
-	}
-	// Only exact class-capacity buffers re-enter the pool; anything else
-	// (oversize one-offs, resliced views) is left to the GC.
 	for i, n := range bufClasses {
 		if c == n {
-			b := p[:n:n]
-			bufPools[i].Put(&b)
+			box := bufBoxes.Get().(*[]byte)
+			*box = p[:n]
+			bufPools[i].Put(box)
 			return
 		}
 	}

@@ -13,12 +13,9 @@
 // the kernel may return short counts (signals, RLIMIT_FSIZE, quirky
 // filesystems), and a short write that silently drops bytes corrupts a
 // run file, so both directions loop until the request is full and retry
-// EINTR. An optional O_DIRECT mode (Options.Direct) bypasses the page
-// cache for requests whose offset, length and buffer all satisfy the
-// device alignment; unaligned requests silently take the buffered fd, so
-// correctness never depends on the caller's buffer provenance. Pair
-// direct mode with the package's aligned buffer pool (Pool) to make the
-// hot migration/merge paths alignment-eligible.
+// EINTR. Every file is opened one way — one buffered descriptor that
+// serves reads, writes and fsync — so no request depends on the
+// alignment of the caller's buffer.
 package filedev
 
 import (
@@ -30,12 +27,6 @@ import (
 
 	"masm/internal/storage"
 )
-
-// DirectAlign is the alignment (offset, length and buffer address) a
-// request must satisfy to be eligible for the O_DIRECT fd. 4096 covers
-// every modern Linux filesystem/device combination; 512-byte-aligned
-// devices accept it too.
-const DirectAlign = 4096
 
 // ioChunkLimit, when positive, caps the byte count of every individual
 // pread/pwrite syscall. It exists so tests can force the kernel-visible
@@ -50,21 +41,11 @@ func setIOChunkLimit(n int) (restore func()) {
 	return func() { ioChunkLimit.Store(prev) }
 }
 
-// Options configures Open.
-type Options struct {
-	// Direct requests O_DIRECT for aligned I/O. When the filesystem
-	// refuses O_DIRECT (tmpfs, some overlayfs), the file silently falls
-	// back to fully buffered I/O — direct mode is a performance hint,
-	// never a correctness switch.
-	Direct bool
-}
-
 // File is a file-backed storage.Backend. It is safe for concurrent use:
 // ReadAt/WriteAt map to pread/pwrite, which the OS serializes per byte
 // range, and the engine above never issues overlapping writes.
 type File struct {
-	f    *os.File // buffered fd; also the fsync target
-	df   *os.File // O_DIRECT fd, nil unless direct mode is active
+	f    *os.File
 	path string
 	size int64
 }
@@ -76,7 +57,7 @@ var _ storage.Backend = (*File)(nil)
 // extended with a hole so the full capacity is readable. An existing file
 // larger than size is rejected: it belongs to a layout with a different
 // geometry.
-func Open(path string, size int64, opts Options) (*File, error) {
+func Open(path string, size int64) (*File, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("filedev: non-positive size %d for %s", size, path)
 	}
@@ -100,37 +81,11 @@ func Open(path string, size int64, opts Options) (*File, error) {
 			return nil, fmt.Errorf("filedev: extend %s to %d bytes: %w", path, size, err)
 		}
 	}
-	d := &File{f: f, path: path, size: size}
-	if opts.Direct {
-		// A second fd on the same file: aligned requests go direct, the
-		// rest stay buffered. Linux keeps the two views coherent enough
-		// for our access pattern (the engine never issues overlapping
-		// concurrent writes, and fsync on either fd flushes the inode).
-		if df, derr := os.OpenFile(path, os.O_RDWR|syscall.O_DIRECT, 0o644); derr == nil {
-			d.df = df
-		}
-	}
-	return d, nil
+	return &File{f: f, path: path, size: size}, nil
 }
 
 // Size implements storage.Backend.
 func (d *File) Size() int64 { return d.size }
-
-// aligned reports whether a request may use the O_DIRECT fd.
-func aligned(p []byte, off int64) bool {
-	if off%DirectAlign != 0 || len(p)%DirectAlign != 0 || len(p) == 0 {
-		return false
-	}
-	return storage.Aligned(p, DirectAlign)
-}
-
-// readFD picks the fd for a read request.
-func (d *File) readFD(p []byte, off int64) int {
-	if d.df != nil && aligned(p, off) {
-		return int(d.df.Fd())
-	}
-	return int(d.f.Fd())
-}
 
 // pread fills p from off, looping over short counts and EINTR. It
 // returns the bytes read and io.EOF if the file ends before p is full.
@@ -191,7 +146,7 @@ func (d *File) ReadAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > d.size {
 		return fmt.Errorf("filedev: read [%d,%d) outside %s capacity %d", off, off+int64(len(p)), d.path, d.size)
 	}
-	n, err := pread(d.readFD(p, off), p, off)
+	n, err := pread(int(d.f.Fd()), p, off)
 	if err == io.EOF {
 		// The region past the file's physical end reads as zero — the
 		// sparse-file contract (can only happen if the file was truncated
@@ -209,29 +164,13 @@ func (d *File) WriteAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > d.size {
 		return fmt.Errorf("filedev: write [%d,%d) outside %s capacity %d", off, off+int64(len(p)), d.path, d.size)
 	}
-	fd := int(d.f.Fd())
-	if d.df != nil && aligned(p, off) {
-		fd = int(d.df.Fd())
-	}
-	return pwrite(fd, p, off)
+	return pwrite(int(d.f.Fd()), p, off)
 }
 
 // Sync implements storage.Backend: fsync, the real durability barrier.
-// One fsync covers both fds — durability is a property of the inode, not
-// of the descriptor the bytes arrived through.
 func (d *File) Sync() error { return d.f.Sync() }
 
 // Close implements storage.Backend. It does not sync: a clean shutdown
 // syncs explicitly first, and a crash test closes without syncing on
 // purpose.
-func (d *File) Close() error {
-	var derr error
-	if d.df != nil {
-		derr = d.df.Close()
-		d.df = nil
-	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
-	return derr
-}
+func (d *File) Close() error { return d.f.Close() }

@@ -12,7 +12,7 @@ import (
 
 func TestReadWriteSparseZeros(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 1<<20, Options{})
+	d, err := Open(path, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestReadWriteSparseZeros(t *testing.T) {
 
 func TestPersistsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 1<<16, Options{})
+	d, err := Open(path, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPersistsAcrossReopen(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(path, 1<<16, Options{})
+	d2, err := Open(path, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRejectsOversizedExisting(t *testing.T) {
 	if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, 1024, Options{}); err == nil {
+	if _, err := Open(path, 1024); err == nil {
 		t.Fatal("accepted a file larger than the declared capacity")
 	}
 }
@@ -92,7 +92,7 @@ func TestTruncatedTailReadsZero(t *testing.T) {
 	// A torn-tail recovery test truncates the file externally; reads past
 	// the shortened end must come back as zeros, not errors.
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 8192, Options{})
+	d, err := Open(path, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTruncatedTailReadsZero(t *testing.T) {
 // is still charged while the bytes land in the file.
 func TestVolumeOverFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dev")
-	d, err := Open(path, 1<<20, Options{})
+	d, err := Open(path, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,9 @@ func (v *Volume) WriteAt(at sim.Time, p []byte, off int64) (sim.Completion, erro
 
 // ChargeRead prices a read of [off, off+n) on the simulated device
 // without touching the backend. It is the timing half of a read whose
-// data half already happened via PeekAt: parallel recovery performs its
-// backend reads concurrently (unpriced), then charges the recorded spans
-// here serially, in exactly the order the serial path would have issued
+// data half already happened via PeekAt: recovery's concurrent run
+// rebuilds read their bytes unpriced, then charge the recorded spans here
+// serially, in exactly the order the inline rebuild would have issued
 // them — so the virtual timeline is bit-identical no matter how many
 // goroutines moved the bytes.
 func (v *Volume) ChargeRead(at sim.Time, off, n int64) (sim.Completion, error) {
@@ -91,19 +91,9 @@ func (v *Volume) ChargeRead(at sim.Time, off, n int64) (sim.Completion, error) {
 	return v.dev.Read(at, v.base+off, n), nil
 }
 
-// ChargeWrite is ChargeRead for writes: prices the device, leaves the
-// backend alone (the bytes were delivered separately via PokeAt or an
-// async pool).
-func (v *Volume) ChargeWrite(at sim.Time, off, n int64) (sim.Completion, error) {
-	if err := v.check(off, n); err != nil {
-		return sim.Completion{}, err
-	}
-	return v.dev.Write(at, v.base+off, n), nil
-}
-
-// PeekAt copies bytes without charging any simulated time. It exists for
-// tests and for in-memory bookkeeping that does not correspond to device
-// I/O (e.g. verifying invariants).
+// PeekAt copies bytes without charging any simulated time: the data half
+// of recovery's concurrent run rebuilds (priced afterwards by ChargeRead),
+// and tests that inspect raw bytes.
 func (v *Volume) PeekAt(p []byte, off int64) error {
 	if err := v.check(off, int64(len(p))); err != nil {
 		return err
@@ -128,22 +118,6 @@ func (v *Volume) Sync() error { return v.be.Sync() }
 
 // Close releases the backend (closing the file for file-backed volumes).
 func (v *Volume) Close() error { return v.be.Close() }
-
-// Discard drops the content of [off, off+length) on backends that can
-// reclaim space (the in-memory backend frees its chunks, so reads of
-// discarded regions return zeros). Backends without the capability keep the
-// bytes; that is safe because extents are fully rewritten before reuse.
-// Used when migration frees old data chunks (paper §3.2, in-place migration
-// case ii).
-func (v *Volume) Discard(off, length int64) error {
-	if err := v.check(off, length); err != nil {
-		return err
-	}
-	if d, ok := v.be.(Discarder); ok {
-		return d.Discard(off, length)
-	}
-	return nil
-}
 
 // Slice returns a view of [off, off+size) of the volume as a Volume of its
 // own: reads and writes are shifted by off, and the simulated-device
@@ -175,14 +149,6 @@ func (s *sliceBackend) Size() int64                       { return s.size }
 func (s *sliceBackend) Sync() error                       { return s.be.Sync() }
 func (s *sliceBackend) Close() error                      { return nil }
 
-// Discard passes through to the parent when it can reclaim space.
-func (s *sliceBackend) Discard(off, length int64) error {
-	if d, ok := s.be.(Discarder); ok {
-		return d.Discard(s.off+off, length)
-	}
-	return nil
-}
-
 func (v *Volume) check(off, length int64) error {
 	// Subtraction form: off+length could wrap negative for hostile int64
 	// values (e.g. offsets decoded from an untrusted manifest) and slip
@@ -191,18 +157,4 @@ func (v *Volume) check(off, length int64) error {
 		return fmt.Errorf("storage: access [%d,+%d) outside volume size %d", off, length, v.size)
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

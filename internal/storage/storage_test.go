@@ -62,36 +62,6 @@ func TestVolumeBounds(t *testing.T) {
 	}
 }
 
-func TestVolumeDiscard(t *testing.T) {
-	v := testVolume(t, 4<<20)
-	data := bytes.Repeat([]byte{0xab}, 2<<20)
-	if err := v.PokeAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Discard(512<<10, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 2<<20)
-	if err := v.PeekAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 512<<10; i++ {
-		if got[i] != 0xab {
-			t.Fatalf("byte %d before discard window clobbered", i)
-		}
-	}
-	for i := 512 << 10; i < 512<<10+1<<20; i++ {
-		if got[i] != 0 {
-			t.Fatalf("byte %d inside discard window = %#x, want 0", i, got[i])
-		}
-	}
-	for i := 512<<10 + 1<<20; i < 2<<20; i++ {
-		if got[i] != 0xab {
-			t.Fatalf("byte %d after discard window clobbered", i)
-		}
-	}
-}
-
 func TestArenaNonOverlapping(t *testing.T) {
 	dev := sim.NewDevice(sim.IntelX25E())
 	a := NewArena(dev)

@@ -83,11 +83,10 @@ func (t *Table) ApplyStream(at sim.Time, migTS int64, src update.Iterator, batch
 	scratch := make([]byte, t.cfg.PageSize)
 	// Nothing aliasing the batch buffer escapes an iteration (overflow
 	// bodies are copied, the shadow writes complete before the next batch),
-	// so one pooled aligned buffer serves the whole pass — megabyte-scale
-	// scratch stops churning the GC and, on a direct-I/O file backend, the
-	// batch reads/writes become O_DIRECT eligible.
-	batchBuf := storage.GetAligned(pagesPerBatch * t.cfg.PageSize)
-	defer storage.PutAligned(batchBuf)
+	// so one pooled buffer serves the whole pass and megabyte-scale scratch
+	// stops churning the GC.
+	batchBuf := storage.GetBuf(pagesPerBatch * t.cfg.PageSize)
+	defer storage.PutBuf(batchBuf)
 	now := at
 	for i := 0; i < len(refs); {
 		// Collect a disk-contiguous batch.
@@ -216,37 +215,25 @@ func anyNewer(upds []update.Record, pageTS int64) bool {
 // section. On any error the allocated slots return to the free list and
 // the old pages remain authoritative.
 //
-// The batch's writes (base pages + every overflow page) are issued as one
-// async batch through the table's I/O pool: the bytes move concurrently —
-// this is what keeps the device at queue depth > 1 during a migration —
-// and the simulated device is then charged serially in the exact op order
-// the old one-write-at-a-time code used, so the virtual timeline is
-// unchanged. The flip still happens only after every byte of the batch is
-// durable in the backend's order.
+// Every slot is allocated first; then the writes go out in one fixed
+// order — the base pages as one request, then each overflow page in slot
+// order — each a priced Volume.WriteAt issued at the previous one's
+// completion. The flip happens only after every byte of the batch is
+// written.
 func (t *Table) writeShadowBatch(at sim.Time, old []pageRef, buf []byte, ovfs []*Page, res *ApplyResult) (sim.Time, error) {
 	n := len(old)
-	now := at
 	shadowFirst, err := t.allocRun(n)
 	if err != nil {
-		return now, err
+		return at, err
 	}
 	allocated := make([]int64, 0, n+len(ovfs))
 	for j := 0; j < n; j++ {
 		allocated = append(allocated, shadowFirst+int64(j))
 	}
-	var pageBufs [][]byte
-	release := func() {
-		for _, pb := range pageBufs {
-			storage.PutAligned(pb)
-		}
-	}
 	fail := func(err error) (sim.Time, error) {
-		release()
 		t.releaseInflight(allocated)
-		return now, err
+		return at, err
 	}
-	reqs := make([]storage.IOReq, 0, 1+len(ovfs))
-	reqs = append(reqs, storage.IOReq{Buf: buf, Off: shadowFirst * int64(t.cfg.PageSize), Write: true})
 	links := make([]shadowOverflow, 0, len(ovfs))
 	for _, p := range ovfs {
 		slot, err := t.allocRun(1)
@@ -254,22 +241,28 @@ func (t *Table) writeShadowBatch(at sim.Time, old []pageRef, buf []byte, ovfs []
 			return fail(err)
 		}
 		allocated = append(allocated, slot)
-		pb := storage.GetAligned(t.cfg.PageSize)[:t.cfg.PageSize]
-		pageBufs = append(pageBufs, pb)
-		if err := p.Encode(pb); err != nil {
-			return fail(fmt.Errorf("table: page %d: %w", slot, err))
-		}
-		reqs = append(reqs, storage.IOReq{Buf: pb, Off: slot * int64(t.cfg.PageSize), Write: true})
 		links = append(links, shadowOverflow{firstKey: p.Keys[0], pageNo: slot})
 	}
-	end, err := t.pool().RunAndCharge(t.vol, now, reqs)
+	ps := int64(t.cfg.PageSize)
+	c, err := t.vol.WriteAt(at, buf, shadowFirst*ps)
 	if err != nil {
 		return fail(err)
 	}
-	now = end
+	now := c.End
+	pb := storage.GetBuf(t.cfg.PageSize)[:t.cfg.PageSize]
+	defer storage.PutBuf(pb)
+	for k, p := range ovfs {
+		slot := links[k].pageNo
+		if err := p.Encode(pb); err != nil {
+			return fail(fmt.Errorf("table: page %d: %w", slot, err))
+		}
+		if c, err = t.vol.WriteAt(now, pb, slot*ps); err != nil {
+			return fail(err)
+		}
+		now = c.End
+	}
 	res.PagesWritten += int64(n)
 	res.OverflowPages += int64(len(ovfs))
-	release()
 	if err := t.commitShadowBatch(old, shadowFirst, links); err != nil {
 		t.releaseInflight(allocated)
 		return now, err

@@ -71,27 +71,6 @@ type Table struct {
 	retired  []int64 // replaced by a ref flip, awaiting durable commit
 	inflight map[int64]bool
 	migTS    int64 // newest migration stamp a page may carry
-
-	// iopool issues batched data-plane I/O (shadow-batch writes)
-	// concurrently; nil falls back to the shared package default. The
-	// pool affects wall-clock only — simulated-time pricing is serialized
-	// regardless (see storage.IOPool).
-	iopool *storage.IOPool
-}
-
-// defaultIOPool serves tables that were not wired to an engine-owned
-// pool (unit tests, single-table helpers).
-var defaultIOPool = storage.NewIOPool(0)
-
-// SetIOPool points the table at an engine-owned async I/O pool (nil
-// reverts to the package default).
-func (t *Table) SetIOPool(p *storage.IOPool) { t.iopool = p }
-
-func (t *Table) pool() *storage.IOPool {
-	if t.iopool != nil {
-		return t.iopool
-	}
-	return defaultIOPool
 }
 
 // Row is one record returned by a scan.
@@ -321,8 +300,8 @@ func (t *Table) readPage(at sim.Time, pageNo int64) (*Page, sim.Completion, erro
 // encode buffer is pooled: backends copy the bytes out synchronously, so
 // it can be recycled the moment WriteAt returns.
 func (t *Table) writePage(at sim.Time, pageNo int64, p *Page) (sim.Completion, error) {
-	buf := storage.GetAligned(t.cfg.PageSize)[:t.cfg.PageSize]
-	defer storage.PutAligned(buf)
+	buf := storage.GetBuf(t.cfg.PageSize)[:t.cfg.PageSize]
+	defer storage.PutBuf(buf)
 	if err := p.Encode(buf); err != nil {
 		return sim.Completion{}, fmt.Errorf("table: page %d: %w", pageNo, err)
 	}

@@ -607,12 +607,12 @@ func ReadStream(vol *storage.Volume, at sim.Time, emit func(Entry) error) (sim.T
 		// buf[start:] is the unparsed window; its first byte lives at
 		// volume offset off. nextRead is where the next sequential chunk
 		// is fetched from. The buffer is pooled and reused across replays.
-		buf      = storage.GetAligned(2 * replayChunk)
+		buf      = storage.GetBuf(2 * replayChunk)
 		start    = 0
 		off      = int64(headerSize)
 		nextRead = int64(headerSize)
 	)
-	defer func() { storage.PutAligned(buf) }()
+	defer func() { storage.PutBuf(buf) }()
 	avail := func() int64 { return int64(len(buf) - start) }
 	// fill extends the window to at least need unparsed bytes, stopping at
 	// the volume end. Parsed bytes are compacted away first, so in steady
@@ -632,9 +632,9 @@ func ReadStream(vol *storage.Volume, at sim.Time, emit func(Entry) error) (sim.T
 			if int64(cap(buf)-len(buf)) < n {
 				// Oversized frame or torn-tail scan: grow transiently,
 				// bounded by that frame/scan, never by the log.
-				nb := storage.GetAligned(len(buf) + int(n))
+				nb := storage.GetBuf(len(buf) + int(n))
 				nb = append(nb, buf...)
-				storage.PutAligned(buf)
+				storage.PutBuf(buf)
 				buf = nb
 			}
 			chunk := buf[len(buf) : len(buf)+int(n)]

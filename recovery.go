@@ -44,7 +44,7 @@ import (
 // rebuildWorkers bounds the concurrent rebuild scans. Zero rebuilds every
 // run inline inside step 5, priced as it reads — the reference shape the
 // differential tests hold the concurrent one to (same rows, same virtual
-// clock); everything outside those tests passes storage.DefaultIOWorkers.
+// clock); everything outside those tests passes defaultRebuildWorkers.
 func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time, tables []*Table, rebuildWorkers int) (sim.Time, error) {
 	start := time.Now()
 	ccfg := coreConfig(e.cfg)
@@ -134,6 +134,11 @@ func (e *Engine) recoverTables(what string, oldLog *storage.Volume, at sim.Time,
 	e.reg.Gauge("masm_recovery_wall_nanos").Set(time.Since(start).Nanoseconds())
 	return now, nil
 }
+
+// defaultRebuildWorkers bounds recovery's concurrent run rebuild scans:
+// enough preads in flight to keep an SSD's queue busy, few enough that a
+// recovery with many runs cannot exhaust OS threads.
+const defaultRebuildWorkers = 8
 
 // runRebuilder reconstructs surviving runs' indexes on the data plane while
 // the rest of recovery proceeds. A scan is pure data-plane work
@@ -310,7 +315,6 @@ func reopenEngineDir(dir string, opts EngineDirOptions, lock *os.File, rebuildWo
 		if terr != nil {
 			return nil, fmt.Errorf("masm: restore table %q: %w", tm.Name, terr)
 		}
-		tbl.SetIOPool(e.iopool)
 		// The shadow-commit stamp survives independently of the WAL: resume
 		// the oracle above it so no post-recovery update can mint a
 		// timestamp the committed page set already carries, and hand it
