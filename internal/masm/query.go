@@ -1,6 +1,8 @@
 package masm
 
 import (
+	"sync"
+
 	"masm/internal/extsort"
 	"masm/internal/memtable"
 	"masm/internal/runfile"
@@ -40,6 +42,7 @@ type Query struct {
 
 	data     *table.Scanner
 	runScans []*runfile.Scanner
+	runBufs  *runBufs        // runScans' read buffers, recycled in Each
 	merger   *extsort.Merger // over runScans + the buffer copy; feeds upd
 	upd      *update.BatchReader
 	// memFiltered counts the buffered records the predicate dropped from
@@ -69,6 +72,130 @@ type Query struct {
 // updateBatch is the number of merged update records the query pulls from
 // Merge_updates per refill.
 const updateBatch = 256
+
+// runBufRound is the unit run-read buffers are sized in: a new buffer
+// holds what it is drawn for and up to runBufRound more, so a read of one
+// size fits the buffer of another whatever partial record either carries
+// in front of it.
+const runBufRound = 4 << 10
+
+// runBufs recycles one query's run-read buffers (runfile.Bufs). A run
+// scanner retires a buffer when it moves to the next, but the records
+// decoded from it may still sit in the update window (upd) or in the
+// fold's body, or be the row in fn's hands. So a retired buffer is tagged
+// with the window of upd it was retired in, and Each frees it only at a
+// safe point — between update groups, after fn has returned — once upd
+// has refilled past that window: every record of the window has then been
+// consumed, folded and handed on. A buffer no record was handed out from
+// is free at once. Freed buffers are reused while the query runs; Close
+// frees them all, and returns the runBufs with them to runBufsPool for
+// the next query. Buffers are sized to the reads (a range's tail in each
+// run is often one granule), and a query owns no more of them than it has
+// held at once.
+type runBufs struct {
+	upd     *update.BatchReader // nil until the query's reader exists
+	free    [][]byte
+	retired []retiredBuf // in retirement order, so by window
+	held    int          // buffers handed out and not yet free again
+}
+
+// retiredBuf is a buffer waiting for window to be consumed.
+type retiredBuf struct {
+	buf    []byte
+	window uint64
+}
+
+var runBufsPool = sync.Pool{New: func() any { return new(runBufs) }}
+
+// poisonFreed makes runBufs overwrite every buffer it frees, so a record
+// still read after its buffer was freed shows at once; tests set it.
+var poisonFreed bool
+
+// Get implements runfile.Bufs: the smallest free buffer that fits, or a
+// new one, for which the smallest free buffer (too small for this read)
+// is dropped.
+func (b *runBufs) Get(n int) []byte {
+	b.held++
+	fit, small := -1, -1
+	for i, buf := range b.free {
+		if c := cap(buf); c >= n && (fit < 0 || c < cap(b.free[fit])) {
+			fit = i
+		} else if c < n && (small < 0 || c < cap(b.free[small])) {
+			small = i
+		}
+	}
+	if fit < 0 && small >= 0 {
+		b.take(small)
+	}
+	if fit < 0 {
+		return make([]byte, 0, (n/runBufRound+1)*runBufRound)
+	}
+	return b.take(fit)
+}
+
+// take removes free buffer i and returns it.
+func (b *runBufs) take(i int) []byte {
+	k := len(b.free) - 1
+	buf := b.free[i]
+	b.free[i], b.free[k] = b.free[k], nil
+	b.free = b.free[:k]
+	return buf
+}
+
+// Retire implements runfile.Bufs.
+func (b *runBufs) Retire(buf []byte, used bool) {
+	if !used {
+		b.put(buf)
+		return
+	}
+	var w uint64
+	if b.upd != nil {
+		w = b.upd.Window()
+	}
+	b.retired = append(b.retired, retiredBuf{buf, w})
+}
+
+// put frees buf.
+func (b *runBufs) put(buf []byte) {
+	b.held--
+	buf = buf[:cap(buf)]
+	if poisonFreed {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	b.free = append(b.free, buf[:0])
+}
+
+// recycle frees the retired buffers whose window upd has refilled past.
+// Each calls it only at a safe point.
+func (b *runBufs) recycle() {
+	if len(b.retired) > 0 && b.retired[0].window < b.upd.Window() {
+		b.freeRetired()
+	}
+}
+
+// freeRetired is recycle's slow path.
+func (b *runBufs) freeRetired() {
+	w, i := b.upd.Window(), 0
+	for ; i < len(b.retired) && b.retired[i].window < w; i++ {
+		b.put(b.retired[i].buf)
+	}
+	n := copy(b.retired, b.retired[i:])
+	clear(b.retired[n:])
+	b.retired = b.retired[:n]
+}
+
+// release frees every retired buffer and returns b to runBufsPool: the
+// query has closed, and its run scanners have retired their last buffers.
+func (b *runBufs) release() {
+	for _, r := range b.retired {
+		b.put(r.buf)
+	}
+	clear(b.retired)
+	b.retired, b.upd, b.held = b.retired[:0], nil, 0
+	runBufsPool.Put(b)
+}
 
 // NewQuery performs the table-range-scan setup of Fig 8 and returns the
 // operator tree. It assigns the query a fresh timestamp, flushes the
@@ -131,8 +258,10 @@ func (s *Store) newQueryLocked(at sim.Time, begin, end uint64, qts int64, pred *
 	}
 	iters := make([]update.Iterator, 0, len(s.runs)+1)
 	q.pinnedRuns = make([]int64, 0, len(s.runs))
+	q.runBufs = runBufsPool.Get().(*runBufs)
 	for _, r := range s.runs {
 		sc := r.ScanPred(at, begin, end, qts, s.cfg.ScanGranularity, pred)
+		sc.UseBufs(q.runBufs)
 		q.runScans = append(q.runScans, sc)
 		iters = append(iters, sc)
 		s.pins[r.ID]++
@@ -150,10 +279,12 @@ func (s *Store) newQueryLocked(at sim.Time, begin, end uint64, qts int64, pred *
 		for _, id := range q.pinnedRuns {
 			s.unpinRunLocked(id)
 		}
+		q.releaseRunBufs()
 		return nil, err
 	}
 	q.merger = merger
 	q.upd = update.NewBatchReader(merger, updateBatch)
+	q.runBufs.upd = q.upd
 
 	q.pinnedPages = len(q.runScans) + 1
 	s.addReaderLocked(qts)
@@ -205,6 +336,9 @@ func (q *Query) Each(fn func(key uint64, body []byte) bool) error {
 		return q.err
 	}
 	for {
+		// A safe point: fn has returned for every row so far, and the fold
+		// is finished with its group.
+		q.runBufs.recycle()
 		key, haveUpd, err := q.upd.PeekKey()
 		if err != nil {
 			q.err = err
@@ -266,9 +400,9 @@ func (q *Query) Drain() (int64, sim.Time, error) {
 }
 
 // Close releases the query's memory pages and unregisters it, and
-// returns its scan and merge buffers to their pools: no row it returned
-// may be used afterwards. It must be called exactly once; migration waits
-// for queries older than its timestamp to close.
+// returns its scan, run-read and merge buffers to their pools: no row it
+// returned may be used afterwards. It must be called exactly once;
+// migration waits for queries older than its timestamp to close.
 func (q *Query) Close() {
 	if q.closed {
 		return
@@ -276,8 +410,18 @@ func (q *Query) Close() {
 	q.closed = true
 	q.closeLocked()
 	q.data.Release()
+	q.releaseRunBufs()
 	q.merger.Release()
 	q.upd.Release()
+}
+
+// releaseRunBufs retires the run scanners' last buffers and returns every
+// buffer to the pool.
+func (q *Query) releaseRunBufs() {
+	for _, sc := range q.runScans {
+		sc.Release()
+	}
+	q.runBufs.release()
 }
 
 // closeLocked is Close's bookkeeping under the store latch.

@@ -78,9 +78,9 @@ func TestQueryEachZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestScanBuffersRecycled: a query's scan buffer and decoded pages go
-// back to their pool when it closes, so back-to-back scans across three
-// ScanIO batches allocate far less than one buffer each.
+// TestScanBuffersRecycled: a query's scan buffer goes back to its pool
+// when it closes, so back-to-back scans across three ScanIO batches
+// allocate far less than one buffer each.
 func TestScanBuffersRecycled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -123,6 +123,28 @@ func TestScanBuffersRecycled(t *testing.T) {
 // by two live queries. Each body is checked against the model as of its
 // query's snapshot the moment the query hands it on, before the next row.
 func TestConcurrentScansRecycledBuffers(t *testing.T) {
+	concurrentScans(t, 6000, 50)
+}
+
+// TestConcurrentScansRecycledRunBufs is TestConcurrentScansRecycledBuffers
+// with five times the writes: eight or more runs, each range crossing
+// several run reads per run and dozens of update-window refills, while
+// the writer's flushes add runs and query setup merges them once they
+// outnumber the query pages. Freed run-read buffers are poisoned, so a
+// buffer recycled while a record of it is still in the update window, in
+// the fold or in fn's hands shows as a wrong body.
+func TestConcurrentScansRecycledRunBufs(t *testing.T) {
+	s := concurrentScans(t, 30000, 25)
+	if st := s.Stats(); st.TwoPassMerges == 0 || st.OnePassRuns < 16 {
+		t.Fatalf("%d flushes and %d two-pass merges: the scans did not run beside both", st.OnePassRuns, st.TwoPassMerges)
+	}
+}
+
+// concurrentScans loads 30,000 rows, makes half of nWrites inserts and
+// modifies, then the other half on one goroutine while two others each
+// run nScans queries of about 10,000 rows, checking every body as it is
+// handed on. It returns the store.
+func concurrentScans(t *testing.T, nWrites, nScans int) *Store {
 	const rows = 30000
 	e := newEnv(t, rows, smallConfig())
 	s := e.store
@@ -142,7 +164,7 @@ func TestConcurrentScansRecycledBuffers(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	var writes []update.Record
-	for i := 0; i < 6000; i++ {
+	for i := 0; i < nWrites; i++ {
 		key := uint64(rng.Intn(2*rows)) + 1
 		cur := base(key)
 		if vs := versions[key]; len(vs) > 0 {
@@ -190,7 +212,7 @@ func TestConcurrentScansRecycledBuffers(t *testing.T) {
 	}
 	for i := 0; i < len(writes)/2; i++ { // half before the scans start
 		if !write(i) {
-			return
+			return s
 		}
 	}
 
@@ -209,7 +231,7 @@ func TestConcurrentScansRecycledBuffers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			for i := 0; i < 50; i++ {
+			for i := 0; i < nScans; i++ {
 				// About 10,000 rows: every range crosses a batch boundary.
 				begin := uint64(rng.Intn(rows))
 				end := begin + 20000
@@ -227,6 +249,7 @@ func TestConcurrentScansRecycledBuffers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	return s
 }
 
 // checkScan runs one query over [begin, end] at sn and checks each row's

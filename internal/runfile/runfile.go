@@ -365,6 +365,13 @@ type Scanner struct {
 	err   error
 	done  bool
 
+	// bufs, when set (UseBufs), supplies the read buffers; mem is the one
+	// buf lies in, and used reports that a record decoded from it was
+	// handed out.
+	bufs Bufs
+	mem  []byte
+	used bool
+
 	skipKey   uint64
 	skipTS    int64
 	skipValid bool
@@ -468,6 +475,40 @@ func (r *Run) PlanSegments(begin, end uint64, queryTS int64, gran int, pred *upd
 	return segs, skipped
 }
 
+// Bufs supplies a Scanner's read buffers in place of fresh allocations.
+// A scanner reads into one buffer until a read no longer fits behind the
+// bytes it carries, then copies the partial record it carries into a new
+// one and retires the old. Records the scanner returned before that call
+// may still alias a retired buffer, so the supplier must keep it intact
+// until their consumers are past them; records it returns afterwards
+// never do.
+type Bufs interface {
+	// Get returns an empty buffer with capacity at least n.
+	Get(n int) []byte
+	// Retire takes back a buffer the scanner has moved off or finished
+	// with; used reports whether a record decoded from it was returned.
+	Retire(buf []byte, used bool)
+}
+
+// UseBufs makes the scanner read into buffers from b; it must precede the
+// first read. Release hands the last one back.
+func (s *Scanner) UseBufs(b Bufs) { s.bufs = b }
+
+// Release retires the scanner's current buffer to its Bufs, ending the
+// scan. Without UseBufs it only ends the scan.
+func (s *Scanner) Release() {
+	s.retire()
+	s.buf, s.done = nil, true
+}
+
+// retire hands the current buffer back to Bufs, if the scanner holds one.
+func (s *Scanner) retire() {
+	if s.mem != nil {
+		s.bufs.Retire(s.mem, s.used)
+		s.mem, s.used = nil, false
+	}
+}
+
 // Stats returns how many effective granules the zone maps pruned and how
 // many decoded records the pushdown predicate filtered below the merge.
 func (s *Scanner) Stats() (granulesSkipped, recordsFiltered int64) {
@@ -515,24 +556,31 @@ func (s *Scanner) Next() (update.Record, bool, error) {
 // it wrote; 0 with a nil error means the scan is finished. It decodes from
 // the carry buffer first and issues a device read only when no complete
 // record is buffered and none has been produced yet, so batch consumption
-// leaves the simulated I/O sequence untouched.
+// leaves the simulated I/O sequence untouched. A call that returns no
+// record retires a finished scan's buffer (Bufs).
 func (s *Scanner) NextBatch(dst []update.Record) (int, error) {
 	if s.done || s.err != nil || len(dst) == 0 {
+		if s.done {
+			s.retire()
+		}
 		return 0, s.err
 	}
 	out := 0
 	for {
 		// Decode whatever is buffered first.
-		for len(s.buf) > 0 && out < len(dst) {
+		for len(s.buf) >= update.HeaderSize && out < len(dst) {
+			if _, plen := update.DecodeHeader(s.buf); len(s.buf) < update.HeaderSize+plen {
+				break // partial record at buffer end: need more bytes
+			}
 			rec, n, err := update.Decode(s.buf)
 			if err != nil {
-				// Partial record at buffer end: need more bytes.
-				break
+				s.err = fmt.Errorf("runfile: run %d: %w", s.r.ID, err)
+				return 0, s.err
 			}
 			s.buf = s.buf[n:]
 			if rec.Key > s.end {
 				s.done = true
-				return out, nil
+				break
 			}
 			if rec.Key < s.begin || rec.TS >= s.queryTS {
 				continue
@@ -554,7 +602,12 @@ func (s *Scanner) NextBatch(dst []update.Record) (int, error) {
 		if out > 0 {
 			// Something to deliver: return rather than read ahead, so the
 			// refill points match record-at-a-time consumption exactly.
+			s.used = true
 			return out, nil
+		}
+		if s.done {
+			s.retire()
+			return 0, nil
 		}
 		if s.off >= s.limit {
 			if len(s.buf) > 0 {
@@ -571,6 +624,7 @@ func (s *Scanner) NextBatch(dst []update.Record) (int, error) {
 				continue
 			}
 			s.done = true
+			s.retire()
 			return 0, nil
 		}
 		n := s.ioSize()
@@ -585,14 +639,22 @@ func (s *Scanner) NextBatch(dst []update.Record) (int, error) {
 
 // fill reads the next n bytes of the indexed window into the tail of the
 // carry buffer. Earlier decoded records alias bytes before the buffer's
-// current position, which the append never overwrites (a growth
-// reallocates, leaving the old backing array to the records that alias
-// it), so handed-out payloads stay valid.
+// current position, which the append never overwrites: when the read does
+// not fit, the carried partial record is copied into a new buffer (from
+// Bufs, retiring the old one, or freshly allocated to exactly what is
+// read), leaving the old bytes to the records that alias them, so
+// handed-out payloads stay valid.
 func (s *Scanner) fill(n int) error {
 	old := len(s.buf)
 	if cap(s.buf)-old < n {
-		grown := make([]byte, old, old+n)
-		copy(grown, s.buf)
+		var grown []byte
+		if s.bufs != nil {
+			grown = append(s.bufs.Get(old+n), s.buf...)
+			s.retire()
+			s.mem = grown
+		} else {
+			grown = append(make([]byte, 0, old+n), s.buf...)
+		}
 		s.buf = grown
 	}
 	s.buf = s.buf[:old+n]

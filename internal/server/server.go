@@ -59,7 +59,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	ln     net.Listener
-	conns  map[net.Conn]struct{}
+	conns  map[net.Conn]*conn
 	closed bool
 	quit   chan struct{}
 	connWG sync.WaitGroup
@@ -81,7 +81,7 @@ func New(eng *masm.Engine, _ Options) *Server {
 	reg := eng.Registry()
 	return &Server{
 		eng:   eng,
-		conns: make(map[net.Conn]struct{}),
+		conns: make(map[net.Conn]*conn),
 		quit:  make(chan struct{}),
 
 		mConns:      reg.Gauge("masm_server_conns"),
@@ -106,7 +106,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 	for {
-		conn, err := ln.Accept()
+		nc, err := ln.Accept()
 		if err != nil {
 			select {
 			case <-s.quit:
@@ -118,14 +118,21 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return nil
 		}
-		s.conns[conn] = struct{}{}
+		c := &conn{
+			s:     s,
+			c:     nc,
+			quit:  make(chan struct{}),
+			scans: make(map[uint32]chan uint32),
+			txs:   make(map[uint64]*wireTx),
+		}
+		s.conns[nc] = c
 		s.connWG.Add(1)
 		s.mu.Unlock()
 		s.mConns.Add(1)
-		go s.handleConn(conn)
+		go c.handle()
 	}
 }
 
@@ -152,16 +159,21 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// maxGather is the gathering window's upper clamp. It is also how long a
+// writer may stay quiet after its latest request before a batch stops
+// waiting for it (activeWriters).
+const maxGather = 2 * time.Millisecond
+
 // gatherWindow is the gathering window: an EWMA of recent sync costs
-// clamped to [50µs, 2ms] so the wait stays proportional to what it
+// clamped to [50µs, maxGather] so the wait stays proportional to what it
 // amortizes.
 func (s *Server) gatherWindow() time.Duration {
 	w := time.Duration(s.syncEWMA.Load())
 	switch {
 	case w < 50*time.Microsecond:
 		w = 50 * time.Microsecond
-	case w > 2*time.Millisecond:
-		w = 2 * time.Millisecond
+	case w > maxGather:
+		w = maxGather
 	}
 	return w
 }
@@ -205,8 +217,10 @@ func (s *Server) groupCommit() error {
 		return b.err
 	}
 	b := &batch{n: 1, done: make(chan struct{})}
-	if writers := s.writers.Load(); writers > 1 {
-		b.want, b.full = writers, make(chan struct{})
+	if s.writers.Load() > 1 {
+		if want := s.activeWriters(); want > 1 {
+			b.want, b.full = want, make(chan struct{})
+		}
 	}
 	s.open = b
 	s.gmu.Unlock()
@@ -237,6 +251,31 @@ func (s *Server) groupCommit() error {
 	return b.err
 }
 
+// activeWriters counts the writers a batch opening now gathers for: those
+// with a request under way or answered less than maxGather ago. A client
+// that wrote and went idle is not waited for, or it would hold every
+// other writer's commit open for a companion that is not coming.
+func (s *Server) activeWriters() int64 {
+	quiet := monoNow() - int64(maxGather)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n int64
+	for _, c := range s.conns {
+		if since := c.writerSince.Load(); since == writerBusy || since > quiet {
+			n++
+		}
+	}
+	return n
+}
+
+// writerBusy is conn.writerSince while a writer's request is under way.
+const writerBusy = -1
+
+// monoStart anchors monoNow, the monotonic clock conn.writerSince reads.
+var monoStart = time.Now()
+
+func monoNow() int64 { return int64(time.Since(monoStart)) }
+
 // conn is the per-connection state shared between its reader goroutine
 // and the scan goroutines it spawns.
 type conn struct {
@@ -248,8 +287,12 @@ type conn struct {
 	wbuf []byte
 
 	// writer is whether the latest request (credit top-ups aside) was a
-	// write or a commit; the reader goroutine alone touches it.
-	writer bool
+	// write or a commit; the reader goroutine alone touches it. For a
+	// batch's leader, writerSince is writerBusy while a writer's request
+	// is under way, when its reply went out (monoNow) once it is done, and
+	// 0 for a connection that is not a writer.
+	writer      bool
+	writerSince atomic.Int64
 
 	mu    sync.Mutex
 	scans map[uint32]chan uint32 // scan seq -> credit top-ups
@@ -283,14 +326,9 @@ func (wt *wireTx) abort() {
 	}
 }
 
-func (s *Server) handleConn(nc net.Conn) {
-	c := &conn{
-		s:     s,
-		c:     nc,
-		quit:  make(chan struct{}),
-		scans: make(map[uint32]chan uint32),
-		txs:   make(map[uint64]*wireTx),
-	}
+// handle serves the connection, then tears it down.
+func (c *conn) handle() {
+	s, nc := c.s, c.c
 	c.serve()
 	c.markWriter(false)
 
@@ -372,13 +410,22 @@ func (c *conn) serve() {
 		if !c.dispatch(&m) {
 			return
 		}
+		if c.writer {
+			c.writerSince.Store(monoNow())
+		}
 	}
 }
 
 // markWriter records whether the connection's latest request was a write
 // or a commit, keeping the server's count of such connections — the
-// writers a commit batch's leader waits for.
+// writers a commit batch's leader may wait for — and marks a writer's
+// request under way (writerSince) until serve stamps its reply.
 func (c *conn) markWriter(w bool) {
+	if w {
+		c.writerSince.Store(writerBusy)
+	} else if c.writer {
+		c.writerSince.Store(0)
+	}
 	if w == c.writer {
 		return
 	}

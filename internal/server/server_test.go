@@ -746,6 +746,31 @@ func TestAlternatingWriterNeverGathers(t *testing.T) {
 	waitFor(t, "the closed writer to leave the count", func() bool { return srv.writers.Load() == 0 })
 }
 
+// TestIdleWriterDoesNotHoldCommits: a connection that wrote once and then
+// went quiet is not waited for once maxGather has passed since its reply,
+// though it still counts as a writer: none of another connection's 300
+// commits gathers.
+func TestIdleWriterDoesNotHoldCommits(t *testing.T) {
+	srv, eng, addr := startFileServer(t, "t0")
+	idle, busy := dial(t, addr), dial(t, addr)
+	if err := idle.Put("t0", 1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(25 * maxGather)
+	before := gathers(t, eng)
+	for k := uint64(2); k < 302; k++ {
+		if err := busy.Put("t0", k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := gathers(t, eng) - before; d != 0 {
+		t.Fatalf("%d of 300 commits were held open for a writer that went idle", d)
+	}
+	if w := srv.writers.Load(); w != 2 {
+		t.Fatalf("writer count %d, want 2: the idle writer is still one", w)
+	}
+}
+
 // TestTxCommitBackpressure: a wire write the engine's admission refuses —
 // the cache full, a reader vetoing migration, the scheduler running —
 // reaches the client as typed, retryable backpressure, publishes nothing,

@@ -14,7 +14,6 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // pageHeaderSize is the fixed page header: timestamp (8), record count (2),
@@ -75,34 +74,22 @@ func (p *Page) Encode(buf []byte) error {
 
 // DecodePage parses a page image. Bodies alias buf.
 func DecodePage(buf []byte) (*Page, error) {
-	p := &Page{}
-	if err := decodePageInto(p, buf); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// decodePageInto parses a page image into p, reusing the capacity of p's
-// key and body slices. Bodies alias buf.
-func decodePageInto(p *Page, buf []byte) error {
 	ts, n, err := pageHeader(buf)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.TS = ts
-	p.Keys = slices.Grow(p.Keys[:0], n)
-	p.Bodies = slices.Grow(p.Bodies[:0], n)
+	p := &Page{TS: ts, Keys: make([]uint64, 0, n), Bodies: make([][]byte, 0, n)}
 	off := pageHeaderSize
 	for i := 0; i < n; i++ {
 		key, body, next := pageRecord(buf, off)
 		if next < 0 {
-			return fmt.Errorf("table: truncated record %d of %d", i, n)
+			return nil, fmt.Errorf("table: truncated record %d of %d", i, n)
 		}
 		p.Keys = append(p.Keys, key)
 		p.Bodies = append(p.Bodies, body)
 		off = next
 	}
-	return nil
+	return p, nil
 }
 
 // findInPage walks a page image's records in place up to key and returns

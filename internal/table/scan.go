@@ -1,7 +1,7 @@
 package table
 
 import (
-	"slices"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -42,31 +42,35 @@ type Scanner struct {
 
 	// bufs is the batch memory (nil until the first batch), drawn from
 	// scanBufPool and reused by every batch, so a returned row's body is
-	// valid only until the next call to Peek, Next or EachTo. pages is the
-	// current batch's decoded pages; [pageIdx, recIdx] is the next row to
-	// examine.
-	bufs    *scanBufs
-	pages   []Page
-	pageIdx int
-	recIdx  int
-	done    bool
-	// ready marks the row at [pageIdx, recIdx] as peeked: in range, past
-	// the key cursor and matching the predicate. key is its key.
+	// valid only until the next call to Peek, Next or EachTo. batch is the
+	// current batch's page images, walked in place as Lookup walks one:
+	// page is the index of the page being walked, off the offset of its
+	// next record, left how many records it has left and ts its
+	// timestamp.
+	bufs  *scanBufs
+	batch []byte
+	page  int
+	off   int
+	left  int
+	ts    int64
+	done  bool
+	// ready marks the row at off as peeked: in range, past the key cursor
+	// and matching the predicate. key and body are its key and body.
 	ready bool
 	key   uint64
+	body  []byte
 
 	now sim.Time
 	err error
 }
 
-// scanBufs is one scanner's batch memory: the batch's page refs, the
-// images read (ScanIO bytes) and their decoded pages, whose bodies alias
-// buf. A scanner draws it from scanBufPool at its first batch and Release
-// hands it back, so back-to-back scans reuse one buffer.
+// scanBufs is one scanner's batch memory: the batch's page refs and the
+// images read (ScanIO bytes). A scanner draws it from scanBufPool at its
+// first batch and Release hands it back, so back-to-back scans reuse one
+// buffer.
 type scanBufs struct {
-	refs  []pageRef
-	buf   []byte
-	pages []Page
+	refs []pageRef
+	buf  []byte
 }
 
 var scanBufPool = sync.Pool{New: func() any { return new(scanBufs) }}
@@ -158,10 +162,11 @@ func (s *Scanner) nextBatchRefs(pagesPerIO int) []pageRef {
 }
 
 // fetchBatch reads the next maximal contiguous run of pages, capped at the
-// scan I/O size, into the scanner's buffer and decodes them in place,
-// overwriting the previous batch.
+// scan I/O size, into the scanner's buffer, overwriting the previous
+// batch. The pages are walked in place, each header as the walk enters
+// its page (nextPage).
 func (s *Scanner) fetchBatch() bool {
-	s.pages, s.pageIdx, s.recIdx = s.pages[:0], 0, 0
+	s.batch, s.page, s.left = nil, -1, 0
 	if s.err != nil || s.done {
 		return false
 	}
@@ -185,19 +190,26 @@ func (s *Scanner) fetchBatch() bool {
 		return false
 	}
 	s.now = c.End
-	// Reslicing within capacity keeps each Page's key and body slices for
-	// decodePageInto to reuse.
-	pages := slices.Grow(b.pages[:0], len(batch))[:len(batch)]
-	b.pages = pages
-	for i := range pages {
-		if err := decodePageInto(&pages[i], buf[i*ps:(i+1)*ps]); err != nil {
-			s.err = err
-			return false
-		}
-	}
-	s.pages = pages
+	s.batch = buf
 	s.curFirstKey = batch[len(batch)-1].firstKey
 	s.startedPage = true
+	return true
+}
+
+// nextPage moves the walk to the batch's next page and reads its header.
+// It reports false at the end of the batch, or on a bad header (see Err).
+func (s *Scanner) nextPage() bool {
+	ps := s.t.cfg.PageSize
+	if (s.page+2)*ps > len(s.batch) {
+		return false
+	}
+	s.page++
+	ts, n, err := pageHeader(s.batch[s.page*ps : (s.page+1)*ps])
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.ts, s.off, s.left = ts, pageHeaderSize, n
 	return true
 }
 
@@ -220,16 +232,15 @@ func (s *Scanner) Key() uint64 { return s.key }
 // aliases the scanner's read buffer, valid until the next Peek or Next;
 // Take must follow a Peek that reported a row.
 func (s *Scanner) Take() Row {
-	p := &s.pages[s.pageIdx]
-	i := s.recIdx
-	s.recIdx++
+	s.off += recHeaderSize + len(s.body)
+	s.left--
 	s.nextKey = s.key + 1
 	s.ready = false
-	return Row{Key: s.key, Body: p.Bodies[i], PageTS: p.TS}
+	return Row{Key: s.key, Body: s.body, PageTS: s.ts}
 }
 
 // EachTo hands fn, in key order, every remaining row of the range with
-// key at most hi, straight from the decoded batch: the merged scan's
+// key at most hi, straight from the page it walks: the merged scan's
 // inner loop (masm.Query.Each), which calls it once per update group with
 // hi just below the group's key. It returns how many rows fn was handed
 // and their body bytes, and more=false if fn stopped it by returning
@@ -238,17 +249,27 @@ func (s *Scanner) Take() Row {
 // or on an error (see Err). A nil fn is handed nothing: EachTo then only
 // peeks the next row, as Peek does. A body aliases the read buffer: fn
 // must finish with it before returning, since the next batch is read only
-// after fn has returned for the last row of this one.
+// after fn has returned for the last row of this one. A record cut off by
+// its page's end stops the walk there with an error (see Err), after the
+// rows before it.
 func (s *Scanner) EachTo(hi uint64, fn func(key uint64, body []byte) bool) (rows, bytes int64, more bool) {
 	s.ready = false
 	next, end, pred := s.nextKey, s.end, s.pred
+	ps := s.t.cfg.PageSize
 	for {
-		for ; s.pageIdx < len(s.pages); s.pageIdx, s.recIdx = s.pageIdx+1, 0 {
-			p := &s.pages[s.pageIdx]
-			keys, bodies := p.Keys, p.Bodies
-			for i := s.recIdx; i < len(keys); i++ {
-				k := keys[i]
+		for s.left > 0 || s.nextPage() {
+			pg := s.batch[s.page*ps : (s.page+1)*ps]
+			off, left := s.off, s.left
+			for ; left > 0; left-- {
+				k, body, nx := pageRecord(pg, off)
+				if nx < 0 {
+					_, n, _ := pageHeader(pg)
+					s.err = fmt.Errorf("table: truncated record %d of %d", n-left, n)
+					s.nextKey = next
+					return rows, bytes, true
+				}
 				if k < next {
+					off = nx
 					continue
 				}
 				if k > end {
@@ -260,22 +281,23 @@ func (s *Scanner) EachTo(hi uint64, fn func(key uint64, body []byte) bool) (rows
 				}
 				if pred != nil && !pred.Match(k) {
 					s.filtered++
-					next = k + 1
+					next, off = k+1, nx
 					continue
 				}
 				if k > hi || fn == nil {
-					s.recIdx, s.nextKey = i, next
-					s.key, s.ready = k, true
+					s.off, s.left, s.nextKey = off, left, next
+					s.key, s.body, s.ready = k, body, true
 					return rows, bytes, true
 				}
-				next = k + 1
+				next, off = k+1, nx
 				rows++
-				bytes += int64(len(bodies[i]))
-				if !fn(k, bodies[i]) {
-					s.recIdx, s.nextKey = i+1, next
+				bytes += int64(len(body))
+				if !fn(k, body) {
+					s.off, s.left, s.nextKey = off, left-1, next
 					return rows, bytes, false
 				}
 			}
+			s.left = 0
 		}
 		s.nextKey = next
 		if !s.fetchBatch() {
@@ -302,7 +324,7 @@ func (s *Scanner) Next() (Row, bool) {
 // memory to the collector.
 func (s *Scanner) Release() {
 	s.done, s.ready = true, false
-	s.pages = nil
+	s.batch, s.left = nil, 0
 	if s.bufs != nil {
 		scanBufPool.Put(s.bufs)
 		s.bufs = nil

@@ -2,7 +2,9 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"masm/internal/sim"
@@ -457,8 +459,8 @@ func ExampleTable_NewScanner() {
 }
 
 // TestScannerReusesBuffersZeroAllocs gates the scanner's steady state:
-// once its read buffer, decoded pages and ref slice have grown to a full
-// scan I/O, Next crosses batch boundaries without allocating.
+// once its read buffer and ref slice have grown to a full scan I/O, Next
+// crosses batch boundaries without allocating.
 func TestScannerReusesBuffersZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
@@ -476,5 +478,218 @@ func TestScannerReusesBuffersZeroAllocs(t *testing.T) {
 	crossBatch()
 	if n := testing.AllocsPerRun(4, crossBatch); n != 0 {
 		t.Fatalf("warm Scanner.Next across a batch boundary: %v allocs, want 0", n)
+	}
+}
+
+// walkRow is one row as DecodePage gives it: key, body and page stamp.
+type walkRow struct {
+	key  uint64
+	body []byte
+	ts   int64
+}
+
+// decodedRows decodes every page of tbl in key order with DecodePage and
+// returns its rows in [begin, end].
+func decodedRows(t *testing.T, tbl *Table, begin, end uint64) []walkRow {
+	t.Helper()
+	var out []walkRow
+	for _, ref := range tbl.refs {
+		p, _, err := tbl.ReadPageAt(0, ref.pageNo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range p.Keys {
+			if k >= begin && k <= end {
+				out = append(out, walkRow{k, p.Bodies[i], p.TS})
+			}
+		}
+	}
+	return out
+}
+
+// randomPagesTable loads about 3,000 rows with random key gaps and body
+// sizes (0 to 300 bytes, so pages hold from a dozen to hundreds of rows)
+// under a 16 KiB scan I/O, then stamps each page with a random timestamp,
+// empties one page and links one overflow page into a key gap.
+func randomPagesTable(t *testing.T, rng *rand.Rand) *Table {
+	t.Helper()
+	vol, err := storage.NewVolume(sim.NewDevice(sim.Barracuda7200()), 0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64
+	var bodies [][]byte
+	for k := uint64(1 + rng.Intn(5)); len(keys) < 3000; k += uint64(1 + rng.Intn(9)) {
+		keys = append(keys, k)
+		bodies = append(bodies, body(k, rng.Intn(301)))
+	}
+	tbl, err := Load(vol, Config{PageSize: 4 << 10, ScanIO: 16 << 10, FillFraction: 0.9}, keys, bodies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range tbl.refs {
+		p, _, err := tbl.ReadPageAt(0, ref.pageNo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.TS = rng.Int63()
+		if i == 5 {
+			p.Keys, p.Bodies = nil, nil
+		}
+		if _, err := tbl.WritePageAt(0, ref.pageNo, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The overflow page goes between a page's last key and the next
+	// page's first, where a split would put it.
+	for i := 10; ; i++ {
+		p, _, err := tbl.ReadPageAt(0, tbl.refs[i].pageNo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := p.Keys[len(p.Keys)-1]
+		if tbl.refs[i+1].firstKey-last > 3 {
+			gap := &Page{TS: rng.Int63(), Keys: []uint64{last + 1, last + 2}, Bodies: [][]byte{body(last+1, 7), nil}}
+			if _, err := tbl.AddOverflow(0, gap); err != nil {
+				t.Fatal(err)
+			}
+			return tbl
+		}
+	}
+}
+
+// TestEachToMatchesDecode: the scanner's in-place page walk hands out
+// what DecodePage decodes — keys, bodies and page timestamps — over pages
+// of random sizes, an empty page, an overflow page and many scan batches,
+// whatever mix of EachTo (with random bounds and early stops), Peek and
+// Take, and Next drives it. A page whose used-bytes header overruns it,
+// or one whose record is cut off by its end, stops the scan with an error
+// through Err, after the rows before it.
+func TestEachToMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tbl := randomPagesTable(t, rng)
+	all := decodedRows(t, tbl, 0, ^uint64(0))
+	for iter := 0; iter < 60; iter++ {
+		begin, end := uint64(0), ^uint64(0)
+		if iter > 0 {
+			begin = all[rng.Intn(len(all))].key - uint64(rng.Intn(2))
+			end = begin + uint64(rng.Intn(int(all[len(all)-1].key)))
+		}
+		want := decodedRows(t, tbl, begin, end)
+		sc := tbl.NewScanner(0, begin, end)
+		i := 0
+		check := func(how string, k uint64, b []byte) {
+			t.Helper()
+			if i >= len(want) || k != want[i].key || !bytes.Equal(b, want[i].body) {
+				t.Fatalf("[%d, %d] row %d by %s: key %d, body %d bytes; want %+v", begin, end, i, how, k, len(b), want[min(i, len(want)-1)])
+			}
+			i++
+		}
+		checkRow := func(how string, row Row) {
+			t.Helper()
+			if i < len(want) && row.PageTS != want[i].ts {
+				t.Fatalf("[%d, %d] row %d by %s: page stamp %d, want %d", begin, end, i, how, row.PageTS, want[i].ts)
+			}
+			check(how, row.Key, row.Body)
+		}
+		for ended := false; !ended; {
+			switch rng.Intn(4) {
+			case 0:
+				if ended = !sc.Peek(); !ended {
+					if i >= len(want) || sc.Key() != want[i].key || !sc.Peek() || sc.Key() != want[i].key {
+						t.Fatalf("[%d, %d] row %d: Peek found key %d", begin, end, i, sc.Key())
+					}
+					checkRow("Take", sc.Take())
+				}
+			case 1:
+				row, ok := sc.Next()
+				if ended = !ok; ok {
+					checkRow("Next", row)
+				}
+			case 2:
+				hi := ^uint64(0)
+				if i < len(want) {
+					hi = want[i].key + uint64(rng.Intn(200))
+				}
+				stop := int64(1 + rng.Intn(40))
+				var handed, bytesHanded int64
+				rows, nbytes, more := sc.EachTo(hi, func(k uint64, b []byte) bool {
+					if k > hi {
+						t.Fatalf("EachTo(%d) handed key %d", hi, k)
+					}
+					check("EachTo", k, b)
+					handed, bytesHanded = handed+1, bytesHanded+int64(len(b))
+					return handed != stop
+				})
+				if rows != handed || nbytes != bytesHanded || more != (handed != stop) {
+					t.Fatalf("EachTo(%d) reported %d rows, %d bytes, more %v; handed %d rows, %d bytes, stop at %d",
+						hi, rows, nbytes, more, handed, bytesHanded, stop)
+				}
+				if more && sc.Peek() && (sc.Key() <= hi || sc.Key() != want[i].key) {
+					t.Fatalf("EachTo(%d) stopped on key %d, want the first past it, %d", hi, sc.Key(), want[i].key)
+				}
+			case 3:
+				if sc.EachTo(0, nil); i < len(want) && (!sc.Peek() || sc.Key() != want[i].key) {
+					t.Fatalf("EachTo(0, nil) peeked key %d, want %d", sc.Key(), want[i].key)
+				}
+			}
+		}
+		if i != len(want) || sc.Err() != nil {
+			t.Fatalf("[%d, %d]: %d rows of %d, err %v", begin, end, i, len(want), sc.Err())
+		}
+		sc.Release()
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(page []byte)
+	}{
+		{"used bytes past the page", func(page []byte) { binary.LittleEndian.PutUint16(page[10:], 0xFFFF) }},
+		{"last record cut off", func(page []byte) {
+			_, n, _ := pageHeader(page)
+			off := pageHeaderSize
+			for r := 0; r < n-1; r++ {
+				_, _, off = pageRecord(page, off)
+			}
+			binary.LittleEndian.PutUint16(page[off+8:], 0xFFFF)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := loadTable(t, 3000, 2, 92)
+			bad := tbl.refs[3]
+			page := make([]byte, tbl.cfg.PageSize)
+			if err := tbl.vol.PeekAt(page, bad.pageNo*int64(tbl.cfg.PageSize)); err != nil {
+				t.Fatal(err)
+			}
+			good, err := DecodePage(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(page)
+			if _, err := DecodePage(page); err == nil {
+				t.Fatal("DecodePage took the corrupt page")
+			}
+			if err := tbl.vol.PokeAt(page, bad.pageNo*int64(tbl.cfg.PageSize)); err != nil {
+				t.Fatal(err)
+			}
+			// The walk hands out every row before the bad one: the pages
+			// before it and, for a cut record, the rows before it on its page.
+			want := 0
+			for _, ref := range tbl.refs[:3] {
+				p, _, err := tbl.ReadPageAt(0, ref.pageNo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += len(p.Keys)
+			}
+			if tc.name == "last record cut off" {
+				want += len(good.Keys) - 1
+			}
+			sc := tbl.NewScanner(0, 0, ^uint64(0))
+			rows, _, more := sc.EachTo(^uint64(0), func(uint64, []byte) bool { return true })
+			if sc.Err() == nil || !more || rows != int64(want) || sc.Peek() {
+				t.Fatalf("scan over a bad page: %d rows (want %d), err %v", rows, want, sc.Err())
+			}
+		})
 	}
 }

@@ -137,6 +137,7 @@ type BatchReader struct {
 	buf    []Record
 	pos, n int
 	win    int
+	fills  uint64 // refills so far: the number of the window at the head
 	done   bool
 	err    error
 }
@@ -174,6 +175,7 @@ func (r *BatchReader) fill() bool {
 		if r.done {
 			return false
 		}
+		r.fills++
 		n, err := FillBatch(r.src, r.buf[:r.win])
 		r.pos, r.n = 0, n
 		if r.win < len(r.buf) {
@@ -188,6 +190,11 @@ func (r *BatchReader) fill() bool {
 	}
 	return true
 }
+
+// Window returns the number of the window at the head: how many refills
+// the reader has made, counting one in progress. Once it exceeds w, every
+// record of window w has been consumed.
+func (r *BatchReader) Window() uint64 { return r.fills }
 
 // Peek returns the record at the head of the stream without consuming it,
 // refilling the window as needed. ok=false reports end of stream (or,
