@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"masm/internal/memtable"
+	"masm/internal/runfile"
 	"masm/internal/storage"
 	"masm/internal/update"
 )
@@ -173,4 +175,203 @@ func TestGetSeesUnsortedTailAndRestoredRecords(t *testing.T) {
 		Payload: update.EncodeFields([]update.Field{{Off: 6, Value: []byte("VERSION")}})})
 	e.store.buf.Restore(drained)
 	check("FIRST-VERSION")
+}
+
+// TestGetSkipsSupersededRuns: a visible insert, replace or delete of the
+// key supersedes every older record of it, so a lookup reads no run whose
+// records are all older than the newest such record it has found. Each
+// case counts the run reads exactly (the test key lies above every other
+// key, so a run without it is ruled out by its key span, never by a
+// filter false positive) and holds Get to Scan(k, k) and to the model.
+func TestGetSkipsSupersededRuns(t *testing.T) {
+	const nRows, nRuns, perRun = 2000, 20, 100
+	const key = 1 << 20 // above every key applyRandom draws; not loaded
+	ins := func(v byte) update.Record {
+		return update.Record{Key: key, Op: update.Insert, Payload: bytes.Repeat([]byte{v}, 92)}
+	}
+	mod := update.Record{Key: key, Op: update.Modify,
+		Payload: update.EncodeFields([]update.Field{{Off: 3, Value: []byte("MOD")}})}
+	del := update.Record{Key: key, Op: update.Delete}
+
+	// flushRun makes one run of perRun random updates and then recs.
+	flushRun := func(e *env, recs ...update.Record) {
+		e.applyRandom(perRun)
+		for _, r := range recs {
+			e.apply(r)
+		}
+		end, err := e.store.Flush(e.now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = end
+	}
+	// stamped buffers rec at a timestamp of the caller's choosing.
+	stamped := func(e *env, rec update.Record) {
+		e.store.mu.Lock()
+		end, err := e.store.applyNoLogLocked(e.now, rec)
+		e.store.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = end
+		e.mirror(rec)
+	}
+	merge := func(e *env) {
+		e.store.mu.Lock()
+		end, err := e.store.mergeRunsLocked(e.now, 2)
+		e.store.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.now = end
+	}
+
+	for _, tc := range []struct {
+		name  string
+		build func(e *env)
+		reads int64
+	}{
+		{"inserted in every run", func(e *env) {
+			for i := 0; i < nRuns; i++ {
+				flushRun(e, ins(byte(i)))
+			}
+		}, 1},
+		{"modify over an insert one run older", func(e *env) {
+			for i := 0; i < nRuns-1; i++ {
+				flushRun(e, ins(byte(i)))
+			}
+			flushRun(e, mod)
+		}, 2},
+		{"newest record a delete", func(e *env) {
+			for i := 0; i < nRuns-1; i++ {
+				flushRun(e, ins(byte(i)))
+			}
+			flushRun(e, del)
+		}, 1},
+		{"insert in the memtable", func(e *env) {
+			for i := 0; i < nRuns; i++ {
+				flushRun(e, ins(byte(i)), mod)
+			}
+			e.apply(ins(0xEE))
+		}, 0},
+		{"tie at the terminal timestamp", func(e *env) {
+			// Only a run strictly older than the terminal record is skipped:
+			// whether a record at its very timestamp folds before or after it
+			// is the source order's call, which the skip does not consult.
+			for i := 0; i < nRuns-1; i++ {
+				flushRun(e, ins(byte(i)))
+			}
+			e.applyRandom(perRun)
+			ts := e.oracle.Next()
+			m := mod
+			m.TS = ts
+			stamped(e, m)
+			end, err := e.store.Flush(e.now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.now = end
+			i := ins(0xEE)
+			i.TS = ts
+			stamped(e, i)
+		}, 1},
+		{"tie between two runs", func(e *env) {
+			// The later run's modify shares the insert's timestamp; the fold
+			// still takes the runs in their order, insert first.
+			for i := 0; i < nRuns-2; i++ {
+				flushRun(e, ins(byte(i)))
+			}
+			ts := e.oracle.Next()
+			i := ins(0xEE)
+			i.TS = ts
+			stamped(e, i)
+			flushRun(e)
+			m := mod
+			m.TS = ts
+			stamped(e, m)
+			flushRun(e)
+		}, 2},
+		{"merged run ahead of an older run", func(e *env) {
+			// A and B merge into AB; a restart restores the runs in ID order,
+			// [C, AB]; D joins, and C and D merge where C sat: [CD, AB]. CD's
+			// modify is newer than AB's insert, though AB is the later run.
+			flushRun(e)            // A
+			flushRun(e, ins(0xAB)) // B
+			flushRun(e)            // C
+			merge(e)
+			restartStore(t, e)
+			flushRun(e, mod) // D
+			merge(e)
+			if e.store.Runs() != 2 || e.store.runs[0].Passes != 2 || e.store.runs[0].MaxTS < e.store.runs[1].MaxTS {
+				t.Fatalf("run set is not [CD, AB]: %d runs", e.store.Runs())
+			}
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ssdReads, _ := manyRunsEnv(t, nRows, 0, 0)
+			tc.build(e)
+			m := e.store.m
+			runs := int64(e.store.Runs())
+			ssd0, probed0, filtered0 := ssdReads.Load(), m.GetRunsProbed.Value(), m.GetRunsFiltered.Value()
+			row, found, end, err := e.store.Get(e.now, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.now = end
+			reads := ssdReads.Load() - ssd0
+			probed, filtered := m.GetRunsProbed.Value()-probed0, m.GetRunsFiltered.Value()-filtered0
+			if reads != tc.reads || probed != reads || probed+filtered != runs {
+				t.Errorf("%d run reads, %d probed, %d filtered of %d runs; want %d reads", reads, probed, filtered, runs, tc.reads)
+			}
+			if tc.reads == 0 {
+				if n := pinnedRuns(e.store, key); n != 0 {
+					t.Errorf("%d runs pinned with the key's insert in the memtable", n)
+				}
+			}
+			want, ok := e.model[key]
+			if found != ok || !bytes.Equal(row.Body, want) {
+				t.Fatalf("Get = (%x, %v), model (%x, %v)", row.Body, found, want, ok)
+			}
+			e.verifyRange(key, key)
+		})
+	}
+}
+
+// pinnedRuns is the number of runs the latched half of a lookup of key
+// pins.
+func pinnedRuns(s *Store, key uint64) int {
+	sc := new(getScratch)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	qts := s.oracle.Next()
+	s.pinLocked(key, runfile.KeyHash(key), qts, sc)
+	s.dropReaderLocked(qts)
+	for _, r := range sc.runs {
+		s.unpinRunLocked(r.ID)
+	}
+	return len(sc.runs)
+}
+
+// restartStore replaces e's store with a fresh one restored as recovery
+// restores it: the runs from their metadata, in ID order, and the
+// buffered records replayed.
+func restartStore(t *testing.T, e *env) {
+	t.Helper()
+	old := e.store
+	var metas []RunMeta
+	for _, r := range old.runs {
+		metas = append(metas, RunMeta{RunID: r.ID, Off: r.Off, Size: r.Size, MaxTS: r.MaxTS, Passes: r.Passes,
+			Format: runfile.FormatVersion, CRC: r.CRC, IndexSize: r.IndexSize})
+	}
+	s, err := NewStore(old.cfg, e.tbl, old.ssd, e.oracle, nil, wholeVolume(old.ssd), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReserveRunExtents(metas); err != nil {
+		t.Fatal(err)
+	}
+	if e.now, err = s.Restore(e.now, metas, nil, old.buf.Drain(memtable.MaxDrain), nil); err != nil {
+		t.Fatal(err)
+	}
+	e.store = s
 }

@@ -125,7 +125,11 @@ func (e *env) apply(rec update.Record) {
 		e.t.Fatal(err)
 	}
 	e.now = t
-	// Mirror into model.
+	e.mirror(rec)
+}
+
+// mirror applies rec to the model.
+func (e *env) mirror(rec update.Record) {
 	old, exists := e.model[rec.Key]
 	nb, ok := update.Apply(old, exists, &rec)
 	if ok {

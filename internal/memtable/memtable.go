@@ -9,6 +9,11 @@
 // reads in place and must hand over to a Run_scan when a flush drains the
 // buffer under it. The copy is of 48-byte record headers only: payloads
 // are shared, and never mutated once buffered.
+//
+// The buffer is a sorted prefix followed by the unsorted tail appended
+// since the last sort. A range scan sorts the tail in first; a point read
+// does only once the tail outgrows the square root of the prefix, so the
+// tail it passes over and the merge it amortises both cost O(√n).
 package memtable
 
 import (
@@ -136,7 +141,8 @@ func (b *Buffer) Drain(beforeTS int64) []update.Record {
 // Restore re-appends records that a failed flush could not materialize,
 // ignoring the capacity limit (the buffer is simply considered full until
 // the next successful flush). The records re-enter as an unsorted tail;
-// the next AppendRange or Drain sorts them into the prefix.
+// the next AppendRange or Drain sorts them into the prefix, as does an
+// AppendKey that finds the tail too long.
 func (b *Buffer) Restore(recs []update.Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -186,14 +192,19 @@ func (b *Buffer) AppendRange(dst []update.Record, begin, end uint64, queryTS int
 }
 
 // AppendKey appends to dst the buffered records for key with timestamps
-// below queryTS, without sorting the buffer: a binary search of the sorted
-// prefix, then a pass over the tail appended since the last sort. The
-// result is in timestamp order unless a failed flush restored older
-// records into the tail; a caller that depends on the order sorts the
-// handful of records it gets.
+// below queryTS: a binary search of the sorted prefix, then a pass over
+// the tail appended since the last sort. It first sorts the tail into the
+// prefix if the tail is longer than √prefix (tail² > prefix), so the pass
+// is O(√n) and the merge that keeps it so costs O(√n) per append,
+// amortised. The result is in timestamp order unless a failed flush
+// restored older records into the tail; a caller that depends on the
+// order sorts the handful of records it gets.
 func (b *Buffer) AppendKey(dst []update.Record, key uint64, queryTS int64) []update.Record {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if tail := len(b.recs) - b.sorted; tail*tail > b.sorted {
+		b.sortLocked()
+	}
 	for i := b.lowerBoundLocked(key); i < b.sorted && b.recs[i].Key == key; i++ {
 		if b.recs[i].TS < queryTS {
 			dst = append(dst, b.recs[i])

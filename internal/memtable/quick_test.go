@@ -2,7 +2,9 @@ package memtable
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -181,5 +183,118 @@ func BenchmarkAppendRangeAfterAppend(b *testing.B) {
 		}
 		b.StartTimer()
 		dst, _ = buf.AppendRange(dst[:0], 0, ^uint64(0), 1<<62, nil)
+	}
+}
+
+// TestQuickAppendKeyMatchesModel interleaves Append, AppendKey,
+// AppendRange, Drain(beforeTS) and Restore. Every point probe must return
+// exactly the key's records below its timestamp — compared, once stably
+// sorted by timestamp, with the same records of a plain append-order
+// model — and must leave the unsorted tail at most √ of the sorted
+// prefix.
+func TestQuickAppendKeyMatchesModel(t *testing.T) {
+	byTS := func(recs []update.Record) {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].TS < recs[j].TS })
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := New(1 << 30)
+		var model, drained []update.Record
+		id := 0
+		probes, sorts := 0, 0
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 12: // a burst of appends; few keys and timestamps, so ties are common
+				for n := rng.Intn(25); n >= 0; n-- {
+					id++
+					r := update.Record{TS: int64(rng.Intn(60)), Key: uint64(rng.Intn(16)),
+						Op: update.Insert, Payload: []byte{byte(id), byte(id >> 8)}}
+					b.Append(r)
+					model = append(model, r)
+				}
+			case op < 17:
+				key, qts := uint64(rng.Intn(16)), int64(rng.Intn(64))
+				sorted := b.sorted
+				got := b.AppendKey(nil, key, qts)
+				if b.sorted != sorted {
+					sorts++
+				}
+				var want []update.Record
+				for _, r := range model {
+					if r.Key == key && r.TS < qts {
+						want = append(want, r)
+					}
+				}
+				byTS(got)
+				byTS(want)
+				if len(got) != len(want) {
+					t.Logf("seed %d step %d: AppendKey(%d, %d) = %d records, want %d", seed, step, key, qts, len(got), len(want))
+					return false
+				}
+				for i := range want {
+					if !bytes.Equal(got[i].Payload, want[i].Payload) {
+						t.Logf("seed %d step %d: AppendKey(%d, %d)[%d] is record %x, want %x", seed, step, key, qts, i, got[i].Payload, want[i].Payload)
+						return false
+					}
+				}
+				if tail := len(b.recs) - b.sorted; tail*tail > b.sorted {
+					t.Logf("seed %d step %d: tail %d after a probe over a sorted prefix of %d", seed, step, tail, b.sorted)
+					return false
+				}
+				probes++
+			case op < 18:
+				b.AppendRange(nil, 0, ^uint64(0), 1<<62, nil)
+			case op < 19:
+				bound := int64(rng.Intn(64))
+				drained = b.Drain(bound)
+				model = slices.DeleteFunc(model, func(r update.Record) bool { return r.TS < bound })
+			default: // a failed flush puts the last drain back, as an unsorted tail
+				b.Restore(drained)
+				model = append(model, drained...)
+				drained = nil
+			}
+		}
+		return probes > 0 && sorts > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkAppendKeyInterleaved is a point read's memtable probe between
+// writes: a buffer of 4,000–8,000 records (the oldest half drains, as a
+// flush would, whenever it reaches 8,000) and one append per probe or
+// one per 20 probes. Nothing else sorts the buffer, as when no range scan
+// runs. An op is one probe and its share of the appends.
+func BenchmarkAppendKeyInterleaved(b *testing.B) {
+	for _, every := range []int{1, 20} {
+		b.Run(fmt.Sprintf("1:%d", every), func(b *testing.B) {
+			const low, high = 4000, 8000
+			rng := rand.New(rand.NewSource(1))
+			buf := New(1 << 30)
+			ts, held := int64(0), 0
+			add := func() {
+				ts++
+				held++
+				buf.Append(update.Record{TS: ts, Key: uint64(rng.Intn(1 << 14)), Op: update.Insert, Payload: make([]byte, 92)})
+			}
+			for held < low {
+				add()
+			}
+			dst := make([]update.Record, 0, 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%every == 0 {
+					if held == high {
+						b.StopTimer()
+						buf.Drain(ts - low + 1)
+						held = low
+						b.StartTimer()
+					}
+					add()
+				}
+				dst = buf.AppendKey(dst[:0], uint64(rng.Intn(1<<14)), ts+1)
+			}
+		})
 	}
 }
